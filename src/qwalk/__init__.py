@@ -50,7 +50,7 @@ from .evolution import (
     evolve_lindblad,
     evolve_unitary,
     initial_density,
-    krylov_expm_multiply,
+    propagate_block,
     site_populations,
     time_series_populations,
 )

@@ -10,9 +10,9 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from .device import DisorderMap, QubitId, default_device, grid_graph, sample_disorder
-from .evolution import EvolutionPlan, evolve_unitary
-from .hamiltonian import TWO_PI, build_hamiltonian
-from .sector import QuantumState, basis_state, enumerate_basis, populations
+from .evolution import EvolutionPlan, evolve_unitary, propagate_block
+from .hamiltonian import TWO_PI, build_hamiltonian, disorder_diagonals
+from .sector import QuantumState, basis_state, enumerate_basis
 
 __all__ = [
     "CorrelationSeries",
@@ -351,16 +351,19 @@ def disorder_velocity_study(
     times = tuple(np.arange(0.0, t_max_ns + 1e-9, step_ns))
     psi0 = basis_state(basis, {origin})
 
-    acc = np.zeros((kmax, len(times)))
-    for s in range(n_seeds):
-        disorder = sample_disorder(graph.sites, disorder_bound_mhz, seed + s)
-        h = build_hamiltonian(graph, basis, disorder)
-        snapshots = evolve_unitary(EvolutionPlan(h, times), psi0)
-        pops = np.column_stack([populations(state) for _, state in snapshots])
-        for row, site in enumerate(diag):
-            # single-walker connected correlation: C = -4 p_i p_j
-            acc[row] += 4.0 * pops[origin] * pops[site]
-    acc /= n_seeds
+    # every realisation shares the hopping matrix; one diagonal column each
+    h0 = build_hamiltonian(graph, basis)
+    disorders = [sample_disorder(graph.sites, disorder_bound_mhz, seed + s) for s in range(n_seeds)]
+    diagonals = disorder_diagonals(graph, basis, disorders)
+    block = np.repeat(psi0.amplitudes[:, None], n_seeds, axis=1)
+    occ = basis.occupancy_matrix()
+
+    def ensemble_correlation(x):
+        # single-walker connected correlation C = -4 p_i p_j, averaged over realisations
+        pops = (np.abs(x) ** 2).T @ occ
+        return 4.0 * (pops[:, [origin]] * pops[:, diag]).mean(axis=0)
+
+    acc = np.column_stack(propagate_block(h0.matrix, diagonals, block, times, observe=ensemble_correlation))
 
     fronts = []
     for row in range(kmax):

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -89,13 +88,6 @@ def _parse_overrides(pairs) -> dict:
         except json.JSONDecodeError:
             out[key] = raw
     return out
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("QWALK_THREADS")
-    return max(1, int(env)) if env else 1
 
 
 def _parse_range(spec: str) -> np.ndarray:
@@ -182,7 +174,7 @@ def _cmd_sweep(args) -> int:
         manifest.add_output(name)
     manifest.start()
     try:
-        grid = disorder_sweep(scenario, d_left, d_right, args.time, threads=_threads(args))
+        grid = disorder_sweep(scenario, d_left, d_right, args.time)
         (out / "fringe.csv").write_text(grid.to_csv())
         (out / "fringe.svg").write_text(
             render_heatmap(
@@ -383,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scenario", required=True, help="scenario JSON path or builtin name")
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--out", required=True)
-    p_run.add_argument("--threads", type=int)
     p_run.add_argument("--override", action="append", metavar="KEY=VALUE")
     p_run.set_defaults(func=_cmd_run)
 
@@ -393,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--d-right", default="0:1:11")
     p_sweep.add_argument("--time", type=float, default=None, help="readout time ns")
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--threads", type=int)
     p_sweep.add_argument("--override", action="append", metavar="KEY=VALUE")
     p_sweep.set_defaults(func=_cmd_sweep)
 

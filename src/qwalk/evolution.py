@@ -1,6 +1,12 @@
 """Time evolution: exact unitary propagation in a sector, and Lindblad
 master-equation dynamics with per-site T1 / Tphi for small systems.
 
+Unitary propagation has one engine, `propagate_block`: a Chebyshev expansion
+of the propagator (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984) applied
+to a block of states that share one real hopping matrix and differ only in a
+real diagonal per column. Fringe-grid cells and disorder realisations thus
+propagate together; a single state is the one-column case.
+
 Times cross the API in ns; internally everything runs in us to match the
 rad/us Hamiltonian units.
 """
@@ -9,28 +15,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
-from scipy.linalg import eigh_tridiagonal
+from scipy.special import jv
 
 from .device import ActiveGraph, DisorderMap
 from .hamiltonian import HamiltonianMatrix
-from .sector import QuantumState, _site_bit, populations
+from .sector import NORM_TOL, QuantumState, _site_bit, populations
 
 __all__ = [
     "EvolutionPlan",
     "EvolutionError",
     "evolve_unitary",
-    "krylov_expm_multiply",
+    "propagate_block",
     "LindbladModel",
     "evolve_lindblad",
     "initial_density",
     "site_populations",
     "time_series_populations",
-    "DENSE_CUTOFF",
 ]
 
-DENSE_CUTOFF = 256
 NS_TO_US = 1e-3
+
+# (-i)^k for k mod 4, exact in complex arithmetic
+_MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 
 class EvolutionError(RuntimeError):
@@ -41,8 +49,7 @@ class EvolutionError(RuntimeError):
 class EvolutionPlan:
     hamiltonian: HamiltonianMatrix
     times_ns: tuple
-    method: str = "auto"
-    tolerance: float = 1e-10
+    tolerance: float = 1e-12
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times_ns)
@@ -51,95 +58,100 @@ class EvolutionPlan:
             raise ValueError("sample times must be nonnegative")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("sample times must be strictly increasing")
-        if self.method not in ("auto", "krylov", "dense_expm"):
-            raise ValueError(f"unknown evolution method {self.method!r}")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
 
-    def resolve_method(self) -> str:
-        if self.method != "auto":
-            return self.method
-        return "dense_expm" if self.hamiltonian.dimension < DENSE_CUTOFF else "krylov"
 
+def _chebyshev_coefficients(z: float, tol: float) -> np.ndarray:
+    """(2 - delta_k0) (-i)^k J_k(z) for exp(-i z x) = sum_k c_k T_k(x) on [-1, 1].
 
-def krylov_expm_multiply(
-    matrix,
-    v: np.ndarray,
-    dt_us: float,
-    tol: float = 1e-10,
-    m_start: int = 20,
-    m_max: int = 80,
-    _depth: int = 0,
-) -> np.ndarray:
-    """exp(-i * dt * H) @ v via a Lanczos projection with adaptive subspace size.
-
-    The subspace grows from m_start until successive projections agree within
-    tol; if m_max is reached first, the step is split in half recursively.
-    Works for either sign of dt.
+    The series is cut at the first order K whose tail 2 * sum_{k >= K} |J_k(z)|
+    is below tol; since |T_k(x)| <= 1 that tail bounds the truncation error.
     """
-    if _depth > 40:
-        raise EvolutionError(f"Krylov propagation failed to converge for dt={dt_us} us")
-    matvec = (lambda x: matrix @ x) if not callable(matrix) else matrix
-    beta = np.linalg.norm(v)
-    if beta == 0 or dt_us == 0:
-        return v.astype(np.complex128, copy=True)
-    dim = v.shape[0]
-    m_cap = min(m_max, dim)
-
-    V = np.empty((m_cap + 1, dim), dtype=np.complex128)
-    V[0] = v / beta
-    alphas: list[float] = []
-    offdiag: list[float] = []
-    u_prev = None
-    scale = 1.0
-    m = 0
-    while m < m_cap:
-        w = matvec(V[m])
-        a = np.real(np.vdot(V[m], w))
-        w = w - a * V[m]
-        if m > 0:
-            w = w - offdiag[-1] * V[m - 1]
-        # full reorthogonalization keeps the basis clean for long steps
-        w = w - V[: m + 1].T @ (V[: m + 1].conj() @ w)
-        b = float(np.linalg.norm(w))
-        alphas.append(float(a))
-        m += 1
-        scale = max(scale, abs(a), b)
-        if b <= 1e-12 * scale:
-            # invariant subspace reached: the projection is exact
-            return _project_exp(V, alphas, offdiag, beta, dt_us, m)
-        if m < m_cap:
-            V[m] = w / b
-            offdiag.append(b)
-        if m == dim:
-            return _project_exp(V, alphas, offdiag, beta, dt_us, m)
-        if m >= m_start and (m % 5 == 0 or m == m_cap):
-            u = _project_exp(V, alphas, offdiag, beta, dt_us, m)
-            if u_prev is not None and np.linalg.norm(u - u_prev) <= tol * max(1.0, float(np.linalg.norm(u))):
-                return u
-            u_prev = u
-    half = 0.5 * dt_us
-    mid = krylov_expm_multiply(matvec, v, half, tol, m_start, m_max, _depth + 1)
-    return krylov_expm_multiply(matvec, mid, half, tol, m_start, m_max, _depth + 1)
+    n = int(abs(z)) + 32
+    while True:
+        j = jv(np.arange(n), z)
+        if abs(j[-1]) < 1e-6 * tol:
+            break
+        n *= 2
+    tail = 2.0 * np.cumsum(np.abs(j[::-1]))[::-1]
+    keep = max(1, int(np.argmax(tail < tol)))
+    k = np.arange(keep)
+    return np.where(k == 0, 1.0, 2.0) * _MINUS_I_POWERS[k % 4] * j[:keep]
 
 
-def _project_exp(V, alphas, offdiag, beta, dt_us, m):
-    if m == 1:
-        return beta * np.exp(-1j * dt_us * alphas[0]) * V[0]
-    w, U = eigh_tridiagonal(np.array(alphas[:m]), np.array(offdiag[: m - 1]))
-    y = U @ (np.exp(-1j * dt_us * w) * U[0])
-    return beta * (V[:m].T @ y)
+def propagate_block(h0, diagonals, block, times_ns, tolerance: float = 1e-12, observe=None) -> list:
+    """exp(-i t (H0 + diag(d_c))) x_c for every column c of a block, at each sample time.
 
+    `h0` is a real symmetric sparse matrix shared by every column; column c of
+    the real `diagonals` (dim x cells) is added to its diagonal for column c of
+    `block`, the states at t = 0. Times are in ns, stepped in order from t = 0;
+    a step may be negative or zero. Returns `[observe(X(t)) for t in times_ns]`,
+    by default the blocks themselves, which the engine never writes to again.
 
-class _SpectralPropagator:
-    """Dense propagator through one eigendecomposition, reused across times."""
+    Every column's spectrum lies in one Gershgorin interval [a - b, a + b] over
+    the whole block, so one rescaled Chebyshev recurrence serves all columns;
+    its coefficients depend only on b * dt and are cached per distinct step.
+    Each step gets an equal share of `tolerance`, which so bounds the summed
+    truncation error at the last sample. The recurrence runs on the float64
+    view of the complex block: each term is one real sparse-times-dense product.
+    """
+    if np.iscomplexobj(h0) or np.iscomplexobj(diagonals):
+        raise ValueError("the block engine needs a real Hamiltonian")
+    if not tolerance > 0 or not np.all(np.isfinite(times_ns)):
+        raise ValueError("tolerance must be positive and sample times finite")
+    h0 = sp.csr_matrix(h0, dtype=np.float64)
+    diagonals = np.asarray(diagonals, dtype=np.float64)
+    x = np.ascontiguousarray(block, dtype=np.complex128)
+    if x.ndim != 2 or h0.shape != (x.shape[0], x.shape[0]) or diagonals.shape != x.shape:
+        raise ValueError(f"shapes do not match: H0 {h0.shape}, diagonals {diagonals.shape}, block {x.shape}")
 
-    def __init__(self, h: HamiltonianMatrix):
-        self.w, self.u = np.linalg.eigh(h.to_dense())
+    h0_diag = h0.diagonal()
+    radius = np.asarray(abs(h0).sum(axis=1)).ravel() - np.abs(h0_diag)
+    centers = h0_diag[:, None] + diagonals
+    lo = float(np.min(centers - radius[:, None]))
+    hi = float(np.max(centers + radius[:, None]))
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise EvolutionError("the Hamiltonian has non-finite entries")
+    shift, half_width = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    # a zero half-width means H = shift * I: every step is a pure phase (z = 0,
+    # one coefficient) and the scaled operator is never applied
+    inverse_width = 1.0 / half_width if half_width > 0 else 0.0
+    scaled_h0 = h0 * inverse_width
+    # the real view interleaves (re, im) columns, so each diagonal column repeats
+    scaled_diag = np.repeat((diagonals - shift) * inverse_width, 2, axis=1)
 
-    def apply(self, v: np.ndarray, dt_us: float) -> np.ndarray:
-        c = self.u.conj().T @ v
-        return self.u @ (np.exp(-1j * self.w * dt_us) * c)
+    def apply(v):
+        vr = v.view(np.float64)
+        hv = scaled_h0 @ vr
+        hv += scaled_diag * vr
+        return hv.view(np.complex128)
+
+    step_tolerance = tolerance / max(1, len(times_ns))
+    norms0 = np.linalg.norm(x, axis=0)
+    coefficients = {}
+    out = []
+    t_prev = 0.0
+    for t in times_ns:
+        dt = (t - t_prev) * NS_TO_US
+        if dt not in coefficients:
+            coefficients[dt] = np.exp(-1j * shift * dt) * _chebyshev_coefficients(half_width * dt, step_tolerance)
+        coeffs = coefficients[dt]
+        y = coeffs[0] * x
+        prev, cur = None, x
+        for k in range(1, len(coeffs)):
+            nxt = apply(cur)
+            if k > 1:
+                nxt *= 2.0
+                nxt -= prev
+            y += coeffs[k] * nxt
+            prev, cur = cur, nxt
+        drift = np.abs(np.linalg.norm(y, axis=0) - norms0)
+        if not np.all(drift <= NORM_TOL):
+            raise EvolutionError(f"norm drifted by {np.max(drift)} at t={t} ns")
+        out.append(y if observe is None else observe(y))
+        x, t_prev = y, t
+    return out
 
 
 def evolve_unitary(plan: EvolutionPlan, psi0: QuantumState) -> list[tuple[float, QuantumState]]:
@@ -148,29 +160,10 @@ def evolve_unitary(plan: EvolutionPlan, psi0: QuantumState) -> list[tuple[float,
     if psi0.basis.dimension != h.dimension:
         raise ValueError("initial state dimension does not match the Hamiltonian")
     psi0.check_normalized()
-    method = plan.resolve_method()
-    out: list[tuple[float, QuantumState]] = []
-    if method == "dense_expm":
-        prop = _SpectralPropagator(h)
-        for t in plan.times_ns:
-            amp = prop.apply(psi0.amplitudes, t * NS_TO_US)
-            out.append((t, QuantumState(psi0.basis, amp)))
-    else:
-        current = psi0.amplitudes.astype(np.complex128, copy=True)
-        t_prev = 0.0
-        for t in plan.times_ns:
-            dt = (t - t_prev) * NS_TO_US
-            if dt != 0:
-                try:
-                    current = krylov_expm_multiply(h.matrix, current, dt, tol=plan.tolerance)
-                except EvolutionError as exc:
-                    raise EvolutionError(f"propagation to t={t} ns failed: {exc}") from None
-            t_prev = t
-            out.append((t, QuantumState(psi0.basis, current.copy())))
-    for t, state in out:
-        if abs(state.norm - 1.0) > 1e-9:
-            raise EvolutionError(f"norm drifted to {state.norm} at t={t} ns")
-    return out
+    columns = propagate_block(
+        h.matrix, np.zeros((h.dimension, 1)), psi0.amplitudes[:, None], plan.times_ns, plan.tolerance, lambda x: x[:, 0]
+    )
+    return [(t, QuantumState(psi0.basis, amp)) for t, amp in zip(plan.times_ns, columns)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import scipy.sparse as sp
 from .device import ActiveGraph, DisorderMap
 from .sector import QuantumState, SectorBasis, _site_bit
 
-__all__ = ["HamiltonianMatrix", "build_hamiltonian", "apply", "TWO_PI"]
+__all__ = ["HamiltonianMatrix", "build_hamiltonian", "disorder_diagonals", "apply", "TWO_PI"]
 
 TWO_PI = 2.0 * np.pi
 
@@ -23,7 +23,6 @@ TWO_PI = 2.0 * np.pi
 class HamiltonianMatrix:
     basis: SectorBasis
     matrix: sp.csr_matrix = field(repr=False)
-    metadata: dict = field(default_factory=dict)
 
     @property
     def dimension(self) -> int:
@@ -61,7 +60,6 @@ def build_hamiltonian(
     if graph.n_sites != n:
         raise ValueError(f"graph has {graph.n_sites} sites, basis expects {n}")
     disorder = disorder or DisorderMap()
-    site_offsets = np.array([disorder.get(s) for s in graph.sites], dtype=np.float64)
 
     rows, cols, vals = [], [], []
     index = basis.index
@@ -87,17 +85,18 @@ def build_hamiltonian(
     dim = basis.dimension
     upper = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
     matrix = upper + upper.T
-    if np.any(site_offsets):
-        occ = basis.occupancy_matrix()
-        matrix = matrix + sp.diags(TWO_PI * (occ @ site_offsets))
+    if any(disorder.get(s) for s in graph.sites):
+        matrix = matrix + sp.diags(disorder_diagonals(graph, basis, [disorder])[:, 0])
     matrix = matrix.tocsr()
     matrix.sum_duplicates()
-    meta = {
-        "n_sites": n,
-        "n_excitations": basis.n_excitations,
-        "disorder_hash": hash(tuple(np.round(site_offsets, 12))),
-    }
-    return HamiltonianMatrix(basis, matrix, meta)
+    return HamiltonianMatrix(basis, matrix)
+
+
+def disorder_diagonals(graph: ActiveGraph, basis: SectorBasis, disorders) -> np.ndarray:
+    """Sector diagonals in rad/us, one column per disorder map (dimension x maps):
+    2*pi * the sum of the map's offsets on each state's occupied sites."""
+    offsets = np.array([[d.get(s) for d in disorders] for s in graph.sites], dtype=np.float64)
+    return TWO_PI * (basis.occupancy_matrix() @ offsets)
 
 
 def apply(h: HamiltonianMatrix, v) -> np.ndarray:

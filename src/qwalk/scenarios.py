@@ -4,7 +4,7 @@ and fringe-grid sweeps.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,8 +19,8 @@ from .device import (
     active_subgraph,
     default_device,
 )
-from .evolution import EvolutionPlan, evolve_unitary
-from .hamiltonian import build_hamiltonian
+from .evolution import EvolutionPlan, evolve_unitary, propagate_block
+from .hamiltonian import build_hamiltonian, disorder_diagonals
 from .measurement import ReadoutModel, ShotCounts, post_select, sample_shots
 from .sector import basis_state, enumerate_basis, populations
 
@@ -179,6 +179,18 @@ class Scenario:
         missing = [s for s in self.sources if s not in self.active]
         if missing:
             raise ValueError(f"initial excitation sites {missing} are not in the active set")
+        t = self.times_ns
+        if not t or not all(map(math.isfinite, t)) or t[0] < 0 or any(b <= a for a, b in zip(t, t[1:])):
+            raise ValueError("times_ns must be a nonempty, strictly increasing list of finite nonnegative times")
+        for name, value in (
+            *((f"static_disorder_mhz[{k!r}]", v) for k, v in self.static_disorder_mhz.items()),
+            ("step_d_left_mhz", self.step_d_left_mhz),
+            ("step_d_right_mhz", self.step_d_right_mhz),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.readout_time_ns is not None and not (math.isfinite(self.readout_time_ns) and self.readout_time_ns >= 0):
+            raise ValueError(f"readout_time_ns must be finite and nonnegative, got {self.readout_time_ns!r}")
 
     @property
     def n_excitations(self) -> int:
@@ -354,9 +366,9 @@ def run_scenario(
     scenario: Scenario,
     device: DeviceModel | None = None,
     readout: ReadoutModel | None = None,
-    method: str = "auto",
 ) -> ScenarioResult:
-    """Evolve the scenario and optionally sample shots at the readout time."""
+    """Evolve the scenario and optionally sample shots at the readout time,
+    which is propagated to exactly without adding a column to the populations."""
     device = device or default_device()
     graph, disorder = _scenario_graph(scenario, device)
     index = graph.index
@@ -364,13 +376,17 @@ def run_scenario(
     h = build_hamiltonian(graph, basis, disorder)
     sources = {index[QubitId.parse(s)] for s in scenario.sources}
     psi0 = basis_state(basis, sources)
-    snapshots = evolve_unitary(EvolutionPlan(h, scenario.times_ns, method=method), psi0)
-    pops = np.column_stack([populations(state) for _, state in snapshots])
+    times = scenario.times_ns
+    t_read = None
+    if scenario.n_shots:
+        t_read = scenario.readout_time_ns if scenario.readout_time_ns is not None else times[-1]
+        times = sorted({*times, t_read})
+    snapshots = dict(evolve_unitary(EvolutionPlan(h, times), psi0))
+    pops = np.column_stack([populations(snapshots[t]) for t in scenario.times_ns])
 
     shots = retention = None
-    if scenario.n_shots:
-        t_read = scenario.readout_time_ns if scenario.readout_time_ns is not None else scenario.times_ns[-1]
-        state = min(snapshots, key=lambda item: abs(item[0] - t_read))[1]
+    if t_read is not None:
+        state = snapshots[t_read]
         model = readout or ReadoutModel.perfect(graph.n_sites)
         shots = sample_shots(state, model, scenario.n_shots, scenario.seed)
         if scenario.post_select:
@@ -409,13 +425,13 @@ def disorder_sweep(
     d_right_values,
     readout_time_ns: float | None = None,
     device: DeviceModel | None = None,
-    threads: int = 1,
 ) -> FringeGrid:
-    """Detector population over a (d_left, d_right) step grid, one evolution per cell.
+    """Detector population over a (d_left, d_right) step grid.
 
     The scenario's static disorder persists across cells; only the protocol
-    steps vary. Cells are independent and may run on a thread pool; results
-    are assembled in deterministic grid order either way.
+    steps vary. Every cell shares the hopping matrix and the static disorder,
+    so that part is built once and all cells propagate as one block, with
+    one step diagonal per cell.
     """
     if scenario.kind != "mz":
         raise ValueError("disorder sweeps are defined for interferometer scenarios")
@@ -430,6 +446,8 @@ def disorder_sweep(
     t_read = float(
         readout_time_ns if readout_time_ns is not None else (scenario.readout_time_ns or scenario.times_ns[-1])
     )
+    if not (math.isfinite(t_read) and t_read >= 0):
+        raise ValueError(f"readout time must be finite and nonnegative, got {t_read!r}")
 
     base = replace(scenario, step_d_left_mhz=0.0, step_d_right_mhz=0.0)
     graph, static = _scenario_graph(base, device)
@@ -437,21 +455,13 @@ def disorder_sweep(
     basis = enumerate_basis(graph.n_sites, scenario.n_excitations)
     sources = {index[QubitId.parse(s)] for s in scenario.sources}
     psi0 = basis_state(basis, sources)
-    detector_idx = index[layout.detector]
+    h0 = build_hamiltonian(graph, basis, static)
 
-    def cell(args):
-        dl, dr = args
-        steps = DisorderStepProtocol(dl, dr).offsets(layout)
-        merged = {q: static.get(q) + steps.get(q) for q in graph.sites}
-        h = build_hamiltonian(graph, basis, DisorderMap(merged))
-        snaps = evolve_unitary(EvolutionPlan(h, (t_read,) if t_read > 0 else (0.0,)), psi0)
-        return populations(snaps[-1][1])[detector_idx]
-
-    jobs = [(dl, dr) for dl in d_left_values for dr in d_right_values]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flat = list(pool.map(cell, jobs))
-    else:
-        flat = [cell(j) for j in jobs]
-    values = np.array(flat).reshape(len(d_left_values), len(d_right_values))
+    cells = [DisorderStepProtocol(dl, dr).offsets(layout) for dl in d_left_values for dr in d_right_values]
+    block = np.repeat(psi0.amplitudes[:, None], len(cells), axis=1)
+    (probabilities,) = propagate_block(
+        h0.matrix, disorder_diagonals(graph, basis, cells), block, (t_read,), observe=lambda x: np.abs(x) ** 2
+    )
+    detector = basis.occupancy_matrix()[:, index[layout.detector]]
+    values = (detector @ probabilities).reshape(len(d_left_values), len(d_right_values))
     return FringeGrid(d_left_values, d_right_values, values, t_read, layout.detector.label)

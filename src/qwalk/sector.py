@@ -95,7 +95,7 @@ class QuantumState:
         return float(np.linalg.norm(self.amplitudes))
 
     def check_normalized(self, tol: float = NORM_TOL) -> None:
-        if abs(self.norm - 1.0) > tol:
+        if not abs(self.norm - 1.0) <= tol:
             raise ValueError(f"state norm {self.norm} deviates from 1 by more than {tol}")
 
     def copy(self) -> "QuantumState":

@@ -105,7 +105,7 @@ def test_c04_krylov_vs_dense_oracle(full_graph):
         basis = enumerate_basis(62, n_exc)
         h = build_hamiltonian(full_graph, basis)
         psi0 = basis_state(basis, sources)
-        snaps = evolve_unitary(EvolutionPlan(h, times, method="krylov"), psi0)
+        snaps = evolve_unitary(EvolutionPlan(h, times), psi0)
         u100 = expm(-1j * h.to_dense() * 0.1)
         ref = psi0.amplitudes.copy()
         worst = 0.0
@@ -124,7 +124,7 @@ def test_c04_krylov_vs_dense_oracle(full_graph):
     w2 = worst_case(2, {idx[QubitId.parse("U00Q0")], idx[QubitId.parse("U33Q2")]}, 1e-7)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
-    report(4, f"krylov vs expm oracle: max diff {w1:.1e} (dim 62), {w2:.1e} (dim 1891), {elapsed:.0f} s")
+    report(4, f"chebyshev engine vs expm oracle: max diff {w1:.1e} (dim 62), {w2:.1e} (dim 1891), {elapsed:.0f} s")
 
 
 def test_c05_propagation_velocity_ideal_array():
@@ -329,7 +329,7 @@ def test_c13_measurement_and_post_selection(full_graph):
     h = build_hamiltonian(full_graph, basis)
     idx = full_graph.index
     psi0 = basis_state(basis, {idx[QubitId.parse("U00Q0")], idx[QubitId.parse("U33Q2")]})
-    snaps = evolve_unitary(EvolutionPlan(h, (300.0,), method="krylov"), psi0)
+    snaps = evolve_unitary(EvolutionPlan(h, (300.0,)), psi0)
     thermal = thermal_excited_probability(66.0, 5.02)
     noisy = ReadoutModel.uniform(62, f0=0.966, f1=0.919, thermal=thermal)
     raw = sample_shots(snaps[-1][1], noisy, 50000, seed=9)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qwalk.device import ActiveGraph, DisorderMap, grid_graph
@@ -10,7 +13,7 @@ from qwalk.evolution import (
     evolve_lindblad,
     evolve_unitary,
     initial_density,
-    krylov_expm_multiply,
+    propagate_block,
     site_populations,
     time_series_populations,
 )
@@ -33,15 +36,7 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         EvolutionPlan(h, (-1.0, 5.0))
     with pytest.raises(ValueError):
-        EvolutionPlan(h, (0.0, 1.0), method="magic")
-    assert EvolutionPlan(h, (0.0, 1.0)).resolve_method() == "dense_expm"
-
-
-def test_auto_selects_krylov_above_cutoff():
-    g = grid_graph(5, 5)
-    b = enumerate_basis(25, 2)  # dim 300
-    h = build_hamiltonian(g, b)
-    assert EvolutionPlan(h, (1.0,)).resolve_method() == "krylov"
+        EvolutionPlan(h, (0.0, 1.0), tolerance=0.0)
 
 
 def test_two_site_rabi_swap():
@@ -60,9 +55,8 @@ def test_two_site_rabi_swap():
 def test_time_zero_is_identity():
     _, b, h = chain_instance(5)
     psi0 = basis_state(b, {2})
-    for method in ("dense_expm", "krylov"):
-        snaps = evolve_unitary(EvolutionPlan(h, (0.0,), method=method), psi0)
-        assert np.allclose(snaps[0][1].amplitudes, psi0.amplitudes, atol=1e-12)
+    snaps = evolve_unitary(EvolutionPlan(h, (0.0,)), psi0)
+    assert np.array_equal(snaps[0][1].amplitudes, psi0.amplitudes)
 
 
 @pytest.mark.parametrize(
@@ -83,29 +77,17 @@ def test_krylov_matches_scipy_expm_oracle(shape, k, sources):
     h = build_hamiltonian(g, b, d)
     psi0 = basis_state(b, sources)
     times = (37.0, 100.0, 260.0, 333.0)
-    snaps = evolve_unitary(EvolutionPlan(h, times, method="krylov"), psi0)
+    snaps = evolve_unitary(EvolutionPlan(h, times), psi0)
     dense = h.to_dense()
     for (t, state) in snaps:
         ref = expm(-1j * dense * (t * 1e-3)) @ psi0.amplitudes
         assert np.max(np.abs(state.amplitudes - ref)) < 1e-8
 
 
-def test_dense_and_krylov_agree():
-    g = grid_graph(4, 4)
-    b = enumerate_basis(16, 2)
-    h = build_hamiltonian(g, b)
-    psi0 = basis_state(b, {0, 15})
-    times = (50.0, 150.0, 400.0)
-    sd = evolve_unitary(EvolutionPlan(h, times, method="dense_expm"), psi0)
-    sk = evolve_unitary(EvolutionPlan(h, times, method="krylov"), psi0)
-    for (_, a), (_, c) in zip(sd, sk):
-        assert np.max(np.abs(a.amplitudes - c.amplitudes)) < 1e-9
-
-
 def test_unitarity_at_every_sample():
     _, b, h = chain_instance(8, k=2)
     psi0 = basis_state(b, {0, 4})
-    snaps = evolve_unitary(EvolutionPlan(h, tuple(np.arange(10.0, 800.0, 37.0)), method="krylov"), psi0)
+    snaps = evolve_unitary(EvolutionPlan(h, tuple(np.arange(10.0, 800.0, 37.0))), psi0)
     for _, s in snaps:
         assert abs(s.norm - 1.0) < 1e-9
 
@@ -113,20 +95,73 @@ def test_unitarity_at_every_sample():
 def test_time_additivity_and_reversibility():
     rng = np.random.default_rng(6)
     _, b, h = chain_instance(6, k=2)
-    psi = rng.normal(size=b.dimension) + 1j * rng.normal(size=b.dimension)
-    psi /= np.linalg.norm(psi)
-    one_shot = krylov_expm_multiply(h.matrix, psi, 0.35)
-    stepped = krylov_expm_multiply(h.matrix, krylov_expm_multiply(h.matrix, psi, 0.15), 0.2)
+    diagonals = rng.uniform(-20.0, 20.0, size=(b.dimension, 3))
+    psi = rng.normal(size=(b.dimension, 3)) + 1j * rng.normal(size=(b.dimension, 3))
+    psi /= np.linalg.norm(psi, axis=0)
+    (one_shot,) = propagate_block(h.matrix, diagonals, psi, (350.0,))
+    _, stepped = propagate_block(h.matrix, diagonals, psi, (150.0, 350.0))
     assert np.max(np.abs(one_shot - stepped)) < 1e-8
-    back = krylov_expm_multiply(h.matrix, one_shot, -0.35)
+    (back,) = propagate_block(h.matrix, diagonals, one_shot, (-350.0,))
     assert np.max(np.abs(back - psi)) < 1e-8
 
 
-def test_krylov_non_convergence_names_failure():
-    _, b, h = chain_instance(6, k=1)
-    psi = basis_state(b, {0}).amplitudes
-    with pytest.raises(EvolutionError):
-        krylov_expm_multiply(h.matrix, psi, 5.0, m_start=64, m_max=1)
+@st.composite
+def block_instances(draw):
+    """A random small graph, hard-core sector, per-cell diagonals and block of states."""
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(1, n - 1))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    edges = tuple((i, j, draw(st.floats(0.1, 5.0))) for i, j in sorted(chosen))
+    g = ActiveGraph(tuple(range(n)), edges)
+    b = enumerate_basis(n, k)
+    cells = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    offsets = rng.uniform(-3.0, 3.0, size=(n, cells))
+    diagonals = 2.0 * np.pi * (b.occupancy_matrix() @ offsets)
+    x = rng.normal(size=(b.dimension, cells)) + 1j * rng.normal(size=(b.dimension, cells))
+    return build_hamiltonian(g, b), diagonals, x / np.linalg.norm(x, axis=0)
+
+
+@given(block_instances(), st.sampled_from([0.0, 1.0, -1.0]), st.floats(0.0, 400.0))
+def test_block_engine_matches_scipy_expm(instance, sign, magnitude):
+    h, diagonals, x = instance
+    t = sign * magnitude
+    (y,) = propagate_block(h.matrix, diagonals, x, (t,))
+    dense = h.to_dense()
+    for c in range(x.shape[1]):
+        ref = expm(-1j * (t * 1e-3) * (dense + np.diag(diagonals[:, c]))) @ x[:, c]
+        assert np.max(np.abs(y[:, c] - ref)) < 1e-10
+    assert np.allclose(np.linalg.norm(y, axis=0), 1.0, atol=1e-12)
+
+
+def test_zero_hopping_gives_pure_phase():
+    h0 = sp.csr_matrix((4, 4))
+    x = np.eye(4, 2, dtype=complex)
+    with np.errstate(all="raise"):
+        # uniform diagonal: the Gershgorin half-width is zero
+        (y,) = propagate_block(h0, np.full((4, 2), 3.0), x, (200.0,))
+        assert np.allclose(y, np.exp(-1j * 3.0 * 0.2) * x, atol=1e-14)
+        (y,) = propagate_block(h0, np.zeros((4, 2)), x, (200.0,))
+        assert np.array_equal(y, x)
+    # distinct diagonal entries, still no hopping: a phase per entry
+    d = np.array([[0.0, 1.0], [2.0, -3.0], [5.0, 0.5], [-1.0, 4.0]])
+    (y,) = propagate_block(h0, d, x, (300.0,))
+    assert np.allclose(y, np.exp(-1j * d * 0.3) * x, atol=1e-12)
+
+
+def test_engine_rejects_non_finite_input():
+    _, b, h = chain_instance(4)
+    x = basis_state(b, {0}).amplitudes[:, None]
+    bad = np.zeros((b.dimension, 1))
+    bad[1, 0] = np.nan
+    with pytest.raises(EvolutionError, match="non-finite"):
+        propagate_block(h.matrix, bad, x, (10.0,))
+    with pytest.raises(EvolutionError, match="norm"):
+        propagate_block(h.matrix, np.zeros((b.dimension, 1)), np.full_like(x, np.nan), (10.0,))
+    with pytest.raises(ValueError):
+        propagate_block(h.matrix, np.zeros((b.dimension, 2)), x, (10.0,))
 
 
 def test_dimension_mismatch():

@@ -144,6 +144,15 @@ def test_cli_bad_override_is_domain_error(tmp_path):
     assert code == 1
 
 
+def test_cli_non_finite_override_is_domain_error(tmp_path):
+    code = main(
+        ["run", "--scenario", "mz-single", "--out", str(tmp_path), "--override", 'static_disorder_mhz={"U00Q0": NaN}']
+    )
+    assert code == 1
+    doc = json.loads((tmp_path / "error.json").read_text())
+    assert doc["type"] == "ValueError" and "finite" in doc["error"]
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["run"])  # missing required flags

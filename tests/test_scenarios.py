@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,6 +95,21 @@ def test_scenario_validation():
         Scenario("x", "ctqw", ("U00Q0",), ("U11Q1",), (0.0,))
     with pytest.raises(ValueError):
         Scenario.from_dict({"schema_version": 5})
+    sc = mz_scenario("S")
+    for field, value in (
+        ("times_ns", ()),
+        ("times_ns", (0.0, 0.0)),
+        ("times_ns", (10.0, 5.0)),
+        ("times_ns", (-1.0, 5.0)),
+        ("times_ns", (0.0, float("nan"))),
+        ("static_disorder_mhz", {"U00Q0": float("nan")}),
+        ("step_d_left_mhz", float("inf")),
+        ("step_d_right_mhz", float("nan")),
+        ("readout_time_ns", float("nan")),
+        ("readout_time_ns", -5.0),
+    ):
+        with pytest.raises(ValueError, match=field):
+            replace(sc, **{field: value})
 
 
 def test_layout_names_round_trip():
@@ -146,11 +162,16 @@ def test_sweep_symmetry_under_arm_swap():
     assert np.allclose(grid.values, grid.values.T, atol=1e-10)
 
 
-def test_sweep_threads_deterministic():
-    sc = mz_scenario("S")
-    g1 = disorder_sweep(sc, np.linspace(0, 1, 3), np.linspace(0, 1, 3))
-    g2 = disorder_sweep(sc, np.linspace(0, 1, 3), np.linspace(0, 1, 3), threads=4)
-    assert np.array_equal(g1.values, g2.values)
+def test_sweep_batched_matches_per_cell_runs():
+    sc = mz_scenario("S").with_static_disorder(sample_disorder(default_mz_layout().sites, 0.3, seed=4))
+    d_left, d_right = (0.0, 0.4, 1.0), (0.2, 0.7)
+    grid = disorder_sweep(sc, d_left, d_right, readout_time_ns=650.0)
+    assert np.array_equal(grid.values, disorder_sweep(sc, d_left, d_right, readout_time_ns=650.0).values)
+    detector = sc.layout_names["D"]
+    for i, dl in enumerate(d_left):
+        for j, dr in enumerate(d_right):
+            cell = replace(sc, step_d_left_mhz=dl, step_d_right_mhz=dr, times_ns=(650.0,))
+            assert abs(grid.values[i, j] - run_scenario(cell).site_series(detector)[0]) < 1e-10
 
 
 def test_sweep_rejects_bad_input():
@@ -174,6 +195,16 @@ def test_run_scenario_with_shots_and_post_selection():
     assert res.shots is not None
     assert res.retention == 1.0  # perfect readout keeps every shot
     assert all(bits.count("1") == 1 for bits in res.shots.counts)
+
+
+def test_shots_are_drawn_at_the_readout_time():
+    # the readout time (650 ns) lies beyond the last sample time
+    sc = replace(mz_scenario("S", n_shots=4000, seed=3), times_ns=(0.0, 100.0, 200.0))
+    res = run_scenario(sc)
+    assert res.populations.shape == (24, 3)
+    at_readout = run_scenario(replace(sc, times_ns=(650.0,), n_shots=None)).populations[:, 0]
+    # 4000 perfect-readout shots: each site frequency within ~5 sigma of its population
+    assert np.max(np.abs(res.shots.populations() - at_readout)) < 0.04
 
 
 def test_static_disorder_breaks_mirror_symmetry():
