@@ -21,7 +21,7 @@ from scipy.special import jv
 
 from .device import ActiveGraph, DisorderMap
 from .hamiltonian import HamiltonianMatrix
-from .sector import NORM_TOL, QuantumState, _site_bit, populations
+from .sector import NORM_TOL, QuantumState, _site_bit, occupancy_table, populations
 
 __all__ = [
     "EvolutionPlan",
@@ -188,6 +188,7 @@ class LindbladModel:
     h: np.ndarray = field(repr=False)
     t1_us: dict = field(default_factory=dict)
     t_phi_us: dict = field(default_factory=dict)
+    _occ: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_graph(
@@ -229,12 +230,10 @@ class LindbladModel:
         return len(self.states)
 
     def occupancy(self) -> np.ndarray:
-        occ = np.zeros((self.dimension, self.n_sites))
-        for a, v in enumerate(self.states):
-            for j in range(self.n_sites):
-                if v & _site_bit(self.n_sites, j):
-                    occ[a, j] = 1.0
-        return occ
+        """(dimension x n_sites) 0/1 matrix; cached after first call."""
+        if self._occ is None:
+            self._occ = occupancy_table(self.states, self.n_sites)
+        return self._occ
 
 
 def _rate_map(spec, n_sites: int) -> dict:

@@ -130,10 +130,13 @@ def sample_shots(state: QuantumState, readout: ReadoutModel, n_shots: int, seed:
     flip_1to0 = bits & (u >= readout.f1)
     flip_0to1 = ~bits & (u >= readout.f0)
     observed = (bits & ~flip_1to0) | flip_0to1
-    patterns, mults = np.unique(observed, axis=0, return_counts=True)
-    counts: dict[str, int] = {}
-    for row, mult in zip(patterns, mults):
-        counts["".join("1" if b else "0" for b in row)] = int(mult)
+    # One byte-string key per shot: MSB-first packing puts site 0 first, so
+    # the keys sort like the bit rows and only the unique ones are decoded.
+    packed = np.packbits(observed, axis=1)
+    width = packed.shape[1]
+    keys, mults = np.unique(packed.view(f"V{width}").ravel(), return_counts=True)
+    text = (np.unpackbits(keys.view(np.uint8).reshape(-1, width), axis=1)[:, :n] + ord("0")).tobytes().decode()
+    counts = {text[i * n : (i + 1) * n]: int(mult) for i, mult in enumerate(mults)}
     return ShotCounts(counts, n_shots, n)
 
 

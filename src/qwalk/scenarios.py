@@ -145,6 +145,10 @@ class DisorderStepProtocol:
         return DisorderMap(out)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A fully specified runnable experiment on the device.
@@ -191,6 +195,10 @@ class Scenario:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.readout_time_ns is not None and not (math.isfinite(self.readout_time_ns) and self.readout_time_ns >= 0):
             raise ValueError(f"readout_time_ns must be finite and nonnegative, got {self.readout_time_ns!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if self.n_shots is not None and not (_is_int(self.n_shots) and self.n_shots > 0):
+            raise ValueError(f"n_shots must be a positive integer or null, got {self.n_shots!r}")
 
     @property
     def n_excitations(self) -> int:

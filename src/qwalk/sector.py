@@ -16,6 +16,7 @@ __all__ = [
     "SectorBasis",
     "QuantumState",
     "enumerate_basis",
+    "occupancy_table",
     "basis_state",
     "populations",
     "state_to_record",
@@ -29,6 +30,18 @@ NORM_TOL = 1e-9
 
 def _site_bit(n_sites: int, site: int) -> int:
     return 1 << (n_sites - 1 - site)
+
+
+def occupancy_table(states, n_sites: int) -> np.ndarray:
+    """(len(states) x n_sites) 0/1 float matrix of the occupation strings.
+
+    Each string is written big-endian into whole bytes and unpacked, so the
+    last n_sites bit columns read in site order for any site count.
+    """
+    width = (n_sites + 7) // 8
+    raw = b"".join(v.to_bytes(width, "big") for v in states)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(states), width), axis=1)
+    return bits[:, 8 * width - n_sites :].astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -53,13 +66,8 @@ class SectorBasis:
         """(dimension x n_sites) 0/1 matrix; cached after first call."""
         cached = getattr(self, "_occ", None)
         if cached is None:
-            n = self.n_sites
-            occ = np.zeros((self.dimension, n), dtype=np.float64)
-            for a, v in enumerate(self.states):
-                for j in self.occupied_sites(v):
-                    occ[a, j] = 1.0
-            object.__setattr__(self, "_occ", occ)
-            cached = occ
+            cached = occupancy_table(self.states, self.n_sites)
+            object.__setattr__(self, "_occ", cached)
         return cached
 
 

@@ -261,6 +261,17 @@ def test_sector_union_matches_full_space():
         assert np.allclose(site_populations(mu, ru), site_populations(mf, rf), atol=1e-7)
 
 
+@pytest.mark.parametrize("kw", [{"full_space": True}, {"max_excitations": 2}])
+def test_lindblad_occupancy_matches_per_state_loop(kw):
+    g = grid_graph(2, 3)
+    m = LindbladModel.from_graph(g, **kw)
+    n = m.n_sites
+    expected = np.array([[float(v >> (n - 1 - j) & 1) for j in range(n)] for v in m.states])
+    occ = m.occupancy()
+    assert np.array_equal(occ, expected)
+    assert m.occupancy() is occ
+
+
 def test_lindblad_site_cap():
     g = grid_graph(4, 4)
     with pytest.raises(ValueError):

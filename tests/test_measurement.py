@@ -1,7 +1,13 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from qwalk.device import rng_stream
 from qwalk.measurement import (
     ReadoutModel,
     ShotCounts,
@@ -11,6 +17,7 @@ from qwalk.measurement import (
     sample_shots,
     thermal_excited_probability,
 )
+from qwalk.scenarios import ctqw_scenario, run_scenario
 from qwalk.sector import QuantumState, basis_state, enumerate_basis
 
 
@@ -190,3 +197,64 @@ def test_post_select_exact_on_pure_bitstring():
     kept, retention = post_select(counts, 2)
     assert retention == 1.0
     assert np.array_equal(kept.populations(), np.array([0.0, 1.0, 0.0, 1.0]))
+
+
+def reference_counts(state, readout, n_shots, seed):
+    """The shot draws of sample_shots, histogrammed row by row with the
+    structured-row np.unique and a per-bit string join."""
+    basis = state.basis
+    p = np.abs(state.amplitudes) ** 2
+    rng = rng_stream(seed, 0x5A)
+    drawn = rng.choice(basis.dimension, size=n_shots, p=p / p.sum())
+    bits = np.array([[c == "1" for c in basis.occupation_string(basis.states[a])] for a in drawn])
+    u = rng.random(size=bits.shape)
+    bits = bits | (~bits & (u < readout.thermal_excitation))
+    u = rng.random(size=bits.shape)
+    observed = (bits & ~(bits & (u >= readout.f1))) | (~bits & (u >= readout.f0))
+    patterns, mults = np.unique(observed, axis=0, return_counts=True)
+    return [("".join("1" if b else "0" for b in row), int(m)) for row, m in zip(patterns, mults)]
+
+
+@st.composite
+def readout_cases(draw):
+    # byte-boundary and word-boundary site counts, then any count up to 130
+    n = draw(st.one_of(st.sampled_from([1, 7, 8, 9, 62, 64, 65, 128, 130]), st.integers(1, 130)))
+    k = draw(st.integers(1, min(n, 3 if n <= 40 else 2)))
+    kind = draw(st.sampled_from(["perfect", "thermal", "noisy"]))
+    if kind == "perfect":
+        readout = ReadoutModel.perfect(n)
+    elif kind == "thermal":
+        readout = ReadoutModel.uniform(n, 1.0, 1.0, thermal=draw(st.sampled_from([0.02, 0.3])))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        readout = ReadoutModel.validate_arrays(
+            rng.uniform(0.8, 1.0, n), rng.uniform(0.8, 1.0, n), rng.uniform(0.0, 0.1, n)
+        )
+    return n, k, readout, draw(st.integers(1, 2000)), draw(st.integers(0, 2**32))
+
+
+@given(readout_cases())
+def test_histogram_matches_row_unique_reference(case):
+    n, k, readout, n_shots, seed = case
+    basis = enumerate_basis(n, k)
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
+    state = QuantumState(basis, amp / np.linalg.norm(amp))
+    got = sample_shots(state, readout, n_shots, seed)
+    assert list(got.counts.items()) == reference_counts(state, readout, n_shots, seed)
+
+
+@pytest.mark.parametrize(
+    "thermal, digest, patterns, kept",
+    [
+        (None, "599db600d40f97d87046743c33f1db137bd02cf2fef4a25973a30e15c46095f1", 1407, 20000),
+        (0.02, "67f86bd5809958a92492d0a82438ebb85d8c6121bceaba621f3736ed6bfa8b8b", 709, 1173),
+    ],
+)
+def test_two_walker_shot_digests_pinned(thermal, digest, patterns, kept):
+    scenario = replace(ctqw_scenario({"U00Q0", "U33Q2"}), n_shots=20000, seed=7)
+    readout = None if thermal is None else ReadoutModel.uniform(62, thermal=thermal)
+    result = run_scenario(scenario, readout=readout)
+    assert hashlib.sha256(result.shots.to_lines().encode()).hexdigest() == digest
+    assert len(result.shots.counts) == patterns
+    assert result.shots.n_shots == kept and result.retention == kept / 20000

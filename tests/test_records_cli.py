@@ -153,6 +153,30 @@ def test_cli_non_finite_override_is_domain_error(tmp_path):
     assert doc["type"] == "ValueError" and "finite" in doc["error"]
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ("n_shots=2.5",),
+        ("n_shots=true",),
+        ('n_shots="10"',),
+        ("n_shots=0",),
+        ('seed="abc"',),
+        ("n_shots=100", 'seed="abc"'),
+        ("n_shots=100", "seed=1.5"),
+    ],
+)
+def test_cli_bad_seed_or_shots_is_domain_error(tmp_path, overrides, capsys):
+    argv = ["run", "--scenario", "ctqw-single", "--out", str(tmp_path)]
+    for override in overrides:
+        argv += ["--override", override]
+    assert main(argv) == 1
+    doc = json.loads((tmp_path / "error.json").read_text())
+    field = overrides[-1].split("=", 1)[0]
+    assert doc["type"] == "ValueError" and doc["error"].startswith(field)
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "records.jsonl").exists()
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["run"])  # missing required flags

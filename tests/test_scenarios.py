@@ -107,6 +107,15 @@ def test_scenario_validation():
         ("step_d_right_mhz", float("nan")),
         ("readout_time_ns", float("nan")),
         ("readout_time_ns", -5.0),
+        ("seed", -1),
+        ("seed", 1.5),
+        ("seed", "abc"),
+        ("seed", True),
+        ("n_shots", 0),
+        ("n_shots", -3),
+        ("n_shots", 2.5),
+        ("n_shots", "10"),
+        ("n_shots", True),
     ):
         with pytest.raises(ValueError, match=field):
             replace(sc, **{field: value})

@@ -7,6 +7,7 @@ from qwalk.sector import (
     QuantumState,
     basis_state,
     enumerate_basis,
+    occupancy_table,
     populations,
     state_from_record,
     state_to_record,
@@ -107,6 +108,20 @@ def test_occupation_string_reads_site_order():
     v = basis_state(b, {0, 2})
     idx = int(np.nonzero(v.amplitudes)[0][0])
     assert b.occupation_string(b.states[idx]) == "1010"
+
+
+def brute_force_occupancy(states, n):
+    return np.array([[float(v >> (n - 1 - j) & 1) for j in range(n)] for v in states])
+
+
+@pytest.mark.parametrize("n, k", [(62, 2), (62, 1), (225, 1), (24, 2), (9, 1), (1, 1), (5, 0), (12, 3), (0, 0)])
+def test_occupancy_matrix_matches_per_state_loop(n, k):
+    b = enumerate_basis(n, k)
+    occ = b.occupancy_matrix()
+    assert occ.dtype == np.float64 and occ.shape == (b.dimension, n)
+    assert np.array_equal(occ, brute_force_occupancy(b.states, n))
+    assert b.occupancy_matrix() is occ
+    assert np.array_equal(occupancy_table(b.states, n), occ)
 
 
 def test_state_record_round_trip():
