@@ -17,7 +17,9 @@ from .device import (
     QubitId,
     rng_stream,
 )
+from .hamiltonian import TWO_PI, build_hamiltonian
 from .scenarios import MZLayout
+from .sector import enumerate_basis
 
 __all__ = [
     "CalibrationError",
@@ -170,29 +172,32 @@ def _star_graph(device: DeviceModel, center: QubitId) -> ActiveGraph:
     return ActiveGraph(sites, edges)
 
 
+def _site_hopping(graph: ActiveGraph) -> np.ndarray:
+    """Dense one-walker hopping matrix in site order, built once per graph."""
+    hopping = graph.__dict__.get("_site_hopping")
+    if hopping is None:
+        sector = build_hamiltonian(graph, enumerate_basis(graph.n_sites, 1)).to_dense()
+        # the one-walker sector ascends from site n-1 to site 0
+        hopping = np.ascontiguousarray(sector[::-1, ::-1])
+        object.__setattr__(graph, "_site_hopping", hopping)
+    return hopping
+
+
 def single_excitation_populations(graph: ActiveGraph, offsets: DisorderMap, source_idx: int, times_ns) -> np.ndarray:
     """Site populations (n_sites x n_times) of one walker released on a graph.
 
     Dense spectral kernel in site order; optimizer cost loops call this
-    thousands of times, so it skips the sector-basis machinery (equivalence
-    with the generic engine is pinned by tests).
+    thousands of times, so the hopping comes from the one Hamiltonian builder
+    once per graph and each call only writes the disorder diagonal
+    (equivalence with the generic engine is pinned by tests).
     """
-    n = graph.n_sites
-    two_pi = 2.0 * np.pi
-    h = np.zeros((n, n))
-    for i, j, j_eff in graph.edges:
-        h[i, j] = h[j, i] = two_pi * j_eff
-    for k, site in enumerate(graph.sites):
-        h[k, k] = two_pi * offsets.get(site)
+    h = _site_hopping(graph).copy()
+    np.fill_diagonal(h, [TWO_PI * offsets.get(site) for site in graph.sites])
     w, v = np.linalg.eigh(h)
     c = v[source_idx].conj()
     t_us = 1e-3 * np.asarray(list(times_ns), dtype=float)
     amp = v @ (np.exp(-1j * np.outer(w, t_us)) * c[:, None])
     return np.abs(amp) ** 2
-
-
-def _star_populations(graph: ActiveGraph, offsets: DisorderMap, times_ns) -> np.ndarray:
-    return single_excitation_populations(graph, offsets, 0, times_ns)
 
 
 def generate_swap_data(
@@ -208,7 +213,7 @@ def generate_swap_data(
     graph = _star_graph(twin.device, center)
     correction = correction or DisorderMap()
     offsets = DisorderMap({q: twin.hidden.get(q) + correction.get(q) for q in graph.sites})
-    pops = _star_populations(graph, offsets, times_ns)
+    pops = single_excitation_populations(graph, offsets, 0, times_ns)
     if twin.n_shots:
         rng = rng_stream(twin.seed, 0xCA, zlib.crc32(center.label.encode()))
         pops = rng.binomial(twin.n_shots, np.clip(pops, 0.0, 1.0)) / twin.n_shots
@@ -267,7 +272,7 @@ def fit_disorder_map(datasets, config: OptimizerConfig | None = None) -> Disorde
         total = 0.0
         for ds, graph in zip(datasets, star_graphs):
             offsets = DisorderMap({q: x[pos[q]] for q in ds.sites})
-            sim = _star_populations(graph, offsets, ds.times_ns)
+            sim = single_excitation_populations(graph, offsets, 0, ds.times_ns)
             total += float(np.sum((sim - ds.populations) ** 2))
         return total
 
@@ -319,7 +324,7 @@ def _overall_distance(twin: CalibrationTwin, correction: DisorderMap, qubits, ti
     for q in qubits:
         ds = generate_swap_data(twin, q, correction, times_ns)
         graph = ActiveGraph(ds.sites, tuple((0, k, j) for k, j in enumerate(ds.j_eff_mhz, start=1)))
-        ideal = _star_populations(graph, DisorderMap(), ds.times_ns)
+        ideal = single_excitation_populations(graph, DisorderMap(), 0, ds.times_ns)
         total += float(np.sum((ds.populations - ideal) ** 2))
     return total
 

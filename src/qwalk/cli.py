@@ -111,11 +111,12 @@ def _grid_snapshot(result, t_ns: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cmd_run(args) -> int:
-    scenario = _apply_overrides(_load_scenario(args.scenario), _parse_overrides(args.override))
+    scenario = _load_scenario(args.scenario)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # once the scenario is known, any failure leaves error.json here
+    scenario = _apply_overrides(scenario, _parse_overrides(args.override))
     if args.seed is not None:
         scenario = _apply_overrides(scenario, {"seed": args.seed})
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(scenario.name, scenario.seed, __version__, str(out), _parse_overrides(args.override))
     for name in ("records.jsonl", "populations.csv", "snapshot.svg"):
         manifest.add_output(name)
@@ -162,13 +163,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    scenario = _apply_overrides(_load_scenario(args.scenario), _parse_overrides(args.override))
+    scenario = _load_scenario(args.scenario)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # once the scenario is known, any failure leaves error.json here
+    scenario = _apply_overrides(scenario, _parse_overrides(args.override))
     if scenario.kind != "mz":
         raise ValueError("sweep needs an interferometer scenario")
     d_left = _parse_range(args.d_left)
     d_right = _parse_range(args.d_right)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(scenario.name + "-sweep", scenario.seed, __version__, str(out))
     for name in ("fringe.csv", "fringe.svg", "records.jsonl"):
         manifest.add_output(name)

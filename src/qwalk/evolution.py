@@ -20,8 +20,8 @@ from scipy.integrate import solve_ivp
 from scipy.special import jv
 
 from .device import ActiveGraph, DisorderMap
-from .hamiltonian import HamiltonianMatrix
-from .sector import NORM_TOL, QuantumState, _site_bit, occupancy_table, populations
+from .hamiltonian import HamiltonianMatrix, build_hamiltonian
+from .sector import NORM_TOL, QuantumState, lookup, occupation_row, populations, row_keys
 
 __all__ = [
     "EvolutionPlan",
@@ -183,9 +183,9 @@ class LindbladModel:
     """
 
     n_sites: int
-    states: tuple
-    index: dict = field(repr=False)
-    h: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)  # (dimension x n_sites) bool, ascending bitstrings
+    keys: np.ndarray = field(repr=False)  # sector.row_keys(rows)
+    h: np.ndarray | None = field(default=None, repr=False)
     t1_us: dict = field(default_factory=dict)
     t_phi_us: dict = field(default_factory=dict)
     _occ: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
@@ -203,36 +203,23 @@ class LindbladModel:
         n = graph.n_sites
         if n > MAX_LINDBLAD_SITES:
             raise ValueError(f"Lindblad models are limited to {MAX_LINDBLAD_SITES} sites, got {n}")
-        if full_space:
-            states = tuple(range(2**n))
-        else:
+        # every bitstring in ascending order, site 0 the top bit
+        rows = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1) & 1).astype(bool)
+        if not full_space:
             # union of excitation sectors 0..max_excitations, closed under decay
-            states = tuple(sorted(v for v in range(2**n) if bin(v).count("1") <= max_excitations))
-        index = {v: i for i, v in enumerate(states)}
-        dim = len(states)
-        disorder = disorder or DisorderMap()
-        offsets = np.array([disorder.get(s) for s in graph.sites])
-        h = np.zeros((dim, dim))
-        two_pi = 2.0 * np.pi
-        for a, v in enumerate(states):
-            for i, j, j_eff in graph.edges:
-                bi, bj = _site_bit(n, i), _site_bit(n, j)
-                if bool(v & bi) != bool(v & bj):
-                    w = v ^ bi ^ bj
-                    if w in index:
-                        h[a, index[w]] = two_pi * j_eff
-            if np.any(offsets):
-                h[a, a] = two_pi * sum(offsets[j] for j in range(n) if v & _site_bit(n, j))
-        return cls(n, states, index, h, _rate_map(t1_us, n), _rate_map(t_phi_us, n))
+            rows = rows[rows.sum(axis=1) <= max_excitations]
+        model = cls(n, rows, row_keys(rows), t1_us=_rate_map(t1_us, n), t_phi_us=_rate_map(t_phi_us, n))
+        model.h = build_hamiltonian(graph, model, disorder).to_dense()
+        return model
 
     @property
     def dimension(self) -> int:
-        return len(self.states)
+        return len(self.rows)
 
-    def occupancy(self) -> np.ndarray:
-        """(dimension x n_sites) 0/1 matrix; cached after first call."""
+    def occupancy_matrix(self) -> np.ndarray:
+        """(dimension x n_sites) 0/1 float matrix; cached after first call."""
         if self._occ is None:
-            self._occ = occupancy_table(self.states, self.n_sites)
+            self._occ = self.rows.astype(np.float64)
         return self._occ
 
 
@@ -245,17 +232,15 @@ def _rate_map(spec, n_sites: int) -> dict:
 
 
 def initial_density(model: LindbladModel, excited_sites) -> np.ndarray:
-    value = sum(_site_bit(model.n_sites, j) for j in set(excited_sites))
-    if value not in model.index:
-        raise ValueError("initial occupation string is outside the model basis")
+    (a,) = lookup(model.keys, occupation_row(model.n_sites, excited_sites))
     rho = np.zeros((model.dimension, model.dimension), dtype=np.complex128)
-    rho[model.index[value], model.index[value]] = 1.0
+    rho[a, a] = 1.0
     return rho
 
 
 def _dissipator_tables(model: LindbladModel):
     n, dim = model.n_sites, model.dimension
-    occ = model.occupancy()
+    occ = model.occupancy_matrix()
     sz = 1.0 - 2.0 * occ  # dim x n, +-1 per (state, site)
     mask = np.zeros((dim, dim))
     jumps = []
@@ -268,13 +253,11 @@ def _dissipator_tables(model: LindbladModel):
         if t1 and np.isfinite(t1):
             g = 1.0 / t1
             mask += -(g / 2.0) * (occ[:, j][:, None] + occ[:, j][None, :])
-            src, dst = [], []
-            bit = _site_bit(n, j)
-            for a, v in enumerate(model.states):
-                if v & bit and (v ^ bit) in model.index:
-                    src.append(a)
-                    dst.append(model.index[v ^ bit])
-            jumps.append((g, np.array(src), np.array(dst)))
+            # sigma-_j maps each state with site j occupied to the one without
+            src = np.flatnonzero(model.rows[:, j])
+            decayed = model.rows[src]
+            decayed[:, j] = False
+            jumps.append((g, src, lookup(model.keys, decayed)))
     return mask, jumps
 
 
@@ -320,7 +303,7 @@ def evolve_lindblad(
 
 
 def site_populations(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
-    return np.real(np.diag(rho)) @ model.occupancy()
+    return np.real(np.diag(rho)) @ model.occupancy_matrix()
 
 
 def time_series_populations(snapshots, model: LindbladModel | None = None) -> np.ndarray:

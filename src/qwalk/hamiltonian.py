@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .device import ActiveGraph, DisorderMap
-from .sector import QuantumState, SectorBasis, _site_bit
+from .sector import QuantumState, SectorBasis, lookup
 
 __all__ = ["HamiltonianMatrix", "build_hamiltonian", "disorder_diagonals", "apply", "TWO_PI"]
 
@@ -50,41 +50,34 @@ def build_hamiltonian(
     """Assemble the sector Hamiltonian for an active graph.
 
     Off-diagonal amplitude for edge (i, j) is 2*pi*J_eff[i,j] rad/us between
-    occupation strings that differ by moving one excitation across the edge;
+    occupation rows that differ by moving one excitation across the edge;
     the basis itself enforces the hard-core constraint. Diagonal entries are
-    2*pi * sum of the disorder offsets on occupied sites. The strict upper
-    triangle is generated once and mirrored, so the result is exactly
-    Hermitian (real symmetric).
+    2*pi * sum of the disorder offsets on occupied sites. Each hop is
+    generated once and mirrored, so the result is exactly Hermitian (real
+    symmetric).
+
+    `basis` may also be any other sorted row set with the same attributes,
+    such as the Lindblad sector union.
     """
     n = basis.n_sites
     if graph.n_sites != n:
         raise ValueError(f"graph has {graph.n_sites} sites, basis expects {n}")
     disorder = disorder or DisorderMap()
 
-    rows, cols, vals = [], [], []
-    index = basis.index
-    if basis.n_excitations == 1:
-        # single walker: the sector matrix is the weighted adjacency matrix
-        pos = [index[_site_bit(n, j)] for j in range(n)]
-        for i, j, j_eff in graph.edges:
-            a, b = sorted((pos[i], pos[j]))
-            rows.append(a)
-            cols.append(b)
-            vals.append(TWO_PI * j_eff)
-    else:
-        edge_bits = [(_site_bit(n, i), _site_bit(n, j), TWO_PI * j_eff) for i, j, j_eff in graph.edges]
-        for a, v in enumerate(basis.states):
-            for bi, bj, amp in edge_bits:
-                if bool(v & bi) != bool(v & bj):
-                    b = index[v ^ bi ^ bj]
-                    if b > a:
-                        rows.append(a)
-                        cols.append(b)
-                        vals.append(amp)
+    dst, src = np.array([(i, j) for i, j, _ in graph.edges], dtype=np.intp).reshape(-1, 2).T
+    amps = TWO_PI * np.array([j_eff for _, _, j_eff in graph.edges], dtype=np.float64)
+    # Each edge hops a walker from one end to the other once per row pair;
+    # mirroring the matrix adds the reverse hop.
+    rows, edge = np.nonzero(basis.rows[:, src] & ~basis.rows[:, dst])
+    moved = basis.rows[rows]
+    move = np.arange(len(rows))
+    moved[move, src[edge]] = False
+    moved[move, dst[edge]] = True
+    cols = lookup(basis.keys, moved)
 
     dim = basis.dimension
-    upper = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
-    matrix = upper + upper.T
+    hops = sp.coo_matrix((amps[edge], (rows, cols)), shape=(dim, dim))
+    matrix = hops + hops.T
     if any(disorder.get(s) for s in graph.sites):
         matrix = matrix + sp.diags(disorder_diagonals(graph, basis, [disorder])[:, 0])
     matrix = matrix.tocsr()

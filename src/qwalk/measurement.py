@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import rng_stream
-from .sector import QuantumState
+from .sector import QuantumState, row_keys
 
 __all__ = [
     "ReadoutModel",
@@ -130,11 +130,10 @@ def sample_shots(state: QuantumState, readout: ReadoutModel, n_shots: int, seed:
     flip_1to0 = bits & (u >= readout.f1)
     flip_0to1 = ~bits & (u >= readout.f0)
     observed = (bits & ~flip_1to0) | flip_0to1
-    # One byte-string key per shot: MSB-first packing puts site 0 first, so
-    # the keys sort like the bit rows and only the unique ones are decoded.
-    packed = np.packbits(observed, axis=1)
-    width = packed.shape[1]
-    keys, mults = np.unique(packed.view(f"V{width}").ravel(), return_counts=True)
+    # One packed key per shot: the keys sort like the bit rows, so only the
+    # distinct ones are decoded.
+    keys, mults = np.unique(row_keys(observed), return_counts=True)
+    width = keys.dtype.itemsize
     text = (np.unpackbits(keys.view(np.uint8).reshape(-1, width), axis=1)[:, :n] + ord("0")).tobytes().decode()
     counts = {text[i * n : (i + 1) * n]: int(mult) for i, mult in enumerate(mults)}
     return ShotCounts(counts, n_shots, n)

@@ -1,13 +1,19 @@
-"""Fixed-excitation-number basis enumeration and sector state vectors.
+"""Fixed-excitation-number bases of occupation rows, and sector state vectors.
 
-Hard-core walkers: one bit per active site, double occupancy excluded from the
-basis itself. Site j maps to bit (n_sites - 1 - j), so the occupation string
-reads left to right in site order and sorts like its binary integer value.
+Hard-core walkers: a basis state is a row of n_sites occupation bits, double
+occupancy excluded from the basis itself. Rows are kept as a bool array in
+ascending bitstring order with site 0 as the most significant bit, so the
+occupation string reads left to right in site order. Each row also has one
+packed byte key (`row_keys`); the keys sort exactly like the rows, so a row's
+index is one `np.searchsorted` away (`lookup`) for any site count. The one
+Hamiltonian builder looks up its hops this way for sectors, the Lindblad
+sector union and the calibration kernel alike, and readout shots are
+histogrammed by the same keys.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -16,7 +22,9 @@ __all__ = [
     "SectorBasis",
     "QuantumState",
     "enumerate_basis",
-    "occupancy_table",
+    "row_keys",
+    "lookup",
+    "occupation_row",
     "basis_state",
     "populations",
     "state_to_record",
@@ -28,51 +36,58 @@ MAX_DIMENSION = 20_000_000
 NORM_TOL = 1e-9
 
 
-def _site_bit(n_sites: int, site: int) -> int:
-    return 1 << (n_sites - 1 - site)
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """One packed byte key per bool occupation row.
 
-
-def occupancy_table(states, n_sites: int) -> np.ndarray:
-    """(len(states) x n_sites) 0/1 float matrix of the occupation strings.
-
-    Each string is written big-endian into whole bytes and unpacked, so the
-    last n_sites bit columns read in site order for any site count.
+    MSB-first packing puts site 0 in the top bit of the first byte, so the
+    keys compare bytewise in the same order as the rows' bitstrings.
     """
-    width = (n_sites + 7) // 8
-    raw = b"".join(v.to_bytes(width, "big") for v in states)
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(states), width), axis=1)
-    return bits[:, 8 * width - n_sites :].astype(np.float64)
+    packed = np.packbits(rows, axis=1) if rows.shape[1] else np.zeros((len(rows), 1), np.uint8)
+    return packed.view(f"V{packed.shape[1]}").ravel()
+
+
+def lookup(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Indices of the given occupation rows in a basis with sorted `keys`."""
+    probe = row_keys(rows)
+    found = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+    if not np.array_equal(keys[found], probe):
+        raise ValueError("occupation row outside the basis")
+    return found
+
+
+def occupation_row(n_sites: int, sites) -> np.ndarray:
+    """(1 x n_sites) bool row with the given sites occupied."""
+    sites = sorted(set(sites))
+    for j in sites:
+        if not 0 <= j < n_sites:
+            raise ValueError(f"site index {j} out of range for {n_sites} sites")
+    row = np.zeros((1, n_sites), dtype=bool)
+    row[0, sites] = True
+    return row
 
 
 @dataclass(frozen=True)
 class SectorBasis:
     n_sites: int
     n_excitations: int
-    states: tuple  # occupation bitstrings as ints, ascending
-    index: dict = field(repr=False)
+    rows: np.ndarray = field(repr=False, compare=False)  # (dimension x n_sites) bool, ascending bitstrings
+    keys: np.ndarray = field(repr=False, compare=False)  # row_keys(rows)
 
     @property
     def dimension(self) -> int:
-        return len(self.states)
-
-    def occupation_string(self, value: int) -> str:
-        return format(value, f"0{self.n_sites}b")
-
-    def occupied_sites(self, value: int) -> tuple[int, ...]:
-        n = self.n_sites
-        return tuple(j for j in range(n) if value & _site_bit(n, j))
+        return len(self.rows)
 
     def occupancy_matrix(self) -> np.ndarray:
-        """(dimension x n_sites) 0/1 matrix; cached after first call."""
+        """(dimension x n_sites) 0/1 float matrix; cached after first call."""
         cached = getattr(self, "_occ", None)
         if cached is None:
-            cached = occupancy_table(self.states, self.n_sites)
+            cached = self.rows.astype(np.float64)
             object.__setattr__(self, "_occ", cached)
         return cached
 
 
 def enumerate_basis(n_sites: int, n_excitations: int) -> SectorBasis:
-    """Canonical ascending-order basis of all weight-k occupation strings."""
+    """Canonical ascending-order basis of all weight-k occupation rows."""
     if n_sites < 0 or n_excitations < 0:
         raise ValueError("site and excitation counts must be nonnegative")
     if n_excitations > n_sites:
@@ -80,10 +95,12 @@ def enumerate_basis(n_sites: int, n_excitations: int) -> SectorBasis:
     dim = comb(n_sites, n_excitations)
     if dim > MAX_DIMENSION:
         raise ValueError(f"sector dimension {dim} exceeds the supported limit {MAX_DIMENSION}")
-    states = [sum(_site_bit(n_sites, j) for j in sites) for sites in combinations(range(n_sites), n_excitations)]
-    states.sort()
-    index = {v: i for i, v in enumerate(states)}
-    return SectorBasis(n_sites, n_excitations, tuple(states), index)
+    # combinations come in lexicographic site order, which is descending
+    # bitstring order when site 0 is the top bit
+    sites = np.fromiter(chain.from_iterable(combinations(range(n_sites), n_excitations)), np.intp, dim * n_excitations)
+    rows = np.zeros((dim, n_sites), dtype=bool)
+    np.put_along_axis(rows, sites.reshape(dim, n_excitations)[::-1], True, axis=1)
+    return SectorBasis(n_sites, n_excitations, rows, row_keys(rows))
 
 
 @dataclass
@@ -112,17 +129,13 @@ class QuantumState:
 
 def basis_state(basis: SectorBasis, excited_sites) -> QuantumState:
     """Unit vector on the occupation string exciting exactly the given sites."""
-    sites = sorted(set(excited_sites))
-    if len(sites) != basis.n_excitations:
+    row = occupation_row(basis.n_sites, excited_sites)
+    if row.sum() != basis.n_excitations:
         raise ValueError(
-            f"need exactly {basis.n_excitations} distinct excited sites, got {len(sites)}"
+            f"need exactly {basis.n_excitations} distinct excited sites, got {row.sum()}"
         )
-    for j in sites:
-        if not 0 <= j < basis.n_sites:
-            raise ValueError(f"site index {j} out of range for {basis.n_sites} sites")
-    value = sum(_site_bit(basis.n_sites, j) for j in sites)
     amplitudes = np.zeros(basis.dimension, dtype=np.complex128)
-    amplitudes[basis.index[value]] = 1.0
+    amplitudes[lookup(basis.keys, row)[0]] = 1.0
     return QuantumState(basis, amplitudes)
 
 

@@ -10,6 +10,7 @@ from qwalk.evolution import (
     EvolutionError,
     EvolutionPlan,
     LindbladModel,
+    _dissipator_tables,
     evolve_lindblad,
     evolve_unitary,
     initial_density,
@@ -266,10 +267,49 @@ def test_lindblad_occupancy_matches_per_state_loop(kw):
     g = grid_graph(2, 3)
     m = LindbladModel.from_graph(g, **kw)
     n = m.n_sites
-    expected = np.array([[float(v >> (n - 1 - j) & 1) for j in range(n)] for v in m.states])
-    occ = m.occupancy()
+    top = n if kw.get("full_space") else kw["max_excitations"]
+    values = [v for v in range(2**n) if bin(v).count("1") <= top]
+    expected = np.array([[float(v >> (n - 1 - j) & 1) for j in range(n)] for v in values])
+    occ = m.occupancy_matrix()
     assert np.array_equal(occ, expected)
-    assert m.occupancy() is occ
+    assert m.occupancy_matrix() is occ
+
+
+@st.composite
+def lindblad_cases(draw):
+    n = draw(st.integers(1, 5))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = tuple((i, j, draw(st.floats(0.5, 3.0))) for i, j in chosen)
+    rates = st.dictionaries(st.integers(0, n - 1), st.floats(1.0, 50.0))
+    space = draw(st.sampled_from([{"max_excitations": 1}, {"max_excitations": 2}, {"full_space": True}]))
+    sites = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, space.get("max_excitations", n))))
+    return ActiveGraph(tuple(range(n)), edges), draw(rates), draw(rates), space, sites
+
+
+def reference_jumps(model):
+    """T1 jump pairs from a per-state loop over the model's rows as ints."""
+    n = model.n_sites
+    values = [int("".join("1" if bit else "0" for bit in row), 2) for row in model.rows]
+    index = {v: a for a, v in enumerate(values)}
+    pairs = []
+    for j in range(n):
+        if model.t1_us.get(j):
+            bit = 1 << (n - 1 - j)
+            src = [a for a, v in enumerate(values) if v & bit]
+            pairs.append((1.0 / model.t1_us[j], src, [index[values[a] ^ bit] for a in src]))
+    return pairs
+
+
+@given(lindblad_cases())
+def test_lindblad_trace_hermiticity_and_jumps(case):
+    g, t1, t_phi, space, sites = case
+    m = LindbladModel.from_graph(g, t1_us=t1, t_phi_us=t_phi, **space)
+    _mask, jumps = _dissipator_tables(m)
+    assert [(rate, list(src), list(dst)) for rate, src, dst in jumps] == reference_jumps(m)
+    for _t, rho in evolve_lindblad(m, initial_density(m, sites), (40.0, 150.0, 400.0)):
+        assert abs(np.trace(rho) - 1.0) < 1e-7
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-9
 
 
 def test_lindblad_site_cap():

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qwalk.device import ActiveGraph, DisorderMap, FrequencyConfig, active_subgraph, default_device, grid_graph
+from qwalk.evolution import LindbladModel
 from qwalk.hamiltonian import TWO_PI, apply, build_hamiltonian
-from qwalk.sector import basis_state, enumerate_basis
+from qwalk.sector import basis_state, enumerate_basis, lookup
 
 J = 2.01
 
@@ -37,7 +40,7 @@ def brute_force_dense(graph, basis, disorder):
     dim = basis.dimension
     h = np.zeros((dim, dim))
     offsets = [disorder.get(s) if disorder else 0.0 for s in graph.sites]
-    occ = [basis.occupied_sites(v) for v in basis.states]
+    occ = [np.flatnonzero(row) for row in basis.rows]
     for a in range(dim):
         for b in range(dim):
             sa, sb = set(occ[a]), set(occ[b])
@@ -87,8 +90,8 @@ def test_hard_core_exclusion_three_site_chain():
     b = enumerate_basis(3, 2)
     h = build_hamiltonian(g, b).to_dense()
     # "110" couples only to "101" (middle walker hops right)
-    i_110 = b.index[0b110]
-    partners = [b.occupation_string(b.states[j]) for j in np.nonzero(h[i_110])[0]]
+    i_110 = lookup(b.keys, np.array([[True, True, False]]))[0]
+    partners = ["".join("1" if bit else "0" for bit in b.rows[j]) for j in np.nonzero(h[i_110])[0]]
     assert partners == ["101"]
 
 
@@ -191,3 +194,52 @@ def test_exponential_against_scipy_expm():
 
     (out,) = propagate_block(h.matrix, np.zeros((b.dimension, 1)), psi[:, None], (300.0,))
     assert np.allclose(out[:, 0], u @ psi, atol=1e-9)
+
+
+def full_space_oracle(n, edges, offsets):
+    """Hopping and diagonal of the whole 2^n space, built bit by bit on ints
+    (site 0 the top bit), independent of the sector code."""
+    hop = np.zeros((2**n, 2**n))
+    diag = np.zeros(2**n)
+    for v in range(2**n):
+        for i, j, j_eff in edges:
+            bi, bj = 1 << (n - 1 - i), 1 << (n - 1 - j)
+            if bool(v & bi) != bool(v & bj):
+                hop[v, v ^ bi ^ bj] = TWO_PI * j_eff
+        diag[v] = TWO_PI * sum(offsets[j] for j in range(n) if v >> (n - 1 - j) & 1)
+    return hop, diag
+
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(1, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = []
+    for i, j in chosen:
+        j_eff = draw(st.floats(-3.0, 3.0, allow_nan=False))
+        edges.append((j, i, j_eff) if draw(st.booleans()) else (i, j, j_eff))
+    offsets = [draw(st.floats(-2.0, 2.0, allow_nan=False)) if draw(st.booleans()) else 0.0 for _ in range(n)]
+    return n, tuple(edges), offsets
+
+
+def check_against_oracle(h, values, hop, diag):
+    """The hopping part must match exactly, the disorder diagonal to rounding."""
+    sub_hop = hop[np.ix_(values, values)]
+    assert np.array_equal(h - np.diag(np.diag(h)), sub_hop)
+    assert np.allclose(np.diag(h), diag[values], rtol=0.0, atol=1e-12)
+
+
+@given(random_graphs(), st.data())
+def test_builder_matches_full_space_oracle(case, data):
+    n, edges, offsets = case
+    g = ActiveGraph(tuple(range(n)), edges)
+    d = DisorderMap(dict(enumerate(offsets)))
+    hop, diag = full_space_oracle(n, edges, offsets)
+    weight = np.array([bin(v).count("1") for v in range(2**n)])
+    k = data.draw(st.integers(0, n))
+    check_against_oracle(build_hamiltonian(g, enumerate_basis(n, k), d).to_dense(), np.flatnonzero(weight == k), hop, diag)
+    for top in (1, 2):
+        m = LindbladModel.from_graph(g, d, max_excitations=top)
+        check_against_oracle(m.h, np.flatnonzero(weight <= top), hop, diag)
+    check_against_oracle(LindbladModel.from_graph(g, d, full_space=True).h, np.arange(2**n), hop, diag)

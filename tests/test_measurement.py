@@ -1,5 +1,6 @@
 import hashlib
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ def test_chi_square_goodness_of_fit_three_sites():
     n = 50000
     counts = sample_shots(state, ReadoutModel.perfect(3), n, seed=100)
     p = np.abs(amp) ** 2
-    strings = [b.occupation_string(v) for v in b.states]
+    strings = ["001", "010", "100"]  # ascending bitstrings, site 0 first
     observed = np.array([counts.counts.get(s, 0) for s in strings], dtype=float)
     expected = n * p
     stat = float(np.sum((observed - expected) ** 2 / expected))
@@ -203,10 +204,13 @@ def reference_counts(state, readout, n_shots, seed):
     """The shot draws of sample_shots, histogrammed row by row with the
     structured-row np.unique and a per-bit string join."""
     basis = state.basis
+    # the sector's strings as ascending ints, site 0 the top bit
+    values = np.array(sorted(sum(1 << (basis.n_sites - 1 - j) for j in sites)
+                             for sites in combinations(range(basis.n_sites), basis.n_excitations)), dtype=object)
     p = np.abs(state.amplitudes) ** 2
     rng = rng_stream(seed, 0x5A)
     drawn = rng.choice(basis.dimension, size=n_shots, p=p / p.sum())
-    bits = np.array([[c == "1" for c in basis.occupation_string(basis.states[a])] for a in drawn])
+    bits = np.array([[bool(v >> (basis.n_sites - 1 - j) & 1) for j in range(basis.n_sites)] for v in values[drawn]])
     u = rng.random(size=bits.shape)
     bits = bits | (~bits & (u < readout.thermal_excitation))
     u = rng.random(size=bits.shape)

@@ -177,6 +177,18 @@ def test_cli_bad_seed_or_shots_is_domain_error(tmp_path, overrides, capsys):
     assert not (tmp_path / "records.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["run", "--scenario", "ctqw-single"], ["sweep", "--scenario", "mz-single", "--d-left", "0:1:2", "--d-right", "0:1:2"]],
+)
+def test_cli_error_json_in_fresh_nested_out(tmp_path, command):
+    out = tmp_path / "new" / "dir"
+    assert main([*command, "--out", str(out), "--override", "n_shots=0"]) == 1
+    doc = json.loads((out / "error.json").read_text())
+    assert doc["type"] == "ValueError" and doc["error"].startswith("n_shots")
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["run"])  # missing required flags

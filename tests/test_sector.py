@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,18 +8,31 @@ from qwalk.sector import (
     QuantumState,
     basis_state,
     enumerate_basis,
-    occupancy_table,
+    lookup,
     populations,
     state_from_record,
     state_to_record,
 )
 
 
+def bitstring_values(n, k):
+    """Weight-k occupation strings as ascending ints, site 0 the top bit."""
+    return sorted(sum(1 << (n - 1 - j) for j in sites) for sites in combinations(range(n), k))
+
+
+def brute_force_occupancy(values, n):
+    return np.array([[float(v >> (n - 1 - j) & 1) for j in range(n)] for v in values]).reshape(len(values), n)
+
+
+def occupation_string(basis, i):
+    return "".join("1" if bit else "0" for bit in basis.rows[i])
+
+
 def test_flagship_dimensions():
     assert enumerate_basis(62, 2).dimension == 1891
     assert enumerate_basis(62, 1).dimension == 62
     b = enumerate_basis(3, 0)
-    assert b.dimension == 1 and b.states == (0,)
+    assert b.dimension == 1 and b.rows.shape == (1, 3) and not b.rows.any()
 
 
 def test_dimension_matches_binomial():
@@ -31,14 +45,20 @@ def test_dimension_matches_binomial():
 
 def test_states_sorted_and_correct_weight():
     b = enumerate_basis(10, 3)
-    assert list(b.states) == sorted(b.states)
-    assert all(bin(v).count("1") == 3 for v in b.states)
+    values = [int(occupation_string(b, i), 2) for i in range(b.dimension)]
+    assert values == sorted(set(values)) == bitstring_values(10, 3)
+    assert np.all(b.rows.sum(axis=1) == 3)
 
 
 def test_index_round_trip():
     b = enumerate_basis(12, 2)
-    for i, v in enumerate(b.states):
-        assert b.index[v] == i
+    for i in range(b.dimension):
+        assert lookup(b.keys, b.rows[i : i + 1])[0] == i
+    assert np.array_equal(lookup(b.keys, b.rows[::-1]), np.arange(b.dimension)[::-1])
+    with pytest.raises(ValueError):
+        lookup(b.keys, np.ones((1, 12), dtype=bool))  # weight 12 is outside the sector
+    with pytest.raises(ValueError):
+        lookup(b.keys, np.zeros((1, 12), dtype=bool))  # below the first key
 
 
 def test_enumerate_rejects_bad_args():
@@ -48,12 +68,20 @@ def test_enumerate_rejects_bad_args():
         enumerate_basis(-1, 0)
 
 
-def test_large_site_counts_use_python_ints():
+def test_large_site_counts_beyond_64_bits():
     # 15x15-lattice bases exceed 64-bit masks
     b = enumerate_basis(225, 1)
     assert b.dimension == 225
     state = basis_state(b, {0})
     assert populations(state)[0] == 1.0
+    b2 = enumerate_basis(225, 2)
+    expected = np.zeros((b2.dimension, 225), dtype=bool)
+    for row, sites in zip(expected, reversed(list(combinations(range(225), 2)))):
+        row[list(sites)] = True
+    assert np.array_equal(b2.rows, expected)
+    assert np.array_equal(lookup(b2.keys, b2.rows), np.arange(b2.dimension))
+    nz = np.nonzero(basis_state(b2, {3, 200}).amplitudes)[0]
+    assert list(np.flatnonzero(b2.rows[nz[0]])) == [3, 200]
 
 
 def test_basis_state_site0_convention():
@@ -70,7 +98,7 @@ def test_basis_state_two_walkers():
     s = basis_state(b, {0, 61})
     nz = np.nonzero(s.amplitudes)[0]
     assert len(nz) == 1
-    assert b.occupied_sites(b.states[nz[0]]) == (0, 61)
+    assert tuple(np.flatnonzero(b.rows[nz[0]])) == (0, 61)
 
 
 def test_basis_state_wrong_count():
@@ -107,11 +135,7 @@ def test_occupation_string_reads_site_order():
     b = enumerate_basis(4, 2)
     v = basis_state(b, {0, 2})
     idx = int(np.nonzero(v.amplitudes)[0][0])
-    assert b.occupation_string(b.states[idx]) == "1010"
-
-
-def brute_force_occupancy(states, n):
-    return np.array([[float(v >> (n - 1 - j) & 1) for j in range(n)] for v in states])
+    assert occupation_string(b, idx) == "1010"
 
 
 @pytest.mark.parametrize("n, k", [(62, 2), (62, 1), (225, 1), (24, 2), (9, 1), (1, 1), (5, 0), (12, 3), (0, 0)])
@@ -119,9 +143,9 @@ def test_occupancy_matrix_matches_per_state_loop(n, k):
     b = enumerate_basis(n, k)
     occ = b.occupancy_matrix()
     assert occ.dtype == np.float64 and occ.shape == (b.dimension, n)
-    assert np.array_equal(occ, brute_force_occupancy(b.states, n))
+    assert np.array_equal(occ, brute_force_occupancy(bitstring_values(n, k), n))
     assert b.occupancy_matrix() is occ
-    assert np.array_equal(occupancy_table(b.states, n), occ)
+    assert np.array_equal(lookup(b.keys, b.rows), np.arange(b.dimension))
 
 
 def test_state_record_round_trip():
