@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .device import DisorderMap, QubitId, default_device, grid_graph, sample_disorder
+from .device import DisorderMap, QubitId, active_subgraph, default_device, grid_graph, sample_disorder
 from .evolution import EvolutionPlan, evolve_unitary, propagate_block
 from .hamiltonian import TWO_PI, build_hamiltonian, disorder_diagonals
 from .sector import QuantumState, basis_state, enumerate_basis
@@ -284,11 +284,8 @@ def ctqw_velocity_pipeline(
 ) -> VelocityPipelineResult:
     """Single-walker walk from the corner qubit; correlation fronts along the
     grid diagonal at d = sqrt(2)..n*sqrt(2) and a linear velocity fit."""
-    from .device import FrequencyConfig, active_subgraph
-
     device = device or default_device()
-    config = FrequencyConfig.from_disorder(device.functional_qubits, disorder)
-    graph = active_subgraph(device, config)
+    graph = active_subgraph(device, device.functional_qubits)
     index = graph.index
     origin = QubitId.parse(origin_label)
     r0, c0 = origin.grid_position

@@ -15,10 +15,11 @@ from .device import (
     DisorderMap,
     FrequencyConfig,
     QubitId,
+    active_subgraph,
     rng_stream,
 )
 from .hamiltonian import TWO_PI, build_hamiltonian
-from .scenarios import MZLayout
+from .scenarios import MZLayout, _is_int
 from .sector import enumerate_basis
 
 __all__ = [
@@ -153,14 +154,17 @@ class CalibrationTwin:
     n_shots: int | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        if self.n_shots is not None and not (_is_int(self.n_shots) and self.n_shots > 0):
+            raise ValueError(f"n_shots must be a positive integer or None, got {self.n_shots!r}")
+
 
 @dataclass(frozen=True)
 class SwapDataset:
     center: QubitId
-    sites: tuple  # center first, then coupled neighbours
-    j_eff_mhz: tuple  # couplings center-neighbour, aligned with sites[1:]
+    graph: ActiveGraph  # star: the centre is site 0, edges (0, k, j_eff) to its neighbours
     times_ns: tuple
-    populations: np.ndarray  # n_sites x n_times
+    populations: np.ndarray  # n_sites x n_times, in graph.sites order
 
 
 def _star_graph(device: DeviceModel, center: QubitId) -> ActiveGraph:
@@ -183,16 +187,17 @@ def _site_hopping(graph: ActiveGraph) -> np.ndarray:
     return hopping
 
 
-def single_excitation_populations(graph: ActiveGraph, offsets: DisorderMap, source_idx: int, times_ns) -> np.ndarray:
+def single_excitation_populations(graph: ActiveGraph, offsets_mhz, source_idx: int, times_ns) -> np.ndarray:
     """Site populations (n_sites x n_times) of one walker released on a graph.
 
-    Dense spectral kernel in site order; optimizer cost loops call this
-    thousands of times, so the hopping comes from the one Hamiltonian builder
-    once per graph and each call only writes the disorder diagonal
-    (equivalence with the generic engine is pinned by tests).
+    `offsets_mhz` holds one detuning per site in `graph.sites` order. Dense
+    spectral kernel in site order; optimizer cost loops call this thousands
+    of times, so the hopping comes from the one Hamiltonian builder once per
+    graph and each call only writes the disorder diagonal (equivalence with
+    the generic engine is pinned by tests).
     """
     h = _site_hopping(graph).copy()
-    np.fill_diagonal(h, [TWO_PI * offsets.get(site) for site in graph.sites])
+    np.fill_diagonal(h, TWO_PI * np.asarray(offsets_mhz, dtype=float))
     w, v = np.linalg.eigh(h)
     c = v[source_idx].conj()
     t_us = 1e-3 * np.asarray(list(times_ns), dtype=float)
@@ -212,18 +217,12 @@ def generate_swap_data(
     times_ns = tuple(times_ns) if times_ns is not None else tuple(np.arange(0.0, 1000.1, 10.0))
     graph = _star_graph(twin.device, center)
     correction = correction or DisorderMap()
-    offsets = DisorderMap({q: twin.hidden.get(q) + correction.get(q) for q in graph.sites})
+    offsets = [twin.hidden.get(q) + correction.get(q) for q in graph.sites]
     pops = single_excitation_populations(graph, offsets, 0, times_ns)
-    if twin.n_shots:
+    if twin.n_shots is not None:
         rng = rng_stream(twin.seed, 0xCA, zlib.crc32(center.label.encode()))
         pops = rng.binomial(twin.n_shots, np.clip(pops, 0.0, 1.0)) / twin.n_shots
-    return SwapDataset(
-        center=center,
-        sites=graph.sites,
-        j_eff_mhz=tuple(j for _, _, j in graph.edges),
-        times_ns=times_ns,
-        populations=pops,
-    )
+    return SwapDataset(center=center, graph=graph, times_ns=times_ns, populations=pops)
 
 
 def canonical_gauge(offsets: dict) -> dict:
@@ -261,18 +260,15 @@ def fit_disorder_map(datasets, config: OptimizerConfig | None = None) -> Disorde
     datasets = list(datasets)
     if not datasets:
         raise ValueError("no swap datasets given")
-    qubits = sorted({q for ds in datasets for q in ds.sites})
+    qubits = sorted({q for ds in datasets for q in ds.graph.sites})
     pos = {q: i for i, q in enumerate(qubits)}
-    star_graphs = [
-        ActiveGraph(ds.sites, tuple((0, k, j) for k, j in enumerate(ds.j_eff_mhz, start=1)))
-        for ds in datasets
-    ]
+    # positions in x of each dataset's sites, in its graph's site order
+    site_idx = [np.array([pos[q] for q in ds.graph.sites]) for ds in datasets]
 
     def cost(x) -> float:
         total = 0.0
-        for ds, graph in zip(datasets, star_graphs):
-            offsets = DisorderMap({q: x[pos[q]] for q in ds.sites})
-            sim = single_excitation_populations(graph, offsets, 0, ds.times_ns)
+        for ds, idx in zip(datasets, site_idx):
+            sim = single_excitation_populations(ds.graph, x[idx], 0, ds.times_ns)
             total += float(np.sum((sim - ds.populations) ** 2))
         return total
 
@@ -323,8 +319,7 @@ def _overall_distance(twin: CalibrationTwin, correction: DisorderMap, qubits, ti
     total = 0.0
     for q in qubits:
         ds = generate_swap_data(twin, q, correction, times_ns)
-        graph = ActiveGraph(ds.sites, tuple((0, k, j) for k, j in enumerate(ds.j_eff_mhz, start=1)))
-        ideal = single_excitation_populations(graph, DisorderMap(), 0, ds.times_ns)
+        ideal = single_excitation_populations(ds.graph, np.zeros(ds.graph.n_sites), 0, ds.times_ns)
         total += float(np.sum((ds.populations - ideal) ** 2))
     return total
 
@@ -388,17 +383,6 @@ class InterferometerOptimization:
     stage2_history: list
 
 
-def _subgraph_of(device: DeviceModel, qubits) -> ActiveGraph:
-    config = FrequencyConfig.from_disorder(qubits)
-    from .device import active_subgraph
-
-    return active_subgraph(device, config)
-
-
-def _site_population(graph: ActiveGraph, offsets: DisorderMap, source: QubitId, t_ns: float) -> np.ndarray:
-    return single_excitation_populations(graph, offsets, graph.index[source], (t_ns,))[:, 0]
-
-
 def optimize_interferometer(
     twin: CalibrationTwin,
     layout: MZLayout,
@@ -416,18 +400,27 @@ def optimize_interferometer(
     """
     config = config or OptimizerConfig()
     layout.validate(twin.device)
-    source = layout.source
+
+    def stage_populations(sites, t_ns):
+        """The stage's graph and its site populations at t_ns as a function of
+        the correction x, which is ordered like `sites`."""
+        graph = active_subgraph(twin.device, sites)
+        layout_pos = {q: k for k, q in enumerate(sites)}
+        perm = np.array([layout_pos[q] for q in graph.sites])  # graph site -> position in x
+        hidden = np.array([twin.hidden.get(q) for q in graph.sites])
+        source_idx = graph.index[layout.source]
+
+        def pops(x) -> np.ndarray:
+            return single_excitation_populations(graph, hidden + x[perm], source_idx, (t_ns,))[:, 0]
+
+        return graph, pops
 
     stage1_sites = tuple(q for q in layout.sites if q not in (layout.recombiner, layout.detector))
-    g1 = _subgraph_of(twin.device, stage1_sites)
-    l_end, r_end = layout.left_arm[-1], layout.right_arm[-1]
-    i_l, i_r = g1.index[l_end], g1.index[r_end]
-
-    def offsets_for(sites, x) -> DisorderMap:
-        return DisorderMap({q: twin.hidden.get(q) + x[k] for k, q in enumerate(sites)})
+    g1, pops_stage1 = stage_populations(stage1_sites, stage1_time_ns)
+    i_l, i_r = g1.index[layout.left_arm[-1]], g1.index[layout.right_arm[-1]]
 
     def cost1(x) -> float:
-        pops = _site_population(g1, offsets_for(stage1_sites, x), source, stage1_time_ns)
+        pops = pops_stage1(x)
         return -float(pops[i_l] * pops[i_r])
 
     res1 = nelder_mead(
@@ -438,20 +431,20 @@ def optimize_interferometer(
         cost_tolerance=config.cost_tolerance,
         param_tolerance=config.param_tolerance,
     )
-    pops1 = _site_population(g1, offsets_for(stage1_sites, res1.x), source, stage1_time_ns)
+    pops1 = pops_stage1(res1.x)
     if pops1[i_l] < stage1_floor or pops1[i_r] < stage1_floor:
         raise CalibrationError(
             f"arm balancing failed: end populations {pops1[i_l]:.4f}/{pops1[i_r]:.4f} below {stage1_floor}"
         )
 
     all_sites = layout.sites
-    g2 = _subgraph_of(twin.device, all_sites)
+    g2, pops_stage2 = stage_populations(all_sites, stage2_time_ns)
     i_d = g2.index[layout.detector]
     x0 = np.array([res1.x[stage1_sites.index(q)] if q in stage1_sites else 0.0 for q in all_sites])
-    initial = float(_site_population(g2, offsets_for(all_sites, np.zeros(len(all_sites))), source, stage2_time_ns)[i_d])
+    initial = float(pops_stage2(np.zeros(len(all_sites)))[i_d])
 
     def cost2(x) -> float:
-        return -float(_site_population(g2, offsets_for(all_sites, x), source, stage2_time_ns)[i_d])
+        return -float(pops_stage2(x)[i_d])
 
     res2 = nelder_mead(
         cost2,

@@ -302,7 +302,7 @@ def _cmd_calibrate(args) -> int:
 def _cmd_analyze(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(f"analyze-{args.study}", args.seed or 0, __version__, str(out))
+    manifest = RunManifest(f"analyze-{args.study}", args.seed, __version__, str(out))
     manifest.add_output("records.jsonl")
     manifest.start()
     try:
@@ -341,7 +341,7 @@ def _cmd_analyze(args) -> int:
                 )
                 print(f"propagation velocity {res.velocity:.2f} +- {res.std_err:.2f} sites/us (bound {vmax:.1f})")
             elif args.study == "distance-velocity":
-                res = disorder_velocity_study(n_seeds=args.seeds, seed=args.seed or 2024)
+                res = disorder_velocity_study(n_seeds=args.seeds, seed=args.seed)
                 for d0, v, e in zip(res.d0_values, res.velocities, res.std_errs):
                     writer.write(
                         ResultRecord("velocity", {"velocity": v, "std_err": e}, {"d0_sites": d0})
@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="correlation and velocity studies")
     p_an.add_argument("--study", choices=("velocity", "distance-velocity"), required=True)
-    p_an.add_argument("--seed", type=int)
+    p_an.add_argument("--seed", type=int, default=2024, help="disorder ensemble seed")
     p_an.add_argument("--seeds", type=int, default=32, help="disorder ensemble size")
     p_an.add_argument("--out", required=True)
     p_an.set_defaults(func=_cmd_analyze)

@@ -6,6 +6,7 @@ units happens only inside the Hamiltonian builder.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -281,11 +282,6 @@ class DisorderMap:
     def get(self, site, default: float = 0.0) -> float:
         return float(self.offsets.get(site, default))
 
-    def max_abs(self) -> float:
-        if not self.offsets:
-            return 0.0
-        return max(abs(v) for v in self.offsets.values())
-
 
 @dataclass(frozen=True)
 class FrequencyConfig:
@@ -338,9 +334,6 @@ class ActiveGraph:
     def index(self) -> dict:
         return {s: i for i, s in enumerate(self.sites)}
 
-    def degree(self, i: int) -> int:
-        return sum(1 for a, b, _ in self.edges if i in (a, b))
-
 
 def default_device(
     overrides: Mapping[QubitId, QubitParams] | None = None,
@@ -376,21 +369,22 @@ def default_device(
 
 def sample_disorder(sites: Iterable, bound_mhz: float, seed: int) -> DisorderMap:
     """Uniform offsets in [-bound, +bound] MHz per site, deterministic in seed."""
-    if bound_mhz < 0:
-        raise ValueError("disorder bound must be nonnegative")
+    if not (math.isfinite(bound_mhz) and bound_mhz >= 0):
+        raise ValueError(f"disorder bound must be finite and nonnegative, got {bound_mhz!r}")
     sites = list(sites)
     rng = rng_stream(seed, 0xD1)
     values = rng.uniform(-bound_mhz, bound_mhz, size=len(sites)) if bound_mhz > 0 else np.zeros(len(sites))
     return DisorderMap({s: float(v) for s, v in zip(sites, values)})
 
 
-def active_subgraph(device: DeviceModel, config: FrequencyConfig) -> ActiveGraph:
-    """Induced subgraph of functional edges among active qubits.
+def active_subgraph(device: DeviceModel, active: Iterable[QubitId]) -> ActiveGraph:
+    """Induced subgraph of functional edges among the active qubits, in sorted
+    qubit order.
 
     Parked qubits are excluded from the dynamics entirely; the ~50 MHz parking
     detuning makes residual hopping negligible next to J.
     """
-    active = sorted(config.active_set)
+    active = sorted(set(active))
     if not active:
         raise ValueError("active set is empty")
     functional = set(device.functional_qubits)

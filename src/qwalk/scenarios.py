@@ -10,11 +10,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .device import (
-    DEFAULT_INTERACTION_GHZ,
     ActiveGraph,
     DeviceModel,
     DisorderMap,
-    FrequencyConfig,
     QubitId,
     active_subgraph,
     default_device,
@@ -172,7 +170,6 @@ class Scenario:
     seed: int = 0
     blocked: bool = False
     removed: bool = False
-    interaction_frequency_ghz: float = DEFAULT_INTERACTION_GHZ
     layout_names: dict = field(default_factory=dict)  # site name -> label, mz only
 
     def __post_init__(self):
@@ -230,7 +227,6 @@ class Scenario:
             "seed": self.seed,
             "blocked": self.blocked,
             "removed": self.removed,
-            "interaction_frequency_ghz": self.interaction_frequency_ghz,
             "layout_names": dict(sorted(self.layout_names.items())),
         }
 
@@ -254,7 +250,6 @@ class Scenario:
             seed=data.get("seed", 0),
             blocked=data.get("blocked", False),
             removed=data.get("removed", False),
-            interaction_frequency_ghz=data.get("interaction_frequency_ghz", DEFAULT_INTERACTION_GHZ),
             layout_names=data.get("layout_names", {}),
         )
 
@@ -364,10 +359,8 @@ class ScenarioResult:
 
 
 def _scenario_graph(scenario: Scenario, device: DeviceModel) -> tuple[ActiveGraph, DisorderMap]:
-    active = [QubitId.parse(s) for s in scenario.active]
     disorder = scenario.disorder()
-    config = FrequencyConfig.from_disorder(active, disorder, scenario.interaction_frequency_ghz)
-    return active_subgraph(device, config), disorder
+    return active_subgraph(device, map(QubitId.parse, scenario.active)), disorder
 
 
 def run_scenario(

@@ -29,7 +29,6 @@ from qwalk.calibration import (
 from qwalk.cli import main
 from qwalk.device import (
     ActiveGraph,
-    FrequencyConfig,
     QubitId,
     active_subgraph,
     default_device,
@@ -64,7 +63,7 @@ def device():
 
 @pytest.fixture(scope="module")
 def full_graph(device):
-    return active_subgraph(device, FrequencyConfig.from_disorder(device.functional_qubits))
+    return active_subgraph(device, device.functional_qubits)
 
 
 def test_c01_sector_dimensions():

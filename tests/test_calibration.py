@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import qwalk.calibration as calibration
 from qwalk.calibration import (
     CalibrationError,
     CalibrationTwin,
@@ -12,6 +13,7 @@ from qwalk.calibration import (
     fit_disorder_map,
     generate_swap_data,
     nelder_mead,
+    optimize_interferometer,
     single_excitation_populations,
     validate_idle_assignment,
     zz_coupling,
@@ -23,11 +25,13 @@ from qwalk.device import (
     DisorderMap,
     QubitId,
     QubitParams,
+    default_device,
     sample_disorder,
     subgrid_device,
 )
 from qwalk.evolution import EvolutionPlan, evolve_unitary
 from qwalk.hamiltonian import build_hamiltonian
+from qwalk.scenarios import default_mz_layout, mz_scenario, run_scenario
 from qwalk.sector import basis_state, enumerate_basis, populations
 
 J = 2.01
@@ -61,11 +65,11 @@ def test_single_excitation_kernel_matches_engine():
     # to the same populations
     rng = np.random.default_rng(10)
     g = ActiveGraph((0, 1, 2, 3, 4), ((0, 1, J), (0, 2, 1.7), (0, 3, 2.2), (3, 4, 2.01)))
-    offsets = DisorderMap({i: float(rng.uniform(-2, 2)) for i in range(5)})
+    offsets_mhz = rng.uniform(-2, 2, 5)  # in g.sites order
     times = tuple(np.arange(0.0, 900.0, 30.0))
-    fast = single_excitation_populations(g, offsets, 0, times)
+    fast = single_excitation_populations(g, offsets_mhz, 0, times)
     b = enumerate_basis(5, 1)
-    h = build_hamiltonian(g, b, offsets)
+    h = build_hamiltonian(g, b, DisorderMap(dict(zip(g.sites, offsets_mhz.tolist()))))
     snaps = evolve_unitary(EvolutionPlan(h, times), basis_state(b, {0}))
     slow = np.column_stack([populations(s) for _, s in snaps])
     assert np.max(np.abs(fast - slow)) < 1e-10
@@ -104,11 +108,14 @@ def test_swap_data_star_matches_dense_oracle():
     hidden = sample_disorder(device.functional_qubits, 1.2, seed=3)
     twin = CalibrationTwin(device, hidden)
     ds = generate_swap_data(twin, center, times_ns=np.arange(0.0, 600.0, 20.0))
-    assert len(ds.sites) == 5
+    sites = ds.graph.sites
+    assert len(sites) == 5 and sites[0] == center
+    assert sorted(sites[1:]) == device.neighbors(center)
+    # the oracle takes its couplings from the device, not from the dataset's graph
     h = np.zeros((5, 5))
-    for k in range(1, 5):
-        h[0, k] = h[k, 0] = 2 * np.pi * ds.j_eff_mhz[k - 1]
-    for k, q in enumerate(ds.sites):
+    for k, q in enumerate(sites[1:], start=1):
+        h[0, k] = h[k, 0] = 2 * np.pi * device.edge(center, q).j_eff_mhz
+    for k, q in enumerate(sites):
         h[k, k] = 2 * np.pi * hidden.get(q)
     for col, t in enumerate(ds.times_ns):
         ref = np.abs(expm(-1j * h * t * 1e-3)[:, 0]) ** 2
@@ -124,6 +131,13 @@ def test_swap_data_shot_noise_deterministic():
     clean = generate_swap_data(CalibrationTwin(device, DisorderMap()), a)
     assert np.max(np.abs(d1.populations - clean.populations)) < 0.05
     assert not np.array_equal(d1.populations, clean.populations)
+
+
+@pytest.mark.parametrize("n_shots", [0, -5, 2.5, True, "10"])
+def test_twin_rejects_bad_shot_counts(n_shots):
+    device, _, _ = two_qubit_device()
+    with pytest.raises(ValueError, match="n_shots"):
+        CalibrationTwin(device, DisorderMap(), n_shots=n_shots)
 
 
 def test_canonical_gauge():
@@ -159,6 +173,26 @@ def test_fit_zero_disorder_returns_near_zero():
     assert max(abs(v) for v in fit.disorder.offsets.values()) < 0.02
 
 
+def test_fit_builds_each_star_hopping_once(monkeypatch):
+    # the fit reuses the star graph each dataset carries, so the site-order
+    # hopping is built once per star (when the data are generated), not again
+    # by the fit
+    builds = []
+
+    def counting_build(*args, **kwargs):
+        builds.append(args[0])
+        return build_hamiltonian(*args, **kwargs)
+
+    monkeypatch.setattr(calibration, "build_hamiltonian", counting_build)
+    device = subgrid_device(0, 4, 2, 2)
+    twin = CalibrationTwin(device, DisorderMap())
+    datasets = [generate_swap_data(twin, q, times_ns=np.arange(0.0, 1000.0, 10.0)) for q in device.functional_qubits]
+    assert len(builds) == len(datasets)
+    assert all(built is ds.graph for built, ds in zip(builds, datasets))
+    fit_disorder_map(datasets, quick_config())
+    assert len(builds) == len(datasets)
+
+
 def test_alignment_fixed_point_without_disorder():
     device = subgrid_device(0, 4, 2, 2)
     twin = CalibrationTwin(device, DisorderMap())
@@ -174,6 +208,20 @@ def test_alignment_overall_distance_monotone():
     res = alignment_loop(twin, rounds=3, config=quick_config(), times_ns=np.arange(0.0, 800.0, 20.0))
     assert all(b <= a for a, b in zip(res.overall_distances, res.overall_distances[1:]))
     assert res.residual_max_mhz < 1.6 * 0.8
+
+
+def test_interferometer_correction_is_keyed_by_layout_site():
+    # the optimizer works on the stage graphs' sorted site order; the returned
+    # correction, applied to the device on top of the hidden map, must give
+    # the detector population the optimizer reports
+    layout = default_mz_layout()
+    hidden = sample_disorder(layout.sites, 1.6, seed=13)
+    opt = optimize_interferometer(CalibrationTwin(default_device(), hidden), layout, OptimizerConfig(max_iterations=300))
+    applied = DisorderMap({q: hidden.get(q) + opt.correction.get(q) for q in layout.sites})
+    sc = mz_scenario("S", t_max_ns=650.0, step_ns=650.0).with_static_disorder(applied)
+    detector = run_scenario(sc).site_series(sc.layout_names["D"])[-1]
+    assert detector == pytest.approx(opt.detector_population, abs=1e-8)
+    assert opt.detector_population > opt.initial_detector_population
 
 
 def test_zz_coupling_values():

@@ -87,8 +87,7 @@ def test_coupling_edge_requires_neighbours():
 
 def test_active_subgraph_full_array():
     d = default_device()
-    config = FrequencyConfig.from_disorder(d.functional_qubits)
-    g = active_subgraph(d, config)
+    g = active_subgraph(d, d.functional_qubits)
     assert g.n_sites == 62
     assert len(g.edges) == 104  # 112 grid edges minus 7 broken-qubit edges minus 1 broken edge
 
@@ -96,16 +95,16 @@ def test_active_subgraph_full_array():
 def test_active_subgraph_single_qubit():
     d = default_device()
     q = QubitId.parse("U00Q0")
-    g = active_subgraph(d, FrequencyConfig.from_disorder([q]))
+    g = active_subgraph(d, [q])
     assert g.n_sites == 1 and g.edges == ()
 
 
 def test_active_subgraph_rejects_broken_and_empty():
     d = default_device()
     with pytest.raises(ValueError):
-        active_subgraph(d, FrequencyConfig.from_disorder([QubitId.parse("U03Q2")]))
+        active_subgraph(d, [QubitId.parse("U03Q2")])
     with pytest.raises(ValueError):
-        active_subgraph(d, FrequencyConfig.from_disorder([]))
+        active_subgraph(d, [])
 
 
 def test_active_subgraph_monotone():
@@ -116,11 +115,11 @@ def test_active_subgraph_monotone():
         keep = [q for q in full if rng.random() < 0.6]
         if not keep:
             continue
-        g_big = active_subgraph(d, FrequencyConfig.from_disorder(keep))
+        g_big = active_subgraph(d, keep)
         smaller = [q for q in keep if rng.random() < 0.7]
         if not smaller:
             continue
-        g_small = active_subgraph(d, FrequencyConfig.from_disorder(smaller))
+        g_small = active_subgraph(d, smaller)
         big_pairs = {frozenset((g_big.sites[i], g_big.sites[j])) for i, j, _ in g_big.edges}
         small_pairs = {frozenset((g_small.sites[i], g_small.sites[j])) for i, j, _ in g_small.edges}
         assert small_pairs <= big_pairs
@@ -135,8 +134,9 @@ def test_sample_disorder_contract():
     assert d1.offsets == d2.offsets
     assert all(abs(v) <= 1.6 for v in d1.offsets.values())
     assert d1.offsets != sample_disorder(qs, 1.6, seed=10).offsets
-    with pytest.raises(ValueError):
-        sample_disorder(qs, -0.1, seed=0)
+    for bad in (-0.1, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            sample_disorder(qs, bad, seed=0)
 
 
 def test_frequency_config_offsets_round_trip():

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from qwalk.device import ActiveGraph, DisorderMap, FrequencyConfig, active_subgraph, default_device, grid_graph
+from qwalk.device import ActiveGraph, DisorderMap, active_subgraph, default_device, grid_graph
 from qwalk.evolution import LindbladModel
 from qwalk.hamiltonian import TWO_PI, apply, build_hamiltonian
 from qwalk.sector import basis_state, enumerate_basis, lookup
@@ -114,7 +114,7 @@ def test_single_excitation_fast_path_matches_generic():
 
 def test_full_array_two_walker_dimensions_and_sparsity():
     device = default_device()
-    graph = active_subgraph(device, FrequencyConfig.from_disorder(device.functional_qubits))
+    graph = active_subgraph(device, device.functional_qubits)
     b = enumerate_basis(62, 2)
     h = build_hamiltonian(graph, b)
     assert h.matrix.shape == (1891, 1891)

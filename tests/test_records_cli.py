@@ -144,6 +144,48 @@ def test_cli_bad_override_is_domain_error(tmp_path):
     assert code == 1
 
 
+def test_cli_removed_scenario_field_is_unknown(tmp_path, capsys):
+    out = tmp_path / "x"
+    argv = ["run", "--scenario", "mz-two", "--out", str(out), "--override", "interaction_frequency_ghz=7.0"]
+    assert main(argv) == 1
+    doc = json.loads((out / "error.json").read_text())
+    assert doc["type"] == "ValueError" and "unknown scenario field" in doc["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "task, flags, field",
+    [
+        ("disorder", ["--bound", "nan"], "disorder bound"),
+        ("disorder", ["--bound", "inf"], "disorder bound"),
+        ("interferometer", ["--bound", "inf"], "disorder bound"),
+        ("disorder", ["--shots", "0"], "n_shots"),
+        ("disorder", ["--shots", "-5"], "n_shots"),
+        ("align", ["--shots", "0"], "n_shots"),
+    ],
+)
+def test_cli_calibrate_bad_bound_or_shots_is_domain_error(tmp_path, capsys, task, flags, field):
+    assert main(["calibrate", "--task", task, *flags, "--out", str(tmp_path)]) == 1
+    doc = json.loads((tmp_path / "error.json").read_text())
+    assert doc["type"] == "ValueError" and doc["error"].startswith(field)
+    assert "Traceback" not in capsys.readouterr().err
+    assert RunManifest.validate_file(tmp_path / "manifest.json")["status"] == "failed"
+
+
+def test_cli_analyze_records_the_seed_it_runs(tmp_path):
+    def analyze(name, *seed_flags):
+        out = tmp_path / name
+        argv = ["analyze", "--study", "distance-velocity", "--seeds", "2", *seed_flags, "--out", str(out)]
+        assert main(argv) == 0
+        return RunManifest.validate_file(out / "manifest.json")["seed"], (out / "records.jsonl").read_text()
+
+    default_seed, default_records = analyze("default")
+    assert (default_seed, default_records) == analyze("explicit", "--seed", "2024")
+    assert default_seed == 2024
+    zero_seed, zero_records = analyze("zero", "--seed", "0")
+    assert zero_seed == 0 and zero_records != default_records
+
+
 def test_cli_non_finite_override_is_domain_error(tmp_path):
     code = main(
         ["run", "--scenario", "mz-single", "--out", str(tmp_path), "--override", 'static_disorder_mhz={"U00Q0": NaN}']

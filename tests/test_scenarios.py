@@ -1,8 +1,10 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qwalk.device import default_device, sample_disorder
 from qwalk.scenarios import (
@@ -86,6 +88,63 @@ def test_scenario_round_trip_exact():
     ):
         doc = json.loads(json.dumps(sc.to_dict()))
         assert Scenario.from_dict(doc) == sc
+
+
+_LABELS = tuple(q.label for q in default_device().functional_qubits)
+_MZ_NAMES = {name: q.label for name, q in default_mz_layout().named_sites().items()}
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def valid_scenarios(draw):
+    kind = draw(st.sampled_from(["ctqw", "mz"]))
+    pool = sorted(_MZ_NAMES.values()) if kind == "mz" else _LABELS
+    active = tuple(sorted(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=True))))
+    sources = tuple(sorted(draw(st.lists(st.sampled_from(active), max_size=3, unique=True))))
+    times = draw(st.lists(st.floats(0.0, 1e4), min_size=1, max_size=6, unique=True))
+    disorder = draw(st.dictionaries(st.sampled_from(active), _finite, max_size=4))
+    return Scenario(
+        name=draw(st.text(max_size=12)),
+        kind=kind,
+        active=active,
+        sources=sources,
+        times_ns=tuple(sorted(times)),
+        static_disorder_mhz=disorder,
+        step_d_left_mhz=draw(_finite),
+        step_d_right_mhz=draw(_finite),
+        readout_time_ns=draw(st.none() | st.floats(0.0, 1e4)),
+        n_shots=draw(st.none() | st.integers(1, 10**6)),
+        post_select=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**63)),
+        blocked=draw(st.booleans()),
+        removed=draw(st.booleans()),
+        layout_names=dict(_MZ_NAMES) if kind == "mz" else {},
+    )
+
+
+class _ReadKeys(dict):
+    """A dict that remembers which keys were read."""
+
+    def __init__(self, doc):
+        super().__init__(doc)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@given(valid_scenarios())
+def test_scenario_dict_round_trip_property(sc):
+    doc = sc.to_dict()
+    assert set(doc) == {f.name for f in fields(Scenario)} | {"schema_version"}
+    tracked = _ReadKeys(json.loads(json.dumps(doc)))
+    assert Scenario.from_dict(tracked) == sc
+    assert tracked.read == set(doc)  # every key written is read back
 
 
 def test_scenario_validation():
