@@ -54,7 +54,7 @@ from .evolution import (
     site_populations,
     time_series_populations,
 )
-from .hamiltonian import HamiltonianMatrix, apply, build_hamiltonian
+from .hamiltonian import HamiltonianMatrix, build_hamiltonian
 from .measurement import (
     ReadoutModel,
     ShotCounts,

@@ -1,6 +1,7 @@
 """Device calibration against simulated twins with hidden disorders:
-multi-qubit swap data, derivative-free disorder-map recovery, iterative
-frequency alignment, interferometer optimization, and idle-frequency setup.
+multi-qubit swap data, disorder-map recovery (multi-start Nelder-Mead with a
+Levenberg-Marquardt polish), iterative frequency alignment, interferometer
+optimization, and idle-frequency setup.
 """
 from __future__ import annotations
 
@@ -55,9 +56,18 @@ class OptimizerConfig:
     simplex_scale_mhz: float = 0.8
     cost_tolerance: float = 1e-12
     param_tolerance: float = 1e-6
-    n_starts: int = 12  # the swap-data cost surface has local minima
+    n_starts: int = 60  # start budget: the swap-data cost surface has local minima
     start_spread_mhz: float = 1.6
-    early_stop_cost: float = 1e-9  # a converged start this low is the global fit
+    early_stop_cost: float = 1e-9  # noiseless fits are accepted at or below this cost
+
+
+# The disorder fit's Nelder-Mead stage only has to reach the global basin; it
+# stops at this simplex spread and the Levenberg-Marquardt polish finishes.
+GLOBAL_COST_SPREAD = 1e-2
+GLOBAL_PARAM_SPREAD_MHZ = 0.3
+# A fit to shot data is accepted when its cost is within this multiple of the
+# data's estimated shot-noise cost.
+NOISE_COST_MULTIPLE = 1.5
 
 
 @dataclass
@@ -101,7 +111,7 @@ def nelder_mead(
         if it % record_every == 0 or it == 1:
             history.append((it, fvals[0], simplex[0].copy()))
         f_spread = fvals[-1] - fvals[0]
-        x_spread = max(float(np.max(np.abs(v - simplex[0]))) for v in simplex[1:])
+        x_spread = float(np.max(np.abs(np.array(simplex[1:]) - simplex[0])))
         if f_spread <= cost_tolerance and x_spread <= param_tolerance:
             converged = True
             break
@@ -165,15 +175,22 @@ class SwapDataset:
     graph: ActiveGraph  # star: the centre is site 0, edges (0, k, j_eff) to its neighbours
     times_ns: tuple
     populations: np.ndarray  # n_sites x n_times, in graph.sites order
+    n_shots: int | None = None  # shots per population estimate; None for noiseless data
 
 
-def _star_graph(device: DeviceModel, center: QubitId) -> ActiveGraph:
-    neighbours = device.neighbors(center)
-    if not neighbours:
-        raise ValueError(f"qubit {center} has no functional couplings")
-    sites = (center, *neighbours)
-    edges = tuple((0, k, device.edge(center, q).j_eff_mhz) for k, q in enumerate(neighbours, start=1))
-    return ActiveGraph(sites, edges)
+def _star_graph(twin: CalibrationTwin, center: QubitId) -> ActiveGraph:
+    """The centre's star graph, built once per twin (and with it the cached
+    site-order hopping), however many swap experiments run on it."""
+    stars = twin.__dict__.setdefault("_star_graphs", {})
+    if center not in stars:
+        device = twin.device
+        neighbours = device.neighbors(center)
+        if not neighbours:
+            raise ValueError(f"qubit {center} has no functional couplings")
+        sites = (center, *neighbours)
+        edges = tuple((0, k, device.edge(center, q).j_eff_mhz) for k, q in enumerate(neighbours, start=1))
+        stars[center] = ActiveGraph(sites, edges)
+    return stars[center]
 
 
 def _site_hopping(graph: ActiveGraph) -> np.ndarray:
@@ -215,14 +232,14 @@ def generate_swap_data(
     record all populations. The twin's hidden disorder (plus any applied
     correction) detunes the star; shot noise is added when the twin asks."""
     times_ns = tuple(times_ns) if times_ns is not None else tuple(np.arange(0.0, 1000.1, 10.0))
-    graph = _star_graph(twin.device, center)
+    graph = _star_graph(twin, center)
     correction = correction or DisorderMap()
     offsets = [twin.hidden.get(q) + correction.get(q) for q in graph.sites]
     pops = single_excitation_populations(graph, offsets, 0, times_ns)
     if twin.n_shots is not None:
         rng = rng_stream(twin.seed, 0xCA, zlib.crc32(center.label.encode()))
         pops = rng.binomial(twin.n_shots, np.clip(pops, 0.0, 1.0)) / twin.n_shots
-    return SwapDataset(center=center, graph=graph, times_ns=times_ns, populations=pops)
+    return SwapDataset(center=center, graph=graph, times_ns=times_ns, populations=pops, n_shots=twin.n_shots)
 
 
 def canonical_gauge(offsets: dict) -> dict:
@@ -244,63 +261,166 @@ def canonical_gauge(offsets: dict) -> dict:
 class DisorderFit:
     disorder: DisorderMap
     cost: float
-    overall_distance: float
-    n_evaluations: int
-    history: list
+    overall_distance: float  # cost of the zero map
+    n_evaluations: int  # residual and Jacobian evaluations, both stages, all starts
+    history: list  # (iteration, best cost, best x) of the accepted start, polish last
+    n_starts: int  # starts drawn, the accepted one last
+    accept_cost: float
+
+
+class _SwapResiduals:
+    """Simulated minus measured swap populations of a set of star datasets, as
+    a function of the parameter vector x (MHz, one entry per qubit), and
+    their Jacobian.
+
+    Stars with the same site count and time grid are stacked once per fit
+    (site-order hoppings, positions in x, data), so an evaluation makes one
+    batched `eigh` per group. The star Hamiltonians are real symmetric, so
+    the phases are real cos/sin arrays and every product is a real matmul.
+    The walker starts on each star's centre, site 0. Residuals run over the
+    groups in order of first appearance, then star, site and time.
+    """
+
+    def __init__(self, datasets, pos: dict):
+        grouped = {}
+        for ds in datasets:
+            grouped.setdefault((ds.graph.n_sites, tuple(ds.times_ns)), []).append(ds)
+        self.n_params = len(pos)
+        self.groups = []
+        for (_n, times), members in grouped.items():
+            hopping = np.stack([_site_hopping(ds.graph) for ds in members])
+            idx = np.array([[pos[q] for q in ds.graph.sites] for ds in members])
+            data = np.stack([ds.populations for ds in members])
+            self.groups.append((hopping, idx, data, 1e-3 * np.asarray(times, dtype=float)))
+
+    @staticmethod
+    def _amplitudes(hopping, idx, x, t_us):
+        """Eigenpairs of the stacked star Hamiltonians and the real and
+        imaginary parts of the amplitudes (stars x sites x times)."""
+        h = hopping.copy()
+        diag = np.arange(h.shape[1])
+        h[:, diag, diag] = TWO_PI * x[idx]
+        w, v = np.linalg.eigh(h)
+        theta = w[:, :, None] * t_us
+        c = v[:, 0, :, None]  # source overlaps <m|0>
+        return w, v, v @ (np.cos(theta) * c), -(v @ (np.sin(theta) * c))
+
+    def residuals(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        out = []
+        for hopping, idx, data, t_us in self.groups:
+            _w, _v, re, im = self._amplitudes(hopping, idx, x, t_us)
+            out.append((re * re + im * im - data).ravel())
+        return np.concatenate(out)
+
+    def cost(self, x) -> float:
+        r = self.residuals(x)
+        return float(r @ r)
+
+    def jacobian(self, x) -> np.ndarray:
+        """d residual / d x from the eigenbasis the residuals use.
+
+        dH/dx_k = 2 pi e_k e_k^T, and the derivative of exp(-iHt) along E is
+        V (F(t) o V^T E V) V^T with the divided differences
+        F_mn(t) = (e^{-i w_m t} - e^{-i w_n t}) / (w_m - w_n)
+                = -i t e^{-i (w_m + w_n) t / 2} sinc((w_m - w_n) t / 2),
+        whose second form is also the degenerate limit -i t e^{-i w t}. So
+        d amplitude_i / d x_k = 2 pi sum_mn F_mn G_mn,ik with the
+        time-independent G_mn,ik = V_im V_km V_kn V_0n, and
+        d population = 2 Re(conj(amplitude) d amplitude).
+        """
+        x = np.asarray(x, dtype=float)
+        out = []
+        for hopping, idx, _data, t_us in self.groups:
+            w, v, re, im = self._amplitudes(hopping, idx, x, t_us)
+            n_stars, n = w.shape
+            n_t = len(t_us)
+            t = t_us[:, None, None]
+            mean = 0.5 * (w[:, None, :, None] + w[:, None, None, :]) * t  # stars x times x m x n
+            s = t * np.sinc((w[:, None, :, None] - w[:, None, None, :]) * t / TWO_PI)
+            f = np.concatenate((-s * np.sin(mean), -s * np.cos(mean)), axis=1)  # real, then imaginary part
+            g = np.einsum("sim,skm,skn,sn->smnik", v, v, v, v[:, 0])
+            da = (f.reshape(n_stars, 2 * n_t, n * n) @ g.reshape(n_stars, n * n, n * n)).reshape(n_stars, 2, n_t, n, n)
+            a_re, a_im = re.transpose(0, 2, 1)[..., None], im.transpose(0, 2, 1)[..., None]
+            dp = (2.0 * TWO_PI) * (a_re * da[:, 0] + a_im * da[:, 1])  # stars x times x sites i x sites k
+            # residuals run over (star, site i, time); site k of a star is x[idx[star, k]]
+            local = dp.transpose(0, 3, 2, 1).reshape(n_stars, n, -1)
+            jac = np.zeros((n_stars, local.shape[2], self.n_params))
+            jac[np.arange(n_stars)[:, None], :, idx] = local
+            out.append(jac.reshape(-1, self.n_params))
+        return np.concatenate(out)
+
+
+def _shot_noise_cost(ds: SwapDataset) -> float:
+    """Expected summed squared shot noise of a dataset, estimated from its own
+    populations: sum p(1-p)/n, with the unbiased p^(1-p^)/(n-1) for p(1-p)."""
+    if ds.n_shots is None:
+        return 0.0
+    p = ds.populations
+    return float(np.sum(p * (1.0 - p))) / (ds.n_shots - 1)
 
 
 def fit_disorder_map(datasets, config: OptimizerConfig | None = None) -> DisorderFit:
     """Search for the disorder map whose simulated swap data best match the
     given datasets (summed squared distance over all qubits and times).
 
+    Each start runs Nelder-Mead to a loose stop (GLOBAL_COST_SPREAD,
+    GLOBAL_PARAM_SPREAD_MHZ) and then a Levenberg-Marquardt polish on the
+    analytic Jacobian. The first start whose cost reaches the acceptance cost
+    (early_stop_cost plus NOISE_COST_MULTIPLE times the data's estimated
+    shot-noise cost) is the fit. Starts come from one fixed stream, at most
+    `config.n_starts` of them; if none is accepted the fit raises
+    CalibrationError with the best and the zero-map costs.
+
     The returned map is gauge-fixed by canonical_gauge; the physical sign is
     resolved experimentally by alignment_loop.
     """
+    from scipy.optimize import least_squares  # imported on use: no CLI start-up cost
+
     config = config or OptimizerConfig()
     datasets = list(datasets)
     if not datasets:
         raise ValueError("no swap datasets given")
+    if any(ds.n_shots is not None and ds.n_shots < 2 for ds in datasets):
+        raise ValueError("n_shots must be at least 2 for a disorder fit: single-shot data give no noise estimate")
     qubits = sorted({q for ds in datasets for q in ds.graph.sites})
-    pos = {q: i for i, q in enumerate(qubits)}
-    # positions in x of each dataset's sites, in its graph's site order
-    site_idx = [np.array([pos[q] for q in ds.graph.sites]) for ds in datasets]
-
-    def cost(x) -> float:
-        total = 0.0
-        for ds, idx in zip(datasets, site_idx):
-            sim = single_excitation_populations(ds.graph, x[idx], 0, ds.times_ns)
-            total += float(np.sum((sim - ds.populations) ** 2))
-        return total
+    kernel = _SwapResiduals(datasets, {q: i for i, q in enumerate(qubits)})
+    accept_cost = config.early_stop_cost + NOISE_COST_MULTIPLE * sum(_shot_noise_cost(ds) for ds in datasets)
 
     rng = rng_stream(0xF17)
-    best = None
+    best = None  # (cost, x, history)
     total_evals = 0
-    for start in range(max(1, config.n_starts)):
+    n_starts = max(1, config.n_starts)
+    for start in range(n_starts):
         x0 = np.zeros(len(qubits)) if start == 0 else rng.uniform(
             -config.start_spread_mhz, config.start_spread_mhz, len(qubits)
         )
-        result = nelder_mead(
-            cost,
+        coarse = nelder_mead(
+            kernel.cost,
             x0,
             scale=config.simplex_scale_mhz,
             max_iterations=config.max_iterations,
-            cost_tolerance=config.cost_tolerance,
-            param_tolerance=config.param_tolerance,
+            cost_tolerance=GLOBAL_COST_SPREAD,
+            param_tolerance=GLOBAL_PARAM_SPREAD_MHZ,
         )
-        total_evals += result.n_evaluations
-        if best is None or result.fun < best.fun:
-            best = result
-        if best.converged and best.fun <= config.early_stop_cost:
+        polish = least_squares(kernel.residuals, coarse.x, jac=kernel.jacobian, method="lm")
+        cost = float(polish.fun @ polish.fun)
+        total_evals += coarse.n_evaluations + polish.nfev + polish.njev
+        if best is None or cost < best[0]:
+            history = [*coarse.history, (coarse.n_iterations + polish.nfev, cost, polish.x.copy())]
+            best = (cost, polish.x, history)
+        if cost <= accept_cost:
             break
-    fitted = canonical_gauge({q: best.x[pos[q]] for q in qubits})
-    zero_cost = cost(np.zeros(len(qubits)))
-    if not best.converged:
+    cost, x, history = best
+    fitted = DisorderMap(canonical_gauge({q: x[k] for k, q in enumerate(qubits)}))
+    zero_cost = kernel.cost(np.zeros(len(qubits)))
+    if cost > accept_cost:
         raise CalibrationError(
-            f"disorder fit hit max_iterations={config.max_iterations} before meeting tolerance "
-            f"(best cost {best.fun:.3e} vs zero-map cost {zero_cost:.3e})",
-            best=DisorderMap(fitted),
+            f"disorder fit accepted none of {n_starts} starts: best cost {cost:.3e} above the acceptance "
+            f"cost {accept_cost:.3e} (zero-map cost {zero_cost:.3e})",
+            best=fitted,
         )
-    return DisorderFit(DisorderMap(fitted), best.fun, zero_cost, total_evals, best.history)
+    return DisorderFit(fitted, cost, zero_cost, total_evals, history, start + 1, accept_cost)
 
 
 @dataclass

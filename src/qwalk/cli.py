@@ -235,6 +235,9 @@ def _cmd_calibrate(args) -> int:
                             "disorder_mhz": {q.label: v for q, v in fit.disorder.offsets.items()},
                             "cost": fit.cost,
                             "overall_distance": fit.overall_distance,
+                            "accept_cost": fit.accept_cost,
+                            "starts": fit.n_starts,
+                            "evaluations": fit.n_evaluations,
                         },
                         {"task": "disorder"},
                     )
@@ -262,6 +265,8 @@ def _cmd_calibrate(args) -> int:
                 )
                 print(f"alignment residual {res.residual_max_mhz:.3f} MHz after {res.rounds_run} rounds")
             elif args.task == "interferometer":
+                if args.shots is not None:
+                    raise ValueError("--shots does not apply to the interferometer task: it optimizes noiseless populations")
                 device = default_device()
                 layout = default_mz_layout()
                 hidden = sample_disorder(layout.sites, args.bound, seed)

@@ -12,9 +12,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .device import ActiveGraph, DisorderMap
-from .sector import QuantumState, SectorBasis, lookup
+from .sector import SectorBasis, lookup
 
-__all__ = ["HamiltonianMatrix", "build_hamiltonian", "disorder_diagonals", "apply", "TWO_PI"]
+__all__ = ["HamiltonianMatrix", "build_hamiltonian", "disorder_diagonals", "TWO_PI"]
 
 TWO_PI = 2.0 * np.pi
 
@@ -34,12 +34,6 @@ class HamiltonianMatrix:
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
-
-    def dump_triplets(self, fh) -> None:
-        """Row col value, one entry per line, zero-based indices."""
-        coo = self.matrix.tocoo()
-        for r, c, v in sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())):
-            fh.write(f"{r} {c} {v!r}\n")
 
 
 def build_hamiltonian(
@@ -90,11 +84,3 @@ def disorder_diagonals(graph: ActiveGraph, basis: SectorBasis, disorders) -> np.
     2*pi * the sum of the map's offsets on each state's occupied sites."""
     offsets = np.array([[d.get(s) for d in disorders] for s in graph.sites], dtype=np.float64)
     return TWO_PI * (basis.occupancy_matrix() @ offsets)
-
-
-def apply(h: HamiltonianMatrix, v) -> np.ndarray:
-    """H @ v for a QuantumState or a raw vector of matching dimension."""
-    vec = v.amplitudes if isinstance(v, QuantumState) else np.asarray(v)
-    if vec.shape != (h.dimension,):
-        raise ValueError(f"vector shape {vec.shape} does not match dimension {h.dimension}")
-    return h.matrix @ vec

@@ -98,16 +98,6 @@ class ShotCounts:
     def to_lines(self) -> str:
         return "".join(f"{bits} {count}\n" for bits, count in sorted(self.counts.items()))
 
-    @classmethod
-    def from_lines(cls, text: str, n_sites: int) -> "ShotCounts":
-        counts = {}
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            bits, raw = line.split()
-            counts[bits] = int(raw)
-        return cls(counts, sum(counts.values()), n_sites)
-
 
 def sample_shots(state: QuantumState, readout: ReadoutModel, n_shots: int, seed: int) -> ShotCounts:
     """Draw bitstrings from |amplitude|^2, then corrupt them per qubit."""

@@ -96,7 +96,7 @@ def test_c03_two_qubit_swap_time():
     report(3, f"first full transfer at {t_transfer:.2f} ns (analytic {expected:.2f} ns)")
 
 
-def test_c04_krylov_vs_dense_oracle(full_graph):
+def test_c04_chebyshev_vs_dense_oracle(full_graph):
     t0 = time.perf_counter()
     times = (100.0, 200.0, 300.0, 600.0)
 

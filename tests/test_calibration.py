@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import qwalk.calibration as calibration
@@ -7,6 +9,7 @@ from qwalk.calibration import (
     CalibrationError,
     CalibrationTwin,
     OptimizerConfig,
+    SwapDataset,
     alignment_loop,
     assign_idle_frequencies,
     canonical_gauge,
@@ -191,6 +194,100 @@ def test_fit_builds_each_star_hopping_once(monkeypatch):
     assert all(built is ds.graph for built, ds in zip(builds, datasets))
     fit_disorder_map(datasets, quick_config())
     assert len(builds) == len(datasets)
+
+
+@st.composite
+def star_fits(draw):
+    """Stars of 2-5 sites over one shared parameter vector, sorted by size
+    (the kernel's group order), a time grid that includes t=0, random data
+    and a parameter point. Zero offsets on equal-coupling stars give
+    degenerate eigenvalues."""
+    n_params = 6
+    symmetric = draw(st.booleans())
+    times = tuple(sorted({0.0, *draw(st.lists(st.floats(1.0, 1000.0), min_size=1, max_size=6))}))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    datasets = []
+    for n in sorted(draw(st.lists(st.integers(2, 5), min_size=1, max_size=3))):
+        sites = tuple(draw(st.permutations(range(n_params)))[:n])
+        edges = tuple((0, k, J if symmetric else draw(st.floats(0.5, 3.0))) for k in range(1, n))
+        data = rng.uniform(0.0, 1.0, (n, len(times)))
+        datasets.append(SwapDataset(sites[0], ActiveGraph(sites, edges), times, data))
+    x = np.zeros(n_params) if symmetric else rng.uniform(-3.0, 3.0, n_params)
+    return datasets, x
+
+
+@given(star_fits())
+def test_batched_residuals_and_jacobian(case):
+    datasets, x = case
+    kernel = calibration._SwapResiduals(datasets, {q: q for q in range(len(x))})
+    per_star = [
+        single_excitation_populations(ds.graph, x[list(ds.graph.sites)], 0, ds.times_ns) - ds.populations
+        for ds in datasets
+    ]
+    residuals = kernel.residuals(x)
+    assert np.max(np.abs(residuals - np.concatenate([r.ravel() for r in per_star]))) < 1e-12
+    assert kernel.cost(x) == pytest.approx(float(residuals @ residuals), rel=1e-12)
+    jac = kernel.jacobian(x)
+    h = 1e-5
+    central = np.column_stack(
+        [(kernel.residuals(x + h * e) - kernel.residuals(x - h * e)) / (2 * h) for e in np.eye(len(x))]
+    )
+    assert np.max(np.abs(jac - central)) <= 1e-6 * max(1.0, np.max(np.abs(central)))
+
+
+def test_fit_recovers_seed_23_trapped_in_the_first_starts():
+    # the first twelve starts of this planted map end in local minima; the fit
+    # keeps drawing starts until one reaches the acceptance cost
+    device = subgrid_device(4, 0, 3, 3)
+    qubits = device.functional_qubits
+    hidden = sample_disorder(qubits, 1.6, seed=23)
+    twin = CalibrationTwin(device, hidden)
+    fit = fit_disorder_map([generate_swap_data(twin, q) for q in qubits])
+    truth = canonical_gauge({q: hidden.get(q) for q in qubits})
+    assert max(abs(fit.disorder.get(q) - truth[q]) for q in qubits) < 0.05
+    assert fit.n_starts > 1 and fit.cost <= fit.accept_cost
+
+
+def test_fit_without_an_accepted_start_raises():
+    device = subgrid_device(4, 0, 3, 3)
+    qubits = device.functional_qubits
+    twin = CalibrationTwin(device, sample_disorder(qubits, 1.6, seed=23))
+    datasets = [generate_swap_data(twin, q) for q in qubits]
+    with pytest.raises(CalibrationError, match="best cost .*zero-map cost") as info:
+        fit_disorder_map(datasets, OptimizerConfig(n_starts=1))
+    assert set(info.value.best.offsets) == set(qubits)
+
+
+def test_shot_data_fit_is_accepted_near_its_noise_floor():
+    device = subgrid_device(0, 4, 2, 2)
+    qubits = device.functional_qubits
+    hidden = sample_disorder(qubits, 1.6, seed=21)
+    twin = CalibrationTwin(device, hidden, n_shots=20000, seed=3)
+    datasets = [generate_swap_data(twin, q, times_ns=np.arange(0.0, 1000.0, 10.0)) for q in qubits]
+    assert all(ds.n_shots == 20000 for ds in datasets)
+    fit = fit_disorder_map(datasets, quick_config())
+    noise = sum(float(np.sum(ds.populations * (1 - ds.populations))) / (ds.n_shots - 1) for ds in datasets)
+    assert fit.accept_cost == pytest.approx(calibration.NOISE_COST_MULTIPLE * noise, rel=1e-6)
+    assert 0.5 * noise < fit.cost <= fit.accept_cost
+    truth = canonical_gauge({q: hidden.get(q) for q in qubits})
+    assert max(abs(fit.disorder.get(q) - truth[q]) for q in qubits) < 0.1
+
+
+def test_alignment_builds_each_star_graph_once(monkeypatch):
+    # every swap experiment on a twin reuses the centre's star graph and its
+    # site-order hopping, across rounds and overall-distance checks
+    builds = []
+
+    def counting_build(*args, **kwargs):
+        builds.append(args[0])
+        return build_hamiltonian(*args, **kwargs)
+
+    monkeypatch.setattr(calibration, "build_hamiltonian", counting_build)
+    device = subgrid_device(0, 4, 2, 2)
+    twin = CalibrationTwin(device, sample_disorder(device.functional_qubits, 1.5, seed=8))
+    res = alignment_loop(twin, rounds=2, config=quick_config(), times_ns=np.arange(0.0, 800.0, 20.0))
+    assert res.rounds_run == 2
+    assert len(builds) == len(device.functional_qubits)
 
 
 def test_alignment_fixed_point_without_disorder():

@@ -69,7 +69,7 @@ def test_time_zero_is_identity():
         ((4, 5), 1, {7}),  # dim 20
     ],
 )
-def test_krylov_matches_scipy_expm_oracle(shape, k, sources):
+def test_chebyshev_matches_scipy_expm_oracle(shape, k, sources):
     rng = np.random.default_rng(42 + shape[0] * shape[1] + k)
     g = grid_graph(*shape)
     b = enumerate_basis(shape[0] * shape[1], k)

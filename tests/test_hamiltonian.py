@@ -6,8 +6,8 @@ from scipy.linalg import expm
 
 from qwalk.device import ActiveGraph, DisorderMap, active_subgraph, default_device, grid_graph
 from qwalk.evolution import LindbladModel
-from qwalk.hamiltonian import TWO_PI, apply, build_hamiltonian
-from qwalk.sector import basis_state, enumerate_basis, lookup
+from qwalk.hamiltonian import TWO_PI, build_hamiltonian
+from qwalk.sector import enumerate_basis, lookup
 
 J = 2.01
 
@@ -122,26 +122,19 @@ def test_full_array_two_walker_dimensions_and_sparsity():
 
 
 def test_apply_contract():
+    # H @ v on the CSR matrix: zero maps to zero, expectations are real, and
+    # the product matches the dense matrix
     rng = np.random.default_rng(8)
     g, b, d = random_instance(rng, n_sites=6, k=2)
     h = build_hamiltonian(g, b, d)
-    zero = apply(h, np.zeros(b.dimension, dtype=complex))
+    zero = h.matrix @ np.zeros(b.dimension, dtype=complex)
     assert np.all(zero == 0)
     for _ in range(5):
         v = rng.normal(size=b.dimension) + 1j * rng.normal(size=b.dimension)
         v /= np.linalg.norm(v)
-        expect = np.vdot(v, apply(h, v))
+        expect = np.vdot(v, h.matrix @ v)
         assert abs(expect.imag) < 1e-12
-        assert np.allclose(apply(h, v), h.to_dense() @ v, atol=1e-12)
-    with pytest.raises(ValueError):
-        apply(h, np.zeros(3))
-
-
-def test_apply_accepts_quantum_state():
-    g, b = two_site()
-    h = build_hamiltonian(g, b)
-    s = basis_state(b, {0})
-    assert np.allclose(apply(h, s), h.to_dense() @ s.amplitudes)
+        assert np.allclose(h.matrix @ v, h.to_dense() @ v, atol=1e-12)
 
 
 def test_dimension_mismatch_rejected():
@@ -168,19 +161,7 @@ def test_dense_product_oracle_dim_under_200():
     dense = h.to_dense()
     for _ in range(3):
         v = rng.normal(size=b.dimension) + 1j * rng.normal(size=b.dimension)
-        assert np.allclose(apply(h, v), dense @ v, atol=1e-12)
-
-
-def test_triplet_dump(tmp_path):
-    g, b = two_site()
-    h = build_hamiltonian(g, b)
-    path = tmp_path / "h.txt"
-    with open(path, "w") as fh:
-        h.dump_triplets(fh)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == h.nnz
-    r, c, v = lines[0].split()
-    assert (int(r), int(c)) == (0, 1) and float(v) == pytest.approx(TWO_PI * J)
+        assert np.allclose(h.matrix @ v, dense @ v, atol=1e-12)
 
 
 def test_exponential_against_scipy_expm():

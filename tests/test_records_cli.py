@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qwalk.calibration import OptimizerConfig
 from qwalk.cli import main
 from qwalk.records import RecordWriter, ResultRecord, RunManifest, read_records, write_csv_matrix
 from qwalk.svg import render_heatmap
@@ -162,12 +163,29 @@ def test_cli_removed_scenario_field_is_unknown(tmp_path, capsys):
         ("disorder", ["--shots", "0"], "n_shots"),
         ("disorder", ["--shots", "-5"], "n_shots"),
         ("align", ["--shots", "0"], "n_shots"),
+        ("disorder", ["--shots", "1"], "n_shots"),
+        ("align", ["--shots", "1"], "n_shots"),
+        ("interferometer", ["--shots", "5"], "--shots"),
     ],
 )
 def test_cli_calibrate_bad_bound_or_shots_is_domain_error(tmp_path, capsys, task, flags, field):
     assert main(["calibrate", "--task", task, *flags, "--out", str(tmp_path)]) == 1
     doc = json.loads((tmp_path / "error.json").read_text())
     assert doc["type"] == "ValueError" and doc["error"].startswith(field)
+    assert "Traceback" not in capsys.readouterr().err
+    assert RunManifest.validate_file(tmp_path / "manifest.json")["status"] == "failed"
+
+
+def test_cli_calibrate_exhausted_start_budget_is_domain_error(tmp_path, capsys, monkeypatch):
+    # seed 23's first start ends in a local minimum; with a budget of one
+    # start the fit refuses the map instead of writing it
+    import qwalk.cli
+
+    monkeypatch.setattr(qwalk.cli, "OptimizerConfig", lambda: OptimizerConfig(n_starts=1))
+    assert main(["calibrate", "--task", "disorder", "--seed", "23", "--out", str(tmp_path)]) == 1
+    doc = json.loads((tmp_path / "error.json").read_text())
+    assert doc["type"] == "CalibrationError"
+    assert "best cost" in doc["error"] and "zero-map cost" in doc["error"]
     assert "Traceback" not in capsys.readouterr().err
     assert RunManifest.validate_file(tmp_path / "manifest.json")["status"] == "failed"
 
