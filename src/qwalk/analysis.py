@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .device import DisorderMap, QubitId, active_subgraph, default_device, grid_graph, sample_disorder
 from .evolution import EvolutionPlan, evolve_unitary, propagate_block
@@ -98,6 +97,8 @@ def fit_gaussian_front(
     lobe_fraction * max|C|; later revival lobes of the correlation signal
     would otherwise capture the fit at long distances.
     """
+    from scipy.optimize import curve_fit  # imported on use: no CLI start-up cost
+
     t = series.times_ns
     c = np.abs(series.values)
     if len(t) < 8:

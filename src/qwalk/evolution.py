@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
 from scipy.special import jv
 
 from .device import ActiveGraph, DisorderMap
@@ -269,6 +268,8 @@ def evolve_lindblad(
     atol: float = 1e-10,
 ) -> list[tuple[float, np.ndarray]]:
     """Density-matrix snapshots under the master equation, trace-checked."""
+    from scipy.integrate import solve_ivp  # imported on use: no CLI start-up cost
+
     times = np.asarray([float(t) for t in times_ns])
     if times.size == 0 or np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be nonnegative and strictly increasing")

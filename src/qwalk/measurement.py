@@ -74,6 +74,11 @@ class ReadoutModel:
     def n_sites(self) -> int:
         return len(self.f0)
 
+    @property
+    def is_perfect(self) -> bool:
+        """No thermal excitation and f0 = f1 = 1: every shot reads as drawn."""
+        return not self.thermal_excitation.any() and bool(np.all(self.f0 == 1.0) and np.all(self.f1 == 1.0))
+
 
 @dataclass
 class ShotCounts:
@@ -111,15 +116,20 @@ def sample_shots(state: QuantumState, readout: ReadoutModel, n_shots: int, seed:
     p = p / p.sum()
     rng = rng_stream(seed, 0x5A)
     drawn = rng.choice(state.basis.dimension, size=n_shots, p=p)
-    occ = state.basis.occupancy_matrix().astype(bool)
-    bits = occ[drawn]  # n_shots x n_sites, true occupations
-    u = rng.random(size=bits.shape)
-    thermal = ~bits & (u < readout.thermal_excitation)
-    bits = bits | thermal
-    u = rng.random(size=bits.shape)
-    flip_1to0 = bits & (u >= readout.f1)
-    flip_0to1 = ~bits & (u >= readout.f0)
-    observed = (bits & ~flip_1to0) | flip_0to1
+    bits = state.basis.rows[drawn]  # n_shots x n_sites, true occupations
+    if readout.is_perfect:
+        # u < 0 and u >= 1 never hold, so the corruption draws would flip
+        # nothing, and the stream is local to this call: skipping both leaves
+        # the shots unchanged. Any other model makes both draws, in order.
+        observed = bits
+    else:
+        u = rng.random(size=bits.shape)
+        thermal = ~bits & (u < readout.thermal_excitation)
+        bits = bits | thermal
+        u = rng.random(size=bits.shape)
+        flip_1to0 = bits & (u >= readout.f1)
+        flip_0to1 = ~bits & (u >= readout.f0)
+        observed = (bits & ~flip_1to0) | flip_0to1
     # One packed key per shot: the keys sort like the bit rows, so only the
     # distinct ones are decoded.
     keys, mults = np.unique(row_keys(observed), return_counts=True)

@@ -225,11 +225,16 @@ def readout_cases(draw):
     # byte-boundary and word-boundary site counts, then any count up to 130
     n = draw(st.one_of(st.sampled_from([1, 7, 8, 9, 62, 64, 65, 128, 130]), st.integers(1, 130)))
     k = draw(st.integers(1, min(n, 3 if n <= 40 else 2)))
-    kind = draw(st.sampled_from(["perfect", "thermal", "noisy"]))
+    kind = draw(st.sampled_from(["perfect", "thermal", "confusion", "noisy"]))
     if kind == "perfect":
         readout = ReadoutModel.perfect(n)
     elif kind == "thermal":
         readout = ReadoutModel.uniform(n, 1.0, 1.0, thermal=draw(st.sampled_from([0.02, 0.3])))
+    elif kind == "confusion":
+        # no thermal excitation, yet its draw must still be made: skipping it
+        # alone would shift the confusion draw onto the thermal draw's numbers
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        readout = ReadoutModel.validate_arrays(rng.uniform(0.8, 1.0, n), rng.uniform(0.8, 1.0, n), np.zeros(n))
     else:
         rng = np.random.default_rng(draw(st.integers(0, 2**16)))
         readout = ReadoutModel.validate_arrays(
