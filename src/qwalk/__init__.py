@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 
 from .analysis import (
     correlation,
-    correlation_series,
     ctqw_velocity_pipeline,
     disorder_velocity_study,
     fit_gaussian_front,
@@ -52,7 +51,6 @@ from .evolution import (
     initial_density,
     propagate_block,
     site_populations,
-    time_series_populations,
 )
 from .hamiltonian import HamiltonianMatrix, build_hamiltonian
 from .measurement import (

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import DisorderMap, QubitId, active_subgraph, default_device, grid_graph, sample_disorder
-from .evolution import EvolutionPlan, evolve_unitary, propagate_block
+from .evolution import propagate_block
 from .hamiltonian import TWO_PI, build_hamiltonian, disorder_diagonals
 from .sector import QuantumState, basis_state, enumerate_basis
 
@@ -18,7 +18,6 @@ __all__ = [
     "FrontFit",
     "FringeStats",
     "correlation",
-    "correlation_series",
     "fit_gaussian_front",
     "fit_velocity",
     "lr_bound",
@@ -63,12 +62,6 @@ class CorrelationSeries:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.times_ns.shape != self.values.shape:
             raise ValueError("times and values must have matching lengths")
-
-
-def correlation_series(snapshots, i: int, j: int) -> CorrelationSeries:
-    times = np.array([t for t, _ in snapshots], dtype=float)
-    values = np.array([correlation(s, i, j) for _, s in snapshots])
-    return CorrelationSeries((i, j), times, values)
 
 
 @dataclass(frozen=True)
@@ -266,6 +259,45 @@ def interaction_signature(two_walker_grid, single_left_grid, single_right_grid) 
 # velocity pipelines
 # ---------------------------------------------------------------------------
 
+# disorder_velocity_study: 15x15 grid, fronts at diagonals 1..11, windows from
+# d0 = sqrt(2)..8*sqrt(2)
+STUDY_SIDE = 15
+STUDY_DISORDER_BOUND_MHZ = 1.6
+STUDY_TIMES_NS = tuple(np.arange(0.0, 1000.0 + 1e-9, 10.0))
+STUDY_DIAGONALS = STUDY_SIDE - 4
+STUDY_WINDOWS = 8
+
+# ctqw_velocity_pipeline: the device walk from the corner qubit, fronts at
+# diagonals 1..4
+PIPELINE_ORIGIN = "U00Q0"
+PIPELINE_TIMES_NS = tuple(np.arange(0.0, 600.0 + 1e-9, 10.0))
+PIPELINE_DIAGONALS = 4
+
+
+def _diagonal_fronts(graph, origin: int, diagonal, disorders, times) -> tuple[tuple, tuple]:
+    """Correlation series and Gaussian fronts between one walker's start site
+    and each diagonal site, averaged over disorder realisations.
+
+    Every realisation is one column of a single `propagate_block` call over
+    the shared hopping matrix. With one walker the pair occupation is zero,
+    so the connected correlation is C = 4(0 - p_origin p_site); it is averaged
+    over realisations before fitting the k-th site's front at k * sqrt(2).
+    """
+    basis = enumerate_basis(graph.n_sites, 1)
+    h0 = build_hamiltonian(graph, basis)
+    diagonals = disorder_diagonals(graph, basis, disorders)
+    block = np.repeat(basis_state(basis, {origin}).amplitudes[:, None], len(disorders), axis=1)
+    occ = basis.occupancy_matrix()
+
+    def ensemble_correlation(x):
+        pops = (np.abs(x) ** 2).T @ occ
+        return 4.0 * (0.0 - (pops[:, [origin]] * pops[:, diagonal]).mean(axis=0))
+
+    acc = np.column_stack(propagate_block(h0.matrix, diagonals, block, times, observe=ensemble_correlation))
+    series = tuple(CorrelationSeries((origin, site), np.array(times), acc[row]) for row, site in enumerate(diagonal))
+    fronts = tuple(fit_gaussian_front(s, distance=(row + 1) * SQRT2) for row, s in enumerate(series))
+    return series, fronts
+
 
 @dataclass(frozen=True)
 class VelocityPipelineResult:
@@ -275,41 +307,24 @@ class VelocityPipelineResult:
     series: tuple
 
 
-def ctqw_velocity_pipeline(
-    device=None,
-    t_max_ns: float = 600.0,
-    step_ns: float = 10.0,
-    n_distances: int = 4,
-    origin_label: str = "U00Q0",
-    disorder: DisorderMap | None = None,
-) -> VelocityPipelineResult:
-    """Single-walker walk from the corner qubit; correlation fronts along the
-    grid diagonal at d = sqrt(2)..n*sqrt(2) and a linear velocity fit."""
-    device = device or default_device()
+def ctqw_velocity_pipeline() -> VelocityPipelineResult:
+    """Single-walker walk from the corner qubit of the ideal (disorder-free)
+    device; correlation fronts along the grid diagonal at
+    d = sqrt(2)..4*sqrt(2) and a linear velocity fit."""
+    device = default_device()
     graph = active_subgraph(device, device.functional_qubits)
     index = graph.index
-    origin = QubitId.parse(origin_label)
+    origin = QubitId.parse(PIPELINE_ORIGIN)
     r0, c0 = origin.grid_position
-    diag_sites = []
-    for k in range(1, n_distances + 1):
+    diagonal = []
+    for k in range(1, PIPELINE_DIAGONALS + 1):
         q = QubitId.from_grid(r0 + k, c0 + k)
         if q not in index:
             raise ValueError(f"diagonal site {q} is not active")
-        diag_sites.append((k, index[q]))
-
-    basis = enumerate_basis(graph.n_sites, 1)
-    h = build_hamiltonian(graph, basis, disorder)
-    psi0 = basis_state(basis, {index[origin]})
-    times = tuple(np.arange(0.0, t_max_ns + 1e-9, step_ns))
-    snapshots = evolve_unitary(EvolutionPlan(h, times), psi0)
-
-    series, fronts = [], []
-    for k, site in diag_sites:
-        s = correlation_series(snapshots, index[origin], site)
-        series.append(s)
-        fronts.append(fit_gaussian_front(s, distance=k * SQRT2))
+        diagonal.append(index[q])
+    series, fronts = _diagonal_fronts(graph, index[origin], diagonal, [DisorderMap()], PIPELINE_TIMES_NS)
     velocity, std_err = fit_velocity(fronts)
-    return VelocityPipelineResult(velocity, std_err, tuple(fronts), tuple(series))
+    return VelocityPipelineResult(velocity, std_err, fronts, series)
 
 
 @dataclass(frozen=True)
@@ -322,17 +337,9 @@ class VelocityStudyResult:
     disorder_bound_mhz: float
 
 
-def disorder_velocity_study(
-    n_side: int = 15,
-    disorder_bound_mhz: float = 1.6,
-    n_seeds: int = 32,
-    seed: int = 11000,
-    t_max_ns: float = 1000.0,
-    step_ns: float = 10.0,
-    max_diagonal: int | None = None,
-    d0_steps: int = 8,
-) -> VelocityStudyResult:
-    """Instantaneous velocity vs distance on an n x n lattice under random disorder.
+def disorder_velocity_study(n_seeds: int = 32, seed: int = 11000) -> VelocityStudyResult:
+    """Instantaneous velocity vs distance on the 15 x 15 lattice under random
+    disorder (bound 1.6 MHz, seeds seed..seed + n_seeds - 1).
 
     Correlation curves between the corner site and each diagonal site are
     averaged over the disorder ensemble before front fitting; the windowed
@@ -340,39 +347,11 @@ def disorder_velocity_study(
     """
     if n_seeds < 1:
         raise ValueError("need at least one disorder seed")
-    graph = grid_graph(n_side, n_side)
+    graph = grid_graph(STUDY_SIDE, STUDY_SIDE)
     index = graph.index
-    basis = enumerate_basis(graph.n_sites, 1)
-    kmax = max_diagonal or (n_side - 4)
-    origin = index[(0, 0)]
-    diag = [index[(k, k)] for k in range(1, kmax + 1)]
-    times = tuple(np.arange(0.0, t_max_ns + 1e-9, step_ns))
-    psi0 = basis_state(basis, {origin})
-
-    # every realisation shares the hopping matrix; one diagonal column each
-    h0 = build_hamiltonian(graph, basis)
-    disorders = [sample_disorder(graph.sites, disorder_bound_mhz, seed + s) for s in range(n_seeds)]
-    diagonals = disorder_diagonals(graph, basis, disorders)
-    block = np.repeat(psi0.amplitudes[:, None], n_seeds, axis=1)
-    occ = basis.occupancy_matrix()
-
-    def ensemble_correlation(x):
-        # single-walker connected correlation C = -4 p_i p_j, averaged over realisations
-        pops = (np.abs(x) ** 2).T @ occ
-        return 4.0 * (pops[:, [origin]] * pops[:, diag]).mean(axis=0)
-
-    acc = np.column_stack(propagate_block(h0.matrix, diagonals, block, times, observe=ensemble_correlation))
-
-    fronts = []
-    for row in range(kmax):
-        series = CorrelationSeries((origin, diag[row]), np.array(times), acc[row])
-        fronts.append(fit_gaussian_front(series, distance=(row + 1) * SQRT2))
-    d0_values, velocities, std_errs = [], [], []
-    for k0 in range(1, d0_steps + 1):
-        v, e = instantaneous_velocity(fronts, k0 * SQRT2)
-        d0_values.append(k0 * SQRT2)
-        velocities.append(v)
-        std_errs.append(e)
-    return VelocityStudyResult(
-        tuple(d0_values), tuple(velocities), tuple(std_errs), tuple(fronts), n_seeds, disorder_bound_mhz
-    )
+    diagonal = [index[(k, k)] for k in range(1, STUDY_DIAGONALS + 1)]
+    disorders = [sample_disorder(graph.sites, STUDY_DISORDER_BOUND_MHZ, seed + s) for s in range(n_seeds)]
+    _, fronts = _diagonal_fronts(graph, index[(0, 0)], diagonal, disorders, STUDY_TIMES_NS)
+    d0_values = tuple(k0 * SQRT2 for k0 in range(1, STUDY_WINDOWS + 1))
+    velocities, std_errs = zip(*(instantaneous_velocity(fronts, d0) for d0 in d0_values))
+    return VelocityStudyResult(d0_values, velocities, std_errs, fronts, n_seeds, STUDY_DISORDER_BOUND_MHZ)

@@ -307,12 +307,16 @@ def _cmd_calibrate(args) -> int:
 def _cmd_analyze(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(f"analyze-{args.study}", args.seed, __version__, str(out))
+    seed = 2024 if args.seed is None and args.study == "distance-velocity" else args.seed
+    manifest = RunManifest(f"analyze-{args.study}", seed, __version__, str(out))
     manifest.add_output("records.jsonl")
     manifest.start()
     try:
         with RecordWriter(out / "records.jsonl") as writer:
             if args.study == "velocity":
+                for flag, value in (("--seed", args.seed), ("--seeds", args.seeds)):
+                    if value is not None:
+                        raise ValueError(f"{flag} does not apply to the velocity study: it samples no disorder")
                 res = ctqw_velocity_pipeline()
                 for s in res.series:
                     writer.write(
@@ -346,7 +350,7 @@ def _cmd_analyze(args) -> int:
                 )
                 print(f"propagation velocity {res.velocity:.2f} +- {res.std_err:.2f} sites/us (bound {vmax:.1f})")
             elif args.study == "distance-velocity":
-                res = disorder_velocity_study(n_seeds=args.seeds, seed=args.seed)
+                res = disorder_velocity_study(n_seeds=32 if args.seeds is None else args.seeds, seed=seed)
                 for d0, v, e in zip(res.d0_values, res.velocities, res.std_errs):
                     writer.write(
                         ResultRecord("velocity", {"velocity": v, "std_err": e}, {"d0_sites": d0})
@@ -405,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="correlation and velocity studies")
     p_an.add_argument("--study", choices=("velocity", "distance-velocity"), required=True)
-    p_an.add_argument("--seed", type=int, default=2024, help="disorder ensemble seed")
-    p_an.add_argument("--seeds", type=int, default=32, help="disorder ensemble size")
+    p_an.add_argument("--seed", type=int, default=None, help="distance-velocity ensemble seed (default 2024)")
+    p_an.add_argument("--seeds", type=int, default=None, help="distance-velocity ensemble size (default 32)")
     p_an.add_argument("--out", required=True)
     p_an.set_defaults(func=_cmd_analyze)
 

@@ -20,7 +20,7 @@ from scipy.special import jv
 
 from .device import ActiveGraph, DisorderMap
 from .hamiltonian import HamiltonianMatrix, build_hamiltonian
-from .sector import NORM_TOL, QuantumState, lookup, occupation_row, populations, row_keys
+from .sector import NORM_TOL, QuantumState, lookup, occupation_row, row_keys
 
 __all__ = [
     "EvolutionPlan",
@@ -31,7 +31,6 @@ __all__ = [
     "evolve_lindblad",
     "initial_density",
     "site_populations",
-    "time_series_populations",
 ]
 
 NS_TO_US = 1e-3
@@ -305,18 +304,3 @@ def evolve_lindblad(
 
 def site_populations(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
     return np.real(np.diag(rho)) @ model.occupancy_matrix()
-
-
-def time_series_populations(snapshots, model: LindbladModel | None = None) -> np.ndarray:
-    """Stack per-site populations over snapshots into an (n_sites x n_times) matrix."""
-    if not snapshots:
-        raise ValueError("no snapshots given")
-    cols = []
-    for _t, item in snapshots:
-        if isinstance(item, QuantumState):
-            cols.append(populations(item))
-        else:
-            if model is None:
-                raise ValueError("density-matrix snapshots need the LindbladModel for site populations")
-            cols.append(site_populations(model, item))
-    return np.column_stack(cols)

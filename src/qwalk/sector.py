@@ -123,9 +123,6 @@ class QuantumState:
         if not abs(self.norm - 1.0) <= tol:
             raise ValueError(f"state norm {self.norm} deviates from 1 by more than {tol}")
 
-    def copy(self) -> "QuantumState":
-        return QuantumState(self.basis, self.amplitudes.copy())
-
 
 def basis_state(basis: SectorBasis, excited_sites) -> QuantumState:
     """Unit vector on the occupation string exciting exactly the given sites."""

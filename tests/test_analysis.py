@@ -5,11 +5,12 @@ import pytest
 from scipy.linalg import expm
 
 from qwalk.analysis import (
+    PIPELINE_TIMES_NS,
     SQRT2,
     CorrelationSeries,
     FrontFit,
+    _diagonal_fronts,
     correlation,
-    correlation_series,
     ctqw_velocity_pipeline,
     fit_gaussian_front,
     fit_velocity,
@@ -20,7 +21,7 @@ from qwalk.analysis import (
     lr_bound,
     sign_alternations,
 )
-from qwalk.device import DisorderMap, grid_graph
+from qwalk.device import DisorderMap, active_subgraph, default_device, grid_graph, sample_disorder
 from qwalk.evolution import EvolutionPlan, evolve_unitary
 from qwalk.hamiltonian import build_hamiltonian
 from qwalk.sector import QuantumState, basis_state, enumerate_basis
@@ -205,14 +206,38 @@ def test_interaction_signature():
         interaction_signature(np.zeros((2, 2)), np.zeros((3, 2)), np.zeros((2, 2)))
 
 
-def test_correlation_series_from_snapshots():
-    g = grid_graph(2, 2)
-    b = enumerate_basis(4, 1)
-    h = build_hamiltonian(g, b)
-    snaps = evolve_unitary(EvolutionPlan(h, tuple(np.arange(0.0, 300.0, 10.0))), basis_state(b, {0}))
-    series = correlation_series(snaps, 0, 3)
-    assert len(series.times_ns) == 30
-    assert np.all(series.values <= 1e-12)  # single-walker correlations are anti-correlations
+def test_pipeline_series_equal_snapshot_correlations():
+    # the one-realisation block path pins the general connected correlation,
+    # evaluated on per-time snapshots, bit for bit (t = 0 samples are +0.0)
+    res = ctqw_velocity_pipeline()
+    device = default_device()
+    graph = active_subgraph(device, device.functional_qubits)
+    b = enumerate_basis(graph.n_sites, 1)
+    origin = res.series[0].site_pair[0]
+    snaps = evolve_unitary(EvolutionPlan(build_hamiltonian(graph, b), PIPELINE_TIMES_NS), basis_state(b, {origin}))
+    assert len(res.series) == 4
+    for series in res.series:
+        i, j = series.site_pair
+        assert i == origin
+        expected = np.array([correlation(state, i, j) for _, state in snaps])
+        assert np.array_equal(series.times_ns, [t for t, _ in snaps])
+        assert np.array_equal(series.values, expected)
+        assert np.array_equal(np.signbit(series.values), np.signbit(expected))
+        assert np.all(series.values <= 0.0)  # single-walker correlations are anti-correlations
+
+
+def test_ensemble_series_is_mean_of_single_realisations():
+    g = grid_graph(4, 4)
+    origin = g.index[(0, 0)]
+    diagonal = [g.index[(k, k)] for k in (1, 2, 3)]
+    disorders = [sample_disorder(g.sites, 1.6, seed) for seed in (5, 6, 7)]
+    times = tuple(np.arange(0.0, 400.0 + 1e-9, 10.0))
+    together, _ = _diagonal_fronts(g, origin, diagonal, disorders, times)
+    alone = [_diagonal_fronts(g, origin, diagonal, [d], times)[0] for d in disorders]
+    for row, series in enumerate(together):
+        mean = np.mean([single[row].values for single in alone], axis=0)
+        assert np.max(np.abs(series.values - mean)) <= 1e-12
+        assert np.any(series.values < -1e-3)
 
 
 def test_velocity_pipeline_runs_and_respects_bound():

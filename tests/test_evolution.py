@@ -16,7 +16,6 @@ from qwalk.evolution import (
     initial_density,
     propagate_block,
     site_populations,
-    time_series_populations,
 )
 from qwalk.hamiltonian import build_hamiltonian
 from qwalk.sector import QuantumState, basis_state, enumerate_basis, populations
@@ -179,18 +178,6 @@ def test_requires_normalized_state():
         evolve_unitary(EvolutionPlan(h, (1.0,)), bad)
 
 
-def test_time_series_populations_unitary():
-    _, b, h = chain_instance(5, k=2)
-    psi0 = basis_state(b, {0, 2})
-    snaps = evolve_unitary(EvolutionPlan(h, (0.0, 40.0, 90.0)), psi0)
-    mat = time_series_populations(snaps)
-    assert mat.shape == (5, 3)
-    assert np.allclose(mat[:, 0], [1, 0, 1, 0, 0])
-    assert np.allclose(mat.sum(axis=0), 2.0, atol=1e-9)
-    with pytest.raises(ValueError):
-        time_series_populations([])
-
-
 # ---------------------------------------------------------------------------
 # Lindblad
 # ---------------------------------------------------------------------------
@@ -246,7 +233,7 @@ def test_t1_column_sums_nonincreasing():
     g = ActiveGraph((0, 1, 2, 3), ((0, 1, J), (1, 2, J), (2, 3, J)))
     m = LindbladModel.from_graph(g, t1_us=5.0, max_excitations=1)
     snaps = evolve_lindblad(m, initial_density(m, {0}), tuple(np.arange(50.0, 1500.0, 100.0)))
-    mat = time_series_populations(snaps, model=m)
+    mat = np.column_stack([site_populations(m, rho) for _, rho in snaps])
     totals = mat.sum(axis=0)
     assert np.all(np.diff(totals) < 1e-9)
     assert np.all(totals <= 1.0 + 1e-9)

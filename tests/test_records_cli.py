@@ -204,6 +204,32 @@ def test_cli_analyze_records_the_seed_it_runs(tmp_path):
     assert zero_seed == 0 and zero_records != default_records
 
 
+def test_cli_analyze_velocity_records(tmp_path):
+    runs = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        assert main(["analyze", "--study", "velocity", "--out", str(out)]) == 0
+        runs.append((out / "records.jsonl").read_bytes())
+    assert runs[0] == runs[1]
+    docs = [json.loads(line) for line in runs[0].splitlines()]
+    assert [doc["kind"] for doc in docs] == ["correlation"] * 4 + ["front_fit"] * 4 + ["velocity"]
+    velocity = docs[-1]["payload"]
+    assert 0.0 < velocity["velocity"] < velocity["lr_bound"]
+
+
+@pytest.mark.parametrize(
+    "flags, flag",
+    [(["--seed", "7"], "--seed"), (["--seeds", "5"], "--seeds"), (["--seed", "7", "--seeds", "5"], "--seed")],
+)
+def test_cli_analyze_velocity_rejects_ensemble_flags(tmp_path, capsys, flags, flag):
+    # the ideal-array study samples no disorder, so a seed would be ignored
+    assert main(["analyze", "--study", "velocity", *flags, "--out", str(tmp_path)]) == 1
+    doc = json.loads((tmp_path / "error.json").read_text())
+    assert doc["type"] == "ValueError" and doc["error"].startswith(f"{flag} does not apply")
+    assert "Traceback" not in capsys.readouterr().err
+    assert RunManifest.validate_file(tmp_path / "manifest.json")["status"] == "failed"
+
+
 def test_cli_non_finite_override_is_domain_error(tmp_path):
     code = main(
         ["run", "--scenario", "mz-single", "--out", str(tmp_path), "--override", 'static_disorder_mhz={"U00Q0": NaN}']
