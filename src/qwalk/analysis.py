@@ -20,6 +20,7 @@ __all__ = [
     "correlation",
     "fit_gaussian_front",
     "fit_velocity",
+    "unweighted_distances",
     "lr_bound",
     "instantaneous_velocity",
     "fringe_stats",
@@ -141,12 +142,20 @@ def fit_gaussian_front(
     )
 
 
+def unweighted_distances(fronts) -> tuple:
+    """Distances of the fronts whose time error is not finite and positive.
+
+    Any such front makes `fit_velocity` fall back to an unweighted fit.
+    """
+    return tuple(f.distance for f in fronts if not (np.isfinite(f.peak_time_err_ns) and f.peak_time_err_ns > 0))
+
+
 def fit_velocity(fronts) -> tuple[float, float]:
     """Propagation velocity in sites/us from a line through (peak time, distance).
 
     Weighted by 1/err^2 on the front times; falls back to an unweighted fit
-    when the errors are degenerate. The returned uncertainty is the
-    residual-scaled standard error of the slope.
+    when any front's error is degenerate (see `unweighted_distances`). The
+    returned uncertainty is the residual-scaled standard error of the slope.
     """
     fronts = list(fronts)
     if len(fronts) < 2:
@@ -156,7 +165,7 @@ def fit_velocity(fronts) -> tuple[float, float]:
     errs = np.array([f.peak_time_err_ns for f in fronts]) * 1e-3
     if len(np.unique(d)) < 2:
         raise ValueError("fronts must span at least two distinct distances")
-    degenerate = np.any(~np.isfinite(errs)) or np.any(errs <= 0)
+    degenerate = bool(unweighted_distances(fronts))
     w = np.ones_like(errs) if degenerate else 1.0 / errs**2
     a = np.vstack([t_us, np.ones_like(t_us)]).T
     atw = a.T * w
@@ -185,9 +194,13 @@ def lr_bound(j_eff_mhz: float, u_mhz: float) -> float:
     return 2.0 * SQRT2 * j_ang * (1.0 - 16.0 * j_eff_mhz**2 / (9.0 * u_mhz**2))
 
 
+def _window_fronts(fronts, d0: float, window: float = 3.0 * SQRT2) -> list:
+    return [f for f in fronts if d0 - 1e-9 <= f.distance <= d0 + window + 1e-9]
+
+
 def instantaneous_velocity(fronts, d0: float, window: float = 3.0 * SQRT2) -> tuple[float, float]:
     """fit_velocity restricted to fronts with d0 <= distance <= d0 + window."""
-    sel = [f for f in fronts if d0 - 1e-9 <= f.distance <= d0 + window + 1e-9]
+    sel = _window_fronts(fronts, d0, window)
     if len(sel) < 4:
         raise ValueError(f"only {len(sel)} fronts inside the window starting at d0={d0:.3f}")
     return fit_velocity(sel)
@@ -335,6 +348,7 @@ class VelocityStudyResult:
     fronts: tuple
     n_seeds: int
     disorder_bound_mhz: float
+    unweighted: tuple  # per window, the distances of the fronts that made its fit unweighted
 
 
 def disorder_velocity_study(n_seeds: int = 32, seed: int = 11000) -> VelocityStudyResult:
@@ -343,7 +357,9 @@ def disorder_velocity_study(n_seeds: int = 32, seed: int = 11000) -> VelocityStu
 
     Correlation curves between the corner site and each diagonal site are
     averaged over the disorder ensemble before front fitting; the windowed
-    velocity then probes how the front speed grows with distance.
+    velocity then probes how the front speed grows with distance. A window
+    holding a front without a usable time error is fitted unweighted, and
+    `unweighted` names those fronts' distances.
     """
     if n_seeds < 1:
         raise ValueError("need at least one disorder seed")
@@ -354,4 +370,7 @@ def disorder_velocity_study(n_seeds: int = 32, seed: int = 11000) -> VelocityStu
     _, fronts = _diagonal_fronts(graph, index[(0, 0)], diagonal, disorders, STUDY_TIMES_NS)
     d0_values = tuple(k0 * SQRT2 for k0 in range(1, STUDY_WINDOWS + 1))
     velocities, std_errs = zip(*(instantaneous_velocity(fronts, d0) for d0 in d0_values))
-    return VelocityStudyResult(d0_values, velocities, std_errs, fronts, n_seeds, STUDY_DISORDER_BOUND_MHZ)
+    unweighted = tuple(unweighted_distances(_window_fronts(fronts, d0)) for d0 in d0_values)
+    return VelocityStudyResult(
+        d0_values, velocities, std_errs, fronts, n_seeds, STUDY_DISORDER_BOUND_MHZ, unweighted
+    )

@@ -351,11 +351,11 @@ def _cmd_analyze(args) -> int:
                 print(f"propagation velocity {res.velocity:.2f} +- {res.std_err:.2f} sites/us (bound {vmax:.1f})")
             elif args.study == "distance-velocity":
                 res = disorder_velocity_study(n_seeds=32 if args.seeds is None else args.seeds, seed=seed)
-                for d0, v, e in zip(res.d0_values, res.velocities, res.std_errs):
-                    writer.write(
-                        ResultRecord("velocity", {"velocity": v, "std_err": e}, {"d0_sites": d0})
-                    )
-                    print(f"d0={d0:6.3f} sites: v = {v:6.2f} +- {e:.2f} sites/us")
+                for d0, v, e, bad in zip(res.d0_values, res.velocities, res.std_errs, res.unweighted):
+                    payload = {"velocity": v, "std_err": e, "weighted": not bad, "unweighted_front_distances": bad}
+                    writer.write(ResultRecord("velocity", payload, {"d0_sites": d0}))
+                    note = f" (unweighted: no time error at d = {', '.join(f'{d:.2f}' for d in bad)})" if bad else ""
+                    print(f"d0={d0:6.3f} sites: v = {v:6.2f} +- {e:.2f} sites/us{note}")
             else:
                 raise ValueError(f"unknown study {args.study!r}")
     except Exception:

@@ -5,7 +5,14 @@ Unitary propagation has one engine, `propagate_block`: a Chebyshev expansion
 of the propagator (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984) applied
 to a block of states that share one real hopping matrix and differ only in a
 real diagonal per column. Fringe-grid cells and disorder realisations thus
-propagate together; a single state is the one-column case.
+propagate together; a single state is the one-column case. Sample times are
+taken in windows of WINDOW_SAMPLES consecutive times, and each window runs one
+Chebyshev recurrence from its start state whose terms feed every sample in
+it, so a dense time series pays the series' truncation tail once per window
+rather than once per sample. Each window is cut at the caller's tolerance
+divided by the number of windows, which bounds the summed truncation error at
+the last sample by that tolerance. The Bessel coefficients come from Miller's
+backward recurrence in numpy.
 
 Times cross the API in ns; internally everything runs in us to match the
 rad/us Hamiltonian units.
@@ -16,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import jv
 
 from .device import ActiveGraph, DisorderMap
 from .hamiltonian import HamiltonianMatrix, build_hamiltonian
@@ -34,6 +40,22 @@ __all__ = [
 ]
 
 NS_TO_US = 1e-3
+
+# Consecutive sample times per Chebyshev recurrence in propagate_block. Every
+# window sample holds one block-sized accumulator, so longer windows trade
+# memory for fewer scaled-operator products. Measured per operation of the
+# `ensemble` (101 samples, 32 columns, dim 225) and `walk` (dim 1891)
+# benchmark workloads, `bench/run.py --seconds 10` on a 2-core x86_64 machine:
+#
+#   window   products           op_s_p50 (s)                    peak RSS (MiB)
+#   samples  ensemble  walk     ensemble      walk              ensemble
+#   1        1,100     780      0.108-0.113   0.086-0.091       86.8-87.1
+#   4        434       324      0.082-0.089   0.068-0.071       88.0-88.2
+#   8        281       216      0.089-0.094   0.065-0.068       89.5
+#   16       203       155      0.076-0.097   0.055-0.088       94-106
+#
+# Sixteen takes the ensemble's peak RSS past 5% of the one-sample engine's.
+WINDOW_SAMPLES = 4
 
 # (-i)^k for k mod 4, exact in complex arithmetic
 _MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
@@ -60,22 +82,58 @@ class EvolutionPlan:
             raise ValueError("tolerance must be positive")
 
 
-def _chebyshev_coefficients(z: float, tol: float) -> np.ndarray:
-    """(2 - delta_k0) (-i)^k J_k(z) for exp(-i z x) = sum_k c_k T_k(x) on [-1, 1].
+def _bessel_j(z) -> np.ndarray:
+    """J_k(z_j) for k = 0..n-1 at every z_j (len(z) x n), by Miller's backward recurrence.
 
-    The series is cut at the first order K whose tail 2 * sum_{k >= K} |J_k(z)|
-    is below tol; since |T_k(x)| <= 1 that tail bounds the truncation error.
+    J_{k-1} = (2k / a) J_k - J_{k+1} runs down from J_n = 0 at a = |z| for an
+    order n = a + 20 a^(1/3) + 30, past the Airy transition of width a^(1/3)
+    around k = a, where J_n(a) is below 1e-30. The result is normalised with
+    J_0 + 2 sum_k J_2k = 1, and J_k(-z) = (-1)^k J_k(z). Below |z| = 1e-50 the
+    two-term series is used, which is exact at z = 0.
     """
-    n = int(abs(z)) + 32
-    while True:
-        j = jv(np.arange(n), z)
-        if abs(j[-1]) < 1e-6 * tol:
-            break
-        n *= 2
-    tail = 2.0 * np.cumsum(np.abs(j[::-1]))[::-1]
-    keep = max(1, int(np.argmax(tail < tol)))
+    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
+    a = np.abs(z)
+    n = int(np.max(a + 20.0 * np.cbrt(a))) + 30
+    out = np.zeros((len(z), n))
+    for row, (zr, ar) in enumerate(zip(z.tolist(), a.tolist())):
+        if ar < 1e-50:
+            # J_0 = 1 and J_1 = z / 2 to double precision (J_2 = z^2 / 8 is below
+            # 1e-100), exact at z = 0; here 2 / a could overflow the recurrence
+            out[row, :2] = 1.0, 0.5 * zr
+            continue
+        # scalar recurrence: one z at a time costs less than numpy's per-call overhead
+        two_over_a = 2.0 / ar
+        vals = [0.0] * (n + 1)
+        vals[n - 1] = 1.0
+        for k in range(n - 1, 0, -1):
+            v = k * two_over_a * vals[k] - vals[k + 1]
+            if abs(v) > 1e250:
+                # rescale before overflow; the higher orders underflow harmlessly
+                vals = [u * 1e-250 for u in vals]
+                v *= 1e-250
+            vals[k - 1] = v
+        j = np.array(vals[:n])
+        j /= j[0] + 2.0 * np.sum(j[2::2])
+        if zr < 0:
+            j[1::2] *= -1.0
+        out[row] = j
+    return out
+
+
+def _chebyshev_coefficients(z, tol: float) -> np.ndarray:
+    """(2 - delta_k0) (-i)^k J_k(z_j) for exp(-i z_j x) = sum_k c_jk T_k(x) on [-1, 1].
+
+    One row per z_j, all cut at one order K: the smallest order at which every
+    row's tail 2 * sum_{k >= K} |J_k(z_j)| is below tol. Since |T_k(x)| <= 1
+    that tail bounds each row's truncation error.
+    """
+    j = _bessel_j(z)
+    tail = 2.0 * np.cumsum(np.abs(j[:, ::-1]), axis=1)[:, ::-1]
+    below = tail < tol
+    first = np.where(below.any(axis=1), below.argmax(axis=1), j.shape[1])
+    keep = max(1, int(first.max()))
     k = np.arange(keep)
-    return np.where(k == 0, 1.0, 2.0) * _MINUS_I_POWERS[k % 4] * j[:keep]
+    return np.where(k == 0, 1.0, 2.0) * _MINUS_I_POWERS[k % 4] * j[:, :keep]
 
 
 def propagate_block(h0, diagonals, block, times_ns, tolerance: float = 1e-12, observe=None) -> list:
@@ -83,16 +141,24 @@ def propagate_block(h0, diagonals, block, times_ns, tolerance: float = 1e-12, ob
 
     `h0` is a real symmetric sparse matrix shared by every column; column c of
     the real `diagonals` (dim x cells) is added to its diagonal for column c of
-    `block`, the states at t = 0. Times are in ns, stepped in order from t = 0;
-    a step may be negative or zero. Returns `[observe(X(t)) for t in times_ns]`,
-    by default the blocks themselves, which the engine never writes to again.
+    `block`, the states at t = 0. Times are in ns, taken in order from t = 0;
+    a step between them may be negative or zero. Returns
+    `[observe(X(t)) for t in times_ns]`, by default the blocks themselves,
+    which the engine never writes to again.
 
     Every column's spectrum lies in one Gershgorin interval [a - b, a + b] over
-    the whole block, so one rescaled Chebyshev recurrence serves all columns;
-    its coefficients depend only on b * dt and are cached per distinct step.
-    Each step gets an equal share of `tolerance`, which so bounds the summed
-    truncation error at the last sample. The recurrence runs on the float64
-    view of the complex block: each term is one real sparse-times-dense product.
+    the whole block, so one rescaled Chebyshev recurrence serves all columns.
+    Consecutive sample times are grouped into windows of WINDOW_SAMPLES. Each
+    window runs one recurrence from the state at its start time t0 (0, or the
+    previous window's last sample) and adds every term T_k into each sample's
+    accumulator with coefficient e^(-i a dt_j) (2 - delta_k0) (-i)^k J_k(b dt_j),
+    dt_j = t_j - t0; its length is set by the window's largest |dt_j|. The
+    coefficient grid depends only on b and the in-window offsets, and is
+    cached per distinct tuple of offsets. Each window's samples are cut at
+    tolerance / n_windows, so the truncation errors summed over the windows
+    up to the last sample stay below `tolerance`. The recurrence runs on the
+    float64 view of the complex block: each term is one real
+    sparse-times-dense product.
     """
     if np.iscomplexobj(h0) or np.iscomplexobj(diagonals):
         raise ValueError("the block engine needs a real Hamiltonian")
@@ -112,7 +178,7 @@ def propagate_block(h0, diagonals, block, times_ns, tolerance: float = 1e-12, ob
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise EvolutionError("the Hamiltonian has non-finite entries")
     shift, half_width = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    # a zero half-width means H = shift * I: every step is a pure phase (z = 0,
+    # a zero half-width means H = shift * I: every sample is a pure phase (z = 0,
     # one coefficient) and the scaled operator is never applied
     inverse_width = 1.0 / half_width if half_width > 0 else 0.0
     scaled_h0 = h0 * inverse_width
@@ -125,30 +191,37 @@ def propagate_block(h0, diagonals, block, times_ns, tolerance: float = 1e-12, ob
         hv += scaled_diag * vr
         return hv.view(np.complex128)
 
-    step_tolerance = tolerance / max(1, len(times_ns))
+    times = [float(t) for t in times_ns]
+    windows = [times[w : w + WINDOW_SAMPLES] for w in range(0, len(times), WINDOW_SAMPLES)]
+    window_tolerance = tolerance / max(1, len(windows))
     norms0 = np.linalg.norm(x, axis=0)
-    coefficients = {}
+    grids = {}
     out = []
-    t_prev = 0.0
-    for t in times_ns:
-        dt = (t - t_prev) * NS_TO_US
-        if dt not in coefficients:
-            coefficients[dt] = np.exp(-1j * shift * dt) * _chebyshev_coefficients(half_width * dt, step_tolerance)
-        coeffs = coefficients[dt]
-        y = coeffs[0] * x
+    t_start = 0.0
+    for window in windows:
+        # offsets in ns, scaled afterwards, so equal windows share one grid
+        offsets = tuple(t - t_start for t in window)
+        if offsets not in grids:
+            dt = np.array(offsets) * NS_TO_US
+            grids[offsets] = np.exp(-1j * shift * dt)[:, None] * _chebyshev_coefficients(
+                half_width * dt, window_tolerance
+            )
+        coeffs = grids[offsets]
+        y = coeffs[:, 0, None, None] * x
         prev, cur = None, x
-        for k in range(1, len(coeffs)):
+        for k in range(1, coeffs.shape[1]):
             nxt = apply(cur)
             if k > 1:
                 nxt *= 2.0
                 nxt -= prev
-            y += coeffs[k] * nxt
+            y += coeffs[:, k, None, None] * nxt
             prev, cur = cur, nxt
-        drift = np.abs(np.linalg.norm(y, axis=0) - norms0)
-        if not np.all(drift <= NORM_TOL):
-            raise EvolutionError(f"norm drifted by {np.max(drift)} at t={t} ns")
-        out.append(y if observe is None else observe(y))
-        x, t_prev = y, t
+        for t, yt in zip(window, y):
+            drift = np.abs(np.linalg.norm(yt, axis=0) - norms0)
+            if not np.all(drift <= NORM_TOL):
+                raise EvolutionError(f"norm drifted by {np.max(drift)} at t={t} ns")
+            out.append(yt if observe is None else observe(yt))
+        x, t_start = y[-1], window[-1]
     return out
 
 

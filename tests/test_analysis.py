@@ -12,6 +12,7 @@ from qwalk.analysis import (
     _diagonal_fronts,
     correlation,
     ctqw_velocity_pipeline,
+    disorder_velocity_study,
     fit_gaussian_front,
     fit_velocity,
     fringe_axis_variance,
@@ -20,6 +21,7 @@ from qwalk.analysis import (
     interaction_signature,
     lr_bound,
     sign_alternations,
+    unweighted_distances,
 )
 from qwalk.device import DisorderMap, active_subgraph, default_device, grid_graph, sample_disorder
 from qwalk.evolution import EvolutionPlan, evolve_unitary
@@ -148,6 +150,30 @@ def test_instantaneous_velocity_window():
     assert v8 == pytest.approx(25.0, abs=1e-9)
     with pytest.raises(ValueError):
         instantaneous_velocity(fronts, 20 * SQRT2)
+
+
+def test_unweighted_distances_name_fronts_without_a_usable_error():
+    fronts = line_fronts(20.0, [1.0, 2.0, 3.0, 4.0, 5.0], err=2.0)
+    fronts[1] = FrontFit(2.0, 100.0, float("inf"), 0.1, 40.0, 0.0)
+    fronts[3] = FrontFit(4.0, 200.0, 0.0, 0.1, 40.0, 0.0)
+    assert unweighted_distances(fronts) == (2.0, 4.0)
+    assert unweighted_distances(fronts[2:3]) == ()
+
+
+@pytest.mark.filterwarnings("ignore:Covariance of the parameters could not be estimated")
+def test_study_flags_exactly_the_windows_fitted_unweighted():
+    # on this ensemble the fronts at diagonals 8 and 11 have no finite time error
+    study = disorder_velocity_study(n_seeds=8, seed=11000)
+    bad = {f.distance for f in study.fronts if not (np.isfinite(f.peak_time_err_ns) and f.peak_time_err_ns > 0)}
+    assert bad
+    flagged = [bool(names) for names in study.unweighted]
+    assert any(flagged) and not all(flagged)
+    for d0, v, names in zip(study.d0_values, study.velocities, study.unweighted):
+        window = [f for f in study.fronts if d0 - 1e-9 <= f.distance <= d0 + 3 * SQRT2 + 1e-9]
+        assert set(names) == bad & {f.distance for f in window}
+        # a flagged window's velocity is the fit with every error equal
+        unit = [FrontFit(f.distance, f.peak_time_ns, 1.0, f.amplitude, f.width_ns, f.offset) for f in window]
+        assert (v == pytest.approx(fit_velocity(unit)[0], rel=1e-12)) == bool(names)
 
 
 def test_lr_bound_reference_value():

@@ -1,7 +1,9 @@
-"""Cold start: `import qwalk.cli` and the propagating subcommands load numpy,
-scipy.sparse and scipy.special only. scipy.optimize and scipy.integrate (and
-the scipy.linalg they pull in) are imported on use by the three functions that
-call them, so each check runs in a fresh interpreter.
+"""Cold start: `import qwalk.cli` and the propagating subcommands load numpy
+and scipy.sparse only. The Chebyshev coefficients' Bessel functions are
+computed in numpy, so scipy.special is not needed; scipy.optimize and
+scipy.integrate (and the scipy.linalg and scipy.special they pull in) are
+imported on use by the three functions that call them, so each check runs in
+a fresh interpreter.
 """
 import json
 import os
@@ -11,7 +13,7 @@ import textwrap
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-DEFERRED = ("scipy.optimize", "scipy.integrate", "scipy.linalg")
+DEFERRED = ("scipy.optimize", "scipy.integrate", "scipy.linalg", "scipy.special")
 
 
 def fresh_python(code: str, cwd: Path) -> dict:

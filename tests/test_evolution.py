@@ -4,12 +4,16 @@ import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import jv
 
+from qwalk import evolution
 from qwalk.device import ActiveGraph, DisorderMap, grid_graph
 from qwalk.evolution import (
+    WINDOW_SAMPLES,
     EvolutionError,
     EvolutionPlan,
     LindbladModel,
+    _bessel_j,
     _dissipator_tables,
     evolve_lindblad,
     evolve_unitary,
@@ -134,6 +138,55 @@ def test_block_engine_matches_scipy_expm(instance, sign, magnitude):
         ref = expm(-1j * (t * 1e-3) * (dense + np.diag(diagonals[:, c]))) @ x[:, c]
         assert np.max(np.abs(y[:, c] - ref)) < 1e-10
     assert np.allclose(np.linalg.norm(y, axis=0), 1.0, atol=1e-12)
+
+
+@st.composite
+def sample_times(draw):
+    """Irregular sample times spanning more than one window, with at least one
+    negative time and one repeated time (a zero step)."""
+    n = draw(st.integers(WINDOW_SAMPLES, 3 * WINDOW_SAMPLES))
+    times = draw(st.lists(st.floats(-400.0, 400.0), min_size=n, max_size=n))
+    negative = draw(st.integers(0, n - 1))
+    times[negative] = -1.0 - abs(times[negative])
+    repeat = draw(st.integers(1, n))
+    times.insert(repeat, times[repeat - 1])
+    return times
+
+
+@given(block_instances(), sample_times())
+def test_every_windowed_sample_matches_scipy_expm(instance, times):
+    h, diagonals, x = instance
+    ys = propagate_block(h.matrix, diagonals, x, times)
+    assert len(ys) == len(times) > WINDOW_SAMPLES
+    dense = h.to_dense()
+    for t, y in zip(times, ys):
+        for c in range(x.shape[1]):
+            ref = expm(-1j * (t * 1e-3) * (dense + np.diag(diagonals[:, c]))) @ x[:, c]
+            assert np.max(np.abs(y[:, c] - ref)) < 1e-10
+        assert np.allclose(np.linalg.norm(y, axis=0), 1.0, atol=1e-12)
+
+
+def test_equal_windows_share_one_coefficient_grid(monkeypatch):
+    calls = []
+    grid = evolution._chebyshev_coefficients
+    monkeypatch.setattr(evolution, "_chebyshev_coefficients", lambda z, tol: calls.append(z) or grid(z, tol))
+    _, b, h = chain_instance(6, k=2)
+    times = tuple(np.arange(0.0, 1000.0 + 1e-9, 10.0))  # the distance-velocity study's samples
+    propagate_block(h.matrix, np.zeros((b.dimension, 1)), basis_state(b, {0, 3}).amplitudes[:, None], times)
+    # offsets (0, 10, 20, 30), then (10, 20, 30, 40) for every full window, then (10,)
+    assert [len(z) for z in calls] == [WINDOW_SAMPLES, WINDOW_SAMPLES, 1]
+
+
+@given(st.lists(st.floats(-400.0, 400.0), min_size=1, max_size=WINDOW_SAMPLES))
+def test_bessel_j_matches_scipy_jv(z):
+    z = [0.0, *z]
+    j = _bessel_j(z)
+    assert j.shape[0] == len(z)
+    assert np.array_equal(j[0], np.eye(1, j.shape[1])[0])
+    ref = jv(np.arange(j.shape[1])[None, :], np.array(z)[:, None])
+    assert np.max(np.abs(j - ref)) < 5e-14
+    # the returned orders reach far enough that the rest of the series is negligible
+    assert np.all(np.abs(ref[:, -1]) < 1e-25)
 
 
 def test_zero_hopping_gives_pure_phase():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qwalk.analysis import disorder_velocity_study
 from qwalk.calibration import OptimizerConfig
 from qwalk.cli import main
 from qwalk.records import RecordWriter, ResultRecord, RunManifest, read_records, write_csv_matrix
@@ -202,6 +203,18 @@ def test_cli_analyze_records_the_seed_it_runs(tmp_path):
     assert default_seed == 2024
     zero_seed, zero_records = analyze("zero", "--seed", "0")
     assert zero_seed == 0 and zero_records != default_records
+
+
+@pytest.mark.filterwarnings("ignore:Covariance of the parameters could not be estimated")
+def test_cli_distance_velocity_records_flag_unweighted_windows(tmp_path):
+    argv = ["analyze", "--study", "distance-velocity", "--seeds", "8", "--seed", "11000", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    docs = [json.loads(line) for line in (tmp_path / "records.jsonl").read_text().splitlines()]
+    study = disorder_velocity_study(n_seeds=8, seed=11000)
+    assert [doc["payload"]["velocity"] for doc in docs] == list(study.velocities)
+    assert [doc["payload"]["unweighted_front_distances"] for doc in docs] == [list(u) for u in study.unweighted]
+    assert [doc["payload"]["weighted"] for doc in docs] == [not u for u in study.unweighted]
+    assert not all(doc["payload"]["weighted"] for doc in docs)
 
 
 def test_cli_analyze_velocity_records(tmp_path):
