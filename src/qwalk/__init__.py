@@ -19,7 +19,6 @@ from .analysis import (
 )
 from .calibration import (
     CalibrationTwin,
-    OptimizerConfig,
     alignment_loop,
     assign_idle_frequencies,
     fit_disorder_map,
@@ -44,7 +43,6 @@ from .device import (
     subgrid_device,
 )
 from .evolution import (
-    EvolutionPlan,
     LindbladModel,
     evolve_lindblad,
     evolve_unitary,

@@ -11,7 +11,7 @@ import numpy as np
 from .device import DisorderMap, QubitId, active_subgraph, default_device, grid_graph, sample_disorder
 from .evolution import propagate_block
 from .hamiltonian import TWO_PI, build_hamiltonian, disorder_diagonals
-from .sector import QuantumState, basis_state, enumerate_basis
+from .sector import QuantumState, basis_state, enumerate_basis, lookup
 
 __all__ = [
     "CorrelationSeries",
@@ -75,20 +75,21 @@ class FrontFit:
     offset: float
 
 
+# fit_gaussian_front finds no front where max |C| is at or below
+# FRONT_NOISE_FLOOR, and fits the first lobe reaching FRONT_LOBE_FRACTION of it
+FRONT_NOISE_FLOOR = 1e-9
+FRONT_LOBE_FRACTION = 0.25
+
+
 def _gaussian(t, a, c, w, o):
     return a * np.exp(-((t - c) ** 2) / (2.0 * w**2)) + o
 
 
-def fit_gaussian_front(
-    series: CorrelationSeries,
-    distance: float,
-    noise_floor: float = 1e-9,
-    lobe_fraction: float = 0.25,
-) -> FrontFit:
+def fit_gaussian_front(series: CorrelationSeries, distance: float) -> FrontFit:
     """Locate the propagation front as the centre of a Gaussian fitted to |C|(t).
 
     The fit is restricted to the first lobe whose height reaches
-    lobe_fraction * max|C|; later revival lobes of the correlation signal
+    FRONT_LOBE_FRACTION * max|C|; later revival lobes of the correlation signal
     would otherwise capture the fit at long distances.
     """
     from scipy.optimize import curve_fit  # imported on use: no CLI start-up cost
@@ -98,10 +99,10 @@ def fit_gaussian_front(
     if len(t) < 8:
         raise ValueError("need at least 8 time samples to fit a front")
     cmax = float(np.max(c))
-    if cmax <= noise_floor:
+    if cmax <= FRONT_NOISE_FLOOR:
         raise ValueError("no detectable extremum above the noise floor")
 
-    above = np.where(c >= lobe_fraction * cmax)[0]
+    above = np.where(c >= FRONT_LOBE_FRACTION * cmax)[0]
     i = int(above[0])
     while i < len(c) - 1 and c[i + 1] >= c[i]:
         i += 1
@@ -293,18 +294,20 @@ def _diagonal_fronts(graph, origin: int, diagonal, disorders, times) -> tuple[tu
 
     Every realisation is one column of a single `propagate_block` call over
     the shared hopping matrix. With one walker the pair occupation is zero,
-    so the connected correlation is C = 4(0 - p_origin p_site); it is averaged
-    over realisations before fitting the k-th site's front at k * sqrt(2).
+    so the connected correlation is C = 4(0 - p_origin p_site), and a site's
+    population is the squared amplitude of the basis row holding the walker
+    there; C is averaged over realisations before fitting the k-th site's
+    front at k * sqrt(2).
     """
     basis = enumerate_basis(graph.n_sites, 1)
     h0 = build_hamiltonian(graph, basis)
     diagonals = disorder_diagonals(graph, basis, disorders)
     block = np.repeat(basis_state(basis, {origin}).amplitudes[:, None], len(disorders), axis=1)
-    occ = basis.occupancy_matrix()
+    rows = lookup(basis.keys, np.eye(graph.n_sites, dtype=bool)[[origin, *diagonal]])
 
     def ensemble_correlation(x):
-        pops = (np.abs(x) ** 2).T @ occ
-        return 4.0 * (0.0 - (pops[:, [origin]] * pops[:, diagonal]).mean(axis=0))
+        p = np.abs(x[rows]) ** 2  # origin, then the diagonal sites (x columns)
+        return 4.0 * (0.0 - (p[0] * p[1:]).mean(axis=1))
 
     acc = np.column_stack(propagate_block(h0.matrix, diagonals, block, times, observe=ensemble_correlation))
     series = tuple(CorrelationSeries((origin, site), np.array(times), acc[row]) for row, site in enumerate(diagonal))

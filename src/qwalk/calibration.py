@@ -21,11 +21,10 @@ from .device import (
 )
 from .hamiltonian import TWO_PI, build_hamiltonian
 from .scenarios import MZLayout, _is_int
-from .sector import enumerate_basis
+from .sector import enumerate_basis, lookup
 
 __all__ = [
     "CalibrationError",
-    "OptimizerConfig",
     "NelderMeadResult",
     "nelder_mead",
     "CalibrationTwin",
@@ -50,16 +49,19 @@ class CalibrationError(RuntimeError):
         self.best = best
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    max_iterations: int = 20000
-    simplex_scale_mhz: float = 0.8
-    cost_tolerance: float = 1e-12
-    param_tolerance: float = 1e-6
-    n_starts: int = 60  # start budget: the swap-data cost surface has local minima
-    start_spread_mhz: float = 1.6
-    early_stop_cost: float = 1e-9  # noiseless fits are accepted at or below this cost
+# Nelder-Mead iteration cap, and the iterations between recorded history entries
+MAX_ITERATIONS = 20000
+RECORD_EVERY = 50
+# Initial simplex size of the disorder fit and of interferometer stage 1
+# (stage 2 refines from stage 1's optimum at half of it)
+SIMPLEX_SCALE_MHZ = 0.8
 
+# Disorder-fit start budget: the swap-data cost surface has local minima.
+# Start 0 is the zero map, later starts are uniform in +-START_SPREAD_MHZ.
+N_STARTS = 60
+START_SPREAD_MHZ = 1.6
+# Noiseless fits are accepted at or below this cost.
+EARLY_STOP_COST = 1e-9
 
 # The disorder fit's Nelder-Mead stage only has to reach the global basin; it
 # stops at this simplex spread and the Levenberg-Marquardt polish finishes.
@@ -84,14 +86,14 @@ def nelder_mead(
     f,
     x0,
     scale: float = 1.0,
-    max_iterations: int = 20000,
     cost_tolerance: float = 1e-12,
     param_tolerance: float = 1e-6,
-    record_every: int = 50,
 ) -> NelderMeadResult:
     """Downhill simplex with the standard coefficients (reflect 1, expand 2,
     contract 0.5, shrink 0.5). Initial simplex: x0 plus unit perturbations of
-    size `scale` along each coordinate."""
+    size `scale` along each coordinate. Stops once both the cost spread and
+    the parameter spread of the simplex are within tolerance, or after
+    MAX_ITERATIONS; the best point is recorded every RECORD_EVERY iterations."""
     x0 = np.asarray(x0, dtype=float)
     n = len(x0)
     simplex = [x0.copy()]
@@ -104,11 +106,11 @@ def nelder_mead(
     history = []
     converged = False
     it = 0
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         order = np.argsort(fvals)
         simplex = [simplex[k] for k in order]
         fvals = [fvals[k] for k in order]
-        if it % record_every == 0 or it == 1:
+        if it % RECORD_EVERY == 0 or it == 1:
             history.append((it, fvals[0], simplex[0].copy()))
         f_spread = fvals[-1] - fvals[0]
         x_spread = float(np.max(np.abs(np.array(simplex[1:]) - simplex[0])))
@@ -197,9 +199,9 @@ def _site_hopping(graph: ActiveGraph) -> np.ndarray:
     """Dense one-walker hopping matrix in site order, built once per graph."""
     hopping = graph.__dict__.get("_site_hopping")
     if hopping is None:
-        sector = build_hamiltonian(graph, enumerate_basis(graph.n_sites, 1)).to_dense()
-        # the one-walker sector ascends from site n-1 to site 0
-        hopping = np.ascontiguousarray(sector[::-1, ::-1])
+        basis = enumerate_basis(graph.n_sites, 1)
+        rows = lookup(basis.keys, np.eye(graph.n_sites, dtype=bool))  # the walker on site j is basis row rows[j]
+        hopping = build_hamiltonian(graph, basis).to_dense()[np.ix_(rows, rows)]
         object.__setattr__(graph, "_site_hopping", hopping)
     return hopping
 
@@ -360,16 +362,16 @@ def _shot_noise_cost(ds: SwapDataset) -> float:
     return float(np.sum(p * (1.0 - p))) / (ds.n_shots - 1)
 
 
-def fit_disorder_map(datasets, config: OptimizerConfig | None = None) -> DisorderFit:
+def fit_disorder_map(datasets) -> DisorderFit:
     """Search for the disorder map whose simulated swap data best match the
     given datasets (summed squared distance over all qubits and times).
 
     Each start runs Nelder-Mead to a loose stop (GLOBAL_COST_SPREAD,
     GLOBAL_PARAM_SPREAD_MHZ) and then a Levenberg-Marquardt polish on the
     analytic Jacobian. The first start whose cost reaches the acceptance cost
-    (early_stop_cost plus NOISE_COST_MULTIPLE times the data's estimated
+    (EARLY_STOP_COST plus NOISE_COST_MULTIPLE times the data's estimated
     shot-noise cost) is the fit. Starts come from one fixed stream, at most
-    `config.n_starts` of them; if none is accepted the fit raises
+    N_STARTS of them; if none is accepted the fit raises
     CalibrationError with the best and the zero-map costs.
 
     The returned map is gauge-fixed by canonical_gauge; the physical sign is
@@ -377,7 +379,6 @@ def fit_disorder_map(datasets, config: OptimizerConfig | None = None) -> Disorde
     """
     from scipy.optimize import least_squares  # imported on use: no CLI start-up cost
 
-    config = config or OptimizerConfig()
     datasets = list(datasets)
     if not datasets:
         raise ValueError("no swap datasets given")
@@ -385,21 +386,17 @@ def fit_disorder_map(datasets, config: OptimizerConfig | None = None) -> Disorde
         raise ValueError("n_shots must be at least 2 for a disorder fit: single-shot data give no noise estimate")
     qubits = sorted({q for ds in datasets for q in ds.graph.sites})
     kernel = _SwapResiduals(datasets, {q: i for i, q in enumerate(qubits)})
-    accept_cost = config.early_stop_cost + NOISE_COST_MULTIPLE * sum(_shot_noise_cost(ds) for ds in datasets)
+    accept_cost = EARLY_STOP_COST + NOISE_COST_MULTIPLE * sum(_shot_noise_cost(ds) for ds in datasets)
 
     rng = rng_stream(0xF17)
     best = None  # (cost, x, history)
     total_evals = 0
-    n_starts = max(1, config.n_starts)
-    for start in range(n_starts):
-        x0 = np.zeros(len(qubits)) if start == 0 else rng.uniform(
-            -config.start_spread_mhz, config.start_spread_mhz, len(qubits)
-        )
+    for start in range(N_STARTS):
+        x0 = np.zeros(len(qubits)) if start == 0 else rng.uniform(-START_SPREAD_MHZ, START_SPREAD_MHZ, len(qubits))
         coarse = nelder_mead(
             kernel.cost,
             x0,
-            scale=config.simplex_scale_mhz,
-            max_iterations=config.max_iterations,
+            scale=SIMPLEX_SCALE_MHZ,
             cost_tolerance=GLOBAL_COST_SPREAD,
             param_tolerance=GLOBAL_PARAM_SPREAD_MHZ,
         )
@@ -416,7 +413,7 @@ def fit_disorder_map(datasets, config: OptimizerConfig | None = None) -> Disorde
     zero_cost = kernel.cost(np.zeros(len(qubits)))
     if cost > accept_cost:
         raise CalibrationError(
-            f"disorder fit accepted none of {n_starts} starts: best cost {cost:.3e} above the acceptance "
+            f"disorder fit accepted none of {N_STARTS} starts: best cost {cost:.3e} above the acceptance "
             f"cost {accept_cost:.3e} (zero-map cost {zero_cost:.3e})",
             best=fitted,
         )
@@ -447,7 +444,6 @@ def _overall_distance(twin: CalibrationTwin, correction: DisorderMap, qubits, ti
 def alignment_loop(
     twin: CalibrationTwin,
     rounds: int = 5,
-    config: OptimizerConfig | None = None,
     qubits=None,
     times_ns=None,
 ) -> AlignmentResult:
@@ -456,7 +452,6 @@ def alignment_loop(
     repeat until it saturates."""
     if rounds < 1:
         raise ValueError("need at least one round")
-    config = config or OptimizerConfig()
     qubits = list(qubits) if qubits is not None else twin.device.functional_qubits
     times_ns = tuple(times_ns) if times_ns is not None else tuple(np.arange(0.0, 1000.1, 10.0))
     correction = DisorderMap({})
@@ -466,7 +461,7 @@ def alignment_loop(
     for round_no in range(1, rounds + 1):
         rounds_run = round_no
         datasets = [generate_swap_data(twin, q, correction, times_ns) for q in qubits]
-        fit = fit_disorder_map(datasets, config)
+        fit = fit_disorder_map(datasets)
         candidates = []
         for sign in (-1.0, 1.0):
             cand = DisorderMap(
@@ -503,22 +498,24 @@ class InterferometerOptimization:
     stage2_history: list
 
 
-def optimize_interferometer(
-    twin: CalibrationTwin,
-    layout: MZLayout,
-    config: OptimizerConfig | None = None,
-    stage1_time_ns: float = 550.0,
-    stage2_time_ns: float = 650.0,
-    stage1_floor: float = 0.02,
-) -> InterferometerOptimization:
+# Interferometer optimization: readout times of the two stages, the arm-end
+# population below which stage 1 counts as failed, and the simplex stop
+# spreads of both stages
+STAGE1_TIME_NS = 550.0
+STAGE2_TIME_NS = 650.0
+STAGE1_FLOOR = 0.02
+STAGE_COST_SPREAD = 1e-12
+STAGE_PARAM_SPREAD_MHZ = 1e-6
+
+
+def optimize_interferometer(twin: CalibrationTwin, layout: MZLayout) -> InterferometerOptimization:
     """Two-step frequency optimization of the interferometer on a twin.
 
     Step 1 balances the arms: with the recombiner and detector parked, the
-    product of the arm-end populations at t=550 ns is maximized. Step 2 then
-    maximizes the detector population at t=650 ns over all sites. Direct
-    one-step optimization tends to a local optimum with one arm blocked.
+    product of the arm-end populations at STAGE1_TIME_NS is maximized. Step 2
+    then maximizes the detector population at STAGE2_TIME_NS over all sites.
+    Direct one-step optimization tends to a local optimum with one arm blocked.
     """
-    config = config or OptimizerConfig()
     layout.validate(twin.device)
 
     def stage_populations(sites, t_ns):
@@ -536,7 +533,7 @@ def optimize_interferometer(
         return graph, pops
 
     stage1_sites = tuple(q for q in layout.sites if q not in (layout.recombiner, layout.detector))
-    g1, pops_stage1 = stage_populations(stage1_sites, stage1_time_ns)
+    g1, pops_stage1 = stage_populations(stage1_sites, STAGE1_TIME_NS)
     i_l, i_r = g1.index[layout.left_arm[-1]], g1.index[layout.right_arm[-1]]
 
     def cost1(x) -> float:
@@ -546,19 +543,18 @@ def optimize_interferometer(
     res1 = nelder_mead(
         cost1,
         np.zeros(len(stage1_sites)),
-        scale=config.simplex_scale_mhz,
-        max_iterations=config.max_iterations,
-        cost_tolerance=config.cost_tolerance,
-        param_tolerance=config.param_tolerance,
+        scale=SIMPLEX_SCALE_MHZ,
+        cost_tolerance=STAGE_COST_SPREAD,
+        param_tolerance=STAGE_PARAM_SPREAD_MHZ,
     )
     pops1 = pops_stage1(res1.x)
-    if pops1[i_l] < stage1_floor or pops1[i_r] < stage1_floor:
+    if pops1[i_l] < STAGE1_FLOOR or pops1[i_r] < STAGE1_FLOOR:
         raise CalibrationError(
-            f"arm balancing failed: end populations {pops1[i_l]:.4f}/{pops1[i_r]:.4f} below {stage1_floor}"
+            f"arm balancing failed: end populations {pops1[i_l]:.4f}/{pops1[i_r]:.4f} below {STAGE1_FLOOR}"
         )
 
     all_sites = layout.sites
-    g2, pops_stage2 = stage_populations(all_sites, stage2_time_ns)
+    g2, pops_stage2 = stage_populations(all_sites, STAGE2_TIME_NS)
     i_d = g2.index[layout.detector]
     x0 = np.array([res1.x[stage1_sites.index(q)] if q in stage1_sites else 0.0 for q in all_sites])
     initial = float(pops_stage2(np.zeros(len(all_sites)))[i_d])
@@ -569,10 +565,9 @@ def optimize_interferometer(
     res2 = nelder_mead(
         cost2,
         x0,
-        scale=0.5 * config.simplex_scale_mhz,
-        max_iterations=config.max_iterations,
-        cost_tolerance=config.cost_tolerance,
-        param_tolerance=config.param_tolerance,
+        scale=0.5 * SIMPLEX_SCALE_MHZ,
+        cost_tolerance=STAGE_COST_SPREAD,
+        param_tolerance=STAGE_PARAM_SPREAD_MHZ,
     )
     correction = DisorderMap({q: float(res2.x[k]) for k, q in enumerate(all_sites)})
     freq_config = FrequencyConfig.from_disorder(all_sites, correction)

@@ -21,7 +21,6 @@ from .analysis import (
 )
 from .calibration import (
     CalibrationTwin,
-    OptimizerConfig,
     alignment_loop,
     fit_disorder_map,
     generate_swap_data,
@@ -114,14 +113,12 @@ def _cmd_run(args) -> int:
     scenario = _load_scenario(args.scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)  # once the scenario is known, any failure leaves error.json here
-    scenario = _apply_overrides(scenario, _parse_overrides(args.override))
+    overrides = _parse_overrides(args.override)
+    scenario = _apply_overrides(scenario, overrides)
     if args.seed is not None:
         scenario = _apply_overrides(scenario, {"seed": args.seed})
-    manifest = RunManifest(scenario.name, scenario.seed, __version__, str(out), _parse_overrides(args.override))
-    for name in ("records.jsonl", "populations.csv", "snapshot.svg"):
-        manifest.add_output(name)
-    manifest.start()
-    try:
+    outputs = ["records.jsonl", "populations.csv", "snapshot.svg"]
+    with RunManifest(scenario.name, scenario.seed, __version__, str(out), overrides, outputs) as manifest:
         result = run_scenario(scenario)
         with RecordWriter(out / "records.jsonl") as writer:
             for k, t in enumerate(result.times_ns):
@@ -155,10 +152,6 @@ def _cmd_run(args) -> int:
         if result.shots is not None:
             (out / "shots.txt").write_text(result.shots.to_lines())
             manifest.add_output("shots.txt")
-    except Exception:
-        manifest.finish("failed")
-        raise
-    manifest.finish()
     return 0
 
 
@@ -171,11 +164,8 @@ def _cmd_sweep(args) -> int:
         raise ValueError("sweep needs an interferometer scenario")
     d_left = _parse_range(args.d_left)
     d_right = _parse_range(args.d_right)
-    manifest = RunManifest(scenario.name + "-sweep", scenario.seed, __version__, str(out))
-    for name in ("fringe.csv", "fringe.svg", "records.jsonl"):
-        manifest.add_output(name)
-    manifest.start()
-    try:
+    outputs = ["fringe.csv", "fringe.svg", "records.jsonl"]
+    with RunManifest(scenario.name + "-sweep", scenario.seed, __version__, str(out), outputs=outputs):
         grid = disorder_sweep(scenario, d_left, d_right, args.time)
         (out / "fringe.csv").write_text(grid.to_csv())
         (out / "fringe.svg").write_text(
@@ -201,10 +191,6 @@ def _cmd_sweep(args) -> int:
                     {"time_ns": grid.readout_time_ns, "detector": grid.detector},
                 )
             )
-    except Exception:
-        manifest.finish("failed")
-        raise
-    manifest.finish()
     print(f"fringe grid {grid.values.shape}: visibility={fringe_stats(grid.values).visibility:.3f}")
     return 0
 
@@ -212,95 +198,88 @@ def _cmd_sweep(args) -> int:
 def _cmd_calibrate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(f"calibrate-{args.task}", args.seed or 0, __version__, str(out))
-    manifest.add_output("records.jsonl")
-    manifest.start()
     seed = args.seed or 0
-    try:
-        with RecordWriter(out / "records.jsonl") as writer:
-            if args.task == "disorder":
-                device = subgrid_device(4, 0, 3, 3)
-                hidden = sample_disorder(device.functional_qubits, args.bound, seed)
-                twin = CalibrationTwin(device, hidden, n_shots=args.shots, seed=seed)
-                datasets = [generate_swap_data(twin, q) for q in device.functional_qubits]
-                fit = fit_disorder_map(datasets, OptimizerConfig())
-                for it, cost, x in fit.history:
-                    writer.write(
-                        ResultRecord("calibration_step", {"cost": cost, "parameters_mhz": x}, {"iteration": it})
-                    )
+    manifest = RunManifest(f"calibrate-{args.task}", seed, __version__, str(out), outputs=["records.jsonl"])
+    with manifest, RecordWriter(out / "records.jsonl") as writer:
+        if args.task == "disorder":
+            device = subgrid_device(4, 0, 3, 3)
+            hidden = sample_disorder(device.functional_qubits, args.bound, seed)
+            twin = CalibrationTwin(device, hidden, n_shots=args.shots, seed=seed)
+            datasets = [generate_swap_data(twin, q) for q in device.functional_qubits]
+            fit = fit_disorder_map(datasets)
+            for it, cost, x in fit.history:
+                writer.write(
+                    ResultRecord("calibration_step", {"cost": cost, "parameters_mhz": x}, {"iteration": it})
+                )
+            writer.write(
+                ResultRecord(
+                    "fit",
+                    {
+                        "disorder_mhz": {q.label: v for q, v in fit.disorder.offsets.items()},
+                        "cost": fit.cost,
+                        "overall_distance": fit.overall_distance,
+                        "accept_cost": fit.accept_cost,
+                        "starts": fit.n_starts,
+                        "evaluations": fit.n_evaluations,
+                    },
+                    {"task": "disorder"},
+                )
+            )
+            print(f"fitted disorder map, final cost {fit.cost:.3e}")
+        elif args.task == "align":
+            device = subgrid_device(4, 0, 3, 3)
+            hidden = sample_disorder(device.functional_qubits, args.bound, seed)
+            twin = CalibrationTwin(device, hidden, n_shots=args.shots, seed=seed)
+            res = alignment_loop(twin, rounds=args.rounds)
+            for round_no, sign, dist, accepted in res.history:
                 writer.write(
                     ResultRecord(
-                        "fit",
-                        {
-                            "disorder_mhz": {q.label: v for q, v in fit.disorder.offsets.items()},
-                            "cost": fit.cost,
-                            "overall_distance": fit.overall_distance,
-                            "accept_cost": fit.accept_cost,
-                            "starts": fit.n_starts,
-                            "evaluations": fit.n_evaluations,
-                        },
-                        {"task": "disorder"},
+                        "calibration_step",
+                        {"overall_distance": dist, "sign": sign, "accepted": accepted},
+                        {"round": round_no},
                     )
                 )
-                print(f"fitted disorder map, final cost {fit.cost:.3e}")
-            elif args.task == "align":
-                device = subgrid_device(4, 0, 3, 3)
-                hidden = sample_disorder(device.functional_qubits, args.bound, seed)
-                twin = CalibrationTwin(device, hidden, n_shots=args.shots, seed=seed)
-                res = alignment_loop(twin, rounds=args.rounds)
-                for round_no, sign, dist, accepted in res.history:
+            writer.write(
+                ResultRecord(
+                    "fit",
+                    {"residual_max_mhz": res.residual_max_mhz, "rounds_run": res.rounds_run},
+                    {"task": "align"},
+                )
+            )
+            print(f"alignment residual {res.residual_max_mhz:.3f} MHz after {res.rounds_run} rounds")
+        elif args.task == "interferometer":
+            if args.shots is not None:
+                raise ValueError("--shots does not apply to the interferometer task: it optimizes noiseless populations")
+            device = default_device()
+            layout = default_mz_layout()
+            hidden = sample_disorder(layout.sites, args.bound, seed)
+            twin = CalibrationTwin(device, hidden, seed=seed)
+            res = optimize_interferometer(twin, layout)
+            for stage, hist in ((1, res.stage1_history), (2, res.stage2_history)):
+                for it, cost, x in hist:
                     writer.write(
                         ResultRecord(
                             "calibration_step",
-                            {"overall_distance": dist, "sign": sign, "accepted": accepted},
-                            {"round": round_no},
+                            {"cost": cost, "stage": stage, "parameters_mhz": x},
+                            {"iteration": it},
                         )
                     )
-                writer.write(
-                    ResultRecord(
-                        "fit",
-                        {"residual_max_mhz": res.residual_max_mhz, "rounds_run": res.rounds_run},
-                        {"task": "align"},
-                    )
+            writer.write(
+                ResultRecord(
+                    "fit",
+                    {
+                        "detector_population": res.detector_population,
+                        "initial_detector_population": res.initial_detector_population,
+                        "stage1_product": res.stage1_product,
+                    },
+                    {"task": "interferometer"},
                 )
-                print(f"alignment residual {res.residual_max_mhz:.3f} MHz after {res.rounds_run} rounds")
-            elif args.task == "interferometer":
-                if args.shots is not None:
-                    raise ValueError("--shots does not apply to the interferometer task: it optimizes noiseless populations")
-                device = default_device()
-                layout = default_mz_layout()
-                hidden = sample_disorder(layout.sites, args.bound, seed)
-                twin = CalibrationTwin(device, hidden, seed=seed)
-                res = optimize_interferometer(twin, layout)
-                for stage, hist in ((1, res.stage1_history), (2, res.stage2_history)):
-                    for it, cost, x in hist:
-                        writer.write(
-                            ResultRecord(
-                                "calibration_step",
-                                {"cost": cost, "stage": stage, "parameters_mhz": x},
-                                {"iteration": it},
-                            )
-                        )
-                writer.write(
-                    ResultRecord(
-                        "fit",
-                        {
-                            "detector_population": res.detector_population,
-                            "initial_detector_population": res.initial_detector_population,
-                            "stage1_product": res.stage1_product,
-                        },
-                        {"task": "interferometer"},
-                    )
-                )
-                print(
-                    f"detector population {res.initial_detector_population:.3f} -> {res.detector_population:.3f}"
-                )
-            else:
-                raise ValueError(f"unknown calibration task {args.task!r}")
-    except Exception:
-        manifest.finish("failed")
-        raise
-    manifest.finish()
+            )
+            print(
+                f"detector population {res.initial_detector_population:.3f} -> {res.detector_population:.3f}"
+            )
+        else:
+            raise ValueError(f"unknown calibration task {args.task!r}")
     return 0
 
 
@@ -308,60 +287,53 @@ def _cmd_analyze(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seed = 2024 if args.seed is None and args.study == "distance-velocity" else args.seed
-    manifest = RunManifest(f"analyze-{args.study}", seed, __version__, str(out))
-    manifest.add_output("records.jsonl")
-    manifest.start()
-    try:
-        with RecordWriter(out / "records.jsonl") as writer:
-            if args.study == "velocity":
-                for flag, value in (("--seed", args.seed), ("--seeds", args.seeds)):
-                    if value is not None:
-                        raise ValueError(f"{flag} does not apply to the velocity study: it samples no disorder")
-                res = ctqw_velocity_pipeline()
-                for s in res.series:
-                    writer.write(
-                        ResultRecord(
-                            "correlation",
-                            {"times_ns": s.times_ns, "values": s.values},
-                            {"site_pair": list(s.site_pair)},
-                        )
-                    )
-                for f in res.fronts:
-                    writer.write(
-                        ResultRecord(
-                            "front_fit",
-                            {
-                                "peak_time_ns": f.peak_time_ns,
-                                "peak_time_err_ns": f.peak_time_err_ns,
-                                "amplitude": f.amplitude,
-                                "width_ns": f.width_ns,
-                                "offset": f.offset,
-                            },
-                            {"distance": f.distance},
-                        )
-                    )
-                vmax = lr_bound(DEFAULT_J_EFF_MHZ, DEFAULT_ANHARMONICITY_MHZ)
+    manifest = RunManifest(f"analyze-{args.study}", seed, __version__, str(out), outputs=["records.jsonl"])
+    with manifest, RecordWriter(out / "records.jsonl") as writer:
+        if args.study == "velocity":
+            for flag, value in (("--seed", args.seed), ("--seeds", args.seeds)):
+                if value is not None:
+                    raise ValueError(f"{flag} does not apply to the velocity study: it samples no disorder")
+            res = ctqw_velocity_pipeline()
+            for s in res.series:
                 writer.write(
                     ResultRecord(
-                        "velocity",
-                        {"velocity": res.velocity, "std_err": res.std_err, "lr_bound": vmax},
-                        {"study": "velocity"},
+                        "correlation",
+                        {"times_ns": s.times_ns, "values": s.values},
+                        {"site_pair": list(s.site_pair)},
                     )
                 )
-                print(f"propagation velocity {res.velocity:.2f} +- {res.std_err:.2f} sites/us (bound {vmax:.1f})")
-            elif args.study == "distance-velocity":
-                res = disorder_velocity_study(n_seeds=32 if args.seeds is None else args.seeds, seed=seed)
-                for d0, v, e, bad in zip(res.d0_values, res.velocities, res.std_errs, res.unweighted):
-                    payload = {"velocity": v, "std_err": e, "weighted": not bad, "unweighted_front_distances": bad}
-                    writer.write(ResultRecord("velocity", payload, {"d0_sites": d0}))
-                    note = f" (unweighted: no time error at d = {', '.join(f'{d:.2f}' for d in bad)})" if bad else ""
-                    print(f"d0={d0:6.3f} sites: v = {v:6.2f} +- {e:.2f} sites/us{note}")
-            else:
-                raise ValueError(f"unknown study {args.study!r}")
-    except Exception:
-        manifest.finish("failed")
-        raise
-    manifest.finish()
+            for f in res.fronts:
+                writer.write(
+                    ResultRecord(
+                        "front_fit",
+                        {
+                            "peak_time_ns": f.peak_time_ns,
+                            "peak_time_err_ns": f.peak_time_err_ns,
+                            "amplitude": f.amplitude,
+                            "width_ns": f.width_ns,
+                            "offset": f.offset,
+                        },
+                        {"distance": f.distance},
+                    )
+                )
+            vmax = lr_bound(DEFAULT_J_EFF_MHZ, DEFAULT_ANHARMONICITY_MHZ)
+            writer.write(
+                ResultRecord(
+                    "velocity",
+                    {"velocity": res.velocity, "std_err": res.std_err, "lr_bound": vmax},
+                    {"study": "velocity"},
+                )
+            )
+            print(f"propagation velocity {res.velocity:.2f} +- {res.std_err:.2f} sites/us (bound {vmax:.1f})")
+        elif args.study == "distance-velocity":
+            res = disorder_velocity_study(n_seeds=32 if args.seeds is None else args.seeds, seed=seed)
+            for d0, v, e, bad in zip(res.d0_values, res.velocities, res.std_errs, res.unweighted):
+                payload = {"velocity": v, "std_err": e, "weighted": not bad, "unweighted_front_distances": bad}
+                writer.write(ResultRecord("velocity", payload, {"d0_sites": d0}))
+                note = f" (unweighted: no time error at d = {', '.join(f'{d:.2f}' for d in bad)})" if bad else ""
+                print(f"d0={d0:6.3f} sites: v = {v:6.2f} +- {e:.2f} sites/us{note}")
+        else:
+            raise ValueError(f"unknown study {args.study!r}")
     return 0
 
 

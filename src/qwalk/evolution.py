@@ -9,9 +9,9 @@ propagate together; a single state is the one-column case. Sample times are
 taken in windows of WINDOW_SAMPLES consecutive times, and each window runs one
 Chebyshev recurrence from its start state whose terms feed every sample in
 it, so a dense time series pays the series' truncation tail once per window
-rather than once per sample. Each window is cut at the caller's tolerance
-divided by the number of windows, which bounds the summed truncation error at
-the last sample by that tolerance. The Bessel coefficients come from Miller's
+rather than once per sample. Each window is cut at TOLERANCE divided by the
+number of windows, which bounds the summed truncation error at the last
+sample by TOLERANCE. The Bessel coefficients come from Miller's
 backward recurrence in numpy.
 
 Times cross the API in ns; internally everything runs in us to match the
@@ -29,7 +29,6 @@ from .hamiltonian import HamiltonianMatrix, build_hamiltonian
 from .sector import NORM_TOL, QuantumState, lookup, occupation_row, row_keys
 
 __all__ = [
-    "EvolutionPlan",
     "EvolutionError",
     "evolve_unitary",
     "propagate_block",
@@ -40,6 +39,9 @@ __all__ = [
 ]
 
 NS_TO_US = 1e-3
+
+# Summed Chebyshev truncation error allowed at the last sample of propagate_block
+TOLERANCE = 1e-12
 
 # Consecutive sample times per Chebyshev recurrence in propagate_block. Every
 # window sample holds one block-sized accumulator, so longer windows trade
@@ -63,23 +65,6 @@ _MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 class EvolutionError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class EvolutionPlan:
-    hamiltonian: HamiltonianMatrix
-    times_ns: tuple
-    tolerance: float = 1e-12
-
-    def __post_init__(self):
-        times = tuple(float(t) for t in self.times_ns)
-        object.__setattr__(self, "times_ns", times)
-        if any(t < 0 for t in times):
-            raise ValueError("sample times must be nonnegative")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("sample times must be strictly increasing")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
 
 
 def _bessel_j(z) -> np.ndarray:
@@ -136,7 +121,7 @@ def _chebyshev_coefficients(z, tol: float) -> np.ndarray:
     return np.where(k == 0, 1.0, 2.0) * _MINUS_I_POWERS[k % 4] * j[:, :keep]
 
 
-def propagate_block(h0, diagonals, block, times_ns, tolerance: float = 1e-12, observe=None) -> list:
+def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
     """exp(-i t (H0 + diag(d_c))) x_c for every column c of a block, at each sample time.
 
     `h0` is a real symmetric sparse matrix shared by every column; column c of
@@ -155,15 +140,15 @@ def propagate_block(h0, diagonals, block, times_ns, tolerance: float = 1e-12, ob
     dt_j = t_j - t0; its length is set by the window's largest |dt_j|. The
     coefficient grid depends only on b and the in-window offsets, and is
     cached per distinct tuple of offsets. Each window's samples are cut at
-    tolerance / n_windows, so the truncation errors summed over the windows
-    up to the last sample stay below `tolerance`. The recurrence runs on the
+    TOLERANCE / n_windows, so the truncation errors summed over the windows
+    up to the last sample stay below TOLERANCE. The recurrence runs on the
     float64 view of the complex block: each term is one real
     sparse-times-dense product.
     """
     if np.iscomplexobj(h0) or np.iscomplexobj(diagonals):
         raise ValueError("the block engine needs a real Hamiltonian")
-    if not tolerance > 0 or not np.all(np.isfinite(times_ns)):
-        raise ValueError("tolerance must be positive and sample times finite")
+    if not np.all(np.isfinite(times_ns)):
+        raise ValueError("sample times must be finite")
     h0 = sp.csr_matrix(h0, dtype=np.float64)
     diagonals = np.asarray(diagonals, dtype=np.float64)
     x = np.ascontiguousarray(block, dtype=np.complex128)
@@ -193,7 +178,7 @@ def propagate_block(h0, diagonals, block, times_ns, tolerance: float = 1e-12, ob
 
     times = [float(t) for t in times_ns]
     windows = [times[w : w + WINDOW_SAMPLES] for w in range(0, len(times), WINDOW_SAMPLES)]
-    window_tolerance = tolerance / max(1, len(windows))
+    window_tolerance = TOLERANCE / max(1, len(windows))
     norms0 = np.linalg.norm(x, axis=0)
     grids = {}
     out = []
@@ -225,16 +210,14 @@ def propagate_block(h0, diagonals, block, times_ns, tolerance: float = 1e-12, ob
     return out
 
 
-def evolve_unitary(plan: EvolutionPlan, psi0: QuantumState) -> list[tuple[float, QuantumState]]:
-    """Snapshots of exp(-i H t) psi0 at the plan's sample times."""
-    h = plan.hamiltonian
+def evolve_unitary(h: HamiltonianMatrix, psi0: QuantumState, times_ns) -> list[tuple[float, QuantumState]]:
+    """Snapshots (t, exp(-i H t) psi0) at each sample time in ns: the one-column case of propagate_block."""
     if psi0.basis.dimension != h.dimension:
         raise ValueError("initial state dimension does not match the Hamiltonian")
     psi0.check_normalized()
-    columns = propagate_block(
-        h.matrix, np.zeros((h.dimension, 1)), psi0.amplitudes[:, None], plan.times_ns, plan.tolerance, lambda x: x[:, 0]
-    )
-    return [(t, QuantumState(psi0.basis, amp)) for t, amp in zip(plan.times_ns, columns)]
+    times = [float(t) for t in times_ns]
+    columns = propagate_block(h.matrix, np.zeros((h.dimension, 1)), psi0.amplitudes[:, None], times, lambda x: x[:, 0])
+    return [(t, QuantumState(psi0.basis, amp)) for t, amp in zip(times, columns)]
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +225,10 @@ def evolve_unitary(plan: EvolutionPlan, psi0: QuantumState) -> list[tuple[float,
 # ---------------------------------------------------------------------------
 
 MAX_LINDBLAD_SITES = 12
+
+# solve_ivp (DOP853) tolerances of evolve_lindblad
+LINDBLAD_RTOL = 1e-8
+LINDBLAD_ATOL = 1e-10
 
 
 @dataclass
@@ -332,13 +319,7 @@ def _dissipator_tables(model: LindbladModel):
     return mask, jumps
 
 
-def evolve_lindblad(
-    model: LindbladModel,
-    rho0: np.ndarray,
-    times_ns,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
-) -> list[tuple[float, np.ndarray]]:
+def evolve_lindblad(model: LindbladModel, rho0: np.ndarray, times_ns) -> list[tuple[float, np.ndarray]]:
     """Density-matrix snapshots under the master equation, trace-checked."""
     from scipy.integrate import solve_ivp  # imported on use: no CLI start-up cost
 
@@ -362,7 +343,9 @@ def evolve_lindblad(
 
     t_eval = times * NS_TO_US
     span = (0.0, float(t_eval[-1]) if t_eval[-1] > 0 else 1e-12)
-    sol = solve_ivp(rhs, span, rho0.ravel(), t_eval=t_eval, method="DOP853", rtol=rtol, atol=atol)
+    sol = solve_ivp(
+        rhs, span, rho0.ravel(), t_eval=t_eval, method="DOP853", rtol=LINDBLAD_RTOL, atol=LINDBLAD_ATOL
+    )
     if not sol.success:
         raise EvolutionError(f"Lindblad integration failed: {sol.message}")
     out = []

@@ -23,7 +23,6 @@ RECORD_KINDS = (
     "fit",
     "calibration_step",
     "shots",
-    "error",
 )
 
 
@@ -65,11 +64,9 @@ class RecordWriter:
     def __init__(self, path):
         self.path = Path(path)
         self._fh = open(self.path, "w")
-        self.n_written = 0
 
     def write(self, record: ResultRecord) -> None:
         self._fh.write(record.to_json() + "\n")
-        self.n_written += 1
 
     def close(self) -> None:
         self._fh.close()
@@ -109,7 +106,11 @@ def write_csv_matrix(path, matrix, row_labels=None, col_labels=None, corner: str
 @dataclass
 class RunManifest:
     """Written before the run starts, finalized after it ends. Timestamps are
-    wall-clock metadata and deliberately excluded from determinism checks."""
+    wall-clock metadata and deliberately excluded from determinism checks.
+
+    As a context manager it starts on entry and finishes on exit, "failed"
+    when the body raised (the exception propagates) and "done" otherwise.
+    """
 
     scenario: str
     seed: int
@@ -133,6 +134,14 @@ class RunManifest:
         self.finished_at = datetime.now(timezone.utc).isoformat()
         self.status = status
         self._dump()
+
+    def __enter__(self):
+        self.start()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.finish("failed" if exc_type is not None else "done")
+        return False
 
     def add_output(self, name: str) -> None:
         if name not in self.outputs:

@@ -17,10 +17,10 @@ from .device import (
     active_subgraph,
     default_device,
 )
-from .evolution import EvolutionPlan, evolve_unitary, propagate_block
-from .hamiltonian import build_hamiltonian, disorder_diagonals
+from .evolution import evolve_unitary, propagate_block
+from .hamiltonian import HamiltonianMatrix, build_hamiltonian, disorder_diagonals
 from .measurement import ReadoutModel, ShotCounts, post_select, sample_shots
-from .sector import basis_state, enumerate_basis, populations
+from .sector import QuantumState, SectorBasis, basis_state, enumerate_basis, populations
 
 __all__ = [
     "MZLayout",
@@ -358,9 +358,15 @@ class ScenarioResult:
         return self.populations[self.sites.index(label)]
 
 
-def _scenario_graph(scenario: Scenario, device: DeviceModel) -> tuple[ActiveGraph, DisorderMap]:
-    disorder = scenario.disorder()
-    return active_subgraph(device, map(QubitId.parse, scenario.active)), disorder
+def _scenario_setup(
+    scenario: Scenario, device: DeviceModel, disorder: DisorderMap
+) -> tuple[ActiveGraph, SectorBasis, QuantumState, HamiltonianMatrix]:
+    """The scenario's active graph, its sector basis, the start state with a
+    walker on each source, and the Hamiltonian under `disorder`."""
+    graph = active_subgraph(device, map(QubitId.parse, scenario.active))
+    basis = enumerate_basis(graph.n_sites, scenario.n_excitations)
+    psi0 = basis_state(basis, {graph.index[QubitId.parse(s)] for s in scenario.sources})
+    return graph, basis, psi0, build_hamiltonian(graph, basis, disorder)
 
 
 def run_scenario(
@@ -370,19 +376,13 @@ def run_scenario(
 ) -> ScenarioResult:
     """Evolve the scenario and optionally sample shots at the readout time,
     which is propagated to exactly without adding a column to the populations."""
-    device = device or default_device()
-    graph, disorder = _scenario_graph(scenario, device)
-    index = graph.index
-    basis = enumerate_basis(graph.n_sites, scenario.n_excitations)
-    h = build_hamiltonian(graph, basis, disorder)
-    sources = {index[QubitId.parse(s)] for s in scenario.sources}
-    psi0 = basis_state(basis, sources)
+    graph, _basis, psi0, h = _scenario_setup(scenario, device or default_device(), scenario.disorder())
     times = scenario.times_ns
     t_read = None
     if scenario.n_shots:
         t_read = scenario.readout_time_ns if scenario.readout_time_ns is not None else times[-1]
         times = sorted({*times, t_read})
-    snapshots = dict(evolve_unitary(EvolutionPlan(h, times), psi0))
+    snapshots = dict(evolve_unitary(h, psi0, times))
     pops = np.column_stack([populations(snapshots[t]) for t in scenario.times_ns])
 
     shots = retention = None
@@ -450,19 +450,14 @@ def disorder_sweep(
     if not (math.isfinite(t_read) and t_read >= 0):
         raise ValueError(f"readout time must be finite and nonnegative, got {t_read!r}")
 
-    base = replace(scenario, step_d_left_mhz=0.0, step_d_right_mhz=0.0)
-    graph, static = _scenario_graph(base, device)
-    index = graph.index
-    basis = enumerate_basis(graph.n_sites, scenario.n_excitations)
-    sources = {index[QubitId.parse(s)] for s in scenario.sources}
-    psi0 = basis_state(basis, sources)
-    h0 = build_hamiltonian(graph, basis, static)
+    static = replace(scenario, step_d_left_mhz=0.0, step_d_right_mhz=0.0).disorder()
+    graph, basis, psi0, h0 = _scenario_setup(scenario, device, static)
 
     cells = [DisorderStepProtocol(dl, dr).offsets(layout) for dl in d_left_values for dr in d_right_values]
     block = np.repeat(psi0.amplitudes[:, None], len(cells), axis=1)
     (probabilities,) = propagate_block(
         h0.matrix, disorder_diagonals(graph, basis, cells), block, (t_read,), observe=lambda x: np.abs(x) ** 2
     )
-    detector = basis.occupancy_matrix()[:, index[layout.detector]]
+    detector = basis.occupancy_matrix()[:, graph.index[layout.detector]]
     values = (detector @ probabilities).reshape(len(d_left_values), len(d_right_values))
     return FringeGrid(d_left_values, d_right_values, values, t_read, layout.detector.label)

@@ -36,7 +36,6 @@ from qwalk.device import (
     subgrid_device,
 )
 from qwalk.evolution import (
-    EvolutionPlan,
     LindbladModel,
     evolve_lindblad,
     evolve_unitary,
@@ -88,7 +87,7 @@ def test_c03_two_qubit_swap_time():
     b = enumerate_basis(2, 1)
     h = build_hamiltonian(g, b)
     times = tuple(np.arange(0.0, 200.0, 0.05))
-    snaps = evolve_unitary(EvolutionPlan(h, times), basis_state(b, {0}))
+    snaps = evolve_unitary(h, basis_state(b, {0}), times)
     dest = np.array([populations(s)[1] for _, s in snaps])
     t_transfer = times[int(np.argmax(dest))]
     expected = 1e3 / (4 * J_EFF)
@@ -104,7 +103,7 @@ def test_c04_chebyshev_vs_dense_oracle(full_graph):
         basis = enumerate_basis(62, n_exc)
         h = build_hamiltonian(full_graph, basis)
         psi0 = basis_state(basis, sources)
-        snaps = evolve_unitary(EvolutionPlan(h, times), psi0)
+        snaps = evolve_unitary(h, psi0, times)
         u100 = expm(-1j * h.to_dense() * 0.1)
         ref = psi0.amplitudes.copy()
         worst = 0.0
@@ -328,7 +327,7 @@ def test_c13_measurement_and_post_selection(full_graph):
     h = build_hamiltonian(full_graph, basis)
     idx = full_graph.index
     psi0 = basis_state(basis, {idx[QubitId.parse("U00Q0")], idx[QubitId.parse("U33Q2")]})
-    snaps = evolve_unitary(EvolutionPlan(h, (300.0,)), psi0)
+    snaps = evolve_unitary(h, psi0, (300.0,))
     thermal = thermal_excited_probability(66.0, 5.02)
     noisy = ReadoutModel.uniform(62, f0=0.966, f1=0.919, thermal=thermal)
     raw = sample_shots(snaps[-1][1], noisy, 50000, seed=9)
@@ -344,6 +343,7 @@ def test_c13_measurement_and_post_selection(full_graph):
 def test_c14_determinism(tmp_path):
     def run_all(base: Path):
         run_dir, sweep_dir = base / "run", base / "sweep"
+        analyze_dir, calibrate_dir = base / "analyze", base / "calibrate"
         assert main([
             "run", "--scenario", "mz-single", "--seed", "3", "--out", str(run_dir),
             "--override", "times_ns=[0.0, 100.0, 650.0]", "--override", "n_shots=5000",
@@ -352,10 +352,12 @@ def test_c14_determinism(tmp_path):
             "sweep", "--scenario", "mz-single", "--d-left", "0:1:4", "--d-right", "0:1:4",
             "--out", str(sweep_dir),
         ]) == 0
+        assert main(["analyze", "--study", "velocity", "--out", str(analyze_dir)]) == 0
+        assert main(["calibrate", "--task", "disorder", "--seed", "5", "--out", str(calibrate_dir)]) == 0
         return [
             run_dir / "records.jsonl", run_dir / "populations.csv", run_dir / "snapshot.svg",
             run_dir / "shots.txt", sweep_dir / "fringe.csv", sweep_dir / "fringe.svg",
-            sweep_dir / "records.jsonl",
+            sweep_dir / "records.jsonl", analyze_dir / "records.jsonl", calibrate_dir / "records.jsonl",
         ]
 
     first = run_all(tmp_path / "a")

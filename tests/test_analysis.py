@@ -24,7 +24,7 @@ from qwalk.analysis import (
     unweighted_distances,
 )
 from qwalk.device import DisorderMap, active_subgraph, default_device, grid_graph, sample_disorder
-from qwalk.evolution import EvolutionPlan, evolve_unitary
+from qwalk.evolution import evolve_unitary
 from qwalk.hamiltonian import build_hamiltonian
 from qwalk.sector import QuantumState, basis_state, enumerate_basis
 
@@ -68,7 +68,7 @@ def test_correlation_against_dense_oracle():
     d = DisorderMap({s: 0.3 * ((s[0] + 2 * s[1]) % 3 - 1) for s in g.sites})
     h = build_hamiltonian(g, b, d)
     psi0 = basis_state(b, {0})
-    snaps = evolve_unitary(EvolutionPlan(h, (120.0,)), psi0)
+    snaps = evolve_unitary(h, psi0, (120.0,))
     state = snaps[0][1]
     ref_amp = expm(-1j * h.to_dense() * 0.120) @ psi0.amplitudes
     occ = b.occupancy_matrix()
@@ -240,7 +240,7 @@ def test_pipeline_series_equal_snapshot_correlations():
     graph = active_subgraph(device, device.functional_qubits)
     b = enumerate_basis(graph.n_sites, 1)
     origin = res.series[0].site_pair[0]
-    snaps = evolve_unitary(EvolutionPlan(build_hamiltonian(graph, b), PIPELINE_TIMES_NS), basis_state(b, {origin}))
+    snaps = evolve_unitary(build_hamiltonian(graph, b), basis_state(b, {origin}), PIPELINE_TIMES_NS)
     assert len(res.series) == 4
     for series in res.series:
         i, j = series.site_pair

@@ -8,7 +8,6 @@ import qwalk.calibration as calibration
 from qwalk.calibration import (
     CalibrationError,
     CalibrationTwin,
-    OptimizerConfig,
     SwapDataset,
     alignment_loop,
     assign_idle_frequencies,
@@ -32,7 +31,7 @@ from qwalk.device import (
     sample_disorder,
     subgrid_device,
 )
-from qwalk.evolution import EvolutionPlan, evolve_unitary
+from qwalk.evolution import evolve_unitary
 from qwalk.hamiltonian import build_hamiltonian
 from qwalk.scenarios import default_mz_layout, mz_scenario, run_scenario
 from qwalk.sector import basis_state, enumerate_basis, populations
@@ -56,8 +55,9 @@ def test_nelder_mead_anisotropic_valley():
     assert np.allclose(res.x, [1.0, -2.0], atol=1e-4)
 
 
-def test_nelder_mead_history_monotone():
-    res = nelder_mead(lambda x: float(np.sum(x**2)), np.ones(3), scale=0.5, record_every=10)
+def test_nelder_mead_history_monotone(monkeypatch):
+    monkeypatch.setattr(calibration, "RECORD_EVERY", 10)
+    res = nelder_mead(lambda x: float(np.sum(x**2)), np.ones(3), scale=0.5)
     costs = [c for _, c, _ in res.history]
     assert all(b <= a + 1e-15 for a, b in zip(costs, costs[1:]))
     assert all(len(x) == 3 for _, _, x in res.history)
@@ -73,7 +73,7 @@ def test_single_excitation_kernel_matches_engine():
     fast = single_excitation_populations(g, offsets_mhz, 0, times)
     b = enumerate_basis(5, 1)
     h = build_hamiltonian(g, b, DisorderMap(dict(zip(g.sites, offsets_mhz.tolist()))))
-    snaps = evolve_unitary(EvolutionPlan(h, times), basis_state(b, {0}))
+    snaps = evolve_unitary(h, basis_state(b, {0}), times)
     slow = np.column_stack([populations(s) for _, s in snaps])
     assert np.max(np.abs(fast - slow)) < 1e-10
 
@@ -150,17 +150,13 @@ def test_canonical_gauge():
     assert flipped == pytest.approx(fixed)
 
 
-def quick_config():
-    return OptimizerConfig(max_iterations=6000, n_starts=4)
-
-
 def test_fit_recovers_planted_disorder_2x2():
     device = subgrid_device(0, 4, 2, 2)
     qubits = device.functional_qubits
     hidden = sample_disorder(qubits, 1.6, seed=21)
     twin = CalibrationTwin(device, hidden)
     datasets = [generate_swap_data(twin, q, times_ns=np.arange(0.0, 1000.0, 10.0)) for q in qubits]
-    fit = fit_disorder_map(datasets, quick_config())
+    fit = fit_disorder_map(datasets)
     truth = canonical_gauge({q: hidden.get(q) for q in qubits})
     err = max(abs(fit.disorder.get(q) - truth[q]) for q in qubits)
     assert err < 0.05
@@ -172,7 +168,7 @@ def test_fit_zero_disorder_returns_near_zero():
     qubits = device.functional_qubits
     twin = CalibrationTwin(device, DisorderMap())
     datasets = [generate_swap_data(twin, q, times_ns=np.arange(0.0, 1000.0, 10.0)) for q in qubits]
-    fit = fit_disorder_map(datasets, quick_config())
+    fit = fit_disorder_map(datasets)
     assert max(abs(v) for v in fit.disorder.offsets.values()) < 0.02
 
 
@@ -192,7 +188,7 @@ def test_fit_builds_each_star_hopping_once(monkeypatch):
     datasets = [generate_swap_data(twin, q, times_ns=np.arange(0.0, 1000.0, 10.0)) for q in device.functional_qubits]
     assert len(builds) == len(datasets)
     assert all(built is ds.graph for built, ds in zip(builds, datasets))
-    fit_disorder_map(datasets, quick_config())
+    fit_disorder_map(datasets)
     assert len(builds) == len(datasets)
 
 
@@ -248,13 +244,14 @@ def test_fit_recovers_seed_23_trapped_in_the_first_starts():
     assert fit.n_starts > 1 and fit.cost <= fit.accept_cost
 
 
-def test_fit_without_an_accepted_start_raises():
+def test_fit_without_an_accepted_start_raises(monkeypatch):
+    monkeypatch.setattr(calibration, "N_STARTS", 1)
     device = subgrid_device(4, 0, 3, 3)
     qubits = device.functional_qubits
     twin = CalibrationTwin(device, sample_disorder(qubits, 1.6, seed=23))
     datasets = [generate_swap_data(twin, q) for q in qubits]
     with pytest.raises(CalibrationError, match="best cost .*zero-map cost") as info:
-        fit_disorder_map(datasets, OptimizerConfig(n_starts=1))
+        fit_disorder_map(datasets)
     assert set(info.value.best.offsets) == set(qubits)
 
 
@@ -265,7 +262,7 @@ def test_shot_data_fit_is_accepted_near_its_noise_floor():
     twin = CalibrationTwin(device, hidden, n_shots=20000, seed=3)
     datasets = [generate_swap_data(twin, q, times_ns=np.arange(0.0, 1000.0, 10.0)) for q in qubits]
     assert all(ds.n_shots == 20000 for ds in datasets)
-    fit = fit_disorder_map(datasets, quick_config())
+    fit = fit_disorder_map(datasets)
     noise = sum(float(np.sum(ds.populations * (1 - ds.populations))) / (ds.n_shots - 1) for ds in datasets)
     assert fit.accept_cost == pytest.approx(calibration.NOISE_COST_MULTIPLE * noise, rel=1e-6)
     assert 0.5 * noise < fit.cost <= fit.accept_cost
@@ -285,7 +282,7 @@ def test_alignment_builds_each_star_graph_once(monkeypatch):
     monkeypatch.setattr(calibration, "build_hamiltonian", counting_build)
     device = subgrid_device(0, 4, 2, 2)
     twin = CalibrationTwin(device, sample_disorder(device.functional_qubits, 1.5, seed=8))
-    res = alignment_loop(twin, rounds=2, config=quick_config(), times_ns=np.arange(0.0, 800.0, 20.0))
+    res = alignment_loop(twin, rounds=2, times_ns=np.arange(0.0, 800.0, 20.0))
     assert res.rounds_run == 2
     assert len(builds) == len(device.functional_qubits)
 
@@ -293,7 +290,7 @@ def test_alignment_builds_each_star_graph_once(monkeypatch):
 def test_alignment_fixed_point_without_disorder():
     device = subgrid_device(0, 4, 2, 2)
     twin = CalibrationTwin(device, DisorderMap())
-    res = alignment_loop(twin, rounds=2, config=quick_config(), times_ns=np.arange(0.0, 800.0, 20.0))
+    res = alignment_loop(twin, rounds=2, times_ns=np.arange(0.0, 800.0, 20.0))
     assert res.residual_max_mhz < 0.02
     assert max(abs(res.correction.get(q)) for q in device.functional_qubits) < 0.02
 
@@ -302,18 +299,19 @@ def test_alignment_overall_distance_monotone():
     device = subgrid_device(0, 4, 2, 2)
     hidden = sample_disorder(device.functional_qubits, 1.5, seed=8)
     twin = CalibrationTwin(device, hidden)
-    res = alignment_loop(twin, rounds=3, config=quick_config(), times_ns=np.arange(0.0, 800.0, 20.0))
+    res = alignment_loop(twin, rounds=3, times_ns=np.arange(0.0, 800.0, 20.0))
     assert all(b <= a for a, b in zip(res.overall_distances, res.overall_distances[1:]))
     assert res.residual_max_mhz < 1.6 * 0.8
 
 
-def test_interferometer_correction_is_keyed_by_layout_site():
+def test_interferometer_correction_is_keyed_by_layout_site(monkeypatch):
     # the optimizer works on the stage graphs' sorted site order; the returned
     # correction, applied to the device on top of the hidden map, must give
     # the detector population the optimizer reports
     layout = default_mz_layout()
     hidden = sample_disorder(layout.sites, 1.6, seed=13)
-    opt = optimize_interferometer(CalibrationTwin(default_device(), hidden), layout, OptimizerConfig(max_iterations=300))
+    monkeypatch.setattr(calibration, "MAX_ITERATIONS", 300)
+    opt = optimize_interferometer(CalibrationTwin(default_device(), hidden), layout)
     applied = DisorderMap({q: hidden.get(q) + opt.correction.get(q) for q in layout.sites})
     sc = mz_scenario("S", t_max_ns=650.0, step_ns=650.0).with_static_disorder(applied)
     detector = run_scenario(sc).site_series(sc.layout_names["D"])[-1]

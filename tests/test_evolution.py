@@ -11,7 +11,6 @@ from qwalk.device import ActiveGraph, DisorderMap, grid_graph
 from qwalk.evolution import (
     WINDOW_SAMPLES,
     EvolutionError,
-    EvolutionPlan,
     LindbladModel,
     _bessel_j,
     _dissipator_tables,
@@ -33,21 +32,11 @@ def chain_instance(n, k=1, disorder=None):
     return g, b, build_hamiltonian(g, b, disorder)
 
 
-def test_plan_validation():
-    _, _, h = chain_instance(2)
-    with pytest.raises(ValueError):
-        EvolutionPlan(h, (10.0, 5.0))
-    with pytest.raises(ValueError):
-        EvolutionPlan(h, (-1.0, 5.0))
-    with pytest.raises(ValueError):
-        EvolutionPlan(h, (0.0, 1.0), tolerance=0.0)
-
-
 def test_two_site_rabi_swap():
     _, b, h = chain_instance(2)
     psi0 = basis_state(b, {0})
     times = tuple(np.arange(0.0, 200.0, 0.05))
-    snaps = evolve_unitary(EvolutionPlan(h, times), psi0)
+    snaps = evolve_unitary(h, psi0, times)
     p_src = np.array([populations(s)[0] for _, s in snaps])
     # cos^2(2 pi J t) on the initially excited site
     expected = np.cos(2 * np.pi * J * np.array(times) * 1e-3) ** 2
@@ -59,7 +48,7 @@ def test_two_site_rabi_swap():
 def test_time_zero_is_identity():
     _, b, h = chain_instance(5)
     psi0 = basis_state(b, {2})
-    snaps = evolve_unitary(EvolutionPlan(h, (0.0,)), psi0)
+    snaps = evolve_unitary(h, psi0, (0.0,))
     assert np.array_equal(snaps[0][1].amplitudes, psi0.amplitudes)
 
 
@@ -81,7 +70,7 @@ def test_chebyshev_matches_scipy_expm_oracle(shape, k, sources):
     h = build_hamiltonian(g, b, d)
     psi0 = basis_state(b, sources)
     times = (37.0, 100.0, 260.0, 333.0)
-    snaps = evolve_unitary(EvolutionPlan(h, times), psi0)
+    snaps = evolve_unitary(h, psi0, times)
     dense = h.to_dense()
     for (t, state) in snaps:
         ref = expm(-1j * dense * (t * 1e-3)) @ psi0.amplitudes
@@ -91,7 +80,7 @@ def test_chebyshev_matches_scipy_expm_oracle(shape, k, sources):
 def test_unitarity_at_every_sample():
     _, b, h = chain_instance(8, k=2)
     psi0 = basis_state(b, {0, 4})
-    snaps = evolve_unitary(EvolutionPlan(h, tuple(np.arange(10.0, 800.0, 37.0))), psi0)
+    snaps = evolve_unitary(h, psi0, tuple(np.arange(10.0, 800.0, 37.0)))
     for _, s in snaps:
         assert abs(s.norm - 1.0) < 1e-9
 
@@ -215,20 +204,23 @@ def test_engine_rejects_non_finite_input():
         propagate_block(h.matrix, np.zeros((b.dimension, 1)), np.full_like(x, np.nan), (10.0,))
     with pytest.raises(ValueError):
         propagate_block(h.matrix, np.zeros((b.dimension, 2)), x, (10.0,))
+    for t in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            propagate_block(h.matrix, np.zeros((b.dimension, 1)), x, (10.0, t))
 
 
 def test_dimension_mismatch():
     _, b, h = chain_instance(4)
     other = basis_state(enumerate_basis(5, 1), {0})
     with pytest.raises(ValueError):
-        evolve_unitary(EvolutionPlan(h, (1.0,)), other)
+        evolve_unitary(h, other, (1.0,))
 
 
 def test_requires_normalized_state():
     _, b, h = chain_instance(3)
     bad = QuantumState(b, np.array([1.0, 1.0, 0.0]))
     with pytest.raises(ValueError):
-        evolve_unitary(EvolutionPlan(h, (1.0,)), bad)
+        evolve_unitary(h, bad, (1.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +259,7 @@ def test_zero_rates_match_unitary():
     lind = evolve_lindblad(m, rho0, times)
     b = enumerate_basis(3, 1)
     h = build_hamiltonian(g, b)
-    uni = evolve_unitary(EvolutionPlan(h, times), basis_state(b, {0}))
+    uni = evolve_unitary(h, basis_state(b, {0}), times)
     for (t, rho), (_, psi) in zip(lind, uni):
         assert np.allclose(site_populations(m, rho), populations(psi), atol=1e-7)
 

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from qwalk import calibration
 from qwalk.analysis import disorder_velocity_study
-from qwalk.calibration import OptimizerConfig
 from qwalk.cli import main
 from qwalk.records import RecordWriter, ResultRecord, RunManifest, read_records, write_csv_matrix
 from qwalk.svg import render_heatmap
@@ -24,8 +24,9 @@ def test_record_json_round_trip(tmp_path):
 
 
 def test_record_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        ResultRecord("mystery", {})
+    for kind in ("mystery", "error"):  # failures go to error.json, never to records
+        with pytest.raises(ValueError):
+            ResultRecord(kind, {})
 
 
 def test_records_are_self_describing(tmp_path):
@@ -39,14 +40,15 @@ def test_records_are_self_describing(tmp_path):
 
 
 def test_manifest_lifecycle(tmp_path):
-    m = RunManifest("demo", 7, "0.1.0", str(tmp_path))
-    m.add_output("records.jsonl")
-    m.start()
-    doc = RunManifest.validate_file(m.path())
-    assert doc["status"] == "running"
-    m.finish()
+    m = RunManifest("demo", 7, "0.1.0", str(tmp_path), outputs=["records.jsonl"])
+    with m:
+        doc = RunManifest.validate_file(m.path())
+        assert doc["status"] == "running" and doc["outputs"] == ["records.jsonl"]
     doc = RunManifest.validate_file(m.path())
     assert doc["status"] == "done" and doc["finished_at"]
+    with pytest.raises(KeyError), m:
+        raise KeyError("boom")
+    assert RunManifest.validate_file(m.path())["status"] == "failed"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema_version": 1}))
     with pytest.raises(ValueError):
@@ -180,9 +182,7 @@ def test_cli_calibrate_bad_bound_or_shots_is_domain_error(tmp_path, capsys, task
 def test_cli_calibrate_exhausted_start_budget_is_domain_error(tmp_path, capsys, monkeypatch):
     # seed 23's first start ends in a local minimum; with a budget of one
     # start the fit refuses the map instead of writing it
-    import qwalk.cli
-
-    monkeypatch.setattr(qwalk.cli, "OptimizerConfig", lambda: OptimizerConfig(n_starts=1))
+    monkeypatch.setattr(calibration, "N_STARTS", 1)
     assert main(["calibrate", "--task", "disorder", "--seed", "23", "--out", str(tmp_path)]) == 1
     doc = json.loads((tmp_path / "error.json").read_text())
     assert doc["type"] == "CalibrationError"
