@@ -1,7 +1,7 @@
 """Device calibration against simulated twins with hidden disorders:
 multi-qubit swap data, disorder-map recovery (multi-start Nelder-Mead with a
 Levenberg-Marquardt polish), iterative frequency alignment, interferometer
-optimization, and idle-frequency setup.
+optimization (L-BFGS-B on the fit's kernel), and idle-frequency setup.
 """
 from __future__ import annotations
 
@@ -52,8 +52,7 @@ class CalibrationError(RuntimeError):
 # Nelder-Mead iteration cap, and the iterations between recorded history entries
 MAX_ITERATIONS = 20000
 RECORD_EVERY = 50
-# Initial simplex size of the disorder fit and of interferometer stage 1
-# (stage 2 refines from stage 1's optimum at half of it)
+# Initial simplex size of the disorder fit's Nelder-Mead stage
 SIMPLEX_SCALE_MHZ = 0.8
 
 # Disorder-fit start budget: the swap-data cost surface has local minima.
@@ -82,24 +81,19 @@ class NelderMeadResult:
     history: list = field(default_factory=list)  # (iteration, best cost, best x)
 
 
-def nelder_mead(
-    f,
-    x0,
-    scale: float = 1.0,
-    cost_tolerance: float = 1e-12,
-    param_tolerance: float = 1e-6,
-) -> NelderMeadResult:
+def nelder_mead(f, x0) -> NelderMeadResult:
     """Downhill simplex with the standard coefficients (reflect 1, expand 2,
     contract 0.5, shrink 0.5). Initial simplex: x0 plus unit perturbations of
-    size `scale` along each coordinate. Stops once both the cost spread and
-    the parameter spread of the simplex are within tolerance, or after
-    MAX_ITERATIONS; the best point is recorded every RECORD_EVERY iterations."""
+    size SIMPLEX_SCALE_MHZ along each coordinate. Stops once the cost spread
+    and the parameter spread of the simplex are within GLOBAL_COST_SPREAD and
+    GLOBAL_PARAM_SPREAD_MHZ, or after MAX_ITERATIONS; the best point is
+    recorded every RECORD_EVERY iterations."""
     x0 = np.asarray(x0, dtype=float)
     n = len(x0)
     simplex = [x0.copy()]
     for i in range(n):
         v = x0.copy()
-        v[i] += scale
+        v[i] += SIMPLEX_SCALE_MHZ
         simplex.append(v)
     fvals = [float(f(v)) for v in simplex]
     n_eval = n + 1
@@ -114,7 +108,7 @@ def nelder_mead(
             history.append((it, fvals[0], simplex[0].copy()))
         f_spread = fvals[-1] - fvals[0]
         x_spread = float(np.max(np.abs(np.array(simplex[1:]) - simplex[0])))
-        if f_spread <= cost_tolerance and x_spread <= param_tolerance:
+        if f_spread <= GLOBAL_COST_SPREAD and x_spread <= GLOBAL_PARAM_SPREAD_MHZ:
             converged = True
             break
         centroid = np.mean(simplex[:-1], axis=0)
@@ -173,8 +167,8 @@ class CalibrationTwin:
 
 @dataclass(frozen=True)
 class SwapDataset:
-    center: QubitId
-    graph: ActiveGraph  # star: the centre is site 0, edges (0, k, j_eff) to its neighbours
+    center: QubitId  # the site the walker is released on
+    graph: ActiveGraph  # a swap star has the centre as site 0 and edges (0, k, j_eff) to its neighbours
     times_ns: tuple
     populations: np.ndarray  # n_sites x n_times, in graph.sites order
     n_shots: int | None = None  # shots per population estimate; None for noiseless data
@@ -210,10 +204,10 @@ def single_excitation_populations(graph: ActiveGraph, offsets_mhz, source_idx: i
     """Site populations (n_sites x n_times) of one walker released on a graph.
 
     `offsets_mhz` holds one detuning per site in `graph.sites` order. Dense
-    spectral kernel in site order; optimizer cost loops call this thousands
-    of times, so the hopping comes from the one Hamiltonian builder once per
-    graph and each call only writes the disorder diagonal (equivalence with
-    the generic engine is pinned by tests).
+    spectral kernel in site order: the hopping comes from the one Hamiltonian
+    builder once per graph and each call only writes the disorder diagonal
+    (equivalence with the generic engine is pinned by tests). It simulates
+    swap data; the optimizers run on `_SwapResiduals`, which it cross-checks.
     """
     h = _site_hopping(graph).copy()
     np.fill_diagonal(h, TWO_PI * np.asarray(offsets_mhz, dtype=float))
@@ -271,47 +265,47 @@ class DisorderFit:
 
 
 class _SwapResiduals:
-    """Simulated minus measured swap populations of a set of star datasets, as
-    a function of the parameter vector x (MHz, one entry per qubit), and
-    their Jacobian.
+    """Simulated minus measured populations of a set of datasets (zero data:
+    the populations), as a function of the parameter vector x (MHz, one entry
+    per qubit), and their Jacobian.
 
-    Stars with the same site count and time grid are stacked once per fit
-    (site-order hoppings, positions in x, data), so an evaluation makes one
-    batched `eigh` per group. The star Hamiltonians are real symmetric, so
-    the phases are real cos/sin arrays and every product is a real matmul.
-    The walker starts on each star's centre, site 0. Residuals run over the
-    groups in order of first appearance, then star, site and time.
+    The walker starts on row `graph.index[center]` (0 for a star). Graphs
+    with the same site count, source row and time grid are stacked once per
+    fit (site-order hoppings, positions in x, data), so an evaluation makes
+    one batched `eigh` per group. The Hamiltonians are real symmetric, so every product is a real
+    matmul. Residuals run over the groups in order of first appearance, then
+    dataset, site and time.
     """
 
     def __init__(self, datasets, pos: dict):
         grouped = {}
         for ds in datasets:
-            grouped.setdefault((ds.graph.n_sites, tuple(ds.times_ns)), []).append(ds)
+            grouped.setdefault((ds.graph.n_sites, ds.graph.index[ds.center], tuple(ds.times_ns)), []).append(ds)
         self.n_params = len(pos)
         self.groups = []
-        for (_n, times), members in grouped.items():
+        for (_n, src, times), members in grouped.items():
             hopping = np.stack([_site_hopping(ds.graph) for ds in members])
             idx = np.array([[pos[q] for q in ds.graph.sites] for ds in members])
             data = np.stack([ds.populations for ds in members])
-            self.groups.append((hopping, idx, data, 1e-3 * np.asarray(times, dtype=float)))
+            self.groups.append((hopping, idx, src, data, 1e-3 * np.asarray(times, dtype=float)))
 
     @staticmethod
-    def _amplitudes(hopping, idx, x, t_us):
-        """Eigenpairs of the stacked star Hamiltonians and the real and
-        imaginary parts of the amplitudes (stars x sites x times)."""
+    def _amplitudes(hopping, idx, src, x, t_us):
+        """Eigenpairs of the stacked Hamiltonians and the real and imaginary
+        parts of the amplitudes (graphs x sites x times)."""
         h = hopping.copy()
         diag = np.arange(h.shape[1])
         h[:, diag, diag] = TWO_PI * x[idx]
         w, v = np.linalg.eigh(h)
         theta = w[:, :, None] * t_us
-        c = v[:, 0, :, None]  # source overlaps <m|0>
+        c = v[:, src, :, None]  # source overlaps <m|source>
         return w, v, v @ (np.cos(theta) * c), -(v @ (np.sin(theta) * c))
 
     def residuals(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         out = []
-        for hopping, idx, data, t_us in self.groups:
-            _w, _v, re, im = self._amplitudes(hopping, idx, x, t_us)
+        for hopping, idx, src, data, t_us in self.groups:
+            _w, _v, re, im = self._amplitudes(hopping, idx, src, x, t_us)
             out.append((re * re + im * im - data).ravel())
         return np.concatenate(out)
 
@@ -320,7 +314,16 @@ class _SwapResiduals:
         return float(r @ r)
 
     def jacobian(self, x) -> np.ndarray:
-        """d residual / d x from the eigenbasis the residuals use.
+        return np.concatenate([jac for *_, jac in self._group_jacobians(x)])
+
+    def residuals_and_jacobian(self, x) -> tuple:
+        """The residuals and the Jacobian from one eigenbasis per group."""
+        groups = list(self._group_jacobians(x))
+        residuals = [(re * re + im * im - data).ravel() for re, im, data, _ in groups]
+        return np.concatenate(residuals), np.concatenate([jac for *_, jac in groups])
+
+    def _group_jacobians(self, x):
+        """Per group, the amplitudes (re, im), the data and d residual / d x.
 
         dH/dx_k = 2 pi e_k e_k^T, and the derivative of exp(-iHt) along E is
         V (F(t) o V^T E V) V^T with the divided differences
@@ -328,20 +331,19 @@ class _SwapResiduals:
                 = -i t e^{-i (w_m + w_n) t / 2} sinc((w_m - w_n) t / 2),
         whose second form is also the degenerate limit -i t e^{-i w t}. So
         d amplitude_i / d x_k = 2 pi sum_mn F_mn G_mn,ik with the
-        time-independent G_mn,ik = V_im V_km V_kn V_0n, and
-        d population = 2 Re(conj(amplitude) d amplitude).
+        time-independent G_mn,ik = V_im V_km V_kn V_sn (s the source row),
+        and d population = 2 Re(conj(amplitude) d amplitude).
         """
         x = np.asarray(x, dtype=float)
-        out = []
-        for hopping, idx, _data, t_us in self.groups:
-            w, v, re, im = self._amplitudes(hopping, idx, x, t_us)
+        for hopping, idx, src, data, t_us in self.groups:
+            w, v, re, im = self._amplitudes(hopping, idx, src, x, t_us)
             n_stars, n = w.shape
             n_t = len(t_us)
             t = t_us[:, None, None]
             mean = 0.5 * (w[:, None, :, None] + w[:, None, None, :]) * t  # stars x times x m x n
             s = t * np.sinc((w[:, None, :, None] - w[:, None, None, :]) * t / TWO_PI)
             f = np.concatenate((-s * np.sin(mean), -s * np.cos(mean)), axis=1)  # real, then imaginary part
-            g = np.einsum("sim,skm,skn,sn->smnik", v, v, v, v[:, 0])
+            g = np.einsum("sim,skm,skn,sn->smnik", v, v, v, v[:, src])
             da = (f.reshape(n_stars, 2 * n_t, n * n) @ g.reshape(n_stars, n * n, n * n)).reshape(n_stars, 2, n_t, n, n)
             a_re, a_im = re.transpose(0, 2, 1)[..., None], im.transpose(0, 2, 1)[..., None]
             dp = (2.0 * TWO_PI) * (a_re * da[:, 0] + a_im * da[:, 1])  # stars x times x sites i x sites k
@@ -349,8 +351,7 @@ class _SwapResiduals:
             local = dp.transpose(0, 3, 2, 1).reshape(n_stars, n, -1)
             jac = np.zeros((n_stars, local.shape[2], self.n_params))
             jac[np.arange(n_stars)[:, None], :, idx] = local
-            out.append(jac.reshape(-1, self.n_params))
-        return np.concatenate(out)
+            yield re, im, data, jac.reshape(-1, self.n_params)
 
 
 def _shot_noise_cost(ds: SwapDataset) -> float:
@@ -393,13 +394,7 @@ def fit_disorder_map(datasets) -> DisorderFit:
     total_evals = 0
     for start in range(N_STARTS):
         x0 = np.zeros(len(qubits)) if start == 0 else rng.uniform(-START_SPREAD_MHZ, START_SPREAD_MHZ, len(qubits))
-        coarse = nelder_mead(
-            kernel.cost,
-            x0,
-            scale=SIMPLEX_SCALE_MHZ,
-            cost_tolerance=GLOBAL_COST_SPREAD,
-            param_tolerance=GLOBAL_PARAM_SPREAD_MHZ,
-        )
+        coarse = nelder_mead(kernel.cost, x0)
         polish = least_squares(kernel.residuals, coarse.x, jac=kernel.jacobian, method="lm")
         cost = float(polish.fun @ polish.fun)
         total_evals += coarse.n_evaluations + polish.nfev + polish.njev
@@ -498,14 +493,11 @@ class InterferometerOptimization:
     stage2_history: list
 
 
-# Interferometer optimization: readout times of the two stages, the arm-end
-# population below which stage 1 counts as failed, and the simplex stop
-# spreads of both stages
+# Interferometer optimization: readout times of the two stages, and the
+# arm-end population below which stage 1 counts as failed
 STAGE1_TIME_NS = 550.0
 STAGE2_TIME_NS = 650.0
 STAGE1_FLOOR = 0.02
-STAGE_COST_SPREAD = 1e-12
-STAGE_PARAM_SPREAD_MHZ = 1e-6
 
 
 def optimize_interferometer(twin: CalibrationTwin, layout: MZLayout) -> InterferometerOptimization:
@@ -515,70 +507,66 @@ def optimize_interferometer(twin: CalibrationTwin, layout: MZLayout) -> Interfer
     product of the arm-end populations at STAGE1_TIME_NS is maximized. Step 2
     then maximizes the detector population at STAGE2_TIME_NS over all sites.
     Direct one-step optimization tends to a local optimum with one arm blocked.
+    Each stage climbs a zero-data `_SwapResiduals` on the stage graph by
+    L-BFGS-B, one history entry per iteration.
     """
+    from scipy.optimize import minimize  # imported on use: no CLI start-up cost
+
     layout.validate(twin.device)
 
-    def stage_populations(sites, t_ns):
-        """The stage's graph and its site populations at t_ns as a function of
-        the correction x, which is ordered like `sites`."""
+    def stage(sites, t_ns):
+        """The stage graph's site index, and its site populations at t_ns and
+        their gradient as a function of the correction x, ordered like `sites`."""
         graph = active_subgraph(twin.device, sites)
-        layout_pos = {q: k for k, q in enumerate(sites)}
-        perm = np.array([layout_pos[q] for q in graph.sites])  # graph site -> position in x
-        hidden = np.array([twin.hidden.get(q) for q in graph.sites])
-        source_idx = graph.index[layout.source]
+        ds = SwapDataset(layout.source, graph, (t_ns,), np.zeros((graph.n_sites, 1)))
+        kernel = _SwapResiduals([ds], {q: k for k, q in enumerate(sites)})
+        hidden = np.array([twin.hidden.get(q) for q in sites])  # d/dx = d/d(hidden + x)
+        return graph.index, lambda x: kernel.residuals_and_jacobian(hidden + x)
 
-        def pops(x) -> np.ndarray:
-            return single_excitation_populations(graph, hidden + x[perm], source_idx, (t_ns,))[:, 0]
+    def climb(objective, x0):
+        history = []
 
-        return graph, pops
+        def record(intermediate_result):
+            history.append((len(history) + 1, float(intermediate_result.fun), intermediate_result.x.copy()))
+
+        return minimize(objective, x0, jac=True, method="L-BFGS-B", callback=record), history
 
     stage1_sites = tuple(q for q in layout.sites if q not in (layout.recombiner, layout.detector))
-    g1, pops_stage1 = stage_populations(stage1_sites, STAGE1_TIME_NS)
-    i_l, i_r = g1.index[layout.left_arm[-1]], g1.index[layout.right_arm[-1]]
+    index1, stage1 = stage(stage1_sites, STAGE1_TIME_NS)
+    i_l, i_r = index1[layout.left_arm[-1]], index1[layout.right_arm[-1]]
 
-    def cost1(x) -> float:
-        pops = pops_stage1(x)
-        return -float(pops[i_l] * pops[i_r])
+    def arm_product(x):
+        pops, jac = stage1(x)
+        return -float(pops[i_l] * pops[i_r]), -(pops[i_r] * jac[i_l] + pops[i_l] * jac[i_r])
 
-    res1 = nelder_mead(
-        cost1,
-        np.zeros(len(stage1_sites)),
-        scale=SIMPLEX_SCALE_MHZ,
-        cost_tolerance=STAGE_COST_SPREAD,
-        param_tolerance=STAGE_PARAM_SPREAD_MHZ,
-    )
-    pops1 = pops_stage1(res1.x)
+    res1, history1 = climb(arm_product, np.zeros(len(stage1_sites)))
+    pops1 = stage1(res1.x)[0]
     if pops1[i_l] < STAGE1_FLOOR or pops1[i_r] < STAGE1_FLOOR:
         raise CalibrationError(
             f"arm balancing failed: end populations {pops1[i_l]:.4f}/{pops1[i_r]:.4f} below {STAGE1_FLOOR}"
         )
 
     all_sites = layout.sites
-    g2, pops_stage2 = stage_populations(all_sites, STAGE2_TIME_NS)
-    i_d = g2.index[layout.detector]
+    index2, stage2 = stage(all_sites, STAGE2_TIME_NS)
+    i_d = index2[layout.detector]
     x0 = np.array([res1.x[stage1_sites.index(q)] if q in stage1_sites else 0.0 for q in all_sites])
-    initial = float(pops_stage2(np.zeros(len(all_sites)))[i_d])
+    initial = float(stage2(np.zeros(len(all_sites)))[0][i_d])
 
-    def cost2(x) -> float:
-        return -float(pops_stage2(x)[i_d])
+    def detector(x):
+        pops, jac = stage2(x)
+        return -float(pops[i_d]), -jac[i_d]
 
-    res2 = nelder_mead(
-        cost2,
-        x0,
-        scale=0.5 * SIMPLEX_SCALE_MHZ,
-        cost_tolerance=STAGE_COST_SPREAD,
-        param_tolerance=STAGE_PARAM_SPREAD_MHZ,
-    )
+    res2, history2 = climb(detector, x0)
     correction = DisorderMap({q: float(res2.x[k]) for k, q in enumerate(all_sites)})
     freq_config = FrequencyConfig.from_disorder(all_sites, correction)
     return InterferometerOptimization(
         correction=correction,
         config=freq_config,
-        detector_population=-res2.fun,
+        detector_population=-float(res2.fun),
         initial_detector_population=initial,
-        stage1_product=-res1.fun,
-        stage1_history=res1.history,
-        stage2_history=res2.history,
+        stage1_product=-float(res1.fun),
+        stage1_history=history1,
+        stage2_history=history2,
     )
 
 

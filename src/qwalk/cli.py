@@ -201,6 +201,8 @@ def _cmd_calibrate(args) -> int:
     seed = args.seed or 0
     manifest = RunManifest(f"calibrate-{args.task}", seed, __version__, str(out), outputs=["records.jsonl"])
     with manifest, RecordWriter(out / "records.jsonl") as writer:
+        if args.rounds is not None and args.task != "align":
+            raise ValueError(f"--rounds does not apply to the {args.task} task: only align runs rounds")
         if args.task == "disorder":
             device = subgrid_device(4, 0, 3, 3)
             hidden = sample_disorder(device.functional_qubits, args.bound, seed)
@@ -230,7 +232,7 @@ def _cmd_calibrate(args) -> int:
             device = subgrid_device(4, 0, 3, 3)
             hidden = sample_disorder(device.functional_qubits, args.bound, seed)
             twin = CalibrationTwin(device, hidden, n_shots=args.shots, seed=seed)
-            res = alignment_loop(twin, rounds=args.rounds)
+            res = alignment_loop(twin, rounds=5 if args.rounds is None else args.rounds)
             for round_no, sign, dist, accepted in res.history:
                 writer.write(
                     ResultRecord(
@@ -288,6 +290,7 @@ def _cmd_analyze(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     seed = 2024 if args.seed is None and args.study == "distance-velocity" else args.seed
     manifest = RunManifest(f"analyze-{args.study}", seed, __version__, str(out), outputs=["records.jsonl"])
+    vmax = lr_bound(DEFAULT_J_EFF_MHZ, DEFAULT_ANHARMONICITY_MHZ)
     with manifest, RecordWriter(out / "records.jsonl") as writer:
         if args.study == "velocity":
             for flag, value in (("--seed", args.seed), ("--seeds", args.seeds)):
@@ -316,7 +319,6 @@ def _cmd_analyze(args) -> int:
                         {"distance": f.distance},
                     )
                 )
-            vmax = lr_bound(DEFAULT_J_EFF_MHZ, DEFAULT_ANHARMONICITY_MHZ)
             writer.write(
                 ResultRecord(
                     "velocity",
@@ -328,9 +330,11 @@ def _cmd_analyze(args) -> int:
         elif args.study == "distance-velocity":
             res = disorder_velocity_study(n_seeds=32 if args.seeds is None else args.seeds, seed=seed)
             for d0, v, e, bad in zip(res.d0_values, res.velocities, res.std_errs, res.unweighted):
-                payload = {"velocity": v, "std_err": e, "weighted": not bad, "unweighted_front_distances": bad}
+                payload = {"velocity": v, "std_err": e, "lr_bound": vmax, "above_lr_bound": v > vmax,
+                           "weighted": not bad, "unweighted_front_distances": bad}
                 writer.write(ResultRecord("velocity", payload, {"d0_sites": d0}))
                 note = f" (unweighted: no time error at d = {', '.join(f'{d:.2f}' for d in bad)})" if bad else ""
+                note += f" (above the Lieb-Robinson bound {vmax:.2f})" if v > vmax else ""
                 print(f"d0={d0:6.3f} sites: v = {v:6.2f} +- {e:.2f} sites/us{note}")
         else:
             raise ValueError(f"unknown study {args.study!r}")
@@ -375,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--seed", type=int)
     p_cal.add_argument("--bound", type=float, default=1.6, help="planted disorder bound MHz")
     p_cal.add_argument("--shots", type=int, default=None)
-    p_cal.add_argument("--rounds", type=int, default=5)
+    p_cal.add_argument("--rounds", type=int, default=None, help="align rounds (default 5)")
     p_cal.add_argument("--out", required=True)
     p_cal.set_defaults(func=_cmd_calibrate)
 

@@ -39,25 +39,35 @@ from qwalk.sector import basis_state, enumerate_basis, populations
 J = 2.01
 
 
-def test_nelder_mead_quadratic():
-    res = nelder_mead(lambda x: float(np.sum((x - 3.0) ** 2)), np.zeros(4), scale=1.0)
+def _tight_simplex(monkeypatch, scale):
+    # the toy problems converge fully, past the disorder fit's loose stop
+    monkeypatch.setattr(calibration, "SIMPLEX_SCALE_MHZ", scale)
+    monkeypatch.setattr(calibration, "GLOBAL_COST_SPREAD", 1e-12)
+    monkeypatch.setattr(calibration, "GLOBAL_PARAM_SPREAD_MHZ", 1e-6)
+
+
+def test_nelder_mead_quadratic(monkeypatch):
+    _tight_simplex(monkeypatch, 1.0)
+    res = nelder_mead(lambda x: float(np.sum((x - 3.0) ** 2)), np.zeros(4))
     assert res.converged
     assert np.allclose(res.x, 3.0, atol=1e-5)
     assert res.fun < 1e-10
 
 
-def test_nelder_mead_anisotropic_valley():
+def test_nelder_mead_anisotropic_valley(monkeypatch):
     def f(x):
         return float((x[0] - 1) ** 2 + 30 * (x[1] + 2) ** 2 + 0.5)
 
-    res = nelder_mead(f, np.array([4.0, 4.0]), scale=0.7)
+    _tight_simplex(monkeypatch, 0.7)
+    res = nelder_mead(f, np.array([4.0, 4.0]))
     assert res.fun == pytest.approx(0.5, abs=1e-8)
     assert np.allclose(res.x, [1.0, -2.0], atol=1e-4)
 
 
 def test_nelder_mead_history_monotone(monkeypatch):
     monkeypatch.setattr(calibration, "RECORD_EVERY", 10)
-    res = nelder_mead(lambda x: float(np.sum(x**2)), np.ones(3), scale=0.5)
+    _tight_simplex(monkeypatch, 0.5)
+    res = nelder_mead(lambda x: float(np.sum(x**2)), np.ones(3))
     costs = [c for _, c, _ in res.history]
     assert all(b <= a + 1e-15 for a, b in zip(costs, costs[1:]))
     assert all(len(x) == 3 for _, _, x in res.history)
@@ -194,10 +204,11 @@ def test_fit_builds_each_star_hopping_once(monkeypatch):
 
 @st.composite
 def star_fits(draw):
-    """Stars of 2-5 sites over one shared parameter vector, sorted by size
-    (the kernel's group order), a time grid that includes t=0, random data
-    and a parameter point. Zero offsets on equal-coupling stars give
-    degenerate eigenvalues."""
+    """Stars of 2-5 sites over one shared parameter vector, each releasing the
+    walker on its hub (site 0) or on a leaf, sorted by size and source row
+    (the kernel's group order); a time grid that includes t=0, random data and
+    a parameter point. Zero offsets on equal-coupling stars give degenerate
+    eigenvalues."""
     n_params = 6
     symmetric = draw(st.booleans())
     times = tuple(sorted({0.0, *draw(st.lists(st.floats(1.0, 1000.0), min_size=1, max_size=6))}))
@@ -207,8 +218,9 @@ def star_fits(draw):
         sites = tuple(draw(st.permutations(range(n_params)))[:n])
         edges = tuple((0, k, J if symmetric else draw(st.floats(0.5, 3.0))) for k in range(1, n))
         data = rng.uniform(0.0, 1.0, (n, len(times)))
-        datasets.append(SwapDataset(sites[0], ActiveGraph(sites, edges), times, data))
+        datasets.append(SwapDataset(draw(st.sampled_from(sites)), ActiveGraph(sites, edges), times, data))
     x = np.zeros(n_params) if symmetric else rng.uniform(-3.0, 3.0, n_params)
+    datasets.sort(key=lambda ds: (ds.graph.n_sites, ds.graph.index[ds.center]))
     return datasets, x
 
 
@@ -217,13 +229,16 @@ def test_batched_residuals_and_jacobian(case):
     datasets, x = case
     kernel = calibration._SwapResiduals(datasets, {q: q for q in range(len(x))})
     per_star = [
-        single_excitation_populations(ds.graph, x[list(ds.graph.sites)], 0, ds.times_ns) - ds.populations
+        single_excitation_populations(ds.graph, x[list(ds.graph.sites)], ds.graph.index[ds.center], ds.times_ns)
+        - ds.populations
         for ds in datasets
     ]
     residuals = kernel.residuals(x)
     assert np.max(np.abs(residuals - np.concatenate([r.ravel() for r in per_star]))) < 1e-12
     assert kernel.cost(x) == pytest.approx(float(residuals @ residuals), rel=1e-12)
     jac = kernel.jacobian(x)
+    joint = kernel.residuals_and_jacobian(x)
+    assert np.array_equal(joint[0], residuals) and np.array_equal(joint[1], jac)
     h = 1e-5
     central = np.column_stack(
         [(kernel.residuals(x + h * e) - kernel.residuals(x - h * e)) / (2 * h) for e in np.eye(len(x))]
@@ -304,19 +319,60 @@ def test_alignment_overall_distance_monotone():
     assert res.residual_max_mhz < 1.6 * 0.8
 
 
-def test_interferometer_correction_is_keyed_by_layout_site(monkeypatch):
+def test_interferometer_correction_is_keyed_by_layout_site():
     # the optimizer works on the stage graphs' sorted site order; the returned
     # correction, applied to the device on top of the hidden map, must give
     # the detector population the optimizer reports
     layout = default_mz_layout()
     hidden = sample_disorder(layout.sites, 1.6, seed=13)
-    monkeypatch.setattr(calibration, "MAX_ITERATIONS", 300)
     opt = optimize_interferometer(CalibrationTwin(default_device(), hidden), layout)
     applied = DisorderMap({q: hidden.get(q) + opt.correction.get(q) for q in layout.sites})
     sc = mz_scenario("S", t_max_ns=650.0, step_ns=650.0).with_static_disorder(applied)
     detector = run_scenario(sc).site_series(sc.layout_names["D"])[-1]
     assert detector == pytest.approx(opt.detector_population, abs=1e-8)
     assert opt.detector_population > opt.initial_detector_population
+
+
+def test_interferometer_stage_gradients_match_central_differences(monkeypatch):
+    # each stage hands L-BFGS-B a (cost, gradient) objective; capture both
+    # and check the analytic gradients away from the optimizer's path
+    import scipy.optimize
+
+    real_minimize = scipy.optimize.minimize
+    objectives = []
+
+    def capturing_minimize(fun, x0, **kwargs):
+        objectives.append((fun, np.array(x0)))
+        return real_minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", capturing_minimize)
+    layout = default_mz_layout()
+    optimize_interferometer(CalibrationTwin(default_device(), sample_disorder(layout.sites, 1.6, seed=4)), layout)
+    assert [len(x0) for _, x0 in objectives] == [len(layout.sites) - 2, len(layout.sites)]
+    rng = np.random.default_rng(12)
+    h = 1e-5
+    for objective, x0 in objectives:
+        x = x0 + rng.uniform(-1.0, 1.0, len(x0))
+        cost, grad = objective(x)
+        assert cost < 0.0
+        central = np.array([(objective(x + h * e)[0] - objective(x - h * e)[0]) / (2 * h) for e in np.eye(len(x))])
+        assert np.max(np.abs(grad - central)) < 1e-7
+
+
+def test_interferometer_reaches_the_shared_optimum_from_seed_4():
+    # the correction has one free offset per site, so it cancels any hidden
+    # map and every seed reaches the same optimum; this seed's surface has a
+    # local optimum (product 0.1427, detector 0.8081) that traps a simplex
+    layout = default_mz_layout()
+    hidden = sample_disorder(layout.sites, 1.6, seed=4)
+    opt = optimize_interferometer(CalibrationTwin(default_device(), hidden), layout)
+    assert opt.stage1_product == pytest.approx(0.1670, abs=1e-4)
+    assert opt.detector_population == pytest.approx(0.8972, abs=1e-4)
+    for history in (opt.stage1_history, opt.stage2_history):
+        assert [it for it, _, _ in history] == list(range(1, len(history) + 1))
+        costs = [cost for _, cost, _ in history]
+        assert all(b <= a for a, b in zip(costs, costs[1:]))
+    assert opt.stage2_history[-1][1] == pytest.approx(-opt.detector_population, abs=1e-12)
 
 
 def test_zz_coupling_values():

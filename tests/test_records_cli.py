@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from qwalk import calibration
-from qwalk.analysis import disorder_velocity_study
+from qwalk.analysis import disorder_velocity_study, lr_bound
 from qwalk.cli import main
+from qwalk.device import DEFAULT_ANHARMONICITY_MHZ, DEFAULT_J_EFF_MHZ
 from qwalk.records import RecordWriter, ResultRecord, RunManifest, read_records, write_csv_matrix
 from qwalk.svg import render_heatmap
 
@@ -169,6 +170,8 @@ def test_cli_removed_scenario_field_is_unknown(tmp_path, capsys):
         ("disorder", ["--shots", "1"], "n_shots"),
         ("align", ["--shots", "1"], "n_shots"),
         ("interferometer", ["--shots", "5"], "--shots"),
+        ("disorder", ["--rounds", "7"], "--rounds"),
+        ("interferometer", ["--rounds", "7"], "--rounds"),
     ],
 )
 def test_cli_calibrate_bad_bound_or_shots_is_domain_error(tmp_path, capsys, task, flags, field):
@@ -215,6 +218,20 @@ def test_cli_distance_velocity_records_flag_unweighted_windows(tmp_path):
     assert [doc["payload"]["unweighted_front_distances"] for doc in docs] == [list(u) for u in study.unweighted]
     assert [doc["payload"]["weighted"] for doc in docs] == [not u for u in study.unweighted]
     assert not all(doc["payload"]["weighted"] for doc in docs)
+
+
+def test_cli_distance_velocity_flags_windows_above_the_lr_bound(tmp_path, capsys):
+    # a one-realisation ensemble reads 93.7 and 87.5 sites/us in its last two
+    # windows, far above the bound; the run still succeeds but says so
+    argv = ["analyze", "--study", "distance-velocity", "--seeds", "1", "--seed", "11000", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    payloads = [json.loads(line)["payload"] for line in (tmp_path / "records.jsonl").read_text().splitlines()]
+    vmax = lr_bound(DEFAULT_J_EFF_MHZ, DEFAULT_ANHARMONICITY_MHZ)
+    assert all(p["lr_bound"] == vmax for p in payloads)
+    flags = [p["above_lr_bound"] for p in payloads]
+    assert flags == [p["velocity"] > vmax for p in payloads]
+    assert flags[-2:] == [True, True]
+    assert capsys.readouterr().out.count("above the Lieb-Robinson bound") == sum(flags)
 
 
 def test_cli_analyze_velocity_records(tmp_path):
