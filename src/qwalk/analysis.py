@@ -305,11 +305,13 @@ def _diagonal_fronts(graph, origin: int, diagonal, disorders, times) -> tuple[tu
     block = np.repeat(basis_state(basis, {origin}).amplitudes[:, None], len(disorders), axis=1)
     rows = lookup(basis.keys, np.eye(graph.n_sites, dtype=bool)[[origin, *diagonal]])
 
-    def ensemble_correlation(x):
+    def population_products(x):
         p = np.abs(x[rows]) ** 2  # origin, then the diagonal sites (x columns)
-        return 4.0 * (0.0 - (p[0] * p[1:]).mean(axis=1))
+        return p[0] * p[1:]
 
-    acc = np.column_stack(propagate_block(h0.matrix, diagonals, block, times, observe=ensemble_correlation))
+    products = propagate_block(h0.matrix, diagonals, block, times, observe=population_products)
+    # averaged over every realisation after the call; 0.0 - keeps the t = 0 samples +0.0
+    acc = np.column_stack([4.0 * (0.0 - p.mean(axis=1)) for p in products])
     series = tuple(CorrelationSeries((origin, site), np.array(times), acc[row]) for row, site in enumerate(diagonal))
     fronts = tuple(fit_gaussian_front(s, distance=(row + 1) * SQRT2) for row, s in enumerate(series))
     return series, fronts

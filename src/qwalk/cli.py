@@ -92,9 +92,13 @@ def _parse_overrides(pairs) -> dict:
 def _parse_range(spec: str) -> np.ndarray:
     try:
         start, stop, n = spec.split(":")
-        return np.linspace(float(start), float(stop), int(n))
+        with np.errstate(all="ignore"):  # a non-finite bound is reported below, not warned about
+            values = np.linspace(float(start), float(stop), int(n))
     except Exception:
         raise ValueError(f"range {spec!r} is not start:stop:count") from None
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"range {spec!r} does not give finite values")
+    return values
 
 
 def _grid_snapshot(result, t_ns: float) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ import scipy.sparse as sp
 from .device import ActiveGraph, DisorderMap
 from .sector import SectorBasis, lookup
 
-__all__ = ["HamiltonianMatrix", "build_hamiltonian", "disorder_diagonals", "TWO_PI"]
+__all__ = ["HamiltonianMatrix", "build_hamiltonian", "disorder_diagonals", "offset_diagonals", "TWO_PI"]
 
 TWO_PI = 2.0 * np.pi
 
@@ -83,4 +83,10 @@ def disorder_diagonals(graph: ActiveGraph, basis: SectorBasis, disorders) -> np.
     """Sector diagonals in rad/us, one column per disorder map (dimension x maps):
     2*pi * the sum of the map's offsets on each state's occupied sites."""
     offsets = np.array([[d.get(s) for d in disorders] for s in graph.sites], dtype=np.float64)
+    return offset_diagonals(basis, offsets)
+
+
+def offset_diagonals(basis: SectorBasis, offsets: np.ndarray) -> np.ndarray:
+    """Sector diagonals in rad/us from per-site offsets in MHz (sites x columns):
+    2*pi * the sum of each column's offsets on each state's occupied sites."""
     return TWO_PI * (basis.occupancy_matrix() @ offsets)

@@ -18,7 +18,7 @@ from .device import (
     default_device,
 )
 from .evolution import evolve_unitary, propagate_block
-from .hamiltonian import HamiltonianMatrix, build_hamiltonian, disorder_diagonals
+from .hamiltonian import HamiltonianMatrix, build_hamiltonian, offset_diagonals
 from .measurement import ReadoutModel, ShotCounts, post_select, sample_shots
 from .sector import QuantumState, SectorBasis, basis_state, enumerate_basis, populations
 
@@ -453,10 +453,20 @@ def disorder_sweep(
     static = replace(scenario, step_d_left_mhz=0.0, step_d_right_mhz=0.0).disorder()
     graph, basis, psi0, h0 = _scenario_setup(scenario, device, static)
 
-    cells = [DisorderStepProtocol(dl, dr).offsets(layout) for dl in d_left_values for dr in d_right_values]
-    block = np.repeat(psi0.amplitudes[:, None], len(cells), axis=1)
+    # cell (i, j) steps the arms by d_left[i] and d_right[j]: an active arm
+    # site's offset is its unit-step pattern weight times its arm's step, set
+    # per arm rather than summed over both, so a negative step cannot turn an
+    # off-arm 0.0 into -0.0
+    units = (DisorderStepProtocol(1.0, 0.0).offsets(layout), DisorderStepProtocol(0.0, 1.0).offsets(layout))
+    steps = (np.repeat(d_left_values, len(d_right_values)), np.tile(d_right_values, len(d_left_values)))
+    offsets = np.zeros((graph.n_sites, len(steps[0])))
+    for unit, step in zip(units, steps):
+        weights = np.array([unit.get(s) for s in graph.sites])
+        on_arm = weights != 0.0
+        offsets[on_arm] = weights[on_arm, None] * step
+    block = np.repeat(psi0.amplitudes[:, None], offsets.shape[1], axis=1)
     (probabilities,) = propagate_block(
-        h0.matrix, disorder_diagonals(graph, basis, cells), block, (t_read,), observe=lambda x: np.abs(x) ** 2
+        h0.matrix, offset_diagonals(basis, offsets), block, (t_read,), observe=lambda x: np.abs(x) ** 2
     )
     detector = basis.occupancy_matrix()[:, graph.index[layout.detector]]
     values = (detector @ probabilities).reshape(len(d_left_values), len(d_right_values))

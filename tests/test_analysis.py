@@ -1,9 +1,11 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from qwalk import analysis, evolution
 from qwalk.analysis import (
     PIPELINE_TIMES_NS,
     SQRT2,
@@ -264,6 +266,26 @@ def test_ensemble_series_is_mean_of_single_realisations():
         mean = np.mean([single[row].values for single in alone], axis=0)
         assert np.max(np.abs(series.values - mean)) <= 1e-12
         assert np.any(series.values < -1e-3)
+
+
+@pytest.mark.filterwarnings("ignore:Covariance of the parameters could not be estimated")
+def test_study_is_independent_of_column_chunks(monkeypatch):
+    runs = []
+    fronts_of = analysis._diagonal_fronts
+    monkeypatch.setattr(analysis, "_diagonal_fronts", lambda *args: runs.append(fronts_of(*args)) or runs[-1])
+    whole = disorder_velocity_study(n_seeds=10, seed=11000)
+    # one column is (4 window samples + 3) x dim 225 x 16 B: chunks of 4, 4 and 2 realisations
+    monkeypatch.setattr(evolution, "CHUNK_BYTES", 4 * 7 * 225 * 16)
+    chunked = disorder_velocity_study(n_seeds=10, seed=11000)
+    (series_whole, _), (series_chunked, _) = runs
+    for a, b in zip(series_whole, series_chunked, strict=True):
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(np.signbit(a.values), np.signbit(b.values))  # t = 0 stays +0.0
+    for field in ("velocities", "std_errs", "unweighted"):
+        assert getattr(chunked, field) == getattr(whole, field), field
+    assert np.array_equal(
+        [astuple(f) for f in chunked.fronts], [astuple(f) for f in whole.fronts], equal_nan=True
+    )
 
 
 def test_velocity_pipeline_runs_and_respects_bound():

@@ -99,7 +99,7 @@ def test_time_additivity_and_reversibility():
 
 
 @st.composite
-def block_instances(draw):
+def block_instances(draw, cells=st.integers(1, 4)):
     """A random small graph, hard-core sector, per-cell diagonals and block of states."""
     n = draw(st.integers(2, 6))
     k = draw(st.integers(1, n - 1))
@@ -108,7 +108,7 @@ def block_instances(draw):
     edges = tuple((i, j, draw(st.floats(0.1, 5.0))) for i, j in sorted(chosen))
     g = ActiveGraph(tuple(range(n)), edges)
     b = enumerate_basis(n, k)
-    cells = draw(st.integers(1, 4))
+    cells = draw(cells)
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     offsets = rng.uniform(-3.0, 3.0, size=(n, cells))
@@ -153,6 +153,33 @@ def test_every_windowed_sample_matches_scipy_expm(instance, times):
             ref = expm(-1j * (t * 1e-3) * (dense + np.diag(diagonals[:, c]))) @ x[:, c]
             assert np.max(np.abs(y[:, c] - ref)) < 1e-10
         assert np.allclose(np.linalg.norm(y, axis=0), 1.0, atol=1e-12)
+
+
+@given(st.data(), sample_times())
+def test_column_chunks_match_the_whole_block_bit_for_bit(data, times):
+    # chunks of `width` columns, the last one `short` narrower
+    n_chunks = data.draw(st.integers(2, 3))
+    width = data.draw(st.integers(2, 4))
+    short = data.draw(st.integers(1, min(width, n_chunks) - 1))
+    h, diagonals, x = data.draw(block_instances(cells=st.just(n_chunks * width - short)))
+    column_bytes = (WINDOW_SAMPLES + 3) * h.dimension * 16
+    widths = []
+
+    def per_column(y):
+        widths.append(y.shape[1])
+        return np.abs(y[::2]) ** 2
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "CHUNK_BYTES", 2**62)
+        whole = [propagate_block(h.matrix, diagonals, x, times, observe) for observe in (None, per_column)]
+        assert widths == [x.shape[1]] * len(times)
+        widths.clear()
+        mp.setattr(evolution, "CHUNK_BYTES", width * column_bytes)
+        chunked = [propagate_block(h.matrix, diagonals, x, times, observe) for observe in (None, per_column)]
+    assert widths == [width] * len(times) * (n_chunks - 1) + [width - short] * len(times)
+    for ys, refs in zip(chunked, whole):
+        assert len(ys) == len(refs) == len(times)
+        assert all(np.array_equal(y, ref) for y, ref in zip(ys, refs))
 
 
 def test_equal_windows_share_one_coefficient_grid(monkeypatch):

@@ -269,6 +269,18 @@ def test_cli_non_finite_override_is_domain_error(tmp_path):
     assert doc["type"] == "ValueError" and "finite" in doc["error"]
 
 
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning must not leak out first
+@pytest.mark.parametrize("flag", ["--d-left", "--d-right"])
+@pytest.mark.parametrize("spec", ["0:nan:3", "0:inf:3"])
+def test_cli_sweep_non_finite_range_is_domain_error(tmp_path, capsys, flag, spec):
+    argv = ["sweep", "--scenario", "mz-single", "--d-left", "0:1:2", "--d-right", "0:1:2", flag, spec]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    doc = json.loads((tmp_path / "error.json").read_text())
+    assert doc["type"] == "ValueError" and spec in doc["error"] and "finite" in doc["error"]
+    assert capsys.readouterr().err == f"error: {doc['error']}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["error.json"]
+
+
 @pytest.mark.parametrize(
     "overrides",
     [

@@ -7,9 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qwalk.device import default_device, sample_disorder
+from qwalk.evolution import propagate_block
+from qwalk.hamiltonian import disorder_diagonals
 from qwalk.scenarios import (
     DisorderStepProtocol,
     Scenario,
+    _scenario_setup,
     ctqw_scenario,
     default_mz_layout,
     disorder_sweep,
@@ -240,6 +243,35 @@ def test_sweep_batched_matches_per_cell_runs():
         for j, dr in enumerate(d_right):
             cell = replace(sc, step_d_left_mhz=dl, step_d_right_mhz=dr, times_ns=(650.0,))
             assert abs(grid.values[i, j] - run_scenario(cell).site_series(detector)[0]) < 1e-10
+
+
+def _per_cell_sweep(sc, d_left, d_right, t_read):
+    """The sweep grid built cell by cell: a DisorderStepProtocol map per cell
+    through disorder_diagonals, then the same block propagation."""
+    layout = layout_from_names(sc.layout_names)
+    static = replace(sc, step_d_left_mhz=0.0, step_d_right_mhz=0.0).disorder()
+    graph, basis, psi0, h0 = _scenario_setup(sc, default_device(), static)
+    cells = [DisorderStepProtocol(dl, dr).offsets(layout) for dl in d_left for dr in d_right]
+    block = np.repeat(psi0.amplitudes[:, None], len(cells), axis=1)
+    (p,) = propagate_block(h0.matrix, disorder_diagonals(graph, basis, cells), block, (t_read,))
+    detector = basis.occupancy_matrix()[:, graph.index[layout.detector]]
+    return (detector @ (np.abs(p) ** 2)).reshape(len(d_left), len(d_right))
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [
+        mz_scenario("S"),
+        mz_scenario({"L1", "R1"}).with_static_disorder(sample_disorder(default_mz_layout().sites, 0.4, seed=2)),
+        mz_scenario("S", blocked=True),  # R1 and R10 are outside the active graph
+    ],
+)
+def test_sweep_diagonals_match_per_cell_maps(sc):
+    # a non-square grid with negative steps, the CLI's --d-left -1:2:7 --d-right 0.3:1.1:5
+    d_left, d_right = np.linspace(-1.0, 2.0, 7), np.linspace(0.3, 1.1, 5)
+    grid = disorder_sweep(sc, d_left, d_right, readout_time_ns=650.0)
+    assert grid.values.shape == (7, 5)
+    assert np.array_equal(grid.values, _per_cell_sweep(sc, d_left, d_right, 650.0))
 
 
 def test_sweep_rejects_bad_input():
