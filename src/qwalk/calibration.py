@@ -82,64 +82,35 @@ class NelderMeadResult:
 
 
 def nelder_mead(f, x0) -> NelderMeadResult:
-    """Downhill simplex with the standard coefficients (reflect 1, expand 2,
-    contract 0.5, shrink 0.5). Initial simplex: x0 plus unit perturbations of
-    size SIMPLEX_SCALE_MHZ along each coordinate. Stops once the cost spread
-    and the parameter spread of the simplex are within GLOBAL_COST_SPREAD and
-    GLOBAL_PARAM_SPREAD_MHZ, or after MAX_ITERATIONS; the best point is
-    recorded every RECORD_EVERY iterations."""
+    """SciPy's Nelder-Mead from x0 plus SIMPLEX_SCALE_MHZ along each coordinate.
+
+    Stops once the simplex's parameter spread and cost spread are within
+    GLOBAL_PARAM_SPREAD_MHZ and GLOBAL_COST_SPREAD (SciPy's `xatol` and
+    `fatol`), or after MAX_ITERATIONS. The history holds the best point after
+    iteration 1 and every RECORD_EVERY-th iteration, then the final point;
+    `n_iterations` and `n_evaluations` are SciPy's `nit` and `nfev`.
+    """
+    from scipy.optimize import minimize  # imported on use: no CLI start-up cost
+
     x0 = np.asarray(x0, dtype=float)
-    n = len(x0)
-    simplex = [x0.copy()]
-    for i in range(n):
-        v = x0.copy()
-        v[i] += SIMPLEX_SCALE_MHZ
-        simplex.append(v)
-    fvals = [float(f(v)) for v in simplex]
-    n_eval = n + 1
     history = []
-    converged = False
-    it = 0
-    for it in range(1, MAX_ITERATIONS + 1):
-        order = np.argsort(fvals)
-        simplex = [simplex[k] for k in order]
-        fvals = [fvals[k] for k in order]
-        if it % RECORD_EVERY == 0 or it == 1:
-            history.append((it, fvals[0], simplex[0].copy()))
-        f_spread = fvals[-1] - fvals[0]
-        x_spread = float(np.max(np.abs(np.array(simplex[1:]) - simplex[0])))
-        if f_spread <= GLOBAL_COST_SPREAD and x_spread <= GLOBAL_PARAM_SPREAD_MHZ:
-            converged = True
-            break
-        centroid = np.mean(simplex[:-1], axis=0)
-        xr = centroid + (centroid - simplex[-1])
-        fr = float(f(xr))
-        n_eval += 1
-        if fr < fvals[0]:
-            xe = centroid + 2.0 * (centroid - simplex[-1])
-            fe = float(f(xe))
-            n_eval += 1
-            if fe < fr:
-                simplex[-1], fvals[-1] = xe, fe
-            else:
-                simplex[-1], fvals[-1] = xr, fr
-        elif fr < fvals[-2]:
-            simplex[-1], fvals[-1] = xr, fr
-        else:
-            xc = centroid + 0.5 * (simplex[-1] - centroid)
-            fc = float(f(xc))
-            n_eval += 1
-            if fc < fvals[-1]:
-                simplex[-1], fvals[-1] = xc, fc
-            else:
-                for i in range(1, n + 1):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    fvals[i] = float(f(simplex[i]))
-                    n_eval += 1
-    order = np.argsort(fvals)
-    best = int(order[0])
-    history.append((it, fvals[best], simplex[best].copy()))
-    return NelderMeadResult(simplex[best], fvals[best], n_eval, it, converged, history)
+    iteration = 0
+
+    def record(intermediate_result):
+        nonlocal iteration
+        iteration += 1
+        if iteration == 1 or iteration % RECORD_EVERY == 0:
+            history.append((iteration, float(intermediate_result.fun), intermediate_result.x.copy()))
+
+    options = {
+        "initial_simplex": np.vstack([x0, x0 + SIMPLEX_SCALE_MHZ * np.eye(len(x0))]),
+        "xatol": GLOBAL_PARAM_SPREAD_MHZ,
+        "fatol": GLOBAL_COST_SPREAD,
+        "maxiter": MAX_ITERATIONS,
+    }
+    res = minimize(f, x0, method="Nelder-Mead", callback=record, options=options)
+    history.append((res.nit, float(res.fun), res.x.copy()))
+    return NelderMeadResult(res.x, float(res.fun), res.nfev, res.nit, res.success, history)
 
 
 # ---------------------------------------------------------------------------

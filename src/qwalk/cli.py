@@ -171,7 +171,13 @@ def _cmd_sweep(args) -> int:
     outputs = ["fringe.csv", "fringe.svg", "records.jsonl"]
     with RunManifest(scenario.name + "-sweep", scenario.seed, __version__, str(out), outputs=outputs):
         grid = disorder_sweep(scenario, d_left, d_right, args.time)
-        (out / "fringe.csv").write_text(grid.to_csv())
+        write_csv_matrix(
+            out / "fringe.csv",
+            grid.values,
+            row_labels=[repr(float(d)) for d in grid.d_left_values],
+            col_labels=[repr(float(d)) for d in grid.d_right_values],
+            corner="d_left_mhz\\d_right_mhz",
+        )
         (out / "fringe.svg").write_text(
             render_heatmap(
                 grid.values,

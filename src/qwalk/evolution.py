@@ -158,9 +158,10 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
     the real `diagonals` (dim x cells) is added to its diagonal for column c of
     `block`, the states at t = 0. Times are in ns, taken in order from t = 0;
     a step between them may be negative or zero. Returns one array per sample
-    time: `observe` applied to each column chunk of X(t), concatenated along
-    the last axis, by default the blocks themselves. `observe` maps a
-    dim x c chunk to an array whose last axis holds those c columns in order.
+    time: `observe` applied to each column chunk of X(t), written into that
+    chunk's columns along the last axis, by default the blocks themselves.
+    `observe` maps a dim x c chunk to an array whose last axis holds those c
+    columns in order.
 
     Every column's spectrum lies in one Gershgorin interval [a - b, a + b] over
     the whole block, so one rescaled Chebyshev recurrence serves all columns.
@@ -222,7 +223,10 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
         plan.append((window, grids[offsets]))
         t_start = window[-1]
 
-    def propagate_chunk(x, chunk_diagonals):
+    n_columns = x.shape[1]
+    samples = [None] * len(times)  # one output array per sample time, filled chunk by chunk
+
+    def propagate_chunk(x, chunk_diagonals, columns):
         # the real view interleaves (re, im) columns, so each diagonal column repeats
         scaled_diag = np.repeat((chunk_diagonals - shift) * inverse_width, 2, axis=1)
 
@@ -233,7 +237,7 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
             return hv.view(np.complex128)
 
         norms0 = np.linalg.norm(x, axis=0)
-        out = []
+        sample = 0
         for window, coeffs in plan:
             y = coeffs[:, 0, None, None] * x
             prev, cur = None, x
@@ -248,21 +252,21 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
                 drift = np.abs(np.linalg.norm(yt, axis=0) - norms0)
                 if not np.all(drift <= NORM_TOL):
                     raise EvolutionError(f"norm drifted by {np.max(drift)} at t={t} ns")
-                out.append(yt if observe is None else observe(yt))
+                observed = yt if observe is None else observe(yt)
+                if samples[sample] is None:
+                    samples[sample] = np.empty(observed.shape[:-1] + (n_columns,), observed.dtype)
+                samples[sample][..., columns] = observed
+                sample += 1
             x = y[-1]
-        return out
 
     # the fewest chunks within CHUNK_BYTES, of equal width but the last; a
     # zero-column block runs as one empty chunk
-    n_columns = x.shape[1]
     column_bytes = (min(WINDOW_SAMPLES, len(times)) + 3) * x.shape[0] * x.itemsize
     n_chunks = max(1, -(-n_columns * column_bytes // CHUNK_BYTES))
     width = max(1, -(-n_columns // n_chunks))
-    chunks = [
-        propagate_chunk(np.ascontiguousarray(x[:, c : c + width]), diagonals[:, c : c + width])
-        for c in range(0, max(1, n_columns), width)
-    ]
-    return [np.concatenate(samples, axis=-1) for samples in zip(*chunks)]
+    for c in range(0, max(1, n_columns), width):
+        propagate_chunk(np.ascontiguousarray(x[:, c : c + width]), diagonals[:, c : c + width], slice(c, c + width))
+    return samples
 
 
 def evolve_unitary(h: HamiltonianMatrix, psi0: QuantumState, times_ns) -> list[tuple[float, QuantumState]]:

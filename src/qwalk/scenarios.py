@@ -196,6 +196,10 @@ class Scenario:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.n_shots is not None and not (_is_int(self.n_shots) and self.n_shots > 0):
             raise ValueError(f"n_shots must be a positive integer or null, got {self.n_shots!r}")
+        for name in ("post_select", "blocked", "removed"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be true or false, got {value!r}")
 
     @property
     def n_excitations(self) -> int:
@@ -404,16 +408,19 @@ class FringeGrid:
     readout_time_ns: float
     detector: str
 
-    def to_csv(self) -> str:
-        lines = ["d_left_mhz\\d_right_mhz," + ",".join(repr(float(v)) for v in self.d_right_values)]
-        for i, dl in enumerate(self.d_left_values):
-            row = ",".join(repr(float(x)) for x in self.values[i])
-            lines.append(f"{float(dl)!r},{row}")
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_csv(cls, text: str, readout_time_ns: float = 0.0, detector: str = "D") -> "FringeGrid":
-        rows = [line.split(",") for line in text.strip().splitlines()]
+        """Parse a fringe CSV: a header of a corner cell and the d_right values,
+        then one row per d_left value with as many fields as the header. A
+        malformed file raises ValueError naming its line."""
+        rows = [line.split(",") for line in text.rstrip().splitlines()]
+        if not rows or len(rows[0]) < 2:
+            raise ValueError("fringe CSV line 1: no header of a corner cell and d_right values")
+        if len(rows) == 1:
+            raise ValueError("fringe CSV has no data rows after the header on line 1")
+        for number, row in enumerate(rows[1:], start=2):
+            if len(row) != len(rows[0]):
+                raise ValueError(f"fringe CSV line {number} has {len(row)} fields, the header has {len(rows[0])}")
         d_right = tuple(float(x) for x in rows[0][1:])
         d_left = tuple(float(r[0]) for r in rows[1:])
         values = np.array([[float(x) for x in r[1:]] for r in rows[1:]])

@@ -73,6 +73,26 @@ def test_nelder_mead_history_monotone(monkeypatch):
     assert all(len(x) == 3 for _, _, x in res.history)
 
 
+def test_nelder_mead_counts_every_objective_call_and_ends_its_history_on_the_result():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return float(np.sum((x - 1.0) ** 2))
+
+    res = nelder_mead(f, np.zeros(4))
+    assert res.n_evaluations == len(calls)  # calibration.cost_evals relies on it
+    iteration, cost, x = res.history[-1]
+    assert (iteration, cost) == (res.n_iterations, res.fun) and np.array_equal(x, res.x)
+
+
+def test_nelder_mead_iteration_cap_is_not_convergence(monkeypatch):
+    monkeypatch.setattr(calibration, "MAX_ITERATIONS", 3)
+    res = nelder_mead(lambda x: float(np.sum((x - 1.0) ** 2)), np.zeros(4))
+    assert not res.converged
+    assert res.n_iterations == 3
+
+
 def test_single_excitation_kernel_matches_engine():
     # the fast calibration kernel and the generic sector engine are two routes
     # to the same populations
@@ -257,6 +277,18 @@ def test_fit_recovers_seed_23_trapped_in_the_first_starts():
     truth = canonical_gauge({q: hidden.get(q) for q in qubits})
     assert max(abs(fit.disorder.get(q) - truth[q]) for q in qubits) < 0.05
     assert fit.n_starts > 1 and fit.cost <= fit.accept_cost
+
+
+@pytest.mark.parametrize("seed", [0, 12, 17, 39])
+def test_fit_recovers_planted_disorder_3x3(seed):
+    # noiseless twins of `calibrate --task disorder` whose early starts can end
+    # in local minima
+    device = subgrid_device(4, 0, 3, 3)
+    qubits = device.functional_qubits
+    hidden = sample_disorder(qubits, 1.6, seed)
+    fit = fit_disorder_map([generate_swap_data(CalibrationTwin(device, hidden, seed=seed), q) for q in qubits])
+    truth = canonical_gauge({q: hidden.get(q) for q in qubits})
+    assert max(abs(fit.disorder.get(q) - truth[q]) for q in qubits) < 0.05
 
 
 def test_fit_without_an_accepted_start_raises(monkeypatch):

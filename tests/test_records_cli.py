@@ -144,6 +144,23 @@ def test_cli_sweep_and_render(tmp_path):
     assert dst.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("x,1,2\n0,1\n", "line 2"),  # a row shorter than the header
+        ("", "line 1"),  # no header at all
+        ("d_left_mhz\\d_right_mhz,0.0,1.0\n", "line 1"),  # a header and no data rows
+    ],
+)
+def test_cli_render_rejects_malformed_csv(tmp_path, capsys, text, line):
+    src = tmp_path / "fringe.csv"
+    src.write_text(text)
+    assert main(["render", "--input", str(src), "--out", str(tmp_path / "r.svg")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and line in err and "Traceback" not in err
+    assert not (tmp_path / "r.svg").exists()
+
+
 def test_cli_bad_override_is_domain_error(tmp_path):
     code = main(["run", "--scenario", "mz-single", "--out", str(tmp_path / "x"), "--override", "nonsense=1"])
     assert code == 1
@@ -291,6 +308,9 @@ def test_cli_sweep_non_finite_range_is_domain_error(tmp_path, capsys, flag, spec
         ('seed="abc"',),
         ("n_shots=100", 'seed="abc"'),
         ("n_shots=100", "seed=1.5"),
+        ("n_shots=100", 'post_select="no"'),  # a truthy string would still post-select
+        ("blocked=1",),
+        ("removed=null",),
     ],
 )
 def test_cli_bad_seed_or_shots_is_domain_error(tmp_path, overrides, capsys):

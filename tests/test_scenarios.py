@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qwalk.cli import main
 from qwalk.device import default_device, sample_disorder
 from qwalk.evolution import propagate_block
 from qwalk.hamiltonian import disorder_diagonals
 from qwalk.scenarios import (
     DisorderStepProtocol,
+    FringeGrid,
     Scenario,
     _scenario_setup,
     ctqw_scenario,
@@ -281,12 +283,13 @@ def test_sweep_rejects_bad_input():
         disorder_sweep(mz_scenario("S"), [], [0.0])
 
 
-def test_fringe_grid_csv_round_trip():
-    sc = mz_scenario("S")
-    grid = disorder_sweep(sc, [0.0, 0.5], [0.0, 1.0])
-    again = type(grid).from_csv(grid.to_csv())
-    assert np.array_equal(np.asarray(again.values), np.asarray(grid.values))
-    assert again.d_left_values == grid.d_left_values
+def test_fringe_grid_csv_round_trip(tmp_path):
+    grid = disorder_sweep(mz_scenario("S"), [0.0, 0.5], [0.0, 1.0])
+    argv = ["sweep", "--scenario", "mz-single", "--d-left", "0:0.5:2", "--d-right", "0:1:2", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    again = FringeGrid.from_csv((tmp_path / "fringe.csv").read_text())
+    assert np.array_equal(again.values, grid.values)
+    assert again.d_left_values == grid.d_left_values and again.d_right_values == grid.d_right_values
 
 
 def test_run_scenario_with_shots_and_post_selection():
