@@ -56,24 +56,14 @@ _BUILTIN_SCENARIOS = {
 }
 
 
-def _load_scenario(ref: str) -> Scenario:
+def _load_scenario(ref: str) -> dict:
+    """The scenario document of a builtin name or a JSON file; `Scenario.from_dict` checks it."""
     if ref in _BUILTIN_SCENARIOS:
-        return _BUILTIN_SCENARIOS[ref]()
+        return _BUILTIN_SCENARIOS[ref]().to_dict()
     path = Path(ref)
     if not path.exists():
         raise ValueError(f"scenario file {ref!r} does not exist (builtins: {', '.join(sorted(_BUILTIN_SCENARIOS))})")
-    return Scenario.from_dict(json.loads(path.read_text()))
-
-
-def _apply_overrides(scenario: Scenario, overrides: dict) -> Scenario:
-    if not overrides:
-        return scenario
-    doc = scenario.to_dict()
-    for key, value in overrides.items():
-        if key not in doc:
-            raise ValueError(f"unknown scenario field {key!r}")
-        doc[key] = value
-    return Scenario.from_dict(doc)
+    return json.loads(path.read_text())
 
 
 def _parse_overrides(pairs) -> dict:
@@ -114,13 +104,12 @@ def _grid_snapshot(result, t_ns: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cmd_run(args) -> int:
-    scenario = _load_scenario(args.scenario)
+    doc = _load_scenario(args.scenario)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)  # once the scenario is known, any failure leaves error.json here
+    out.mkdir(parents=True, exist_ok=True)  # once the scenario is found, any failure leaves error.json here
     overrides = _parse_overrides(args.override)
-    scenario = _apply_overrides(scenario, overrides)
-    if args.seed is not None:
-        scenario = _apply_overrides(scenario, {"seed": args.seed})
+    seed = {} if args.seed is None else {"seed": args.seed}
+    scenario = Scenario.from_dict({**doc, **overrides, **seed})
     outputs = ["records.jsonl", "populations.csv", "snapshot.svg"]
     with RunManifest(scenario.name, scenario.seed, __version__, str(out), overrides, outputs) as manifest:
         result = run_scenario(scenario)
@@ -160,12 +149,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    scenario = _load_scenario(args.scenario)
+    doc = _load_scenario(args.scenario)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)  # once the scenario is known, any failure leaves error.json here
-    scenario = _apply_overrides(scenario, _parse_overrides(args.override))
-    if scenario.kind != "mz":
-        raise ValueError("sweep needs an interferometer scenario")
+    out.mkdir(parents=True, exist_ok=True)  # once the scenario is found, any failure leaves error.json here
+    scenario = Scenario.from_dict({**doc, **_parse_overrides(args.override)})
     d_left = _parse_range(args.d_left)
     d_right = _parse_range(args.d_right)
     outputs = ["fringe.csv", "fringe.svg", "records.jsonl"]

@@ -89,6 +89,12 @@ WINDOW_SAMPLES = 4
 # A one-column block (`walk`) is one chunk under any budget.
 CHUNK_BYTES = 1 << 20
 
+# Largest Bessel argument half_width * max|dt| of a propagate_block window, in
+# rad: about its number of Chebyshev terms (the workloads use at most ~86).
+# At the cap, a 989 us step of `walk`'s dim-1891 block took 6.3-6.9 s on a
+# 2-core x86_64 machine with BLAS on one thread; past it the engine raises.
+MAX_WINDOW_ARGUMENT = 1e5
+
 # (-i)^k for k mod 4, exact in complex arithmetic
 _MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
@@ -173,9 +179,10 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
     coefficient grid depends only on b and the in-window offsets, and is
     cached per distinct tuple of offsets. Each window's samples are cut at
     TOLERANCE / n_windows, so the truncation errors summed over the windows
-    up to the last sample stay below TOLERANCE. The recurrence runs on the
-    float64 view of the complex block: each term is one real
-    sparse-times-dense product.
+    up to the last sample stay below TOLERANCE. A window whose Bessel argument
+    b |dt_j| exceeds MAX_WINDOW_ARGUMENT raises EvolutionError before any
+    coefficient is built. The recurrence runs on the float64 view of the
+    complex block: each term is one real sparse-times-dense product.
 
     The columns run in chunks of equal width (the last may be narrower), as
     many as keep each chunk's (window samples + 3) x dim complex working set
@@ -217,9 +224,12 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
         offsets = tuple(t - t_start for t in window)
         if offsets not in grids:
             dt = np.array(offsets) * NS_TO_US
-            grids[offsets] = np.exp(-1j * shift * dt)[:, None] * _chebyshev_coefficients(
-                half_width * dt, window_tolerance
-            )
+            z = half_width * dt
+            far = int(np.argmax(np.abs(z)))
+            if abs(z[far]) > MAX_WINDOW_ARGUMENT:
+                raise EvolutionError(f"sample time {window[far]!r} ns is too far from {t_start!r} ns for one "
+                                     f"window: it needs about {abs(z[far]):.3g} terms, more than {MAX_WINDOW_ARGUMENT:.0e}")
+            grids[offsets] = np.exp(-1j * shift * dt)[:, None] * _chebyshev_coefficients(z, window_tolerance)
         plan.append((window, grids[offsets]))
         t_start = window[-1]
 

@@ -5,7 +5,7 @@ and fringe-grid sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -37,7 +37,7 @@ __all__ = [
     "SCHEMA_VERSION",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Triangular detuning pattern along a 10-site arm: ramps d..5d then back down.
 _STEP_PATTERN = (1, 2, 3, 4, 5, 5, 4, 3, 2, 1)
@@ -114,8 +114,14 @@ def default_mz_layout() -> MZLayout:
 
 
 def layout_from_names(names: dict) -> MZLayout:
-    q = lambda n: QubitId.parse(names[n])
-    n_arm = sum(1 for key in names if key.startswith("L"))
+    """The layout of site names S, BS1, L1..Ln, R1..Rn, BS2, D mapped to qubit labels."""
+
+    def q(name):
+        if name not in names:
+            raise ValueError(f"layout has no site {name!r}")
+        return QubitId.parse(names[name])
+
+    n_arm = max(1, sum(1 for key in names if key.startswith("L")))  # an arm has at least L1 / R1
     return MZLayout(
         source=q("S"),
         splitter=q("BS1"),
@@ -147,34 +153,37 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _labels(value) -> tuple:
+    return tuple(QubitId.parse(label).label for label in value)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A fully specified runnable experiment on the device.
 
     `static_disorder_mhz` holds persistent per-site detunings (residual device
-    disorder, planted twin disorder); interferometer scenarios additionally
-    carry the protocol steps, materialized against the layout at run time.
+    disorder, planted twin disorder). A scenario is an interferometer exactly
+    when it carries `layout_names`; only then may it carry the protocol
+    steps, materialized against the layout at run time. A field's `convert`
+    metadata turns its JSON value into the field's type in `from_dict`.
     """
 
-    name: str
-    kind: str  # "ctqw" | "mz"
-    active: tuple  # qubit labels
-    sources: tuple  # qubit labels
-    times_ns: tuple
-    static_disorder_mhz: dict = field(default_factory=dict)  # label -> MHz
-    step_d_left_mhz: float = 0.0
-    step_d_right_mhz: float = 0.0
-    readout_time_ns: float | None = None
+    name: str = field(metadata={"convert": str})
+    active: tuple = field(metadata={"convert": _labels})
+    sources: tuple = field(metadata={"convert": _labels})
+    times_ns: tuple = field(metadata={"convert": lambda v: tuple(map(float, v))})
+    static_disorder_mhz: dict = field(  # label -> MHz
+        default_factory=dict, metadata={"convert": lambda v: {k: float(x) for k, x in v.items()}}
+    )
+    step_d_left_mhz: float = field(default=0.0, metadata={"convert": float})
+    step_d_right_mhz: float = field(default=0.0, metadata={"convert": float})
+    readout_time_ns: float | None = field(default=None, metadata={"convert": lambda v: None if v is None else float(v)})
     n_shots: int | None = None
     post_select: bool = True
     seed: int = 0
-    blocked: bool = False
-    removed: bool = False
-    layout_names: dict = field(default_factory=dict)  # site name -> label, mz only
+    layout_names: dict = field(default_factory=dict, metadata={"convert": dict})  # site name -> label
 
     def __post_init__(self):
-        if self.kind not in ("ctqw", "mz"):
-            raise ValueError(f"unknown scenario kind {self.kind!r}")
         if not self.active:
             raise ValueError("scenario has an empty active set")
         missing = [s for s in self.sources if s not in self.active]
@@ -196,10 +205,17 @@ class Scenario:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.n_shots is not None and not (_is_int(self.n_shots) and self.n_shots > 0):
             raise ValueError(f"n_shots must be a positive integer or null, got {self.n_shots!r}")
-        for name in ("post_select", "blocked", "removed"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ValueError(f"{name} must be true or false, got {value!r}")
+        if not isinstance(self.post_select, bool):
+            raise ValueError(f"post_select must be true or false, got {self.post_select!r}")
+        if self.layout_names:
+            try:
+                layout_from_names(self.layout_names)
+            except (TypeError, AttributeError, ValueError) as exc:
+                raise ValueError(f"layout_names is not an interferometer layout: {exc}") from None
+        else:
+            for name in ("step_d_left_mhz", "step_d_right_mhz"):
+                if getattr(self, name):
+                    raise ValueError(f"{name} needs an interferometer: the scenario has no layout_names")
 
     @property
     def n_excitations(self) -> int:
@@ -207,7 +223,7 @@ class Scenario:
 
     def disorder(self) -> DisorderMap:
         offsets = {QubitId.parse(k): float(v) for k, v in self.static_disorder_mhz.items()}
-        if self.kind == "mz" and (self.step_d_left_mhz or self.step_d_right_mhz) and self.layout_names:
+        if self.step_d_left_mhz or self.step_d_right_mhz:
             layout = layout_from_names(self.layout_names)
             steps = DisorderStepProtocol(self.step_d_left_mhz, self.step_d_right_mhz).offsets(layout)
             for q, v in steps.offsets.items():
@@ -215,47 +231,37 @@ class Scenario:
         return DisorderMap(offsets)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "name": self.name,
-            "kind": self.kind,
-            "active": list(self.active),
-            "sources": list(self.sources),
-            "times_ns": list(self.times_ns),
-            "static_disorder_mhz": dict(sorted(self.static_disorder_mhz.items())),
-            "step_d_left_mhz": self.step_d_left_mhz,
-            "step_d_right_mhz": self.step_d_right_mhz,
-            "readout_time_ns": self.readout_time_ns,
-            "n_shots": self.n_shots,
-            "post_select": self.post_select,
-            "seed": self.seed,
-            "blocked": self.blocked,
-            "removed": self.removed,
-            "layout_names": dict(sorted(self.layout_names.items())),
-        }
+        """The scenario's JSON document: tuples as lists, maps sorted by key."""
+        doc = {"schema_version": SCHEMA_VERSION}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, dict):
+                value = dict(sorted(value.items()))
+            doc[f.name] = list(value) if isinstance(value, tuple) else value
+        return doc
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        version = data.get("schema_version")
+        """The scenario a `to_dict` document describes. A wrong schema version,
+        an unknown or missing field, or a value of the wrong type raises
+        ValueError naming the field."""
+        version = data.get("schema_version") if isinstance(data, dict) else None
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported scenario schema version {version!r}")
-        return cls(
-            name=data["name"],
-            kind=data["kind"],
-            active=tuple(data["active"]),
-            sources=tuple(data["sources"]),
-            times_ns=tuple(float(t) for t in data["times_ns"]),
-            static_disorder_mhz={k: float(v) for k, v in data.get("static_disorder_mhz", {}).items()},
-            step_d_left_mhz=float(data.get("step_d_left_mhz", 0.0)),
-            step_d_right_mhz=float(data.get("step_d_right_mhz", 0.0)),
-            readout_time_ns=data.get("readout_time_ns"),
-            n_shots=data.get("n_shots"),
-            post_select=data.get("post_select", True),
-            seed=data.get("seed", 0),
-            blocked=data.get("blocked", False),
-            removed=data.get("removed", False),
-            layout_names=data.get("layout_names", {}),
-        )
+        known = {f.name: f for f in fields(cls)}
+        unknown = [key for key in data if key not in known and key != "schema_version"]
+        if unknown:
+            raise ValueError(f"unknown scenario field {unknown[0]!r}")
+        values = {}
+        for name in [key for key in known if key in data]:
+            try:
+                values[name] = known[name].metadata.get("convert", lambda v: v)(data[name])
+            except (TypeError, ValueError, AttributeError) as exc:
+                raise ValueError(f"{name} cannot be read from {data[name]!r}: {exc}") from None
+        missing = [name for name, f in known.items() if name not in data and f.default is f.default_factory is MISSING]
+        if missing:
+            raise ValueError(f"{missing[0]} is missing from the scenario")
+        return cls(**values)
 
     def with_static_disorder(self, disorder: DisorderMap) -> "Scenario":
         offsets = {q.label if isinstance(q, QubitId) else str(q): float(v) for q, v in disorder.offsets.items()}
@@ -282,7 +288,6 @@ def ctqw_scenario(
     times = tuple(np.arange(0.0, t_max_ns + 1e-9, step_ns)) if t_max_ns > 0 else (0.0,)
     return Scenario(
         name=f"ctqw-{len(walker_labels)}walker",
-        kind="ctqw",
         active=tuple(sorted(functional)),
         sources=walker_labels,
         times_ns=times,
@@ -334,7 +339,6 @@ def mz_scenario(
         name="mz-" + "".join(sorted(source_names)).lower()
         + ("-blocked" if blocked else "")
         + ("-removed" if removed else ""),
-        kind="mz",
         active=active,
         sources=tuple(sorted(names[s].label for s in source_names)),
         times_ns=times,
@@ -343,8 +347,6 @@ def mz_scenario(
         readout_time_ns=readout_time_ns,
         n_shots=n_shots,
         seed=seed,
-        blocked=blocked,
-        removed=removed,
         layout_names={k: v.label for k, v in names.items()},
     )
 
@@ -441,10 +443,8 @@ def disorder_sweep(
     so that part is built once and all cells propagate as one block, with
     one step diagonal per cell.
     """
-    if scenario.kind != "mz":
-        raise ValueError("disorder sweeps are defined for interferometer scenarios")
     if not scenario.layout_names:
-        raise ValueError("interferometer scenario carries no layout")
+        raise ValueError("disorder sweeps need an interferometer scenario, one with layout_names")
     d_left_values = tuple(float(v) for v in d_left_values)
     d_right_values = tuple(float(v) for v in d_right_values)
     if not d_left_values or not d_right_values:

@@ -236,6 +236,25 @@ def test_engine_rejects_non_finite_input():
             propagate_block(h.matrix, np.zeros((b.dimension, 1)), x, (10.0, t))
 
 
+def test_engine_rejects_a_window_past_the_term_cap(monkeypatch):
+    _, b, h = chain_instance(4)
+    x = basis_state(b, {0}).amplitudes[:, None]
+    zeros = np.zeros((b.dimension, 1))
+    with pytest.raises(EvolutionError, match="sample time 1000000000.0 ns is too far from 0.0 ns"):
+        propagate_block(h.matrix, zeros, x, (10.0, 1e9))
+    # a zero diagonal puts the Gershgorin half-width at the largest absolute row sum
+    half_width = float(abs(h.matrix).sum(axis=1).max())
+    monkeypatch.setattr(evolution, "MAX_WINDOW_ARGUMENT", 50.0)
+    t_cap = 50.0 / half_width / evolution.NS_TO_US
+    (y,) = propagate_block(h.matrix, zeros, x, (0.9 * t_cap,))
+    assert np.linalg.norm(y) == pytest.approx(1.0)
+    with pytest.raises(EvolutionError, match="too far from 0.0 ns"):
+        propagate_block(h.matrix, zeros, x, (1.1 * t_cap,))
+    # the cap bounds each window's reach from its start, not the last time
+    times = 0.2 * t_cap * np.arange(1, 3 * WINDOW_SAMPLES + 1)
+    assert len(propagate_block(h.matrix, zeros, x, times)) == len(times)
+
+
 def test_dimension_mismatch():
     _, b, h = chain_instance(4)
     other = basis_state(enumerate_basis(5, 1), {0})

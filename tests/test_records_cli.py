@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,12 +171,51 @@ def test_cli_bad_override_is_domain_error(tmp_path):
 
 
 def test_cli_removed_scenario_field_is_unknown(tmp_path, capsys):
-    out = tmp_path / "x"
-    argv = ["run", "--scenario", "mz-two", "--out", str(out), "--override", "interaction_frequency_ghz=7.0"]
-    assert main(argv) == 1
+    for field, value in (("interaction_frequency_ghz", "7.0"), ("kind", '"mz"'), ("blocked", "1"), ("removed", "null")):
+        out = tmp_path / field
+        argv = ["run", "--scenario", "mz-two", "--out", str(out), "--override", f"{field}={value}"]
+        assert main(argv) == 1
+        doc = json.loads((out / "error.json").read_text())
+        assert doc["type"] == "ValueError" and doc["error"] == f"unknown scenario field {field!r}"
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (out / "records.jsonl").exists()
+
+
+def _scenario_file(tmp_path, scenario="ctqw-single", **changes):
+    from qwalk.cli import _BUILTIN_SCENARIOS
+
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**_BUILTIN_SCENARIOS[scenario]().to_dict(), **changes}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"step_d_left_mhz": 1.0}, "step_d_left_mhz needs an interferometer"),
+        ({"n_shot": 100}, "unknown scenario field 'n_shot'"),
+        ({"kind": "ctqw", "blocked": False, "removed": False, "schema_version": 1}, "unsupported scenario schema"),
+    ],
+)
+def test_cli_bad_scenario_file_is_domain_error(tmp_path, capsys, changes, message):
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", _scenario_file(tmp_path, **changes), "--out", str(out)]) == 1
     doc = json.loads((out / "error.json").read_text())
-    assert doc["type"] == "ValueError" and "unknown scenario field" in doc["error"]
+    assert doc["type"] == "ValueError" and doc["error"].startswith(message)
     assert "Traceback" not in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+@pytest.mark.parametrize("scenario", ["ctqw-single", "ctqw-two", "mz-single", "mz-two", "mz-blocked", "mz-removed"])
+def test_cli_builtin_and_its_file_write_the_same_records(tmp_path, scenario):
+    # short times keep the six runs fast; the shots exercise the readout fields
+    times = [0.0, 25.0, 50.0]
+    overrides = ["--override", f"times_ns={json.dumps(times)}", "--override", "n_shots=200"]
+    assert main(["run", "--scenario", scenario, *overrides, "--out", str(tmp_path / "builtin")]) == 0
+    path = _scenario_file(tmp_path, scenario, times_ns=times, n_shots=200)
+    assert main(["run", "--scenario", path, "--out", str(tmp_path / "file")]) == 0
+    records = [(tmp_path / run / "records.jsonl").read_bytes() for run in ("builtin", "file")]
+    assert records[0] == records[1]
 
 
 @pytest.mark.parametrize(
@@ -309,8 +352,17 @@ def test_cli_sweep_non_finite_range_is_domain_error(tmp_path, capsys, flag, spec
         ("n_shots=100", 'seed="abc"'),
         ("n_shots=100", "seed=1.5"),
         ("n_shots=100", 'post_select="no"'),  # a truthy string would still post-select
-        ("blocked=1",),
-        ("removed=null",),
+        ("times_ns=5",),
+        ("active=5",),
+        ("sources=5",),
+        ("sources=[5]",),
+        ('active=["U00Q0", "X"]',),
+        ("static_disorder_mhz=[1]",),
+        ('readout_time_ns="x"',),
+        ("step_d_left_mhz=null",),
+        ("step_d_left_mhz=1.0",),  # a step without an interferometer layout
+        ('layout_names={"S": "U00Q0"}',),
+        ("layout_names=5",),
     ],
 )
 def test_cli_bad_seed_or_shots_is_domain_error(tmp_path, overrides, capsys):
@@ -335,6 +387,17 @@ def test_cli_error_json_in_fresh_nested_out(tmp_path, command):
     doc = json.loads((out / "error.json").read_text())
     assert doc["type"] == "ValueError" and doc["error"].startswith("n_shots")
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+def test_cli_sweep_past_the_window_cap_fails_fast(tmp_path):
+    # an uncapped window would build a ~1e8-term Bessel table here and run for minutes
+    argv = ["sweep", "--scenario", "mz-single", "--d-left", "0:1:2", "--d-right", "0:1:2", "--time", "1e9"]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "qwalk.cli", *argv, "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    doc = json.loads((tmp_path / "error.json").read_text())
+    assert doc["type"] == "EvolutionError" and "1000000000.0 ns" in doc["error"]
 
 
 def test_cli_usage_error_exit_code():

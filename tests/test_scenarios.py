@@ -102,28 +102,26 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def valid_scenarios(draw):
-    kind = draw(st.sampled_from(["ctqw", "mz"]))
-    pool = sorted(_MZ_NAMES.values()) if kind == "mz" else _LABELS
+    interferometer = draw(st.booleans())
+    pool = sorted(_MZ_NAMES.values()) if interferometer else _LABELS
     active = tuple(sorted(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=True))))
     sources = tuple(sorted(draw(st.lists(st.sampled_from(active), max_size=3, unique=True))))
     times = draw(st.lists(st.floats(0.0, 1e4), min_size=1, max_size=6, unique=True))
     disorder = draw(st.dictionaries(st.sampled_from(active), _finite, max_size=4))
+    steps = (draw(_finite), draw(_finite)) if interferometer else (0.0, 0.0)
     return Scenario(
         name=draw(st.text(max_size=12)),
-        kind=kind,
         active=active,
         sources=sources,
         times_ns=tuple(sorted(times)),
         static_disorder_mhz=disorder,
-        step_d_left_mhz=draw(_finite),
-        step_d_right_mhz=draw(_finite),
+        step_d_left_mhz=steps[0],
+        step_d_right_mhz=steps[1],
         readout_time_ns=draw(st.none() | st.floats(0.0, 1e4)),
         n_shots=draw(st.none() | st.integers(1, 10**6)),
         post_select=draw(st.booleans()),
         seed=draw(st.integers(0, 2**63)),
-        blocked=draw(st.booleans()),
-        removed=draw(st.booleans()),
-        layout_names=dict(_MZ_NAMES) if kind == "mz" else {},
+        layout_names=dict(_MZ_NAMES) if interferometer else {},
     )
 
 
@@ -154,11 +152,15 @@ def test_scenario_dict_round_trip_property(sc):
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
-        Scenario("x", "nope", ("U00Q0",), ("U00Q0",), (0.0,))
-    with pytest.raises(ValueError):
-        Scenario("x", "ctqw", ("U00Q0",), ("U11Q1",), (0.0,))
-    with pytest.raises(ValueError):
-        Scenario.from_dict({"schema_version": 5})
+        Scenario("x", ("U00Q0",), ("U11Q1",), (0.0,))
+    doc = mz_scenario("S").to_dict()
+    for version in (1, 5, None):
+        with pytest.raises(ValueError, match="schema version"):
+            Scenario.from_dict({**doc, "schema_version": version})
+    with pytest.raises(ValueError, match="schema version None"):
+        Scenario.from_dict([doc])  # a JSON document that is not an object
+    with pytest.raises(ValueError, match="^times_ns is missing"):
+        Scenario.from_dict({k: v for k, v in doc.items() if k != "times_ns"})
     sc = mz_scenario("S")
     for field, value in (
         ("times_ns", ()),
@@ -180,9 +182,25 @@ def test_scenario_validation():
         ("n_shots", 2.5),
         ("n_shots", "10"),
         ("n_shots", True),
+        ("layout_names", {"S": "U00Q0"}),
+        ("layout_names", {**sc.layout_names, "D": "U99Q9"}),
+        ("layout_names", {**sc.layout_names, "L3": 5}),
+        ("layout_names", {k: v for k, v in sc.layout_names.items() if k != "R10"}),
+        ("layout_names", 5),
     ):
         with pytest.raises(ValueError, match=field):
             replace(sc, **{field: value})
+
+
+def test_steps_need_an_interferometer_layout():
+    walk = ctqw_scenario({"U00Q0"})
+    for field in ("step_d_left_mhz", "step_d_right_mhz"):
+        with pytest.raises(ValueError, match=f"^{field} needs an interferometer"):
+            replace(walk, **{field: 1.0})
+        with pytest.raises(ValueError, match=f"^{field} needs an interferometer"):
+            replace(mz_scenario("S"), **{field: 1.0, "layout_names": {}})
+    stepped = replace(mz_scenario("S"), step_d_left_mhz=0.5)
+    assert stepped.disorder() == DisorderStepProtocol(0.5, 0.0).offsets(default_mz_layout())
 
 
 def test_layout_names_round_trip():
