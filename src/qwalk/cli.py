@@ -46,24 +46,34 @@ from .scenarios import (
 )
 from .svg import render_heatmap
 
+# each builtin is built on the device its command runs on
 _BUILTIN_SCENARIOS = {
-    "ctqw-single": lambda: ctqw_scenario({"U00Q0"}),
-    "ctqw-two": lambda: ctqw_scenario({"U00Q0", "U33Q2"}),
-    "mz-single": lambda: mz_scenario("S"),
-    "mz-two": lambda: mz_scenario({"L1", "R1"}),
-    "mz-blocked": lambda: mz_scenario("S", blocked=True),
-    "mz-removed": lambda: mz_scenario({"L1", "R1"}, removed=True),
+    "ctqw-single": lambda device: ctqw_scenario({"U00Q0"}, device=device),
+    "ctqw-two": lambda device: ctqw_scenario({"U00Q0", "U33Q2"}, device=device),
+    "mz-single": lambda device: mz_scenario("S", device=device),
+    "mz-two": lambda device: mz_scenario({"L1", "R1"}, device=device),
+    "mz-blocked": lambda device: mz_scenario("S", blocked=True, device=device),
+    "mz-removed": lambda device: mz_scenario({"L1", "R1"}, removed=True, device=device),
 }
 
 
-def _load_scenario(ref: str) -> dict:
-    """The scenario document of a builtin name or a JSON file; `Scenario.from_dict` checks it."""
-    if ref in _BUILTIN_SCENARIOS:
-        return _BUILTIN_SCENARIOS[ref]().to_dict()
+def _load_scenario(ref: str, out: Path, device) -> dict:
+    """The scenario document of a builtin name or a JSON file; `Scenario.from_dict` checks it.
+
+    Once the scenario is found the output directory is made, so any later
+    failure, a file that is not JSON included, leaves error.json there.
+    """
+    builtin = _BUILTIN_SCENARIOS.get(ref)
     path = Path(ref)
-    if not path.exists():
+    if builtin is None and not path.exists():
         raise ValueError(f"scenario file {ref!r} does not exist (builtins: {', '.join(sorted(_BUILTIN_SCENARIOS))})")
-    return json.loads(path.read_text())
+    out.mkdir(parents=True, exist_ok=True)
+    if builtin is not None:
+        return builtin(device).to_dict()
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8 text
+        raise ValueError(f"scenario file {ref!r} is not valid JSON: {exc}") from None
 
 
 def _parse_overrides(pairs) -> dict:
@@ -104,15 +114,15 @@ def _grid_snapshot(result, t_ns: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cmd_run(args) -> int:
-    doc = _load_scenario(args.scenario)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)  # once the scenario is found, any failure leaves error.json here
+    device = default_device()
+    doc = _load_scenario(args.scenario, out, device)
     overrides = _parse_overrides(args.override)
     seed = {} if args.seed is None else {"seed": args.seed}
     scenario = Scenario.from_dict({**doc, **overrides, **seed})
     outputs = ["records.jsonl", "populations.csv", "snapshot.svg"]
     with RunManifest(scenario.name, scenario.seed, __version__, str(out), overrides, outputs) as manifest:
-        result = run_scenario(scenario)
+        result = run_scenario(scenario, device)
         with RecordWriter(out / "records.jsonl") as writer:
             for k, t in enumerate(result.times_ns):
                 writer.write(
@@ -149,15 +159,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    doc = _load_scenario(args.scenario)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)  # once the scenario is found, any failure leaves error.json here
+    device = default_device()
+    doc = _load_scenario(args.scenario, out, device)
     scenario = Scenario.from_dict({**doc, **_parse_overrides(args.override)})
     d_left = _parse_range(args.d_left)
     d_right = _parse_range(args.d_right)
     outputs = ["fringe.csv", "fringe.svg", "records.jsonl"]
     with RunManifest(scenario.name + "-sweep", scenario.seed, __version__, str(out), outputs=outputs):
-        grid = disorder_sweep(scenario, d_left, d_right, args.time)
+        grid = disorder_sweep(scenario, d_left, d_right, args.time, device)
         write_csv_matrix(
             out / "fringe.csv",
             grid.values,

@@ -90,12 +90,18 @@ class QubitId:
     def from_grid(cls, row: int, col: int) -> "QubitId":
         if not (0 <= row < 8 and 0 <= col < 8):
             raise ValueError(f"grid position out of range: ({row}, {col})")
-        sub = (row % 2, col % 2)
-        idx = next(i for i, off in _UNIT_OFFSETS.items() if off == sub)
-        return cls(row // 2, col // 2, idx)
+        return _GRID_QUBITS[8 * row + col]
 
     def __str__(self) -> str:
         return self.label
+
+
+# every lattice position's qubit, row-major; inverts QubitId.grid_position
+_GRID_QUBITS = tuple(
+    QubitId(r // 2, c // 2, next(i for i, off in _UNIT_OFFSETS.items() if off == (r % 2, c % 2)))
+    for r in range(8)
+    for c in range(8)
+)
 
 
 @dataclass(frozen=True)

@@ -182,7 +182,9 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
     up to the last sample stay below TOLERANCE. A window whose Bessel argument
     b |dt_j| exceeds MAX_WINDOW_ARGUMENT raises EvolutionError before any
     coefficient is built. The recurrence runs on the float64 view of the
-    complex block: each term is one real sparse-times-dense product.
+    complex block: each term is one real sparse-times-dense product. Terms
+    k >= 2 apply the scaled operator and diagonal doubled once per call, so
+    T_k = 2A T_(k-1) - T_(k-2) takes no separate doubling pass.
 
     The columns run in chunks of equal width (the last may be narrower), as
     many as keep each chunk's (window samples + 3) x dim complex working set
@@ -212,6 +214,9 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
     # one coefficient) and the scaled operator is never applied
     inverse_width = 1.0 / half_width if half_width > 0 else 0.0
     scaled_h0 = h0 * inverse_width
+    # doubling is exact in binary floating point, so (2A) T_(k-1) matches
+    # 2 (A T_(k-1)) bit for bit unless a product is subnormal
+    doubled_h0 = 2.0 * scaled_h0
 
     times = [float(t) for t in times_ns]
     windows = [times[w : w + WINDOW_SAMPLES] for w in range(0, len(times), WINDOW_SAMPLES)]
@@ -239,11 +244,13 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
     def propagate_chunk(x, chunk_diagonals, columns):
         # the real view interleaves (re, im) columns, so each diagonal column repeats
         scaled_diag = np.repeat((chunk_diagonals - shift) * inverse_width, 2, axis=1)
+        doubled_diag = 2.0 * scaled_diag
+        diag_product = np.empty_like(scaled_diag)
 
-        def apply(v):
+        def apply(v, operator, diag):
             vr = v.view(np.float64)
-            hv = scaled_h0 @ vr
-            hv += scaled_diag * vr
+            hv = operator @ vr
+            hv += np.multiply(diag, vr, out=diag_product)
             return hv.view(np.complex128)
 
         norms0 = np.linalg.norm(x, axis=0)
@@ -252,9 +259,11 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
             y = coeffs[:, 0, None, None] * x
             prev, cur = None, x
             for k in range(1, coeffs.shape[1]):
-                nxt = apply(cur)
-                if k > 1:
-                    nxt *= 2.0
+                if k == 1:
+                    nxt = apply(cur, scaled_h0, scaled_diag)
+                else:
+                    # T_k = 2A T_(k-1) - T_(k-2)
+                    nxt = apply(cur, doubled_h0, doubled_diag)
                     nxt -= prev
                 y += coeffs[:, k, None, None] * nxt
                 prev, cur = cur, nxt

@@ -116,13 +116,18 @@ def sample_shots(state: QuantumState, readout: ReadoutModel, n_shots: int, seed:
     p = p / p.sum()
     rng = rng_stream(seed, 0x5A)
     drawn = rng.choice(state.basis.dimension, size=n_shots, p=p)
-    bits = state.basis.rows[drawn]  # n_shots x n_sites, true occupations
     if readout.is_perfect:
         # u < 0 and u >= 1 never hold, so the corruption draws would flip
         # nothing, and the stream is local to this call: skipping both leaves
-        # the shots unchanged. Any other model makes both draws, in order.
-        observed = bits
+        # the shots unchanged. Every shot then reads as its drawn basis row,
+        # and the basis keys are already sorted, so counting the drawn rows
+        # gives the histogram in key order. Any other model makes both draws,
+        # in order, and histograms the observed rows by their keys.
+        mults = np.bincount(drawn, minlength=state.basis.dimension)
+        seen = np.flatnonzero(mults)
+        keys, mults = state.basis.keys[seen], mults[seen]
     else:
+        bits = state.basis.rows[drawn]  # n_shots x n_sites, true occupations
         u = rng.random(size=bits.shape)
         thermal = ~bits & (u < readout.thermal_excitation)
         bits = bits | thermal
@@ -130,9 +135,9 @@ def sample_shots(state: QuantumState, readout: ReadoutModel, n_shots: int, seed:
         flip_1to0 = bits & (u >= readout.f1)
         flip_0to1 = ~bits & (u >= readout.f0)
         observed = (bits & ~flip_1to0) | flip_0to1
-    # One packed key per shot: the keys sort like the bit rows, so only the
-    # distinct ones are decoded.
-    keys, mults = np.unique(row_keys(observed), return_counts=True)
+        # one packed key per shot: the keys sort like the bit rows
+        keys, mults = np.unique(row_keys(observed), return_counts=True)
+    # only the distinct keys are decoded
     width = keys.dtype.itemsize
     text = (np.unpackbits(keys.view(np.uint8).reshape(-1, width), axis=1)[:, :n] + ord("0")).tobytes().decode()
     counts = {text[i * n : (i + 1) * n]: int(mult) for i, mult in enumerate(mults)}

@@ -26,7 +26,13 @@ RECORD_KINDS = (
 )
 
 
+_JSON_SCALARS = (str, int, float, bool)
+
+
 def _jsonable(value):
+    # exact types only: a numpy scalar subclassing float still goes through .item()
+    if value is None or type(value) in _JSON_SCALARS:
+        return value
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (np.floating, np.integer)):

@@ -5,6 +5,7 @@ and fringe-grid sweeps.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
@@ -153,6 +154,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _number(value) -> float:
+    """A JSON number as a float: a bool or a numeric string is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _labels(value) -> tuple:
     return tuple(QubitId.parse(label).label for label in value)
 
@@ -171,13 +179,13 @@ class Scenario:
     name: str = field(metadata={"convert": str})
     active: tuple = field(metadata={"convert": _labels})
     sources: tuple = field(metadata={"convert": _labels})
-    times_ns: tuple = field(metadata={"convert": lambda v: tuple(map(float, v))})
+    times_ns: tuple = field(metadata={"convert": lambda v: tuple(map(_number, v))})
     static_disorder_mhz: dict = field(  # label -> MHz
-        default_factory=dict, metadata={"convert": lambda v: {k: float(x) for k, x in v.items()}}
+        default_factory=dict, metadata={"convert": lambda v: {k: _number(x) for k, x in v.items()}}
     )
-    step_d_left_mhz: float = field(default=0.0, metadata={"convert": float})
-    step_d_right_mhz: float = field(default=0.0, metadata={"convert": float})
-    readout_time_ns: float | None = field(default=None, metadata={"convert": lambda v: None if v is None else float(v)})
+    step_d_left_mhz: float = field(default=0.0, metadata={"convert": _number})
+    step_d_right_mhz: float = field(default=0.0, metadata={"convert": _number})
+    readout_time_ns: float | None = field(default=None, metadata={"convert": lambda v: None if v is None else _number(v)})
     n_shots: int | None = None
     post_select: bool = True
     seed: int = 0
@@ -256,7 +264,7 @@ class Scenario:
         for name in [key for key in known if key in data]:
             try:
                 values[name] = known[name].metadata.get("convert", lambda v: v)(data[name])
-            except (TypeError, ValueError, AttributeError) as exc:
+            except (TypeError, ValueError, AttributeError, OverflowError) as exc:
                 raise ValueError(f"{name} cannot be read from {data[name]!r}: {exc}") from None
         missing = [name for name, f in known.items() if name not in data and f.default is f.default_factory is MISSING]
         if missing:

@@ -8,7 +8,7 @@ packed byte key (`row_keys`); the keys sort exactly like the rows, so a row's
 index is one `np.searchsorted` away (`lookup`) for any site count. The one
 Hamiltonian builder looks up its hops this way for sectors, the Lindblad
 sector union and the calibration kernel alike, and readout shots are
-histogrammed by the same keys.
+histogrammed in the same key order.
 """
 from __future__ import annotations
 

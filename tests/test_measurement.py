@@ -1,6 +1,7 @@
 import hashlib
 from dataclasses import replace
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from qwalk.device import rng_stream
+from qwalk.device import default_device, rng_stream
+from qwalk.evolution import evolve_unitary
 from qwalk.measurement import (
     ReadoutModel,
     ShotCounts,
@@ -18,8 +20,8 @@ from qwalk.measurement import (
     sample_shots,
     thermal_excited_probability,
 )
-from qwalk.scenarios import ctqw_scenario, run_scenario
-from qwalk.sector import QuantumState, basis_state, enumerate_basis
+from qwalk.scenarios import _scenario_setup, ctqw_scenario, run_scenario
+from qwalk.sector import QuantumState, basis_state, enumerate_basis, populations
 
 
 def test_perfect_readout_basis_state():
@@ -180,8 +182,6 @@ def test_readout_model_validation():
 
 
 def test_readout_model_from_device():
-    from qwalk.device import default_device
-
     device = default_device()
     sites = device.functional_qubits[:4]
     model = ReadoutModel.from_device(device, sites)
@@ -268,3 +268,33 @@ def test_two_walker_shot_digests_pinned(thermal, digest, patterns, kept):
     assert hashlib.sha256(result.shots.to_lines().encode()).hexdigest() == digest
     assert len(result.shots.counts) == patterns
     assert result.shots.n_shots == kept and result.retention == kept / 20000
+
+
+@given(st.integers(6, 10), st.integers(1, 3), st.integers(1, 3000), st.integers(0, 2**32))
+def test_perfect_readout_histogram_matches_the_general_path(n, k, n_shots, seed):
+    # the general path makes its corruption draws, which flip nothing under a
+    # perfect model, and histograms the observed rows by their keys
+    basis = enumerate_basis(n, k)
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
+    state = QuantumState(basis, amp / np.linalg.norm(amp))
+    readout = ReadoutModel.perfect(n)
+    counted = sample_shots(state, readout, n_shots, seed)
+    with mock.patch.object(ReadoutModel, "is_perfect", property(lambda self: False)):
+        general = sample_shots(state, readout, n_shots, seed)
+    assert list(counted.counts.items()) == list(general.counts.items())
+    assert counted.to_lines() == general.to_lines()
+
+
+def test_two_walker_state_digest_pinned():
+    # The engine's states for ctqw-two at all 61 times, the ones its
+    # populations are computed from. The populations themselves go through a
+    # BLAS matrix-vector product whose last bits depend on the CPU's BLAS
+    # kernel, so their bytes are pinned through these states instead.
+    scenario = ctqw_scenario({"U00Q0", "U33Q2"})
+    _graph, _basis, psi0, h = _scenario_setup(scenario, default_device(), scenario.disorder())
+    states = [state for _t, state in evolve_unitary(h, psi0, scenario.times_ns)]
+    digest = hashlib.sha256(np.array([s.amplitudes for s in states]).tobytes()).hexdigest()
+    assert digest == "d2cda6fb85904b85463f870f3f021ef32517911bc45fc9ccb4f93af4b6d97fab"
+    expected = np.column_stack([populations(s) for s in states])
+    assert run_scenario(scenario).populations.tobytes() == expected.tobytes()

@@ -183,9 +183,10 @@ def test_cli_removed_scenario_field_is_unknown(tmp_path, capsys):
 
 def _scenario_file(tmp_path, scenario="ctqw-single", **changes):
     from qwalk.cli import _BUILTIN_SCENARIOS
+    from qwalk.device import default_device
 
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps({**_BUILTIN_SCENARIOS[scenario]().to_dict(), **changes}))
+    path.write_text(json.dumps({**_BUILTIN_SCENARIOS[scenario](default_device()).to_dict(), **changes}))
     return str(path)
 
 
@@ -203,6 +204,28 @@ def test_cli_bad_scenario_file_is_domain_error(tmp_path, capsys, changes, messag
     doc = json.loads((out / "error.json").read_text())
     assert doc["type"] == "ValueError" and doc["error"].startswith(message)
     assert "Traceback" not in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+@pytest.mark.parametrize("override", ["step_d_left_mhz=true", 'step_d_right_mhz="1"'])
+def test_cli_interferometer_steps_are_strict_numbers(tmp_path, capsys, override):
+    # an interferometer may carry steps, so only the number check rejects these
+    assert main(["run", "--scenario", "mz-single", "--override", override, "--out", str(tmp_path)]) == 1
+    doc = json.loads((tmp_path / "error.json").read_text())
+    assert doc["type"] == "ValueError" and doc["error"].startswith(override.split("=")[0])
+    assert "is not a number" in doc["error"] and "Traceback" not in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["error.json"]
+
+
+@pytest.mark.parametrize("content", [b'{"schema_version": 2,', b"\xff\xfe not text"])
+def test_cli_malformed_scenario_file_is_domain_error(tmp_path, capsys, content):
+    path = tmp_path / "broken.json"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 1
+    doc = json.loads((out / "error.json").read_text())
+    assert doc["type"] == "ValueError" and doc["error"].startswith(f"scenario file {str(path)!r} is not valid JSON")
+    assert capsys.readouterr().err == f"error: {doc['error']}\n"
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
 
@@ -363,6 +386,11 @@ def test_cli_sweep_non_finite_range_is_domain_error(tmp_path, capsys, flag, spec
         ("step_d_left_mhz=1.0",),  # a step without an interferometer layout
         ('layout_names={"S": "U00Q0"}',),
         ("layout_names=5",),
+        ("step_d_left_mhz=true",),  # a JSON bool is not a number
+        ('times_ns=["0", "650"]',),  # nor is a numeric string
+        ('readout_time_ns="5"',),
+        ('static_disorder_mhz={"U00Q0": true}',),
+        ("readout_time_ns=1" + "0" * 400,),  # an int past the float range
     ],
 )
 def test_cli_bad_seed_or_shots_is_domain_error(tmp_path, overrides, capsys):
