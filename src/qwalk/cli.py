@@ -92,10 +92,16 @@ def _parse_overrides(pairs) -> dict:
 def _parse_range(spec: str) -> np.ndarray:
     try:
         start, stop, n = spec.split(":")
-        with np.errstate(all="ignore"):  # a non-finite bound is reported below, not warned about
-            values = np.linspace(float(start), float(stop), int(n))
-    except Exception:
+        start, stop, count = float(start), float(stop), int(n)
+    except ValueError:
         raise ValueError(f"range {spec!r} is not start:stop:count") from None
+    if count < 1:
+        raise ValueError(f"range {spec!r} has count {count}; a sweep axis needs at least 1 value")
+    try:
+        with np.errstate(all="ignore"):  # a non-finite bound is reported below, not warned about
+            values = np.linspace(start, stop, count)
+    except MemoryError:
+        raise ValueError(f"range {spec!r} has too many values to hold") from None
     if not np.all(np.isfinite(values)):
         raise ValueError(f"range {spec!r} does not give finite values")
     return values

@@ -12,7 +12,11 @@ it, so a dense time series pays the series' truncation tail once per window
 rather than once per sample. Each window is cut at TOLERANCE divided by the
 number of windows, which bounds the summed truncation error at the last
 sample by TOLERANCE. The Bessel coefficients come from Miller's
-backward recurrence in numpy.
+backward recurrence in numpy. The Hamiltonian is real, so a window whose
+start state is real (the first window of every CLI command, which starts
+from a basis state) has only real terms and runs its recurrence on real
+arrays, with half the arithmetic of a complex start; its samples are
+bit-identical to running the same terms complex.
 
 A wide block runs in column chunks whose recurrence working set fits
 CHUNK_BYTES, each chunk through every window from t = 0. The chunks share
@@ -70,12 +74,15 @@ WINDOW_SAMPLES = 4
 
 # Recurrence working set per column chunk in propagate_block, in bytes. A
 # column takes (window samples + 3) x dim complex entries: one per sample
-# accumulator and three recurrence terms. Past a few hundred kB a term's pass
-# over the block falls out of cache; much smaller chunks pay per-call overhead
-# in every product. Measured as the median time of one propagate_block call,
-# interleaved over 30 (sweep, ensemble) or 3 (study) runs per budget, on a
-# 2-core x86_64 machine (2 MiB L2 per core) with BLAS on one thread; columns
-# per chunk in brackets:
+# accumulator and three recurrence terms. A window with a real start state
+# keeps its terms real, half those bytes, but the budget stays sized for the
+# complex working set and is unchanged; chunking does not change the bits
+# either way. Past a few hundred kB a term's pass over the block falls out of
+# cache; much smaller chunks pay per-call overhead in every product. Measured
+# as the median time of one propagate_block call, interleaved over 30 (sweep,
+# ensemble) or 3 (study) runs per budget, on a 2-core x86_64 machine (2 MiB L2
+# per core) with BLAS on one thread, before real start states ran on real
+# arrays; columns per chunk in brackets:
 #
 #   budget    `sweep` block          `ensemble` block      velocity study
 #             dim 276 x 121 cells    dim 225 x 32          dim 225 x 512
@@ -86,6 +93,10 @@ WINDOW_SAMPLES = 4
 #   2 MiB     25.5 ms [61]           56 ms [32]            1.15 s [74]
 #   whole     31.3 ms [121]          55 ms [32]            1.42 s [512]
 #
+# With real terms for a real start, the `sweep` block at 1 MiB took 22.2-25.2
+# ms [41] against 28.7-34.2 ms for the complex-term engine (medians of six
+# alternating rounds of 30); the `ensemble` and study blocks, whose later
+# windows start complex, did not move beyond run-to-run noise.
 # A one-column block (`walk`) is one chunk under any budget.
 CHUNK_BYTES = 1 << 20
 
@@ -181,16 +192,22 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
     TOLERANCE / n_windows, so the truncation errors summed over the windows
     up to the last sample stay below TOLERANCE. A window whose Bessel argument
     b |dt_j| exceeds MAX_WINDOW_ARGUMENT raises EvolutionError before any
-    coefficient is built. The recurrence runs on the float64 view of the
-    complex block: each term is one real sparse-times-dense product. Terms
+    coefficient is built. Each term is one real sparse-times-dense product. A
+    window whose start state is real (every imaginary part +0.0 or -0.0) has
+    only real terms, so its recurrence runs on a real dim x c array; any other
+    window runs on the float64 view of the complex block, which interleaves
+    (re, im) columns and repeats each diagonal column. The accumulation into
+    the samples stays complex: numpy gives a real term T_k (k >= 1) the +0.0
+    imaginary parts that the interleaved recurrence computes for it, so a real
+    window's samples are bit-identical to the interleaved path's. Terms
     k >= 2 apply the scaled operator and diagonal doubled once per call, so
     T_k = 2A T_(k-1) - T_(k-2) takes no separate doubling pass.
 
     The columns run in chunks of equal width (the last may be narrower), as
     many as keep each chunk's (window samples + 3) x dim complex working set
-    within CHUNK_BYTES. Each chunk runs every window from t = 0 on the shared
-    interval and grids, so every column's values match the unchunked run bit
-    for bit.
+    within CHUNK_BYTES, also where its terms run real. Each chunk runs every
+    window from t = 0 on the shared interval and grids, so every column's
+    values match the unchunked run bit for bit.
     """
     if np.iscomplexobj(h0) or np.iscomplexobj(diagonals):
         raise ValueError("the block engine needs a real Hamiltonian")
@@ -242,30 +259,33 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
     samples = [None] * len(times)  # one output array per sample time, filled chunk by chunk
 
     def propagate_chunk(x, chunk_diagonals, columns):
-        # the real view interleaves (re, im) columns, so each diagonal column repeats
-        scaled_diag = np.repeat((chunk_diagonals - shift) * inverse_width, 2, axis=1)
-        doubled_diag = 2.0 * scaled_diag
-        diag_product = np.empty_like(scaled_diag)
-
-        def apply(v, operator, diag):
-            vr = v.view(np.float64)
-            hv = operator @ vr
-            hv += np.multiply(diag, vr, out=diag_product)
-            return hv.view(np.complex128)
+        scaled_diag = (chunk_diagonals - shift) * inverse_width
+        # per term layout, (scaled diagonal, doubled diagonal, product buffer):
+        # a real term's own, or the interleaved (re, im) view's, which repeats
+        # each diagonal column
+        layouts = {}
+        for real, diag in ((True, scaled_diag), (False, np.repeat(scaled_diag, 2, axis=1))):
+            layouts[real] = diag, 2.0 * diag, np.empty_like(diag)
 
         norms0 = np.linalg.norm(x, axis=0)
         sample = 0
         for window, coeffs in plan:
             y = coeffs[:, 0, None, None] * x
-            prev, cur = None, x
+            # a real start state has only real terms T_k; otherwise the terms
+            # run on the float64 view of the complex block
+            real = not np.any(x.imag)
+            diag, doubled_diag, diag_product = layouts[real]
+            prev, cur = None, np.ascontiguousarray(x.real) if real else x.view(np.float64)
             for k in range(1, coeffs.shape[1]):
                 if k == 1:
-                    nxt = apply(cur, scaled_h0, scaled_diag)
+                    nxt = scaled_h0 @ cur
+                    nxt += np.multiply(diag, cur, out=diag_product)
                 else:
                     # T_k = 2A T_(k-1) - T_(k-2)
-                    nxt = apply(cur, doubled_h0, doubled_diag)
+                    nxt = doubled_h0 @ cur
+                    nxt += np.multiply(doubled_diag, cur, out=diag_product)
                     nxt -= prev
-                y += coeffs[:, k, None, None] * nxt
+                y += coeffs[:, k, None, None] * (nxt if real else nxt.view(np.complex128))
                 prev, cur = cur, nxt
             for t, yt in zip(window, y):
                 drift = np.abs(np.linalg.norm(yt, axis=0) - norms0)

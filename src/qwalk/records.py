@@ -96,12 +96,12 @@ def read_records(path) -> list[ResultRecord]:
 
 
 def write_csv_matrix(path, matrix, row_labels=None, col_labels=None, corner: str = "") -> None:
-    matrix = np.asarray(matrix)
+    matrix = np.asarray(matrix, dtype=np.float64)
     lines = []
     if col_labels is not None:
         lines.append(corner + "," + ",".join(str(c) for c in col_labels))
     for i, row in enumerate(matrix):
-        cells = ",".join(repr(float(x)) for x in row)
+        cells = ",".join(map(repr, row.tolist()))
         if row_labels is not None:
             lines.append(f"{row_labels[i]},{cells}")
         else:

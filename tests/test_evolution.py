@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -180,6 +182,38 @@ def test_column_chunks_match_the_whole_block_bit_for_bit(data, times):
     for ys, refs in zip(chunked, whole):
         assert len(ys) == len(refs) == len(times)
         assert all(np.array_equal(y, ref) for y, ref in zip(ys, refs))
+
+
+@given(st.data(), block_instances(), sample_times(), st.sampled_from([0.0, -0.0]))
+def test_real_start_states_match_the_interleaved_path_bit_for_bit(data, instance, times, zero):
+    # Real start columns on their own take the real path. Beside one complex
+    # column they take the interleaved (re, im) path; that column copies
+    # column j's diagonal, so both calls share one Gershgorin interval.
+    h, diagonals, x = instance
+    n = x.shape[1]
+    times.insert(data.draw(st.integers(0, len(times))), 0.0)
+    start = np.empty_like(x)
+    start.real, start.imag = x.real, zero
+    j = data.draw(st.integers(0, n - 1))
+
+    def run(block, diags):
+        widths = []  # columns of each scaled-operator product's operand
+        matmul = sp.csr_matrix.__matmul__
+        spy = lambda op, v: widths.append(v.shape[1]) or matmul(op, v)
+        with mock.patch.object(sp.csr_matrix, "__matmul__", spy):
+            return propagate_block(h.matrix, diags, block, times), widths
+
+    real, real_widths = run(start, diagonals)
+    mixed, mixed_widths = run(np.column_stack([start, x[:, j]]), np.column_stack([diagonals, diagonals[:, j]]))
+    assert len(real) == len(mixed) == len(times)
+    for y, ref in zip(real, mixed):
+        # bytes also tell +0.0 from -0.0
+        assert np.array_equal(y, ref[:, :n]) and y.tobytes() == ref[:, :n].tobytes()
+    assert mixed_widths == [2 * (n + 1)] * len(mixed_widths)
+    assert len(real_widths) == len(mixed_widths)
+    if max(abs(t) for t in times[:WINDOW_SAMPLES]) > 1e-3:
+        # the first window reaches past its first Chebyshev term, on n real columns
+        assert real_widths[0] == n
 
 
 def test_equal_windows_share_one_coefficient_grid(monkeypatch):

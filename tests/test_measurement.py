@@ -1,6 +1,10 @@
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import combinations
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -298,3 +302,61 @@ def test_two_walker_state_digest_pinned():
     assert digest == "d2cda6fb85904b85463f870f3f021ef32517911bc45fc9ccb4f93af4b6d97fab"
     expected = np.column_stack([populations(s) for s in states])
     assert run_scenario(scenario).populations.tobytes() == expected.tobytes()
+
+
+# OpenBLAS kernels, selected with OPENBLAS_CORETYPE, and the CPU flags each needs
+OPENBLAS_CORETYPES = {
+    "SkylakeX": {"avx512f", "avx512dq", "avx512bw", "avx512vl"},
+    "Haswell": {"avx2", "fma"},
+    "Sandybridge": {"avx"},
+    "Nehalem": {"sse4_2"},
+}
+
+# The engine's states for the default `sweep --scenario mz-two` block: the
+# block disorder_sweep builds (121 cells at the 550 ns readout), propagated
+# again with observe=None
+SWEEP_BLOCK_DIGEST = """
+import hashlib
+from unittest import mock
+import numpy as np
+from qwalk import scenarios
+from qwalk.evolution import propagate_block
+
+calls = []
+spy = lambda *args, **kwargs: calls.append(args) or propagate_block(*args, **kwargs)
+grid = np.linspace(0.0, 1.0, 11)  # the CLI's default --d-left and --d-right
+with mock.patch.object(scenarios, "propagate_block", spy):
+    scenarios.disorder_sweep(scenarios.mz_scenario({"L1", "R1"}), grid, grid)
+((h0, diagonals, block, times),) = calls
+assert times == (550.0,) and block.shape == (276, 121)
+(states,) = propagate_block(h0, diagonals, block, times)
+print(hashlib.sha256(states.tobytes()).hexdigest())
+"""
+
+
+def _cpu_flags() -> set:
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return set()
+    return next((set(line.split(":", 1)[1].split()) for line in lines if line.startswith("flags")), set())
+
+
+def test_sweep_block_state_digest_pinned():
+    # The fringe grid itself is left unpinned: the detector read-out
+    # `detector @ probabilities` is a BLAS product whose last bits depend on
+    # the BLAS kernel. The engine states do not, so every OpenBLAS kernel the
+    # CPU can run, each in a fresh interpreter, gives the one digest.
+    flags = _cpu_flags()
+    kernels = [None] + [kernel for kernel, needs in OPENBLAS_CORETYPES.items() if needs <= flags]
+    src = Path(__file__).resolve().parents[1] / "src"
+    digests = {}
+    for kernel in kernels:
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        if kernel is not None:
+            env["OPENBLAS_CORETYPE"] = kernel
+        proc = subprocess.run([sys.executable, "-c", SWEEP_BLOCK_DIGEST], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests[kernel] = proc.stdout.strip()
+    assert set(digests.values()) == {"b7f9c73df7981b83c68234df4f00af36e50e0e15484fefe299e0a3b02c51702b"}, digests

@@ -66,6 +66,12 @@ def test_write_csv_matrix(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "k,x,y"
     assert lines[1].startswith("a,1.5,")
+    # cells read as repr(float(x)) of each entry, integers included
+    for m in (np.array([[-0.0, np.nan, np.inf], [-np.inf, 5e-324, 0.1 + 0.2], [1e16, 1.0, -2.5]]),
+              np.array([[3, -1], [0, 2**60]])):
+        write_csv_matrix(path, m)
+        assert path.read_text() == "".join(",".join(repr(float(x)) for x in row) + "\n" for row in m)
+    assert path.read_text() == "3.0,-1.0\n0.0,1.152921504606847e+18\n"
 
 
 def test_heatmap_deterministic_and_structured():
@@ -360,6 +366,18 @@ def test_cli_sweep_non_finite_range_is_domain_error(tmp_path, capsys, flag, spec
     assert main([*argv, "--out", str(tmp_path)]) == 1
     doc = json.loads((tmp_path / "error.json").read_text())
     assert doc["type"] == "ValueError" and spec in doc["error"] and "finite" in doc["error"]
+    assert capsys.readouterr().err == f"error: {doc['error']}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["error.json"]
+
+
+@pytest.mark.parametrize("flag", ["--d-left", "--d-right"])
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_cli_sweep_range_without_values_is_domain_error(tmp_path, capsys, flag, count):
+    spec = f"0:1:{count}"
+    argv = ["sweep", "--scenario", "mz-single", "--d-left", "0:1:2", "--d-right", "0:1:2", flag, spec]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    doc = json.loads((tmp_path / "error.json").read_text())
+    assert doc["type"] == "ValueError" and spec in doc["error"] and "at least 1" in doc["error"]
     assert capsys.readouterr().err == f"error: {doc['error']}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["error.json"]
 
