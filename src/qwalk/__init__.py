@@ -20,20 +20,16 @@ from .analysis import (
 from .calibration import (
     CalibrationTwin,
     alignment_loop,
-    assign_idle_frequencies,
     fit_disorder_map,
     generate_swap_data,
     nelder_mead,
     optimize_interferometer,
-    validate_idle_assignment,
-    zz_coupling,
 )
 from .device import (
     ActiveGraph,
     CouplingEdge,
     DeviceModel,
     DisorderMap,
-    FrequencyConfig,
     QubitId,
     QubitParams,
     active_subgraph,
@@ -54,7 +50,6 @@ from .hamiltonian import HamiltonianMatrix, build_hamiltonian
 from .measurement import (
     ReadoutModel,
     ShotCounts,
-    effective_temperature,
     overlap_fidelity,
     post_select,
     sample_shots,

@@ -1,7 +1,7 @@
 """Device calibration against simulated twins with hidden disorders:
 multi-qubit swap data, disorder-map recovery (multi-start Nelder-Mead with a
-Levenberg-Marquardt polish), iterative frequency alignment, interferometer
-optimization (L-BFGS-B on the fit's kernel), and idle-frequency setup.
+Levenberg-Marquardt polish), iterative frequency alignment, and
+interferometer optimization (L-BFGS-B on the fit's kernel).
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from .device import (
     ActiveGraph,
     DeviceModel,
     DisorderMap,
-    FrequencyConfig,
     QubitId,
     active_subgraph,
     rng_stream,
@@ -36,9 +35,6 @@ __all__ = [
     "alignment_loop",
     "InterferometerOptimization",
     "optimize_interferometer",
-    "zz_coupling",
-    "assign_idle_frequencies",
-    "validate_idle_assignment",
     "canonical_gauge",
 ]
 
@@ -388,7 +384,6 @@ def fit_disorder_map(datasets) -> DisorderFit:
 
 @dataclass
 class AlignmentResult:
-    config: FrequencyConfig
     correction: DisorderMap
     overall_distances: list
     residual_max_mhz: float
@@ -444,8 +439,7 @@ def alignment_loop(
         overall.append(best_dist)
     residual = canonical_gauge({q: twin.hidden.get(q) + correction.get(q) for q in qubits})
     residual_max = max(abs(v) for v in residual.values()) if residual else 0.0
-    freq_config = FrequencyConfig.from_disorder(qubits, correction)
-    return AlignmentResult(freq_config, correction, overall, residual_max, rounds_run, history)
+    return AlignmentResult(correction, overall, residual_max, rounds_run, history)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +450,6 @@ def alignment_loop(
 @dataclass
 class InterferometerOptimization:
     correction: DisorderMap
-    config: FrequencyConfig
     detector_population: float
     initial_detector_population: float
     stage1_product: float
@@ -529,10 +522,8 @@ def optimize_interferometer(twin: CalibrationTwin, layout: MZLayout) -> Interfer
 
     res2, history2 = climb(detector, x0)
     correction = DisorderMap({q: float(res2.x[k]) for k, q in enumerate(all_sites)})
-    freq_config = FrequencyConfig.from_disorder(all_sites, correction)
     return InterferometerOptimization(
         correction=correction,
-        config=freq_config,
         detector_population=-float(res2.fun),
         initial_detector_population=initial,
         stage1_product=-float(res1.fun),
@@ -540,109 +531,3 @@ def optimize_interferometer(twin: CalibrationTwin, layout: MZLayout) -> Interfer
         stage2_history=history2,
     )
 
-
-# ---------------------------------------------------------------------------
-# idle-frequency setup
-# ---------------------------------------------------------------------------
-
-
-def zz_coupling(g_mhz: float, eta1_mhz: float, eta2_mhz: float, delta_mhz: float) -> float:
-    """Static ZZ shift -2 g^2 (eta1 + eta2) / ((delta - eta1)(delta + eta2)) in MHz."""
-    d1 = delta_mhz - eta1_mhz
-    d2 = delta_mhz + eta2_mhz
-    if d1 == 0 or d2 == 0:
-        which = "delta = eta1" if d1 == 0 else "delta = -eta2"
-        raise ValueError(f"ZZ formula pole at the two-photon resonance {which}")
-    return -2.0 * g_mhz**2 * (eta1_mhz + eta2_mhz) / (d1 * d2)
-
-
-MIN_IDLE_GHZ = 4.9
-NEIGHBOR_GAP_GHZ = 0.050
-F12_GAP_GHZ = 0.045
-F02_HALF_WINDOW_GHZ = 0.001
-
-
-def _idle_conflicts(f: float, q: QubitId, neighbour: QubitId, f_nb: float, device: DeviceModel) -> str | None:
-    eta_q = device.qubits[q].anharmonicity_mhz * 1e-3
-    eta_nb = device.qubits[neighbour].anharmonicity_mhz * 1e-3
-    if abs(f - f_nb) < NEIGHBOR_GAP_GHZ:
-        return f"gap |{q}-{neighbour}| below 50 MHz"
-    if abs(f - (f_nb + eta_nb / 2.0)) < F02_HALF_WINDOW_GHZ or abs(f_nb - (f + eta_q / 2.0)) < F02_HALF_WINDOW_GHZ:
-        return f"two-photon f02/2 collision between {q} and {neighbour}"
-    if abs(f - (f_nb + eta_nb)) < F12_GAP_GHZ or abs(f_nb - (f + eta_q)) < F12_GAP_GHZ:
-        return f"f01-f12 gap below 45 MHz between {q} and {neighbour}"
-    return None
-
-
-def validate_idle_assignment(device: DeviceModel, assignment: dict) -> list[str]:
-    """Standalone constraint checker, independent of the search; returns the
-    list of violations (empty means the assignment is feasible)."""
-    problems = []
-    for q, f in assignment.items():
-        if f < MIN_IDLE_GHZ:
-            problems.append(f"{q} below the minimum idle frequency {MIN_IDLE_GHZ} GHz")
-    for q in assignment:
-        for nb in device.neighbors(q):
-            if nb in assignment and sorted((q, nb))[0] == q:
-                msg = _idle_conflicts(assignment[q], q, nb, assignment[nb], device)
-                if msg:
-                    problems.append(msg)
-    return problems
-
-
-def assign_idle_frequencies(
-    device: DeviceModel,
-    tables: dict,
-    seed: int = 0,
-    max_restarts: int = 200,
-) -> dict:
-    """Greedy randomized idle-frequency assignment.
-
-    `tables` maps each functional qubit to a list of (frequency_ghz, t1_us)
-    candidates. Qubits are processed most-constrained first (shortest current
-    table); candidates are drawn with T1 weights; a dead end restarts the
-    whole search. Raises after the restart budget with the conflict that
-    emptied a table.
-    """
-    qubits = device.functional_qubits
-    for q in qubits:
-        if q not in tables or not tables[q]:
-            raise ValueError(f"no candidate frequencies for qubit {q}")
-    last_conflict = "no conflict recorded"
-    for attempt in range(max_restarts):
-        rng = rng_stream(seed, 0x1D, attempt)
-        available = {
-            q: [(f, t1) for f, t1 in tables[q] if f >= MIN_IDLE_GHZ] for q in qubits
-        }
-        if any(not v for v in available.values()):
-            empty = next(q for q, v in available.items() if not v)
-            raise CalibrationError(f"qubit {empty} has no candidates above {MIN_IDLE_GHZ} GHz")
-        assignment: dict[QubitId, float] = {}
-        failed = False
-        while len(assignment) < len(qubits):
-            pending = [q for q in qubits if q not in assignment]
-            q = min(pending, key=lambda p: (len(available[p]), str(p)))
-            if not available[q]:
-                last_conflict = f"table of {q} emptied by neighbour constraints"
-                failed = True
-                break
-            freqs = np.array([f for f, _ in available[q]])
-            weights = np.array([max(t1, 1e-9) for _, t1 in available[q]])
-            pick = rng.choice(len(freqs), p=weights / weights.sum())
-            f = float(freqs[pick])
-            assignment[q] = f
-            for nb in device.neighbors(q):
-                if nb not in assignment:
-                    kept = []
-                    for cand, t1 in available[nb]:
-                        if _idle_conflicts(cand, nb, q, f, device) is None:
-                            kept.append((cand, t1))
-                    available[nb] = kept
-        if failed:
-            continue
-        problems = validate_idle_assignment(device, assignment)
-        if problems:
-            last_conflict = problems[0]
-            continue
-        return {q: assignment[q] for q in qubits}
-    raise CalibrationError(f"no feasible idle-frequency assignment in {max_restarts} restarts: {last_conflict}")

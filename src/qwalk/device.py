@@ -1,11 +1,10 @@
-"""Programmable 8x8 qubit lattice: topology, parameters, frequency configurations.
+"""Programmable 8x8 qubit lattice: topology, qubit parameters, disorder maps.
 
 All frequencies are linear (MHz or GHz, i.e. omega/2pi); conversion to angular
 units happens only inside the Hamiltonian builder.
 """
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -19,7 +18,6 @@ __all__ = [
     "CouplingEdge",
     "DeviceModel",
     "DisorderMap",
-    "FrequencyConfig",
     "ActiveGraph",
     "default_device",
     "sample_disorder",
@@ -29,8 +27,6 @@ __all__ = [
     "rng_stream",
     "DEFAULT_J_EFF_MHZ",
     "DEFAULT_ANHARMONICITY_MHZ",
-    "DEFAULT_INTERACTION_GHZ",
-    "DEFAULT_PARKED_GHZ",
     "DEFAULT_DISORDER_BOUND_MHZ",
 ]
 
@@ -43,8 +39,6 @@ _UNIT_OFFSETS = {0: (0, 0), 1: (0, 1), 2: (1, 1), 3: (1, 0)}
 
 DEFAULT_J_EFF_MHZ = 2.01
 DEFAULT_ANHARMONICITY_MHZ = -248.9
-DEFAULT_INTERACTION_GHZ = 5.02
-DEFAULT_PARKED_GHZ = 4.97
 DEFAULT_DISORDER_BOUND_MHZ = 1.6  # 0.8 * J_eff/2pi
 
 _DEFAULT_BROKEN_QUBITS = ("U03Q2", "U22Q1")
@@ -106,24 +100,16 @@ _GRID_QUBITS = tuple(
 
 @dataclass(frozen=True)
 class QubitParams:
-    max_frequency_ghz: float = 5.442
+    """The per-qubit inputs of a readout model (`ReadoutModel.from_device`)."""
+
     idle_frequency_ghz: float = 5.200
-    anharmonicity_mhz: float = DEFAULT_ANHARMONICITY_MHZ
-    t1_us: float = 12.26
-    t2_star_us: float = 1.63
     readout_fidelity_0: float = 0.966
     readout_fidelity_1: float = 0.919
     effective_temperature_mk: float = 66.0
-    dispersive_shift_mhz: float = 1.14
-    resonator_linewidth_mhz: float = 5.06
 
     def __post_init__(self):
         if not (0.0 < self.readout_fidelity_0 <= 1.0 and 0.0 < self.readout_fidelity_1 <= 1.0):
             raise ValueError("readout fidelities must lie in (0, 1]")
-        if self.t1_us <= 0 or self.t2_star_us <= 0:
-            raise ValueError("T1 and T2* must be positive")
-        if self.anharmonicity_mhz >= 0:
-            raise ValueError("anharmonicity must be negative")
 
 
 @dataclass(frozen=True)
@@ -183,10 +169,6 @@ class DeviceModel:
     def functional_qubits(self) -> list[QubitId]:
         return sorted(q for q in self.qubits if q not in self.broken_qubits)
 
-    @property
-    def functional_qubit_count(self) -> int:
-        return len(self.qubits) - len(self.broken_qubits)
-
     def edge(self, a: QubitId, b: QubitId) -> CouplingEdge:
         try:
             return self._edges[frozenset((a, b))]
@@ -215,69 +197,6 @@ class DeviceModel:
                 out.append(e.b if e.a == q else e.a)
         return sorted(out)
 
-    # -- device description file --------------------------------------------
-
-    def to_dict(self) -> dict:
-        broken_edges = []
-        for key in self.broken_edge_keys:
-            a, b = sorted(key)
-            broken_edges.append([a.label, b.label])
-        return {
-            "schema_version": 1,
-            "qubits": {
-                q.label: {
-                    "max_frequency_ghz": p.max_frequency_ghz,
-                    "idle_frequency_ghz": p.idle_frequency_ghz,
-                    "anharmonicity_mhz": p.anharmonicity_mhz,
-                    "t1_us": p.t1_us,
-                    "t2_star_us": p.t2_star_us,
-                    "readout_fidelity_0": p.readout_fidelity_0,
-                    "readout_fidelity_1": p.readout_fidelity_1,
-                    "effective_temperature_mk": p.effective_temperature_mk,
-                    "dispersive_shift_mhz": p.dispersive_shift_mhz,
-                    "resonator_linewidth_mhz": p.resonator_linewidth_mhz,
-                }
-                for q, p in sorted(self.qubits.items())
-            },
-            "edges": [
-                [e.a.label, e.b.label, e.j_eff_mhz, e.functional]
-                for e in sorted(self._edges.values(), key=lambda e: tuple(sorted((e.a, e.b))))
-            ],
-            "broken_qubits": sorted(q.label for q in self.broken_qubits),
-            "broken_edges": sorted(broken_edges),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DeviceModel":
-        version = data.get("schema_version")
-        if version != 1:
-            raise ValueError(f"unsupported device schema version {version!r}")
-        qubits = {}
-        for label, raw in data["qubits"].items():
-            try:
-                qubits[QubitId.parse(label)] = QubitParams(**raw)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"invalid parameters for qubit {label}: {exc}") from None
-        edges = []
-        for a, b, j, functional in data["edges"]:
-            try:
-                edges.append(CouplingEdge(QubitId.parse(a), QubitId.parse(b), j, functional))
-            except ValueError as exc:
-                raise ValueError(f"invalid edge {a}-{b}: {exc}") from None
-        broken_q = [QubitId.parse(s) for s in data.get("broken_qubits", ())]
-        broken_e = [(QubitId.parse(a), QubitId.parse(b)) for a, b in data.get("broken_edges", ())]
-        return cls(qubits, edges, broken_q, broken_e)
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "DeviceModel":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
 
 @dataclass(frozen=True)
 class DisorderMap:
@@ -287,38 +206,6 @@ class DisorderMap:
 
     def get(self, site, default: float = 0.0) -> float:
         return float(self.offsets.get(site, default))
-
-
-@dataclass(frozen=True)
-class FrequencyConfig:
-    """Working frequencies of the array during an evolution window.
-
-    Active qubits sit at interaction_frequency_ghz plus their disorder offset;
-    everything else is parked far away and treated as decoupled.
-    """
-
-    working_frequency_ghz: Mapping
-    active_set: frozenset
-    interaction_frequency_ghz: float = DEFAULT_INTERACTION_GHZ
-    parked_frequency_ghz: float = DEFAULT_PARKED_GHZ
-
-    @classmethod
-    def from_disorder(
-        cls,
-        active: Iterable[QubitId],
-        disorder: DisorderMap | None = None,
-        interaction_frequency_ghz: float = DEFAULT_INTERACTION_GHZ,
-        parked_frequency_ghz: float = DEFAULT_PARKED_GHZ,
-    ) -> "FrequencyConfig":
-        active = frozenset(active)
-        disorder = disorder or DisorderMap()
-        working = {q: interaction_frequency_ghz + 1e-3 * disorder.get(q) for q in active}
-        return cls(working, active, interaction_frequency_ghz, parked_frequency_ghz)
-
-    def disorder_offsets(self) -> DisorderMap:
-        return DisorderMap(
-            {q: 1e3 * (self.working_frequency_ghz[q] - self.interaction_frequency_ghz) for q in self.active_set}
-        )
 
 
 @dataclass(frozen=True)
@@ -341,33 +228,16 @@ class ActiveGraph:
         return {s: i for i, s in enumerate(self.sites)}
 
 
-def default_device(
-    overrides: Mapping[QubitId, QubitParams] | None = None,
-    j_eff_sigma_mhz: float | None = None,
-    seed: int = 0,
-) -> DeviceModel:
-    """The 8x8 array with homogeneous parameter means and the stock broken elements.
-
-    `overrides` replaces per-qubit parameters; `j_eff_sigma_mhz` optionally
-    randomizes edge couplings around the 2.01 MHz mean (off by default).
-    """
-    qubits = {}
-    for r in range(8):
-        for c in range(8):
-            q = QubitId.from_grid(r, c)
-            qubits[q] = QubitParams()
-    if overrides:
-        qubits.update(overrides)
-    rng = rng_stream(seed, 0xDE) if j_eff_sigma_mhz else None
+def default_device() -> DeviceModel:
+    """The 8x8 array with homogeneous parameter means, 2.01 MHz couplings and
+    the stock broken elements."""
+    qubits = {QubitId.from_grid(r, c): QubitParams() for r in range(8) for c in range(8)}
     edges = []
     for r in range(8):
         for c in range(8):
             for (r2, c2) in ((r + 1, c), (r, c + 1)):
                 if r2 < 8 and c2 < 8:
-                    j = DEFAULT_J_EFF_MHZ
-                    if rng is not None:
-                        j = float(rng.normal(DEFAULT_J_EFF_MHZ, j_eff_sigma_mhz))
-                    edges.append(CouplingEdge(QubitId.from_grid(r, c), QubitId.from_grid(r2, c2), j))
+                    edges.append(CouplingEdge(QubitId.from_grid(r, c), QubitId.from_grid(r2, c2)))
     broken_q = [QubitId.parse(s) for s in _DEFAULT_BROKEN_QUBITS]
     broken_e = [(QubitId.parse(a), QubitId.parse(b)) for a, b in _DEFAULT_BROKEN_EDGES]
     return DeviceModel(qubits, edges, broken_q, broken_e)

@@ -16,7 +16,6 @@ __all__ = [
     "sample_shots",
     "post_select",
     "overlap_fidelity",
-    "effective_temperature",
     "thermal_excited_probability",
 ]
 
@@ -168,17 +167,9 @@ def overlap_fidelity(p, q) -> float:
     return float(np.sum(np.sqrt(p * q)) ** 2 / (sp_ * sq))
 
 
-def effective_temperature(p_excited: float, qubit_frequency_ghz: float) -> float:
-    """Two-level Boltzmann inversion: temperature in mK from the excited fraction."""
-    if not 0.0 < p_excited < 0.5:
-        raise ValueError("excited-state probability must lie in (0, 0.5)")
-    if qubit_frequency_ghz <= 0:
-        raise ValueError("qubit frequency must be positive")
-    return _H_OVER_KB_MK_PER_GHZ * qubit_frequency_ghz / np.log((1.0 - p_excited) / p_excited)
-
-
 def thermal_excited_probability(temperature_mk: float, qubit_frequency_ghz: float) -> float:
-    """Inverse of effective_temperature: equilibrium excited fraction at T."""
+    """Two-level Boltzmann equilibrium excited fraction x / (1 + x) at
+    temperature T, with x = exp(-h f / k_B T); 0 at T <= 0."""
     if temperature_mk <= 0:
         return 0.0
     x = np.exp(-_H_OVER_KB_MK_PER_GHZ * qubit_frequency_ghz / temperature_mk)

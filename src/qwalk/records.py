@@ -167,13 +167,3 @@ class RunManifest:
         }
         self.path().write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
-    @staticmethod
-    def validate_file(path) -> dict:
-        doc = json.loads(Path(path).read_text())
-        required = {"schema_version", "scenario", "seed", "code_version", "outputs", "status", "started_at"}
-        missing = required - doc.keys()
-        if missing:
-            raise ValueError(f"manifest missing fields: {sorted(missing)}")
-        if doc["schema_version"] != 1:
-            raise ValueError(f"unsupported manifest schema version {doc['schema_version']!r}")
-        return doc

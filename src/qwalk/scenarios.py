@@ -38,7 +38,7 @@ __all__ = [
     "SCHEMA_VERSION",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # Triangular detuning pattern along a 10-site arm: ramps d..5d then back down.
 _STEP_PATTERN = (1, 2, 3, 4, 5, 5, 4, 3, 2, 1)
@@ -187,7 +187,6 @@ class Scenario:
     step_d_right_mhz: float = field(default=0.0, metadata={"convert": _number})
     readout_time_ns: float | None = field(default=None, metadata={"convert": lambda v: None if v is None else _number(v)})
     n_shots: int | None = None
-    post_select: bool = True
     seed: int = 0
     layout_names: dict = field(default_factory=dict, metadata={"convert": dict})  # site name -> label
 
@@ -213,8 +212,6 @@ class Scenario:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.n_shots is not None and not (_is_int(self.n_shots) and self.n_shots > 0):
             raise ValueError(f"n_shots must be a positive integer or null, got {self.n_shots!r}")
-        if not isinstance(self.post_select, bool):
-            raise ValueError(f"post_select must be true or false, got {self.post_select!r}")
         if self.layout_names:
             try:
                 layout_from_names(self.layout_names)
@@ -389,7 +386,8 @@ def run_scenario(
     readout: ReadoutModel | None = None,
 ) -> ScenarioResult:
     """Evolve the scenario and optionally sample shots at the readout time,
-    which is propagated to exactly without adding a column to the populations."""
+    which is propagated to exactly without adding a column to the populations.
+    Sampled shots are post-selected on the walker number."""
     graph, _basis, psi0, h = _scenario_setup(scenario, device or default_device(), scenario.disorder())
     times = scenario.times_ns
     t_read = None
@@ -404,8 +402,7 @@ def run_scenario(
         state = snapshots[t_read]
         model = readout or ReadoutModel.perfect(graph.n_sites)
         shots = sample_shots(state, model, scenario.n_shots, scenario.seed)
-        if scenario.post_select:
-            shots, retention = post_select(shots, scenario.n_excitations)
+        shots, retention = post_select(shots, scenario.n_excitations)
     labels = tuple(q.label for q in graph.sites)
     return ScenarioResult(scenario, labels, scenario.times_ns, pops, shots, retention)
 

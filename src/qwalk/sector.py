@@ -27,8 +27,6 @@ __all__ = [
     "occupation_row",
     "basis_state",
     "populations",
-    "state_to_record",
-    "state_from_record",
 ]
 
 MAX_DIMENSION = 20_000_000
@@ -141,16 +139,3 @@ def populations(state: QuantumState) -> np.ndarray:
     p = np.abs(state.amplitudes) ** 2
     return p @ state.basis.occupancy_matrix()
 
-
-def state_to_record(state: QuantumState) -> dict:
-    return {
-        "n_sites": state.basis.n_sites,
-        "n_excitations": state.basis.n_excitations,
-        "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
-    }
-
-
-def state_from_record(record: dict) -> QuantumState:
-    basis = enumerate_basis(int(record["n_sites"]), int(record["n_excitations"]))
-    amp = np.array([complex(re, im) for re, im in record["amplitudes"]], dtype=np.complex128)
-    return QuantumState(basis, amp)

@@ -10,15 +10,12 @@ from qwalk.calibration import (
     CalibrationTwin,
     SwapDataset,
     alignment_loop,
-    assign_idle_frequencies,
     canonical_gauge,
     fit_disorder_map,
     generate_swap_data,
     nelder_mead,
     optimize_interferometer,
     single_excitation_populations,
-    validate_idle_assignment,
-    zz_coupling,
 )
 from qwalk.device import (
     ActiveGraph,
@@ -406,69 +403,3 @@ def test_interferometer_reaches_the_shared_optimum_from_seed_4():
         assert all(b <= a for a, b in zip(costs, costs[1:]))
     assert opt.stage2_history[-1][1] == pytest.approx(-opt.detector_population, abs=1e-12)
 
-
-def test_zz_coupling_values():
-    assert zz_coupling(0.0, -250.0, -250.0, 30.0) == 0.0
-    assert zz_coupling(2.0, -250.0, -250.0, 0.0) == pytest.approx(-0.064)
-    assert zz_coupling(2.0, -250.0, -250.0, 50.0) == zz_coupling(-2.0, -250.0, -250.0, 50.0)
-    with pytest.raises(ValueError):
-        zz_coupling(2.0, -250.0, -250.0, -250.0)
-
-
-def test_zz_coupling_bounded_outside_collision_band():
-    # with the stock parameters, staying 45 MHz away from both two-photon
-    # resonances keeps |ZZ| under 0.2 MHz
-    eta = -248.9
-    g = J
-    for delta in np.linspace(-600.0, 600.0, 4801):
-        if abs(delta - eta) >= 45.0 and abs(delta + eta) >= 45.0:
-            assert abs(zz_coupling(g, eta, eta, delta)) < 0.2
-
-
-def test_idle_assignment_isolated_qubits():
-    a, b = QubitId.parse("U00Q0"), QubitId.parse("U02Q0")
-    device = DeviceModel({a: QubitParams(), b: QubitParams()}, [])
-    tables = {a: [(5.00, 10.0)], b: [(5.03, 10.0)]}
-    out = assign_idle_frequencies(device, tables, seed=1)
-    assert out == {a: 5.00, b: 5.03}
-
-
-def test_idle_assignment_infeasible_neighbours():
-    device, a, b = two_qubit_device()
-    tables = {a: [(5.00, 10.0)], b: [(5.03, 10.0)]}  # 30 MHz gap < 50 MHz
-    with pytest.raises(CalibrationError):
-        assign_idle_frequencies(device, tables, seed=1, max_restarts=5)
-
-
-def test_idle_assignment_full_array_passes_validator():
-    device = subgrid_device(2, 2, 3, 3)
-    rng = np.random.default_rng(4)
-    tables = {}
-    for q in device.functional_qubits:
-        freqs = np.arange(4.90, 5.61, 0.001)
-        t1 = rng.uniform(5.0, 25.0, size=len(freqs))
-        tables[q] = list(zip(freqs.tolist(), t1.tolist()))
-    out = assign_idle_frequencies(device, tables, seed=9)
-    assert validate_idle_assignment(device, out) == []
-    assert all(f >= 4.9 for f in out.values())
-
-
-def test_idle_assignment_deterministic():
-    device = subgrid_device(2, 2, 2, 2)
-    rng = np.random.default_rng(4)
-    tables = {
-        q: [(float(f), float(rng.uniform(5, 20))) for f in np.arange(4.9, 5.5, 0.005)]
-        for q in device.functional_qubits
-    }
-    assert assign_idle_frequencies(device, tables, seed=3) == assign_idle_frequencies(device, tables, seed=3)
-
-
-def test_validator_flags_violations():
-    device, a, b = two_qubit_device()
-    problems = validate_idle_assignment(device, {a: 5.00, b: 5.02})
-    assert any("50 MHz" in p for p in problems)
-    problems = validate_idle_assignment(device, {a: 4.5, b: 5.2})
-    assert any("minimum idle" in p for p in problems)
-    eta = QubitParams().anharmonicity_mhz * 1e-3
-    problems = validate_idle_assignment(device, {a: 5.3, b: 5.3 - eta})
-    assert any("f01-f12" in p for p in problems)

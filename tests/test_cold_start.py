@@ -54,3 +54,22 @@ def test_deferred_imports_resolve_in_a_fresh_interpreter(tmp_path):
         print(json.dumps({"code": code, "snapshots": len(snaps)}))
     """, tmp_path)
     assert got == {"code": 0, "snapshots": 1}
+
+
+
+def test_module_exports_resolve(tmp_path):
+    # a deleted function cannot stay behind in an `__all__` or in the package namespace
+    got = fresh_python("""
+        import importlib, json, pkgutil
+        import qwalk
+        missing = {}
+        for info in pkgutil.iter_modules(qwalk.__path__):
+            module = importlib.import_module(f"qwalk.{info.name}")
+            stale = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+            if stale:
+                missing[info.name] = stale
+        namespace = {}
+        exec("from qwalk import *", namespace)
+        print(json.dumps({"missing": missing, "star_import": "run_scenario" in namespace}))
+    """, tmp_path)
+    assert got == {"missing": {}, "star_import": True}

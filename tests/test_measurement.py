@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import constants
 from scipy.stats import chi2
 
 from qwalk.device import default_device, rng_stream
@@ -18,7 +19,6 @@ from qwalk.evolution import evolve_unitary
 from qwalk.measurement import (
     ReadoutModel,
     ShotCounts,
-    effective_temperature,
     overlap_fidelity,
     post_select,
     sample_shots,
@@ -150,26 +150,13 @@ def test_overlap_fidelity_properties():
         overlap_fidelity([1.0], [0.5, 0.5])
 
 
-def test_effective_temperature_examples():
-    # 66 mK at 5 GHz sits near a 2.6% excited fraction
-    p = thermal_excited_probability(66.0, 5.0)
-    assert p == pytest.approx(0.026, abs=2e-3)
-    assert effective_temperature(p, 5.0) == pytest.approx(66.0, rel=1e-9)
-    # colder means exponentially less excitation
-    assert thermal_excited_probability(10.0, 5.0) < 1e-4
-
-
-def test_effective_temperature_round_trip():
-    for t in (20.0, 66.0, 150.0):
-        p = thermal_excited_probability(t, 5.0)
-        assert effective_temperature(p, 5.0) == pytest.approx(t, rel=1e-9)
-
-
-def test_effective_temperature_domain():
-    with pytest.raises(ValueError):
-        effective_temperature(0.6, 5.0)
-    with pytest.raises(ValueError):
-        effective_temperature(0.0, 5.0)
+def test_thermal_excited_probability_closed_form():
+    # the two-level Boltzmann fraction x / (1 + x), x = exp(-h f / k_B T), from SciPy's constants
+    x = np.exp(-constants.h * 5.02e9 / (constants.k * 66e-3))
+    assert abs(thermal_excited_probability(66.0, 5.02) - x / (1.0 + x)) <= 1e-12
+    assert thermal_excited_probability(0.0, 5.02) == thermal_excited_probability(-10.0, 5.02) == 0.0
+    warmer = [thermal_excited_probability(t, 5.02) for t in (1.0, 10.0, 20.0, 66.0, 150.0, 1000.0)]
+    assert all(a < b for a, b in zip(warmer, warmer[1:]))
 
 
 def test_thermal_excitation_inflates_weight():

@@ -45,19 +45,19 @@ def test_records_are_self_describing(tmp_path):
 
 
 def test_manifest_lifecycle(tmp_path):
+    keys = {"schema_version", "scenario", "seed", "code_version", "overrides", "outputs", "status", "started_at",
+            "finished_at"}
     m = RunManifest("demo", 7, "0.1.0", str(tmp_path), outputs=["records.jsonl"])
     with m:
-        doc = RunManifest.validate_file(m.path())
-        assert doc["status"] == "running" and doc["outputs"] == ["records.jsonl"]
-    doc = RunManifest.validate_file(m.path())
+        doc = json.loads(m.path().read_text())
+        assert doc.keys() == keys and doc["schema_version"] == 1
+        assert doc["status"] == "running" and doc["outputs"] == ["records.jsonl"] and doc["started_at"]
+    doc = json.loads(m.path().read_text())
+    assert doc.keys() == keys
     assert doc["status"] == "done" and doc["finished_at"]
     with pytest.raises(KeyError), m:
         raise KeyError("boom")
-    assert RunManifest.validate_file(m.path())["status"] == "failed"
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"schema_version": 1}))
-    with pytest.raises(ValueError):
-        RunManifest.validate_file(bad)
+    assert json.loads(m.path().read_text())["status"] == "failed"
 
 
 def test_write_csv_matrix(tmp_path):
@@ -119,7 +119,7 @@ def test_cli_run_and_outputs(tmp_path):
     assert (out / "records.jsonl").exists()
     assert (out / "populations.csv").exists()
     assert (out / "snapshot.svg").exists()
-    doc = RunManifest.validate_file(out / "manifest.json")
+    doc = json.loads((out / "manifest.json").read_text())
     assert doc["status"] == "done"
     recs = read_records(out / "records.jsonl")
     assert sum(1 for r in recs if r.kind == "populations") == 3
@@ -177,7 +177,9 @@ def test_cli_bad_override_is_domain_error(tmp_path):
 
 
 def test_cli_removed_scenario_field_is_unknown(tmp_path, capsys):
-    for field, value in (("interaction_frequency_ghz", "7.0"), ("kind", '"mz"'), ("blocked", "1"), ("removed", "null")):
+    removed = (("interaction_frequency_ghz", "7.0"), ("kind", '"mz"'), ("blocked", "1"), ("removed", "null"),
+               ("post_select", "true"))
+    for field, value in removed:
         out = tmp_path / field
         argv = ["run", "--scenario", "mz-two", "--out", str(out), "--override", f"{field}={value}"]
         assert main(argv) == 1
@@ -185,6 +187,13 @@ def test_cli_removed_scenario_field_is_unknown(tmp_path, capsys):
         assert doc["type"] == "ValueError" and doc["error"] == f"unknown scenario field {field!r}"
         assert "Traceback" not in capsys.readouterr().err
         assert not (out / "records.jsonl").exists()
+    # a schema-2 document carries post_select; its version is refused before its fields are read
+    out = tmp_path / "schema-2"
+    argv = ["run", "--scenario", _scenario_file(tmp_path, "mz-two", schema_version=2, post_select=True), "--out", str(out)]
+    assert main(argv) == 1
+    doc = json.loads((out / "error.json").read_text())
+    assert doc["type"] == "ValueError" and doc["error"] == "unsupported scenario schema version 2"
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
 
 def _scenario_file(tmp_path, scenario="ctqw-single", **changes):
@@ -268,7 +277,7 @@ def test_cli_calibrate_bad_bound_or_shots_is_domain_error(tmp_path, capsys, task
     doc = json.loads((tmp_path / "error.json").read_text())
     assert doc["type"] == "ValueError" and doc["error"].startswith(field)
     assert "Traceback" not in capsys.readouterr().err
-    assert RunManifest.validate_file(tmp_path / "manifest.json")["status"] == "failed"
+    assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "failed"
 
 
 def test_cli_calibrate_exhausted_start_budget_is_domain_error(tmp_path, capsys, monkeypatch):
@@ -280,7 +289,7 @@ def test_cli_calibrate_exhausted_start_budget_is_domain_error(tmp_path, capsys, 
     assert doc["type"] == "CalibrationError"
     assert "best cost" in doc["error"] and "zero-map cost" in doc["error"]
     assert "Traceback" not in capsys.readouterr().err
-    assert RunManifest.validate_file(tmp_path / "manifest.json")["status"] == "failed"
+    assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "failed"
 
 
 def test_cli_analyze_records_the_seed_it_runs(tmp_path):
@@ -288,7 +297,7 @@ def test_cli_analyze_records_the_seed_it_runs(tmp_path):
         out = tmp_path / name
         argv = ["analyze", "--study", "distance-velocity", "--seeds", "2", *seed_flags, "--out", str(out)]
         assert main(argv) == 0
-        return RunManifest.validate_file(out / "manifest.json")["seed"], (out / "records.jsonl").read_text()
+        return json.loads((out / "manifest.json").read_text())["seed"], (out / "records.jsonl").read_text()
 
     default_seed, default_records = analyze("default")
     assert (default_seed, default_records) == analyze("explicit", "--seed", "2024")
@@ -346,7 +355,7 @@ def test_cli_analyze_velocity_rejects_ensemble_flags(tmp_path, capsys, flags, fl
     doc = json.loads((tmp_path / "error.json").read_text())
     assert doc["type"] == "ValueError" and doc["error"].startswith(f"{flag} does not apply")
     assert "Traceback" not in capsys.readouterr().err
-    assert RunManifest.validate_file(tmp_path / "manifest.json")["status"] == "failed"
+    assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "failed"
 
 
 def test_cli_non_finite_override_is_domain_error(tmp_path):
@@ -392,7 +401,7 @@ def test_cli_sweep_range_without_values_is_domain_error(tmp_path, capsys, flag, 
         ('seed="abc"',),
         ("n_shots=100", 'seed="abc"'),
         ("n_shots=100", "seed=1.5"),
-        ("n_shots=100", 'post_select="no"'),  # a truthy string would still post-select
+        ("n_shots=100", "seed=-1"),
         ("times_ns=5",),
         ("active=5",),
         ("sources=5",),
@@ -476,4 +485,4 @@ def test_cli_seed_override_wins(tmp_path):
         ]
     )
     assert code == 0
-    assert RunManifest.validate_file(out / "manifest.json")["seed"] == 9
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 9

@@ -119,7 +119,6 @@ def valid_scenarios(draw):
         step_d_right_mhz=steps[1],
         readout_time_ns=draw(st.none() | st.floats(0.0, 1e4)),
         n_shots=draw(st.none() | st.integers(1, 10**6)),
-        post_select=draw(st.booleans()),
         seed=draw(st.integers(0, 2**63)),
         layout_names=dict(_MZ_NAMES) if interferometer else {},
     )

@@ -10,8 +10,6 @@ from qwalk.sector import (
     enumerate_basis,
     lookup,
     populations,
-    state_from_record,
-    state_to_record,
 )
 
 
@@ -146,17 +144,6 @@ def test_occupancy_matrix_matches_per_state_loop(n, k):
     assert np.array_equal(occ, brute_force_occupancy(bitstring_values(n, k), n))
     assert b.occupancy_matrix() is occ
     assert np.array_equal(lookup(b.keys, b.rows), np.arange(b.dimension))
-
-
-def test_state_record_round_trip():
-    b = enumerate_basis(5, 2)
-    rng = np.random.default_rng(7)
-    amp = rng.normal(size=b.dimension) + 1j * rng.normal(size=b.dimension)
-    amp /= np.linalg.norm(amp)
-    s = QuantumState(b, amp)
-    s2 = state_from_record(state_to_record(s))
-    assert s2.basis.dimension == b.dimension
-    assert np.allclose(s2.amplitudes, amp)
 
 
 def test_state_norm_check():
