@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import DisorderMap, QubitId, active_subgraph, default_device, grid_graph, sample_disorder
+from .device import (DEFAULT_DISORDER_BOUND_MHZ, DisorderMap, QubitId, active_subgraph, default_device, grid_graph,
+                     sample_disorder)
 from .evolution import propagate_block
 from .hamiltonian import TWO_PI, build_hamiltonian, disorder_diagonals
 from .sector import QuantumState, basis_state, enumerate_basis, lookup
@@ -276,7 +277,6 @@ def interaction_signature(two_walker_grid, single_left_grid, single_right_grid) 
 # disorder_velocity_study: 15x15 grid, fronts at diagonals 1..11, windows from
 # d0 = sqrt(2)..8*sqrt(2)
 STUDY_SIDE = 15
-STUDY_DISORDER_BOUND_MHZ = 1.6
 STUDY_TIMES_NS = tuple(np.arange(0.0, 1000.0 + 1e-9, 10.0))
 STUDY_DIAGONALS = STUDY_SIDE - 4
 STUDY_WINDOWS = 8
@@ -371,11 +371,11 @@ def disorder_velocity_study(n_seeds: int = 32, seed: int = 11000) -> VelocityStu
     graph = grid_graph(STUDY_SIDE, STUDY_SIDE)
     index = graph.index
     diagonal = [index[(k, k)] for k in range(1, STUDY_DIAGONALS + 1)]
-    disorders = [sample_disorder(graph.sites, STUDY_DISORDER_BOUND_MHZ, seed + s) for s in range(n_seeds)]
+    disorders = [sample_disorder(graph.sites, DEFAULT_DISORDER_BOUND_MHZ, seed + s) for s in range(n_seeds)]
     _, fronts = _diagonal_fronts(graph, index[(0, 0)], diagonal, disorders, STUDY_TIMES_NS)
     d0_values = tuple(k0 * SQRT2 for k0 in range(1, STUDY_WINDOWS + 1))
     velocities, std_errs = zip(*(instantaneous_velocity(fronts, d0) for d0 in d0_values))
     unweighted = tuple(unweighted_distances(_window_fronts(fronts, d0)) for d0 in d0_values)
     return VelocityStudyResult(
-        d0_values, velocities, std_errs, fronts, n_seeds, STUDY_DISORDER_BOUND_MHZ, unweighted
+        d0_values, velocities, std_errs, fronts, n_seeds, DEFAULT_DISORDER_BOUND_MHZ, unweighted
     )

@@ -28,6 +28,7 @@ from .calibration import (
 )
 from .device import (
     DEFAULT_ANHARMONICITY_MHZ,
+    DEFAULT_DISORDER_BOUND_MHZ,
     DEFAULT_J_EFF_MHZ,
     QubitId,
     default_device,
@@ -390,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal = sub.add_parser("calibrate", help="twin-based calibration demos")
     p_cal.add_argument("--task", choices=("disorder", "align", "interferometer"), required=True)
     p_cal.add_argument("--seed", type=int)
-    p_cal.add_argument("--bound", type=float, default=1.6, help="planted disorder bound MHz")
+    p_cal.add_argument("--bound", type=float, default=DEFAULT_DISORDER_BOUND_MHZ, help="planted disorder bound MHz")
     p_cal.add_argument("--shots", type=int, default=None)
     p_cal.add_argument("--rounds", type=int, default=None, help="align rounds (default 5)")
     p_cal.add_argument("--out", required=True)

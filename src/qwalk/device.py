@@ -41,9 +41,6 @@ DEFAULT_J_EFF_MHZ = 2.01
 DEFAULT_ANHARMONICITY_MHZ = -248.9
 DEFAULT_DISORDER_BOUND_MHZ = 1.6  # 0.8 * J_eff/2pi
 
-_DEFAULT_BROKEN_QUBITS = ("U03Q2", "U22Q1")
-_DEFAULT_BROKEN_EDGES = (("U10Q0", "U10Q3"),)
-
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
     """Counter-based generator; independent streams for (seed, *key)."""
@@ -117,15 +114,14 @@ class CouplingEdge:
     a: QubitId
     b: QubitId
     j_eff_mhz: float = DEFAULT_J_EFF_MHZ
-    functional: bool = True
 
     def __post_init__(self):
         ra, ca = self.a.grid_position
         rb, cb = self.b.grid_position
         if abs(ra - rb) + abs(ca - cb) != 1:
             raise ValueError(f"edge {self.a}-{self.b} does not connect lattice neighbours")
-        if self.functional and self.j_eff_mhz <= 0:
-            raise ValueError(f"functional edge {self.a}-{self.b} needs j_eff > 0")
+        if self.j_eff_mhz <= 0:
+            raise ValueError(f"edge {self.a}-{self.b} needs j_eff > 0")
 
     @property
     def key(self) -> frozenset:
@@ -177,11 +173,7 @@ class DeviceModel:
 
     def edge_functional(self, a: QubitId, b: QubitId) -> bool:
         key = frozenset((a, b))
-        if key not in self._edges:
-            return False
-        if key in self.broken_edge_keys or not self._edges[key].functional:
-            return False
-        return not (a in self.broken_qubits or b in self.broken_qubits)
+        return key in self._edges and key not in self.broken_edge_keys and key.isdisjoint(self.broken_qubits)
 
     def functional_edges(self) -> list[CouplingEdge]:
         out = []
@@ -231,15 +223,12 @@ class ActiveGraph:
 def default_device() -> DeviceModel:
     """The 8x8 array with homogeneous parameter means, 2.01 MHz couplings and
     the stock broken elements."""
-    qubits = {QubitId.from_grid(r, c): QubitParams() for r in range(8) for c in range(8)}
-    edges = []
-    for r in range(8):
-        for c in range(8):
-            for (r2, c2) in ((r + 1, c), (r, c + 1)):
-                if r2 < 8 and c2 < 8:
-                    edges.append(CouplingEdge(QubitId.from_grid(r, c), QubitId.from_grid(r2, c2)))
-    broken_q = [QubitId.parse(s) for s in _DEFAULT_BROKEN_QUBITS]
-    broken_e = [(QubitId.parse(a), QubitId.parse(b)) for a, b in _DEFAULT_BROKEN_EDGES]
+    g = QubitId.from_grid
+    qubits = {g(r, c): QubitParams() for r in range(8) for c in range(8)}
+    edges = [CouplingEdge(g(r, c), g(r2, c2)) for r in range(8) for c in range(8)
+             for r2, c2 in ((r + 1, c), (r, c + 1)) if r2 < 8 and c2 < 8]
+    broken_q = [QubitId.parse("U03Q2"), QubitId.parse("U22Q1")]
+    broken_e = [(QubitId.parse("U10Q0"), QubitId.parse("U10Q3"))]
     return DeviceModel(qubits, edges, broken_q, broken_e)
 
 
@@ -297,23 +286,15 @@ def subgrid_device(row0: int, col0: int, n_rows: int, n_cols: int) -> DeviceMode
     """
     if not (0 <= row0 and 0 <= col0 and row0 + n_rows <= 8 and col0 + n_cols <= 8):
         raise ValueError("patch must fit inside the 8x8 grid")
-    broken_q = {QubitId.parse(s).grid_position for s in _DEFAULT_BROKEN_QUBITS}
-    broken_e = {
-        frozenset((QubitId.parse(a).grid_position, QubitId.parse(b).grid_position))
-        for a, b in _DEFAULT_BROKEN_EDGES
-    }
-    qubits = {}
-    for r in range(row0, row0 + n_rows):
-        for c in range(col0, col0 + n_cols):
-            if (r, c) in broken_q:
-                raise ValueError(f"patch includes broken qubit at grid ({r}, {c})")
-            qubits[QubitId.from_grid(r, c)] = QubitParams()
-    edges = []
-    for r in range(row0, row0 + n_rows):
-        for c in range(col0, col0 + n_cols):
-            for (r2, c2) in ((r + 1, c), (r, c + 1)):
-                if r2 < row0 + n_rows and c2 < col0 + n_cols:
-                    if frozenset(((r, c), (r2, c2))) in broken_e:
-                        raise ValueError(f"patch includes broken edge at grid ({r},{c})-({r2},{c2})")
-                    edges.append(CouplingEdge(QubitId.from_grid(r, c), QubitId.from_grid(r2, c2)))
+    device = default_device()
+    rows, cols = range(row0, row0 + n_rows), range(col0, col0 + n_cols)
+    qubits = {q: p for q, p in device.qubits.items() if q.grid_position[0] in rows and q.grid_position[1] in cols}
+    for q in qubits:
+        if q in device.broken_qubits:
+            raise ValueError(f"patch includes broken qubit at grid {q.grid_position}")
+    edges = [e for e in device._edges.values() if e.a in qubits and e.b in qubits]
+    for e in edges:
+        if e.key in device.broken_edge_keys:
+            (r, c), (r2, c2) = e.a.grid_position, e.b.grid_position
+            raise ValueError(f"patch includes broken edge at grid ({r},{c})-({r2},{c2})")
     return DeviceModel(qubits, edges)

@@ -39,7 +39,7 @@ import scipy.sparse as sp
 
 from .device import ActiveGraph, DisorderMap
 from .hamiltonian import HamiltonianMatrix, build_hamiltonian
-from .sector import NORM_TOL, QuantumState, lookup, occupation_row, row_keys
+from .sector import NORM_TOL, QuantumState, lookup, occupation_row, row_keys, site_sums
 
 __all__ = [
     "EvolutionError",
@@ -341,10 +341,10 @@ class LindbladModel:
     n_sites: int
     rows: np.ndarray = field(repr=False)  # (dimension x n_sites) bool, ascending bitstrings
     keys: np.ndarray = field(repr=False)  # sector.row_keys(rows)
+    sites: np.ndarray = field(repr=False)  # occupied sites per row, ascending, padded with n_sites
     h: np.ndarray | None = field(default=None, repr=False)
     t1_us: dict = field(default_factory=dict)
     t_phi_us: dict = field(default_factory=dict)
-    _occ: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_graph(
@@ -364,19 +364,15 @@ class LindbladModel:
         if not full_space:
             # union of excitation sectors 0..max_excitations, closed under decay
             rows = rows[rows.sum(axis=1) <= max_excitations]
-        model = cls(n, rows, row_keys(rows), t1_us=_rate_map(t1_us, n), t_phi_us=_rate_map(t_phi_us, n))
+        # each row's occupied sites in ascending order, padded with the sentinel n
+        sites = np.sort(np.where(rows, np.arange(n), n), axis=1)[:, : rows.sum(axis=1).max(initial=0)]
+        model = cls(n, rows, row_keys(rows), sites, t1_us=_rate_map(t1_us, n), t_phi_us=_rate_map(t_phi_us, n))
         model.h = build_hamiltonian(graph, model, disorder).to_dense()
         return model
 
     @property
     def dimension(self) -> int:
         return len(self.rows)
-
-    def occupancy_matrix(self) -> np.ndarray:
-        """(dimension x n_sites) 0/1 float matrix; cached after first call."""
-        if self._occ is None:
-            self._occ = self.rows.astype(np.float64)
-        return self._occ
 
 
 def _rate_map(spec, n_sites: int) -> dict:
@@ -396,8 +392,7 @@ def initial_density(model: LindbladModel, excited_sites) -> np.ndarray:
 
 def _dissipator_tables(model: LindbladModel):
     n, dim = model.n_sites, model.dimension
-    occ = model.occupancy_matrix()
-    sz = 1.0 - 2.0 * occ  # dim x n, +-1 per (state, site)
+    sz = np.where(model.rows, -1.0, 1.0)  # dim x n, +-1 per (state, site)
     mask = np.zeros((dim, dim))
     jumps = []
     for j in range(n):
@@ -408,7 +403,7 @@ def _dissipator_tables(model: LindbladModel):
         t1 = model.t1_us.get(j)
         if t1 and np.isfinite(t1):
             g = 1.0 / t1
-            mask += -(g / 2.0) * (occ[:, j][:, None] + occ[:, j][None, :])
+            mask += -(g / 2.0) * np.add.outer(model.rows[:, j], model.rows[:, j], dtype=np.float64)
             # sigma-_j maps each state with site j occupied to the one without
             src = np.flatnonzero(model.rows[:, j])
             decayed = model.rows[src]
@@ -457,4 +452,4 @@ def evolve_lindblad(model: LindbladModel, rho0: np.ndarray, times_ns) -> list[tu
 
 
 def site_populations(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
-    return np.real(np.diag(rho)) @ model.occupancy_matrix()
+    return site_sums(model.sites, np.real(np.diag(rho)), model.n_sites)

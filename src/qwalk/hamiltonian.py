@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .device import ActiveGraph, DisorderMap
-from .sector import SectorBasis, lookup
+from .sector import SectorBasis, lookup, row_sums
 
 __all__ = ["HamiltonianMatrix", "build_hamiltonian", "disorder_diagonals", "offset_diagonals", "TWO_PI"]
 
@@ -89,4 +89,4 @@ def disorder_diagonals(graph: ActiveGraph, basis: SectorBasis, disorders) -> np.
 def offset_diagonals(basis: SectorBasis, offsets: np.ndarray) -> np.ndarray:
     """Sector diagonals in rad/us from per-site offsets in MHz (sites x columns):
     2*pi * the sum of each column's offsets on each state's occupied sites."""
-    return TWO_PI * (basis.occupancy_matrix() @ offsets)
+    return TWO_PI * row_sums(basis.sites, offsets)

@@ -21,7 +21,7 @@ from .device import (
 from .evolution import evolve_unitary, propagate_block
 from .hamiltonian import HamiltonianMatrix, build_hamiltonian, offset_diagonals
 from .measurement import ReadoutModel, ShotCounts, post_select, sample_shots
-from .sector import QuantumState, SectorBasis, basis_state, enumerate_basis, populations
+from .sector import QuantumState, SectorBasis, basis_state, enumerate_basis, populations, site_sums
 
 __all__ = [
     "MZLayout",
@@ -480,6 +480,6 @@ def disorder_sweep(
     (probabilities,) = propagate_block(
         h0.matrix, offset_diagonals(basis, offsets), block, (t_read,), observe=lambda x: np.abs(x) ** 2
     )
-    detector = basis.occupancy_matrix()[:, graph.index[layout.detector]]
-    values = (detector @ probabilities).reshape(len(d_left_values), len(d_right_values))
+    detector = site_sums(basis.sites, probabilities, graph.n_sites)[graph.index[layout.detector]]
+    values = detector.reshape(len(d_left_values), len(d_right_values))
     return FringeGrid(d_left_values, d_right_values, values, t_read, layout.detector.label)

@@ -9,6 +9,9 @@ index is one `np.searchsorted` away (`lookup`) for any site count. The one
 Hamiltonian builder looks up its hops this way for sectors, the Lindblad
 sector union and the calibration kernel alike, and readout shots are
 histogrammed in the same key order.
+
+Each row also lists its occupied sites (`sites`); `site_sums` and `row_sums`
+reduce over them in a fixed order without BLAS, the same bits on any kernel.
 """
 from __future__ import annotations
 
@@ -27,6 +30,8 @@ __all__ = [
     "occupation_row",
     "basis_state",
     "populations",
+    "site_sums",
+    "row_sums",
 ]
 
 MAX_DIMENSION = 20_000_000
@@ -70,13 +75,14 @@ class SectorBasis:
     n_excitations: int
     rows: np.ndarray = field(repr=False, compare=False)  # (dimension x n_sites) bool, ascending bitstrings
     keys: np.ndarray = field(repr=False, compare=False)  # row_keys(rows)
+    sites: np.ndarray = field(repr=False, compare=False)  # (dimension x n_excitations) occupied sites, ascending
 
     @property
     def dimension(self) -> int:
         return len(self.rows)
 
     def occupancy_matrix(self) -> np.ndarray:
-        """(dimension x n_sites) 0/1 float matrix; cached after first call."""
+        """(dimension x n_sites) 0/1 float matrix, cached: the tests' dense oracle."""
         cached = getattr(self, "_occ", None)
         if cached is None:
             cached = self.rows.astype(np.float64)
@@ -96,9 +102,10 @@ def enumerate_basis(n_sites: int, n_excitations: int) -> SectorBasis:
     # combinations come in lexicographic site order, which is descending
     # bitstring order when site 0 is the top bit
     sites = np.fromiter(chain.from_iterable(combinations(range(n_sites), n_excitations)), np.intp, dim * n_excitations)
+    sites = np.ascontiguousarray(sites.reshape(dim, n_excitations)[::-1])
     rows = np.zeros((dim, n_sites), dtype=bool)
-    np.put_along_axis(rows, sites.reshape(dim, n_excitations)[::-1], True, axis=1)
-    return SectorBasis(n_sites, n_excitations, rows, row_keys(rows))
+    np.put_along_axis(rows, sites, True, axis=1)
+    return SectorBasis(n_sites, n_excitations, rows, row_keys(rows), sites)
 
 
 @dataclass
@@ -136,6 +143,22 @@ def basis_state(basis: SectorBasis, excited_sites) -> QuantumState:
 
 def populations(state: QuantumState) -> np.ndarray:
     """Expected occupation <n_j> per site; sums to n_excitations."""
-    p = np.abs(state.amplitudes) ** 2
-    return p @ state.basis.occupancy_matrix()
+    return site_sums(state.basis.sites, np.abs(state.amplitudes) ** 2, state.basis.n_sites)
 
+
+def site_sums(sites: np.ndarray, weights: np.ndarray, n_sites: int) -> np.ndarray:
+    """Per-site sums of per-row weights (one weight or one row of columns per
+    row): site j adds every row that lists it, from 0.0 in row order, with one
+    `np.bincount`. The sentinel site n_sites is dropped."""
+    columns = weights.reshape(len(sites), -1)
+    width = columns.shape[1]
+    bins = (sites[:, :, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(bins, np.repeat(columns, sites.shape[1], axis=0).ravel(), (n_sites + 1) * width)
+    return sums[: n_sites * width].reshape((n_sites,) + weights.shape[1:])
+
+
+def row_sums(sites: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per-row sums of per-site values (one value or one row of columns per
+    site): row r adds the sites it lists from 0.0 in site order; the sentinel adds 0.0."""
+    padded = np.concatenate([values, np.zeros((1,) + values.shape[1:])])
+    return sum((padded[site] for site in sites.T), np.zeros((len(sites),) + values.shape[1:]))

@@ -79,6 +79,8 @@ def test_qubit_params_validation():
 def test_coupling_edge_requires_neighbours():
     with pytest.raises(ValueError):
         CouplingEdge(QubitId.parse("U00Q0"), QubitId.parse("U33Q2"))
+    with pytest.raises(ValueError, match="needs j_eff > 0"):
+        CouplingEdge(QubitId.parse("U00Q0"), QubitId.parse("U00Q1"), j_eff_mhz=0.0)
 
 
 def test_active_subgraph_full_array():
@@ -139,8 +141,12 @@ def test_subgrid_device():
     d = subgrid_device(4, 0, 3, 3)
     assert len(d.functional_qubits) == 9
     assert len(d.functional_edges()) == 12
-    with pytest.raises(ValueError):
-        subgrid_device(0, 6, 3, 3)  # would include the broken qubit at (1, 7)
+    with pytest.raises(ValueError, match="must fit inside"):
+        subgrid_device(0, 6, 3, 3)
+    with pytest.raises(ValueError, match=r"broken qubit at grid \(1, 7\)$"):
+        subgrid_device(0, 5, 3, 3)
+    with pytest.raises(ValueError, match=r"broken edge at grid \(2,0\)-\(3,0\)$"):
+        subgrid_device(2, 0, 2, 1)
 
 
 def test_grid_graph_shape():

@@ -23,7 +23,7 @@ from qwalk.evolution import (
     site_populations,
 )
 from qwalk.hamiltonian import build_hamiltonian
-from qwalk.sector import QuantumState, basis_state, enumerate_basis, populations
+from qwalk.sector import QuantumState, basis_state, enumerate_basis, populations, row_sums
 
 J = 2.01
 
@@ -381,10 +381,18 @@ def test_lindblad_occupancy_matches_per_state_loop(kw):
     n = m.n_sites
     top = n if kw.get("full_space") else kw["max_excitations"]
     values = [v for v in range(2**n) if bin(v).count("1") <= top]
-    expected = np.array([[float(v >> (n - 1 - j) & 1) for j in range(n)] for v in values])
-    occ = m.occupancy_matrix()
-    assert np.array_equal(occ, expected)
-    assert m.occupancy_matrix() is occ
+    occupied = [[j for j in range(n) if v >> (n - 1 - j) & 1] for v in values]
+    # each row's occupied sites in ascending order, padded with the sentinel n
+    assert np.array_equal(m.sites, [sites + [n] * (top - len(sites)) for sites in occupied])
+    rng = np.random.default_rng(5)
+    rho = rng.normal(size=(m.dimension, m.dimension)) + 1j * rng.normal(size=(m.dimension, m.dimension))
+    # <n_j> adds the diagonal of every row occupying site j, in row order
+    expected = [sum(rho[r, r].real for r, sites in enumerate(occupied) if j in sites) for j in range(n)]
+    assert np.array_equal(site_populations(m, rho), expected)
+    # a row adds its sites' offsets in site order; the sentinel adds nothing
+    offsets = rng.normal(size=(n, 2))
+    expected = [[sum((offsets[j, c] for j in sites), 0.0) for c in range(2)] for sites in occupied]
+    assert np.array_equal(row_sums(m.sites, offsets), expected)
 
 
 @st.composite

@@ -279,9 +279,8 @@ def test_perfect_readout_histogram_matches_the_general_path(n, k, n_shots, seed)
 
 def test_two_walker_state_digest_pinned():
     # The engine's states for ctqw-two at all 61 times, the ones its
-    # populations are computed from. The populations themselves go through a
-    # BLAS matrix-vector product whose last bits depend on the CPU's BLAS
-    # kernel, so their bytes are pinned through these states instead.
+    # populations are computed from; the populations' own bytes are pinned
+    # per BLAS kernel in test_outputs_pinned_under_every_blas_kernel.
     scenario = ctqw_scenario({"U00Q0", "U33Q2"})
     _graph, _basis, psi0, h = _scenario_setup(scenario, default_device(), scenario.disorder())
     states = [state for _t, state in evolve_unitary(h, psi0, scenario.times_ns)]
@@ -329,11 +328,9 @@ def _cpu_flags() -> set:
     return next((set(line.split(":", 1)[1].split()) for line in lines if line.startswith("flags")), set())
 
 
-def test_sweep_block_state_digest_pinned():
-    # The fringe grid itself is left unpinned: the detector read-out
-    # `detector @ probabilities` is a BLAS product whose last bits depend on
-    # the BLAS kernel. The engine states do not, so every OpenBLAS kernel the
-    # CPU can run, each in a fresh interpreter, gives the one digest.
+def _digests_per_kernel(script: str) -> dict:
+    """The script's output, one line per digest, under the default BLAS kernel
+    and every OpenBLAS kernel the CPU can run, each in a fresh interpreter."""
     flags = _cpu_flags()
     kernels = [None] + [kernel for kernel, needs in OPENBLAS_CORETYPES.items() if needs <= flags]
     src = Path(__file__).resolve().parents[1] / "src"
@@ -342,8 +339,39 @@ def test_sweep_block_state_digest_pinned():
         env = {**os.environ, "PYTHONPATH": str(src)}
         if kernel is not None:
             env["OPENBLAS_CORETYPE"] = kernel
-        proc = subprocess.run([sys.executable, "-c", SWEEP_BLOCK_DIGEST], env=env, capture_output=True, text=True,
-                              timeout=120)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        digests[kernel] = proc.stdout.strip()
-    assert set(digests.values()) == {"b7f9c73df7981b83c68234df4f00af36e50e0e15484fefe299e0a3b02c51702b"}, digests
+        digests[kernel] = tuple(proc.stdout.split())
+    return digests
+
+
+def test_sweep_block_state_digest_pinned():
+    # The engine's states, before the detector read-out, give one digest under
+    # every BLAS kernel
+    digests = _digests_per_kernel(SWEEP_BLOCK_DIGEST)
+    assert set(digests.values()) == {("b7f9c73df7981b83c68234df4f00af36e50e0e15484fefe299e0a3b02c51702b",)}, digests
+
+
+# ctqw-two's populations and the default `sweep --scenario mz-two` fringe grid
+OUTPUT_DIGESTS = """
+import hashlib
+import numpy as np
+from qwalk.scenarios import ctqw_scenario, disorder_sweep, mz_scenario, run_scenario
+
+result = run_scenario(ctqw_scenario({"U00Q0", "U33Q2"}))
+print(hashlib.sha256(result.populations.tobytes()).hexdigest())
+grid = np.linspace(0.0, 1.0, 11)  # the CLI's default --d-left and --d-right
+fringe = disorder_sweep(mz_scenario({"L1", "R1"}), grid, grid)
+print(hashlib.sha256(fringe.values.tobytes()).hexdigest())
+"""
+
+
+def test_outputs_pinned_under_every_blas_kernel():
+    # site populations and the detector read-out are order-fixed sums over
+    # the basis's occupied-site table, not BLAS products, so their bytes do
+    # not depend on the BLAS kernel
+    digests = _digests_per_kernel(OUTPUT_DIGESTS)
+    assert set(digests.values()) == {(
+        "bf1a7205a583b8a2c3d8b45f7c0a32988454e5189ad6ea18ccc2107e14ea2284",
+        "3fc4ede3bede0313901977607afbe079a573b240e376278f38a7d45c091d5a04",
+    )}, digests

@@ -9,8 +9,8 @@ import pytest
 
 from qwalk import calibration
 from qwalk.analysis import disorder_velocity_study, lr_bound
-from qwalk.cli import main
-from qwalk.device import DEFAULT_ANHARMONICITY_MHZ, DEFAULT_J_EFF_MHZ
+from qwalk.cli import build_parser, main
+from qwalk.device import DEFAULT_ANHARMONICITY_MHZ, DEFAULT_DISORDER_BOUND_MHZ, DEFAULT_J_EFF_MHZ
 from qwalk.records import RecordWriter, ResultRecord, RunManifest, read_records, write_csv_matrix
 from qwalk.svg import render_heatmap
 
@@ -278,6 +278,11 @@ def test_cli_calibrate_bad_bound_or_shots_is_domain_error(tmp_path, capsys, task
     assert doc["type"] == "ValueError" and doc["error"].startswith(field)
     assert "Traceback" not in capsys.readouterr().err
     assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "failed"
+
+
+def test_calibrate_bound_defaults_to_the_device_constant():
+    args = build_parser().parse_args(["calibrate", "--task", "disorder", "--out", "unused"])
+    assert args.bound == DEFAULT_DISORDER_BOUND_MHZ
 
 
 def test_cli_calibrate_exhausted_start_budget_is_domain_error(tmp_path, capsys, monkeypatch):

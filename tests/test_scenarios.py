@@ -22,7 +22,7 @@ from qwalk.scenarios import (
     mz_scenario,
     run_scenario,
 )
-from qwalk.sector import enumerate_basis
+from qwalk.sector import enumerate_basis, site_sums
 
 
 def test_default_layout_valid_and_symmetric():
@@ -273,8 +273,8 @@ def _per_cell_sweep(sc, d_left, d_right, t_read):
     cells = [DisorderStepProtocol(dl, dr).offsets(layout) for dl in d_left for dr in d_right]
     block = np.repeat(psi0.amplitudes[:, None], len(cells), axis=1)
     (p,) = propagate_block(h0.matrix, disorder_diagonals(graph, basis, cells), block, (t_read,))
-    detector = basis.occupancy_matrix()[:, graph.index[layout.detector]]
-    return (detector @ (np.abs(p) ** 2)).reshape(len(d_left), len(d_right))
+    detector = site_sums(basis.sites, np.abs(p) ** 2, graph.n_sites)[graph.index[layout.detector]]
+    return detector.reshape(len(d_left), len(d_right))
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,8 @@ from qwalk.sector import (
     enumerate_basis,
     lookup,
     populations,
+    row_sums,
+    site_sums,
 )
 
 
@@ -144,6 +146,24 @@ def test_occupancy_matrix_matches_per_state_loop(n, k):
     assert np.array_equal(occ, brute_force_occupancy(bitstring_values(n, k), n))
     assert b.occupancy_matrix() is occ
     assert np.array_equal(lookup(b.keys, b.rows), np.arange(b.dimension))
+
+
+@pytest.mark.parametrize("n, k", [(62, 2), (24, 2), (9, 1), (1, 1), (5, 0), (12, 3), (0, 0)])
+def test_site_table_and_sums_match_per_state_loop(n, k):
+    b = enumerate_basis(n, k)
+    occupied = [[j for j in range(n) if v >> (n - 1 - j) & 1] for v in bitstring_values(n, k)]
+    assert np.array_equal(b.sites, occupied)
+    rng = np.random.default_rng(n + k)
+    weights, values = rng.random((b.dimension, 3)), rng.normal(size=(n, 2))
+    # a site adds its rows' weights in row order, a row its sites' values in
+    # site order, each from 0.0
+    for c in range(3):
+        expected = [sum(weights[r, c] for r, sites in enumerate(occupied) if j in sites) for j in range(n)]
+        assert np.array_equal(site_sums(b.sites, weights, n)[:, c], expected)
+        assert np.array_equal(site_sums(b.sites, weights[:, c], n), expected)
+    expected = [[sum((values[j, c] for j in sites), 0.0) for c in range(2)] for sites in occupied]
+    assert np.array_equal(row_sums(b.sites, values), expected)
+    assert np.array_equal(row_sums(b.sites, values[:, 0]), np.array(expected)[:, 0])
 
 
 def test_state_norm_check():
