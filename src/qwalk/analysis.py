@@ -81,9 +81,81 @@ class FrontFit:
 FRONT_NOISE_FLOOR = 1e-9
 FRONT_LOBE_FRACTION = 0.25
 
+# The front's Levenberg-Marquardt fit stops when no parameter would move by
+# more than FRONT_FIT_STEP_TOL of its value, or when the step would lower the
+# sum of squared residuals by at most FRONT_FIT_COST_TOL of it; a fit that has
+# not stopped after FRONT_FIT_MAX_ITERATIONS damped steps did not converge
+FRONT_FIT_STEP_TOL = 1e-10
+FRONT_FIT_COST_TOL = 1e-15
+FRONT_FIT_MAX_ITERATIONS = 200
 
-def _gaussian(t, a, c, w, o):
-    return a * np.exp(-((t - c) ** 2) / (2.0 * w**2)) + o
+
+def _fit_gaussian(t: np.ndarray, y: np.ndarray, p0) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares fit of a exp(-(t - c)^2 / 2w^2) + o to (t, y) from
+    p0 = (a, c, w, o).
+
+    Levenberg-Marquardt on the analytic Jacobian: each step solves
+    (J^T J + mu diag(J^T J)) step = -J^T r, so the damping is scaled per
+    parameter (the width and centre are in ns, the amplitude and offset are
+    fractions), and mu follows Nielsen's gain-ratio update. Returns the
+    parameters and their covariance inv(J^T J) SSR / (M - 4) at the solution,
+    all inf when J^T J is singular or there are no more samples M than
+    parameters.
+    """
+    p = np.array(p0, dtype=float)
+    jac = np.empty((len(t), 4))
+    jac[:, 3] = 1.0
+
+    def residuals(p):
+        a, c, w, o = p
+        d = t - c
+        g = np.exp(d * d * (-0.5 / (w * w)))
+        r = a * g
+        r += o
+        r -= y
+        return r, g, d
+
+    r, g, d = residuals(p)
+    ssr = r @ r
+    mu, nu = 1e-3, 2.0
+    moved = True
+    for _ in range(FRONT_FIT_MAX_ITERATIONS):
+        if moved:
+            a, w = p[0], p[2]
+            jac[:, 0] = g
+            np.multiply(g, d * (a / (w * w)), out=jac[:, 1])
+            np.multiply(jac[:, 1], d / w, out=jac[:, 2])
+            jtj = jac.T @ jac
+            grad = jac.T @ r
+            diag = jtj.diagonal()
+            marquardt = np.diag(diag)
+        try:
+            step = np.linalg.solve(jtj + mu * marquardt, -grad)
+        except np.linalg.LinAlgError:
+            raise ValueError("Gaussian front fit did not converge: singular normal equations") from None
+        predicted = step @ (mu * diag * step - grad)  # the linear model's fall in SSR
+        if predicted <= FRONT_FIT_COST_TOL * ssr or (np.abs(step) <= FRONT_FIT_STEP_TOL * np.abs(p)).all():
+            break
+        trial = p + step
+        r_trial, g_trial, d_trial = residuals(trial)
+        ssr_trial = r_trial @ r_trial
+        gain = (ssr - ssr_trial) / predicted
+        moved = gain > 0.0
+        if moved:
+            p, r, g, d, ssr = trial, r_trial, g_trial, d_trial, ssr_trial
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            nu = 2.0
+        else:
+            mu *= nu
+            nu *= 2.0
+    else:
+        raise ValueError(f"Gaussian front fit did not converge: no stop within {FRONT_FIT_MAX_ITERATIONS} steps")
+    if len(t) > 4:
+        try:
+            return p, np.linalg.inv(jtj) * (ssr / (len(t) - 4))
+        except np.linalg.LinAlgError:
+            pass
+    return p, np.full((4, 4), np.inf)
 
 
 def fit_gaussian_front(series: CorrelationSeries, distance: float) -> FrontFit:
@@ -93,8 +165,6 @@ def fit_gaussian_front(series: CorrelationSeries, distance: float) -> FrontFit:
     FRONT_LOBE_FRACTION * max|C|; later revival lobes of the correlation signal
     would otherwise capture the fit at long distances.
     """
-    from scipy.optimize import curve_fit  # imported on use: no CLI start-up cost
-
     t = series.times_ns
     c = np.abs(series.values)
     if len(t) < 8:
@@ -126,10 +196,7 @@ def fit_gaussian_front(series: CorrelationSeries, distance: float) -> FrontFit:
     half = np.where(cw >= 0.5 * peak)[0]
     fwhm = float(tw[half[-1]] - tw[half[0]]) if len(half) > 1 else 2.0 * dt
     p0 = [peak, float(t[i_peak]), max(fwhm / 2.355, dt), float(np.median(c[: max(3, len(c) // 10)]))]
-    try:
-        popt, pcov = curve_fit(_gaussian, tw, cw, p0=p0, maxfev=20000)
-    except RuntimeError as exc:
-        raise ValueError(f"Gaussian front fit did not converge: {exc}") from None
+    popt, pcov = _fit_gaussian(tw, cw, p0)
     center = float(popt[1])
     if not t[0] <= center <= t[-1]:
         raise ValueError(f"fitted front centre {center:.1f} ns lies outside the sampled range")
@@ -306,7 +373,8 @@ def _diagonal_fronts(graph, origin: int, diagonal, disorders, times) -> tuple[tu
     rows = lookup(basis.keys, np.eye(graph.n_sites, dtype=bool)[[origin, *diagonal]])
 
     def population_products(x):
-        p = np.abs(x[rows]) ** 2  # origin, then the diagonal sites (x columns)
+        x = x[rows]  # origin, then the diagonal sites (x columns)
+        p = x.real**2 + x.imag**2
         return p[0] * p[1:]
 
     products = propagate_block(h0.matrix, diagonals, block, times, observe=population_products)

@@ -1,9 +1,10 @@
-"""Cold start: `import qwalk.cli` and the propagating subcommands load numpy
-and scipy.sparse only. The Chebyshev coefficients' Bessel functions are
-computed in numpy, so scipy.special is not needed; scipy.optimize and
+"""Cold start: `import qwalk.cli`, the propagating subcommands and `analyze`
+load numpy and scipy.sparse only. The Chebyshev coefficients' Bessel
+functions are computed in numpy, so scipy.special is not needed, and the
+front fits run their own Levenberg-Marquardt in numpy; scipy.optimize and
 scipy.integrate (and the scipy.linalg and scipy.special they pull in) are
-imported on use by the three functions that call them, so each check runs in
-a fresh interpreter.
+imported on use, by the calibration fits and by `evolve_lindblad`, so each
+check runs in a fresh interpreter.
 """
 import json
 import os
@@ -35,10 +36,25 @@ def test_run_and_sweep_never_load_optimize_integrate_or_linalg(tmp_path):
         codes = [main(["run", "--scenario", "ctqw-single", "--out", "run"]),
                  main(["sweep", "--scenario", "mz-two", "--d-left", "0:1:2", "--d-right", "0:1:2", "--out", "sweep"])]
         after_ops = loaded()
-        codes.append(main(["analyze", "--study", "distance-velocity", "--seeds", "2", "--out", "analyze"]))
         print(json.dumps({{"after_import": after_import, "after_ops": after_ops, "codes": codes}}))
     """, tmp_path)
-    assert got == {"after_import": [], "after_ops": [], "codes": [0, 0, 0]}
+    assert got == {"after_import": [], "after_ops": [], "codes": [0, 0]}
+
+
+def test_analyze_never_loads_optimize_integrate_or_linalg(tmp_path):
+    # both studies fit their fronts without loading any SciPy module beyond
+    # those `import qwalk.cli` already loaded for scipy.sparse
+    got = fresh_python(f"""
+        import json, sys
+        scipy_modules = lambda: {{m for m in sys.modules if m.split(".")[0] == "scipy"}}
+        from qwalk.cli import main
+        after_import = scipy_modules()
+        codes = [main(["analyze", "--study", "velocity", "--out", "velocity"]),
+                 main(["analyze", "--study", "distance-velocity", "--seeds", "2", "--out", "distance"])]
+        print(json.dumps({{"deferred": sorted(m for m in {DEFERRED!r} if m in sys.modules),
+                          "added": sorted(scipy_modules() - after_import), "codes": codes}}))
+    """, tmp_path)
+    assert got == {"deferred": [], "added": [], "codes": [0, 0]}
 
 
 def test_deferred_imports_resolve_in_a_fresh_interpreter(tmp_path):

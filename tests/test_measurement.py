@@ -328,26 +328,40 @@ def _cpu_flags() -> set:
     return next((set(line.split(":", 1)[1].split()) for line in lines if line.startswith("flags")), set())
 
 
+def _numpy_simd_caps() -> dict:
+    """NPY_DISABLE_CPU_FEATURES values that cap numpy's dispatch at its
+    baseline and at each SIMD level this CPU has below the highest, keyed by
+    the cap. `show_config` lists the levels found in ascending order, and
+    disabling one level leaves the levels above it on, so a cap disables
+    every level above it."""
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    found = simd["found"]
+    caps = {"+".join(simd["baseline"]): found, **{level: found[i + 1 :] for i, level in enumerate(found[:-1])}}
+    return {cap: " ".join(above) for cap, above in caps.items()}
+
+
 def _digests_per_kernel(script: str) -> dict:
     """The script's output, one line per digest, under the default BLAS kernel
-    and every OpenBLAS kernel the CPU can run, each in a fresh interpreter."""
+    and every OpenBLAS kernel the CPU can run, and under numpy's baseline and
+    every numpy SIMD level the CPU has, each in a fresh interpreter."""
     flags = _cpu_flags()
-    kernels = [None] + [kernel for kernel, needs in OPENBLAS_CORETYPES.items() if needs <= flags]
+    runs = {None: {}}
+    runs.update({kernel: {"OPENBLAS_CORETYPE": kernel} for kernel, needs in OPENBLAS_CORETYPES.items()
+                 if needs <= flags})
+    runs.update({f"numpy {cap}": {"NPY_DISABLE_CPU_FEATURES": off} for cap, off in _numpy_simd_caps().items()})
     src = Path(__file__).resolve().parents[1] / "src"
     digests = {}
-    for kernel in kernels:
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        if kernel is not None:
-            env["OPENBLAS_CORETYPE"] = kernel
+    for name, settings in runs.items():
+        env = {**os.environ, "PYTHONPATH": str(src), **settings}
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        digests[kernel] = tuple(proc.stdout.split())
+        digests[name] = tuple(proc.stdout.split())
     return digests
 
 
 def test_sweep_block_state_digest_pinned():
     # The engine's states, before the detector read-out, give one digest under
-    # every BLAS kernel
+    # every BLAS kernel and numpy SIMD level
     digests = _digests_per_kernel(SWEEP_BLOCK_DIGEST)
     assert set(digests.values()) == {("b7f9c73df7981b83c68234df4f00af36e50e0e15484fefe299e0a3b02c51702b",)}, digests
 
@@ -369,9 +383,11 @@ print(hashlib.sha256(fringe.values.tobytes()).hexdigest())
 def test_outputs_pinned_under_every_blas_kernel():
     # site populations and the detector read-out are order-fixed sums over
     # the basis's occupied-site table, not BLAS products, so their bytes do
-    # not depend on the BLAS kernel
+    # not depend on the BLAS kernel; the sweep squares amplitudes as
+    # re^2 + im^2, which no numpy SIMD level rounds differently (2-D complex
+    # np.abs does, at the X86_V2 baseline)
     digests = _digests_per_kernel(OUTPUT_DIGESTS)
     assert set(digests.values()) == {(
         "bf1a7205a583b8a2c3d8b45f7c0a32988454e5189ad6ea18ccc2107e14ea2284",
-        "3fc4ede3bede0313901977607afbe079a573b240e376278f38a7d45c091d5a04",
+        "8c195adc3bc31c622375cc0fbf49d2f7f728a35619d853a490267dc3b5a1cb43",
     )}, digests

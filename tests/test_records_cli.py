@@ -311,8 +311,7 @@ def test_cli_analyze_records_the_seed_it_runs(tmp_path):
     assert zero_seed == 0 and zero_records != default_records
 
 
-@pytest.mark.filterwarnings("ignore:Covariance of the parameters could not be estimated")
-def test_cli_distance_velocity_records_flag_unweighted_windows(tmp_path):
+def test_cli_distance_velocity_records_flag_unweighted_windows(tmp_path, fronts_8_and_11_without_error):
     argv = ["analyze", "--study", "distance-velocity", "--seeds", "8", "--seed", "11000", "--out", str(tmp_path)]
     assert main(argv) == 0
     docs = [json.loads(line) for line in (tmp_path / "records.jsonl").read_text().splitlines()]

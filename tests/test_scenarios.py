@@ -266,14 +266,14 @@ def test_sweep_batched_matches_per_cell_runs():
 
 def _per_cell_sweep(sc, d_left, d_right, t_read):
     """The sweep grid built cell by cell: a DisorderStepProtocol map per cell
-    through disorder_diagonals, then the same block propagation."""
+    through disorder_diagonals, then the same block propagation and detector read."""
     layout = layout_from_names(sc.layout_names)
     static = replace(sc, step_d_left_mhz=0.0, step_d_right_mhz=0.0).disorder()
     graph, basis, psi0, h0 = _scenario_setup(sc, default_device(), static)
     cells = [DisorderStepProtocol(dl, dr).offsets(layout) for dl in d_left for dr in d_right]
     block = np.repeat(psi0.amplitudes[:, None], len(cells), axis=1)
     (p,) = propagate_block(h0.matrix, disorder_diagonals(graph, basis, cells), block, (t_read,))
-    detector = site_sums(basis.sites, np.abs(p) ** 2, graph.n_sites)[graph.index[layout.detector]]
+    detector = site_sums(basis.sites, p.real**2 + p.imag**2, graph.n_sites)[graph.index[layout.detector]]
     return detector.reshape(len(d_left), len(d_right))
 
 
