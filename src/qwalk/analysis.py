@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,30 +82,83 @@ class FrontFit:
 FRONT_NOISE_FLOOR = 1e-9
 FRONT_LOBE_FRACTION = 0.25
 
-# The front's Levenberg-Marquardt fit stops when no parameter would move by
-# more than FRONT_FIT_STEP_TOL of its value, or when the step would lower the
-# sum of squared residuals by at most FRONT_FIT_COST_TOL of it; a fit that has
-# not stopped after FRONT_FIT_MAX_ITERATIONS damped steps did not converge
-FRONT_FIT_STEP_TOL = 1e-10
-FRONT_FIT_COST_TOL = 1e-15
-FRONT_FIT_MAX_ITERATIONS = 200
+# Both Levenberg-Marquardt fits (the fronts here and calibration's disorder
+# polish) stop when no parameter would move by more than LM_STEP_TOL of its
+# value, or when the step would lower the sum of squared residuals by at most
+# LM_COST_TOL of it; a fit that has not stopped after LM_MAX_ITERATIONS damped
+# steps did not converge
+LM_STEP_TOL = 1e-10
+LM_COST_TOL = 1e-15
+LM_MAX_ITERATIONS = 200
+
+
+class _LeastSquares(NamedTuple):
+    p: np.ndarray  # the last accepted point
+    residuals: np.ndarray  # at p
+    jtj: np.ndarray  # J^T J at p
+    n_trials: int  # residual evaluations at trial points
+    n_jacobians: int  # residual-and-Jacobian evaluations at accepted points, the start included
+    failure: str | None  # None when the fit stopped, else why it gave up
+
+
+def _levenberg_marquardt(residuals, residuals_and_jacobian, p0) -> _LeastSquares:
+    """Least squares from p0 by Levenberg-Marquardt (Moré 1978).
+
+    `residuals(p)` gives the residual vector at a trial point and
+    `residuals_and_jacobian(p)` the residuals and Jacobian at p0 and at each
+    accepted point. Each step solves (J^T J + mu diag(J^T J)) step = -J^T r, so the
+    damping is scaled per parameter, and mu follows Nielsen's gain-ratio
+    update (Nielsen 1999). The fit gives up, naming why in `failure`, when the
+    damped normal equations are singular or no stop comes within
+    LM_MAX_ITERATIONS steps.
+    """
+    p = np.array(p0, dtype=float)
+    r, jac = residuals_and_jacobian(p)
+    n_trials, n_jacobians = 0, 1
+    ssr = r @ r
+    mu, nu = 1e-3, 2.0
+    for _ in range(LM_MAX_ITERATIONS):
+        if jac is not None:  # a new point
+            jtj = jac.T @ jac
+            grad = jac.T @ r
+            diag = jtj.diagonal()
+            marquardt = np.diag(diag)
+        try:
+            step = np.linalg.solve(jtj + mu * marquardt, -grad)
+        except np.linalg.LinAlgError:
+            return _LeastSquares(p, r, jtj, n_trials, n_jacobians, "singular normal equations")
+        predicted = step @ (mu * diag * step - grad)  # the linear model's fall in SSR
+        if predicted <= LM_COST_TOL * ssr or (np.abs(step) <= LM_STEP_TOL * np.abs(p)).all():
+            return _LeastSquares(p, r, jtj, n_trials, n_jacobians, None)
+        trial = p + step
+        r_trial = residuals(trial)
+        n_trials += 1
+        ssr_trial = r_trial @ r_trial
+        gain = (ssr - ssr_trial) / predicted
+        if gain > 0.0:
+            p, ssr = trial, ssr_trial
+            r, jac = residuals_and_jacobian(p)
+            n_jacobians += 1
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            nu = 2.0
+        else:
+            jac = None
+            mu *= nu
+            nu *= 2.0
+    return _LeastSquares(p, r, jtj, n_trials, n_jacobians, f"no stop within {LM_MAX_ITERATIONS} steps")
 
 
 def _fit_gaussian(t: np.ndarray, y: np.ndarray, p0) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares fit of a exp(-(t - c)^2 / 2w^2) + o to (t, y) from
-    p0 = (a, c, w, o).
+    p0 = (a, c, w, o), by `_levenberg_marquardt` on the analytic Jacobian
+    (the damping's per-parameter scale matters: the width and centre are in
+    ns, the amplitude and offset are fractions).
 
-    Levenberg-Marquardt on the analytic Jacobian: each step solves
-    (J^T J + mu diag(J^T J)) step = -J^T r, so the damping is scaled per
-    parameter (the width and centre are in ns, the amplitude and offset are
-    fractions), and mu follows Nielsen's gain-ratio update. Returns the
-    parameters and their covariance inv(J^T J) SSR / (M - 4) at the solution,
-    all inf when J^T J is singular or there are no more samples M than
-    parameters.
+    Returns the parameters and their covariance inv(J^T J) SSR / (M - 4) at
+    the solution, all inf when J^T J is singular or there are no more samples
+    M than parameters; raises ValueError when the fit gives up.
     """
-    p = np.array(p0, dtype=float)
-    jac = np.empty((len(t), 4))
-    jac[:, 3] = 1.0
+    latest = {}  # the point and terms of the latest residual evaluation
 
     def residuals(p):
         a, c, w, o = p
@@ -113,57 +167,40 @@ def _fit_gaussian(t: np.ndarray, y: np.ndarray, p0) -> tuple[np.ndarray, np.ndar
         r = a * g
         r += o
         r -= y
-        return r, g, d
+        latest.update(p=p, r=r, g=g, d=d)
+        return r
 
-    r, g, d = residuals(p)
-    ssr = r @ r
-    mu, nu = 1e-3, 2.0
-    moved = True
-    for _ in range(FRONT_FIT_MAX_ITERATIONS):
-        if moved:
-            a, w = p[0], p[2]
-            jac[:, 0] = g
-            np.multiply(g, d * (a / (w * w)), out=jac[:, 1])
-            np.multiply(jac[:, 1], d / w, out=jac[:, 2])
-            jtj = jac.T @ jac
-            grad = jac.T @ r
-            diag = jtj.diagonal()
-            marquardt = np.diag(diag)
-        try:
-            step = np.linalg.solve(jtj + mu * marquardt, -grad)
-        except np.linalg.LinAlgError:
-            raise ValueError("Gaussian front fit did not converge: singular normal equations") from None
-        predicted = step @ (mu * diag * step - grad)  # the linear model's fall in SSR
-        if predicted <= FRONT_FIT_COST_TOL * ssr or (np.abs(step) <= FRONT_FIT_STEP_TOL * np.abs(p)).all():
-            break
-        trial = p + step
-        r_trial, g_trial, d_trial = residuals(trial)
-        ssr_trial = r_trial @ r_trial
-        gain = (ssr - ssr_trial) / predicted
-        moved = gain > 0.0
-        if moved:
-            p, r, g, d, ssr = trial, r_trial, g_trial, d_trial, ssr_trial
-            mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-            nu = 2.0
-        else:
-            mu *= nu
-            nu *= 2.0
-    else:
-        raise ValueError(f"Gaussian front fit did not converge: no stop within {FRONT_FIT_MAX_ITERATIONS} steps")
+    def residuals_and_jacobian(p):
+        if latest.get("p") is not p:  # p0; an accepted point is the latest trial
+            residuals(p)
+        r, g, d = latest["r"], latest["g"], latest["d"]
+        a, w = p[0], p[2]
+        jac = np.empty((len(t), 4))
+        jac[:, 0] = g
+        np.multiply(g, d * (a / (w * w)), out=jac[:, 1])
+        np.multiply(jac[:, 1], d / w, out=jac[:, 2])
+        jac[:, 3] = 1.0
+        return r, jac
+
+    fit = _levenberg_marquardt(residuals, residuals_and_jacobian, p0)
+    if fit.failure is not None:
+        raise ValueError(f"Gaussian front fit did not converge: {fit.failure}")
     if len(t) > 4:
         try:
-            return p, np.linalg.inv(jtj) * (ssr / (len(t) - 4))
+            return fit.p, np.linalg.inv(fit.jtj) * (fit.residuals @ fit.residuals / (len(t) - 4))
         except np.linalg.LinAlgError:
             pass
-    return p, np.full((4, 4), np.inf)
+    return fit.p, np.full((4, 4), np.inf)
 
 
 def fit_gaussian_front(series: CorrelationSeries, distance: float) -> FrontFit:
     """Locate the propagation front as the centre of a Gaussian fitted to |C|(t).
 
-    The fit is restricted to the first lobe whose height reaches
-    FRONT_LOBE_FRACTION * max|C|; later revival lobes of the correlation signal
-    would otherwise capture the fit at long distances.
+    The fit is restricted to the first lobe whose height above the baseline
+    (the median of the first tenth of the samples, at least 3) reaches
+    FRONT_LOBE_FRACTION of max|C|'s height above it; later revival lobes of
+    the correlation signal would otherwise capture the fit at long distances,
+    and an offset in the series would make its first sample the lobe.
     """
     t = series.times_ns
     c = np.abs(series.values)
@@ -173,7 +210,8 @@ def fit_gaussian_front(series: CorrelationSeries, distance: float) -> FrontFit:
     if cmax <= FRONT_NOISE_FLOOR:
         raise ValueError("no detectable extremum above the noise floor")
 
-    above = np.where(c >= FRONT_LOBE_FRACTION * cmax)[0]
+    baseline = float(np.median(c[: max(3, len(c) // 10)]))
+    above = np.where(c - baseline >= FRONT_LOBE_FRACTION * (cmax - baseline))[0]
     i = int(above[0])
     while i < len(c) - 1 and c[i + 1] >= c[i]:
         i += 1
@@ -195,7 +233,7 @@ def fit_gaussian_front(series: CorrelationSeries, distance: float) -> FrontFit:
     dt = float(t[1] - t[0])
     half = np.where(cw >= 0.5 * peak)[0]
     fwhm = float(tw[half[-1]] - tw[half[0]]) if len(half) > 1 else 2.0 * dt
-    p0 = [peak, float(t[i_peak]), max(fwhm / 2.355, dt), float(np.median(c[: max(3, len(c) // 10)]))]
+    p0 = [peak, float(t[i_peak]), max(fwhm / 2.355, dt), baseline]
     popt, pcov = _fit_gaussian(tw, cw, p0)
     center = float(popt[1])
     if not t[0] <= center <= t[-1]:

@@ -1,7 +1,8 @@
 """Device calibration against simulated twins with hidden disorders:
-multi-qubit swap data, disorder-map recovery (multi-start Nelder-Mead with a
-Levenberg-Marquardt polish), iterative frequency alignment, and
-interferometer optimization (L-BFGS-B on the fit's kernel).
+multi-qubit swap data, disorder-map recovery (multi-start Nelder-Mead, ported
+from SciPy, with the front fits' numpy Levenberg-Marquardt as polish),
+iterative frequency alignment, and interferometer optimization (SciPy's
+L-BFGS-B on the fit's kernel, the one SciPy optimizer left, imported on use).
 """
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import _levenberg_marquardt
 from .device import (
     ActiveGraph,
     DeviceModel,
@@ -78,35 +80,86 @@ class NelderMeadResult:
 
 
 def nelder_mead(f, x0) -> NelderMeadResult:
-    """SciPy's Nelder-Mead from x0 plus SIMPLEX_SCALE_MHZ along each coordinate.
+    """Nelder-Mead (Nelder & Mead 1965) from x0 plus SIMPLEX_SCALE_MHZ along
+    each coordinate.
+
+    A line-for-line port of SciPy 1.17's `_minimize_neldermead` for the one
+    configuration the disorder fit uses: a given initial simplex, reflection,
+    expansion, contraction and shrink coefficients 1, 2, 0.5 and 0.5, no
+    bounds and no evaluation cap. It sorts and averages the simplex in SciPy's
+    order, so its iterates, counts and history are SciPy's bit for bit
+    (`tests/test_calibration.py` holds SciPy as the oracle).
 
     Stops once the simplex's parameter spread and cost spread are within
     GLOBAL_PARAM_SPREAD_MHZ and GLOBAL_COST_SPREAD (SciPy's `xatol` and
-    `fatol`), or after MAX_ITERATIONS. The history holds the best point after
-    iteration 1 and every RECORD_EVERY-th iteration, then the final point;
-    `n_iterations` and `n_evaluations` are SciPy's `nit` and `nfev`.
+    `fatol`), or after MAX_ITERATIONS (`maxiter`). The history holds the best
+    point after iteration 1 and every RECORD_EVERY-th iteration, then the
+    final point; `n_iterations` and `n_evaluations` are SciPy's `nit` and
+    `nfev`.
     """
-    from scipy.optimize import minimize  # imported on use: no CLI start-up cost
-
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5  # SciPy's non-adaptive coefficients
     x0 = np.asarray(x0, dtype=float)
+    n = len(x0)
+    sim = np.vstack([x0, x0 + SIMPLEX_SCALE_MHZ * np.eye(n)])
+    fsim = np.array([f(x) for x in sim], dtype=float)
+    n_evaluations = n + 1
+    for _ in range(2):  # SciPy sorts the starting simplex twice
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
     history = []
-    iteration = 0
+    iterations = 1
+    while iterations < MAX_ITERATIONS:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= GLOBAL_PARAM_SPREAD_MHZ
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= GLOBAL_COST_SPREAD):
+            break
 
-    def record(intermediate_result):
-        nonlocal iteration
-        iteration += 1
-        if iteration == 1 or iteration % RECORD_EVERY == 0:
-            history.append((iteration, float(intermediate_result.fun), intermediate_result.x.copy()))
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = f(xr)
+        n_evaluations += 1
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = f(xe)
+            n_evaluations += 1
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # contraction outside the simplex
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = f(xc)
+                n_evaluations += 1
+                shrink = not fxc <= fxr
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+            else:  # contraction inside
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc = f(xcc)
+                n_evaluations += 1
+                shrink = not fxcc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xcc, fxcc
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+                n_evaluations += n
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+        passes = iterations - 1  # where SciPy calls its callback
+        if passes == 1 or passes % RECORD_EVERY == 0:
+            history.append((passes, float(fsim[0]), sim[0].copy()))
 
-    options = {
-        "initial_simplex": np.vstack([x0, x0 + SIMPLEX_SCALE_MHZ * np.eye(len(x0))]),
-        "xatol": GLOBAL_PARAM_SPREAD_MHZ,
-        "fatol": GLOBAL_COST_SPREAD,
-        "maxiter": MAX_ITERATIONS,
-    }
-    res = minimize(f, x0, method="Nelder-Mead", callback=record, options=options)
-    history.append((res.nit, float(res.fun), res.x.copy()))
-    return NelderMeadResult(res.x, float(res.fun), res.nfev, res.nit, res.success, history)
+    fun = float(np.min(fsim))
+    history.append((iterations, fun, sim[0].copy()))
+    return NelderMeadResult(sim[0], fun, n_evaluations, iterations, iterations < MAX_ITERATIONS, history)
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +333,6 @@ class _SwapResiduals:
         r = self.residuals(x)
         return float(r @ r)
 
-    def jacobian(self, x) -> np.ndarray:
-        return np.concatenate([jac for *_, jac in self._group_jacobians(x)])
-
     def residuals_and_jacobian(self, x) -> tuple:
         """The residuals and the Jacobian from one eigenbasis per group."""
         groups = list(self._group_jacobians(x))
@@ -336,17 +386,18 @@ def fit_disorder_map(datasets) -> DisorderFit:
 
     Each start runs Nelder-Mead to a loose stop (GLOBAL_COST_SPREAD,
     GLOBAL_PARAM_SPREAD_MHZ) and then a Levenberg-Marquardt polish on the
-    analytic Jacobian. The first start whose cost reaches the acceptance cost
+    analytic Jacobian, the front fits' `analysis._levenberg_marquardt`. The
+    first start whose polish stops at a cost within the acceptance cost
     (EARLY_STOP_COST plus NOISE_COST_MULTIPLE times the data's estimated
-    shot-noise cost) is the fit. Starts come from one fixed stream, at most
-    N_STARTS of them; if none is accepted the fit raises
-    CalibrationError with the best and the zero-map costs.
+    shot-noise cost) is the fit; a polish that gives up (singular normal
+    equations, which the gauge direction can make, or no stop) leaves its
+    start unaccepted. Starts come from one fixed stream, at most N_STARTS of
+    them; if none is accepted the fit raises CalibrationError with the best
+    and the zero-map costs.
 
     The returned map is gauge-fixed by canonical_gauge; the physical sign is
     resolved experimentally by alignment_loop.
     """
-    from scipy.optimize import least_squares  # imported on use: no CLI start-up cost
-
     datasets = list(datasets)
     if not datasets:
         raise ValueError("no swap datasets given")
@@ -357,23 +408,24 @@ def fit_disorder_map(datasets) -> DisorderFit:
     accept_cost = EARLY_STOP_COST + NOISE_COST_MULTIPLE * sum(_shot_noise_cost(ds) for ds in datasets)
 
     rng = rng_stream(0xF17)
-    best = None  # (cost, x, history)
+    best = None  # (cost, x, history) of the accepted start, or of the cheapest while none is
     total_evals = 0
     for start in range(N_STARTS):
         x0 = np.zeros(len(qubits)) if start == 0 else rng.uniform(-START_SPREAD_MHZ, START_SPREAD_MHZ, len(qubits))
         coarse = nelder_mead(kernel.cost, x0)
-        polish = least_squares(kernel.residuals, coarse.x, jac=kernel.jacobian, method="lm")
-        cost = float(polish.fun @ polish.fun)
-        total_evals += coarse.n_evaluations + polish.nfev + polish.njev
-        if best is None or cost < best[0]:
-            history = [*coarse.history, (coarse.n_iterations + polish.nfev, cost, polish.x.copy())]
-            best = (cost, polish.x, history)
-        if cost <= accept_cost:
+        polish = _levenberg_marquardt(kernel.residuals, kernel.residuals_and_jacobian, coarse.x)
+        cost = float(polish.residuals @ polish.residuals)
+        total_evals += coarse.n_evaluations + polish.n_trials + polish.n_jacobians
+        accepted = polish.failure is None and cost <= accept_cost
+        if accepted or best is None or cost < best[0]:
+            history = [*coarse.history, (coarse.n_iterations + polish.n_trials, cost, polish.p.copy())]
+            best = (cost, polish.p, history)
+        if accepted:
             break
     cost, x, history = best
     fitted = DisorderMap(canonical_gauge({q: x[k] for k, q in enumerate(qubits)}))
     zero_cost = kernel.cost(np.zeros(len(qubits)))
-    if cost > accept_cost:
+    if not accepted:
         raise CalibrationError(
             f"disorder fit accepted none of {N_STARTS} starts: best cost {cost:.3e} above the acceptance "
             f"cost {accept_cost:.3e} (zero-map cost {zero_cost:.3e})",

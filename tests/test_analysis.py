@@ -131,7 +131,7 @@ def test_front_fit_gives_up_without_a_stop(monkeypatch):
     t = np.arange(0.0, 600.0, 10.0)
     with pytest.raises(ValueError, match="did not converge"):  # zero amplitude: J^T J is singular
         analysis._fit_gaussian(t, np.full_like(t, 0.1), [0.0, 200.0, 50.0, 0.1])
-    monkeypatch.setattr(analysis, "FRONT_FIT_MAX_ITERATIONS", 2)
+    monkeypatch.setattr(analysis, "LM_MAX_ITERATIONS", 2)
     with pytest.raises(ValueError, match="did not converge"):
         fit_gaussian_front(CorrelationSeries((0, 1), t, _gauss(t, 0.4, 200.0, 50.0, 0.0)), distance=SQRT2)
 
@@ -177,6 +177,19 @@ def test_front_fit_matches_curve_fit_on_noisy_gaussians(a, c, w, offset, noise, 
     t = np.arange(0.0, 1000.0 + 1e-9, 10.0)
     y = a * (_gauss(t, 1.0, c, w, offset) + noise * np.random.default_rng(seed).normal(size=len(t)))
     ((tw, yw, p0),) = _windows_fitted(lambda: fit_gaussian_front(CorrelationSeries((0, 1), t, y), distance=1.0))
+    _assert_fits_agree(tw, yw, p0, centre_tol=1e-6)
+
+
+@pytest.mark.parametrize("noise", [0.004, 0.01])
+def test_front_fit_finds_the_lobe_above_a_baseline(noise):
+    # the offset (0.031 under an amplitude of 0.0625, noise a fraction of the
+    # amplitude) exceeds FRONT_LOBE_FRACTION of max|C|, yet the lobe is the front
+    t = np.arange(0.0, 1000.0 + 1e-9, 10.0)
+    y = 0.0625 * (_gauss(t, 1.0, 400.0, 40.0, 0.031 / 0.0625) + noise * np.random.default_rng(3).normal(size=len(t)))
+    ((tw, yw, p0),) = _windows_fitted(lambda: fit_gaussian_front(CorrelationSeries((0, 1), t, y), distance=1.0))
+    assert tw[0] < 400.0 < tw[-1]
+    fit = fit_gaussian_front(CorrelationSeries((0, 1), t, y), distance=1.0)
+    assert fit.peak_time_ns == pytest.approx(400.0, abs=3.0)
     _assert_fits_agree(tw, yw, p0, centre_tol=1e-6)
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.optimize import minimize
 
 import qwalk.calibration as calibration
 from qwalk.calibration import (
@@ -25,6 +26,7 @@ from qwalk.device import (
     QubitId,
     QubitParams,
     default_device,
+    rng_stream,
     sample_disorder,
     subgrid_device,
 )
@@ -88,6 +90,68 @@ def test_nelder_mead_iteration_cap_is_not_convergence(monkeypatch):
     res = nelder_mead(lambda x: float(np.sum((x - 1.0) ** 2)), np.zeros(4))
     assert not res.converged
     assert res.n_iterations == 3
+
+
+def _scipy_nelder_mead(f, x0):
+    """SciPy's Nelder-Mead in the configuration `nelder_mead` ports, read from
+    the same module constants, with its history taken from the callback."""
+    history = []
+    iteration = 0
+
+    def record(intermediate_result):
+        nonlocal iteration
+        iteration += 1
+        if iteration == 1 or iteration % calibration.RECORD_EVERY == 0:
+            history.append((iteration, float(intermediate_result.fun), intermediate_result.x.copy()))
+
+    options = {
+        "initial_simplex": np.vstack([x0, x0 + calibration.SIMPLEX_SCALE_MHZ * np.eye(len(x0))]),
+        "xatol": calibration.GLOBAL_PARAM_SPREAD_MHZ,
+        "fatol": calibration.GLOBAL_COST_SPREAD,
+        "maxiter": calibration.MAX_ITERATIONS,
+    }
+    res = minimize(f, x0, method="Nelder-Mead", callback=record, options=options)
+    return res, [*history, (res.nit, float(res.fun), res.x.copy())]
+
+
+def _assert_matches_scipy(f, x0):
+    ours = nelder_mead(f, x0)
+    res, history = _scipy_nelder_mead(f, x0)
+    assert np.array_equal(ours.x, res.x) and ours.fun == res.fun
+    assert (ours.n_evaluations, ours.n_iterations, ours.converged) == (res.nfev, res.nit, res.success)
+    assert len(ours.history) == len(history)
+    for (it, cost, x), (it_ref, cost_ref, x_ref) in zip(ours.history, history):
+        assert (it, cost) == (it_ref, cost_ref) and np.array_equal(x, x_ref)
+    return ours
+
+
+@pytest.mark.parametrize("seed", [5, 8, 11])
+def test_nelder_mead_is_scipys_on_the_fit_kernel(seed):
+    # the fit's own configuration, from the zero map and from the first drawn start
+    device = subgrid_device(4, 0, 3, 3)
+    qubits = device.functional_qubits
+    twin = CalibrationTwin(device, sample_disorder(qubits, 1.6, seed), seed=seed)
+    kernel = calibration._SwapResiduals([generate_swap_data(twin, q) for q in qubits],
+                                        {q: i for i, q in enumerate(qubits)})
+    drawn = rng_stream(0xF17).uniform(-calibration.START_SPREAD_MHZ, calibration.START_SPREAD_MHZ, len(qubits))
+    for x0 in (np.zeros(len(qubits)), drawn):
+        assert _assert_matches_scipy(kernel.cost, x0).converged
+
+
+def test_nelder_mead_is_scipys_on_toy_functions(monkeypatch):
+    def valley(x):
+        return float((x[0] - 1) ** 2 + 30 * (x[1] + 2) ** 2 + 0.5)
+
+    def quadratic(x):
+        return float(np.sum((x - 3.0) ** 2))
+
+    _tight_simplex(monkeypatch, 1.0)
+    monkeypatch.setattr(calibration, "RECORD_EVERY", 10)
+    assert _assert_matches_scipy(quadratic, np.zeros(4)).converged
+    monkeypatch.setattr(calibration, "SIMPLEX_SCALE_MHZ", 0.7)
+    assert _assert_matches_scipy(valley, np.array([4.0, 4.0])).converged
+    monkeypatch.setattr(calibration, "MAX_ITERATIONS", 3)
+    assert not _assert_matches_scipy(quadratic, np.zeros(4)).converged
 
 
 def test_single_excitation_kernel_matches_engine():
@@ -253,9 +317,8 @@ def test_batched_residuals_and_jacobian(case):
     residuals = kernel.residuals(x)
     assert np.max(np.abs(residuals - np.concatenate([r.ravel() for r in per_star]))) < 1e-12
     assert kernel.cost(x) == pytest.approx(float(residuals @ residuals), rel=1e-12)
-    jac = kernel.jacobian(x)
-    joint = kernel.residuals_and_jacobian(x)
-    assert np.array_equal(joint[0], residuals) and np.array_equal(joint[1], jac)
+    joint_residuals, jac = kernel.residuals_and_jacobian(x)
+    assert np.array_equal(joint_residuals, residuals)
     h = 1e-5
     central = np.column_stack(
         [(kernel.residuals(x + h * e) - kernel.residuals(x - h * e)) / (2 * h) for e in np.eye(len(x))]
@@ -312,6 +375,36 @@ def test_shot_data_fit_is_accepted_near_its_noise_floor():
     assert 0.5 * noise < fit.cost <= fit.accept_cost
     truth = canonical_gauge({q: hidden.get(q) for q in qubits})
     assert max(abs(fit.disorder.get(q) - truth[q]) for q in qubits) < 0.1
+
+
+def test_polish_singular_along_the_gauge_leaves_its_start_unaccepted(monkeypatch):
+    # seed 11's zero-map start polishes into a local minimum, where the damping
+    # shrinks until J^T J + mu diag(J^T J), singular along the global offset
+    # (the gauge direction), cannot be solved; the fit moves on to later starts
+    device = subgrid_device(4, 0, 3, 3)
+    qubits = device.functional_qubits
+    twin = CalibrationTwin(device, sample_disorder(qubits, 1.6, 11), seed=11)
+    datasets = [generate_swap_data(twin, q) for q in qubits]
+    polish, polishes = calibration._levenberg_marquardt, []
+
+    def recording(*args):
+        polishes.append(polish(*args))
+        return polishes[-1]
+
+    monkeypatch.setattr(calibration, "_levenberg_marquardt", recording)
+    fit = fit_disorder_map(datasets)
+    first = polishes[0]
+    assert first.failure == "singular normal equations"
+    assert float(first.residuals @ first.residuals) > fit.accept_cost
+    kernel = calibration._SwapResiduals(datasets, {q: i for i, q in enumerate(sorted(qubits))})
+    jac = kernel.residuals_and_jacobian(first.p)[1]
+    assert np.max(np.abs(jac @ np.ones(len(qubits)))) <= 1e-9 * np.max(np.abs(jac))
+    assert fit.n_starts == len(polishes) > 1 and polishes[-1].failure is None
+    assert fit.cost <= fit.accept_cost
+
+    monkeypatch.setattr(calibration, "N_STARTS", 1)
+    with pytest.raises(CalibrationError, match="accepted none of 1 starts"):
+        fit_disorder_map(datasets)
 
 
 def test_alignment_builds_each_star_graph_once(monkeypatch):

@@ -1,10 +1,12 @@
-"""Cold start: `import qwalk.cli`, the propagating subcommands and `analyze`
-load numpy and scipy.sparse only. The Chebyshev coefficients' Bessel
-functions are computed in numpy, so scipy.special is not needed, and the
-front fits run their own Levenberg-Marquardt in numpy; scipy.optimize and
-scipy.integrate (and the scipy.linalg and scipy.special they pull in) are
-imported on use, by the calibration fits and by `evolve_lindblad`, so each
-check runs in a fresh interpreter.
+"""Cold start: `import qwalk.cli`, the propagating subcommands, `analyze`
+and the disorder and alignment calibrations load numpy and scipy.sparse only.
+The Chebyshev coefficients' Bessel functions are computed in numpy, so
+scipy.special is not needed; the front fits and the disorder fit's polish run
+one numpy Levenberg-Marquardt, and the disorder fit's Nelder-Mead is a numpy
+port of SciPy's. scipy.optimize and scipy.integrate (and the scipy.linalg and
+scipy.special they pull in) are imported on use, by the interferometer
+optimization (L-BFGS-B) and by `evolve_lindblad`, so each check runs in a
+fresh interpreter.
 """
 import json
 import os
@@ -57,20 +59,32 @@ def test_analyze_never_loads_optimize_integrate_or_linalg(tmp_path):
     assert got == {"deferred": [], "added": [], "codes": [0, 0]}
 
 
+def test_disorder_and_align_calibrations_never_load_optimize_linalg_or_special(tmp_path):
+    got = fresh_python(f"""
+        import json, sys
+        from qwalk.cli import main
+        codes = [main(["calibrate", "--task", "disorder", "--seed", "5", "--out", "cal"]),
+                 main(["calibrate", "--task", "align", "--seed", "5", "--rounds", "1", "--out", "align"])]
+        print(json.dumps({{"deferred": sorted(m for m in {DEFERRED!r} if m in sys.modules), "codes": codes}}))
+    """, tmp_path)
+    assert got == {"deferred": [], "codes": [0, 0]}
+
+
 def test_deferred_imports_resolve_in_a_fresh_interpreter(tmp_path):
-    # fit_disorder_map and evolve_lindblad each pay their own import here,
-    # with nothing loaded before them
-    got = fresh_python("""
-        import json
+    # optimize_interferometer and evolve_lindblad each pay their own import
+    # here, with nothing loaded before them
+    got = fresh_python(f"""
+        import json, sys
         from qwalk.cli import main
         from qwalk import ActiveGraph, LindbladModel, evolve_lindblad, initial_density
-        code = main(["calibrate", "--task", "disorder", "--seed", "5", "--out", "cal"])
+        code = main(["calibrate", "--task", "interferometer", "--seed", "5", "--out", "interferometer"])
+        after_interferometer = sorted(m for m in {DEFERRED!r} if m in sys.modules)
         model = LindbladModel.from_graph(ActiveGraph((0,), ()), t1_us=12.26)
-        snaps = evolve_lindblad(model, initial_density(model, {0}), (100.0,))
-        print(json.dumps({"code": code, "snapshots": len(snaps)}))
+        snaps = evolve_lindblad(model, initial_density(model, {{0}}), (100.0,))
+        print(json.dumps({{"code": code, "after_interferometer": after_interferometer, "snapshots": len(snaps)}}))
     """, tmp_path)
-    assert got == {"code": 0, "snapshots": 1}
-
+    assert got == {"code": 0, "after_interferometer": ["scipy.linalg", "scipy.optimize", "scipy.special"],
+                   "snapshots": 1}
 
 
 def test_module_exports_resolve(tmp_path):
