@@ -221,21 +221,13 @@ def _site_hopping(graph: ActiveGraph) -> np.ndarray:
 
 
 def single_excitation_populations(graph: ActiveGraph, offsets_mhz, source_idx: int, times_ns) -> np.ndarray:
-    """Site populations (n_sites x n_times) of one walker released on a graph.
-
-    `offsets_mhz` holds one detuning per site in `graph.sites` order. Dense
-    spectral kernel in site order: the hopping comes from the one Hamiltonian
-    builder once per graph and each call only writes the disorder diagonal
-    (equivalence with the generic engine is pinned by tests). It simulates
-    swap data; the optimizers run on `_SwapResiduals`, which it cross-checks.
-    """
-    h = _site_hopping(graph).copy()
-    np.fill_diagonal(h, TWO_PI * np.asarray(offsets_mhz, dtype=float))
-    w, v = np.linalg.eigh(h)
-    c = v[source_idx].conj()
-    t_us = 1e-3 * np.asarray(list(times_ns), dtype=float)
-    amp = v @ (np.exp(-1j * np.outer(w, t_us)) * c[:, None])
-    return np.abs(amp) ** 2
+    """Site populations (n_sites x n_times) of one walker released on row
+    `source_idx` of a graph, with one detuning per site in `graph.sites` order:
+    the residuals of a zero-data `_SwapResiduals`, the one spectral kernel."""
+    times_ns = tuple(times_ns)
+    ds = SwapDataset(graph.sites[source_idx], graph, times_ns, np.zeros((graph.n_sites, len(times_ns))))
+    kernel = _SwapResiduals([ds], {q: k for k, q in enumerate(graph.sites)})
+    return kernel.residuals(np.asarray(offsets_mhz, dtype=float)).reshape(graph.n_sites, len(times_ns))
 
 
 def generate_swap_data(
@@ -445,13 +437,10 @@ class AlignmentResult:
 
 def _overall_distance(twin: CalibrationTwin, correction: DisorderMap, qubits, times_ns) -> float:
     """Summed squared distance between corrected-twin swap data and the
-    zero-disorder simulation."""
-    total = 0.0
-    for q in qubits:
-        ds = generate_swap_data(twin, q, correction, times_ns)
-        ideal = single_excitation_populations(ds.graph, np.zeros(ds.graph.n_sites), 0, ds.times_ns)
-        total += float(np.sum((ds.populations - ideal) ** 2))
-    return total
+    zero-disorder simulation: `fit_disorder_map`'s `overall_distance` on them."""
+    datasets = [generate_swap_data(twin, q, correction, times_ns) for q in qubits]
+    sites = sorted({q for ds in datasets for q in ds.graph.sites})
+    return _SwapResiduals(datasets, {q: i for i, q in enumerate(sites)}).cost(np.zeros(len(sites)))
 
 
 def alignment_loop(

@@ -205,7 +205,7 @@ def _cmd_sweep(args) -> int:
                     {"time_ns": grid.readout_time_ns, "detector": grid.detector},
                 )
             )
-    print(f"fringe grid {grid.values.shape}: visibility={fringe_stats(grid.values).visibility:.3f}")
+    print(f"fringe grid {grid.values.shape}: visibility={stats.visibility:.3f}")
     return 0
 
 

@@ -40,6 +40,10 @@ __all__ = [
 
 SCHEMA_VERSION = 3
 
+# Shot cap: the perfect-readout sampler peaks at 16 bytes per shot (a float64
+# uniform and an int64 row per draw in `rng.choice`), 160 MB here; counts in use are <= 50,000.
+MAX_SHOTS = 10**7
+
 # Triangular detuning pattern along a 10-site arm: ramps d..5d then back down.
 _STEP_PATTERN = (1, 2, 3, 4, 5, 5, 4, 3, 2, 1)
 
@@ -210,8 +214,10 @@ class Scenario:
             raise ValueError(f"readout_time_ns must be finite and nonnegative, got {self.readout_time_ns!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if self.n_shots is not None and not (_is_int(self.n_shots) and self.n_shots > 0):
-            raise ValueError(f"n_shots must be a positive integer or null, got {self.n_shots!r}")
+        if self.n_shots is not None and not (_is_int(self.n_shots) and 0 < self.n_shots <= MAX_SHOTS):
+            raise ValueError(
+                f"n_shots must be a positive integer up to MAX_SHOTS = {MAX_SHOTS}, or null, got {self.n_shots!r}"
+            )
         if self.layout_names:
             try:
                 layout_from_names(self.layout_names)
@@ -416,10 +422,10 @@ class FringeGrid:
     detector: str
 
     @classmethod
-    def from_csv(cls, text: str, readout_time_ns: float = 0.0, detector: str = "D") -> "FringeGrid":
+    def from_csv(cls, text: str) -> "FringeGrid":
         """Parse a fringe CSV: a header of a corner cell and the d_right values,
-        then one row per d_left value with as many fields as the header. A
-        malformed file raises ValueError naming its line."""
+        then one row per d_left value with as many fields as the header (no
+        readout time or detector: 0.0 ns and "D"). A malformed file raises ValueError naming its line."""
         rows = [line.split(",") for line in text.rstrip().splitlines()]
         if not rows or len(rows[0]) < 2:
             raise ValueError("fringe CSV line 1: no header of a corner cell and d_right values")
@@ -431,7 +437,7 @@ class FringeGrid:
         d_right = tuple(float(x) for x in rows[0][1:])
         d_left = tuple(float(r[0]) for r in rows[1:])
         values = np.array([[float(x) for x in r[1:]] for r in rows[1:]])
-        return cls(d_left, d_right, values, readout_time_ns, detector)
+        return cls(d_left, d_right, values, 0.0, "D")
 
 
 def disorder_sweep(

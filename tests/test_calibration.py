@@ -31,7 +31,7 @@ from qwalk.device import (
     subgrid_device,
 )
 from qwalk.evolution import evolve_unitary
-from qwalk.hamiltonian import build_hamiltonian
+from qwalk.hamiltonian import TWO_PI, build_hamiltonian
 from qwalk.scenarios import default_mz_layout, mz_scenario, run_scenario
 from qwalk.sector import basis_state, enumerate_basis, populations
 
@@ -309,11 +309,12 @@ def star_fits(draw):
 def test_batched_residuals_and_jacobian(case):
     datasets, x = case
     kernel = calibration._SwapResiduals(datasets, {q: q for q in range(len(x))})
-    per_star = [
-        single_excitation_populations(ds.graph, x[list(ds.graph.sites)], ds.graph.index[ds.center], ds.times_ns)
-        - ds.populations
-        for ds in datasets
-    ]
+    per_star = []
+    for ds in datasets:
+        h = calibration._site_hopping(ds.graph) + TWO_PI * np.diag(x[list(ds.graph.sites)])
+        src = ds.graph.index[ds.center]
+        pops = np.column_stack([np.abs(expm(-1j * 1e-3 * t * h)[:, src]) ** 2 for t in ds.times_ns])
+        per_star.append(pops - ds.populations)
     residuals = kernel.residuals(x)
     assert np.max(np.abs(residuals - np.concatenate([r.ravel() for r in per_star]))) < 1e-12
     assert kernel.cost(x) == pytest.approx(float(residuals @ residuals), rel=1e-12)
@@ -378,9 +379,10 @@ def test_shot_data_fit_is_accepted_near_its_noise_floor():
 
 
 def test_polish_singular_along_the_gauge_leaves_its_start_unaccepted(monkeypatch):
-    # seed 11's zero-map start polishes into a local minimum, where the damping
-    # shrinks until J^T J + mu diag(J^T J), singular along the global offset
-    # (the gauge direction), cannot be solved; the fit moves on to later starts
+    # one of seed 11's early starts polishes into a local minimum, where the
+    # damping shrinks until J^T J + mu diag(J^T J), singular along the global
+    # offset (the gauge direction), cannot be solved; the fit moves on to later
+    # starts. Which start ends that way rides on the swap data's low bits.
     device = subgrid_device(4, 0, 3, 3)
     qubits = device.functional_qubits
     twin = CalibrationTwin(device, sample_disorder(qubits, 1.6, 11), seed=11)
@@ -393,11 +395,10 @@ def test_polish_singular_along_the_gauge_leaves_its_start_unaccepted(monkeypatch
 
     monkeypatch.setattr(calibration, "_levenberg_marquardt", recording)
     fit = fit_disorder_map(datasets)
-    first = polishes[0]
-    assert first.failure == "singular normal equations"
-    assert float(first.residuals @ first.residuals) > fit.accept_cost
+    singular = next(p for p in polishes if p.failure == "singular normal equations")
+    assert float(singular.residuals @ singular.residuals) > fit.accept_cost
     kernel = calibration._SwapResiduals(datasets, {q: i for i, q in enumerate(sorted(qubits))})
-    jac = kernel.residuals_and_jacobian(first.p)[1]
+    jac = kernel.residuals_and_jacobian(singular.p)[1]
     assert np.max(np.abs(jac @ np.ones(len(qubits)))) <= 1e-9 * np.max(np.abs(jac))
     assert fit.n_starts == len(polishes) > 1 and polishes[-1].failure is None
     assert fit.cost <= fit.accept_cost
@@ -439,6 +440,18 @@ def test_alignment_overall_distance_monotone():
     res = alignment_loop(twin, rounds=3, times_ns=np.arange(0.0, 800.0, 20.0))
     assert all(b <= a for a, b in zip(res.overall_distances, res.overall_distances[1:]))
     assert res.residual_max_mhz < 1.6 * 0.8
+
+
+@pytest.mark.parametrize("n_shots", [None, 2000])
+def test_alignment_distance_is_the_fit_overall_distance(n_shots):
+    # the alignment loop's distance and the fit's zero-map cost are one
+    # definition on the same data, equal to the last bit
+    device = subgrid_device(0, 4, 2, 2)
+    qubits = device.functional_qubits
+    twin = CalibrationTwin(device, sample_disorder(qubits, 1.6, seed=21), n_shots=n_shots, seed=3)
+    times = tuple(np.arange(0.0, 1000.0, 10.0))
+    fit = fit_disorder_map([generate_swap_data(twin, q, times_ns=times) for q in qubits])
+    assert calibration._overall_distance(twin, DisorderMap({}), qubits, times) == fit.overall_distance
 
 
 def test_interferometer_correction_is_keyed_by_layout_site():

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qwalk import calibration
+from qwalk import calibration, scenarios
 from qwalk.analysis import disorder_velocity_study, lr_bound
 from qwalk.cli import build_parser, main
 from qwalk.device import DEFAULT_ANHARMONICITY_MHZ, DEFAULT_DISORDER_BOUND_MHZ, DEFAULT_J_EFF_MHZ
@@ -446,6 +446,22 @@ def test_cli_error_json_in_fresh_nested_out(tmp_path, command):
     doc = json.loads((out / "error.json").read_text())
     assert doc["type"] == "ValueError" and doc["error"].startswith("n_shots")
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+def test_cli_shot_count_past_the_cap_fails_before_allocating(tmp_path, monkeypatch, capsys):
+    # ten trillion shots would ask the sampler for 72.8 TiB; the scenario
+    # rejects the count before any state is built or sampled
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(scenarios, "_scenario_setup", unreachable)
+    monkeypatch.setattr(scenarios, "sample_shots", unreachable)
+    argv = ["run", "--scenario", "ctqw-two", "--override", "n_shots=10000000000000", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    doc = json.loads((tmp_path / "error.json").read_text())
+    assert doc["type"] == "ValueError" and doc["error"].startswith("n_shots must be a positive integer up to MAX_SHOTS")
+    assert "Traceback" not in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["error.json"]
 
 
 def test_cli_sweep_past_the_window_cap_fails_fast(tmp_path):

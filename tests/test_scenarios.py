@@ -11,6 +11,7 @@ from qwalk.device import default_device, sample_disorder
 from qwalk.evolution import propagate_block
 from qwalk.hamiltonian import disorder_diagonals
 from qwalk.scenarios import (
+    MAX_SHOTS,
     DisorderStepProtocol,
     FringeGrid,
     Scenario,
@@ -161,6 +162,7 @@ def test_scenario_validation():
     with pytest.raises(ValueError, match="^times_ns is missing"):
         Scenario.from_dict({k: v for k, v in doc.items() if k != "times_ns"})
     sc = mz_scenario("S")
+    assert replace(sc, n_shots=MAX_SHOTS).n_shots == MAX_SHOTS
     for field, value in (
         ("times_ns", ()),
         ("times_ns", (0.0, 0.0)),
@@ -181,6 +183,7 @@ def test_scenario_validation():
         ("n_shots", 2.5),
         ("n_shots", "10"),
         ("n_shots", True),
+        ("n_shots", MAX_SHOTS + 1),
         ("layout_names", {"S": "U00Q0"}),
         ("layout_names", {**sc.layout_names, "D": "U99Q9"}),
         ("layout_names", {**sc.layout_names, "L3": 5}),
