@@ -2,6 +2,11 @@
 
 Subcommands: run, sweep, calibrate, analyze, render. Exit codes: 0 ok,
 1 domain or numerical error, 2 usage error.
+
+Each `_cmd_*` imports the modules its command runs, so a command loads only
+those: `calibrate --task disorder|align` and `render` load no SciPy module,
+and `run`, `sweep` and `analyze` load `scipy.sparse` on their first
+propagation.
 """
 from __future__ import annotations
 
@@ -13,19 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    ctqw_velocity_pipeline,
-    disorder_velocity_study,
-    fringe_stats,
-    lr_bound,
-)
-from .calibration import (
-    CalibrationTwin,
-    alignment_loop,
-    fit_disorder_map,
-    generate_swap_data,
-    optimize_interferometer,
-)
 from .device import (
     DEFAULT_ANHARMONICITY_MHZ,
     DEFAULT_DISORDER_BOUND_MHZ,
@@ -35,26 +27,22 @@ from .device import (
     sample_disorder,
     subgrid_device,
 )
-from .records import RecordWriter, ResultRecord, RunManifest, write_csv_matrix
-from .scenarios import (
-    FringeGrid,
-    Scenario,
-    ctqw_scenario,
-    default_mz_layout,
-    disorder_sweep,
-    mz_scenario,
-    run_scenario,
-)
-from .svg import render_heatmap
 
-# each builtin is built on the device its command runs on
+
+def _scenarios():
+    from . import scenarios
+
+    return scenarios
+
+
+# each builtin is built on the device its command runs on, by `scenarios` imported on use
 _BUILTIN_SCENARIOS = {
-    "ctqw-single": lambda device: ctqw_scenario({"U00Q0"}, device=device),
-    "ctqw-two": lambda device: ctqw_scenario({"U00Q0", "U33Q2"}, device=device),
-    "mz-single": lambda device: mz_scenario("S", device=device),
-    "mz-two": lambda device: mz_scenario({"L1", "R1"}, device=device),
-    "mz-blocked": lambda device: mz_scenario("S", blocked=True, device=device),
-    "mz-removed": lambda device: mz_scenario({"L1", "R1"}, removed=True, device=device),
+    "ctqw-single": lambda device: _scenarios().ctqw_scenario({"U00Q0"}, device=device),
+    "ctqw-two": lambda device: _scenarios().ctqw_scenario({"U00Q0", "U33Q2"}, device=device),
+    "mz-single": lambda device: _scenarios().mz_scenario("S", device=device),
+    "mz-two": lambda device: _scenarios().mz_scenario({"L1", "R1"}, device=device),
+    "mz-blocked": lambda device: _scenarios().mz_scenario("S", blocked=True, device=device),
+    "mz-removed": lambda device: _scenarios().mz_scenario({"L1", "R1"}, removed=True, device=device),
 }
 
 
@@ -121,6 +109,10 @@ def _grid_snapshot(result, t_ns: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cmd_run(args) -> int:
+    from .records import RecordWriter, ResultRecord, RunManifest, write_csv_matrix
+    from .scenarios import Scenario, run_scenario
+    from .svg import render_heatmap
+
     out = Path(args.out)
     device = default_device()
     doc = _load_scenario(args.scenario, out, device)
@@ -166,6 +158,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .analysis import fringe_stats
+    from .records import RecordWriter, ResultRecord, RunManifest, write_csv_matrix
+    from .scenarios import Scenario, disorder_sweep
+    from .svg import render_heatmap
+
     out = Path(args.out)
     device = default_device()
     doc = _load_scenario(args.scenario, out, device)
@@ -210,6 +207,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    from .calibration import (
+        CalibrationTwin,
+        alignment_loop,
+        fit_disorder_map,
+        generate_swap_data,
+        optimize_interferometer,
+    )
+    from .records import RecordWriter, ResultRecord, RunManifest
+    from .scenarios import default_mz_layout
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seed = args.seed or 0
@@ -300,6 +307,9 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .analysis import ctqw_velocity_pipeline, disorder_velocity_study, lr_bound
+    from .records import RecordWriter, ResultRecord, RunManifest
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seed = 2024 if args.seed is None and args.study == "distance-velocity" else args.seed
@@ -356,6 +366,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .scenarios import FringeGrid
+    from .svg import render_heatmap
+
     grid = FringeGrid.from_csv(Path(args.input).read_text())
     svg = render_heatmap(
         grid.values,

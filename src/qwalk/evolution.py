@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .device import ActiveGraph, DisorderMap
 from .hamiltonian import HamiltonianMatrix, build_hamiltonian
@@ -209,6 +208,8 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
     window from t = 0 on the shared interval and grids, so every column's
     values match the unchunked run bit for bit.
     """
+    import scipy.sparse as sp  # imported on use: no start-up cost for commands that never propagate
+
     if np.iscomplexobj(h0) or np.iscomplexobj(diagonals):
         raise ValueError("the block engine needs a real Hamiltonian")
     if not np.all(np.isfinite(times_ns)):

@@ -1,15 +1,22 @@
-"""Sparse sector Hamiltonian: hopping across active edges plus diagonal disorder.
+"""Sector Hamiltonian: hopping across active edges plus diagonal disorder.
 
 Internal units are angular frequency in rad/us; inputs are linear MHz. In the
 rotating frame at the common interaction frequency the resonant, zero-disorder
 diagonal is exactly zero.
+
+`build_hamiltonian` keeps the matrix as numpy triplets: one (row, col, value)
+per hop, which the matrix mirrors, plus an optional diagonal. The small dense
+Hamiltonians of the calibration stars and the Lindblad model are scattered
+from them in numpy. Only the propagating commands read the sparse CSR form,
+so `scipy.sparse` is imported when `HamiltonianMatrix.matrix` is first read,
+and a command that never propagates never loads it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .device import ActiveGraph, DisorderMap
 from .sector import SectorBasis, lookup, row_sums
@@ -19,10 +26,17 @@ __all__ = ["HamiltonianMatrix", "build_hamiltonian", "disorder_diagonals", "offs
 TWO_PI = 2.0 * np.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HamiltonianMatrix:
+    """The sector Hamiltonian as mirrored hop triplets: entry (rows[k], cols[k])
+    and its transpose both hold values[k]. `diagonal` is None when every
+    offset is zero."""
+
     basis: SectorBasis
-    matrix: sp.csr_matrix = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    cols: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+    diagonal: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -30,10 +44,33 @@ class HamiltonianMatrix:
 
     @property
     def nnz(self) -> int:
-        return self.matrix.nnz
+        """Stored entries of `matrix`, counted without building it: the CSR
+        sums drop exact zeros."""
+        diagonal = 0 if self.diagonal is None else np.count_nonzero(self.diagonal)
+        return 2 * np.count_nonzero(self.values) + diagonal
+
+    @cached_property
+    def matrix(self):
+        """The Hamiltonian as a scipy.sparse CSR matrix, built on first use."""
+        import scipy.sparse as sp  # imported on use: no start-up cost for commands that never propagate
+
+        dim = self.dimension
+        hops = sp.coo_matrix((self.values, (self.rows, self.cols)), shape=(dim, dim))
+        matrix = hops + hops.T
+        if self.diagonal is not None:
+            matrix = matrix + sp.diags(self.diagonal)
+        matrix = matrix.tocsr()
+        matrix.sum_duplicates()
+        return matrix
 
     def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
+        """The Hamiltonian as a dense array, equal bit for bit to `matrix.toarray()`."""
+        dense = np.zeros((self.dimension, self.dimension))
+        np.add.at(dense, (self.rows, self.cols), self.values)
+        np.add.at(dense, (self.cols, self.rows), self.values)
+        if self.diagonal is not None:
+            dense[np.diag_indices_from(dense)] += self.diagonal
+        return dense
 
 
 def build_hamiltonian(
@@ -69,14 +106,10 @@ def build_hamiltonian(
     moved[move, dst[edge]] = True
     cols = lookup(basis.keys, moved)
 
-    dim = basis.dimension
-    hops = sp.coo_matrix((amps[edge], (rows, cols)), shape=(dim, dim))
-    matrix = hops + hops.T
+    diagonal = None
     if any(disorder.get(s) for s in graph.sites):
-        matrix = matrix + sp.diags(disorder_diagonals(graph, basis, [disorder])[:, 0])
-    matrix = matrix.tocsr()
-    matrix.sum_duplicates()
-    return HamiltonianMatrix(basis, matrix)
+        diagonal = disorder_diagonals(graph, basis, [disorder])[:, 0]
+    return HamiltonianMatrix(basis, rows, cols, amps[edge], diagonal)
 
 
 def disorder_diagonals(graph: ActiveGraph, basis: SectorBasis, disorders) -> np.ndarray:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
@@ -169,6 +170,13 @@ def _labels(value) -> tuple:
     return tuple(QubitId.parse(label).label for label in value)
 
 
+def _name(value) -> str:
+    """A JSON name as text: null is no name, not the string "None"."""
+    if value is None:
+        raise TypeError("a scenario needs a name, got null")
+    return str(value)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A fully specified runnable experiment on the device.
@@ -180,7 +188,7 @@ class Scenario:
     metadata turns its JSON value into the field's type in `from_dict`.
     """
 
-    name: str = field(metadata={"convert": str})
+    name: str = field(metadata={"convert": _name})
     active: tuple = field(metadata={"convert": _labels})
     sources: tuple = field(metadata={"convert": _labels})
     times_ns: tuple = field(metadata={"convert": lambda v: tuple(map(_number, v))})
@@ -195,8 +203,15 @@ class Scenario:
     layout_names: dict = field(default_factory=dict, metadata={"convert": dict})  # site name -> label
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
         if not self.active:
             raise ValueError("scenario has an empty active set")
+        for name in ("active", "sources"):
+            labels = getattr(self, name)
+            repeated = sorted(label for label, n in Counter(labels).items() if n > 1)
+            if repeated:
+                raise ValueError(f"{name} lists {', '.join(repeated)} more than once")
         missing = [s for s in self.sources if s not in self.active]
         if missing:
             raise ValueError(f"initial excitation sites {missing} are not in the active set")

@@ -224,3 +224,44 @@ def test_builder_matches_full_space_oracle(case, data):
         m = LindbladModel.from_graph(g, d, max_excitations=top)
         check_against_oracle(m.h, np.flatnonzero(weight <= top), hop, diag)
     check_against_oracle(LindbladModel.from_graph(g, d, full_space=True).h, np.arange(2**n), hop, diag)
+
+
+_DEVICE = default_device()
+_LINKS = [(e.a, e.b) for e in _DEVICE.functional_edges()]
+
+
+@st.composite
+def device_subgraph_cases(draw):
+    """A connected patch of up to 12 functional qubits grown from one seed
+    qubit, 1-3 walkers, and no disorder, random offsets, or offsets of +x, -x
+    and 0 that sum to an exactly zero diagonal on some rows."""
+    sites = {draw(st.sampled_from(_DEVICE.functional_qubits))}
+    size = draw(st.integers(1, 12))
+    while len(sites) < size:
+        frontier = sorted({b for a, b in _LINKS if a in sites} | {a for a, b in _LINKS if b in sites} - sites)
+        if not frontier:
+            break
+        sites.add(draw(st.sampled_from(frontier)))
+    graph = active_subgraph(_DEVICE, sites)
+    k = draw(st.integers(1, min(3, graph.n_sites)))
+    mode = draw(st.sampled_from(("none", "random", "cancelling")))
+    if mode == "none":
+        disorder = None
+    elif mode == "random":
+        disorder = DisorderMap({s: draw(st.floats(-5.0, 5.0, allow_nan=False)) for s in graph.sites})
+    else:
+        x = draw(st.floats(0.01, 5.0))
+        disorder = DisorderMap({s: draw(st.sampled_from((x, -x, 0.0))) for s in graph.sites})
+    return graph, enumerate_basis(graph.n_sites, k), disorder
+
+
+@given(device_subgraph_cases())
+def test_dense_scatter_and_nnz_match_the_csr_matrix(case):
+    graph, basis, disorder = case
+    h = build_hamiltonian(graph, basis, disorder)
+    dense, nnz = h.to_dense(), h.nnz
+    assert "matrix" not in vars(h)  # both read the triplets; the CSR is not built yet
+    reference = h.matrix.toarray()
+    assert dense.dtype == reference.dtype and dense.tobytes() == reference.tobytes()
+    assert nnz == h.matrix.nnz
+    assert np.array_equal(dense, dense.T)

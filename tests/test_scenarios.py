@@ -189,9 +189,34 @@ def test_scenario_validation():
         ("layout_names", {**sc.layout_names, "L3": 5}),
         ("layout_names", {k: v for k, v in sc.layout_names.items() if k != "R10"}),
         ("layout_names", 5),
+        ("name", None),
+        ("active", (*sc.active, sc.active[0])),
+        ("sources", (*sc.sources, *sc.sources)),
     ):
         with pytest.raises(ValueError, match=field):
             replace(sc, **{field: value})
+
+
+def test_null_name_and_repeated_labels_leave_error_json(tmp_path, capsys):
+    # null is no name (it used to be stored as "None"), and a site listed
+    # twice in `active` or `sources` is refused, for run and sweep alike
+    source, splitter = _MZ_NAMES["S"], _MZ_NAMES["BS1"]
+    cases = (
+        ("name=null", "name cannot be read from None: a scenario needs a name, got null"),
+        (f'active=["{source}","{source}","{splitter}"]', f"active lists {source} more than once"),
+        (f'sources=["{source}","{source}"]', f"sources lists {source} more than once"),
+    )
+    for k, (override, message) in enumerate(cases):
+        for command in ("run", "sweep"):
+            out = tmp_path / f"{command}-{k}"
+            assert main([command, "--scenario", "mz-single", "--out", str(out), "--override", override]) == 1
+            doc = json.loads((out / "error.json").read_text())
+            assert doc == {"error": message, "type": "ValueError"}
+            assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+            assert "Traceback" not in capsys.readouterr().err
+    # a name that is a JSON number is still read as its text, and no walkers is a valid vacuum
+    for override in ("name=5", "sources=[]"):
+        assert main(["run", "--scenario", "ctqw-single", "--out", str(tmp_path / override), "--override", override]) == 0
 
 
 def test_steps_need_an_interferometer_layout():
