@@ -6,6 +6,7 @@ L-BFGS-B on the fit's kernel, the one SciPy optimizer left, imported on use).
 """
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -276,91 +277,200 @@ class DisorderFit:
     accept_cost: float
 
 
+# A time grid counts as uniform, and its phases are factored, when each of its
+# times lies within this many ulps (of the largest time) of t0 + j dt.
+UNIFORM_GRID_ULPS = 4
+# An eigenvalue pair with |w_m - w_n| max|t| / 2 below this takes the
+# Jacobian's limit form, its sinc a Taylor series through x^8 (truncation
+# under 3e-15); a wider pair's divided difference of two phases loses at most
+# about |w| max|t| / 0.4 ulps, 100 on the swap data.
+SINC_SERIES_BELOW = 0.2
+
+
+def _phase_steps(t_us: np.ndarray) -> tuple:
+    """Giant steps g and baby steps b whose sums g_a + b_b, giant-major, begin
+    with the times t_us, so that e^{-iwt} is a giant-step table times a
+    baby-step table.
+
+    A uniform grid t_j = t0 + j dt of T times takes B = ceil(sqrt(T)) baby
+    steps b dt and ceil(T / B) giant steps t0 + a B dt: about 2 sqrt(T)
+    phases per eigenvalue instead of T. Any other grid is the B = 1 case: its
+    times are the giant steps and the one baby step is 0.
+    """
+    n_t = len(t_us)
+    if n_t > 1:
+        dt = (t_us[-1] - t_us[0]) / (n_t - 1)
+        drift = np.max(np.abs(t_us[0] + dt * np.arange(n_t) - t_us))
+        if drift <= UNIFORM_GRID_ULPS * np.spacing(np.max(np.abs(t_us))):
+            n_baby = math.isqrt(n_t - 1) + 1
+            return t_us[0] + dt * (n_baby * np.arange(-(-n_t // n_baby))), dt * np.arange(n_baby)
+    return t_us, np.zeros(1)
+
+
+def _unit_phases(w: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """e^{-i w s} for every eigenvalue w and step s (... x len(steps))."""
+    angles = w[..., None] * -steps
+    table = np.empty(angles.shape, dtype=complex)
+    np.cos(angles, out=table.real)
+    np.sin(angles, out=table.imag)
+    return table
+
+
+class _StarStack:
+    """The datasets of one time grid, zero-padded to the largest star's size.
+
+    Pad sites have zero hopping and a zero diagonal, so they decouple exactly;
+    they are masked out of the residuals and map to no parameter. Each star
+    keeps its own source row.
+    """
+
+    def __init__(self, members, pos: dict, times_ns):
+        sizes = np.array([ds.graph.n_sites for ds in members])
+        n_stars, n = len(members), int(sizes.max())
+        self.real = np.arange(n) < sizes[:, None]  # stars x sites: which sites are not padding
+        star, site = np.nonzero(self.real)
+        self.param = np.array([pos[q] for ds in members for q in ds.graph.sites])  # x entry of each real site
+        self.diag = (star * n + site) * n + site  # flat positions of the real sites' diagonal entries
+        self.hopping = np.zeros((n_stars, n, n))
+        for s, ds in enumerate(members):
+            self.hopping[s, : sizes[s], : sizes[s]] = _site_hopping(ds.graph)
+        self.scatter = np.zeros((n_stars, n, len(pos)))  # site k of star s -> its column of x
+        self.scatter[star, site, self.param] = 1.0
+        self.source = (np.arange(n_stars), np.array([ds.graph.index[ds.center] for ds in members]))
+        self.data = np.concatenate([ds.populations for ds in members])  # real sites x times
+        self.t_us = 1e-3 * np.asarray(times_ns, dtype=float)
+        self.rows = (np.flatnonzero(self.real)[:, None] * len(self.t_us) + np.arange(len(self.t_us))).ravel()
+        self.t_max = np.max(np.abs(self.t_us), initial=0.0)
+        giant, baby = _phase_steps(self.t_us)
+        self.steps = np.concatenate((giant, baby))
+        self.n_giant = len(giant)
+        self._work = None
+
+    def amplitudes(self, x) -> tuple:
+        """Eigenpairs of the stacked Hamiltonians, their phase table (stars x
+        sites x giant then baby steps) and the amplitudes (stars x sites x
+        2 n_giant n_baby, real and imaginary parts interleaved; the first 2T
+        columns are the grid's times)."""
+        h = self.hopping.copy()
+        h.flat[self.diag] = TWO_PI * x[self.param]
+        w, v = np.linalg.eigh(h)
+        table = _unit_phases(w, self.steps)
+        c = v[self.source]  # source overlaps <m|source>
+        phases = (table[..., : self.n_giant] * c[..., None])[..., None] * table[..., None, self.n_giant :]
+        return w, v, table, v @ phases.reshape(*c.shape, -1).view(float)
+
+    def residuals(self, amplitudes) -> np.ndarray:
+        squares = np.square(amplitudes[..., : 2 * len(self.t_us)])
+        return ((squares[..., ::2] + squares[..., 1::2])[self.real] - self.data).ravel()
+
+    def _phases(self, table) -> np.ndarray:
+        """The times' phases (stars x sites x times) from a giant/baby table."""
+        n_stars, n, _ = table.shape
+        product = table[..., : self.n_giant, None] * table[..., None, self.n_giant :]
+        return product.reshape(n_stars, n, -1)[..., : len(self.t_us)]
+
+    def _workspace(self) -> tuple:
+        """The Jacobian's stars x sites x sites x times work arrays, made on
+        first use and reused: freeing and faulting in a fresh 2 MB of them on
+        every call (on the 3x3 fit) cost as much as the arithmetic."""
+        if self._work is None:
+            (n_stars, n), n_t = self.real.shape, len(self.t_us)
+            self._work = (
+                np.zeros((n_stars, n, n, n_t), dtype=complex),  # near-pair F, zero between calls
+                np.empty((n_stars, n * n, 2 * n_t)),
+                np.empty((n_stars, n, n, 2 * n_t)),
+                np.empty((n_stars, n, n, n_t)),
+                np.empty((n_stars, n * n_t, self.scatter.shape[2])),
+            )
+        return self._work
+
+    def jacobian(self, w, v, table, amplitudes, out) -> None:
+        """d residual / d x from one eigenbasis, into `out` (the stack's
+        residual rows); see `_SwapResiduals`."""
+        n_stars, n = w.shape
+        n_t = len(self.t_us)
+        limit, y, da, dp, jac = self._workspace()
+        c = v[self.source]
+        weights = (2.0 * TWO_PI) * v * c[:, None, :]  # 4 pi V_kn V_sn, stars x k x n
+        delta = w[:, :, None] - w[:, None, :]
+        near = np.abs(delta) * (0.5 * self.t_max) < SINC_SERIES_BELOW
+        # far pairs: y_km = sum_n weights_kn (P_n - P_m) / (w_n - w_m), one matmul over the phases P
+        inverse = np.where(near, 0.0, 1.0 / np.where(near, 1.0, delta))
+        mixing = weights[:, :, None, :] * inverse.transpose(0, 2, 1)[:, None]  # stars x k x m x n
+        diagonal = np.arange(n)
+        mixing[:, :, diagonal, diagonal] -= weights @ inverse
+        phases = np.ascontiguousarray(self._phases(table))
+        np.matmul(mixing.reshape(n_stars, n * n, n), phases.view(float), out=y)
+        # near pairs, the diagonal among them: -i t e^{-i (w_n + w_m) t / 2} sinc((w_n - w_m) t / 2)
+        star, row, col = pairs = np.nonzero(near)
+        half = self._phases(_unit_phases(w, 0.5 * self.steps))
+        x2 = np.square((0.5 * delta[pairs])[:, None] * self.t_us)
+        sinc = 1 - x2 / 6 * (1 - x2 / 20 * (1 - x2 / 42 * (1 - x2 / 72)))
+        limit[pairs] = (-1j * self.t_us) * sinc * half[star, row] * half[star, col]
+        near_part = np.matmul(weights, limit.reshape(n_stars, n, -1).view(float), out=da.reshape(n_stars, n, -1))
+        y += near_part.reshape(y.shape)
+        limit[pairs] = 0.0
+        # d amplitude_i / d x_k = sum_m V_im V_km y_km; d population = 2 Re(conj(amplitude) d amplitude)
+        np.matmul(v[:, None, :, :] * v[:, :, None, :], y.reshape(da.shape), out=da)  # stars x k x i x interleaved times
+        da *= amplitudes[:, None, :, : 2 * n_t]
+        np.add(da[..., ::2], da[..., 1::2], out=dp)
+        np.matmul(dp.reshape(n_stars, n, -1).transpose(0, 2, 1), self.scatter, out=jac)
+        np.take(jac.reshape(-1, jac.shape[2]), self.rows, axis=0, out=out, mode="clip")  # unbuffered
+
+
 class _SwapResiduals:
     """Simulated minus measured populations of a set of datasets (zero data:
     the populations), as a function of the parameter vector x (MHz, one entry
     per qubit), and their Jacobian.
 
-    The walker starts on row `graph.index[center]` (0 for a star). Graphs
-    with the same site count, source row and time grid are stacked once per
-    fit (site-order hoppings, positions in x, data), so an evaluation makes
-    one batched `eigh` per group. The Hamiltonians are real symmetric, so every product is a real
-    matmul. Residuals run over the groups in order of first appearance, then
-    dataset, site and time.
+    The walker starts on row `graph.index[center]` (0 for a star). Datasets
+    with the same time grid form one `_StarStack`, built once per fit: every
+    star zero-padded to the largest star's size, so an evaluation makes one
+    batched `eigh` over all of them. The Hamiltonians are real symmetric, so
+    the amplitudes are one real matmul on the interleaved real and imaginary
+    parts of V (e^{-iWt} o c), c the source overlaps, with the phases from a
+    giant-step table times a baby-step table (`_phase_steps`). Residuals run
+    over the time grids in order of first appearance, then dataset, site and
+    time.
+
+    The Jacobian: dH/dx_k = 2 pi e_k e_k^T, and the derivative of exp(-iHt)
+    along E is V (F(t) o V^T E V) V^T with the divided differences
+    F_mn(t) = (e^{-i w_m t} - e^{-i w_n t}) / (w_m - w_n)
+            = -i t e^{-i (w_m + w_n) t / 2} sinc((w_m - w_n) t / 2),
+    whose degenerate limit is -i t e^{-i w t}. A pair far apart takes the
+    first form from the phase table; a near pair (SINC_SERIES_BELOW), the
+    diagonal among them, takes the second, its mean phase from the half-angle
+    table e^{-i w t / 2} and its sinc from a series. Then
+    d amplitude_i / d x_k = 2 pi sum_m V_im V_km sum_n V_kn V_sn F_nm (s the
+    source row) and d population = 2 Re(conj(amplitude) d amplitude).
     """
 
     def __init__(self, datasets, pos: dict):
         grouped = {}
         for ds in datasets:
-            grouped.setdefault((ds.graph.n_sites, ds.graph.index[ds.center], tuple(ds.times_ns)), []).append(ds)
+            grouped.setdefault(tuple(ds.times_ns), []).append(ds)
         self.n_params = len(pos)
-        self.groups = []
-        for (_n, src, times), members in grouped.items():
-            hopping = np.stack([_site_hopping(ds.graph) for ds in members])
-            idx = np.array([[pos[q] for q in ds.graph.sites] for ds in members])
-            data = np.stack([ds.populations for ds in members])
-            self.groups.append((hopping, idx, src, data, 1e-3 * np.asarray(times, dtype=float)))
-
-    @staticmethod
-    def _amplitudes(hopping, idx, src, x, t_us):
-        """Eigenpairs of the stacked Hamiltonians and the real and imaginary
-        parts of the amplitudes (graphs x sites x times)."""
-        h = hopping.copy()
-        diag = np.arange(h.shape[1])
-        h[:, diag, diag] = TWO_PI * x[idx]
-        w, v = np.linalg.eigh(h)
-        theta = w[:, :, None] * t_us
-        c = v[:, src, :, None]  # source overlaps <m|source>
-        return w, v, v @ (np.cos(theta) * c), -(v @ (np.sin(theta) * c))
+        self.stacks = [_StarStack(members, pos, times) for times, members in grouped.items()]
 
     def residuals(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        out = []
-        for hopping, idx, src, data, t_us in self.groups:
-            _w, _v, re, im = self._amplitudes(hopping, idx, src, x, t_us)
-            out.append((re * re + im * im - data).ravel())
-        return np.concatenate(out)
+        return np.concatenate([stack.residuals(stack.amplitudes(x)[3]) for stack in self.stacks])
 
     def cost(self, x) -> float:
         r = self.residuals(x)
         return float(r @ r)
 
     def residuals_and_jacobian(self, x) -> tuple:
-        """The residuals and the Jacobian from one eigenbasis per group."""
-        groups = list(self._group_jacobians(x))
-        residuals = [(re * re + im * im - data).ravel() for re, im, data, _ in groups]
-        return np.concatenate(residuals), np.concatenate([jac for *_, jac in groups])
-
-    def _group_jacobians(self, x):
-        """Per group, the amplitudes (re, im), the data and d residual / d x.
-
-        dH/dx_k = 2 pi e_k e_k^T, and the derivative of exp(-iHt) along E is
-        V (F(t) o V^T E V) V^T with the divided differences
-        F_mn(t) = (e^{-i w_m t} - e^{-i w_n t}) / (w_m - w_n)
-                = -i t e^{-i (w_m + w_n) t / 2} sinc((w_m - w_n) t / 2),
-        whose second form is also the degenerate limit -i t e^{-i w t}. So
-        d amplitude_i / d x_k = 2 pi sum_mn F_mn G_mn,ik with the
-        time-independent G_mn,ik = V_im V_km V_kn V_sn (s the source row),
-        and d population = 2 Re(conj(amplitude) d amplitude).
-        """
+        """The residuals and the Jacobian from one eigenbasis per time grid."""
         x = np.asarray(x, dtype=float)
-        for hopping, idx, src, data, t_us in self.groups:
-            w, v, re, im = self._amplitudes(hopping, idx, src, x, t_us)
-            n_stars, n = w.shape
-            n_t = len(t_us)
-            t = t_us[:, None, None]
-            mean = 0.5 * (w[:, None, :, None] + w[:, None, None, :]) * t  # stars x times x m x n
-            s = t * np.sinc((w[:, None, :, None] - w[:, None, None, :]) * t / TWO_PI)
-            f = np.concatenate((-s * np.sin(mean), -s * np.cos(mean)), axis=1)  # real, then imaginary part
-            g = np.einsum("sim,skm,skn,sn->smnik", v, v, v, v[:, src])
-            da = (f.reshape(n_stars, 2 * n_t, n * n) @ g.reshape(n_stars, n * n, n * n)).reshape(n_stars, 2, n_t, n, n)
-            a_re, a_im = re.transpose(0, 2, 1)[..., None], im.transpose(0, 2, 1)[..., None]
-            dp = (2.0 * TWO_PI) * (a_re * da[:, 0] + a_im * da[:, 1])  # stars x times x sites i x sites k
-            # residuals run over (star, site i, time); site k of a star is x[idx[star, k]]
-            local = dp.transpose(0, 3, 2, 1).reshape(n_stars, n, -1)
-            jac = np.zeros((n_stars, local.shape[2], self.n_params))
-            jac[np.arange(n_stars)[:, None], :, idx] = local
-            yield re, im, data, jac.reshape(-1, self.n_params)
+        jac = np.empty((sum(stack.data.size for stack in self.stacks), self.n_params))
+        residuals, row = [], 0
+        for stack in self.stacks:
+            w, v, table, amplitudes = stack.amplitudes(x)
+            residuals.append(stack.residuals(amplitudes))
+            stack.jacobian(w, v, table, amplitudes, out=jac[row : row + stack.data.size])
+            row += stack.data.size
+        return np.concatenate(residuals), jac
 
 
 def _shot_noise_cost(ds: SwapDataset) -> float:

@@ -44,6 +44,10 @@ SCHEMA_VERSION = 3
 # Shot cap: the perfect-readout sampler peaks at 16 bytes per shot (a float64
 # uniform and an int64 row per draw in `rng.choice`), 160 MB here; counts in use are <= 50,000.
 MAX_SHOTS = 10**7
+# Sweep cap on cells x sector dimension: a sweep holds its start block
+# (complex128), its step diagonals and the detector probabilities (float64)
+# whole, 32 bytes per entry, 160 MB here; the default mz-two grid holds 33,396.
+MAX_SWEEP_ENTRIES = 5 * 10**6
 
 # Triangular detuning pattern along a 10-site arm: ramps d..5d then back down.
 _STEP_PATTERN = (1, 2, 3, 4, 5, 5, 4, 3, 2, 1)
@@ -475,6 +479,13 @@ def disorder_sweep(
     d_right_values = tuple(float(v) for v in d_right_values)
     if not d_left_values or not d_right_values:
         raise ValueError("sweep ranges must be nonempty")
+    cells = len(d_left_values) * len(d_right_values)
+    dimension = math.comb(len(scenario.active), scenario.n_excitations)
+    if cells * dimension > MAX_SWEEP_ENTRIES:
+        raise ValueError(
+            f"sweep of {cells} cells at sector dimension {dimension} exceeds "
+            f"MAX_SWEEP_ENTRIES = {MAX_SWEEP_ENTRIES} cells x dimension"
+        )
     device = device or default_device()
     layout = layout_from_names(scenario.layout_names)
     t_read = float(

@@ -284,25 +284,60 @@ def test_fit_builds_each_star_hopping_once(monkeypatch):
 
 
 @st.composite
+def uniform_grids(draw):
+    """A uniform time grid t0 + j dt (ns), factored into giant and baby steps by
+    the kernel: one or two samples, a perfect-square count, the swap data's
+    101, or any count in between, from t0 = 0 or a later start."""
+    n_t = draw(st.one_of(st.sampled_from([1, 2, 16, 101]), st.integers(3, 40)))
+    t0 = draw(st.one_of(st.just(0.0), st.floats(1.0, 500.0)))
+    return tuple(t0 + draw(st.floats(0.5, 10.0)) * np.arange(n_t))
+
+
+@st.composite
 def star_fits(draw):
-    """Stars of 2-5 sites over one shared parameter vector, each releasing the
-    walker on its hub (site 0) or on a leaf, sorted by size and source row
-    (the kernel's group order); a time grid that includes t=0, random data and
-    a parameter point. Zero offsets on equal-coupling stars give degenerate
-    eigenvalues."""
+    """Stars of 2-5 sites in any order of size over one shared parameter
+    vector, each releasing the walker on its hub (site 0) or on a leaf, and
+    each on one of two time grids (scattered times that include t=0, or a
+    uniform grid), grouped by grid in order of first appearance (the
+    kernel's residual order); random data and a parameter point. Zero
+    offsets on equal-coupling stars give degenerate eigenvalues."""
     n_params = 6
     symmetric = draw(st.booleans())
-    times = tuple(sorted({0.0, *draw(st.lists(st.floats(1.0, 1000.0), min_size=1, max_size=6))}))
+    grid = st.one_of(
+        st.lists(st.floats(1.0, 1000.0), min_size=1, max_size=6).map(lambda ts: tuple(sorted({0.0, *ts}))),
+        uniform_grids(),
+    )
+    grids = [draw(grid), draw(grid)]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     datasets = []
-    for n in sorted(draw(st.lists(st.integers(2, 5), min_size=1, max_size=3))):
+    for n in draw(st.lists(st.integers(2, 5), min_size=1, max_size=3)):
         sites = tuple(draw(st.permutations(range(n_params)))[:n])
         edges = tuple((0, k, J if symmetric else draw(st.floats(0.5, 3.0))) for k in range(1, n))
+        times = draw(st.sampled_from(grids))
         data = rng.uniform(0.0, 1.0, (n, len(times)))
         datasets.append(SwapDataset(draw(st.sampled_from(sites)), ActiveGraph(sites, edges), times, data))
+    first = list(dict.fromkeys(ds.times_ns for ds in datasets))
+    datasets.sort(key=lambda ds: first.index(ds.times_ns))
     x = np.zeros(n_params) if symmetric else rng.uniform(-3.0, 3.0, n_params)
-    datasets.sort(key=lambda ds: (ds.graph.n_sites, ds.graph.index[ds.center]))
     return datasets, x
+
+
+@pytest.mark.parametrize(
+    ("times_ns", "n_giant", "n_baby"),
+    [
+        (np.arange(0.0, 1000.1, 10.0), 10, 11),  # the swap data's grid
+        (250.0 + 2.5 * np.arange(16), 4, 4),
+        ((0.0, 7.0), 1, 2),
+        ((550.0,), 1, 1),  # an interferometer stage
+        ((0.0, 10.0, 30.0), 3, 1),  # not uniform: the times themselves
+    ],
+)
+def test_phase_steps_factor_uniform_grids(times_ns, n_giant, n_baby):
+    t_us = 1e-3 * np.asarray(times_ns, dtype=float)
+    giant, baby = calibration._phase_steps(t_us)
+    assert (len(giant), len(baby)) == (n_giant, n_baby)
+    sums = (giant[:, None] + baby[None, :]).ravel()
+    assert np.max(np.abs(sums[: len(t_us)] - t_us)) <= 4 * np.spacing(np.max(t_us))
 
 
 @given(star_fits())
@@ -379,14 +414,13 @@ def test_shot_data_fit_is_accepted_near_its_noise_floor():
 
 
 def test_polish_singular_along_the_gauge_leaves_its_start_unaccepted(monkeypatch):
-    # one of seed 11's early starts polishes into a local minimum, where the
-    # damping shrinks until J^T J + mu diag(J^T J), singular along the global
-    # offset (the gauge direction), cannot be solved; the fit moves on to later
-    # starts. Which start ends that way rides on the swap data's low bits.
+    # some starts polish into a local minimum, where the damping shrinks until
+    # J^T J + mu diag(J^T J), singular along the global offset (the gauge
+    # direction), cannot be solved; the fit moves on to later starts. Which
+    # starts end that way rides on the swap data's low bits, so the case is
+    # the first calibration seed whose fit records such a polish.
     device = subgrid_device(4, 0, 3, 3)
     qubits = device.functional_qubits
-    twin = CalibrationTwin(device, sample_disorder(qubits, 1.6, 11), seed=11)
-    datasets = [generate_swap_data(twin, q) for q in qubits]
     polish, polishes = calibration._levenberg_marquardt, []
 
     def recording(*args):
@@ -394,8 +428,15 @@ def test_polish_singular_along_the_gauge_leaves_its_start_unaccepted(monkeypatch
         return polishes[-1]
 
     monkeypatch.setattr(calibration, "_levenberg_marquardt", recording)
-    fit = fit_disorder_map(datasets)
-    singular = next(p for p in polishes if p.failure == "singular normal equations")
+    for seed in range(40):
+        polishes.clear()
+        twin = CalibrationTwin(device, sample_disorder(qubits, 1.6, seed), seed=seed)
+        datasets = [generate_swap_data(twin, q) for q in qubits]
+        fit = fit_disorder_map(datasets)
+        singular = next((p for p in polishes if p.failure == "singular normal equations"), None)
+        if singular is not None:
+            break
+    assert singular is not None, "no fit of calibration seeds 0-39 records a singular polish"
     assert float(singular.residuals @ singular.residuals) > fit.accept_cost
     kernel = calibration._SwapResiduals(datasets, {q: i for i, q in enumerate(sorted(qubits))})
     jac = kernel.residuals_and_jacobian(singular.p)[1]

@@ -464,6 +464,34 @@ def test_cli_shot_count_past_the_cap_fails_before_allocating(tmp_path, monkeypat
     assert sorted(p.name for p in tmp_path.iterdir()) == ["error.json"]
 
 
+def test_cli_sweep_past_the_entry_cap_fails_before_allocating(tmp_path, monkeypatch, capsys):
+    # a 100,000 x 100,000 grid would ask np.repeat for 10^10 cells before the
+    # dimension-276 block; the sweep rejects cells x dimension before any state is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(scenarios, "_scenario_setup", unreachable)
+    monkeypatch.setattr(scenarios, "propagate_block", unreachable)
+    argv = ["sweep", "--scenario", "mz-two", "--d-left", "0:1:100000", "--d-right", "0:1:100000", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    doc = json.loads((tmp_path / "error.json").read_text())
+    assert doc["type"] == "ValueError"
+    assert doc["error"] == (
+        f"sweep of 10000000000 cells at sector dimension 276 exceeds "
+        f"MAX_SWEEP_ENTRIES = {scenarios.MAX_SWEEP_ENTRIES} cells x dimension"
+    )
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_sweep_entry_cap_is_inclusive(tmp_path, monkeypatch):
+    # mz-two's sector has dimension 276: a 3 x 3 grid holds the lowered cap exactly, 3 x 4 passes it
+    monkeypatch.setattr(scenarios, "MAX_SWEEP_ENTRIES", 9 * 276)
+    base = ["sweep", "--scenario", "mz-two", "--d-left", "0:1:3"]
+    assert main([*base, "--d-right", "0:1:3", "--out", str(tmp_path / "at")]) == 0
+    assert main([*base, "--d-right", "0:1:4", "--out", str(tmp_path / "past")]) == 1
+    assert "MAX_SWEEP_ENTRIES = 2484" in json.loads((tmp_path / "past" / "error.json").read_text())["error"]
+
+
 def test_cli_sweep_past_the_window_cap_fails_fast(tmp_path):
     # an uncapped window would build a ~1e8-term Bessel table here and run for minutes
     argv = ["sweep", "--scenario", "mz-single", "--d-left", "0:1:2", "--d-right", "0:1:2", "--time", "1e9"]
