@@ -12,11 +12,17 @@ it, so a dense time series pays the series' truncation tail once per window
 rather than once per sample. Each window is cut at TOLERANCE divided by the
 number of windows, which bounds the summed truncation error at the last
 sample by TOLERANCE. The Bessel coefficients come from Miller's
-backward recurrence in numpy. The Hamiltonian is real, so a window whose
-start state is real (the first window of every CLI command, which starts
-from a basis state) has only real terms and runs its recurrence on real
-arrays, with half the arithmetic of a complex start; its samples are
-bit-identical to running the same terms complex.
+backward recurrence in numpy. Each term is one fused in-place step: the
+diagonal part is written into a preallocated buffer and SciPy's compiled CSR
+kernel adds the hopping product into it. The Hamiltonian is real, so a window
+whose start state is real (the first window of every CLI command, which
+starts from a basis state) has only real terms: its recurrence runs on real
+arrays and sums even and odd terms into two real accumulators, with half the
+arithmetic of a complex start. Every coefficient (-i)^k J_k is real or
+imaginary, and the phase e^(-i a dt) of the interval's centre multiplies
+each sample once, at the end of its window, in real arithmetic; so a real
+window's samples are bit-identical to running the same terms complex, and no
+product rounds differently under another numpy SIMD level or BLAS kernel.
 
 A wide block runs in column chunks whose recurrence working set fits
 CHUNK_BYTES, each chunk through every window from t = 0. The chunks share
@@ -71,17 +77,19 @@ TOLERANCE = 1e-12
 # Sixteen takes the ensemble's peak RSS past 5% of the one-sample engine's.
 WINDOW_SAMPLES = 4
 
-# Recurrence working set per column chunk in propagate_block, in bytes. A
-# column takes (window samples + 3) x dim complex entries: one per sample
-# accumulator and three recurrence terms. A window with a real start state
-# keeps its terms real, half those bytes, but the budget stays sized for the
-# complex working set and is unchanged; chunking does not change the bits
-# either way. Past a few hundred kB a term's pass over the block falls out of
-# cache; much smaller chunks pay per-call overhead in every product. Measured
-# as the median time of one propagate_block call, interleaved over 30 (sweep,
+# Recurrence working set per column chunk in propagate_block, in bytes. The
+# budget counts (window samples + 3) x dim complex entries per column: one per
+# sample accumulator and three recurrence terms. A chunk also holds a product
+# buffer and the samples, two more complex entries per window sample, and a
+# window with a real start state keeps its terms and sums real, half those
+# bytes; the budget is unchanged, and chunking does not change the bits either
+# way. Past a few hundred kB a term's pass over the block falls out of cache;
+# much smaller chunks pay per-call overhead in every product. Measured as the
+# median time of one propagate_block call, interleaved over 30 (sweep,
 # ensemble) or 3 (study) runs per budget, on a 2-core x86_64 machine (2 MiB L2
 # per core) with BLAS on one thread, before real start states ran on real
-# arrays; columns per chunk in brackets:
+# arrays and before the fused step and real accumulation; columns per chunk in
+# brackets:
 #
 #   budget    `sweep` block          `ensemble` block      velocity study
 #             dim 276 x 121 cells    dim 225 x 32          dim 225 x 512
@@ -167,6 +175,25 @@ def _chebyshev_coefficients(z, tol: float) -> np.ndarray:
     return np.where(k == 0, 1.0, 2.0) * _MINUS_I_POWERS[k % 4] * j[:, :keep]
 
 
+def _chebyshev_step(matvecs, matrix, diagonal, cur, prev, out) -> np.ndarray:
+    """out <- matrix @ cur + diagonal * cur - prev, in place: one Chebyshev term.
+
+    `matvecs` is SciPy's compiled `scipy.sparse._sparsetools.csr_matvecs`, the
+    kernel behind `csr_matrix @ dense`, which adds matrix @ cur into a flat
+    C-contiguous float64 buffer. `out` must be such a buffer, distinct from
+    `cur` and `prev`: a copy made by `ravel()` would take the product silently.
+    With `prev` None nothing is subtracted. Returns `out`.
+    """
+    if not out.flags.c_contiguous or out.shape != cur.shape or cur.shape[0] != matrix.shape[1]:
+        raise ValueError(f"the step needs a C-contiguous {cur.shape} buffer for a {matrix.shape} matrix")
+    np.multiply(diagonal, cur, out=out)
+    if prev is not None:
+        np.subtract(out, prev, out=out)
+    n_rows, n_cols = matrix.shape
+    matvecs(n_rows, n_cols, cur.shape[1], matrix.indptr, matrix.indices, matrix.data, cur.ravel(), out.ravel())
+    return out
+
+
 def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
     """exp(-i t (H0 + diag(d_c))) x_c for every column c of a block, at each sample time.
 
@@ -183,32 +210,42 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
     the whole block, so one rescaled Chebyshev recurrence serves all columns.
     Consecutive sample times are grouped into windows of WINDOW_SAMPLES. Each
     window runs one recurrence from the state at its start time t0 (0, or the
-    previous window's last sample) and adds every term T_k into each sample's
-    accumulator with coefficient e^(-i a dt_j) (2 - delta_k0) (-i)^k J_k(b dt_j),
-    dt_j = t_j - t0; its length is set by the window's largest |dt_j|. The
-    coefficient grid depends only on b and the in-window offsets, and is
+    previous window's last sample) and sums every term T_k into each sample
+    with the coefficient (-i)^k r_jk, r_jk = (2 - delta_k0) J_k(b dt_j) real
+    and dt_j = t_j - t0, then multiplies each sample by its phase e^(-i a dt_j);
+    the window's length is set by its largest |dt_j|. The phases and the
+    coefficient grid depend only on a, b and the in-window offsets, and are
     cached per distinct tuple of offsets. Each window's samples are cut at
     TOLERANCE / n_windows, so the truncation errors summed over the windows
     up to the last sample stay below TOLERANCE. A window whose Bessel argument
     b |dt_j| exceeds MAX_WINDOW_ARGUMENT raises EvolutionError before any
-    coefficient is built. Each term is one real sparse-times-dense product. A
+    coefficient is built.
+
+    Each term is one fused step into a preallocated buffer (`_chebyshev_step`):
+    T_1 = D T_0 + A T_0, and T_k = 2D T_(k-1) - T_(k-2) + 2A T_(k-1) for
+    k >= 2, with the scaled operator and diagonal doubled once per call. A
     window whose start state is real (every imaginary part +0.0 or -0.0) has
-    only real terms, so its recurrence runs on a real dim x c array; any other
-    window runs on the float64 view of the complex block, which interleaves
-    (re, im) columns and repeats each diagonal column. The accumulation into
-    the samples stays complex: numpy gives a real term T_k (k >= 1) the +0.0
-    imaginary parts that the interleaved recurrence computes for it, so a real
-    window's samples are bit-identical to the interleaved path's. Terms
-    k >= 2 apply the scaled operator and diagonal doubled once per call, so
-    T_k = 2A T_(k-1) - T_(k-2) takes no separate doubling pass.
+    only real terms, so its recurrence runs on a real dim x c array and sums
+    the even terms and the odd ones into two real accumulators, E_j and O_j,
+    with the real coefficients Re c_jk and Im c_jk: one real multiply and add
+    per term. Any other window runs on the float64 view of the complex block,
+    which interleaves (re, im) columns and repeats each diagonal column, and
+    sums into one complex accumulator; its coefficients have an exactly zero
+    real or imaginary part, so every numpy SIMD level rounds their products
+    alike. Both end a window alike: y_j = phase_j (E_j + i O_j), the complex
+    accumulator's parts standing for E_j and O_j, in explicit real multiplies
+    and adds, then + 0.0, so that an exact zero is +0.0 on either layout. A
+    real window's samples are thus bit-identical to the interleaved path's.
 
     The columns run in chunks of equal width (the last may be narrower), as
-    many as keep each chunk's (window samples + 3) x dim complex working set
-    within CHUNK_BYTES, also where its terms run real. Each chunk runs every
-    window from t = 0 on the shared interval and grids, so every column's
-    values match the unchunked run bit for bit.
+    many as keep each chunk's (window samples + 3) x dim complex entries
+    within CHUNK_BYTES, also where its terms run real. Each chunk allocates
+    its term buffers and window accumulators once, and runs every window from
+    t = 0 on the shared interval and grids, so every column's values match
+    the unchunked run bit for bit.
     """
     import scipy.sparse as sp  # imported on use: no start-up cost for commands that never propagate
+    from scipy.sparse._sparsetools import csr_matvecs
 
     if np.iscomplexobj(h0) or np.iscomplexobj(diagonals):
         raise ValueError("the block engine needs a real Hamiltonian")
@@ -240,7 +277,7 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
     windows = [times[w : w + WINDOW_SAMPLES] for w in range(0, len(times), WINDOW_SAMPLES)]
     window_tolerance = TOLERANCE / max(1, len(windows))
     grids = {}
-    plan = []  # (sample times, coefficient grid) per window
+    plan = []  # (sample times, phase parts, complex and real coefficient grids) per window
     t_start = 0.0
     for window in windows:
         # offsets in ns, scaled afterwards, so equal windows share one grid
@@ -252,43 +289,78 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
             if abs(z[far]) > MAX_WINDOW_ARGUMENT:
                 raise EvolutionError(f"sample time {window[far]!r} ns is too far from {t_start!r} ns for one "
                                      f"window: it needs about {abs(z[far]):.3g} terms, more than {MAX_WINDOW_ARGUMENT:.0e}")
-            grids[offsets] = np.exp(-1j * shift * dt)[:, None] * _chebyshev_coefficients(z, window_tolerance)
-        plan.append((window, grids[offsets]))
+            phases = np.exp(-1j * shift * dt)[:, None, None]
+            coeffs = _chebyshev_coefficients(z, window_tolerance)
+            # each coefficient's one nonzero part: real for even k, imaginary for odd k
+            parts = np.where(np.arange(coeffs.shape[1]) % 2 == 1, coeffs.imag, coeffs.real)
+            grids[offsets] = phases.real, phases.imag, coeffs, parts
+        plan.append((window, *grids[offsets]))
         t_start = window[-1]
 
     n_columns = x.shape[1]
     samples = [None] * len(times)  # one output array per sample time, filled chunk by chunk
+    window_samples = min(WINDOW_SAMPLES, len(times))
 
     def propagate_chunk(x, chunk_diagonals, columns):
+        dim, width = x.shape
         scaled_diag = (chunk_diagonals - shift) * inverse_width
-        # per term layout, (scaled diagonal, doubled diagonal, product buffer):
-        # a real term's own, or the interleaved (re, im) view's, which repeats
-        # each diagonal column
+        # per term layout, (scaled diagonal, doubled diagonal, three term
+        # buffers): a real term's own, or the interleaved (re, im) view's, which
+        # repeats each diagonal column; the real buffers lead the interleaved ones
+        term_buffers = np.empty((3, 2 * dim * width))
         layouts = {}
         for real, diag in ((True, scaled_diag), (False, np.repeat(scaled_diag, 2, axis=1))):
-            layouts[real] = diag, 2.0 * diag, np.empty_like(diag)
+            layouts[real] = diag, 2.0 * diag, [b[: diag.size].reshape(diag.shape) for b in term_buffers]
+        # window buffers: the complex sums, whose storage also holds a real
+        # window's even and odd sums; products, whose storage also holds two
+        # real temporaries; and the samples
+        sums = np.empty((window_samples, dim, width), np.complex128)
+        products = np.empty_like(sums)
+        y = np.empty_like(sums)
+        even_odd = sums.view(np.float64).reshape(2, window_samples, dim, width)
+        temps = products.view(np.float64).reshape(2, window_samples, dim, width)
 
         norms0 = np.linalg.norm(x, axis=0)
         sample = 0
-        for window, coeffs in plan:
-            y = coeffs[:, 0, None, None] * x
+        for window, phase_re, phase_im, coeffs, parts in plan:
+            m = len(window)
             # a real start state has only real terms T_k; otherwise the terms
             # run on the float64 view of the complex block
             real = not np.any(x.imag)
-            diag, doubled_diag, diag_product = layouts[real]
-            prev, cur = None, np.ascontiguousarray(x.real) if real else x.view(np.float64)
+            diag, doubled_diag, (cur, nxt, prev) = layouts[real]
+            if real:
+                np.copyto(cur, x.real)
+                even, odd = even_odd[:, :m]
+                np.multiply(parts[:, 0, None, None], cur, out=even)
+                odd.fill(0.0)
+                product = temps[0, :m]
+            else:
+                np.copyto(cur, x.view(np.float64))
+                total = sums[:m]
+                np.multiply(coeffs[:, 0, None, None], x, out=total)
+                even, odd = total.real, total.imag
+                product = products[:m]
             for k in range(1, coeffs.shape[1]):
                 if k == 1:
-                    nxt = scaled_h0 @ cur
-                    nxt += np.multiply(diag, cur, out=diag_product)
+                    _chebyshev_step(csr_matvecs, scaled_h0, diag, cur, None, nxt)
                 else:
                     # T_k = 2A T_(k-1) - T_(k-2)
-                    nxt = doubled_h0 @ cur
-                    nxt += np.multiply(doubled_diag, cur, out=diag_product)
-                    nxt -= prev
-                y += coeffs[:, k, None, None] * (nxt if real else nxt.view(np.complex128))
-                prev, cur = cur, nxt
-            for t, yt in zip(window, y):
+                    _chebyshev_step(csr_matvecs, doubled_h0, doubled_diag, cur, prev, nxt)
+                if real:
+                    np.multiply(parts[:, k, None, None], nxt, out=product)
+                    part_sum = odd if k % 2 else even
+                    part_sum += product
+                else:
+                    np.multiply(coeffs[:, k, None, None], nxt.view(np.complex128), out=product)
+                    total += product
+                prev, cur, nxt = cur, nxt, prev
+            # y = phase (E + i O) in real arithmetic; + 0.0 turns -0.0 into +0.0
+            out, t1, t2 = y[:m], temps[0, :m], temps[1, :m]
+            np.subtract(np.multiply(phase_re, even, out=t1), np.multiply(phase_im, odd, out=t2), out=out.real)
+            np.add(np.multiply(phase_im, even, out=t1), np.multiply(phase_re, odd, out=t2), out=out.imag)
+            flat = out.view(np.float64)
+            np.add(flat, 0.0, out=flat)
+            for t, yt in zip(window, out):
                 drift = np.abs(np.linalg.norm(yt, axis=0) - norms0)
                 if not np.all(drift <= NORM_TOL):
                     raise EvolutionError(f"norm drifted by {np.max(drift)} at t={t} ns")
@@ -297,11 +369,12 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
                     samples[sample] = np.empty(observed.shape[:-1] + (n_columns,), observed.dtype)
                 samples[sample][..., columns] = observed
                 sample += 1
-            x = y[-1]
+            # the next window reads its start state before it overwrites y
+            x = out[-1]
 
     # the fewest chunks within CHUNK_BYTES, of equal width but the last; a
     # zero-column block runs as one empty chunk
-    column_bytes = (min(WINDOW_SAMPLES, len(times)) + 3) * x.shape[0] * x.itemsize
+    column_bytes = (window_samples + 3) * x.shape[0] * x.itemsize
     n_chunks = max(1, -(-n_columns * column_bytes // CHUNK_BYTES))
     width = max(1, -(-n_columns // n_chunks))
     for c in range(0, max(1, n_columns), width):

@@ -111,7 +111,8 @@ def sample_shots(state: QuantumState, readout: ReadoutModel, n_shots: int, seed:
     n = state.basis.n_sites
     if readout.n_sites != n:
         raise ValueError(f"readout model covers {readout.n_sites} sites, state has {n}")
-    p = np.abs(state.amplitudes) ** 2
+    # re^2 + im^2, as in sector.populations, rounds alike under every numpy SIMD level
+    p = state.amplitudes.real**2 + state.amplitudes.imag**2
     p = p / p.sum()
     rng = rng_stream(seed, 0x5A)
     drawn = rng.choice(state.basis.dimension, size=n_shots, p=p)

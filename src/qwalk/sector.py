@@ -143,7 +143,9 @@ def basis_state(basis: SectorBasis, excited_sites) -> QuantumState:
 
 def populations(state: QuantumState) -> np.ndarray:
     """Expected occupation <n_j> per site; sums to n_excitations."""
-    return site_sums(state.basis.sites, np.abs(state.amplitudes) ** 2, state.basis.n_sites)
+    # re^2 + im^2: complex np.abs rounds differently under some numpy SIMD levels
+    a = state.amplitudes
+    return site_sums(state.basis.sites, a.real**2 + a.imag**2, state.basis.n_sites)
 
 
 def site_sums(sites: np.ndarray, weights: np.ndarray, n_sites: int) -> np.ndarray:

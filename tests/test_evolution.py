@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.sparse import _sparsetools
 from scipy.special import jv
 
 from qwalk import evolution
@@ -15,6 +16,7 @@ from qwalk.evolution import (
     EvolutionError,
     LindbladModel,
     _bessel_j,
+    _chebyshev_step,
     _dissipator_tables,
     evolve_lindblad,
     evolve_unitary,
@@ -198,9 +200,10 @@ def test_real_start_states_match_the_interleaved_path_bit_for_bit(data, instance
 
     def run(block, diags):
         widths = []  # columns of each scaled-operator product's operand
-        matmul = sp.csr_matrix.__matmul__
-        spy = lambda op, v: widths.append(v.shape[1]) or matmul(op, v)
-        with mock.patch.object(sp.csr_matrix, "__matmul__", spy):
+        matvecs = _sparsetools.csr_matvecs
+        # csr_matvecs(n_row, n_col, n_vecs, indptr, indices, data, x, y)
+        spy = lambda *args: widths.append(args[2]) or matvecs(*args)
+        with mock.patch.object(_sparsetools, "csr_matvecs", spy):
             return propagate_block(h.matrix, diags, block, times), widths
 
     real, real_widths = run(start, diagonals)
@@ -214,6 +217,31 @@ def test_real_start_states_match_the_interleaved_path_bit_for_bit(data, instance
     if max(abs(t) for t in times[:WINDOW_SAMPLES]) > 1e-3:
         # the first window reaches past its first Chebyshev term, on n real columns
         assert real_widths[0] == n
+
+
+@given(block_instances(), st.floats(-4.0, 4.0), st.booleans(), st.booleans())
+def test_chebyshev_step_adds_the_product_into_the_buffer_given(instance, scale, interleaved, first):
+    # The step leans on SciPy's private csr_matvecs adding A x into the flat
+    # C-contiguous float64 buffer it is given (SciPy 1.17.1); a ravel() copy
+    # would drop the product and leave the buffer's stale values behind.
+    h, diagonals, x = instance
+    a = sp.csr_matrix(h.matrix * scale)
+    cur = np.ascontiguousarray(x.view(np.float64) if interleaved else x.real)
+    d = np.repeat(diagonals, 2, axis=1) if interleaved else diagonals
+    prev = np.ascontiguousarray(cur[::-1])
+    before = cur.copy(), prev.copy()
+    out = np.full_like(cur, np.nan)
+    got = _chebyshev_step(_sparsetools.csr_matvecs, a, d, cur, None if first else prev, out)
+    assert got is out and out.flags.c_contiguous
+    lag = 0.0 if first else prev
+    ref = a @ cur + d * cur - lag
+    # rounding bound of a sum of (row entries + 2) terms, a few ulps here
+    magnitude = abs(a) @ np.abs(cur) + np.abs(d * cur) + np.abs(lag)
+    terms = np.diff(a.indptr)[:, None] + 2
+    assert np.all(np.abs(out - ref) <= terms * np.finfo(float).eps * magnitude)
+    assert np.array_equal(cur, before[0]) and np.array_equal(prev, before[1])
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _chebyshev_step(_sparsetools.csr_matvecs, a, d, cur, None, np.empty((len(cur), 2 * cur.shape[1]))[:, ::2])
 
 
 def test_equal_windows_share_one_coefficient_grid(monkeypatch):

@@ -285,7 +285,7 @@ def test_two_walker_state_digest_pinned():
     _graph, _basis, psi0, h = _scenario_setup(scenario, default_device(), scenario.disorder())
     states = [state for _t, state in evolve_unitary(h, psi0, scenario.times_ns)]
     digest = hashlib.sha256(np.array([s.amplitudes for s in states]).tobytes()).hexdigest()
-    assert digest == "d2cda6fb85904b85463f870f3f021ef32517911bc45fc9ccb4f93af4b6d97fab"
+    assert digest == "7c1c85e162a76bce6840946752556494af73e53641c62d402cffead9a914dd41"
     expected = np.column_stack([populations(s) for s in states])
     assert run_scenario(scenario).populations.tobytes() == expected.tobytes()
 
@@ -363,12 +363,14 @@ def test_sweep_block_state_digest_pinned():
     # The engine's states, before the detector read-out, give one digest under
     # every BLAS kernel and numpy SIMD level
     digests = _digests_per_kernel(SWEEP_BLOCK_DIGEST)
-    assert set(digests.values()) == {("b7f9c73df7981b83c68234df4f00af36e50e0e15484fefe299e0a3b02c51702b",)}, digests
+    assert set(digests.values()) == {("50b02dba7eaf35c0f65889c68fd5c31ba0e1c670ce5b66b25afc0354e2f440ac",)}, digests
 
 
-# ctqw-two's populations and the default `sweep --scenario mz-two` fringe grid
+# ctqw-two's populations, the default `sweep --scenario mz-two` fringe grid,
+# and ctqw-two's populations with static disorder on two sites
 OUTPUT_DIGESTS = """
 import hashlib
+from dataclasses import replace
 import numpy as np
 from qwalk.scenarios import ctqw_scenario, disorder_sweep, mz_scenario, run_scenario
 
@@ -377,17 +379,21 @@ print(hashlib.sha256(result.populations.tobytes()).hexdigest())
 grid = np.linspace(0.0, 1.0, 11)  # the CLI's default --d-left and --d-right
 fringe = disorder_sweep(mz_scenario({"L1", "R1"}), grid, grid)
 print(hashlib.sha256(fringe.values.tobytes()).hexdigest())
+disordered = replace(ctqw_scenario({"U00Q0", "U33Q2"}), static_disorder_mhz={"U00Q0": 0.7, "U11Q1": -0.4})
+print(hashlib.sha256(run_scenario(disordered).populations.tobytes()).hexdigest())
 """
 
 
 def test_outputs_pinned_under_every_blas_kernel():
     # site populations and the detector read-out are order-fixed sums over
     # the basis's occupied-site table, not BLAS products, so their bytes do
-    # not depend on the BLAS kernel; the sweep squares amplitudes as
-    # re^2 + im^2, which no numpy SIMD level rounds differently (2-D complex
-    # np.abs does, at the X86_V2 baseline)
+    # not depend on the BLAS kernel; the populations and the sweep square
+    # amplitudes as re^2 + im^2, which no numpy SIMD level rounds differently
+    # (complex np.abs does, at the X86_V2 baseline), and the engine's products
+    # with a coefficient have an exactly zero part, so disorder moves no byte
     digests = _digests_per_kernel(OUTPUT_DIGESTS)
     assert set(digests.values()) == {(
-        "bf1a7205a583b8a2c3d8b45f7c0a32988454e5189ad6ea18ccc2107e14ea2284",
-        "8c195adc3bc31c622375cc0fbf49d2f7f728a35619d853a490267dc3b5a1cb43",
+        "5493a2665bd570ee8288828805c72084d45d9950072fd2d8f9e181fa59e71c52",
+        "691f2024b960279a1bad20910088f85addf58064feda903c7ddc63150b531189",
+        "8d702068c278d67d1a1844d3150724298840a5737e1d040cfce1e69aec6edd7d",
     )}, digests
