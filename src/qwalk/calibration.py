@@ -451,10 +451,21 @@ class _SwapResiduals:
             grouped.setdefault(tuple(ds.times_ns), []).append(ds)
         self.n_params = len(pos)
         self.stacks = [_StarStack(members, pos, times) for times, members in grouped.items()]
+        self._latest = None, None  # the point of the latest evaluation and each stack's amplitudes() there
+
+    def _evaluate(self, x) -> list:
+        """Each stack's `amplitudes` at x, kept as the latest evaluation, or
+        the latest itself when x is its point: an accepted Levenberg-Marquardt
+        step asks for the Jacobian at the trial point it has just evaluated.
+        The point is matched by identity, so it must not change in place."""
+        point, evaluation = self._latest
+        if x is not point:
+            evaluation = [stack.amplitudes(np.asarray(x, dtype=float)) for stack in self.stacks]
+            self._latest = x, evaluation
+        return evaluation
 
     def residuals(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.concatenate([stack.residuals(stack.amplitudes(x)[3]) for stack in self.stacks])
+        return np.concatenate([stack.residuals(ev[3]) for stack, ev in zip(self.stacks, self._evaluate(x))])
 
     def cost(self, x) -> float:
         r = self.residuals(x)
@@ -462,11 +473,9 @@ class _SwapResiduals:
 
     def residuals_and_jacobian(self, x) -> tuple:
         """The residuals and the Jacobian from one eigenbasis per time grid."""
-        x = np.asarray(x, dtype=float)
         jac = np.empty((sum(stack.data.size for stack in self.stacks), self.n_params))
         residuals, row = [], 0
-        for stack in self.stacks:
-            w, v, table, amplitudes = stack.amplitudes(x)
+        for stack, (w, v, table, amplitudes) in zip(self.stacks, self._evaluate(x)):
             residuals.append(stack.residuals(amplitudes))
             stack.jacobian(w, v, table, amplitudes, out=jac[row : row + stack.data.size])
             row += stack.data.size

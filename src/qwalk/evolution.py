@@ -12,17 +12,21 @@ it, so a dense time series pays the series' truncation tail once per window
 rather than once per sample. Each window is cut at TOLERANCE divided by the
 number of windows, which bounds the summed truncation error at the last
 sample by TOLERANCE. The Bessel coefficients come from Miller's
-backward recurrence in numpy. Each term is one fused in-place step: the
-diagonal part is written into a preallocated buffer and SciPy's compiled CSR
-kernel adds the hopping product into it. The Hamiltonian is real, so a window
-whose start state is real (the first window of every CLI command, which
-starts from a basis state) has only real terms: its recurrence runs on real
-arrays and sums even and odd terms into two real accumulators, with half the
-arithmetic of a complex start. Every coefficient (-i)^k J_k is real or
-imaginary, and the phase e^(-i a dt) of the interval's centre multiplies
-each sample once, at the end of its window, in real arithmetic; so a real
-window's samples are bit-identical to running the same terms complex, and no
-product rounds differently under another numpy SIMD level or BLAS kernel.
+backward recurrence in numpy. Each term is one fused in-place step on one
+or two contiguous real planes: the diagonal part is written into a
+preallocated buffer and SciPy's compiled CSR kernel adds the hopping product
+into it, plane by plane, with the single-vector kernel for a one-column
+block. The Hamiltonian is real, so a window whose start state is real (the
+first window of every CLI command, which starts from a basis state) has only
+real terms, one plane each, with half the arithmetic of a complex start,
+whose terms are (re, im) planes. Every coefficient (-i)^k J_k is real or
+imaginary, and each term adds only its coefficients' nonzero parts into two
+real sums per sample, E (even terms, or the real part) and O (odd terms, or
+the imaginary part), in one compiled call; the phase e^(-i a dt) of the
+interval's centre multiplies each sample once, at the end of its window, in
+real arithmetic. So a real window's samples are bit-identical to running the
+same terms complex, and no product rounds differently under another numpy
+SIMD level or BLAS kernel.
 
 A wide block runs in column chunks whose recurrence working set fits
 CHUNK_BYTES, each chunk through every window from t = 0. The chunks share
@@ -62,7 +66,7 @@ NS_TO_US = 1e-3
 TOLERANCE = 1e-12
 
 # Consecutive sample times per Chebyshev recurrence in propagate_block. Every
-# window sample holds one block-sized accumulator, so longer windows trade
+# window sample holds two block-sized real sums, so longer windows trade
 # memory for fewer scaled-operator products. Measured per operation of the
 # `ensemble` (101 samples, 32 columns, dim 225) and `walk` (dim 1891)
 # benchmark workloads, `bench/run.py --seconds 10` on a 2-core x86_64 machine:
@@ -79,17 +83,16 @@ WINDOW_SAMPLES = 4
 
 # Recurrence working set per column chunk in propagate_block, in bytes. The
 # budget counts (window samples + 3) x dim complex entries per column: one per
-# sample accumulator and three recurrence terms. A chunk also holds a product
-# buffer and the samples, two more complex entries per window sample, and a
-# window with a real start state keeps its terms and sums real, half those
-# bytes; the budget is unchanged, and chunking does not change the bits either
-# way. Past a few hundred kB a term's pass over the block falls out of cache;
-# much smaller chunks pay per-call overhead in every product. Measured as the
-# median time of one propagate_block call, interleaved over 30 (sweep,
-# ensemble) or 3 (study) runs per budget, on a 2-core x86_64 machine (2 MiB L2
-# per core) with BLAS on one thread, before real start states ran on real
-# arrays and before the fused step and real accumulation; columns per chunk in
-# brackets:
+# sample's two real sums and three recurrence terms of two real planes. A
+# chunk also holds the samples, one more complex entry per window sample, and
+# a window with a real start state keeps its terms on one plane; the budget is
+# unchanged, and chunking does not change the bits either way. Past a few
+# hundred kB a term's pass over the block falls out of cache; much smaller
+# chunks pay per-call overhead in every product. Measured as the median time
+# of one propagate_block call, interleaved over 30 (sweep, ensemble) or 3
+# (study) runs per budget, on a 2-core x86_64 machine (2 MiB L2 per core) with
+# BLAS on one thread, before real start states ran on real arrays, before the
+# fused step and before the planar terms; columns per chunk in brackets:
 #
 #   budget    `sweep` block          `ensemble` block      velocity study
 #             dim 276 x 121 cells    dim 225 x 32          dim 225 x 512
@@ -175,23 +178,80 @@ def _chebyshev_coefficients(z, tol: float) -> np.ndarray:
     return np.where(k == 0, 1.0, 2.0) * _MINUS_I_POWERS[k % 4] * j[:, :keep]
 
 
-def _chebyshev_step(matvecs, matrix, diagonal, cur, prev, out) -> np.ndarray:
-    """out <- matrix @ cur + diagonal * cur - prev, in place: one Chebyshev term.
+def _chebyshev_step(kernels, matrix, diagonal, cur, prev, out) -> np.ndarray:
+    """out <- matrix @ cur + diagonal * cur - prev, in place, plane by plane: one Chebyshev term.
 
-    `matvecs` is SciPy's compiled `scipy.sparse._sparsetools.csr_matvecs`, the
-    kernel behind `csr_matrix @ dense`, which adds matrix @ cur into a flat
-    C-contiguous float64 buffer. `out` must be such a buffer, distinct from
-    `cur` and `prev`: a copy made by `ravel()` would take the product silently.
-    With `prev` None nothing is subtracted. Returns `out`.
+    A term is one real plane or the (re, im) planes of a complex one, stacked
+    planes x dim x width; `diagonal` (dim x width) applies to every plane.
+    `kernels` are SciPy's compiled `scipy.sparse._sparsetools.csr_matvec` and
+    `csr_matvecs`, which add matrix @ plane into a flat C-contiguous float64
+    buffer: the single-vector kernel for a one-column plane, the multi-vector
+    one (the kernel behind `csr_matrix @ dense`) for a wider one. `out` must
+    be such a buffer, distinct from `cur` and `prev`: a copy made by `ravel()`
+    would take the product silently. With `prev` None nothing is subtracted.
+    Returns `out`.
     """
-    if not out.flags.c_contiguous or out.shape != cur.shape or cur.shape[0] != matrix.shape[1]:
+    if not out.flags.c_contiguous or out.shape != cur.shape or matrix.shape != (cur.shape[1],) * 2:
         raise ValueError(f"the step needs a C-contiguous {cur.shape} buffer for a {matrix.shape} matrix")
     np.multiply(diagonal, cur, out=out)
     if prev is not None:
         np.subtract(out, prev, out=out)
-    n_rows, n_cols = matrix.shape
-    matvecs(n_rows, n_cols, cur.shape[1], matrix.indptr, matrix.indices, matrix.data, cur.ravel(), out.ravel())
+    n_planes, n_rows, width = cur.shape
+    csr = matrix.indptr, matrix.indices, matrix.data
+    planes, products = cur.reshape(n_planes, -1), out.reshape(n_planes, -1)
+    matvec, matvecs = kernels
+    for p in range(n_planes):
+        if width == 1:
+            matvec(n_rows, n_rows, *csr, planes[p], products[p])
+        else:
+            matvecs(n_rows, n_rows, width, *csr, planes[p], products[p])
     return out
+
+
+def _coefficient_rows(coeffs) -> dict:
+    """Each Chebyshev term's additions into a window's sums, as CSR rows over its planes.
+
+    Sample j of an m-sample window keeps two real sums, E_j and O_j (rows 2j
+    and 2j + 1 of the sums), and ends as phase_j (E_j + i O_j). Every
+    coefficient c_jk = (-i)^k r_jk (`_chebyshev_coefficients`) has one
+    nonzero part p_jk, the real part for even k and the imaginary part for
+    odd k, and only that part is added. The value for a real term (True) or
+    a complex one (False) holds (indptr, indices) per parity of k and the
+    data, one row per term, so term k's rows are
+    (indptr[k % 2], indices[k % 2], data[k]):
+
+    - a real term, one plane, adds p_jk T_k into E_j for even k and into O_j
+      for odd k: one entry per sample;
+    - a complex term, planes (re, im), adds p_jk (Re T_k, Im T_k) into
+      (E_j, O_j) for even k, the diagonal, and p_jk (-Im T_k, Re T_k) for odd
+      k, the anti-diagonal: two entries per sample.
+    """
+    m, n_terms = coeffs.shape
+    odd = np.arange(n_terms) % 2 == 1
+    parts = np.where(odd, coeffs.imag, coeffs.real).T  # terms x samples
+    rows = np.arange(2 * m + 1, dtype=np.int32)
+    plane0 = np.zeros(m, np.int32)
+    pairs = np.repeat(parts[:, :, None], 2, axis=2)  # terms x samples x (E, O) entries
+    pairs[odd, :, 0] = -parts[odd]
+    straight, crossed = np.tile(np.array([0, 1], np.int32), m), np.tile(np.array([1, 0], np.int32), m)
+    return {
+        True: (((rows + 1) // 2, rows // 2), (plane0, plane0), np.ascontiguousarray(parts)),
+        False: ((rows, rows), (straight, crossed), pairs.reshape(n_terms, 2 * m)),
+    }
+
+
+def _accumulate(matvecs, rows, term, sums) -> None:
+    """sums[r] += a * term[p] for every entry (r, p, a) of a term's coefficient rows, in place.
+
+    `rows` are (indptr, indices, data) from `_coefficient_rows`, `term` the
+    term's planes (planes x dim x width) and `sums` the window's sums, each
+    dim x width, C-contiguous. SciPy's compiled `csr_matvecs` makes each
+    entry one axpy: a rounded multiply, then a rounded add, in row order.
+    """
+    indptr, indices, data = rows
+    if not sums.flags.c_contiguous or sums.size != (len(indptr) - 1) * term[0].size:
+        raise ValueError(f"the sums need a C-contiguous buffer of {len(indptr) - 1} x {term[0].shape}")
+    matvecs(len(indptr) - 1, len(term), term[0].size, indptr, indices, data, term.ravel(), sums.ravel())
 
 
 def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
@@ -224,28 +284,32 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
     Each term is one fused step into a preallocated buffer (`_chebyshev_step`):
     T_1 = D T_0 + A T_0, and T_k = 2D T_(k-1) - T_(k-2) + 2A T_(k-1) for
     k >= 2, with the scaled operator and diagonal doubled once per call. A
-    window whose start state is real (every imaginary part +0.0 or -0.0) has
-    only real terms, so its recurrence runs on a real dim x c array and sums
-    the even terms and the odd ones into two real accumulators, E_j and O_j,
-    with the real coefficients Re c_jk and Im c_jk: one real multiply and add
-    per term. Any other window runs on the float64 view of the complex block,
-    which interleaves (re, im) columns and repeats each diagonal column, and
-    sums into one complex accumulator; its coefficients have an exactly zero
-    real or imaginary part, so every numpy SIMD level rounds their products
-    alike. Both end a window alike: y_j = phase_j (E_j + i O_j), the complex
-    accumulator's parts standing for E_j and O_j, in explicit real multiplies
-    and adds, then + 0.0, so that an exact zero is +0.0 on either layout. A
-    real window's samples are thus bit-identical to the interleaved path's.
+    term is stored as contiguous real planes, and the product runs once per
+    plane: SciPy's single-vector `csr_matvec` for a one-column chunk, its
+    `csr_matvecs` for a wider one. A window whose start state is real (every
+    imaginary part +0.0 or -0.0) has only real terms, one plane each; any
+    other window's terms are two planes, (re, im). Each sample keeps two real
+    sums, E_j and O_j, which start at +0.0, and each term adds into them in
+    one `csr_matvecs` call over a small matrix of its coefficients' nonzero
+    parts p_jk = +-r_jk (`_coefficient_rows`, `_accumulate`): p_jk T_k into
+    E_j for an even real term and into O_j for an odd one; p_jk (Re T_k,
+    Im T_k) for an even complex term and p_jk (-Im T_k, Re T_k) for an odd
+    one. Every addition is one rounded multiply and one rounded add, the
+    ones the complex product c_jk T_k and its sum would make, since the
+    product's other part is an exact zero. A window ends as
+    y_j = phase_j (E_j + i O_j) in explicit real multiplies and adds, then
+    + 0.0, so that an exact zero is +0.0. A real window's samples are thus
+    bit-identical to running its terms complex.
 
     The columns run in chunks of equal width (the last may be narrower), as
     many as keep each chunk's (window samples + 3) x dim complex entries
     within CHUNK_BYTES, also where its terms run real. Each chunk allocates
-    its term buffers and window accumulators once, and runs every window from
+    its term buffers and window sums once, and runs every window from
     t = 0 on the shared interval and grids, so every column's values match
     the unchunked run bit for bit.
     """
     import scipy.sparse as sp  # imported on use: no start-up cost for commands that never propagate
-    from scipy.sparse._sparsetools import csr_matvecs
+    from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
     if np.iscomplexobj(h0) or np.iscomplexobj(diagonals):
         raise ValueError("the block engine needs a real Hamiltonian")
@@ -277,7 +341,7 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
     windows = [times[w : w + WINDOW_SAMPLES] for w in range(0, len(times), WINDOW_SAMPLES)]
     window_tolerance = TOLERANCE / max(1, len(windows))
     grids = {}
-    plan = []  # (sample times, phase parts, complex and real coefficient grids) per window
+    plan = []  # (sample times, phase parts, number of terms, coefficient rows) per window
     t_start = 0.0
     for window in windows:
         # offsets in ns, scaled afterwards, so equal windows share one grid
@@ -291,73 +355,55 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
                                      f"window: it needs about {abs(z[far]):.3g} terms, more than {MAX_WINDOW_ARGUMENT:.0e}")
             phases = np.exp(-1j * shift * dt)[:, None, None]
             coeffs = _chebyshev_coefficients(z, window_tolerance)
-            # each coefficient's one nonzero part: real for even k, imaginary for odd k
-            parts = np.where(np.arange(coeffs.shape[1]) % 2 == 1, coeffs.imag, coeffs.real)
-            grids[offsets] = phases.real, phases.imag, coeffs, parts
+            grids[offsets] = phases.real, phases.imag, coeffs.shape[1], _coefficient_rows(coeffs)
         plan.append((window, *grids[offsets]))
         t_start = window[-1]
 
     n_columns = x.shape[1]
     samples = [None] * len(times)  # one output array per sample time, filled chunk by chunk
     window_samples = min(WINDOW_SAMPLES, len(times))
+    kernels = csr_matvec, csr_matvecs
 
     def propagate_chunk(x, chunk_diagonals, columns):
         dim, width = x.shape
         scaled_diag = (chunk_diagonals - shift) * inverse_width
-        # per term layout, (scaled diagonal, doubled diagonal, three term
-        # buffers): a real term's own, or the interleaved (re, im) view's, which
-        # repeats each diagonal column; the real buffers lead the interleaved ones
-        term_buffers = np.empty((3, 2 * dim * width))
-        layouts = {}
-        for real, diag in ((True, scaled_diag), (False, np.repeat(scaled_diag, 2, axis=1))):
-            layouts[real] = diag, 2.0 * diag, [b[: diag.size].reshape(diag.shape) for b in term_buffers]
-        # window buffers: the complex sums, whose storage also holds a real
-        # window's even and odd sums; products, whose storage also holds two
-        # real temporaries; and the samples
-        sums = np.empty((window_samples, dim, width), np.complex128)
-        products = np.empty_like(sums)
-        y = np.empty_like(sums)
-        even_odd = sums.view(np.float64).reshape(2, window_samples, dim, width)
-        temps = products.view(np.float64).reshape(2, window_samples, dim, width)
+        doubled_diag = 2.0 * scaled_diag
+        # three term buffers of (re, im) planes, a real term using the first
+        # plane; each window sample's sums E_j and O_j; and the samples
+        terms = np.empty((3, 2, dim, width))
+        sums = np.empty((window_samples, 2, dim, width))
+        y = np.empty((window_samples, dim, width), np.complex128)
 
         norms0 = np.linalg.norm(x, axis=0)
         sample = 0
-        for window, phase_re, phase_im, coeffs, parts in plan:
+        for window, phase_re, phase_im, n_terms, coefficient_rows in plan:
             m = len(window)
-            # a real start state has only real terms T_k; otherwise the terms
-            # run on the float64 view of the complex block
+            # a real start state has only real terms T_k, one plane each
             real = not np.any(x.imag)
-            diag, doubled_diag, (cur, nxt, prev) = layouts[real]
-            if real:
-                np.copyto(cur, x.real)
-                even, odd = even_odd[:, :m]
-                np.multiply(parts[:, 0, None, None], cur, out=even)
-                odd.fill(0.0)
-                product = temps[0, :m]
-            else:
-                np.copyto(cur, x.view(np.float64))
-                total = sums[:m]
-                np.multiply(coeffs[:, 0, None, None], x, out=total)
-                even, odd = total.real, total.imag
-                product = products[:m]
-            for k in range(1, coeffs.shape[1]):
+            cur, nxt, prev = terms[:, : 1 if real else 2]
+            np.copyto(cur[0], x.real)
+            if not real:
+                np.copyto(cur[1], x.imag)
+            indptr, indices, data = coefficient_rows[real]
+            window_sums = sums[:m]
+            # the sums start at +0.0 and only ever add, so they never hold -0.0
+            window_sums.fill(0.0)
+            _accumulate(csr_matvecs, (indptr[0], indices[0], data[0]), cur, window_sums)
+            for k in range(1, n_terms):
                 if k == 1:
-                    _chebyshev_step(csr_matvecs, scaled_h0, diag, cur, None, nxt)
+                    _chebyshev_step(kernels, scaled_h0, scaled_diag, cur, None, nxt)
                 else:
                     # T_k = 2A T_(k-1) - T_(k-2)
-                    _chebyshev_step(csr_matvecs, doubled_h0, doubled_diag, cur, prev, nxt)
-                if real:
-                    np.multiply(parts[:, k, None, None], nxt, out=product)
-                    part_sum = odd if k % 2 else even
-                    part_sum += product
-                else:
-                    np.multiply(coeffs[:, k, None, None], nxt.view(np.complex128), out=product)
-                    total += product
+                    _chebyshev_step(kernels, doubled_h0, doubled_diag, cur, prev, nxt)
+                _accumulate(csr_matvecs, (indptr[k % 2], indices[k % 2], data[k]), nxt, window_sums)
                 prev, cur, nxt = cur, nxt, prev
-            # y = phase (E + i O) in real arithmetic; + 0.0 turns -0.0 into +0.0
-            out, t1, t2 = y[:m], temps[0, :m], temps[1, :m]
-            np.subtract(np.multiply(phase_re, even, out=t1), np.multiply(phase_im, odd, out=t2), out=out.real)
-            np.add(np.multiply(phase_im, even, out=t1), np.multiply(phase_re, odd, out=t2), out=out.imag)
+            # y = phase (E + i O) in real arithmetic, E's storage taking each
+            # product of O once E is read; + 0.0 turns -0.0 into +0.0
+            even, odd, out = window_sums[:, 0], window_sums[:, 1], y[:m]
+            np.multiply(phase_re, even, out=out.real)
+            np.multiply(phase_im, even, out=out.imag)
+            np.subtract(out.real, np.multiply(phase_im, odd, out=even), out=out.real)
+            np.add(out.imag, np.multiply(phase_re, odd, out=even), out=out.imag)
             flat = out.view(np.float64)
             np.add(flat, 0.0, out=flat)
             for t, yt in zip(window, out):

@@ -48,6 +48,11 @@ MAX_SHOTS = 10**7
 # (complex128), its step diagonals and the detector probabilities (float64)
 # whole, 32 bytes per entry, 160 MB here; the default mz-two grid holds 33,396.
 MAX_SWEEP_ENTRIES = 5 * 10**6
+# Run cap on propagated sample times x max(sector dimension, sites): a run
+# holds each sample's state (complex128) and site populations (float64) whole,
+# at most 24 bytes per entry, 120 MB here; the default ctqw-two run holds 115,351.
+# The dimension is at least the site count but for an empty or a full sector.
+MAX_RUN_ENTRIES = 5 * 10**6
 
 # Triangular detuning pattern along a 10-site arm: ramps d..5d then back down.
 _STEP_PATTERN = (1, 2, 3, 4, 5, 5, 4, 3, 2, 1)
@@ -412,13 +417,22 @@ def run_scenario(
 ) -> ScenarioResult:
     """Evolve the scenario and optionally sample shots at the readout time,
     which is propagated to exactly without adding a column to the populations.
-    Sampled shots are post-selected on the walker number."""
-    graph, _basis, psi0, h = _scenario_setup(scenario, device or default_device(), scenario.disorder())
+    Sampled shots are post-selected on the walker number. More propagated
+    sample times x max(sector dimension, sites) than MAX_RUN_ENTRIES raise
+    ValueError before the basis is built."""
     times = scenario.times_ns
     t_read = None
     if scenario.n_shots:
         t_read = scenario.readout_time_ns if scenario.readout_time_ns is not None else times[-1]
         times = sorted({*times, t_read})
+    n_sites = len(scenario.active)
+    dimension = math.comb(n_sites, scenario.n_excitations)
+    if len(times) * max(dimension, n_sites) > MAX_RUN_ENTRIES:
+        raise ValueError(
+            f"run of {len(times)} sample times at sector dimension {dimension} on {n_sites} sites exceeds "
+            f"MAX_RUN_ENTRIES = {MAX_RUN_ENTRIES} sample times x max(dimension, sites)"
+        )
+    graph, _basis, psi0, h = _scenario_setup(scenario, device or default_device(), scenario.disorder())
     snapshots = dict(evolve_unitary(h, psi0, times))
     pops = np.column_stack([populations(snapshots[t]) for t in scenario.times_ns])
 

@@ -362,6 +362,37 @@ def test_batched_residuals_and_jacobian(case):
     assert np.max(np.abs(jac - central)) <= 1e-6 * max(1.0, np.max(np.abs(central)))
 
 
+def test_polish_evaluates_each_accepted_point_once(monkeypatch):
+    # an accepted step asks for the Jacobian at the trial point just
+    # evaluated; the kernel reuses that evaluation instead of a second eigh
+    device = subgrid_device(0, 4, 2, 2)
+    qubits = device.functional_qubits
+    twin = CalibrationTwin(device, sample_disorder(qubits, 1.6, seed=21))
+    datasets = [generate_swap_data(twin, q, times_ns=np.arange(0.0, 1000.0, 10.0)) for q in qubits]
+    kernel = calibration._SwapResiduals(datasets, {q: i for i, q in enumerate(qubits)})
+    fresh = calibration._SwapResiduals(datasets, {q: i for i, q in enumerate(qubits)})
+    amplitudes, calls = calibration._StarStack.amplitudes, []
+
+    def counting(stack, x):
+        calls.append(x.copy())
+        return amplitudes(stack, x)
+
+    monkeypatch.setattr(calibration._StarStack, "amplitudes", counting)
+    x0 = np.array([twin.hidden.get(q) for q in qubits]) + np.array([0.05, -0.04, 0.03, -0.02])  # near the planted map
+    polish = calibration._levenberg_marquardt(kernel.residuals, kernel.residuals_and_jacobian, x0)
+    assert polish.failure is None and polish.n_jacobians > 1
+    # one evaluation per trial and one at the start: none for the Jacobians at accepted points
+    assert len(calls) == (polish.n_trials + 1) * len(kernel.stacks)
+    calls.clear()
+    trial = polish.p + 0.01
+    r = kernel.residuals(trial)
+    r_joint, jac = kernel.residuals_and_jacobian(trial)
+    assert len(calls) == len(kernel.stacks)  # one call, not two
+    r_fresh, jac_fresh = fresh.residuals_and_jacobian(trial.copy())
+    assert len(calls) == 2 * len(kernel.stacks)  # a new point, equal or not, is evaluated anew
+    assert r.tobytes() == r_joint.tobytes() == r_fresh.tobytes() and jac.tobytes() == jac_fresh.tobytes()
+
+
 def test_fit_recovers_seed_23_trapped_in_the_first_starts():
     # the first twelve starts of this planted map end in local minima; the fit
     # keeps drawing starts until one reaches the acceptance cost

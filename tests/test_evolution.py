@@ -186,11 +186,44 @@ def test_column_chunks_match_the_whole_block_bit_for_bit(data, times):
         assert all(np.array_equal(y, ref) for y, ref in zip(ys, refs))
 
 
+def spy_products(dim, width):
+    """Patch SciPy's CSR kernels to record, per Chebyshev term past the first,
+    the columns of its scaled-operator products summed over its planes.
+
+    A product is a csr_matvec call (one column) or a csr_matvecs call with
+    `width` vectors; a term's additions into its window's sums are one
+    csr_matvecs call with dim x width vectors, which closes the term.
+    Returns the patch, the per-term widths and the widths of the products
+    that went through csr_matvecs, both filled while the patch is active.
+    """
+    terms, pending, matvecs_products = [], [], []
+    matvec, matvecs = _sparsetools.csr_matvec, _sparsetools.csr_matvecs
+
+    def spy_matvec(*args):  # csr_matvec(n_row, n_col, indptr, indices, data, x, y)
+        assert args[:2] == (dim, dim)
+        pending.append(1)
+        return matvec(*args)
+
+    def spy_matvecs(*args):  # csr_matvecs(n_row, n_col, n_vecs, indptr, indices, data, x, y)
+        if args[2] == dim * width:
+            if pending:
+                terms.append(sum(pending))
+                pending.clear()
+        else:
+            assert args[:3] == (dim, dim, width)
+            pending.append(width)
+            matvecs_products.append(width)
+        return matvecs(*args)
+
+    patches = mock.patch.multiple(_sparsetools, csr_matvec=spy_matvec, csr_matvecs=spy_matvecs)
+    return patches, terms, matvecs_products
+
+
 @given(st.data(), block_instances(), sample_times(), st.sampled_from([0.0, -0.0]))
 def test_real_start_states_match_the_interleaved_path_bit_for_bit(data, instance, times, zero):
     # Real start columns on their own take the real path. Beside one complex
-    # column they take the interleaved (re, im) path; that column copies
-    # column j's diagonal, so both calls share one Gershgorin interval.
+    # column they take the (re, im) planar path; that column copies column
+    # j's diagonal, so both calls share one Gershgorin interval.
     h, diagonals, x = instance
     n = x.shape[1]
     times.insert(data.draw(st.integers(0, len(times))), 0.0)
@@ -199,11 +232,8 @@ def test_real_start_states_match_the_interleaved_path_bit_for_bit(data, instance
     j = data.draw(st.integers(0, n - 1))
 
     def run(block, diags):
-        widths = []  # columns of each scaled-operator product's operand
-        matvecs = _sparsetools.csr_matvecs
-        # csr_matvecs(n_row, n_col, n_vecs, indptr, indices, data, x, y)
-        spy = lambda *args: widths.append(args[2]) or matvecs(*args)
-        with mock.patch.object(_sparsetools, "csr_matvecs", spy):
+        patches, widths, _ = spy_products(h.dimension, block.shape[1])
+        with patches:
             return propagate_block(h.matrix, diags, block, times), widths
 
     real, real_widths = run(start, diagonals)
@@ -219,29 +249,88 @@ def test_real_start_states_match_the_interleaved_path_bit_for_bit(data, instance
         assert real_widths[0] == n
 
 
+def test_one_column_products_take_the_single_vector_kernel():
+    # SciPy's csr_matvec runs one column in about half the time csr_matvecs
+    # takes with n_vecs = 1, so no one-column product goes through the latter
+    _, b, h = chain_instance(8, k=2)
+    psi = basis_state(b, {0, 5}).amplitudes[:, None]
+    for block in (psi, psi * np.exp(0.3j)):  # a real and a complex first window
+        patches, widths, matvecs_products = spy_products(b.dimension, 1)
+        with patches:
+            propagate_block(h.matrix, np.zeros((b.dimension, 1)), block, tuple(np.arange(0.0, 400.0, 37.0)))
+        assert widths and matvecs_products == []
+        # one plane per term in a real window, two in a complex one; the later windows start complex
+        assert widths[0] == (1 if block is psi else 2) and widths[-1] == 2
+
+
 @given(block_instances(), st.floats(-4.0, 4.0), st.booleans(), st.booleans())
-def test_chebyshev_step_adds_the_product_into_the_buffer_given(instance, scale, interleaved, first):
-    # The step leans on SciPy's private csr_matvecs adding A x into the flat
-    # C-contiguous float64 buffer it is given (SciPy 1.17.1); a ravel() copy
-    # would drop the product and leave the buffer's stale values behind.
-    h, diagonals, x = instance
+def test_chebyshev_step_adds_the_product_into_the_buffer_given(instance, scale, planar, first):
+    # The step leans on SciPy's private csr_matvec and csr_matvecs adding A x
+    # into the flat C-contiguous float64 buffer they are given (SciPy 1.17.1);
+    # a ravel() copy would drop the product and leave the buffer's stale values behind.
+    h, d, x = instance
     a = sp.csr_matrix(h.matrix * scale)
-    cur = np.ascontiguousarray(x.view(np.float64) if interleaved else x.real)
-    d = np.repeat(diagonals, 2, axis=1) if interleaved else diagonals
-    prev = np.ascontiguousarray(cur[::-1])
+    cur = np.stack([x.real, x.imag]) if planar else x.real[None].copy()
+    prev = np.ascontiguousarray(cur[:, ::-1])
     before = cur.copy(), prev.copy()
     out = np.full_like(cur, np.nan)
-    got = _chebyshev_step(_sparsetools.csr_matvecs, a, d, cur, None if first else prev, out)
+    kernels = _sparsetools.csr_matvec, _sparsetools.csr_matvecs
+    got = _chebyshev_step(kernels, a, d, cur, None if first else prev, out)
     assert got is out and out.flags.c_contiguous
     lag = 0.0 if first else prev
-    ref = a @ cur + d * cur - lag
+    ref = np.stack([a @ plane for plane in cur]) + d * cur - lag
     # rounding bound of a sum of (row entries + 2) terms, a few ulps here
-    magnitude = abs(a) @ np.abs(cur) + np.abs(d * cur) + np.abs(lag)
+    magnitude = np.stack([abs(a) @ np.abs(plane) for plane in cur]) + np.abs(d * cur) + np.abs(lag)
     terms = np.diff(a.indptr)[:, None] + 2
     assert np.all(np.abs(out - ref) <= terms * np.finfo(float).eps * magnitude)
     assert np.array_equal(cur, before[0]) and np.array_equal(prev, before[1])
     with pytest.raises(ValueError, match="C-contiguous"):
-        _chebyshev_step(_sparsetools.csr_matvecs, a, d, cur, None, np.empty((len(cur), 2 * cur.shape[1]))[:, ::2])
+        _chebyshev_step(kernels, a, d, cur, None, np.empty((len(cur), len(d), 2 * d.shape[1]))[..., ::2])
+
+
+@st.composite
+def accumulation_cases(draw):
+    """A window's coefficients, one term index k (0, even or odd), its planes
+    (one real, or (re, im)) with exact zeros of either sign, and sums without
+    -0.0 (the engine's sums start at +0.0 and only add)."""
+    h, _, x = draw(block_instances())
+    m = draw(st.integers(1, WINDOW_SAMPLES))
+    z = draw(st.lists(st.floats(0.5, 40.0) | st.floats(-40.0, -0.5), min_size=m, max_size=m))
+    coeffs = evolution._chebyshev_coefficients(np.array(z), 1e-12)
+    n_terms = coeffs.shape[1]
+    parity = draw(st.sampled_from(["zero", "even", "odd"]))
+    if parity == "zero":
+        k = 0
+    elif parity == "even":
+        k = 2 * draw(st.integers(1, (n_terms - 1) // 2))
+    else:
+        k = 2 * draw(st.integers(0, n_terms // 2 - 1)) + 1
+    real = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    planes = np.stack([x.real, x.imag])[:1 if real else 2].copy()
+    planes[rng.random(planes.shape) < 0.3] = 0.0
+    planes[rng.random(planes.shape) < 0.3] *= -1.0
+    sums = rng.normal(size=(m, 2) + x.shape)
+    sums[rng.random(sums.shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    return coeffs, k, planes, sums
+
+
+@given(accumulation_cases())
+def test_coefficient_rows_add_as_the_complex_formula_bit_for_bit(case):
+    # The old engine's accumulation: total += c * T on the complex view,
+    # sample j's total holding E_j + i O_j. Adding only each coefficient's
+    # nonzero part gives the same bits, zeros' signs included, into sums
+    # without -0.0; and the sums keep none.
+    coeffs, k, planes, sums = case
+    total = sums[:, 0] + 1j * sums[:, 1]
+    term = planes[0] + 1j * planes[1] if len(planes) == 2 else planes[0].astype(complex)
+    total += coeffs[:, k, None, None] * term
+    indptr, indices, data = evolution._coefficient_rows(coeffs)[len(planes) == 1]
+    evolution._accumulate(_sparsetools.csr_matvecs, (indptr[k % 2], indices[k % 2], data[k]), planes, sums)
+    assert sums[:, 0].tobytes() == total.real.tobytes() and sums[:, 1].tobytes() == total.imag.tobytes()
+    assert not np.any(np.signbit(sums) & (sums == 0.0))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        evolution._accumulate(_sparsetools.csr_matvecs, (indptr[0], indices[0], data[0]), planes, sums[:, ::-1])
 
 
 def test_equal_windows_share_one_coefficient_grid(monkeypatch):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qwalk import calibration, scenarios
+from qwalk import calibration, evolution, scenarios
 from qwalk.analysis import disorder_velocity_study, lr_bound
 from qwalk.cli import build_parser, main
 from qwalk.device import DEFAULT_ANHARMONICITY_MHZ, DEFAULT_DISORDER_BOUND_MHZ, DEFAULT_J_EFF_MHZ
@@ -490,6 +490,43 @@ def test_cli_sweep_entry_cap_is_inclusive(tmp_path, monkeypatch):
     assert main([*base, "--d-right", "0:1:3", "--out", str(tmp_path / "at")]) == 0
     assert main([*base, "--d-right", "0:1:4", "--out", str(tmp_path / "past")]) == 1
     assert "MAX_SWEEP_ENTRIES = 2484" in json.loads((tmp_path / "past" / "error.json").read_text())["error"]
+
+
+def test_cli_run_past_the_sample_time_cap_fails_before_allocating(tmp_path, monkeypatch, capsys):
+    # 2,645 sample times of ctqw-two's dimension-1891 states pass 5 * 10**6
+    # entries; the run rejects them before any basis, state or propagation
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(scenarios, "_scenario_setup", unreachable)
+    monkeypatch.setattr(evolution, "propagate_block", unreachable)
+    times = json.dumps([float(t) for t in range(2645)])
+    argv = ["run", "--scenario", "ctqw-two", "--override", f"times_ns={times}", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    doc = json.loads((tmp_path / "error.json").read_text())
+    assert doc["type"] == "ValueError"
+    assert doc["error"] == (
+        f"run of 2645 sample times at sector dimension 1891 on 62 sites exceeds "
+        f"MAX_RUN_ENTRIES = {scenarios.MAX_RUN_ENTRIES} sample times x max(dimension, sites)"
+    )
+    assert "Traceback" not in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["error.json", "manifest.json"]
+    assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "failed"
+
+
+def test_cli_run_sample_time_cap_is_inclusive(tmp_path, monkeypatch):
+    # ctqw-single's sector has dimension 62 on 62 sites: three sample times hold
+    # the lowered cap exactly, four pass it, and a readout time off the grid counts
+    monkeypatch.setattr(scenarios, "MAX_RUN_ENTRIES", 3 * 62)
+    base = ["run", "--scenario", "ctqw-single"]
+    shots = ["--override", "n_shots=50", "--override", "readout_time_ns=25.0"]
+    assert main([*base, "--override", "times_ns=[0.0, 10.0, 20.0]", "--out", str(tmp_path / "at")]) == 0
+    assert main([*base, "--override", "times_ns=[0.0, 10.0]", *shots, "--out", str(tmp_path / "read")]) == 0
+    assert main([*base, "--override", "times_ns=[0.0, 10.0, 20.0, 30.0]", "--out", str(tmp_path / "past")]) == 1
+    assert main([*base, "--override", "times_ns=[0.0, 10.0, 20.0]", *shots, "--out", str(tmp_path / "rpast")]) == 1
+    for past in ("past", "rpast"):
+        error = json.loads((tmp_path / past / "error.json").read_text())["error"]
+        assert error.startswith("run of 4 sample times at sector dimension 62") and "MAX_RUN_ENTRIES = 186" in error
 
 
 def test_cli_sweep_past_the_window_cap_fails_fast(tmp_path):
