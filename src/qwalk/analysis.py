@@ -385,6 +385,10 @@ STUDY_SIDE = 15
 STUDY_TIMES_NS = tuple(np.arange(0.0, 1000.0 + 1e-9, 10.0))
 STUDY_DIAGONALS = STUDY_SIDE - 4
 STUDY_WINDOWS = 8
+# Study cap on disorder realisations: each holds its sampled origin-site
+# products (times x diagonals, float64) whole, 1,111 entries against the 225
+# of its state column; 5 * 10**6 entries, as MAX_RUN_ENTRIES, is 40 MB of them.
+MAX_STUDY_SEEDS = 5 * 10**6 // (len(STUDY_TIMES_NS) * STUDY_DIAGONALS)
 
 # ctqw_velocity_pipeline: the device walk from the corner qubit, fronts at
 # diagonals 1..4
@@ -472,8 +476,8 @@ def disorder_velocity_study(n_seeds: int = 32, seed: int = 11000) -> VelocityStu
     holding a front without a usable time error is fitted unweighted, and
     `unweighted` names those fronts' distances.
     """
-    if n_seeds < 1:
-        raise ValueError("need at least one disorder seed")
+    if not 1 <= n_seeds <= MAX_STUDY_SEEDS:
+        raise ValueError(f"need 1 to MAX_STUDY_SEEDS = {MAX_STUDY_SEEDS} disorder seeds, got {n_seeds}")
     graph = grid_graph(STUDY_SIDE, STUDY_SIDE)
     index = graph.index
     diagonal = [index[(k, k)] for k in range(1, STUDY_DIAGONALS + 1)]

@@ -1,8 +1,9 @@
 """Device calibration against simulated twins with hidden disorders:
-multi-qubit swap data, disorder-map recovery (multi-start Nelder-Mead, ported
-from SciPy, with the front fits' numpy Levenberg-Marquardt as polish),
-iterative frequency alignment, and interferometer optimization (SciPy's
-L-BFGS-B on the fit's kernel, the one SciPy optimizer left, imported on use).
+multi-qubit swap data, disorder-map recovery (multi-start, in growing time
+windows: Nelder-Mead, ported from SciPy, on the first window, then the front
+fits' numpy Levenberg-Marquardt on each longer one), iterative frequency
+alignment, and interferometer optimization (SciPy's L-BFGS-B on the fit's
+kernel, the one SciPy optimizer left, imported on use).
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .device import (
     rng_stream,
 )
 from .hamiltonian import TWO_PI, build_hamiltonian
-from .scenarios import MZLayout, _is_int
+from .scenarios import MAX_SHOTS, MZLayout, _is_int
 from .sector import enumerate_basis, lookup
 
 __all__ = [
@@ -60,9 +61,13 @@ N_STARTS = 60
 START_SPREAD_MHZ = 1.6
 # Noiseless fits are accepted at or below this cost.
 EARLY_STOP_COST = 1e-9
+# Ends (ns) of the disorder fit's time windows before the full data:
+# Nelder-Mead fits the data up to the first end, Levenberg-Marquardt the data
+# up to each later end and then all of it.
+STAGE_ENDS_NS = (100.0, 200.0, 400.0)
 
 # The disorder fit's Nelder-Mead stage only has to reach the global basin; it
-# stops at this simplex spread and the Levenberg-Marquardt polish finishes.
+# stops at this simplex spread and the Levenberg-Marquardt stages finish.
 GLOBAL_COST_SPREAD = 1e-2
 GLOBAL_PARAM_SPREAD_MHZ = 0.3
 # A fit to shot data is accepted when its cost is within this multiple of the
@@ -182,8 +187,10 @@ class CalibrationTwin:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_shots is not None and not (_is_int(self.n_shots) and self.n_shots > 0):
-            raise ValueError(f"n_shots must be a positive integer or None, got {self.n_shots!r}")
+        if self.n_shots is not None and not (_is_int(self.n_shots) and 0 < self.n_shots <= MAX_SHOTS):
+            raise ValueError(
+                f"n_shots must be a positive integer up to MAX_SHOTS = {MAX_SHOTS}, or None, got {self.n_shots!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -271,8 +278,12 @@ class DisorderFit:
     disorder: DisorderMap
     cost: float
     overall_distance: float  # cost of the zero map
-    n_evaluations: int  # residual and Jacobian evaluations, both stages, all starts
-    history: list  # (iteration, best cost, best x) of the accepted start, polish last
+    # cost evaluations of Nelder-Mead, plus residual and residual-and-Jacobian
+    # evaluations of every Levenberg-Marquardt stage, over all starts
+    n_evaluations: int
+    # the accepted start's Nelder-Mead history on the first window, then one
+    # (iteration, cost on its window, x) per Levenberg-Marquardt stage, the full data last
+    history: list
     n_starts: int  # starts drawn, the accepted one last
     accept_cost: float
 
@@ -491,20 +502,45 @@ def _shot_noise_cost(ds: SwapDataset) -> float:
     return float(np.sum(p * (1.0 - p))) / (ds.n_shots - 1)
 
 
+def _stage_kernels(datasets, pos: dict) -> list:
+    """One `_SwapResiduals` per stage of the disorder fit: the datasets cut to
+    their times up to each of STAGE_ENDS_NS, then whole. A cut that holds no
+    times, or the same times as the next one, is dropped; a dataset left with
+    no times sits out its stage."""
+    kernels, later = [_SwapResiduals(datasets, pos)], [len(ds.times_ns) for ds in datasets]
+    for end in reversed(STAGE_ENDS_NS):
+        keep = [np.asarray(ds.times_ns, dtype=float) <= end for ds in datasets]
+        counts = [int(k.sum()) for k in keep]
+        if any(counts) and counts != later:
+            cut = [
+                SwapDataset(ds.center, ds.graph, tuple(np.asarray(ds.times_ns)[k]), ds.populations[:, k], ds.n_shots)
+                for ds, k, n in zip(datasets, keep, counts) if n
+            ]
+            kernels.append(_SwapResiduals(cut, pos))
+            later = counts
+    return kernels[::-1]
+
+
 def fit_disorder_map(datasets) -> DisorderFit:
     """Search for the disorder map whose simulated swap data best match the
     given datasets (summed squared distance over all qubits and times).
 
-    Each start runs Nelder-Mead to a loose stop (GLOBAL_COST_SPREAD,
-    GLOBAL_PARAM_SPREAD_MHZ) and then a Levenberg-Marquardt polish on the
-    analytic Jacobian, the front fits' `analysis._levenberg_marquardt`. The
-    first start whose polish stops at a cost within the acceptance cost
-    (EARLY_STOP_COST plus NOISE_COST_MULTIPLE times the data's estimated
-    shot-noise cost) is the fit; a polish that gives up (singular normal
-    equations, which the gauge direction can make, or no stop) leaves its
-    start unaccepted. Starts come from one fixed stream, at most N_STARTS of
-    them; if none is accepted the fit raises CalibrationError with the best
-    and the zero-map costs.
+    The fit continues in time windows (`_stage_kernels`): each start runs
+    Nelder-Mead to a loose stop (GLOBAL_COST_SPREAD, GLOBAL_PARAM_SPREAD_MHZ)
+    on the data up to the first of STAGE_ENDS_NS, then the front fits'
+    Levenberg-Marquardt (`analysis._levenberg_marquardt`, on the analytic
+    Jacobian) on each longer window in turn, each from the last stage's
+    point, and last on the full data; a short window's cost has fewer local
+    minima. When the data hold one window only, Nelder-Mead and the
+    Levenberg-Marquardt polish both run on it. Only the last stage can accept
+    a start: the first start whose full-data polish stops at a cost within
+    the acceptance cost (EARLY_STOP_COST plus NOISE_COST_MULTIPLE times the
+    data's estimated shot-noise cost) is the fit; a polish that gives up
+    (singular normal equations, which the gauge direction can make, or no
+    stop) leaves its start unaccepted, and an earlier stage that gives up
+    hands its point on. Starts come from one fixed stream, at most N_STARTS
+    of them; if none is accepted the fit raises CalibrationError with the
+    best and the zero-map costs.
 
     The returned map is gauge-fixed by canonical_gauge; the physical sign is
     resolved experimentally by alignment_loop.
@@ -515,7 +551,8 @@ def fit_disorder_map(datasets) -> DisorderFit:
     if any(ds.n_shots is not None and ds.n_shots < 2 for ds in datasets):
         raise ValueError("n_shots must be at least 2 for a disorder fit: single-shot data give no noise estimate")
     qubits = sorted({q for ds in datasets for q in ds.graph.sites})
-    kernel = _SwapResiduals(datasets, {q: i for i, q in enumerate(qubits)})
+    kernels = _stage_kernels(datasets, {q: i for i, q in enumerate(qubits)})
+    coarse_kernel, polish_kernels = kernels[0], kernels[1:] or kernels
     accept_cost = EARLY_STOP_COST + NOISE_COST_MULTIPLE * sum(_shot_noise_cost(ds) for ds in datasets)
 
     rng = rng_stream(0xF17)
@@ -523,19 +560,22 @@ def fit_disorder_map(datasets) -> DisorderFit:
     total_evals = 0
     for start in range(N_STARTS):
         x0 = np.zeros(len(qubits)) if start == 0 else rng.uniform(-START_SPREAD_MHZ, START_SPREAD_MHZ, len(qubits))
-        coarse = nelder_mead(kernel.cost, x0)
-        polish = _levenberg_marquardt(kernel.residuals, kernel.residuals_and_jacobian, coarse.x)
-        cost = float(polish.residuals @ polish.residuals)
-        total_evals += coarse.n_evaluations + polish.n_trials + polish.n_jacobians
+        coarse = nelder_mead(coarse_kernel.cost, x0)
+        history, x, iteration = list(coarse.history), coarse.x, coarse.n_iterations
+        total_evals += coarse.n_evaluations
+        for kernel in polish_kernels:
+            polish = _levenberg_marquardt(kernel.residuals, kernel.residuals_and_jacobian, x)
+            x, cost, iteration = polish.p, float(polish.residuals @ polish.residuals), iteration + polish.n_trials
+            total_evals += polish.n_trials + polish.n_jacobians
+            history.append((iteration, cost, x.copy()))
         accepted = polish.failure is None and cost <= accept_cost
         if accepted or best is None or cost < best[0]:
-            history = [*coarse.history, (coarse.n_iterations + polish.n_trials, cost, polish.p.copy())]
-            best = (cost, polish.p, history)
+            best = (cost, x, history)
         if accepted:
             break
     cost, x, history = best
     fitted = DisorderMap(canonical_gauge({q: x[k] for k, q in enumerate(qubits)}))
-    zero_cost = kernel.cost(np.zeros(len(qubits)))
+    zero_cost = kernels[-1].cost(np.zeros(len(qubits)))
     if not accepted:
         raise CalibrationError(
             f"disorder fit accepted none of {N_STARTS} starts: best cost {cost:.3e} above the acceptance "

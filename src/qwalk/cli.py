@@ -307,7 +307,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    from .analysis import ctqw_velocity_pipeline, disorder_velocity_study, lr_bound
+    from .analysis import MAX_STUDY_SEEDS, ctqw_velocity_pipeline, disorder_velocity_study, lr_bound
     from .records import RecordWriter, ResultRecord, RunManifest
 
     out = Path(args.out)
@@ -352,7 +352,10 @@ def _cmd_analyze(args) -> int:
             )
             print(f"propagation velocity {res.velocity:.2f} +- {res.std_err:.2f} sites/us (bound {vmax:.1f})")
         elif args.study == "distance-velocity":
-            res = disorder_velocity_study(n_seeds=32 if args.seeds is None else args.seeds, seed=seed)
+            n_seeds = 32 if args.seeds is None else args.seeds
+            if n_seeds > MAX_STUDY_SEEDS:  # before the study samples any disorder
+                raise ValueError(f"--seeds {n_seeds} exceeds MAX_STUDY_SEEDS = {MAX_STUDY_SEEDS} disorder realisations")
+            res = disorder_velocity_study(n_seeds=n_seeds, seed=seed)
             for d0, v, e, bad in zip(res.d0_values, res.velocities, res.std_errs, res.unweighted):
                 payload = {"velocity": v, "std_err": e, "lr_bound": vmax, "above_lr_bound": v > vmax,
                            "weighted": not bad, "unweighted_front_distances": bad}

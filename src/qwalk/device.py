@@ -28,6 +28,7 @@ __all__ = [
     "DEFAULT_J_EFF_MHZ",
     "DEFAULT_ANHARMONICITY_MHZ",
     "DEFAULT_DISORDER_BOUND_MHZ",
+    "MAX_DISORDER_BOUND_MHZ",
 ]
 
 _LABEL_RE = re.compile(r"^U([0-3])([0-3])Q([0-3])$")
@@ -40,6 +41,10 @@ _UNIT_OFFSETS = {0: (0, 0), 1: (0, 1), 2: (1, 1), 3: (1, 0)}
 DEFAULT_J_EFF_MHZ = 2.01
 DEFAULT_ANHARMONICITY_MHZ = -248.9
 DEFAULT_DISORDER_BOUND_MHZ = 1.6  # 0.8 * J_eff/2pi
+# Planted-disorder cap: a detuning past the anharmonicity's size brings a
+# qubit's 1-2 transition across its neighbours' 0-1, where the hard-core
+# walker model no longer holds.
+MAX_DISORDER_BOUND_MHZ = -DEFAULT_ANHARMONICITY_MHZ
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
@@ -233,9 +238,13 @@ def default_device() -> DeviceModel:
 
 
 def sample_disorder(sites: Iterable, bound_mhz: float, seed: int) -> DisorderMap:
-    """Uniform offsets in [-bound, +bound] MHz per site, deterministic in seed."""
-    if not (math.isfinite(bound_mhz) and bound_mhz >= 0):
-        raise ValueError(f"disorder bound must be finite and nonnegative, got {bound_mhz!r}")
+    """Uniform offsets in [-bound, +bound] MHz per site, deterministic in seed;
+    the bound is at most MAX_DISORDER_BOUND_MHZ."""
+    if not (math.isfinite(bound_mhz) and 0 <= bound_mhz <= MAX_DISORDER_BOUND_MHZ):
+        raise ValueError(
+            f"disorder bound must be finite and nonnegative, at most MAX_DISORDER_BOUND_MHZ = "
+            f"{MAX_DISORDER_BOUND_MHZ} MHz, got {bound_mhz!r}"
+        )
     sites = list(sites)
     rng = rng_stream(seed, 0xD1)
     values = rng.uniform(-bound_mhz, bound_mhz, size=len(sites)) if bound_mhz > 0 else np.zeros(len(sites))

@@ -30,3 +30,21 @@ def fronts_8_and_11_without_error(monkeypatch):
         return popt, np.full((4, 4), np.inf) if diagonal in (8, 11) else pcov
 
     monkeypatch.setattr(analysis, "_fit_gaussian", fit_without_error)
+
+
+@pytest.fixture(scope="session")
+def trapped_seed():
+    """The first calibration seed whose noiseless 3x3 disorder fit, the one
+    `calibrate --task disorder --seed N` runs, accepts no map on its first
+    start. Which starts end in local minima rides on the swap data's low
+    bits, so the tests that need such a map search for it."""
+    from qwalk.calibration import CalibrationTwin, fit_disorder_map, generate_swap_data
+    from qwalk.device import sample_disorder, subgrid_device
+
+    device = subgrid_device(4, 0, 3, 3)
+    qubits = device.functional_qubits
+    for seed in range(40):
+        twin = CalibrationTwin(device, sample_disorder(qubits, 1.6, seed), seed=seed)
+        if fit_disorder_map([generate_swap_data(twin, q) for q in qubits]).n_starts > 1:
+            return seed
+    raise AssertionError("every fit of calibration seeds 0-39 is accepted on its first start")

@@ -393,12 +393,12 @@ def test_polish_evaluates_each_accepted_point_once(monkeypatch):
     assert r.tobytes() == r_joint.tobytes() == r_fresh.tobytes() and jac.tobytes() == jac_fresh.tobytes()
 
 
-def test_fit_recovers_seed_23_trapped_in_the_first_starts():
-    # the first twelve starts of this planted map end in local minima; the fit
+def test_fit_recovers_a_map_trapped_in_its_first_start(trapped_seed):
+    # the first start of this planted map ends in a local minimum; the fit
     # keeps drawing starts until one reaches the acceptance cost
     device = subgrid_device(4, 0, 3, 3)
     qubits = device.functional_qubits
-    hidden = sample_disorder(qubits, 1.6, seed=23)
+    hidden = sample_disorder(qubits, 1.6, seed=trapped_seed)
     twin = CalibrationTwin(device, hidden)
     fit = fit_disorder_map([generate_swap_data(twin, q) for q in qubits])
     truth = canonical_gauge({q: hidden.get(q) for q in qubits})
@@ -418,11 +418,11 @@ def test_fit_recovers_planted_disorder_3x3(seed):
     assert max(abs(fit.disorder.get(q) - truth[q]) for q in qubits) < 0.05
 
 
-def test_fit_without_an_accepted_start_raises(monkeypatch):
+def test_fit_without_an_accepted_start_raises(monkeypatch, trapped_seed):
     monkeypatch.setattr(calibration, "N_STARTS", 1)
     device = subgrid_device(4, 0, 3, 3)
     qubits = device.functional_qubits
-    twin = CalibrationTwin(device, sample_disorder(qubits, 1.6, seed=23))
+    twin = CalibrationTwin(device, sample_disorder(qubits, 1.6, seed=trapped_seed))
     datasets = [generate_swap_data(twin, q) for q in qubits]
     with pytest.raises(CalibrationError, match="best cost .*zero-map cost") as info:
         fit_disorder_map(datasets)
@@ -442,6 +442,42 @@ def test_shot_data_fit_is_accepted_near_its_noise_floor():
     assert 0.5 * noise < fit.cost <= fit.accept_cost
     truth = canonical_gauge({q: hidden.get(q) for q in qubits})
     assert max(abs(fit.disorder.get(q) - truth[q]) for q in qubits) < 0.1
+
+
+@given(
+    st.one_of(
+        st.just(tuple(np.arange(0.0, 800.0, 20.0))),  # the alignment loop's grid
+        uniform_grids(),
+        st.lists(st.floats(0.0, 1000.0), min_size=1, max_size=8, unique=True).map(lambda ts: tuple(sorted(ts))),
+    ),
+    st.integers(0, 2**16),
+)
+def test_staged_fit_is_accepted_on_the_full_data_or_raises(times_ns, seed):
+    # grids that start late, end before the first stage's end or hold one
+    # time: each stage holds the data up to its end, a stage with no times or
+    # with the next one's is skipped, and only the full data accept a map
+    device = subgrid_device(0, 4, 2, 2)
+    qubits = sorted(device.functional_qubits)
+    twin = CalibrationTwin(device, sample_disorder(qubits, 1.6, seed))
+    datasets = [generate_swap_data(twin, q, times_ns=times_ns) for q in qubits]
+    pos = {q: i for i, q in enumerate(qubits)}
+    windows = []
+    for end in (*calibration.STAGE_ENDS_NS, np.inf):
+        window = tuple(t for t in times_ns if t <= end)
+        if window and window not in windows:
+            windows.append(window)
+    kernels = calibration._stage_kernels(datasets, pos)
+    assert [[stack.t_us.tolist() for stack in kernel.stacks] for kernel in kernels] == [
+        [(1e-3 * np.array(window)).tolist()] for window in windows
+    ]
+    # every star in every stage: four 3-site stars, 12 site rows
+    assert all(kernel.stacks[0].data.shape == (12, len(w)) for kernel, w in zip(kernels, windows))
+    try:
+        fit = fit_disorder_map(datasets)
+    except CalibrationError:
+        return
+    x = fit.history[-1][2]
+    assert fit.cost == calibration._SwapResiduals(datasets, pos).cost(x) <= fit.accept_cost
 
 
 def test_polish_singular_along_the_gauge_leaves_its_start_unaccepted(monkeypatch):
@@ -472,7 +508,9 @@ def test_polish_singular_along_the_gauge_leaves_its_start_unaccepted(monkeypatch
     kernel = calibration._SwapResiduals(datasets, {q: i for i, q in enumerate(sorted(qubits))})
     jac = kernel.residuals_and_jacobian(singular.p)[1]
     assert np.max(np.abs(jac @ np.ones(len(qubits)))) <= 1e-9 * np.max(np.abs(jac))
-    assert fit.n_starts == len(polishes) > 1 and polishes[-1].failure is None
+    # one polish per Levenberg-Marquardt stage of each start
+    assert len(polishes) == len(calibration.STAGE_ENDS_NS) * fit.n_starts and fit.n_starts > 1
+    assert polishes[-1].failure is None
     assert fit.cost <= fit.accept_cost
 
     monkeypatch.setattr(calibration, "N_STARTS", 1)

@@ -7,10 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qwalk import calibration, evolution, scenarios
+from qwalk import analysis, calibration, evolution, scenarios
 from qwalk.analysis import disorder_velocity_study, lr_bound
 from qwalk.cli import build_parser, main
-from qwalk.device import DEFAULT_ANHARMONICITY_MHZ, DEFAULT_DISORDER_BOUND_MHZ, DEFAULT_J_EFF_MHZ
+from qwalk.device import (
+    DEFAULT_ANHARMONICITY_MHZ,
+    DEFAULT_DISORDER_BOUND_MHZ,
+    DEFAULT_J_EFF_MHZ,
+    MAX_DISORDER_BOUND_MHZ,
+    sample_disorder,
+    subgrid_device,
+)
 from qwalk.records import RecordWriter, ResultRecord, RunManifest, read_records, write_csv_matrix
 from qwalk.svg import render_heatmap
 
@@ -270,6 +277,13 @@ def test_cli_builtin_and_its_file_write_the_same_records(tmp_path, scenario):
         ("interferometer", ["--shots", "5"], "--shots"),
         ("disorder", ["--rounds", "7"], "--rounds"),
         ("interferometer", ["--rounds", "7"], "--rounds"),
+        # past MAX_SHOTS the binomial draw overflowed, and a bound of 1e308 the
+        # uniform draw's 2 * bound: both raised OverflowError with a traceback
+        ("disorder", ["--shots", "100000000000000000000"], "n_shots"),
+        ("align", ["--shots", str(scenarios.MAX_SHOTS + 1)], "n_shots"),
+        ("disorder", ["--bound", "1e308"], "disorder bound"),
+        ("align", ["--bound", repr(MAX_DISORDER_BOUND_MHZ + 0.1)], "disorder bound"),
+        ("interferometer", ["--bound", "1e308"], "disorder bound"),
     ],
 )
 def test_cli_calibrate_bad_bound_or_shots_is_domain_error(tmp_path, capsys, task, flags, field):
@@ -280,16 +294,23 @@ def test_cli_calibrate_bad_bound_or_shots_is_domain_error(tmp_path, capsys, task
     assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "failed"
 
 
+def test_calibration_shot_and_bound_caps_are_inclusive():
+    device = subgrid_device(4, 0, 3, 3)
+    hidden = sample_disorder(device.functional_qubits, MAX_DISORDER_BOUND_MHZ, seed=0)
+    assert max(abs(v) for v in hidden.offsets.values()) <= MAX_DISORDER_BOUND_MHZ
+    assert calibration.CalibrationTwin(device, hidden, n_shots=scenarios.MAX_SHOTS).n_shots == scenarios.MAX_SHOTS
+
+
 def test_calibrate_bound_defaults_to_the_device_constant():
     args = build_parser().parse_args(["calibrate", "--task", "disorder", "--out", "unused"])
     assert args.bound == DEFAULT_DISORDER_BOUND_MHZ
 
 
-def test_cli_calibrate_exhausted_start_budget_is_domain_error(tmp_path, capsys, monkeypatch):
-    # seed 23's first start ends in a local minimum; with a budget of one
-    # start the fit refuses the map instead of writing it
+def test_cli_calibrate_exhausted_start_budget_is_domain_error(tmp_path, capsys, monkeypatch, trapped_seed):
+    # the trapped seed's first start ends in a local minimum; with a budget of
+    # one start the fit refuses the map instead of writing it
     monkeypatch.setattr(calibration, "N_STARTS", 1)
-    assert main(["calibrate", "--task", "disorder", "--seed", "23", "--out", str(tmp_path)]) == 1
+    assert main(["calibrate", "--task", "disorder", "--seed", str(trapped_seed), "--out", str(tmp_path)]) == 1
     doc = json.loads((tmp_path / "error.json").read_text())
     assert doc["type"] == "CalibrationError"
     assert "best cost" in doc["error"] and "zero-map cost" in doc["error"]
@@ -309,6 +330,33 @@ def test_cli_analyze_records_the_seed_it_runs(tmp_path):
     assert default_seed == 2024
     zero_seed, zero_records = analyze("zero", "--seed", "0")
     assert zero_seed == 0 and zero_records != default_records
+
+
+def test_cli_analyze_past_the_seed_cap_fails_before_the_study(tmp_path, monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the study started")
+
+    monkeypatch.setattr(analysis, "disorder_velocity_study", unreachable)
+    seeds = str(analysis.MAX_STUDY_SEEDS + 1)
+    assert main(["analyze", "--study", "distance-velocity", "--seeds", seeds, "--out", str(tmp_path)]) == 1
+    doc = json.loads((tmp_path / "error.json").read_text())
+    assert doc["type"] == "ValueError"
+    assert doc["error"] == (
+        f"--seeds {analysis.MAX_STUDY_SEEDS + 1} exceeds MAX_STUDY_SEEDS = {analysis.MAX_STUDY_SEEDS} "
+        "disorder realisations"
+    )
+    assert "Traceback" not in capsys.readouterr().err
+    assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "failed"
+
+
+def test_cli_analyze_seed_cap_is_inclusive(tmp_path, monkeypatch):
+    monkeypatch.setattr(analysis, "MAX_STUDY_SEEDS", 2)
+    argv = ["analyze", "--study", "distance-velocity", "--seeds"]
+    assert main([*argv, "2", "--out", str(tmp_path / "at")]) == 0
+    assert main([*argv, "3", "--out", str(tmp_path / "past")]) == 1
+    assert (tmp_path / "past" / "error.json").exists()
+    with pytest.raises(ValueError, match="MAX_STUDY_SEEDS = 2"):
+        disorder_velocity_study(n_seeds=3)
 
 
 def test_cli_distance_velocity_records_flag_unweighted_windows(tmp_path, fronts_8_and_11_without_error):
