@@ -9,10 +9,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .device import (DEFAULT_DISORDER_BOUND_MHZ, DisorderMap, QubitId, active_subgraph, default_device, grid_graph,
-                     sample_disorder)
+from .device import DEFAULT_DISORDER_BOUND_MHZ, QubitId, active_subgraph, default_device, grid_graph, sample_offsets
 from .evolution import propagate_block
-from .hamiltonian import TWO_PI, build_hamiltonian, disorder_diagonals
+from .hamiltonian import TWO_PI, build_hamiltonian, offset_diagonals
 from .sector import QuantumState, basis_state, enumerate_basis, lookup
 
 __all__ = [
@@ -397,10 +396,12 @@ PIPELINE_TIMES_NS = tuple(np.arange(0.0, 600.0 + 1e-9, 10.0))
 PIPELINE_DIAGONALS = 4
 
 
-def _diagonal_fronts(graph, origin: int, diagonal, disorders, times) -> tuple[tuple, tuple]:
+def _diagonal_fronts(graph, origin: int, diagonal, offsets, times) -> tuple[tuple, tuple]:
     """Correlation series and Gaussian fronts between one walker's start site
     and each diagonal site, averaged over disorder realisations.
 
+    `offsets` holds the realisations' per-site offsets in MHz, sites x
+    realisations (`device.sample_offsets` columns), in `graph.sites` order.
     Every realisation is one column of a single `propagate_block` call over
     the shared hopping matrix. With one walker the pair occupation is zero,
     so the connected correlation is C = 4(0 - p_origin p_site), and a site's
@@ -410,8 +411,8 @@ def _diagonal_fronts(graph, origin: int, diagonal, disorders, times) -> tuple[tu
     """
     basis = enumerate_basis(graph.n_sites, 1)
     h0 = build_hamiltonian(graph, basis)
-    diagonals = disorder_diagonals(graph, basis, disorders)
-    block = np.repeat(basis_state(basis, {origin}).amplitudes[:, None], len(disorders), axis=1)
+    diagonals = offset_diagonals(basis, offsets)
+    block = np.repeat(basis_state(basis, {origin}).amplitudes[:, None], diagonals.shape[1], axis=1)
     rows = lookup(basis.keys, np.eye(graph.n_sites, dtype=bool)[[origin, *diagonal]])
 
     def population_products(x):
@@ -450,7 +451,7 @@ def ctqw_velocity_pipeline() -> VelocityPipelineResult:
         if q not in index:
             raise ValueError(f"diagonal site {q} is not active")
         diagonal.append(index[q])
-    series, fronts = _diagonal_fronts(graph, index[origin], diagonal, [DisorderMap()], PIPELINE_TIMES_NS)
+    series, fronts = _diagonal_fronts(graph, index[origin], diagonal, np.zeros((graph.n_sites, 1)), PIPELINE_TIMES_NS)
     velocity, std_err = fit_velocity(fronts)
     return VelocityPipelineResult(velocity, std_err, fronts, series)
 
@@ -481,8 +482,10 @@ def disorder_velocity_study(n_seeds: int = 32, seed: int = 11000) -> VelocityStu
     graph = grid_graph(STUDY_SIDE, STUDY_SIDE)
     index = graph.index
     diagonal = [index[(k, k)] for k in range(1, STUDY_DIAGONALS + 1)]
-    disorders = [sample_disorder(graph.sites, DEFAULT_DISORDER_BOUND_MHZ, seed + s) for s in range(n_seeds)]
-    _, fronts = _diagonal_fronts(graph, index[(0, 0)], diagonal, disorders, STUDY_TIMES_NS)
+    offsets = np.column_stack(
+        [sample_offsets(graph.n_sites, DEFAULT_DISORDER_BOUND_MHZ, seed + s) for s in range(n_seeds)]
+    )
+    _, fronts = _diagonal_fronts(graph, index[(0, 0)], diagonal, offsets, STUDY_TIMES_NS)
     d0_values = tuple(k0 * SQRT2 for k0 in range(1, STUDY_WINDOWS + 1))
     velocities, std_errs = zip(*(instantaneous_velocity(fronts, d0) for d0 in d0_values))
     unweighted = tuple(unweighted_distances(_window_fronts(fronts, d0)) for d0 in d0_values)

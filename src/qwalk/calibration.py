@@ -556,7 +556,7 @@ def fit_disorder_map(datasets) -> DisorderFit:
     accept_cost = EARLY_STOP_COST + NOISE_COST_MULTIPLE * sum(_shot_noise_cost(ds) for ds in datasets)
 
     rng = rng_stream(0xF17)
-    best = None  # (cost, x, history) of the accepted start, or of the cheapest while none is
+    best = None  # (cost, x, history, failure) of the accepted start, or of the cheapest while none is
     total_evals = 0
     for start in range(N_STARTS):
         x0 = np.zeros(len(qubits)) if start == 0 else rng.uniform(-START_SPREAD_MHZ, START_SPREAD_MHZ, len(qubits))
@@ -570,17 +570,20 @@ def fit_disorder_map(datasets) -> DisorderFit:
             history.append((iteration, cost, x.copy()))
         accepted = polish.failure is None and cost <= accept_cost
         if accepted or best is None or cost < best[0]:
-            best = (cost, x, history)
+            best = (cost, x, history, polish.failure)
         if accepted:
             break
-    cost, x, history = best
+    cost, x, history, failure = best
     fitted = DisorderMap(canonical_gauge({q: x[k] for k, q in enumerate(qubits)}))
     zero_cost = kernels[-1].cost(np.zeros(len(qubits)))
     if not accepted:
+        if failure is not None and not cost > accept_cost:
+            why = (f"best cost {cost:.3e} within the acceptance cost {accept_cost:.3e}, "
+                   f"but its polish gave up: {failure}")
+        else:
+            why = f"best cost {cost:.3e} above the acceptance cost {accept_cost:.3e}"
         raise CalibrationError(
-            f"disorder fit accepted none of {N_STARTS} starts: best cost {cost:.3e} above the acceptance "
-            f"cost {accept_cost:.3e} (zero-map cost {zero_cost:.3e})",
-            best=fitted,
+            f"disorder fit accepted none of {N_STARTS} starts: {why} (zero-map cost {zero_cost:.3e})", best=fitted
         )
     return DisorderFit(fitted, cost, zero_cost, total_evals, history, start + 1, accept_cost)
 

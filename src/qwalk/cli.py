@@ -447,7 +447,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, RuntimeError, OSError) as exc:
+    # ArithmeticError: an overflow or a zero division from an input that no check covers is a domain error too
+    except (ValueError, KeyError, RuntimeError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         _write_error(getattr(args, "out", None), exc)
         return 1

@@ -21,6 +21,7 @@ __all__ = [
     "ActiveGraph",
     "default_device",
     "sample_disorder",
+    "sample_offsets",
     "active_subgraph",
     "grid_graph",
     "subgrid_device",
@@ -237,17 +238,24 @@ def default_device() -> DeviceModel:
     return DeviceModel(qubits, edges, broken_q, broken_e)
 
 
-def sample_disorder(sites: Iterable, bound_mhz: float, seed: int) -> DisorderMap:
-    """Uniform offsets in [-bound, +bound] MHz per site, deterministic in seed;
-    the bound is at most MAX_DISORDER_BOUND_MHZ."""
+def sample_offsets(n_sites: int, bound_mhz: float, seed: int) -> np.ndarray:
+    """Uniform offsets in [-bound, +bound] MHz, one per site, deterministic in seed;
+    the bound is at most MAX_DISORDER_BOUND_MHZ. The seed's draw fills one
+    column of a realisation array, and `sample_disorder` labels it by site."""
     if not (math.isfinite(bound_mhz) and 0 <= bound_mhz <= MAX_DISORDER_BOUND_MHZ):
         raise ValueError(
             f"disorder bound must be finite and nonnegative, at most MAX_DISORDER_BOUND_MHZ = "
             f"{MAX_DISORDER_BOUND_MHZ} MHz, got {bound_mhz!r}"
         )
+    if bound_mhz == 0:
+        return np.zeros(n_sites)
+    return rng_stream(seed, 0xD1).uniform(-bound_mhz, bound_mhz, size=n_sites)
+
+
+def sample_disorder(sites: Iterable, bound_mhz: float, seed: int) -> DisorderMap:
+    """`sample_offsets` as a map from each site to its offset in MHz."""
     sites = list(sites)
-    rng = rng_stream(seed, 0xD1)
-    values = rng.uniform(-bound_mhz, bound_mhz, size=len(sites)) if bound_mhz > 0 else np.zeros(len(sites))
+    values = sample_offsets(len(sites), bound_mhz, seed)
     return DisorderMap({s: float(v) for s, v in zip(sites, values)})
 
 

@@ -6,7 +6,7 @@ of the propagator (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984) applied
 to a block of states that share one real hopping matrix and differ only in a
 real diagonal per column. Fringe-grid cells and disorder realisations thus
 propagate together; a single state is the one-column case. Sample times are
-taken in windows of WINDOW_SAMPLES consecutive times, and each window runs one
+taken in windows of up to WINDOW_SAMPLES consecutive times, and each window runs one
 Chebyshev recurrence from its start state whose terms feed every sample in
 it, so a dense time series pays the series' truncation tail once per window
 rather than once per sample. Each window is cut at TOLERANCE divided by the
@@ -67,19 +67,26 @@ TOLERANCE = 1e-12
 
 # Consecutive sample times per Chebyshev recurrence in propagate_block. Every
 # window sample holds two block-sized real sums, so longer windows trade
-# memory for fewer scaled-operator products. Measured per operation of the
-# `ensemble` (101 samples, 32 columns, dim 225) and `walk` (dim 1891)
-# benchmark workloads, `bench/run.py --seconds 10` on a 2-core x86_64 machine:
+# memory for fewer scaled-operator products, and past six samples the
+# `ensemble` block (dim 225 x 32 columns) no longer fits one CHUNK_BYTES
+# chunk, so its chunks each pay every window's terms. Products per operation
+# of the `walk` (dim 1891, 61 samples) and `ensemble` (101 samples) benchmark
+# workloads, and the median (quartiles) of their propagate_block call alone,
+# interleaved over 40 rounds on a 2-core x86_64 machine with BLAS on one
+# thread; chunks in brackets:
 #
-#   window   products           op_s_p50 (s)                    peak RSS (MiB)
-#   samples  ensemble  walk     ensemble      walk              ensemble
-#   1        1,100     780      0.108-0.113   0.086-0.091       86.8-87.1
-#   4        434       324      0.082-0.089   0.068-0.071       88.0-88.2
-#   8        281       216      0.089-0.094   0.065-0.068       89.5
-#   16       203       155      0.076-0.097   0.055-0.088       94-106
+#   window   products               walk (ms)           ensemble (ms)
+#   samples  walk   ensemble        dim 1891 x 1        dim 225 x 32
+#   1        780    1,100 [1]       46.1 (40.3-49.3)    103.1 (91.2-111.5)
+#   4        324    434 [1]         22.9 (20.6-24.6)    60.4 (55.6-64.7)
+#   6        260    336 [1]         20.7 (19.4-21.8)    56.5 (53.1-60.9)
+#   8        216    562 [2]         19.2 (17.2-20.3)    65.7 (62.3-69.4)
+#   16       155    609 [3]         18.5 (15.8-19.5)    72.5 (69.1-76.5)
 #
-# Sixteen takes the ensemble's peak RSS past 5% of the one-sample engine's.
-WINDOW_SAMPLES = 4
+# The `sweep` block reads one sample and takes 258 products at every length.
+# A length set from the block's width would make a column's bits depend on
+# the columns beside it, so the length is one constant.
+WINDOW_SAMPLES = 6
 
 # Recurrence working set per column chunk in propagate_block, in bytes. The
 # budget counts (window samples + 3) x dim complex entries per column: one per
@@ -113,7 +120,8 @@ CHUNK_BYTES = 1 << 20
 # Largest Bessel argument half_width * max|dt| of a propagate_block window, in
 # rad: about its number of Chebyshev terms (the workloads use at most ~86).
 # At the cap, a 989 us step of `walk`'s dim-1891 block took 6.3-6.9 s on a
-# 2-core x86_64 machine with BLAS on one thread; past it the engine raises.
+# 2-core x86_64 machine with BLAS on one thread. A window closes before a
+# sample past the cap; a single step past it makes the engine raise.
 MAX_WINDOW_ARGUMENT = 1e5
 
 # (-i)^k for k mod 4, exact in complex arithmetic
@@ -268,7 +276,9 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
 
     Every column's spectrum lies in one Gershgorin interval [a - b, a + b] over
     the whole block, so one rescaled Chebyshev recurrence serves all columns.
-    Consecutive sample times are grouped into windows of WINDOW_SAMPLES. Each
+    Consecutive sample times are grouped into windows of WINDOW_SAMPLES, a
+    window closing early before a sample whose Bessel argument b |t - t0|
+    would exceed MAX_WINDOW_ARGUMENT from its start time t0. Each
     window runs one recurrence from the state at its start time t0 (0, or the
     previous window's last sample) and sums every term T_k into each sample
     with the coefficient (-i)^k r_jk, r_jk = (2 - delta_k0) J_k(b dt_j) real
@@ -277,9 +287,9 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
     coefficient grid depend only on a, b and the in-window offsets, and are
     cached per distinct tuple of offsets. Each window's samples are cut at
     TOLERANCE / n_windows, so the truncation errors summed over the windows
-    up to the last sample stay below TOLERANCE. A window whose Bessel argument
-    b |dt_j| exceeds MAX_WINDOW_ARGUMENT raises EvolutionError before any
-    coefficient is built.
+    up to the last sample stay below TOLERANCE. A single step past
+    MAX_WINDOW_ARGUMENT, which makes a window of its own, raises
+    EvolutionError before any coefficient is built.
 
     Each term is one fused step into a preallocated buffer (`_chebyshev_step`):
     T_1 = D T_0 + A T_0, and T_k = 2D T_(k-1) - T_(k-2) + 2A T_(k-1) for
@@ -338,26 +348,35 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
     doubled_h0 = 2.0 * scaled_h0
 
     times = [float(t) for t in times_ns]
-    windows = [times[w : w + WINDOW_SAMPLES] for w in range(0, len(times), WINDOW_SAMPLES)]
+    # (start time, sample times) per window: up to WINDOW_SAMPLES consecutive
+    # times, closed early before a sample past MAX_WINDOW_ARGUMENT from the start
+    windows, window, t_start = [], [], 0.0
+    for t in times:
+        if len(window) == WINDOW_SAMPLES or (
+            window and abs(half_width * ((t - t_start) * NS_TO_US)) > MAX_WINDOW_ARGUMENT
+        ):
+            windows.append((t_start, window))
+            window, t_start = [], window[-1]
+        window.append(t)
+    if window:
+        windows.append((t_start, window))
     window_tolerance = TOLERANCE / max(1, len(windows))
     grids = {}
     plan = []  # (sample times, phase parts, number of terms, coefficient rows) per window
-    t_start = 0.0
-    for window in windows:
+    for t_start, window in windows:
         # offsets in ns, scaled afterwards, so equal windows share one grid
         offsets = tuple(t - t_start for t in window)
         if offsets not in grids:
             dt = np.array(offsets) * NS_TO_US
             z = half_width * dt
             far = int(np.argmax(np.abs(z)))
-            if abs(z[far]) > MAX_WINDOW_ARGUMENT:
+            if abs(z[far]) > MAX_WINDOW_ARGUMENT:  # a single step: longer windows closed early
                 raise EvolutionError(f"sample time {window[far]!r} ns is too far from {t_start!r} ns for one "
                                      f"window: it needs about {abs(z[far]):.3g} terms, more than {MAX_WINDOW_ARGUMENT:.0e}")
             phases = np.exp(-1j * shift * dt)[:, None, None]
             coeffs = _chebyshev_coefficients(z, window_tolerance)
             grids[offsets] = phases.real, phases.imag, coeffs.shape[1], _coefficient_rows(coeffs)
         plan.append((window, *grids[offsets]))
-        t_start = window[-1]
 
     n_columns = x.shape[1]
     samples = [None] * len(times)  # one output array per sample time, filled chunk by chunk

@@ -21,7 +21,7 @@ import numpy as np
 from .device import ActiveGraph, DisorderMap
 from .sector import SectorBasis, lookup, row_sums
 
-__all__ = ["HamiltonianMatrix", "build_hamiltonian", "disorder_diagonals", "offset_diagonals", "TWO_PI"]
+__all__ = ["HamiltonianMatrix", "build_hamiltonian", "offset_diagonals", "TWO_PI"]
 
 TWO_PI = 2.0 * np.pi
 
@@ -107,16 +107,10 @@ def build_hamiltonian(
     cols = lookup(basis.keys, moved)
 
     diagonal = None
-    if any(disorder.get(s) for s in graph.sites):
-        diagonal = disorder_diagonals(graph, basis, [disorder])[:, 0]
+    offsets = np.array([disorder.get(s) for s in graph.sites], dtype=np.float64)
+    if np.any(offsets):
+        diagonal = offset_diagonals(basis, offsets[:, None])[:, 0]
     return HamiltonianMatrix(basis, rows, cols, amps[edge], diagonal)
-
-
-def disorder_diagonals(graph: ActiveGraph, basis: SectorBasis, disorders) -> np.ndarray:
-    """Sector diagonals in rad/us, one column per disorder map (dimension x maps):
-    2*pi * the sum of the map's offsets on each state's occupied sites."""
-    offsets = np.array([[d.get(s) for d in disorders] for s in graph.sites], dtype=np.float64)
-    return offset_diagonals(basis, offsets)
 
 
 def offset_diagonals(basis: SectorBasis, offsets: np.ndarray) -> np.ndarray:

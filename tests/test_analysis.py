@@ -29,9 +29,9 @@ from qwalk.analysis import (
     sign_alternations,
     unweighted_distances,
 )
-from qwalk.device import DisorderMap, active_subgraph, default_device, grid_graph, sample_disorder
+from qwalk.device import DisorderMap, active_subgraph, default_device, grid_graph, sample_offsets
 from qwalk.evolution import evolve_unitary
-from qwalk.hamiltonian import build_hamiltonian
+from qwalk.hamiltonian import build_hamiltonian, offset_diagonals
 from qwalk.sector import QuantumState, basis_state, enumerate_basis
 
 
@@ -341,10 +341,10 @@ def test_ensemble_series_is_mean_of_single_realisations():
     g = grid_graph(4, 4)
     origin = g.index[(0, 0)]
     diagonal = [g.index[(k, k)] for k in (1, 2, 3)]
-    disorders = [sample_disorder(g.sites, 1.6, seed) for seed in (5, 6, 7)]
+    offsets = np.column_stack([sample_offsets(g.n_sites, 1.6, seed) for seed in (5, 6, 7)])
     times = tuple(np.arange(0.0, 400.0 + 1e-9, 10.0))
-    together, _ = _diagonal_fronts(g, origin, diagonal, disorders, times)
-    alone = [_diagonal_fronts(g, origin, diagonal, [d], times)[0] for d in disorders]
+    together, _ = _diagonal_fronts(g, origin, diagonal, offsets, times)
+    alone = [_diagonal_fronts(g, origin, diagonal, column[:, None], times)[0] for column in offsets.T]
     for row, series in enumerate(together):
         mean = np.mean([single[row].values for single in alone], axis=0)
         assert np.max(np.abs(series.values - mean)) <= 1e-12
@@ -356,8 +356,8 @@ def test_study_is_independent_of_column_chunks(monkeypatch):
     fronts_of = analysis._diagonal_fronts
     monkeypatch.setattr(analysis, "_diagonal_fronts", lambda *args: runs.append(fronts_of(*args)) or runs[-1])
     whole = disorder_velocity_study(n_seeds=10, seed=11000)
-    # one column is (4 window samples + 3) x dim 225 x 16 B: chunks of 4, 4 and 2 realisations
-    monkeypatch.setattr(evolution, "CHUNK_BYTES", 4 * 7 * 225 * 16)
+    # one column is (window samples + 3) x dim 225 x 16 B: chunks of 4, 4 and 2 realisations
+    monkeypatch.setattr(evolution, "CHUNK_BYTES", 4 * (evolution.WINDOW_SAMPLES + 3) * 225 * 16)
     chunked = disorder_velocity_study(n_seeds=10, seed=11000)
     (series_whole, _), (series_chunked, _) = runs
     for a, b in zip(series_whole, series_chunked, strict=True):
@@ -368,6 +368,25 @@ def test_study_is_independent_of_column_chunks(monkeypatch):
     assert np.array_equal(
         [astuple(f) for f in chunked.fronts], [astuple(f) for f in whole.fronts], equal_nan=True
     )
+
+
+def test_ensemble_block_runs_as_one_chunk():
+    # the bench's `analyze --study distance-velocity --seeds 32` block: dim 225
+    # x 32 realisations, 101 samples, within one CHUNK_BYTES chunk
+    g = grid_graph(analysis.STUDY_SIDE, analysis.STUDY_SIDE)
+    basis = enumerate_basis(g.n_sites, 1)
+    offsets = np.column_stack([sample_offsets(g.n_sites, 1.6, seed) for seed in range(11000, 11032)])
+    block = np.repeat(basis_state(basis, {0}).amplitudes[:, None], 32, axis=1)
+    widths = []
+
+    def chunk_width(x):
+        widths.append(x.shape[1])
+        return x[0]
+
+    h0, diagonals = build_hamiltonian(g, basis).matrix, offset_diagonals(basis, offsets)
+    evolution.propagate_block(h0, diagonals, block, analysis.STUDY_TIMES_NS, chunk_width)
+    assert basis.dimension == 225
+    assert widths == [32] * len(analysis.STUDY_TIMES_NS) == [32] * 101
 
 
 def test_velocity_pipeline_runs_and_respects_bound():

@@ -427,6 +427,22 @@ def test_fit_without_an_accepted_start_raises(monkeypatch, trapped_seed):
     with pytest.raises(CalibrationError, match="best cost .*zero-map cost") as info:
         fit_disorder_map(datasets)
     assert set(info.value.best.offsets) == set(qubits)
+    assert "above the acceptance cost" in str(info.value)
+
+
+def test_fit_whose_polish_gives_up_within_the_acceptance_cost_names_the_failure():
+    # swap data at t = 0 only carry no information: every map fits them, the
+    # Jacobian is zero, and every full-data polish ends in singular normal
+    # equations at a cost far below the acceptance cost
+    device = subgrid_device(0, 4, 2, 2)
+    qubits = sorted(device.functional_qubits)
+    twin = CalibrationTwin(device, sample_disorder(qubits, 1.6, seed=3))
+    datasets = [generate_swap_data(twin, q, times_ns=(0.0,)) for q in qubits]
+    with pytest.raises(CalibrationError, match="best cost .*zero-map cost") as info:
+        fit_disorder_map(datasets)
+    message = str(info.value)
+    assert "within the acceptance cost" in message and "polish gave up: singular normal equations" in message
+    assert "above the acceptance cost" not in message
 
 
 def test_shot_data_fit_is_accepted_near_its_noise_floor():

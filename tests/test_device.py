@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qwalk.device import (
+    MAX_DISORDER_BOUND_MHZ,
     CouplingEdge,
     QubitId,
     QubitParams,
@@ -9,6 +12,7 @@ from qwalk.device import (
     default_device,
     grid_graph,
     sample_disorder,
+    sample_offsets,
     subgrid_device,
 )
 
@@ -135,6 +139,21 @@ def test_sample_disorder_contract():
     for bad in (-0.1, float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             sample_disorder(qs, bad, seed=0)
+
+
+@given(
+    st.sampled_from([0.0, -0.0, MAX_DISORDER_BOUND_MHZ]) | st.floats(0.0, MAX_DISORDER_BOUND_MHZ),
+    st.integers(0, 2**63),
+    st.sampled_from([default_device().functional_qubits, grid_graph(15, 15).sites, ["a"], []]),
+)
+def test_sample_disorder_is_the_offsets_array_by_site(bound, seed, sites):
+    # the study draws realisations as arrays; a map of the same seed holds the same bits
+    offsets = sample_offsets(len(sites), bound, seed)
+    disorder = sample_disorder(sites, bound, seed)
+    assert offsets.shape == (len(sites),) and offsets.dtype == np.float64
+    mapped = np.array([disorder.get(s) for s in sites], dtype=np.float64)
+    assert mapped.tobytes() == offsets.tobytes()
+    assert list(disorder.offsets) == list(sites)
 
 
 def test_subgrid_device():

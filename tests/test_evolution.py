@@ -340,8 +340,9 @@ def test_equal_windows_share_one_coefficient_grid(monkeypatch):
     _, b, h = chain_instance(6, k=2)
     times = tuple(np.arange(0.0, 1000.0 + 1e-9, 10.0))  # the distance-velocity study's samples
     propagate_block(h.matrix, np.zeros((b.dimension, 1)), basis_state(b, {0, 3}).amplitudes[:, None], times)
-    # offsets (0, 10, 20, 30), then (10, 20, 30, 40) for every full window, then (10,)
-    assert [len(z) for z in calls] == [WINDOW_SAMPLES, WINDOW_SAMPLES, 1]
+    # offsets (0, 10, .., 50), then (10, 20, .., 60) for every full window, then the
+    # remaining (10, .., 50): windows of 6, 6 and 5 samples
+    assert [len(z) for z in calls] == [WINDOW_SAMPLES, WINDOW_SAMPLES, (len(times) - WINDOW_SAMPLES) % WINDOW_SAMPLES]
 
 
 @given(st.lists(st.floats(-400.0, 400.0), min_size=1, max_size=WINDOW_SAMPLES))
@@ -392,6 +393,9 @@ def test_engine_rejects_a_window_past_the_term_cap(monkeypatch):
     x = basis_state(b, {0}).amplitudes[:, None]
     zeros = np.zeros((b.dimension, 1))
     with pytest.raises(EvolutionError, match="sample time 1000000000.0 ns is too far from 0.0 ns"):
+        propagate_block(h.matrix, zeros, x, (1e9,))
+    # a window closes before a sample past the cap, so the step from its last sample raises
+    with pytest.raises(EvolutionError, match="sample time 1000000000.0 ns is too far from 10.0 ns"):
         propagate_block(h.matrix, zeros, x, (10.0, 1e9))
     # a zero diagonal puts the Gershgorin half-width at the largest absolute row sum
     half_width = float(abs(h.matrix).sum(axis=1).max())
@@ -402,8 +406,52 @@ def test_engine_rejects_a_window_past_the_term_cap(monkeypatch):
     with pytest.raises(EvolutionError, match="too far from 0.0 ns"):
         propagate_block(h.matrix, zeros, x, (1.1 * t_cap,))
     # the cap bounds each window's reach from its start, not the last time
-    times = 0.2 * t_cap * np.arange(1, 3 * WINDOW_SAMPLES + 1)
+    times = 0.8 / WINDOW_SAMPLES * t_cap * np.arange(1, 3 * WINDOW_SAMPLES + 1)
     assert len(propagate_block(h.matrix, zeros, x, times)) == len(times)
+
+
+@st.composite
+def capped_grids(draw, past: bool):
+    """Sample times as steps from t = 0 in units of the step that reaches the
+    term cap: every step under it, or with one step past it. A past-cap grid
+    moves one way only, so the step also passes the cap from its window's start."""
+    n = draw(st.integers(1, 3 * WINDOW_SAMPLES))
+    if not past:
+        return draw(st.lists(st.floats(-0.99, 0.99), min_size=n, max_size=n)), None
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    steps = [sign * f for f in draw(st.lists(st.floats(0.0, 0.99), min_size=n, max_size=n))]
+    far = draw(st.integers(0, n - 1))
+    steps[far] = sign * draw(st.floats(1.01, 4.0))
+    return steps, far
+
+
+@given(st.data(), st.booleans())
+def test_sparse_grids_run_unless_a_single_step_passes_the_term_cap(data, past):
+    # a window closes before a sample past MAX_WINDOW_ARGUMENT from its start,
+    # so only a step past it from the sample before, where a window must start, raises
+    steps, far = data.draw(capped_grids(past))
+    _, b, h = chain_instance(4)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(b.dimension, 2)) + 1j * rng.normal(size=(b.dimension, 2))
+    x /= np.linalg.norm(x, axis=0)
+    zeros = np.zeros((b.dimension, 2))
+    # a zero diagonal puts the Gershgorin half-width at the largest absolute row sum
+    half_width = float(abs(h.matrix).sum(axis=1).max())
+    t_cap = 50.0 / half_width / evolution.NS_TO_US
+    times = [float(t) for t in np.cumsum(steps) * t_cap]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "MAX_WINDOW_ARGUMENT", 50.0)
+        if past:
+            start = times[far - 1] if far else 0.0
+            with pytest.raises(EvolutionError, match=f"sample time {times[far]!r} ns is too far from {start!r} ns"):
+                propagate_block(h.matrix, zeros, x, times)
+            return
+        ys = propagate_block(h.matrix, zeros, x, times)
+    assert len(ys) == len(times)
+    dense = h.to_dense()
+    for t, y in zip(times, ys):
+        assert np.allclose(np.linalg.norm(y, axis=0), 1.0, atol=1e-12)
+        assert np.max(np.abs(y - expm(-1j * (t * 1e-3) * dense) @ x)) < 1e-10
 
 
 def test_dimension_mismatch():

@@ -349,6 +349,20 @@ def test_cli_analyze_past_the_seed_cap_fails_before_the_study(tmp_path, monkeypa
     assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "failed"
 
 
+@pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError, FloatingPointError])
+def test_cli_arithmetic_error_is_domain_error(tmp_path, monkeypatch, capsys, error):
+    # an ArithmeticError from an input no check covers exits 1 with error.json, not a traceback
+    def overflowing(*args, **kwargs):
+        raise error("math range error")
+
+    monkeypatch.setattr(analysis, "disorder_velocity_study", overflowing)
+    assert main(["analyze", "--study", "distance-velocity", "--seeds", "2", "--out", str(tmp_path)]) == 1
+    doc = json.loads((tmp_path / "error.json").read_text())
+    assert doc == {"error": "math range error", "type": error.__name__}
+    assert "Traceback" not in capsys.readouterr().err
+    assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "failed"
+
+
 def test_cli_analyze_seed_cap_is_inclusive(tmp_path, monkeypatch):
     monkeypatch.setattr(analysis, "MAX_STUDY_SEEDS", 2)
     argv = ["analyze", "--study", "distance-velocity", "--seeds"]

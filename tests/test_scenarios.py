@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qwalk.cli import main
 from qwalk.device import default_device, sample_disorder
 from qwalk.evolution import propagate_block
-from qwalk.hamiltonian import disorder_diagonals
+from qwalk.hamiltonian import offset_diagonals
 from qwalk.scenarios import (
     MAX_SHOTS,
     DisorderStepProtocol,
@@ -294,13 +294,15 @@ def test_sweep_batched_matches_per_cell_runs():
 
 def _per_cell_sweep(sc, d_left, d_right, t_read):
     """The sweep grid built cell by cell: a DisorderStepProtocol map per cell
-    through disorder_diagonals, then the same block propagation and detector read."""
+    read site by site into one offsets column, then the same block propagation
+    and detector read."""
     layout = layout_from_names(sc.layout_names)
     static = replace(sc, step_d_left_mhz=0.0, step_d_right_mhz=0.0).disorder()
     graph, basis, psi0, h0 = _scenario_setup(sc, default_device(), static)
     cells = [DisorderStepProtocol(dl, dr).offsets(layout) for dl in d_left for dr in d_right]
     block = np.repeat(psi0.amplitudes[:, None], len(cells), axis=1)
-    (p,) = propagate_block(h0.matrix, disorder_diagonals(graph, basis, cells), block, (t_read,))
+    offsets = np.array([[cell.get(s) for cell in cells] for s in graph.sites])
+    (p,) = propagate_block(h0.matrix, offset_diagonals(basis, offsets), block, (t_read,))
     detector = site_sums(basis.sites, p.real**2 + p.imag**2, graph.n_sites)[graph.index[layout.detector]]
     return detector.reshape(len(d_left), len(d_right))
 
