@@ -96,8 +96,9 @@ def _parse_range(spec: str) -> np.ndarray:
     return values
 
 
-def _grid_snapshot(result, t_ns: float) -> tuple[np.ndarray, np.ndarray]:
-    """Map a scenario population column onto the 8x8 grid; inactive cells masked."""
+def _grid_snapshot(result, t_ns: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Map the population column sampled nearest t_ns onto the 8x8 grid, inactive
+    cells masked; also the time of that column."""
     k = int(np.argmin(np.abs(np.array(result.times_ns) - t_ns)))
     grid = np.zeros((8, 8))
     mask = np.ones((8, 8), dtype=bool)
@@ -105,11 +106,11 @@ def _grid_snapshot(result, t_ns: float) -> tuple[np.ndarray, np.ndarray]:
         r, c = QubitId.parse(label).grid_position
         grid[r, c] = value
         mask[r, c] = False
-    return grid, mask
+    return grid, mask, result.times_ns[k]
 
 
 def _cmd_run(args) -> int:
-    from .records import RecordWriter, ResultRecord, RunManifest, write_csv_matrix
+    from .records import FloatTable, RecordWriter, RunManifest, populations_lines, shots_outputs, write_csv_matrix
     from .scenarios import Scenario, run_scenario
     from .svg import render_heatmap
 
@@ -122,37 +123,28 @@ def _cmd_run(args) -> int:
     outputs = ["records.jsonl", "populations.csv", "snapshot.svg"]
     with RunManifest(scenario.name, scenario.seed, __version__, str(out), overrides, outputs) as manifest:
         result = run_scenario(scenario, device)
+        # the populations are spelled once, for their records and their CSV
+        populations = FloatTable(result.populations)
         with RecordWriter(out / "records.jsonl") as writer:
-            for k, t in enumerate(result.times_ns):
-                writer.write(
-                    ResultRecord(
-                        "populations",
-                        {"sites": list(result.sites), "values": result.populations[:, k]},
-                        {"time_ns": t},
-                    )
-                )
+            writer.write_lines(populations_lines(result.sites, result.times_ns, populations))
             if result.shots is not None:
-                writer.write(
-                    ResultRecord(
-                        "shots",
-                        {"counts": result.shots.counts, "retention": result.retention},
-                        {"time_ns": scenario.readout_time_ns},
-                    )
-                )
+                # the shots record and shots.txt from one sorted pass over the counts
+                shots_line, shots_text = shots_outputs(result.shots.counts, result.retention, scenario.readout_time_ns)
+                writer.write_lines([shots_line])
         write_csv_matrix(
             out / "populations.csv",
-            result.populations,
+            populations,
             row_labels=result.sites,
             col_labels=[repr(float(t)) for t in result.times_ns],
             corner="site\\time_ns",
         )
-        t_snap = scenario.readout_time_ns if scenario.readout_time_ns is not None else result.times_ns[-1]
-        grid, mask = _grid_snapshot(result, t_snap)
+        t_read = scenario.readout_time_ns if scenario.readout_time_ns is not None else result.times_ns[-1]
+        grid, mask, t_snap = _grid_snapshot(result, t_read)
         (out / "snapshot.svg").write_text(
             render_heatmap(grid, vmin=0.0, title=f"{scenario.name} t={t_snap:g} ns", mask=mask)
         )
         if result.shots is not None:
-            (out / "shots.txt").write_text(result.shots.to_lines())
+            (out / "shots.txt").write_text(shots_text)
             manifest.add_output("shots.txt")
     return 0
 

@@ -425,10 +425,20 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
             np.add(out.imag, np.multiply(phase_re, odd, out=even), out=out.imag)
             flat = out.view(np.float64)
             np.add(flat, 0.0, out=flat)
-            for t, yt in zip(window, out):
-                drift = np.abs(np.linalg.norm(yt, axis=0) - norms0)
-                if not np.all(drift <= NORM_TOL):
-                    raise EvolutionError(f"norm drifted by {np.max(drift)} at t={t} ns")
+            # every sample's squared column norms from one reduction over the
+            # window; the first sample that drifts is named
+            if width == 1:  # the one column's (re, im) pairs lie contiguous
+                samples_flat = flat.reshape(m, -1)
+                squares = np.einsum("si,si->s", samples_flat, samples_flat)[:, None]
+            else:
+                squares = np.einsum("sij,sij->sj", flat, flat)
+                squares = squares[:, 0::2] + squares[:, 1::2]
+            drift = np.abs(np.sqrt(squares) - norms0)
+            held = np.all(drift <= NORM_TOL, axis=1)
+            if not held.all():
+                first = int(np.argmin(held))
+                raise EvolutionError(f"norm drifted by {np.max(drift[first])} at t={window[first]} ns")
+            for yt in out:
                 observed = yt if observe is None else observe(yt)
                 if samples[sample] is None:
                     samples[sample] = np.empty(observed.shape[:-1] + (n_columns,), observed.dtype)

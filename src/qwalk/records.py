@@ -10,7 +10,16 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["ResultRecord", "RecordWriter", "RunManifest", "write_csv_matrix", "read_records"]
+__all__ = [
+    "FloatTable",
+    "ResultRecord",
+    "RecordWriter",
+    "RunManifest",
+    "populations_lines",
+    "read_records",
+    "shots_outputs",
+    "write_csv_matrix",
+]
 
 RECORD_SCHEMA_VERSION = 1
 
@@ -61,7 +70,76 @@ class ResultRecord:
             "coords": _jsonable(self.coords),
             "payload": _jsonable(self.payload),
         }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return _dumps(doc)
+
+
+def _dumps(doc) -> str:
+    """Canonical JSON: sorted keys, compact separators."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+# json.dumps spells the non-finite floats apart from their repr
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+class FloatTable:
+    """A float matrix spelled once, each entry as its `repr`.
+
+    `json.dumps` spells a finite float as its `repr` too, so one table gives
+    both the CSV rows and the JSON arrays of the columns.
+    """
+
+    def __init__(self, matrix):
+        m = np.asarray(matrix, dtype=np.float64)
+        if m.ndim != 2:
+            raise ValueError(f"a float table needs a 2D matrix, got shape {m.shape}")
+        self.shape = m.shape
+        self.rows = [list(map(repr, row)) for row in m.tolist()]
+        self._finite = bool(np.isfinite(m).all())
+
+    def json_columns(self) -> list[str]:
+        """Each column as its JSON array, as `json.dumps` spells it."""
+        if not self.rows:
+            return ["[]"] * self.shape[1]
+        columns = zip(*self.rows)
+        if not self._finite:
+            columns = ([_JSON_NON_FINITE.get(s, s) for s in column] for column in columns)
+        return ["[" + ",".join(column) + "]" for column in columns]
+
+
+def _record_line(kind: str, coords: str, payload: str) -> str:
+    """A record's JSON line, `to_json()` spelled by hand, from its coords and
+    payload objects already spelled as canonical JSON."""
+    return f'{{"coords":{coords},"kind":"{kind}","payload":{payload},"schema_version":{RECORD_SCHEMA_VERSION}}}'
+
+
+def populations_lines(sites, times_ns, table: FloatTable) -> list[str]:
+    """One `populations` record per time, as its JSON line, from the table of
+    populations (sites x times): byte for byte the `to_json()` of
+    `ResultRecord("populations", {"sites": sites, "values": column}, {"time_ns": t})`.
+    """
+    sites = _dumps(_jsonable(list(sites)))
+    return [
+        _record_line("populations", f'{{"time_ns":{_dumps(_jsonable(t))}}}', f'{{"sites":{sites},"values":{values}}}')
+        for t, values in zip(times_ns, table.json_columns())
+    ]
+
+
+def shots_outputs(counts: dict, retention, time_ns) -> tuple[str, str]:
+    """The `shots` record's JSON line and the shots.txt text, from one sorted
+    pass over the counts of each bitstring: byte for byte the `to_json()` of
+    `ResultRecord("shots", {"counts": counts, "retention": retention}, {"time_ns": time_ns})`
+    and `ShotCounts.to_lines()`.
+    """
+    items = sorted(counts.items())
+    # the items are in key order already, so the counts need no sort_keys
+    spelled = json.dumps(dict(items), separators=(",", ":"), default=_jsonable)
+    line = _record_line(
+        "shots",
+        f'{{"time_ns":{_dumps(_jsonable(time_ns))}}}',
+        f'{{"counts":{spelled},"retention":{_dumps(_jsonable(retention))}}}',
+    )
+    return line, "".join([f"{bits} {count}\n" for bits, count in items])
 
 
 class RecordWriter:
@@ -73,6 +151,10 @@ class RecordWriter:
 
     def write(self, record: ResultRecord) -> None:
         self._fh.write(record.to_json() + "\n")
+
+    def write_lines(self, lines) -> None:
+        """Records already spelled as their JSON lines, such as `populations_lines` gives."""
+        self._fh.write("".join(line + "\n" for line in lines))
 
     def close(self) -> None:
         self._fh.close()
@@ -96,12 +178,13 @@ def read_records(path) -> list[ResultRecord]:
 
 
 def write_csv_matrix(path, matrix, row_labels=None, col_labels=None, corner: str = "") -> None:
-    matrix = np.asarray(matrix, dtype=np.float64)
+    """A float matrix, or a `FloatTable` already spelled, as CSV: each float as its `repr`."""
+    table = matrix if isinstance(matrix, FloatTable) else FloatTable(matrix)
     lines = []
     if col_labels is not None:
         lines.append(corner + "," + ",".join(str(c) for c in col_labels))
-    for i, row in enumerate(matrix):
-        cells = ",".join(map(repr, row.tolist()))
+    for i, row in enumerate(table.rows):
+        cells = ",".join(row)
         if row_labels is not None:
             lines.append(f"{row_labels[i]},{cells}")
         else:

@@ -227,6 +227,8 @@ class Scenario:
         t = self.times_ns
         if not t or not all(map(math.isfinite, t)) or t[0] < 0 or any(b <= a for a, b in zip(t, t[1:])):
             raise ValueError("times_ns must be a nonempty, strictly increasing list of finite nonnegative times")
+        for label in self.static_disorder_mhz:
+            QubitId.parse(label)  # a bad label fails here, before the run starts
         for name, value in (
             *((f"static_disorder_mhz[{k!r}]", v) for k, v in self.static_disorder_mhz.items()),
             ("step_d_left_mhz", self.step_d_left_mhz),

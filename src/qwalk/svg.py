@@ -5,6 +5,8 @@ byte-identical documents.
 """
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 __all__ = ["render_heatmap"]
@@ -17,6 +19,17 @@ _RAMP = (
     (0.75, (94, 201, 98)),
     (1.0, (253, 231, 37)),
 )
+
+
+# characters XML 1.0 does not allow in a document, escaped or not
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def _text(value) -> str:
+    """A value as XML character data: `&`, `<` and `>` escaped, and each character
+    XML does not allow replaced by U+FFFD."""
+    text = str(value).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return _NOT_XML.sub("\ufffd", text)
 
 
 def _color(x: float) -> str:
@@ -66,7 +79,7 @@ def render_heatmap(
     ]
     if title:
         parts.append(
-            f'<text x="{margin_left}" y="20" font-family="monospace" font-size="13" fill="#000000">{title}</text>'
+            f'<text x="{margin_left}" y="20" font-family="monospace" font-size="13" fill="#000000">{_text(title)}</text>'
         )
     for i in range(rows):
         for j in range(cols):
@@ -80,14 +93,14 @@ def render_heatmap(
         for i, lab in enumerate(row_labels):
             y = margin_top + i * cell + cell // 2 + 4
             parts.append(
-                f'<text x="4" y="{y}" font-family="monospace" font-size="10" fill="#000000">{lab}</text>'
+                f'<text x="4" y="{y}" font-family="monospace" font-size="10" fill="#000000">{_text(lab)}</text>'
             )
     if col_labels is not None:
         y = margin_top + rows * cell + 14
         for j, lab in enumerate(col_labels):
             x = margin_left + j * cell
             parts.append(
-                f'<text x="{x}" y="{y}" font-family="monospace" font-size="10" fill="#000000">{lab}</text>'
+                f'<text x="{x}" y="{y}" font-family="monospace" font-size="10" fill="#000000">{_text(lab)}</text>'
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -388,6 +388,26 @@ def test_engine_rejects_non_finite_input():
             propagate_block(h.matrix, np.zeros((b.dimension, 1)), x, (10.0, t))
 
 
+@pytest.mark.parametrize("columns", [1, 3])
+def test_engine_names_the_first_sample_whose_norm_drifts(monkeypatch, columns):
+    # coefficients 1% too large from each window's fourth sample on: every
+    # window checks its samples at once, and the error names the first drift
+    grid = evolution._chebyshev_coefficients
+
+    def drifting(z, tol):
+        coeffs = grid(z, tol)
+        coeffs[3:] *= 1.01
+        return coeffs
+
+    monkeypatch.setattr(evolution, "_chebyshev_coefficients", drifting)
+    _, b, h = chain_instance(6, k=2)
+    x = np.repeat(basis_state(b, {0, 3}).amplitudes[:, None], columns, axis=1)
+    times = tuple(np.arange(0.0, 100.0 + 1e-9, 10.0))
+    with pytest.raises(EvolutionError, match=r"at t=30\.0 ns$") as exc:
+        propagate_block(h.matrix, np.zeros((b.dimension, columns)), x, times)
+    assert float(str(exc.value).split()[3]) == pytest.approx(0.01)
+
+
 def test_engine_rejects_a_window_past_the_term_cap(monkeypatch):
     _, b, h = chain_instance(4)
     x = basis_state(b, {0}).amplitudes[:, None]

@@ -1,11 +1,17 @@
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given
+from hypothesis import strategies as st
 
 from qwalk import analysis, calibration, evolution, scenarios
 from qwalk.analysis import disorder_velocity_study, lr_bound
@@ -18,7 +24,17 @@ from qwalk.device import (
     sample_disorder,
     subgrid_device,
 )
-from qwalk.records import RecordWriter, ResultRecord, RunManifest, read_records, write_csv_matrix
+from qwalk.measurement import ShotCounts
+from qwalk.records import (
+    FloatTable,
+    RecordWriter,
+    ResultRecord,
+    RunManifest,
+    populations_lines,
+    read_records,
+    shots_outputs,
+    write_csv_matrix,
+)
 from qwalk.svg import render_heatmap
 
 
@@ -79,6 +95,133 @@ def test_write_csv_matrix(tmp_path):
         write_csv_matrix(path, m)
         assert path.read_text() == "".join(",".join(repr(float(x)) for x in row) + "\n" for row in m)
     assert path.read_text() == "3.0,-1.0\n0.0,1.152921504606847e+18\n"
+
+
+def _csv_oracle(matrix, row_labels=None, col_labels=None, corner=""):
+    """populations.csv as written before the float table: each row's floats spelled on their own."""
+    lines = [] if col_labels is None else [corner + "," + ",".join(str(c) for c in col_labels)]
+    for i, row in enumerate(np.asarray(matrix, dtype=np.float64)):
+        cells = ",".join(map(repr, row.tolist()))
+        lines.append(cells if row_labels is None else f"{row_labels[i]},{cells}")
+    return "\n".join(lines) + "\n"
+
+
+def _canonical(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -2.225e-308, 1e16, -1.2345678901234567e300, math.nan, math.inf, -math.inf)
+_floats = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
+_labels = st.text(st.characters(codec="utf-8"), min_size=1, max_size=6)
+_times = st.one_of(st.integers(-(2**70), 2**70), st.floats())
+
+
+@given(data=st.data(), n_rows=st.integers(0, 4), n_cols=st.integers(0, 4))
+def test_float_table_writes_what_json_dumps_and_the_old_csv_write(data, n_rows, n_cols, tmp_path_factory):
+    matrix = np.array(data.draw(st.lists(_floats, min_size=n_rows * n_cols, max_size=n_rows * n_cols)))
+    matrix = matrix.reshape(n_rows, n_cols)
+    sites = data.draw(st.lists(_labels, min_size=n_rows, max_size=n_rows))
+    times = data.draw(st.lists(_times, min_size=n_cols, max_size=n_cols))
+    table = FloatTable(matrix)
+    expected = [
+        _canonical({"coords": {"time_ns": t}, "kind": "populations", "schema_version": 1,
+                    "payload": {"sites": sites, "values": matrix[:, k].tolist()}})
+        for k, t in enumerate(times)
+    ]
+    assert populations_lines(sites, times, table) == expected
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    col_labels = [repr(float(t)) for t in times]
+    for labels in ({}, {"row_labels": sites, "col_labels": col_labels, "corner": "site\\time_ns"}):
+        oracle = _csv_oracle(matrix, **labels)
+        for written in (table, matrix):
+            write_csv_matrix(path, written, **labels)
+            with open(path, newline="") as fh:  # a label may hold a carriage return
+                assert fh.read() == oracle
+
+
+_counts = st.one_of(
+    st.dictionaries(st.text("01", min_size=1, max_size=8), st.integers(1, 10**6), min_size=1, max_size=20),
+    # keys JSON must escape, and counts that are numpy or bool scalars
+    st.dictionaries(_labels, st.one_of(st.integers(1, 10**6), st.integers(1, 99).map(np.int64), st.just(True)),
+                    min_size=1, max_size=5),
+)
+
+
+@given(counts=_counts, retention=st.floats(0.0, 1.0), time_ns=st.one_of(st.none(), _times))
+def test_shots_outputs_write_what_json_dumps_and_to_lines(counts, retention, time_ns):
+    line, text = shots_outputs(counts, retention, time_ns)
+    # to_json is json.dumps, after numpy scalars are turned into Python ones
+    assert line == ResultRecord("shots", {"counts": counts, "retention": retention}, {"time_ns": time_ns}).to_json()
+    assert text == ShotCounts(counts, sum(counts.values()), 8).to_lines()
+
+
+def test_float_table_needs_a_matrix():
+    for bad in (np.zeros(3), np.zeros((2, 2, 2)), 1.0):
+        with pytest.raises(ValueError, match="2D"):
+            FloatTable(bad)
+
+
+# sha256 of records.jsonl, populations.csv and shots.txt, measured before these
+# files were written from one float table; their populations and shots are
+# pinned under every BLAS kernel (test_measurement.OUTPUT_DIGESTS), so these
+# bytes are too
+RUN_OUTPUT_DIGESTS = {
+    ("--override", "n_shots=2000", "--seed", "7"): {
+        "records.jsonl": "6b5235c6e72299d994a2fab1e11bccbd5eb6e12375e075bb8c33e9e605aeaf67",
+        "populations.csv": "6d33ce11042ea4e3e0b40aae746b71ca7a9f15c4d959bf5b2445ac690542fc0e",
+        "shots.txt": "6a72330f3a870ad791c63ccea7933e743e5b0cc8e551cfb0e3be9d4551dae15a",
+    },
+    ("--override", 'static_disorder_mhz={"U00Q0": 0.7, "U11Q1": -0.4}'): {
+        "records.jsonl": "1e202ed16244f87ec2ee60bfe6d204ab2416ea64393ccd068cd919c8ce438278",
+        "populations.csv": "636c49993f78342d2ebd8212a667b8f598bd8868f4b249c658925055e3487f98",
+    },
+}
+
+
+@pytest.mark.parametrize("flags", list(RUN_OUTPUT_DIGESTS))
+def test_cli_run_outputs_pinned(tmp_path, flags):
+    assert main(["run", "--scenario", "ctqw-two", *flags, "--out", str(tmp_path)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in RUN_OUTPUT_DIGESTS[flags]}
+    assert digests == RUN_OUTPUT_DIGESTS[flags]
+
+
+def _svg_title(path) -> str:
+    root = ET.parse(path).getroot()
+    return root.find("{http://www.w3.org/2000/svg}text").text
+
+
+def test_cli_svg_titles_parse_as_xml(tmp_path):
+    name = "a<b & c> é\x01"
+    run = tmp_path / "run"
+    assert main(["run", "--scenario", "ctqw-single", "--override", "name=" + json.dumps(name),
+                 "--override", "times_ns=[0, 10]", "--out", str(run)]) == 0
+    assert _svg_title(run / "snapshot.svg") == "a<b & c> \u00e9\ufffd t=10 ns"
+    sweep = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", "mz-single", "--override", 'name="x&y"', "--d-left", "0:1:2",
+                 "--d-right", "0:1:2", "--out", str(sweep)]) == 0
+    assert _svg_title(sweep / "fringe.svg").startswith("x&y detector at ")
+    rendered = tmp_path / "r.svg"
+    assert main(["render", "--input", str(sweep / "fringe.csv"), "--title", "<&>", "--out", str(rendered)]) == 0
+    assert _svg_title(rendered) == "<&>"
+
+
+def test_cli_bad_disorder_label_fails_before_the_run(tmp_path, capsys):
+    code = main(["run", "--scenario", "ctqw-single", "--override", 'static_disorder_mhz={"BAD": 1}',
+                 "--out", str(tmp_path)])
+    assert code == 1 and "bad qubit label 'BAD'" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["error.json"]  # no manifest: the run never started
+
+
+def test_heatmap_title_without_markup_keeps_its_bytes():
+    svg = render_heatmap(np.eye(2), title="ctqw-2walker t=550 ns")
+    assert '>ctqw-2walker t=550 ns</text>' in svg
+
+
+def test_cli_snapshot_names_the_time_it_draws(tmp_path):
+    # the snapshot draws the sampled column nearest the readout time, 10 ns here
+    assert main(["run", "--scenario", "ctqw-single", "--override", "times_ns=[0, 10, 20]",
+                 "--override", "readout_time_ns=13", "--out", str(tmp_path)]) == 0
+    assert _svg_title(tmp_path / "snapshot.svg") == "ctqw-1walker t=10 ns"
 
 
 def test_heatmap_deterministic_and_structured():
@@ -633,3 +776,49 @@ def test_cli_seed_override_wins(tmp_path):
     )
     assert code == 0
     assert json.loads((out / "manifest.json").read_text())["seed"] == 9
+
+
+# bounded inputs: at most 5 sample times up to 1000 ns, at most two walkers and
+# 20 shots, so every example runs in well under a second
+_RUN_OVERRIDES = {
+    "times_ns": st.one_of(
+        st.lists(st.integers(0, 1000), min_size=1, max_size=5, unique=True).map(sorted),
+        st.lists(st.floats(-10.0, 1000.0), max_size=5),
+    ),
+    "n_shots": st.one_of(st.none(), st.integers(1, 20), st.integers(-3, 0), st.just(2.5), st.just("7")),
+    "sources": st.lists(st.sampled_from(["U00Q0", "U00Q1", "U33Q2", "U03Q2", "U99Q0", "x"]), max_size=2),
+    "readout_time_ns": st.one_of(st.none(), st.floats(0.0, 1000.0), st.just(-1.0)),
+    "static_disorder_mhz": st.dictionaries(
+        st.sampled_from(["U00Q0", "U11Q1", "U03Q2", "BAD"]), st.floats(-5.0, 5.0), max_size=2
+    ),
+    "name": st.text(st.one_of(st.characters(codec="utf-8"), st.sampled_from("<&>\u00e9\u6f22")), max_size=8),
+}
+
+
+@given(
+    overrides=st.fixed_dictionaries({}, optional=_RUN_OVERRIDES),
+    raw_name=st.booleans(),
+)
+def test_cli_run_exits_0_with_consistent_outputs_or_1_with_error_json(overrides, raw_name):
+    # a name is passed as JSON text or as it is (read as JSON where it parses)
+    flags = []
+    for key, value in overrides.items():
+        text = value if key == "name" and raw_name else json.dumps(value)
+        flags += ["--override", f"{key}={text}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run"
+        code = main(["run", "--scenario", "ctqw-single", *flags, "--out", str(out)])
+        event(f"exit {code}")
+        if code != 0:
+            assert code == 1 and os.listdir(out) == ["error.json"]
+            return
+        records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+        rows = [line.split(",") for line in (out / "populations.csv").read_text().splitlines()]
+        sites, columns = [row[0] for row in rows[1:]], list(zip(*(row[1:] for row in rows[1:])))
+        populations = [r for r in records if r["kind"] == "populations"]
+        assert [r["coords"]["time_ns"] for r in populations] == [float(t) for t in rows[0][1:]]
+        assert len(populations) == len(columns)
+        for record, column in zip(populations, columns):
+            assert record["payload"]["sites"] == sites
+            assert record["payload"]["values"] == [float(v) for v in column]
+        ET.parse(out / "snapshot.svg")
