@@ -11,8 +11,10 @@ propagation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +48,8 @@ _BUILTIN_SCENARIOS = {
 }
 
 
-def _load_scenario(ref: str, out: Path, device) -> dict:
-    """The scenario document of a builtin name or a JSON file; `Scenario.from_dict` checks it.
+def _scenario_document(ref: str, out: Path, device) -> dict:
+    """The scenario document of a builtin name or a JSON file.
 
     Once the scenario is found the output directory is made, so any later
     failure, a file that is not JSON included, leaves error.json there.
@@ -63,6 +65,27 @@ def _load_scenario(ref: str, out: Path, device) -> dict:
         return json.loads(path.read_text())
     except ValueError as exc:  # not JSON, or not UTF-8 text
         raise ValueError(f"scenario file {ref!r} is not valid JSON: {exc}") from None
+
+
+def _load_scenario(args, out: Path, device):
+    """The command's `Scenario` and its `--override` map: the document of
+    `--scenario` with the overrides applied, then `--seed` where the command
+    has it. A static disorder on a label that is not a functional qubit of
+    `device` is rejected here, before any manifest is written."""
+    from .scenarios import Scenario
+
+    doc = _scenario_document(args.scenario, out, device)
+    overrides = _parse_overrides(args.override)
+    seed = {} if getattr(args, "seed", None) is None else {"seed": args.seed}
+    scenario = Scenario.from_dict({**doc, **overrides, **seed})
+    idle = [
+        label
+        for label in scenario.static_disorder_mhz
+        if (q := QubitId.parse(label)) not in device.qubits or q in device.broken_qubits
+    ]
+    if idle:
+        raise ValueError(f"static_disorder_mhz names qubits the device does not run: {', '.join(idle)}")
+    return scenario, overrides
 
 
 def _parse_overrides(pairs) -> dict:
@@ -111,15 +134,12 @@ def _grid_snapshot(result, t_ns: float) -> tuple[np.ndarray, np.ndarray, float]:
 
 def _cmd_run(args) -> int:
     from .records import FloatTable, RecordWriter, RunManifest, populations_lines, shots_outputs, write_csv_matrix
-    from .scenarios import Scenario, run_scenario
+    from .scenarios import run_scenario
     from .svg import render_heatmap
 
     out = Path(args.out)
     device = default_device()
-    doc = _load_scenario(args.scenario, out, device)
-    overrides = _parse_overrides(args.override)
-    seed = {} if args.seed is None else {"seed": args.seed}
-    scenario = Scenario.from_dict({**doc, **overrides, **seed})
+    scenario, overrides = _load_scenario(args, out, device)
     outputs = ["records.jsonl", "populations.csv", "snapshot.svg"]
     with RunManifest(scenario.name, scenario.seed, __version__, str(out), overrides, outputs) as manifest:
         result = run_scenario(scenario, device)
@@ -129,7 +149,7 @@ def _cmd_run(args) -> int:
             writer.write_lines(populations_lines(result.sites, result.times_ns, populations))
             if result.shots is not None:
                 # the shots record and shots.txt from one sorted pass over the counts
-                shots_line, shots_text = shots_outputs(result.shots.counts, result.retention, scenario.readout_time_ns)
+                shots_line, shots_text = shots_outputs(result.shots.counts, result.retention, scenario.readout_time)
                 writer.write_lines([shots_line])
         write_csv_matrix(
             out / "populations.csv",
@@ -138,8 +158,7 @@ def _cmd_run(args) -> int:
             col_labels=[repr(float(t)) for t in result.times_ns],
             corner="site\\time_ns",
         )
-        t_read = scenario.readout_time_ns if scenario.readout_time_ns is not None else result.times_ns[-1]
-        grid, mask, t_snap = _grid_snapshot(result, t_read)
+        grid, mask, t_snap = _grid_snapshot(result, scenario.readout_time)
         (out / "snapshot.svg").write_text(
             render_heatmap(grid, vmin=0.0, title=f"{scenario.name} t={t_snap:g} ns", mask=mask)
         )
@@ -152,18 +171,19 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     from .analysis import fringe_stats
     from .records import RecordWriter, ResultRecord, RunManifest, write_csv_matrix
-    from .scenarios import Scenario, disorder_sweep
+    from .scenarios import disorder_sweep
     from .svg import render_heatmap
 
     out = Path(args.out)
     device = default_device()
-    doc = _load_scenario(args.scenario, out, device)
-    scenario = Scenario.from_dict({**doc, **_parse_overrides(args.override)})
+    scenario, _ = _load_scenario(args, out, device)
+    if args.time is not None:  # the flag wins over a readout_time_ns override
+        scenario = replace(scenario, readout_time_ns=args.time)
     d_left = _parse_range(args.d_left)
     d_right = _parse_range(args.d_right)
     outputs = ["fringe.csv", "fringe.svg", "records.jsonl"]
     with RunManifest(scenario.name + "-sweep", scenario.seed, __version__, str(out), outputs=outputs):
-        grid = disorder_sweep(scenario, d_left, d_right, args.time, device)
+        grid = disorder_sweep(scenario, d_left, d_right, device)
         write_csv_matrix(
             out / "fringe.csv",
             grid.values,
@@ -216,85 +236,52 @@ def _cmd_calibrate(args) -> int:
     with manifest, RecordWriter(out / "records.jsonl") as writer:
         if args.rounds is not None and args.task != "align":
             raise ValueError(f"--rounds does not apply to the {args.task} task: only align runs rounds")
-        if args.task == "disorder":
-            device = subgrid_device(4, 0, 3, 3)
-            hidden = sample_disorder(device.functional_qubits, args.bound, seed)
-            twin = CalibrationTwin(device, hidden, n_shots=args.shots, seed=seed)
-            datasets = [generate_swap_data(twin, q) for q in device.functional_qubits]
-            fit = fit_disorder_map(datasets)
-            for it, cost, x in fit.history:
-                writer.write(
-                    ResultRecord("calibration_step", {"cost": cost, "parameters_mhz": x}, {"iteration": it})
-                )
-            writer.write(
-                ResultRecord(
-                    "fit",
-                    {
-                        "disorder_mhz": {q.label: v for q, v in fit.disorder.offsets.items()},
-                        "cost": fit.cost,
-                        "overall_distance": fit.overall_distance,
-                        "accept_cost": fit.accept_cost,
-                        "starts": fit.n_starts,
-                        "evaluations": fit.n_evaluations,
-                    },
-                    {"task": "disorder"},
-                )
-            )
-            print(f"fitted disorder map, final cost {fit.cost:.3e}")
-        elif args.task == "align":
-            device = subgrid_device(4, 0, 3, 3)
-            hidden = sample_disorder(device.functional_qubits, args.bound, seed)
-            twin = CalibrationTwin(device, hidden, n_shots=args.shots, seed=seed)
-            res = alignment_loop(twin, rounds=5 if args.rounds is None else args.rounds)
-            for round_no, sign, dist, accepted in res.history:
-                writer.write(
-                    ResultRecord(
-                        "calibration_step",
-                        {"overall_distance": dist, "sign": sign, "accepted": accepted},
-                        {"round": round_no},
-                    )
-                )
-            writer.write(
-                ResultRecord(
-                    "fit",
-                    {"residual_max_mhz": res.residual_max_mhz, "rounds_run": res.rounds_run},
-                    {"task": "align"},
-                )
-            )
-            print(f"alignment residual {res.residual_max_mhz:.3f} MHz after {res.rounds_run} rounds")
-        elif args.task == "interferometer":
+        # each task gives its calibration_step (payload, coords) pairs, its fit payload and its summary line
+        if args.task == "interferometer":
             if args.shots is not None:
                 raise ValueError("--shots does not apply to the interferometer task: it optimizes noiseless populations")
-            device = default_device()
             layout = default_mz_layout()
-            hidden = sample_disorder(layout.sites, args.bound, seed)
-            twin = CalibrationTwin(device, hidden, seed=seed)
+            twin = CalibrationTwin(default_device(), sample_disorder(layout.sites, args.bound, seed), seed=seed)
             res = optimize_interferometer(twin, layout)
-            for stage, hist in ((1, res.stage1_history), (2, res.stage2_history)):
-                for it, cost, x in hist:
-                    writer.write(
-                        ResultRecord(
-                            "calibration_step",
-                            {"cost": cost, "stage": stage, "parameters_mhz": x},
-                            {"iteration": it},
-                        )
-                    )
-            writer.write(
-                ResultRecord(
-                    "fit",
-                    {
-                        "detector_population": res.detector_population,
-                        "initial_detector_population": res.initial_detector_population,
-                        "stage1_product": res.stage1_product,
-                    },
-                    {"task": "interferometer"},
-                )
-            )
-            print(
-                f"detector population {res.initial_detector_population:.3f} -> {res.detector_population:.3f}"
-            )
-        else:
-            raise ValueError(f"unknown calibration task {args.task!r}")
+            steps = [
+                ({"cost": cost, "stage": stage, "parameters_mhz": x}, {"iteration": it})
+                for stage, hist in ((1, res.stage1_history), (2, res.stage2_history))
+                for it, cost, x in hist
+            ]
+            fit = {
+                "detector_population": res.detector_population,
+                "initial_detector_population": res.initial_detector_population,
+                "stage1_product": res.stage1_product,
+            }
+            summary = f"detector population {res.initial_detector_population:.3f} -> {res.detector_population:.3f}"
+        else:  # disorder and align calibrate one twin of a 3x3 subgrid
+            device = subgrid_device(4, 0, 3, 3)
+            hidden = sample_disorder(device.functional_qubits, args.bound, seed)
+            twin = CalibrationTwin(device, hidden, n_shots=args.shots, seed=seed)
+            if args.task == "disorder":
+                res = fit_disorder_map([generate_swap_data(twin, q) for q in device.functional_qubits])
+                steps = [({"cost": cost, "parameters_mhz": x}, {"iteration": it}) for it, cost, x in res.history]
+                fit = {
+                    "disorder_mhz": {q.label: v for q, v in res.disorder.offsets.items()},
+                    "cost": res.cost,
+                    "overall_distance": res.overall_distance,
+                    "accept_cost": res.accept_cost,
+                    "starts": res.n_starts,
+                    "evaluations": res.n_evaluations,
+                }
+                summary = f"fitted disorder map, final cost {res.cost:.3e}"
+            else:
+                res = alignment_loop(twin, rounds=5 if args.rounds is None else args.rounds)
+                steps = [
+                    ({"overall_distance": dist, "sign": sign, "accepted": accepted}, {"round": round_no})
+                    for round_no, sign, dist, accepted in res.history
+                ]
+                fit = {"residual_max_mhz": res.residual_max_mhz, "rounds_run": res.rounds_run}
+                summary = f"alignment residual {res.residual_max_mhz:.3f} MHz after {res.rounds_run} rounds"
+        for payload, coords in steps:
+            writer.write(ResultRecord("calibration_step", payload, coords))
+        writer.write(ResultRecord("fit", fit, {"task": args.task}))
+        print(summary)
     return 0
 
 
@@ -322,19 +309,8 @@ def _cmd_analyze(args) -> int:
                     )
                 )
             for f in res.fronts:
-                writer.write(
-                    ResultRecord(
-                        "front_fit",
-                        {
-                            "peak_time_ns": f.peak_time_ns,
-                            "peak_time_err_ns": f.peak_time_err_ns,
-                            "amplitude": f.amplitude,
-                            "width_ns": f.width_ns,
-                            "offset": f.offset,
-                        },
-                        {"distance": f.distance},
-                    )
-                )
+                payload = {name: value for name, value in asdict(f).items() if name != "distance"}
+                writer.write(ResultRecord("front_fit", payload, {"distance": f.distance}))
             writer.write(
                 ResultRecord(
                     "velocity",
@@ -375,6 +351,7 @@ def _cmd_render(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qwalk", description="Hard-core walker simulations on a programmable qubit lattice")
     parser.add_argument("--version", action="version", version=f"qwalk {__version__}")
@@ -435,8 +412,7 @@ def _write_error(out_dir: str | None, exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     # ArithmeticError: an overflow or a zero division from an input that no check covers is a domain error too

@@ -64,13 +64,7 @@ class ResultRecord:
             raise ValueError(f"unknown record kind {self.kind!r}")
 
     def to_json(self) -> str:
-        doc = {
-            "kind": self.kind,
-            "schema_version": RECORD_SCHEMA_VERSION,
-            "coords": _jsonable(self.coords),
-            "payload": _jsonable(self.payload),
-        }
-        return _dumps(doc)
+        return _record_line(self.kind, _dumps(_jsonable(self.coords)), _dumps(_jsonable(self.payload)))
 
 
 def _dumps(doc) -> str:
@@ -108,8 +102,8 @@ class FloatTable:
 
 
 def _record_line(kind: str, coords: str, payload: str) -> str:
-    """A record's JSON line, `to_json()` spelled by hand, from its coords and
-    payload objects already spelled as canonical JSON."""
+    """A record's JSON line, canonical JSON with its keys in sorted order, from
+    its coords and payload objects already spelled as canonical JSON."""
     return f'{{"coords":{coords},"kind":"{kind}","payload":{payload},"schema_version":{RECORD_SCHEMA_VERSION}}}'
 
 

@@ -258,6 +258,11 @@ class Scenario:
     def n_excitations(self) -> int:
         return len(self.sources)
 
+    @property
+    def readout_time(self) -> float:
+        """The time the scenario is read out at: `readout_time_ns`, or else the last sample time."""
+        return float(self.times_ns[-1] if self.readout_time_ns is None else self.readout_time_ns)
+
     def disorder(self) -> DisorderMap:
         offsets = {QubitId.parse(k): float(v) for k, v in self.static_disorder_mhz.items()}
         if self.step_d_left_mhz or self.step_d_right_mhz:
@@ -425,7 +430,7 @@ def run_scenario(
     times = scenario.times_ns
     t_read = None
     if scenario.n_shots:
-        t_read = scenario.readout_time_ns if scenario.readout_time_ns is not None else times[-1]
+        t_read = scenario.readout_time
         times = sorted({*times, t_read})
     n_sites = len(scenario.active)
     dimension = math.comb(n_sites, scenario.n_excitations)
@@ -479,10 +484,10 @@ def disorder_sweep(
     scenario: Scenario,
     d_left_values,
     d_right_values,
-    readout_time_ns: float | None = None,
     device: DeviceModel | None = None,
 ) -> FringeGrid:
-    """Detector population over a (d_left, d_right) step grid.
+    """Detector population over a (d_left, d_right) step grid, read out at
+    the scenario's `readout_time`.
 
     The scenario's static disorder persists across cells; only the protocol
     steps vary. Every cell shares the hopping matrix and the static disorder,
@@ -504,11 +509,7 @@ def disorder_sweep(
         )
     device = device or default_device()
     layout = layout_from_names(scenario.layout_names)
-    t_read = float(
-        readout_time_ns if readout_time_ns is not None else (scenario.readout_time_ns or scenario.times_ns[-1])
-    )
-    if not (math.isfinite(t_read) and t_read >= 0):
-        raise ValueError(f"readout time must be finite and nonnegative, got {t_read!r}")
+    t_read = scenario.readout_time
 
     static = replace(scenario, step_d_left_mhz=0.0, step_d_right_mhz=0.0).disorder()
     graph, basis, psi0, h0 = _scenario_setup(scenario, device, static)

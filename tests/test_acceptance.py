@@ -178,8 +178,8 @@ def test_c07_single_walker_interferometer_peak():
 @pytest.fixture(scope="module")
 def fringe_grids():
     steps = np.linspace(0.0, 1.0, 11)
-    open_grid = disorder_sweep(mz_scenario("S"), steps, steps, readout_time_ns=650.0)
-    blocked_grid = disorder_sweep(mz_scenario("S", blocked=True), steps, steps, readout_time_ns=650.0)
+    open_grid = disorder_sweep(mz_scenario("S"), steps, steps)
+    blocked_grid = disorder_sweep(mz_scenario("S", blocked=True), steps, steps)
     return open_grid, blocked_grid
 
 
@@ -216,9 +216,9 @@ def test_c08_fringes_and_blocking(fringe_grids):
 
 def test_c09_two_walker_interaction_signature():
     steps = np.linspace(0.0, 1.0, 11)
-    g2 = disorder_sweep(mz_scenario({"L1", "R1"}), steps, steps, readout_time_ns=550.0)
-    gl = disorder_sweep(mz_scenario({"L1"}, readout_time_ns=550.0), steps, steps, readout_time_ns=550.0)
-    gr = disorder_sweep(mz_scenario({"R1"}, readout_time_ns=550.0), steps, steps, readout_time_ns=550.0)
+    g2 = disorder_sweep(mz_scenario({"L1", "R1"}), steps, steps)
+    gl = disorder_sweep(mz_scenario({"L1"}, readout_time_ns=550.0), steps, steps)
+    gr = disorder_sweep(mz_scenario({"R1"}, readout_time_ns=550.0), steps, steps)
     sig = interaction_signature(g2.values, gl.values, gr.values)
     spread = float(sig.max() - sig.min())
     vis = fringe_stats(np.abs(sig)).visibility

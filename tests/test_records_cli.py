@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from qwalk import analysis, calibration, evolution, scenarios
@@ -26,6 +26,7 @@ from qwalk.device import (
 )
 from qwalk.measurement import ShotCounts
 from qwalk.records import (
+    RECORD_KINDS,
     FloatTable,
     RecordWriter,
     ResultRecord,
@@ -155,6 +156,20 @@ def test_shots_outputs_write_what_json_dumps_and_to_lines(counts, retention, tim
     assert text == ShotCounts(counts, sum(counts.values()), 8).to_lines()
 
 
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | _floats | _labels,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_labels, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@given(kind=st.sampled_from(RECORD_KINDS), payload=st.dictionaries(_labels, _json_values, max_size=4),
+       coords=st.dictionaries(_labels, _json_values, max_size=2))
+def test_record_line_is_canonical_json(kind, payload, coords):
+    expected = _canonical({"kind": kind, "schema_version": 1, "coords": coords, "payload": payload})
+    assert ResultRecord(kind, payload, coords).to_json() == expected
+
+
 def test_float_table_needs_a_matrix():
     for bad in (np.zeros(3), np.zeros((2, 2, 2)), 1.0):
         with pytest.raises(ValueError, match="2D"):
@@ -164,10 +179,11 @@ def test_float_table_needs_a_matrix():
 # sha256 of records.jsonl, populations.csv and shots.txt, measured before these
 # files were written from one float table; their populations and shots are
 # pinned under every BLAS kernel (test_measurement.OUTPUT_DIGESTS), so these
-# bytes are too
+# bytes are too. The shots run's records.jsonl was re-measured when its shots
+# record began to name the readout time (600.0 ns) instead of null.
 RUN_OUTPUT_DIGESTS = {
     ("--override", "n_shots=2000", "--seed", "7"): {
-        "records.jsonl": "6b5235c6e72299d994a2fab1e11bccbd5eb6e12375e075bb8c33e9e605aeaf67",
+        "records.jsonl": "e04e039112b0e0cf8a64081e3725f194595e8b79b2e27a367fa30deb86869e75",
         "populations.csv": "6d33ce11042ea4e3e0b40aae746b71ca7a9f15c4d959bf5b2445ac690542fc0e",
         "shots.txt": "6a72330f3a870ad791c63ccea7933e743e5b0cc8e551cfb0e3be9d4551dae15a",
     },
@@ -210,6 +226,74 @@ def test_cli_bad_disorder_label_fails_before_the_run(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 1 and "bad qubit label 'BAD'" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["error.json"]  # no manifest: the run never started
+
+
+def test_cli_disorder_on_a_qubit_the_device_does_not_run_fails_before_the_run(tmp_path, capsys):
+    # U03Q2 is a broken qubit: a valid label, but no functional qubit carries its detuning
+    disorder = 'static_disorder_mhz={"U00Q0": 0.5, "U03Q2": 1}'
+    sweep = ["sweep", "--scenario", "mz-single", "--d-left", "0:1:2", "--d-right", "0:1:2"]
+    for argv in (["run", "--scenario", "ctqw-single"], sweep):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--override", disorder, "--out", str(out)]) == 1
+        error = json.loads((out / "error.json").read_text())["error"]
+        assert "U03Q2" in error and "U00Q0" not in error and capsys.readouterr().err == f"error: {error}\n"
+        assert os.listdir(out) == ["error.json"]  # no manifest: the run never started
+    # a functional qubit outside the active set is allowed and leaves the walk as it is
+    runs = [tmp_path / "plain", tmp_path / "inactive"]
+    for out, flags in zip(runs, ([], ["--override", 'static_disorder_mhz={"U00Q0": 1}'])):
+        assert main(["run", "--scenario", "mz-single", "--override", "times_ns=[0, 100]", *flags,
+                     "--out", str(out)]) == 0
+    assert (runs[0] / "populations.csv").read_bytes() == (runs[1] / "populations.csv").read_bytes()
+
+
+def test_cli_shots_record_names_the_readout_time(tmp_path):
+    base = ["run", "--scenario", "ctqw-single", "--override", "times_ns=[0, 10, 20]", "--override", "n_shots=20"]
+    for flags, time_ns in (([], 20.0), (["--override", "readout_time_ns=13"], 13.0)):
+        out = tmp_path / str(time_ns)
+        assert main([*base, *flags, "--out", str(out)]) == 0
+        (shots,) = [r for r in read_records(out / "records.jsonl") if r.kind == "shots"]
+        assert shots.coords == {"time_ns": time_ns}
+
+
+def test_cli_sweep_time_is_a_readout_time_override(tmp_path):
+    grid = ["sweep", "--scenario", "mz-two", "--d-left", "0:1:3", "--d-right", "0:1:3"]
+    runs = {
+        "flag": ["--time", "500"],
+        "override": ["--override", "readout_time_ns=500"],
+        "both": ["--override", "readout_time_ns=600", "--time", "500"],  # the flag wins
+    }
+    for name, flags in runs.items():
+        assert main([*grid, *flags, "--out", str(tmp_path / name)]) == 0
+    for output in ("fringe.csv", "fringe.svg", "records.jsonl"):
+        flag, *others = [(tmp_path / name / output).read_bytes() for name in runs]
+        assert others == [flag, flag]
+    assert read_records(tmp_path / "flag" / "records.jsonl")[0].coords["time_ns"] == 500.0
+
+
+def test_cli_sweep_reads_out_at_zero_when_told_to(tmp_path, capsys):
+    # at 0 ns no walker has reached the detector, so the fringe grid is all zero
+    argv = ["sweep", "--scenario", "mz-two", "--d-left", "0:1:2", "--d-right", "0:1:2"]
+    assert main([*argv, "--override", "readout_time_ns=0", "--out", str(tmp_path)]) == 1
+    assert json.loads((tmp_path / "error.json").read_text())["error"] == "all-zero fringe grid"
+    assert "detector at 0 ns" in (tmp_path / "fringe.svg").read_text()
+
+
+def test_cli_parser_is_built_once_and_parses_each_call_afresh(tmp_path):
+    assert build_parser() is build_parser()
+    shots = tmp_path / "shots"
+    assert main(["run", "--scenario", "ctqw-single", "--seed", "3", "--override", "times_ns=[0, 10]",
+                 "--override", "n_shots=5", "--out", str(shots)]) == 0
+    sweep = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", "mz-single", "--d-left", "0:1:2", "--d-right", "0:1:1",
+                 "--out", str(sweep)]) == 0
+    plain = tmp_path / "plain"
+    assert main(["run", "--scenario", "ctqw-single", "--out", str(plain)]) == 0
+    assert (shots / "shots.txt").exists() and not (plain / "shots.txt").exists()
+    manifests = [json.loads((out / "manifest.json").read_text()) for out in (shots, sweep, plain)]
+    assert [(m["seed"], m["overrides"]) for m in manifests] == [
+        (3, {"times_ns": [0, 10], "n_shots": 5}), (0, {}), (0, {})
+    ]
+    assert read_records(sweep / "records.jsonl")[0].payload["d_right_mhz"] == [0.0]
 
 
 def test_heatmap_title_without_markup_keeps_its_bytes():
@@ -822,3 +906,58 @@ def test_cli_run_exits_0_with_consistent_outputs_or_1_with_error_json(overrides,
             assert record["payload"]["sites"] == sites
             assert record["payload"]["values"] == [float(v) for v in column]
         ET.parse(out / "snapshot.svg")
+
+
+# bounded inputs: at most 3 x 3 cells on the 24-site single-walker interferometer,
+# read out at most 1000 ns in, so every example runs in well under a second; each
+# input is valid more often than not, so that a fair share of examples exits 0
+_valid_range = st.builds("{!r}:{!r}:{}".format, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.integers(1, 3))
+_SWEEP_RANGES = st.one_of(
+    _valid_range,
+    _valid_range,
+    st.sampled_from(["0:1", "0:1:2:3", "a:b:2", "0:1:0", "0:1:-2", "0:1:2.5", "0:nan:2", "0:inf:2", ""]),
+)
+_readout = st.floats(1.0, 1000.0)
+_SWEEP_TIMES = st.one_of(st.none(), _readout, _readout, st.sampled_from([0.0, -1.0, math.nan, math.inf]))
+_step = st.floats(-2.0, 2.0)
+_SWEEP_OVERRIDES = {
+    "readout_time_ns": st.one_of(_readout, _readout, st.sampled_from([None, 0.0, -1.0])),
+    "static_disorder_mhz": st.dictionaries(
+        st.sampled_from(["U00Q0", "U03Q2", "U12Q1", "BAD", "U22Q2"]), st.floats(-5.0, 5.0), max_size=2
+    ),
+    "step_d_left_mhz": st.one_of(_step, _step, st.sampled_from([0.5, None, "x"])),
+}
+
+
+@given(
+    d_left=_SWEEP_RANGES,
+    d_right=_SWEEP_RANGES,
+    time=_SWEEP_TIMES,
+    overrides=st.fixed_dictionaries({}, optional=_SWEEP_OVERRIDES),
+)
+@settings(max_examples=120)  # most examples exit 1 at one of five inputs; these take milliseconds each
+@example(d_left="0:1:3", d_right="-1:1:2", time=None, overrides={"static_disorder_mhz": {"U03Q2": 1.0}})
+@example(d_left="0:1:3", d_right="-1:1:2", time=None, overrides={"readout_time_ns": 0.0})
+@example(d_left="0:1:3", d_right="-1:1:2", time=500.0, overrides={"readout_time_ns": 0.0, "step_d_left_mhz": 0.5})
+def test_cli_sweep_exits_0_with_consistent_outputs_or_1_with_error_json(d_left, d_right, time, overrides):
+    flags = [f"--d-left={d_left}", f"--d-right={d_right}"]  # the = keeps a leading minus from reading as a flag
+    if time is not None:
+        flags.append(f"--time={time!r}")
+    for key, value in overrides.items():
+        flags += ["--override", f"{key}={json.dumps(value)}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "sweep"
+        code = main(["sweep", "--scenario", "mz-single", *flags, "--out", str(out)])
+        event(f"exit {code}")
+        if code != 0:
+            assert code == 1 and (out / "error.json").is_file()
+            return
+        (record,) = read_records(out / "records.jsonl")
+        rows = [line.split(",") for line in (out / "fringe.csv").read_text().splitlines()]
+        assert record.payload["d_right_mhz"] == [float(v) for v in rows[0][1:]]
+        assert record.payload["d_left_mhz"] == [float(row[0]) for row in rows[1:]]
+        assert record.payload["values"] == [[float(v) for v in row[1:]] for row in rows[1:]]
+        # the flag wins over the field; mz-single reads at 650 ns, or at its last sample when the field is null
+        readout = overrides.get("readout_time_ns", 650.0) if time is None else time
+        assert record.coords["time_ns"] == (1000.0 if readout is None else readout)
+        ET.parse(out / "fringe.svg")

@@ -267,7 +267,7 @@ def test_sweep_single_cell_matches_run():
     sc = mz_scenario("S", protocol)
     res = run_scenario(sc)
     k650 = int(np.argmin(np.abs(np.array(res.times_ns) - 650.0)))
-    grid = disorder_sweep(sc, [0.5], [0.25], readout_time_ns=650.0)
+    grid = disorder_sweep(sc, [0.5], [0.25])
     assert grid.values.shape == (1, 1)
     assert grid.values[0, 0] == pytest.approx(res.site_series(sc.layout_names["D"])[k650], abs=1e-9)
 
@@ -276,15 +276,15 @@ def test_sweep_symmetry_under_arm_swap():
     # mirror-symmetric layout: swapping the step axes transposes the grid
     sc = mz_scenario("S")
     values = np.linspace(0.0, 1.0, 4)
-    grid = disorder_sweep(sc, values, values, readout_time_ns=650.0)
+    grid = disorder_sweep(sc, values, values)
     assert np.allclose(grid.values, grid.values.T, atol=1e-10)
 
 
 def test_sweep_batched_matches_per_cell_runs():
     sc = mz_scenario("S").with_static_disorder(sample_disorder(default_mz_layout().sites, 0.3, seed=4))
     d_left, d_right = (0.0, 0.4, 1.0), (0.2, 0.7)
-    grid = disorder_sweep(sc, d_left, d_right, readout_time_ns=650.0)
-    assert np.array_equal(grid.values, disorder_sweep(sc, d_left, d_right, readout_time_ns=650.0).values)
+    grid = disorder_sweep(sc, d_left, d_right)
+    assert np.array_equal(grid.values, disorder_sweep(sc, d_left, d_right).values)
     detector = sc.layout_names["D"]
     for i, dl in enumerate(d_left):
         for j, dr in enumerate(d_right):
@@ -318,9 +318,30 @@ def _per_cell_sweep(sc, d_left, d_right, t_read):
 def test_sweep_diagonals_match_per_cell_maps(sc):
     # a non-square grid with negative steps, the CLI's --d-left -1:2:7 --d-right 0.3:1.1:5
     d_left, d_right = np.linspace(-1.0, 2.0, 7), np.linspace(0.3, 1.1, 5)
-    grid = disorder_sweep(sc, d_left, d_right, readout_time_ns=650.0)
+    grid = disorder_sweep(replace(sc, readout_time_ns=650.0), d_left, d_right)
     assert grid.values.shape == (7, 5)
     assert np.array_equal(grid.values, _per_cell_sweep(sc, d_left, d_right, 650.0))
+
+
+def test_readout_time_is_the_set_time_or_else_the_last_sample():
+    sc = ctqw_scenario({"U00Q0"}, t_max_ns=30.0)
+    assert sc.readout_time == 30.0 and type(sc.readout_time) is float
+    assert replace(sc, readout_time_ns=13.0).readout_time == 13.0
+    assert replace(sc, readout_time_ns=0.0).readout_time == 0.0  # 0 ns is a time, not a missing one
+    assert mz_scenario("S").readout_time == 650.0 and mz_scenario({"L1", "R1"}).readout_time == 550.0
+
+
+def test_sweep_reads_out_at_zero_when_the_scenario_says_so():
+    grid = disorder_sweep(replace(mz_scenario("S"), readout_time_ns=0.0), [0.0, 1.0], [0.5])
+    assert grid.readout_time_ns == 0.0
+    assert np.array_equal(grid.values, np.zeros((2, 1)))  # no walker reaches the detector at t = 0
+
+
+def test_sweep_without_a_readout_time_reads_the_last_sample():
+    sc = replace(mz_scenario("S"), readout_time_ns=None, times_ns=(0.0, 325.0, 650.0))
+    grid = disorder_sweep(sc, [0.5], [0.25])
+    assert grid.readout_time_ns == 650.0
+    assert grid.values[0, 0] == disorder_sweep(mz_scenario("S"), [0.5], [0.25]).values[0, 0]
 
 
 def test_sweep_rejects_bad_input():
