@@ -78,13 +78,7 @@ def _load_scenario(args, out: Path, device):
     overrides = _parse_overrides(args.override)
     seed = {} if getattr(args, "seed", None) is None else {"seed": args.seed}
     scenario = Scenario.from_dict({**doc, **overrides, **seed})
-    idle = [
-        label
-        for label in scenario.static_disorder_mhz
-        if (q := QubitId.parse(label)) not in device.qubits or q in device.broken_qubits
-    ]
-    if idle:
-        raise ValueError(f"static_disorder_mhz names qubits the device does not run: {', '.join(idle)}")
+    scenario.check_static_disorder(device)
     return scenario, overrides
 
 
@@ -176,14 +170,15 @@ def _cmd_sweep(args) -> int:
 
     out = Path(args.out)
     device = default_device()
-    scenario, _ = _load_scenario(args, out, device)
+    scenario, overrides = _load_scenario(args, out, device)
     if args.time is not None:  # the flag wins over a readout_time_ns override
         scenario = replace(scenario, readout_time_ns=args.time)
     d_left = _parse_range(args.d_left)
     d_right = _parse_range(args.d_right)
     outputs = ["fringe.csv", "fringe.svg", "records.jsonl"]
-    with RunManifest(scenario.name + "-sweep", scenario.seed, __version__, str(out), outputs=outputs):
+    with RunManifest(scenario.name + "-sweep", scenario.seed, __version__, str(out), overrides, outputs):
         grid = disorder_sweep(scenario, d_left, d_right, device)
+        stats = fringe_stats(grid.values)  # a grid with no fringe fails here, before any output is written
         write_csv_matrix(
             out / "fringe.csv",
             grid.values,
@@ -198,7 +193,6 @@ def _cmd_sweep(args) -> int:
                 title=f"{scenario.name} detector at {grid.readout_time_ns:g} ns",
             )
         )
-        stats = fringe_stats(grid.values)
         with RecordWriter(out / "records.jsonl") as writer:
             writer.write(
                 ResultRecord(

@@ -5,10 +5,10 @@ units happens only inside the Hamiltonian builder.
 """
 from __future__ import annotations
 
+import functools
 import math
-import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,6 @@ __all__ = [
     "MAX_DISORDER_BOUND_MHZ",
 ]
 
-_LABEL_RE = re.compile(r"^U([0-3])([0-3])Q([0-3])$")
-
 # Offsets of Q0..Q3 inside a 2x2 unit, clockwise from the top-left corner.
 # This makes Q0-Q1 and Q0-Q3 nearest neighbours, and puts U00Q0 / U33Q2 at
 # opposite corners of the 8x8 grid.
@@ -53,29 +51,40 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))))
 
 
-@dataclass(frozen=True, order=True)
-class QubitId:
-    """Canonical qubit label U{row}{col}Q{index} on the 4x4 grid of 2x2 units."""
-
+class _QubitFields(NamedTuple):
     unit_row: int
     unit_col: int
     index_in_unit: int
 
-    def __post_init__(self):
-        for v in (self.unit_row, self.unit_col, self.index_in_unit):
+
+class QubitId(_QubitFields):
+    """Canonical qubit label U{row}{col}Q{index} on the 4x4 grid of 2x2 units.
+
+    A qubit is a tuple of its three coordinates, so hashing, equality and the
+    row-major order (label order) run in C. The 64 qubits are made once;
+    `parse` and `from_grid` hand out those instances. A qubit is not an array:
+    numpy refuses it rather than spell it as its coordinates, and records
+    spell it as its label.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, unit_row: int, unit_col: int, index_in_unit: int):
+        for v in (unit_row, unit_col, index_in_unit):
             if not 0 <= v <= 3:
-                raise ValueError(f"qubit coordinates out of range: {self}")
+                raise ValueError(f"qubit coordinates out of range: U{unit_row}{unit_col}Q{index_in_unit}")
+        return super().__new__(cls, unit_row, unit_col, index_in_unit)
 
     @classmethod
     def parse(cls, label: str) -> "QubitId":
-        m = _LABEL_RE.match(label)
-        if m is None:
-            raise ValueError(f"bad qubit label {label!r}")
-        return cls(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+        try:
+            return _LABELED_QUBITS[label]
+        except (KeyError, TypeError):
+            raise ValueError(f"bad qubit label {label!r}") from None
 
     @property
     def label(self) -> str:
-        return f"U{self.unit_row}{self.unit_col}Q{self.index_in_unit}"
+        return "U%d%dQ%d" % self
 
     @property
     def grid_position(self) -> tuple[int, int]:
@@ -92,6 +101,9 @@ class QubitId:
     def __str__(self) -> str:
         return self.label
 
+    def __array__(self, dtype=None, copy=None):
+        raise TypeError(f"qubit {self} is not an array: use its label")
+
 
 # every lattice position's qubit, row-major; inverts QubitId.grid_position
 _GRID_QUBITS = tuple(
@@ -99,6 +111,8 @@ _GRID_QUBITS = tuple(
     for r in range(8)
     for c in range(8)
 )
+# the 64 labels, each to its qubit: `parse` is one dict lookup
+_LABELED_QUBITS = {q.label: q for q in _GRID_QUBITS}
 
 
 @dataclass(frozen=True)
@@ -169,7 +183,7 @@ class DeviceModel:
 
     @property
     def functional_qubits(self) -> list[QubitId]:
-        return sorted(q for q in self.qubits if q not in self.broken_qubits)
+        return sorted(self.qubits.keys() - self.broken_qubits)
 
     def edge(self, a: QubitId, b: QubitId) -> CouplingEdge:
         try:
@@ -181,19 +195,19 @@ class DeviceModel:
         key = frozenset((a, b))
         return key in self._edges and key not in self.broken_edge_keys and key.isdisjoint(self.broken_qubits)
 
+    def _functional_edge_items(self):
+        """(lower end, upper end, edge) of every functional edge, in device order."""
+        for key, e in self._edges.items():
+            if key not in self.broken_edge_keys and key.isdisjoint(self.broken_qubits):
+                yield (e.a, e.b, e) if e.a < e.b else (e.b, e.a, e)
+
     def functional_edges(self) -> list[CouplingEdge]:
-        out = []
-        for e in self._edges.values():
-            if self.edge_functional(e.a, e.b):
-                out.append(e)
-        return sorted(out, key=lambda e: tuple(sorted((e.a, e.b))))
+        """The functional edges in the order of their (lower, upper) end pairs;
+        no two edges share a pair, so the sort never compares edges."""
+        return [e for _, _, e in sorted(self._functional_edge_items())]
 
     def neighbors(self, q: QubitId) -> list[QubitId]:
-        out = []
-        for e in self._edges.values():
-            if q in e.key and self.edge_functional(e.a, e.b):
-                out.append(e.b if e.a == q else e.a)
-        return sorted(out)
+        return sorted(b if a == q else a for a, b, _ in self._functional_edge_items() if q in (a, b))
 
 
 @dataclass(frozen=True)
@@ -226,16 +240,22 @@ class ActiveGraph:
         return {s: i for i, s in enumerate(self.sites)}
 
 
+@functools.cache
+def _lattice_edges() -> tuple[CouplingEdge, ...]:
+    """The 112 nearest-neighbour couplings of the 8x8 array at the default
+    J_eff, row-major; built once, shared by every default device (edges are frozen)."""
+    g = QubitId.from_grid
+    return tuple(CouplingEdge(g(r, c), g(r2, c2)) for r in range(8) for c in range(8)
+                 for r2, c2 in ((r + 1, c), (r, c + 1)) if r2 < 8 and c2 < 8)
+
+
 def default_device() -> DeviceModel:
     """The 8x8 array with homogeneous parameter means, 2.01 MHz couplings and
     the stock broken elements."""
-    g = QubitId.from_grid
-    qubits = {g(r, c): QubitParams() for r in range(8) for c in range(8)}
-    edges = [CouplingEdge(g(r, c), g(r2, c2)) for r in range(8) for c in range(8)
-             for r2, c2 in ((r + 1, c), (r, c + 1)) if r2 < 8 and c2 < 8]
+    qubits = dict.fromkeys(_GRID_QUBITS, QubitParams())  # one frozen parameter set for every qubit
     broken_q = [QubitId.parse("U03Q2"), QubitId.parse("U22Q1")]
     broken_e = [(QubitId.parse("U10Q0"), QubitId.parse("U10Q3"))]
-    return DeviceModel(qubits, edges, broken_q, broken_e)
+    return DeviceModel(qubits, _lattice_edges(), broken_q, broken_e)
 
 
 def sample_offsets(n_sites: int, bound_mhz: float, seed: int) -> np.ndarray:
@@ -269,17 +289,16 @@ def active_subgraph(device: DeviceModel, active: Iterable[QubitId]) -> ActiveGra
     active = sorted(set(active))
     if not active:
         raise ValueError("active set is empty")
-    functional = set(device.functional_qubits)
     for q in active:
-        if q not in functional:
+        if q not in device.qubits or q in device.broken_qubits:
             raise ValueError(f"active qubit {q} is broken or not on the device")
     index = {q: i for i, q in enumerate(active)}
     edges = []
-    for e in device.functional_edges():
-        if e.a in index and e.b in index:
-            i, j = sorted((index[e.a], index[e.b]))
-            edges.append((i, j, e.j_eff_mhz))
-    return ActiveGraph(tuple(active), tuple(sorted(edges)))
+    for a, b, e in device._functional_edge_items():
+        if a in index and b in index:  # a < b, so index[a] < index[b]
+            edges.append((index[a], index[b], e.j_eff_mhz))
+    edges.sort()
+    return ActiveGraph(tuple(active), tuple(edges))
 
 
 def grid_graph(n_rows: int, n_cols: int, j_eff_mhz: float = DEFAULT_J_EFF_MHZ) -> ActiveGraph:

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .device import ActiveGraph, DisorderMap
-from .sector import SectorBasis, lookup, row_sums
+from .sector import MAX_INT_KEY_SITES, SectorBasis, lookup, row_sums, search_keys, site_bits
 
 __all__ = ["HamiltonianMatrix", "build_hamiltonian", "offset_diagonals", "TWO_PI"]
 
@@ -51,16 +51,21 @@ class HamiltonianMatrix:
 
     @cached_property
     def matrix(self):
-        """The Hamiltonian as a scipy.sparse CSR matrix, built on first use."""
+        """The Hamiltonian as a scipy.sparse CSR matrix, built on first use:
+        the hops, their mirrors and the diagonal in one conversion to
+        canonical CSR (sorted columns, a position listed twice summed), with
+        exact zeros dropped."""
         import scipy.sparse as sp  # imported on use: no start-up cost for commands that never propagate
 
         dim = self.dimension
-        hops = sp.coo_matrix((self.values, (self.rows, self.cols)), shape=(dim, dim))
-        matrix = hops + hops.T
+        rows, cols, values = [self.rows, self.cols], [self.cols, self.rows], [self.values, self.values]
         if self.diagonal is not None:
-            matrix = matrix + sp.diags(self.diagonal)
-        matrix = matrix.tocsr()
-        matrix.sum_duplicates()
+            rows.append(np.arange(dim))
+            cols.append(np.arange(dim))
+            values.append(self.diagonal)
+        entries = (np.concatenate(rows), np.concatenate(cols))
+        matrix = sp.csr_matrix((np.concatenate(values), entries), shape=(dim, dim))
+        matrix.eliminate_zeros()
         return matrix
 
     def to_dense(self) -> np.ndarray:
@@ -93,24 +98,53 @@ def build_hamiltonian(
     n = basis.n_sites
     if graph.n_sites != n:
         raise ValueError(f"graph has {graph.n_sites} sites, basis expects {n}")
-    disorder = disorder or DisorderMap()
 
-    dst, src = np.array([(i, j) for i, j, _ in graph.edges], dtype=np.intp).reshape(-1, 2).T
+    ends = np.array([(i, j) for i, j, _ in graph.edges], dtype=np.intp).reshape(-1, 2)
     amps = TWO_PI * np.array([j_eff for _, _, j_eff in graph.edges], dtype=np.float64)
-    # Each edge hops a walker from one end to the other once per row pair;
-    # mirroring the matrix adds the reverse hop.
-    rows, edge = np.nonzero(basis.rows[:, src] & ~basis.rows[:, dst])
-    moved = basis.rows[rows]
-    move = np.arange(len(rows))
-    moved[move, src[edge]] = False
-    moved[move, dst[edge]] = True
-    cols = lookup(basis.keys, moved)
+    # Each edge hops a walker from its second site to its first once per row
+    # pair; mirroring the matrix adds the reverse hop.
+    rows, edge = _hops(basis, ends)
+    if n <= MAX_INT_KEY_SITES:
+        # a hop flips its edge's two site bits in its row's integer key
+        bits = site_bits(n)
+        keys = bits[basis.sites].sum(axis=1)
+        cols = search_keys(keys, keys[rows] ^ bits[ends].sum(axis=1)[edge])
+    else:
+        dst, src = ends[edge].T
+        moved = basis.rows[rows]
+        move = np.arange(len(rows))
+        moved[move, src] = False
+        moved[move, dst] = True
+        cols = lookup(basis.keys, moved)
 
     diagonal = None
-    offsets = np.array([disorder.get(s) for s in graph.sites], dtype=np.float64)
-    if np.any(offsets):
-        diagonal = offset_diagonals(basis, offsets[:, None])[:, 0]
+    if disorder is not None:
+        offsets = np.array([disorder.get(s) for s in graph.sites], dtype=np.float64)
+        if np.any(offsets):
+            diagonal = offset_diagonals(basis, offsets[:, None])[:, 0]
     return HamiltonianMatrix(basis, rows, cols, amps[edge], diagonal)
+
+
+def _hops(basis: SectorBasis, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, edge) of every hop, in row order and edge order within a row:
+    row `rows[h]` holds a walker on the second site of edge `edge[h]` and
+    none on its first.
+
+    Candidates come from each row's occupied sites (`basis.sites`) and a
+    table of the edges that leave each site, padded with -1; the sentinel
+    site n_sites has only padding.
+    """
+    by_src = np.argsort(ends[:, 1], kind="stable")
+    src = ends[by_src, 1]
+    rank = np.arange(len(src)) - np.searchsorted(src, src)  # each edge's place among its site's
+    leaving = np.full((basis.n_sites + 1, rank.max(initial=-1) + 1), -1)
+    leaving[src, rank] = by_src
+    candidates = leaving[basis.sites].reshape(len(basis.sites), -1)
+    candidates.sort(axis=1)  # edge order within a row, padding first
+    # a candidate hops when its edge's first site is empty (padding reads the last edge's)
+    empty = ~basis.rows[np.arange(len(candidates))[:, None], ends[candidates, 0]]
+    rows, slot = np.nonzero(empty & (candidates >= 0))
+    return rows, candidates[rows, slot]
 
 
 def offset_diagonals(basis: SectorBasis, offsets: np.ndarray) -> np.ndarray:

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .device import QubitId
+
 __all__ = [
     "FloatTable",
     "ResultRecord",
@@ -49,6 +51,8 @@ def _jsonable(value):
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
+        if isinstance(value, QubitId):  # a tuple of coordinates, spelled by its label
+            return value.label
         return [_jsonable(v) for v in value]
     return value
 

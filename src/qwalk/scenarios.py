@@ -263,6 +263,18 @@ class Scenario:
         """The time the scenario is read out at: `readout_time_ns`, or else the last sample time."""
         return float(self.times_ns[-1] if self.readout_time_ns is None else self.readout_time_ns)
 
+    def check_static_disorder(self, device: DeviceModel) -> None:
+        """Reject a static disorder on a label the device does not run (a
+        broken qubit, or one not on it). A functional qubit outside the active
+        set is allowed, as layout-wide maps need."""
+        idle = [
+            label
+            for label in self.static_disorder_mhz
+            if (q := QubitId.parse(label)) not in device.qubits or q in device.broken_qubits
+        ]
+        if idle:
+            raise ValueError(f"static_disorder_mhz names qubits the device does not run: {', '.join(idle)}")
+
     def disorder(self) -> DisorderMap:
         offsets = {QubitId.parse(k): float(v) for k, v in self.static_disorder_mhz.items()}
         if self.step_d_left_mhz or self.step_d_right_mhz:
@@ -410,10 +422,12 @@ def _scenario_setup(
     scenario: Scenario, device: DeviceModel, disorder: DisorderMap
 ) -> tuple[ActiveGraph, SectorBasis, QuantumState, HamiltonianMatrix]:
     """The scenario's active graph, its sector basis, the start state with a
-    walker on each source, and the Hamiltonian under `disorder`."""
+    walker on each source, and the Hamiltonian under `disorder`. A static
+    disorder on a qubit the device does not run is rejected first."""
+    scenario.check_static_disorder(device)
     graph = active_subgraph(device, map(QubitId.parse, scenario.active))
     basis = enumerate_basis(graph.n_sites, scenario.n_excitations)
-    psi0 = basis_state(basis, {graph.index[QubitId.parse(s)] for s in scenario.sources})
+    psi0 = basis_state(basis, {graph.sites.index(QubitId.parse(s)) for s in scenario.sources})
     return graph, basis, psi0, build_hamiltonian(graph, basis, disorder)
 
 

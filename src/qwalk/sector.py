@@ -5,16 +5,19 @@ occupancy excluded from the basis itself. Rows are kept as a bool array in
 ascending bitstring order with site 0 as the most significant bit, so the
 occupation string reads left to right in site order. Each row also has one
 packed byte key (`row_keys`); the keys sort exactly like the rows, so a row's
-index is one `np.searchsorted` away (`lookup`) for any site count. The one
-Hamiltonian builder looks up its hops this way for sectors, the Lindblad
-sector union and the calibration kernel alike, and readout shots are
-histogrammed in the same key order.
+index is one `np.searchsorted` away (`lookup`) for any site count, and
+readout shots are histogrammed in the same key order.
 
 Each row also lists its occupied sites (`sites`); `site_sums` and `row_sums`
 reduce over them in a fixed order without BLAS, the same bits on any kernel.
+Up to MAX_INT_KEY_SITES sites, the sum of `site_bits` over a row's sites is
+a uint64 key that sorts like the packed one: the Hamiltonian builder finds
+its hops' target rows by those keys (`search_keys`), for sectors, the
+Lindblad sector union and the calibration kernel alike.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from math import comb
@@ -26,7 +29,9 @@ __all__ = [
     "QuantumState",
     "enumerate_basis",
     "row_keys",
+    "site_bits",
     "lookup",
+    "search_keys",
     "occupation_row",
     "basis_state",
     "populations",
@@ -35,6 +40,8 @@ __all__ = [
 ]
 
 MAX_DIMENSION = 20_000_000
+# Rows of up to this many sites also have one uint64 key each (`site_bits`).
+MAX_INT_KEY_SITES = 64
 
 NORM_TOL = 1e-9
 
@@ -49,11 +56,27 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     return packed.view(f"V{packed.shape[1]}").ravel()
 
 
+@functools.cache
+def site_bits(n_sites: int) -> np.ndarray:
+    """Each site's bit of a uint64 row key, for at most MAX_INT_KEY_SITES
+    sites, and 0 for the sentinel site n_sites; read-only, made once per
+    site count. Site 0 is the top bit, so the sums of a row set's bits over
+    its occupied sites (`sites`) sort like its bitstrings, as `row_keys` do."""
+    bits = np.zeros(n_sites + 1, dtype=np.uint64)
+    bits[:n_sites] = np.left_shift(np.uint64(1), np.arange(n_sites - 1, -1, -1, dtype=np.uint64))
+    bits.flags.writeable = False
+    return bits
+
+
 def lookup(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Indices of the given occupation rows in a basis with sorted `keys`."""
-    probe = row_keys(rows)
-    found = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
-    if not np.array_equal(keys[found], probe):
+    return search_keys(keys, row_keys(rows))
+
+
+def search_keys(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Indices of the probe keys in sorted `keys` (packed or integer keys alike)."""
+    found = np.searchsorted(keys, probe)
+    if (keys.take(found, mode="clip") != probe).any():
         raise ValueError("occupation row outside the basis")
     return found
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -23,9 +25,41 @@ def test_label_round_trip():
 
 
 def test_label_rejects_garbage():
-    for bad in ("U44Q0", "U00Q4", "Q00U0", "U0Q0", "u00q0", ""):
-        with pytest.raises(ValueError):
+    for bad in ("U44Q0", "U00Q4", "Q00U0", "U0Q0", "u00q0", "", "U00Q0\n", " U00Q0", None, 7, ("U00Q0",)):
+        with pytest.raises(ValueError, match="bad qubit label"):
             QubitId.parse(bad)
+    with pytest.raises(ValueError, match="out of range: U40Q0"):
+        QubitId(4, 0, 0)
+
+
+LABELS = [f"U{r}{c}Q{i}" for r in range(4) for c in range(4) for i in range(4)]
+
+
+def test_every_label_round_trips_through_parse_grid_and_coordinates():
+    positions = set()
+    for label in LABELS:
+        q = QubitId.parse(label)
+        assert q.label == str(q) == f"{q}" == label
+        assert QubitId.from_grid(*q.grid_position) is q  # one instance per qubit
+        made = QubitId(q.unit_row, q.unit_col, q.index_in_unit)
+        assert made == q and hash(made) == hash(q) and made.label == label
+        positions.add(q.grid_position)
+    assert positions == {(r, c) for r in range(8) for c in range(8)}
+
+
+@given(st.lists(st.sampled_from(LABELS), max_size=80))
+def test_qubit_order_hash_and_equality_are_the_labels(labels):
+    qubits = [QubitId.parse(label) for label in labels]
+    assert [q.label for q in sorted(qubits)] == sorted(labels)
+    for a, b in zip(qubits, qubits[1:]):
+        assert (a < b, a == b, a > b) == (a.label < b.label, a.label == b.label, a.label > b.label)
+    assert sorted(q.label for q in set(qubits)) == sorted(set(labels))
+    counts = Counter(qubits)
+    assert {q.label: n for q, n in counts.items()} == Counter(labels)
+    # a qubit made from its coordinates finds the parsed one in sets and dicts
+    rebuilt = [QubitId(q.unit_row, q.unit_col, q.index_in_unit) for q in qubits]
+    assert all(q in counts for q in rebuilt) and set(rebuilt) == set(qubits)
+    assert {q: q.label for q in rebuilt} == {q: q.label for q in qubits}
 
 
 def test_ordering_is_total_and_row_major():

@@ -1,10 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+import scipy.sparse as sp
 from scipy.linalg import expm
 
-from qwalk.device import ActiveGraph, DisorderMap, active_subgraph, default_device, grid_graph
+from qwalk.device import (
+    ActiveGraph,
+    CouplingEdge,
+    DeviceModel,
+    DisorderMap,
+    QubitId,
+    QubitParams,
+    active_subgraph,
+    default_device,
+    grid_graph,
+)
 from qwalk.evolution import LindbladModel
 from qwalk.hamiltonian import TWO_PI, build_hamiltonian
 from qwalk.sector import enumerate_basis, lookup
@@ -255,6 +268,19 @@ def device_subgraph_cases(draw):
     return graph, enumerate_basis(graph.n_sites, k), disorder
 
 
+def summed_csr(h):
+    """The CSR matrix as scipy's sparse additions build it from the triplets
+    (hops + hops.T + diags): the reference for `matrix`'s bytes."""
+    dim = h.dimension
+    hops = sp.coo_matrix((h.values, (h.rows, h.cols)), shape=(dim, dim))
+    matrix = hops + hops.T
+    if h.diagonal is not None:
+        matrix = matrix + sp.diags(h.diagonal)
+    matrix = matrix.tocsr()
+    matrix.sum_duplicates()
+    return matrix
+
+
 @given(device_subgraph_cases())
 def test_dense_scatter_and_nnz_match_the_csr_matrix(case):
     graph, basis, disorder = case
@@ -265,3 +291,76 @@ def test_dense_scatter_and_nnz_match_the_csr_matrix(case):
     assert dense.dtype == reference.dtype and dense.tobytes() == reference.tobytes()
     assert nnz == h.matrix.nnz
     assert np.array_equal(dense, dense.T)
+    summed = summed_csr(h)
+    for name in ("data", "indices", "indptr"):
+        mine, theirs = getattr(h.matrix, name), getattr(summed, name)
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+    assert h.matrix.has_canonical_format
+
+
+def mask_and_lookup_triplets(graph, basis):
+    """The hop triplets built from a rows x edges mask and packed-key lookups
+    of the moved rows: the reference for the builder's rows, columns, value
+    bits and order."""
+    dst, src = np.array([(i, j) for i, j, _ in graph.edges], dtype=np.intp).reshape(-1, 2).T
+    amps = TWO_PI * np.array([j_eff for _, _, j_eff in graph.edges], dtype=np.float64)
+    rows, edge = np.nonzero(basis.rows[:, src] & ~basis.rows[:, dst])
+    moved = basis.rows[rows]
+    move = np.arange(len(rows))
+    moved[move, src[edge]] = False
+    moved[move, dst[edge]] = True
+    return rows, lookup(basis.keys, moved), amps[edge]
+
+
+_LATTICE_PAIRS = [
+    (QubitId.from_grid(r, c), QubitId.from_grid(r2, c2))
+    for r in range(8) for c in range(8) for r2, c2 in ((r + 1, c), (r, c + 1)) if r2 < 8 and c2 < 8
+]
+
+
+def _sector(draw, n):
+    """A sector of n sites: empty, full, or one to three walkers (or their holes), at most 45,000 rows."""
+    ks = {0, n} | {k for k in (1, 2, 3, n - 1, n - 2, n - 3) if 0 <= k <= n and math.comb(n, k) <= 45_000}
+    return enumerate_basis(n, draw(st.sampled_from(sorted(ks))))
+
+
+@st.composite
+def hop_cases(draw):
+    """A graph and a row set: an active set of the 8x8 lattice with random
+    broken qubits and edges and random couplings; a grid of more than 64
+    sites; or a small graph with edges either way round in a Lindblad sector
+    union or the full space."""
+    kind = draw(st.sampled_from(("lattice", "wide", "lindblad")))
+    if kind == "lattice":
+        keep = draw(st.lists(st.booleans(), min_size=len(_LATTICE_PAIRS), max_size=len(_LATTICE_PAIRS)))
+        pairs = [pair for pair, kept in zip(_LATTICE_PAIRS, keep) if kept]
+        edges = [CouplingEdge(a, b, draw(st.floats(0.1, 5.0))) for a, b in pairs]
+        qubits = sorted({q for pair in _LATTICE_PAIRS for q in pair})
+        broken_qubits = draw(st.sets(st.sampled_from(qubits), max_size=4))
+        broken_edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6)) if pairs else []
+        device = DeviceModel(dict.fromkeys(qubits, QubitParams()), edges, broken_qubits, broken_edges)
+        functional = device.functional_qubits
+        keep = draw(st.lists(st.booleans(), min_size=len(functional), max_size=len(functional)))
+        graph = active_subgraph(device, [q for q, kept in zip(functional, keep) if kept] or functional[:1])
+        return graph, _sector(draw, graph.n_sites)
+    if kind == "wide":
+        rows = draw(st.integers(6, 10))
+        graph = grid_graph(rows, draw(st.integers(64 // rows + 1, 12)), draw(st.floats(0.1, 5.0)))
+        return graph, _sector(draw, graph.n_sites)
+    n = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = tuple((j, i, 2.0) if draw(st.booleans()) else (i, j, 1.5) for i, j in chosen)
+    graph = ActiveGraph(tuple(range(n)), edges)
+    top = draw(st.sampled_from((1, 2, n)))
+    return graph, LindbladModel.from_graph(graph, max_excitations=top, full_space=top == n)
+
+
+@given(hop_cases())
+def test_hop_triplets_equal_the_mask_and_lookup_construction(case):
+    graph, basis = case
+    h = build_hamiltonian(graph, basis)
+    rows, cols, values = mask_and_lookup_triplets(graph, basis)
+    assert h.rows.dtype == rows.dtype and h.cols.dtype == cols.dtype
+    assert np.array_equal(h.rows, rows) and np.array_equal(h.cols, cols)
+    assert h.values.dtype == values.dtype and h.values.tobytes() == values.tobytes()

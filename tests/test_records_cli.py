@@ -21,6 +21,8 @@ from qwalk.device import (
     DEFAULT_DISORDER_BOUND_MHZ,
     DEFAULT_J_EFF_MHZ,
     MAX_DISORDER_BOUND_MHZ,
+    QubitId,
+    default_device,
     sample_disorder,
     subgrid_device,
 )
@@ -36,7 +38,26 @@ from qwalk.records import (
     shots_outputs,
     write_csv_matrix,
 )
+from qwalk.records import _jsonable
 from qwalk.svg import render_heatmap
+
+
+def test_records_and_numpy_never_spell_a_qubit_as_its_coordinates(tmp_path):
+    # a qubit is a tuple of its coordinates: records spell it by its label, numpy refuses it
+    q, qubits = QubitId.parse("U12Q3"), default_device().functional_qubits
+    assert _jsonable([q, (q, q), {q: q}]) == ["U12Q3", ["U12Q3", "U12Q3"], {"U12Q3": "U12Q3"}]
+    rec = ResultRecord("fit", {"centre": q, "sites": tuple(qubits)}, {"qubit": q})
+    with RecordWriter(tmp_path / "r.jsonl") as w:
+        w.write(rec)
+    (back,) = read_records(tmp_path / "r.jsonl")
+    assert back.coords == {"qubit": "U12Q3"}
+    assert back.payload == {"centre": "U12Q3", "sites": [p.label for p in qubits]}
+    for make in (np.array, np.asarray):
+        for value in (q, [q], qubits, [[q, q]]):
+            with pytest.raises(TypeError, match="U12Q3|U00Q0"):
+                make(value)
+    with pytest.raises(TypeError):
+        np.array(qubits, dtype=object)
 
 
 def test_record_json_round_trip(tmp_path):
@@ -275,7 +296,17 @@ def test_cli_sweep_reads_out_at_zero_when_told_to(tmp_path, capsys):
     argv = ["sweep", "--scenario", "mz-two", "--d-left", "0:1:2", "--d-right", "0:1:2"]
     assert main([*argv, "--override", "readout_time_ns=0", "--out", str(tmp_path)]) == 1
     assert json.loads((tmp_path / "error.json").read_text())["error"] == "all-zero fringe grid"
-    assert "detector at 0 ns" in (tmp_path / "fringe.svg").read_text()
+    # the grid is checked before any output is written: no complete-looking fringe beside error.json
+    assert sorted(os.listdir(tmp_path)) == ["error.json", "manifest.json"]
+    assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "failed"
+
+
+def test_cli_sweep_manifest_records_its_overrides(tmp_path):
+    override = 'static_disorder_mhz={"U00Q0": 0.1}'
+    argv = ["sweep", "--scenario", "mz-single", "--d-left", "0:1:2", "--d-right", "0:1:1", "--override", override]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["overrides"] == {"static_disorder_mhz": {"U00Q0": 0.1}} and manifest["status"] == "done"
 
 
 def test_cli_parser_is_built_once_and_parses_each_call_afresh(tmp_path):
@@ -951,7 +982,9 @@ def test_cli_sweep_exits_0_with_consistent_outputs_or_1_with_error_json(d_left, 
         event(f"exit {code}")
         if code != 0:
             assert code == 1 and (out / "error.json").is_file()
+            assert not (out / "fringe.csv").exists() and not (out / "fringe.svg").exists()
             return
+        assert json.loads((out / "manifest.json").read_text())["overrides"] == overrides
         (record,) = read_records(out / "records.jsonl")
         rows = [line.split(",") for line in (out / "fringe.csv").read_text().splitlines()]
         assert record.payload["d_right_mhz"] == [float(v) for v in rows[0][1:]]

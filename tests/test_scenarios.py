@@ -378,6 +378,21 @@ def test_shots_are_drawn_at_the_readout_time():
     assert np.max(np.abs(res.shots.populations() - at_readout)) < 0.04
 
 
+def test_library_runs_reject_static_disorder_on_a_qubit_the_device_does_not_run():
+    # U03Q2 is broken: the library rejects its detuning as the CLI does, instead of dropping it
+    walk = ctqw_scenario({"U00Q0"}, t_max_ns=20.0)
+    sweep = mz_scenario("S", t_max_ns=20.0, readout_time_ns=20.0)
+    broken = {"static_disorder_mhz": {"U03Q2": 1.0}}
+    with pytest.raises(ValueError, match="does not run: U03Q2$"):
+        run_scenario(replace(walk, **broken))
+    with pytest.raises(ValueError, match="does not run: U03Q2$"):
+        disorder_sweep(replace(sweep, **broken), [0.0], [0.0])
+    # a functional qubit outside the active set is allowed and changes nothing
+    assert "U00Q0" not in sweep.active
+    moved = disorder_sweep(replace(sweep, static_disorder_mhz={"U00Q0": 1.0}), [0.0], [0.0])
+    assert moved.values.tobytes() == disorder_sweep(sweep, [0.0], [0.0]).values.tobytes()
+
+
 def test_static_disorder_breaks_mirror_symmetry():
     layout = default_mz_layout()
     hidden = sample_disorder(layout.left_arm, 1.5, seed=2)
