@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
@@ -230,6 +231,14 @@ class ActiveGraph:
 
     sites: tuple
     edges: tuple  # (i, j, j_eff_mhz) with i < j, site indices
+
+    def __post_init__(self):
+        # a Hamiltonian would sum a pair's two hops into one entry while
+        # HamiltonianMatrix.nnz counted both, so a pair is listed once
+        pairs = [(i, j) if i < j else (j, i) for i, j, _ in self.edges]
+        if len(set(pairs)) < len(pairs):
+            twice = next(pair for pair, count in Counter(pairs).items() if count > 1)
+            raise ValueError(f"site pair {twice} is listed twice in the graph's edges")
 
     @property
     def n_sites(self) -> int:

@@ -5,26 +5,40 @@ Unitary propagation has one engine, `propagate_block`: a Chebyshev expansion
 of the propagator (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984) applied
 to a block of states that share one real hopping matrix and differ only in a
 real diagonal per column. Fringe-grid cells and disorder realisations thus
-propagate together; a single state is the one-column case. Sample times are
-taken in windows of up to WINDOW_SAMPLES consecutive times, and each window runs one
-Chebyshev recurrence from its start state whose terms feed every sample in
-it, so a dense time series pays the series' truncation tail once per window
-rather than once per sample. Each window is cut at TOLERANCE divided by the
-number of windows, which bounds the summed truncation error at the last
-sample by TOLERANCE. The Bessel coefficients come from Miller's
-backward recurrence in numpy. Each term is one fused in-place step on one
-or two contiguous real planes: the diagonal part is written into a
-preallocated buffer and SciPy's compiled CSR kernel adds the hopping product
-into it, plane by plane, with the single-vector kernel for a one-column
-block. The Hamiltonian is real, so a window whose start state is real (the
-first window of every CLI command, which starts from a basis state) has only
-real terms, one plane each, with half the arithmetic of a complex start,
-whose terms are (re, im) planes. Every coefficient (-i)^k J_k is real or
-imaginary, and each term adds only its coefficients' nonzero parts into two
-real sums per sample, E (even terms, or the real part) and O (odd terms, or
-the imaginary part), in one compiled call; the phase e^(-i a dt) of the
-interval's centre multiplies each sample once, at the end of its window, in
-real arithmetic. So a real window's samples are bit-identical to running the
+propagate together; a single state is the one-column case.
+
+The engine has two plans, set by what the caller keeps; each pays the
+series' truncation tail once per recurrence rather than once per sample. A
+caller that keeps every sample's whole block (no `observe`, so every `run`)
+gets one series: a recurrence from t = 0 whose terms feed each of the
+leading sample times, every sample cut at its own order, so that a term
+adds only into the samples not yet cut. It closes where one more sample
+would cost more multiply-adds than that sample's share of a restarted
+window (`_series_samples`): after 600 ns on `run ctqw-two`, whose 61
+samples take 96 products. The samples past it, and every sample of a
+caller that observes each chunk (`sweep`'s readout, `analyze`'s ensembles),
+run in windows of up to WINDOW_SAMPLES consecutive times, each one
+recurrence from its start state (t = 0 or the sample before) that feeds
+every sample in it, cut at one order. Every recurrence, the series
+included, is cut at TOLERANCE divided by their number, which bounds the
+summed truncation error at the last sample by TOLERANCE. The Bessel
+coefficients come from Miller's backward recurrence in numpy, run for all
+of a grid's samples at once.
+
+Each term is one fused in-place step on one or two contiguous real planes:
+the diagonal part is written into a preallocated buffer and SciPy's
+compiled CSR kernel adds the hopping product into it, plane by plane, with
+the single-vector kernel for a one-column block. The Hamiltonian is real,
+so a recurrence whose start state is real (every CLI command starts from a
+basis state: the series, and the first window of an observed block) has
+only real terms, one plane each, with half the arithmetic of a complex
+start, whose terms are (re, im) planes. Every coefficient (-i)^k J_k is real
+or imaginary, and each term adds only its coefficients' nonzero parts into
+two real sums per sample, E (even terms, or the real part) and O (odd terms,
+or the imaginary part), in one compiled call; the phase e^(-i a dt) of the
+interval's centre multiplies each sample once, at the end of its
+recurrence, in real arithmetic over the sums' own bytes, which then hold
+the sample. So a real recurrence's samples are bit-identical to running the
 same terms complex, and no product rounds differently under another numpy
 SIMD level or BLAS kernel.
 
@@ -65,15 +79,18 @@ NS_TO_US = 1e-3
 # Summed Chebyshev truncation error allowed at the last sample of propagate_block
 TOLERANCE = 1e-12
 
-# Consecutive sample times per Chebyshev recurrence in propagate_block. Every
-# window sample holds two block-sized real sums, so longer windows trade
-# memory for fewer scaled-operator products, and past six samples the
-# `ensemble` block (dim 225 x 32 columns) no longer fits one CHUNK_BYTES
-# chunk, so its chunks each pay every window's terms. Products per operation
-# of the `walk` (dim 1891, 61 samples) and `ensemble` (101 samples) benchmark
-# workloads, and the median (quartiles) of their propagate_block call alone,
-# interleaved over 40 rounds on a 2-core x86_64 machine with BLAS on one
-# thread; chunks in brackets:
+# Consecutive sample times per Chebyshev window in propagate_block: every
+# sample of an observed block (`sweep`, `analyze`), and every sample past a
+# kept block's series. Every window sample holds two block-sized real sums,
+# so longer windows trade memory for fewer scaled-operator products, and past
+# six samples the `ensemble` block (dim 225 x 32 columns) no longer fits one
+# CHUNK_BYTES chunk, so its chunks each pay every window's terms. Products
+# per operation of the `walk` (dim 1891, 61 samples) and `ensemble` (101
+# samples) benchmark workloads, and the median (quartiles) of their
+# propagate_block call alone, interleaved over 40 rounds on a 2-core x86_64
+# machine with BLAS on one thread; chunks in brackets. The `walk` columns
+# date from when `run` ran in windows too: it now takes one series, 96
+# one-plane products over the same 61 samples.
 #
 #   window   products               walk (ms)           ensemble (ms)
 #   samples  walk   ensemble        dim 1891 x 1        dim 225 x 32
@@ -90,10 +107,13 @@ WINDOW_SAMPLES = 6
 
 # Recurrence working set per column chunk in propagate_block, in bytes. The
 # budget counts (window samples + 3) x dim complex entries per column: one per
-# sample's two real sums and three recurrence terms of two real planes. A
-# chunk also holds the samples, one more complex entry per window sample, and
-# a window with a real start state keeps its terms on one plane; the budget is
-# unchanged, and chunking does not change the bits either way. Past a few
+# sample's two real sums and three recurrence terms of two real planes. An
+# observed chunk also holds a window's worth of sums to phase them from, one
+# more complex entry per window sample; a kept block's chunk holds the sums of
+# all its samples, which become the samples in place, and the same scratch.
+# A recurrence with a real start state keeps its terms on one plane. The
+# budget is the same on every path, and chunking does not change the bits
+# either way. Past a few
 # hundred kB a term's pass over the block falls out of cache; much smaller
 # chunks pay per-call overhead in every product. Measured as the median time
 # of one propagate_block call, interleaved over 30 (sweep, ensemble) or 3
@@ -117,11 +137,12 @@ WINDOW_SAMPLES = 6
 # A one-column block (`walk`) is one chunk under any budget.
 CHUNK_BYTES = 1 << 20
 
-# Largest Bessel argument half_width * max|dt| of a propagate_block window, in
-# rad: about its number of Chebyshev terms (the workloads use at most ~86).
-# At the cap, a 989 us step of `walk`'s dim-1891 block took 6.3-6.9 s on a
-# 2-core x86_64 machine with BLAS on one thread. A window closes before a
-# sample past the cap; a single step past it makes the engine raise.
+# Largest Bessel argument half_width * max|dt| of a propagate_block
+# recurrence, in rad: about its number of Chebyshev terms (the workloads use
+# at most ~86). At the cap, a 989 us step of `walk`'s dim-1891 block took
+# 6.3-6.9 s on a 2-core x86_64 machine with BLAS on one thread. The series
+# and every window close before a sample past the cap from their start; a
+# single step past it, which a window must take, makes the engine raise.
 MAX_WINDOW_ARGUMENT = 1e5
 
 # (-i)^k for k mod 4, exact in complex arithmetic
@@ -132,58 +153,143 @@ class EvolutionError(RuntimeError):
     pass
 
 
+def _miller_order(a) -> int:
+    """The order n = a + 20 a^(1/3) + 30, for the largest of the a given,
+    that Miller's recurrence for J_k(a) starts from."""
+    return int(np.max(a + 20.0 * np.cbrt(a))) + 30
+
+
 def _bessel_j(z) -> np.ndarray:
     """J_k(z_j) for k = 0..n-1 at every z_j (len(z) x n), by Miller's backward recurrence.
 
     J_{k-1} = (2k / a) J_k - J_{k+1} runs down from J_n = 0 at a = |z| for an
-    order n = a + 20 a^(1/3) + 30, past the Airy transition of width a^(1/3)
-    around k = a, where J_n(a) is below 1e-30. The result is normalised with
-    J_0 + 2 sum_k J_2k = 1, and J_k(-z) = (-1)^k J_k(z). Below |z| = 1e-50 the
-    two-term series is used, which is exact at z = 0.
+    order n = a + 20 a^(1/3) + 30 of the largest a, past the Airy transition
+    of width a^(1/3) around k = a, where J_n(a) is below 1e-30. It runs for
+    every z_j at once on an orders x samples array, one row per order; a
+    sample whose value passes 1e250 is rescaled by 1e-250 at that order (the
+    higher orders underflow harmlessly), as the scalar recurrence would do
+    on its own, so each sample gets the same bits. The values are read only
+    where the growth bound 1 + 2k / a per order, from the last values read,
+    could have passed 1e249. The result is normalised with J_0 + 2 sum_k J_2k = 1, and
+    J_k(-z) = (-1)^k J_k(z). Below |z| = 1e-50 the two-term series is used,
+    which is exact at z = 0.
     """
     z = np.atleast_1d(np.asarray(z, dtype=np.float64))
     a = np.abs(z)
-    n = int(np.max(a + 20.0 * np.cbrt(a))) + 30
-    out = np.zeros((len(z), n))
-    for row, (zr, ar) in enumerate(zip(z.tolist(), a.tolist())):
-        if ar < 1e-50:
-            # J_0 = 1 and J_1 = z / 2 to double precision (J_2 = z^2 / 8 is below
-            # 1e-100), exact at z = 0; here 2 / a could overflow the recurrence
-            out[row, :2] = 1.0, 0.5 * zr
-            continue
-        # scalar recurrence: one z at a time costs less than numpy's per-call overhead
-        two_over_a = 2.0 / ar
-        vals = [0.0] * (n + 1)
-        vals[n - 1] = 1.0
-        for k in range(n - 1, 0, -1):
-            v = k * two_over_a * vals[k] - vals[k + 1]
-            if abs(v) > 1e250:
-                # rescale before overflow; the higher orders underflow harmlessly
-                vals = [u * 1e-250 for u in vals]
-                v *= 1e-250
-            vals[k - 1] = v
-        j = np.array(vals[:n])
-        j /= j[0] + 2.0 * np.sum(j[2::2])
-        if zr < 0:
-            j[1::2] *= -1.0
-        out[row] = j
-    return out
+    n = _miller_order(a)
+    # J_0 = 1 and J_1 = z / 2 to double precision below 1e-50 (J_2 = z^2 / 8 is
+    # below 1e-100), exact at z = 0; there 2 / a could overflow the recurrence
+    tiny = a < 1e-50
+    two_over_a = 2.0 / np.where(tiny, np.inf, a)  # 0 for a tiny z
+    factors = np.arange(n)[:, None] * two_over_a
+    # |J_(k-1)| <= (1 + 2k / a) max(|J_k|, |J_(k+1)|): `bound` caps the two
+    # latest orders, and the values are read only once it passes 1e249
+    growth = (1.0 + np.arange(n) * np.max(two_over_a)).tolist()
+    bound = 1.0
+    vals = np.zeros((n + 1, len(z)))
+    vals[n - 1] = 1.0
+    f, v = list(factors), list(vals)  # one view per order, made once
+    for k in range(n - 1, 0, -1):
+        np.multiply(f[k], v[k], out=v[k - 1])
+        np.subtract(v[k - 1], v[k + 1], out=v[k - 1])
+        bound *= growth[k]
+        if bound > 1e249:
+            over = np.abs(v[k - 1]) > 1e250
+            if over.any():
+                vals[:, over] *= 1e-250
+            bound = max(np.max(np.abs(v[k - 1])), np.max(np.abs(v[k])))
+    j = vals[:n].T.copy()
+    j /= np.where(tiny, 1.0, j[:, 0] + 2.0 * np.sum(j[:, 2::2], axis=1))[:, None]
+    j[z < 0, 1::2] *= -1.0
+    j[tiny] = 0.0
+    j[tiny, 0] = 1.0
+    j[tiny, 1] = 0.5 * z[tiny]
+    return j
 
 
-def _chebyshev_coefficients(z, tol: float) -> np.ndarray:
-    """(2 - delta_k0) (-i)^k J_k(z_j) for exp(-i z_j x) = sum_k c_jk T_k(x) on [-1, 1].
+def _cutoffs(j, tol) -> np.ndarray:
+    """Per row of a Bessel grid, the smallest order K at which the tail
+    2 sum_{k >= K} |J_k| is below tol, at least 1. Since |T_k(x)| <= 1 the
+    tail bounds the row's truncation error."""
+    tail = np.abs(j[:, ::-1])
+    np.cumsum(tail, axis=1, out=tail)
+    below = (2.0 * tail < tol)[:, ::-1]
+    return np.maximum(1, np.where(below.any(axis=1), below.argmax(axis=1), j.shape[1]))
 
-    One row per z_j, all cut at one order K: the smallest order at which every
-    row's tail 2 * sum_{k >= K} |J_k(z_j)| is below tol. Since |T_k(x)| <= 1
-    that tail bounds each row's truncation error.
-    """
+
+def _coefficients(j) -> np.ndarray:
+    """(2 - delta_k0) (-i)^k J_k(z_j) for exp(-i z_j x) = sum_k c_jk T_k(x) on [-1, 1], from a Bessel grid."""
+    k = np.arange(j.shape[1])
+    return np.where(k == 0, 1.0, 2.0) * _MINUS_I_POWERS[k % 4] * j
+
+
+def _chebyshev_coefficients(z, tol) -> np.ndarray:
+    """The coefficients of exp(-i z_j x), one row per z_j, all cut at one
+    order: the largest of the rows' `_cutoffs`."""
     j = _bessel_j(z)
-    tail = 2.0 * np.cumsum(np.abs(j[:, ::-1]), axis=1)[:, ::-1]
-    below = tail < tol
-    first = np.where(below.any(axis=1), below.argmax(axis=1), j.shape[1])
-    keep = max(1, int(first.max()))
-    k = np.arange(keep)
-    return np.where(k == 0, 1.0, 2.0) * _MINUS_I_POWERS[k % 4] * j[:, :keep]
+    return _coefficients(j[:, : int(_cutoffs(j, tol).max())])
+
+
+def _series_samples(times, half_width: float, dim: int, nnz: int):
+    """How many leading sample times one Chebyshev series from t = 0 takes,
+    and their Bessel grid at z_s = half_width t_s: (L, grid of L rows).
+
+    Costs are counted in multiply-adds: a product on one plane costs
+    nnz + dim (the CSR entries and the diagonal), and adding a term into one
+    sum costs dim. The series starts from a real state, one plane: sample s
+    costs K_s dim for its own sums, K_s its cutoff at TOLERANCE, and
+    nnz + dim for each term by which it lengthens the series. Were the
+    series closed before sample s, samples s, s+1, .. would restart from
+    t_(s-1) in a window of up to WINDOW_SAMPLES of them, closed before a
+    sample past MAX_WINDOW_ARGUMENT; its state is complex, so each of its K
+    terms costs two planes and adds into two sums per sample, and sample s's
+    share is 2 K (nnz + dim) / m + 2 K dim for a window of m samples, K the
+    cutoff of its largest |z|. The series takes at least the first
+    WINDOW_SAMPLES samples, as the first window would, and never a sample
+    past MAX_WINDOW_ARGUMENT from t = 0 or one whose own sums alone, at
+    least |z_s| dim since K_s > |z_s|, cost more than its share; up to
+    there it closes where its cost beyond the windows' shares is least.
+    The plan depends on the interval, the times, dim and nnz only.
+    """
+    t = np.array(times)
+    m = len(t)
+    z = half_width * (t * NS_TO_US)
+    product = nnz + dim
+    # share[s]: sample s's share of the window it would restart, s >= 1; it
+    # stays infinite where sample s is past MAX_WINDOW_ARGUMENT from t_(s-1),
+    # so that no window can restart there and the series keeps it
+    share = np.full(m, np.inf)
+    if m > 1:
+        members = np.arange(1, m)[:, None] + np.arange(WINDOW_SAMPLES)
+        window_z = np.abs(half_width * ((t[np.minimum(members, m - 1)] - t[:-1, None]) * NS_TO_US))
+        inside = (members < m) & (np.cumsum(window_z > MAX_WINDOW_ARGUMENT, axis=1) == 0)
+        counts = inside.sum(axis=1)
+        fits = counts > 0
+        # cutoffs grow with |z|, so a window's order is its largest |z|'s,
+        # found on grids over the distinct largest |z| in runs whose Miller
+        # orders stay within a factor 2, so that a small |z| never runs the
+        # recurrence of a far larger one
+        largest = np.where(inside, window_z, 0.0).max(axis=1)[fits].tolist()
+        values, orders, low = sorted(set(largest)), {}, 0
+        starts = [_miller_order(value) for value in values]
+        for i in range(1, len(values) + 1):
+            if i == len(values) or starts[i] > 2 * starts[low]:
+                orders.update(zip(values[low:i], _cutoffs(_bessel_j(values[low:i]), TOLERANCE).tolist()))
+                low = i
+        share[1:][fits] = 2.0 * np.array([orders[value] for value in largest]) * (product / counts[fits] + dim)
+    closed = np.abs(z) > MAX_WINDOW_ARGUMENT
+    closed[1:] |= np.abs(z[1:]) * dim > share[1:]
+    reach = int(np.argmax(closed)) if closed.any() else m
+    if reach == 0:
+        return 0, None
+    j = _bessel_j(z[:reach])
+    cut = _cutoffs(j, TOLERANCE)
+    longest = np.maximum.accumulate(cut)
+    # the cost beyond the windows' shares of a series of s + 1 samples
+    excess = np.concatenate([[0.0], np.cumsum(np.diff(longest) * product + cut[1:] * dim - share[1:reach])])
+    first = min(WINDOW_SAMPLES, reach)
+    length = first + int(np.argmin(excess[first - 1 :]))
+    return length, j[:length]
 
 
 def _chebyshev_step(kernels, matrix, diagonal, cur, prev, out) -> np.ndarray:
@@ -262,6 +368,76 @@ def _accumulate(matvecs, rows, term, sums) -> None:
     matvecs(len(indptr) - 1, len(term), term[0].size, indptr, indices, data, term.ravel(), sums.ravel())
 
 
+def _plan(times, shift: float, half_width: float, dim: int, nnz: int, series: bool) -> list:
+    """The recurrences of a propagate_block call, in order: (sample indices,
+    phase parts, coefficient rows, number of samples each term adds into)
+    per recurrence, its samples in the order of their sums.
+
+    With `series`, the first is one series from t = 0 over the leading
+    samples `_series_samples` picks, each cut at its own order, its sums
+    ordered longest cut first. The other samples run in windows from the
+    sample before: up to WINDOW_SAMPLES consecutive times, closed early
+    before a sample past MAX_WINDOW_ARGUMENT from the start, all cut at one
+    order and sharing one grid per distinct tuple of offsets.
+    """
+    n_series, series_grid = _series_samples(times, half_width, dim, nnz) if series else (0, None)
+    # (start time, sample indices) per window after the series
+    windows, window, t_start = [], [], times[n_series - 1] if n_series else 0.0
+    for i in range(n_series, len(times)):
+        if len(window) == WINDOW_SAMPLES or (
+            window and abs(half_width * ((times[i] - t_start) * NS_TO_US)) > MAX_WINDOW_ARGUMENT
+        ):
+            windows.append((t_start, window))
+            window, t_start = [], times[window[-1]]
+        window.append(i)
+    if window:
+        windows.append((t_start, window))
+    tolerance = TOLERANCE / max(1, len(windows) + (n_series > 0))
+    plan = []
+    if n_series:
+        cut = _cutoffs(series_grid, tolerance)
+        # longest cut first, so that term k adds into the leading run of samples cut past k
+        order = np.argsort(-cut, kind="stable")
+        n_terms = int(cut[order[0]])
+        phases = np.exp(-1j * shift * (np.array(times[:n_series]) * NS_TO_US))[order, None, None]
+        coefficient_rows = _coefficient_rows(_coefficients(series_grid[order, :n_terms]))
+        reached = np.sum(cut[:, None] > np.arange(n_terms), axis=0).tolist()
+        plan.append((order.tolist(), phases.real, phases.imag, coefficient_rows, reached))
+    grids = {}
+    for t_start, window in windows:
+        # offsets in ns, scaled afterwards, so equal windows share one grid
+        offsets = tuple(times[i] - t_start for i in window)
+        if offsets not in grids:
+            dt = np.array(offsets) * NS_TO_US
+            z = half_width * dt
+            far = int(np.argmax(np.abs(z)))
+            if abs(z[far]) > MAX_WINDOW_ARGUMENT:  # a single step: longer windows closed early
+                raise EvolutionError(f"sample time {times[window[far]]!r} ns is too far from {t_start!r} ns for one "
+                                     f"window: it needs about {abs(z[far]):.3g} terms, more than {MAX_WINDOW_ARGUMENT:.0e}")
+            phases = np.exp(-1j * shift * dt)[:, None, None]
+            coeffs = _chebyshev_coefficients(z, tolerance)
+            grids[offsets] = phases.real, phases.imag, _coefficient_rows(coeffs), [len(window)] * coeffs.shape[1]
+        plan.append((window, *grids[offsets]))
+    return plan
+
+
+def _phase(sums, phase_re, phase_im, out) -> None:
+    """out_j = phase_j (E_j + i O_j) for each sample j of a recurrence's sums.
+
+    `sums` is m x 2 x dim x width (E_j and O_j) and `out` m x dim x width
+    complex, not sharing its bytes. The product is spelled in real
+    multiplies and adds, E's storage taking each product of O once E is
+    read, and + 0.0 turns -0.0 into +0.0.
+    """
+    even, odd = sums[:, 0], sums[:, 1]
+    np.multiply(phase_re, even, out=out.real)
+    np.multiply(phase_im, even, out=out.imag)
+    np.subtract(out.real, np.multiply(phase_im, odd, out=even), out=out.real)
+    np.add(out.imag, np.multiply(phase_re, odd, out=even), out=out.imag)
+    flat = out.view(np.float64)
+    np.add(flat, 0.0, out=flat)
+
+
 def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
     """exp(-i t (H0 + diag(d_c))) x_c for every column c of a block, at each sample time.
 
@@ -276,29 +452,36 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
 
     Every column's spectrum lies in one Gershgorin interval [a - b, a + b] over
     the whole block, so one rescaled Chebyshev recurrence serves all columns.
-    Consecutive sample times are grouped into windows of WINDOW_SAMPLES, a
-    window closing early before a sample whose Bessel argument b |t - t0|
-    would exceed MAX_WINDOW_ARGUMENT from its start time t0. Each
-    window runs one recurrence from the state at its start time t0 (0, or the
-    previous window's last sample) and sums every term T_k into each sample
-    with the coefficient (-i)^k r_jk, r_jk = (2 - delta_k0) J_k(b dt_j) real
-    and dt_j = t_j - t0, then multiplies each sample by its phase e^(-i a dt_j);
-    the window's length is set by its largest |dt_j|. The phases and the
-    coefficient grid depend only on a, b and the in-window offsets, and are
-    cached per distinct tuple of offsets. Each window's samples are cut at
-    TOLERANCE / n_windows, so the truncation errors summed over the windows
-    up to the last sample stay below TOLERANCE. A single step past
-    MAX_WINDOW_ARGUMENT, which makes a window of its own, raises
-    EvolutionError before any coefficient is built.
+    A recurrence from the state at its start time t0 sums every term T_k into
+    each of its samples with the coefficient (-i)^k r_jk,
+    r_jk = (2 - delta_k0) J_k(b dt_j) real and dt_j = t_j - t0, then
+    multiplies each sample by its phase e^(-i a dt_j).
+
+    Without `observe`, the first recurrence is a series from t0 = 0 over the
+    leading sample times that `_series_samples` picks from a, b, the times,
+    dim and nnz alone, never from the block's width or values. Each of its
+    samples is cut at its own order K_j, the first at which its Bessel tail
+    is below the tolerance; its sums are ordered by K_j, longest first, so
+    term k adds into the leading run of samples with K_j > k. The samples
+    after it, and every sample under `observe`, are grouped into windows of
+    WINDOW_SAMPLES consecutive times, a window closing early before a sample
+    whose Bessel argument b |t - t0| would exceed MAX_WINDOW_ARGUMENT from
+    its start time t0 (the last sample before the window, or 0). A window's
+    samples are cut at the order of its largest |dt_j|; its phases and grid
+    depend only on a, b and the in-window offsets, and are cached per
+    distinct tuple of offsets. Every recurrence is cut at TOLERANCE divided
+    by their number, so the truncation errors summed up to the last sample
+    stay below TOLERANCE. A single step past MAX_WINDOW_ARGUMENT that a
+    window must take raises EvolutionError before any term is computed.
 
     Each term is one fused step into a preallocated buffer (`_chebyshev_step`):
     T_1 = D T_0 + A T_0, and T_k = 2D T_(k-1) - T_(k-2) + 2A T_(k-1) for
     k >= 2, with the scaled operator and diagonal doubled once per call. A
     term is stored as contiguous real planes, and the product runs once per
     plane: SciPy's single-vector `csr_matvec` for a one-column chunk, its
-    `csr_matvecs` for a wider one. A window whose start state is real (every
-    imaginary part +0.0 or -0.0) has only real terms, one plane each; any
-    other window's terms are two planes, (re, im). Each sample keeps two real
+    `csr_matvecs` for a wider one. A recurrence whose start state is real
+    (every imaginary part +0.0 or -0.0) has only real terms, one plane each;
+    any other's terms are two planes, (re, im). Each sample keeps two real
     sums, E_j and O_j, which start at +0.0, and each term adds into them in
     one `csr_matvecs` call over a small matrix of its coefficients' nonzero
     parts p_jk = +-r_jk (`_coefficient_rows`, `_accumulate`): p_jk T_k into
@@ -306,17 +489,21 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
     Im T_k) for an even complex term and p_jk (-Im T_k, Re T_k) for an odd
     one. Every addition is one rounded multiply and one rounded add, the
     ones the complex product c_jk T_k and its sum would make, since the
-    product's other part is an exact zero. A window ends as
+    product's other part is an exact zero. A recurrence ends as
     y_j = phase_j (E_j + i O_j) in explicit real multiplies and adds, then
-    + 0.0, so that an exact zero is +0.0. A real window's samples are thus
-    bit-identical to running its terms complex.
+    + 0.0, so that an exact zero is +0.0 (`_phase`). A real recurrence's
+    samples are thus bit-identical to running its terms complex. Without
+    `observe` every sample keeps its own sums, which take its complex
+    entries in place, a window's worth at a time through a scratch copy, and
+    the returned arrays are those bytes when the block is one chunk; under
+    `observe` one window's sums and samples are reused.
 
     The columns run in chunks of equal width (the last may be narrower), as
     many as keep each chunk's (window samples + 3) x dim complex entries
     within CHUNK_BYTES, also where its terms run real. Each chunk allocates
-    its term buffers and window sums once, and runs every window from
-    t = 0 on the shared interval and grids, so every column's values match
-    the unchunked run bit for bit.
+    its term buffers and sums once, and runs the whole plan from t = 0 on
+    the shared interval and grids, so every column's values match the
+    unchunked run bit for bit.
     """
     import scipy.sparse as sp  # imported on use: no start-up cost for commands that never propagate
     from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
@@ -348,54 +535,29 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
     doubled_h0 = 2.0 * scaled_h0
 
     times = [float(t) for t in times_ns]
-    # (start time, sample times) per window: up to WINDOW_SAMPLES consecutive
-    # times, closed early before a sample past MAX_WINDOW_ARGUMENT from the start
-    windows, window, t_start = [], [], 0.0
-    for t in times:
-        if len(window) == WINDOW_SAMPLES or (
-            window and abs(half_width * ((t - t_start) * NS_TO_US)) > MAX_WINDOW_ARGUMENT
-        ):
-            windows.append((t_start, window))
-            window, t_start = [], window[-1]
-        window.append(t)
-    if window:
-        windows.append((t_start, window))
-    window_tolerance = TOLERANCE / max(1, len(windows))
-    grids = {}
-    plan = []  # (sample times, phase parts, number of terms, coefficient rows) per window
-    for t_start, window in windows:
-        # offsets in ns, scaled afterwards, so equal windows share one grid
-        offsets = tuple(t - t_start for t in window)
-        if offsets not in grids:
-            dt = np.array(offsets) * NS_TO_US
-            z = half_width * dt
-            far = int(np.argmax(np.abs(z)))
-            if abs(z[far]) > MAX_WINDOW_ARGUMENT:  # a single step: longer windows closed early
-                raise EvolutionError(f"sample time {window[far]!r} ns is too far from {t_start!r} ns for one "
-                                     f"window: it needs about {abs(z[far]):.3g} terms, more than {MAX_WINDOW_ARGUMENT:.0e}")
-            phases = np.exp(-1j * shift * dt)[:, None, None]
-            coeffs = _chebyshev_coefficients(z, window_tolerance)
-            grids[offsets] = phases.real, phases.imag, coeffs.shape[1], _coefficient_rows(coeffs)
-        plan.append((window, *grids[offsets]))
+    dim, n_columns = x.shape
+    plan = _plan(times, shift, half_width, dim, h0.nnz, series=observe is None)
 
-    n_columns = x.shape[1]
     samples = [None] * len(times)  # one output array per sample time, filled chunk by chunk
     window_samples = min(WINDOW_SAMPLES, len(times))
     kernels = csr_matvec, csr_matvecs
 
-    def propagate_chunk(x, chunk_diagonals, columns):
-        dim, width = x.shape
+    def propagate_chunk(x, chunk_diagonals, columns, whole):
+        width = x.shape[1]
         scaled_diag = (chunk_diagonals - shift) * inverse_width
         doubled_diag = 2.0 * scaled_diag
         # three term buffers of (re, im) planes, a real term using the first
-        # plane; each window sample's sums E_j and O_j; and the samples
+        # plane; each sample's sums E_j and O_j (every sample's for a kept
+        # block, whose sums become its samples in place; the window's under
+        # observe); and a window's worth of sums, or of samples under observe
         terms = np.empty((3, 2, dim, width))
-        sums = np.empty((window_samples, 2, dim, width))
-        y = np.empty((window_samples, dim, width), np.complex128)
+        store = np.empty((len(times) if observe is None else window_samples, 2, dim, width))
+        scratch = np.empty((window_samples, 2, dim, width))
+        samples_scratch = scratch.reshape(window_samples, -1).view(np.complex128).reshape(window_samples, dim, width)
 
         norms0 = np.linalg.norm(x, axis=0)
-        sample = 0
-        for window, phase_re, phase_im, n_terms, coefficient_rows in plan:
+        stored = 0
+        for window, phase_re, phase_im, coefficient_rows, reached in plan:
             m = len(window)
             # a real start state has only real terms T_k, one plane each
             real = not np.any(x.imag)
@@ -404,29 +566,37 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
             if not real:
                 np.copyto(cur[1], x.imag)
             indptr, indices, data = coefficient_rows[real]
-            window_sums = sums[:m]
+            sums = store[stored : stored + m]  # a kept block's next samples, else the window's
             # the sums start at +0.0 and only ever add, so they never hold -0.0
-            window_sums.fill(0.0)
-            _accumulate(csr_matvecs, (indptr[0], indices[0], data[0]), cur, window_sums)
-            for k in range(1, n_terms):
+            sums.fill(0.0)
+            for k, n in enumerate(reached):
                 if k == 1:
                     _chebyshev_step(kernels, scaled_h0, scaled_diag, cur, None, nxt)
-                else:
+                elif k > 1:
                     # T_k = 2A T_(k-1) - T_(k-2)
                     _chebyshev_step(kernels, doubled_h0, doubled_diag, cur, prev, nxt)
-                _accumulate(csr_matvecs, (indptr[k % 2], indices[k % 2], data[k]), nxt, window_sums)
-                prev, cur, nxt = cur, nxt, prev
-            # y = phase (E + i O) in real arithmetic, E's storage taking each
-            # product of O once E is read; + 0.0 turns -0.0 into +0.0
-            even, odd, out = window_sums[:, 0], window_sums[:, 1], y[:m]
-            np.multiply(phase_re, even, out=out.real)
-            np.multiply(phase_im, even, out=out.imag)
-            np.subtract(out.real, np.multiply(phase_im, odd, out=even), out=out.real)
-            np.add(out.imag, np.multiply(phase_re, odd, out=even), out=out.imag)
-            flat = out.view(np.float64)
-            np.add(flat, 0.0, out=flat)
+                if k:
+                    prev, cur, nxt = cur, nxt, prev
+                rows = indptr[k % 2], indices[k % 2], data[k]
+                if n < m:  # a series term adds into its leading n samples, those cut past k
+                    ptr = rows[0][: 2 * n + 1]
+                    rows = ptr, rows[1][: ptr[-1]], rows[2][: ptr[-1]]
+                _accumulate(csr_matvecs, rows, cur, sums[:n])
+            if observe is None:
+                # each sample's complex entries take its sums' bytes, a window's worth at a time
+                y = sums.reshape(m, -1).view(np.complex128).reshape(m, dim, width)
+                for i in range(0, m, window_samples):
+                    run = slice(i, i + window_samples)
+                    copied = scratch[: len(y[run])]
+                    np.copyto(copied, sums[run])
+                    _phase(copied, phase_re[run], phase_im[run], y[run])
+                stored += m
+            else:
+                y = samples_scratch[:m]
+                _phase(sums, phase_re, phase_im, y)
             # every sample's squared column norms from one reduction over the
             # window; the first sample that drifts is named
+            flat = y.view(np.float64)
             if width == 1:  # the one column's (re, im) pairs lie contiguous
                 samples_flat = flat.reshape(m, -1)
                 squares = np.einsum("si,si->s", samples_flat, samples_flat)[:, None]
@@ -436,24 +606,27 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
             drift = np.abs(np.sqrt(squares) - norms0)
             held = np.all(drift <= NORM_TOL, axis=1)
             if not held.all():
-                first = int(np.argmin(held))
-                raise EvolutionError(f"norm drifted by {np.max(drift[first])} at t={window[first]} ns")
-            for yt in out:
+                first = min(window[s] for s in np.flatnonzero(~held))
+                raise EvolutionError(f"norm drifted by {np.max(drift[window.index(first)])} at t={times[first]} ns")
+            for yt, i in zip(y, window):
+                if whole and observe is None:
+                    samples[i] = yt  # the sample's own bytes, no copy
+                    continue
                 observed = yt if observe is None else observe(yt)
-                if samples[sample] is None:
-                    samples[sample] = np.empty(observed.shape[:-1] + (n_columns,), observed.dtype)
-                samples[sample][..., columns] = observed
-                sample += 1
-            # the next window reads its start state before it overwrites y
-            x = out[-1]
+                if samples[i] is None:
+                    samples[i] = np.empty(observed.shape[:-1] + (n_columns,), observed.dtype)
+                samples[i][..., columns] = observed
+            # the next window reads its start state, the last sample, before it overwrites y
+            x = y[window.index(max(window))]
 
     # the fewest chunks within CHUNK_BYTES, of equal width but the last; a
     # zero-column block runs as one empty chunk
-    column_bytes = (window_samples + 3) * x.shape[0] * x.itemsize
+    column_bytes = (window_samples + 3) * dim * x.itemsize
     n_chunks = max(1, -(-n_columns * column_bytes // CHUNK_BYTES))
     width = max(1, -(-n_columns // n_chunks))
     for c in range(0, max(1, n_columns), width):
-        propagate_chunk(np.ascontiguousarray(x[:, c : c + width]), diagonals[:, c : c + width], slice(c, c + width))
+        chunk = slice(c, c + width)
+        propagate_chunk(np.ascontiguousarray(x[:, chunk]), diagonals[:, chunk], chunk, width >= n_columns)
     return samples
 
 

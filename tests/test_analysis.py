@@ -319,13 +319,19 @@ def test_interaction_signature():
 
 def test_pipeline_series_equal_snapshot_correlations():
     # the one-realisation block path pins the general connected correlation,
-    # evaluated on per-time snapshots, bit for bit (t = 0 samples are +0.0)
+    # evaluated on per-time snapshots, bit for bit (t = 0 samples are +0.0);
+    # the snapshots keep each chunk through an observe, so they take the
+    # pipeline's plan, its windows
     res = ctqw_velocity_pipeline()
     device = default_device()
     graph = active_subgraph(device, device.functional_qubits)
     b = enumerate_basis(graph.n_sites, 1)
     origin = res.series[0].site_pair[0]
-    snaps = evolve_unitary(build_hamiltonian(graph, b), basis_state(b, {origin}), PIPELINE_TIMES_NS)
+    block = basis_state(b, {origin}).amplitudes[:, None]
+    states = evolution.propagate_block(
+        build_hamiltonian(graph, b).matrix, np.zeros((b.dimension, 1)), block, PIPELINE_TIMES_NS, lambda y: y
+    )
+    snaps = [(t, QuantumState(b, y[:, 0])) for t, y in zip(PIPELINE_TIMES_NS, states)]
     assert len(res.series) == 4
     for series in res.series:
         i, j = series.site_pair

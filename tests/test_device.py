@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qwalk.device import (
     MAX_DISORDER_BOUND_MHZ,
+    ActiveGraph,
     CouplingEdge,
     QubitId,
     QubitParams,
@@ -133,6 +134,19 @@ def test_active_subgraph_single_qubit():
     q = QubitId.parse("U00Q0")
     g = active_subgraph(d, [q])
     assert g.n_sites == 1 and g.edges == ()
+
+
+@given(st.integers(3, 8), st.data())
+def test_graph_rejects_a_site_pair_listed_twice(n, data):
+    # HamiltonianMatrix.nnz would count both listings where the matrix sums them
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [(i, j, 2.0) for i, j in data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))]
+    assert ActiveGraph(tuple(range(n)), tuple(edges)).edges == tuple(edges)
+    i, j, _ = data.draw(st.sampled_from(edges))
+    again = data.draw(st.sampled_from([(i, j, 1.0), (j, i, 1.0)]))  # in either order
+    position = data.draw(st.integers(0, len(edges)))
+    with pytest.raises(ValueError, match=rf"site pair \(\d+, \d+\) is listed twice"):
+        ActiveGraph(tuple(range(n)), tuple(edges[:position] + [again] + edges[position:]))
 
 
 def test_active_subgraph_rejects_broken_and_empty():

@@ -10,7 +10,7 @@ from scipy.sparse import _sparsetools
 from scipy.special import jv
 
 from qwalk import evolution
-from qwalk.device import ActiveGraph, DisorderMap, grid_graph
+from qwalk.device import ActiveGraph, DisorderMap, default_device, grid_graph
 from qwalk.evolution import (
     WINDOW_SAMPLES,
     EvolutionError,
@@ -25,6 +25,7 @@ from qwalk.evolution import (
     site_populations,
 )
 from qwalk.hamiltonian import build_hamiltonian
+from qwalk.scenarios import _scenario_setup, ctqw_scenario
 from qwalk.sector import QuantumState, basis_state, enumerate_basis, populations, row_sums
 
 J = 2.01
@@ -34,6 +35,16 @@ def chain_instance(n, k=1, disorder=None):
     g = ActiveGraph(tuple(range(n)), tuple((i, i + 1, J) for i in range(n - 1)))
     b = enumerate_basis(n, k)
     return g, b, build_hamiltonian(g, b, disorder)
+
+
+def keep_chunk(y):
+    """An observe that returns its chunk: the engine then runs every sample in
+    windows, where observe=None runs the leading samples in one series."""
+    return y
+
+
+# both plans of a propagate_block call: the series and the windows
+PLANS = (None, keep_chunk)
 
 
 def test_two_site_rabi_swap():
@@ -125,12 +136,13 @@ def block_instances(draw, cells=st.integers(1, 4)):
 def test_block_engine_matches_scipy_expm(instance, sign, magnitude):
     h, diagonals, x = instance
     t = sign * magnitude
-    (y,) = propagate_block(h.matrix, diagonals, x, (t,))
     dense = h.to_dense()
-    for c in range(x.shape[1]):
-        ref = expm(-1j * (t * 1e-3) * (dense + np.diag(diagonals[:, c]))) @ x[:, c]
-        assert np.max(np.abs(y[:, c] - ref)) < 1e-10
-    assert np.allclose(np.linalg.norm(y, axis=0), 1.0, atol=1e-12)
+    refs = [expm(-1j * (t * 1e-3) * (dense + np.diag(diagonals[:, c]))) @ x[:, c] for c in range(x.shape[1])]
+    for observe in PLANS:
+        (y,) = propagate_block(h.matrix, diagonals, x, (t,), observe)
+        for c, ref in enumerate(refs):
+            assert np.max(np.abs(y[:, c] - ref)) < 1e-10
+        assert np.allclose(np.linalg.norm(y, axis=0), 1.0, atol=1e-12)
 
 
 @st.composite
@@ -149,14 +161,20 @@ def sample_times(draw):
 @given(block_instances(), sample_times())
 def test_every_windowed_sample_matches_scipy_expm(instance, times):
     h, diagonals, x = instance
-    ys = propagate_block(h.matrix, diagonals, x, times)
-    assert len(ys) == len(times) > WINDOW_SAMPLES
+    plans = [propagate_block(h.matrix, diagonals, x, times, observe) for observe in PLANS]
     dense = h.to_dense()
-    for t, y in zip(times, ys):
+    for i, t in enumerate(times):
         for c in range(x.shape[1]):
             ref = expm(-1j * (t * 1e-3) * (dense + np.diag(diagonals[:, c]))) @ x[:, c]
-            assert np.max(np.abs(y[:, c] - ref)) < 1e-10
-        assert np.allclose(np.linalg.norm(y, axis=0), 1.0, atol=1e-12)
+            for ys in plans:
+                assert len(ys) == len(times) > WINDOW_SAMPLES
+                assert np.max(np.abs(ys[i][:, c] - ref)) < 1e-10
+        for ys in plans:
+            assert np.allclose(np.linalg.norm(ys[i], axis=0), 1.0, atol=1e-12)
+
+
+def squared_even_rows(y):
+    return np.abs(y[::2]) ** 2
 
 
 @given(st.data(), sample_times())
@@ -167,23 +185,28 @@ def test_column_chunks_match_the_whole_block_bit_for_bit(data, times):
     short = data.draw(st.integers(1, min(width, n_chunks) - 1))
     h, diagonals, x = data.draw(block_instances(cells=st.just(n_chunks * width - short)))
     column_bytes = (WINDOW_SAMPLES + 3) * h.dimension * 16
-    widths = []
+    widths = []  # the chunk width of each run of sums the engine phases
+    phase = evolution._phase
 
-    def per_column(y):
-        widths.append(y.shape[1])
-        return np.abs(y[::2]) ** 2
+    def spy(sums, *args):
+        widths.append(sums.shape[-1])
+        return phase(sums, *args)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evolution, "CHUNK_BYTES", 2**62)
-        whole = [propagate_block(h.matrix, diagonals, x, times, observe) for observe in (None, per_column)]
-        assert widths == [x.shape[1]] * len(times)
+    # the series, the windows keeping each chunk, and the windows reducing it
+    for observe in (*PLANS, squared_even_rows):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evolution, "_phase", spy)
+            mp.setattr(evolution, "CHUNK_BYTES", 2**62)
+            whole = propagate_block(h.matrix, diagonals, x, times, observe)
+            n_runs = len(widths)
+            assert widths == [x.shape[1]] * n_runs
+            widths.clear()
+            mp.setattr(evolution, "CHUNK_BYTES", width * column_bytes)
+            chunked = propagate_block(h.matrix, diagonals, x, times, observe)
+        assert widths == [width] * n_runs * (n_chunks - 1) + [width - short] * n_runs
         widths.clear()
-        mp.setattr(evolution, "CHUNK_BYTES", width * column_bytes)
-        chunked = [propagate_block(h.matrix, diagonals, x, times, observe) for observe in (None, per_column)]
-    assert widths == [width] * len(times) * (n_chunks - 1) + [width - short] * len(times)
-    for ys, refs in zip(chunked, whole):
-        assert len(ys) == len(refs) == len(times)
-        assert all(np.array_equal(y, ref) for y, ref in zip(ys, refs))
+        assert len(chunked) == len(whole) == len(times)
+        assert all(np.array_equal(y, ref) for y, ref in zip(chunked, whole))
 
 
 def spy_products(dim, width):
@@ -254,13 +277,62 @@ def test_one_column_products_take_the_single_vector_kernel():
     # takes with n_vecs = 1, so no one-column product goes through the latter
     _, b, h = chain_instance(8, k=2)
     psi = basis_state(b, {0, 5}).amplitudes[:, None]
-    for block in (psi, psi * np.exp(0.3j)):  # a real and a complex first window
-        patches, widths, matvecs_products = spy_products(b.dimension, 1)
-        with patches:
-            propagate_block(h.matrix, np.zeros((b.dimension, 1)), block, tuple(np.arange(0.0, 400.0, 37.0)))
-        assert widths and matvecs_products == []
-        # one plane per term in a real window, two in a complex one; the later windows start complex
-        assert widths[0] == (1 if block is psi else 2) and widths[-1] == 2
+    for block, planes in ((psi, 1), (psi * np.exp(0.3j), 2)):  # a real and a complex start
+        for observe in PLANS:
+            patches, widths, matvecs_products = spy_products(b.dimension, 1)
+            with patches:
+                propagate_block(h.matrix, np.zeros((b.dimension, 1)), block, tuple(np.arange(0.0, 400.0, 37.0)), observe)
+            assert widths and matvecs_products == []
+            # one plane per term from a real start, two from a complex one: the
+            # series runs every sample from the start state, and of the windows
+            # only the first does, the later ones starting complex
+            assert widths[0] == planes and widths[-1] == (planes if observe is None else 2)
+
+
+def ctqw_two():
+    """`run --scenario ctqw-two`'s Hamiltonian, start state and sample times."""
+    scenario = ctqw_scenario({"U00Q0", "U33Q2"})
+    _graph, _basis, psi0, h = _scenario_setup(scenario, default_device(), scenario.disorder())
+    return h, psi0, scenario.times_ns
+
+
+def test_run_rides_one_real_series():
+    # all 61 samples of the two-walker walk come from one recurrence from the
+    # real start state: one plane per product, and 96 products, where six-sample
+    # windows restarted from complex states took 260, 237 of them on two planes
+    h, psi0, times = ctqw_two()
+    patches, widths, _ = spy_products(h.dimension, 1)
+    with patches:
+        evolve_unitary(h, psi0, times)
+    assert len(times) == 61 and widths == [1] * 96
+
+
+def test_a_long_grid_closes_the_series_and_goes_on_in_windows(monkeypatch):
+    # from about 600 ns on a sample would cost the series more than its share
+    # of a restarted window, so a 0-4800 ns grid goes on in WINDOW_SAMPLES
+    # windows once the walk's 0-600 ns have run
+    h, psi0, _ = ctqw_two()
+    times = tuple(np.arange(0.0, 4800.0 + 1e-9, 10.0))
+    lengths, grids = [], []
+    series, grid = evolution._series_samples, evolution._chebyshev_coefficients
+
+    def series_spy(*args):
+        length, bessel = series(*args)
+        lengths.append(length)
+        return length, bessel
+
+    monkeypatch.setattr(evolution, "_series_samples", series_spy)
+    monkeypatch.setattr(evolution, "_chebyshev_coefficients", lambda z, tol: grids.append(grid(z, tol)) or grids[-1])
+    patches, widths, _ = spy_products(h.dimension, 1)
+    with patches:
+        evolve_unitary(h, psi0, times)
+    (length,) = lengths
+    assert 61 <= length < 70
+    # the windows' distinct grids: six offsets, and the rest of the samples
+    full, rest = divmod(len(times) - length, WINDOW_SAMPLES)
+    assert [len(c) for c in grids] == [WINDOW_SAMPLES] + [rest] * (rest > 0)
+    window_products = full * (grids[0].shape[1] - 1) + (rest > 0) * (grids[-1].shape[1] - 1)
+    assert widths == [1] * (len(widths) - window_products) + [2] * window_products
 
 
 @given(block_instances(), st.floats(-4.0, 4.0), st.booleans(), st.booleans())
@@ -339,7 +411,7 @@ def test_equal_windows_share_one_coefficient_grid(monkeypatch):
     monkeypatch.setattr(evolution, "_chebyshev_coefficients", lambda z, tol: calls.append(z) or grid(z, tol))
     _, b, h = chain_instance(6, k=2)
     times = tuple(np.arange(0.0, 1000.0 + 1e-9, 10.0))  # the distance-velocity study's samples
-    propagate_block(h.matrix, np.zeros((b.dimension, 1)), basis_state(b, {0, 3}).amplitudes[:, None], times)
+    propagate_block(h.matrix, np.zeros((b.dimension, 1)), basis_state(b, {0, 3}).amplitudes[:, None], times, keep_chunk)
     # offsets (0, 10, .., 50), then (10, 20, .., 60) for every full window, then the
     # remaining (10, .., 50): windows of 6, 6 and 5 samples
     assert [len(z) for z in calls] == [WINDOW_SAMPLES, WINDOW_SAMPLES, (len(times) - WINDOW_SAMPLES) % WINDOW_SAMPLES]
@@ -355,6 +427,54 @@ def test_bessel_j_matches_scipy_jv(z):
     assert np.max(np.abs(j - ref)) < 5e-14
     # the returned orders reach far enough that the rest of the series is negligible
     assert np.all(np.abs(ref[:, -1]) < 1e-25)
+
+
+def scalar_bessel_j(z):
+    """Miller's backward recurrence one z at a time in Python floats, as the
+    engine ran it before it ran every z at once: (J grid, rescales made)."""
+    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
+    a = np.abs(z)
+    n = int(np.max(a + 20.0 * np.cbrt(a))) + 30
+    out = np.zeros((len(z), n))
+    rescales = 0
+    for row, (zr, ar) in enumerate(zip(z.tolist(), a.tolist())):
+        if ar < 1e-50:
+            out[row, :2] = 1.0, 0.5 * zr
+            continue
+        two_over_a = 2.0 / ar
+        vals = [0.0] * (n + 1)
+        vals[n - 1] = 1.0
+        for k in range(n - 1, 0, -1):
+            v = k * two_over_a * vals[k] - vals[k + 1]
+            if abs(v) > 1e250:
+                vals = [u * 1e-250 for u in vals]
+                v *= 1e-250
+                rescales += 1
+            vals[k - 1] = v
+        j = np.array(vals[:n])
+        j /= j[0] + 2.0 * np.sum(j[2::2])
+        if zr < 0:
+            j[1::2] *= -1.0
+        out[row] = j
+    return out, rescales
+
+
+@given(
+    st.lists(st.floats(-400.0, 400.0) | st.floats(1e-45, 1e-5) | st.sampled_from([0.0, 1e-60, -1e-60]), max_size=6),
+    st.floats(-3.0, -1e-3),
+    st.floats(250.0, 2000.0),
+)
+def test_bessel_j_matches_the_scalar_recurrence_bit_for_bit(z, negative, large):
+    # every list holds 0, +-1e-60 (the two-term series), a negative value and
+    # a large argument, whose order n makes the small arguments' recurrences
+    # pass 1e250 and rescale
+    z = [*z, 0.0, 1e-60, -1e-60, negative, large]
+    ref, rescales = scalar_bessel_j(z)
+    assert rescales > 0
+    assert _bessel_j(z).tobytes() == ref.tobytes()
+    # each row alone, with its own order n, as the engine's windows may call it
+    for row in (negative, large):
+        assert _bessel_j([row]).tobytes() == scalar_bessel_j([row])[0].tobytes()
 
 
 def test_zero_hopping_gives_pure_phase():
@@ -404,7 +524,7 @@ def test_engine_names_the_first_sample_whose_norm_drifts(monkeypatch, columns):
     x = np.repeat(basis_state(b, {0, 3}).amplitudes[:, None], columns, axis=1)
     times = tuple(np.arange(0.0, 100.0 + 1e-9, 10.0))
     with pytest.raises(EvolutionError, match=r"at t=30\.0 ns$") as exc:
-        propagate_block(h.matrix, np.zeros((b.dimension, columns)), x, times)
+        propagate_block(h.matrix, np.zeros((b.dimension, columns)), x, times, keep_chunk)
     assert float(str(exc.value).split()[3]) == pytest.approx(0.01)
 
 

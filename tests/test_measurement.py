@@ -285,7 +285,7 @@ def test_two_walker_state_digest_pinned():
     _graph, _basis, psi0, h = _scenario_setup(scenario, default_device(), scenario.disorder())
     states = [state for _t, state in evolve_unitary(h, psi0, scenario.times_ns)]
     digest = hashlib.sha256(np.array([s.amplitudes for s in states]).tobytes()).hexdigest()
-    assert digest == "dca458d363302d0fad5de1ce756eee507a0d342c134d3a476b9ced8a2ad58353"
+    assert digest == "c858a23dc89e48dedca5d83d44531e5430f394e2b95908c78ee2ff90a0d5b50d"
     expected = np.column_stack([populations(s) for s in states])
     assert run_scenario(scenario).populations.tobytes() == expected.tobytes()
 
@@ -393,7 +393,7 @@ def test_outputs_pinned_under_every_blas_kernel():
     # with a coefficient have an exactly zero part, so disorder moves no byte
     digests = _digests_per_kernel(OUTPUT_DIGESTS)
     assert set(digests.values()) == {(
-        "3626a1531795c207cc8bf3692912785a8206ab368f69b8e362825d5d22d4cb7e",
+        "31fa6f854913ecd38a115036e0b5003974931375c14823adfc62f0730fc67e0c",
         "691f2024b960279a1bad20910088f85addf58064feda903c7ddc63150b531189",
-        "f532ec3d64b49fa83d2a15eb00e3dbcbd4150cee5d0d9b6d41b353f6f2a64d35",
+        "b6f519b9d170fec21be741e7c60d47b99087217b61322af7c700a8ee85dc1714",
     )}, digests

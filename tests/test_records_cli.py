@@ -201,16 +201,17 @@ def test_float_table_needs_a_matrix():
 # files were written from one float table; their populations and shots are
 # pinned under every BLAS kernel (test_measurement.OUTPUT_DIGESTS), so these
 # bytes are too. The shots run's records.jsonl was re-measured when its shots
-# record began to name the readout time (600.0 ns) instead of null.
+# record began to name the readout time (600.0 ns) instead of null, and every
+# file but shots.txt when `run` began to propagate in one Chebyshev series.
 RUN_OUTPUT_DIGESTS = {
     ("--override", "n_shots=2000", "--seed", "7"): {
-        "records.jsonl": "e04e039112b0e0cf8a64081e3725f194595e8b79b2e27a367fa30deb86869e75",
-        "populations.csv": "6d33ce11042ea4e3e0b40aae746b71ca7a9f15c4d959bf5b2445ac690542fc0e",
+        "records.jsonl": "0a60c73d11c1280185d19155e595538e7e873d1cbba10806f41da0fec54e3d61",
+        "populations.csv": "9b4c3353320d54fc11a8486d42cce390dfdf9143069b0668e234fadf2ec05fa1",
         "shots.txt": "6a72330f3a870ad791c63ccea7933e743e5b0cc8e551cfb0e3be9d4551dae15a",
     },
     ("--override", 'static_disorder_mhz={"U00Q0": 0.7, "U11Q1": -0.4}'): {
-        "records.jsonl": "1e202ed16244f87ec2ee60bfe6d204ab2416ea64393ccd068cd919c8ce438278",
-        "populations.csv": "636c49993f78342d2ebd8212a667b8f598bd8868f4b249c658925055e3487f98",
+        "records.jsonl": "99328907e8033e7acf0213d8049d85aa6c98f1efa862204e9b280db093605687",
+        "populations.csv": "7d3d043a1e10dce561578f5c2263922ef5656d18685140fba67d95ac10cfc546",
     },
 }
 
