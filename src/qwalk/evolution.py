@@ -7,20 +7,20 @@ to a block of states that share one real hopping matrix and differ only in a
 real diagonal per column. Fringe-grid cells and disorder realisations thus
 propagate together; a single state is the one-column case.
 
-The engine has two plans, set by what the caller keeps; each pays the
-series' truncation tail once per recurrence rather than once per sample. A
-caller that keeps every sample's whole block (no `observe`, so every `run`)
-gets one series: a recurrence from t = 0 whose terms feed each of the
-leading sample times, every sample cut at its own order, so that a term
-adds only into the samples not yet cut. It closes where one more sample
-would cost more multiply-adds than that sample's share of a restarted
-window (`_series_samples`): after 600 ns on `run ctqw-two`, whose 61
-samples take 96 products. The samples past it, and every sample of a
+Every recurrence feeds several sample times and pays the series'
+truncation tail once rather than once per sample. Each of its samples is
+cut at its own order, and its sums are ordered longest cut first, so that a
+term adds only into the leading samples not yet cut. A caller that keeps
+every sample's whole block (no `observe`, so every `run`) gets one series
+first: a recurrence from t = 0 over the leading sample times, closed where
+one more sample would cost more multiply-adds than that sample's share of a
+restarted window (`_series_samples`): after 600 ns on `run ctqw-two`, whose
+61 samples take 96 products. The samples past it, and every sample of a
 caller that observes each chunk (`sweep`'s readout, `analyze`'s ensembles),
 run in windows of up to WINDOW_SAMPLES consecutive times, each one
-recurrence from its start state (t = 0 or the sample before) that feeds
-every sample in it, cut at one order. Every recurrence, the series
-included, is cut at TOLERANCE divided by their number, which bounds the
+recurrence from its start state (t = 0 or the sample before). One builder
+makes every recurrence, once per distinct tuple of offsets. Every
+recurrence is cut at TOLERANCE divided by their number, which bounds the
 summed truncation error at the last sample by TOLERANCE. The Bessel
 coefficients come from Miller's backward recurrence in numpy, run for all
 of a grid's samples at once.
@@ -37,10 +37,11 @@ or imaginary, and each term adds only its coefficients' nonzero parts into
 two real sums per sample, E (even terms, or the real part) and O (odd terms,
 or the imaginary part), in one compiled call; the phase e^(-i a dt) of the
 interval's centre multiplies each sample once, at the end of its
-recurrence, in real arithmetic over the sums' own bytes, which then hold
-the sample. So a real recurrence's samples are bit-identical to running the
-same terms complex, and no product rounds differently under another numpy
-SIMD level or BLAS kernel.
+recurrence, in real arithmetic from a copy of the sums into their own
+bytes, which then hold the sample, kept or observed alike. So a real
+recurrence's samples are bit-identical to running the same terms complex,
+and no product rounds differently under another numpy SIMD level or BLAS
+kernel.
 
 A wide block runs in column chunks whose recurrence working set fits
 CHUNK_BYTES, each chunk through every window from t = 0. The chunks share
@@ -107,13 +108,12 @@ WINDOW_SAMPLES = 6
 
 # Recurrence working set per column chunk in propagate_block, in bytes. The
 # budget counts (window samples + 3) x dim complex entries per column: one per
-# sample's two real sums and three recurrence terms of two real planes. An
-# observed chunk also holds a window's worth of sums to phase them from, one
-# more complex entry per window sample; a kept block's chunk holds the sums of
-# all its samples, which become the samples in place, and the same scratch.
-# A recurrence with a real start state keeps its terms on one plane. The
-# budget is the same on every path, and chunking does not change the bits
-# either way. Past a few
+# sample's two real sums and three recurrence terms of two real planes. Every
+# chunk's sums become its samples in place: one window's under `observe`,
+# all its samples' for a kept block. A chunk also holds a window's worth of
+# sums to phase them from, which the budget does not count. A recurrence with
+# a real start state keeps its terms on one plane. The budget is the same on
+# every path, and chunking does not change the bits either way. Past a few
 # hundred kB a term's pass over the block falls out of cache; much smaller
 # chunks pay per-call overhead in every product. Measured as the median time
 # of one propagate_block call, interleaved over 30 (sweep, ensemble) or 3
@@ -223,13 +223,6 @@ def _coefficients(j) -> np.ndarray:
     return np.where(k == 0, 1.0, 2.0) * _MINUS_I_POWERS[k % 4] * j
 
 
-def _chebyshev_coefficients(z, tol) -> np.ndarray:
-    """The coefficients of exp(-i z_j x), one row per z_j, all cut at one
-    order: the largest of the rows' `_cutoffs`."""
-    j = _bessel_j(z)
-    return _coefficients(j[:, : int(_cutoffs(j, tol).max())])
-
-
 def _series_samples(times, half_width: float, dim: int, nnz: int):
     """How many leading sample times one Chebyshev series from t = 0 takes,
     and their Bessel grid at z_s = half_width t_s: (L, grid of L rows).
@@ -244,7 +237,8 @@ def _series_samples(times, half_width: float, dim: int, nnz: int):
     sample past MAX_WINDOW_ARGUMENT; its state is complex, so each of its K
     terms costs two planes and adds into two sums per sample, and sample s's
     share is 2 K (nnz + dim) / m + 2 K dim for a window of m samples, K the
-    cutoff of its largest |z|. The series takes at least the first
+    cutoff of its largest |z|: an upper bound, since the window cuts each
+    sample at its own order. The series takes at least the first
     WINDOW_SAMPLES samples, as the first window would, and never a sample
     past MAX_WINDOW_ARGUMENT from t = 0 or one whose own sums alone, at
     least |z_s| dim since K_s > |z_s|, cost more than its share; up to
@@ -327,7 +321,7 @@ def _coefficient_rows(coeffs) -> dict:
 
     Sample j of an m-sample window keeps two real sums, E_j and O_j (rows 2j
     and 2j + 1 of the sums), and ends as phase_j (E_j + i O_j). Every
-    coefficient c_jk = (-i)^k r_jk (`_chebyshev_coefficients`) has one
+    coefficient c_jk = (-i)^k r_jk (`_coefficients`) has one
     nonzero part p_jk, the real part for even k and the imaginary part for
     odd k, and only that part is added. The value for a real term (True) or
     a complex one (False) holds (indptr, indices) per parity of k and the
@@ -374,50 +368,49 @@ def _plan(times, shift: float, half_width: float, dim: int, nnz: int, series: bo
     per recurrence, its samples in the order of their sums.
 
     With `series`, the first is one series from t = 0 over the leading
-    samples `_series_samples` picks, each cut at its own order, its sums
-    ordered longest cut first. The other samples run in windows from the
-    sample before: up to WINDOW_SAMPLES consecutive times, closed early
-    before a sample past MAX_WINDOW_ARGUMENT from the start, all cut at one
-    order and sharing one grid per distinct tuple of offsets.
+    samples `_series_samples` picks. The other samples run in windows from
+    the sample before: up to WINDOW_SAMPLES consecutive times, closed early
+    before a sample past MAX_WINDOW_ARGUMENT from the start. Every
+    recurrence is built alike, once per distinct tuple of offsets: each
+    sample is cut at its own order, and its sums are ordered longest cut
+    first, so that term k adds into the leading run of samples cut past k.
     """
     n_series, series_grid = _series_samples(times, half_width, dim, nnz) if series else (0, None)
-    # (start time, sample indices) per window after the series
-    windows, window, t_start = [], [], times[n_series - 1] if n_series else 0.0
+    # (start time, sample indices) per recurrence: the series from t = 0, then the windows
+    recurrences = [(0.0, list(range(n_series)))] if n_series else []
+    window, t_start = [], times[n_series - 1] if n_series else 0.0
     for i in range(n_series, len(times)):
         if len(window) == WINDOW_SAMPLES or (
             window and abs(half_width * ((times[i] - t_start) * NS_TO_US)) > MAX_WINDOW_ARGUMENT
         ):
-            windows.append((t_start, window))
+            recurrences.append((t_start, window))
             window, t_start = [], times[window[-1]]
         window.append(i)
     if window:
-        windows.append((t_start, window))
-    tolerance = TOLERANCE / max(1, len(windows) + (n_series > 0))
-    plan = []
-    if n_series:
-        cut = _cutoffs(series_grid, tolerance)
-        # longest cut first, so that term k adds into the leading run of samples cut past k
-        order = np.argsort(-cut, kind="stable")
-        n_terms = int(cut[order[0]])
-        phases = np.exp(-1j * shift * (np.array(times[:n_series]) * NS_TO_US))[order, None, None]
-        coefficient_rows = _coefficient_rows(_coefficients(series_grid[order, :n_terms]))
-        reached = np.sum(cut[:, None] > np.arange(n_terms), axis=0).tolist()
-        plan.append((order.tolist(), phases.real, phases.imag, coefficient_rows, reached))
-    grids = {}
-    for t_start, window in windows:
-        # offsets in ns, scaled afterwards, so equal windows share one grid
-        offsets = tuple(times[i] - t_start for i in window)
-        if offsets not in grids:
+        recurrences.append((t_start, window))
+    tolerance = TOLERANCE / max(1, len(recurrences))
+    # offsets in ns, scaled afterwards, so equal windows share one entry; the
+    # series' Bessel grid is already made
+    bessel, entries, plan = {tuple(times[:n_series]): series_grid}, {}, []
+    for t_start, samples in recurrences:
+        offsets = tuple(times[i] - t_start for i in samples)
+        if offsets not in entries:
             dt = np.array(offsets) * NS_TO_US
             z = half_width * dt
             far = int(np.argmax(np.abs(z)))
             if abs(z[far]) > MAX_WINDOW_ARGUMENT:  # a single step: longer windows closed early
-                raise EvolutionError(f"sample time {times[window[far]]!r} ns is too far from {t_start!r} ns for one "
+                raise EvolutionError(f"sample time {times[samples[far]]!r} ns is too far from {t_start!r} ns for one "
                                      f"window: it needs about {abs(z[far]):.3g} terms, more than {MAX_WINDOW_ARGUMENT:.0e}")
-            phases = np.exp(-1j * shift * dt)[:, None, None]
-            coeffs = _chebyshev_coefficients(z, tolerance)
-            grids[offsets] = phases.real, phases.imag, _coefficient_rows(coeffs), [len(window)] * coeffs.shape[1]
-        plan.append((window, *grids[offsets]))
+            j = bessel[offsets] if offsets in bessel else _bessel_j(z)
+            cut = _cutoffs(j, tolerance)
+            order = np.argsort(-cut, kind="stable")
+            n_terms = int(cut[order[0]])
+            phases = np.exp(-1j * shift * dt)[order, None, None]
+            reached = np.sum(cut[:, None] > np.arange(n_terms), axis=0).tolist()
+            coefficient_rows = _coefficient_rows(_coefficients(j[order, :n_terms]))
+            entries[offsets] = order.tolist(), phases.real, phases.imag, coefficient_rows, reached
+        order, *entry = entries[offsets]
+        plan.append(([samples[s] for s in order], *entry))
     return plan
 
 
@@ -459,20 +452,20 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
 
     Without `observe`, the first recurrence is a series from t0 = 0 over the
     leading sample times that `_series_samples` picks from a, b, the times,
-    dim and nnz alone, never from the block's width or values. Each of its
-    samples is cut at its own order K_j, the first at which its Bessel tail
-    is below the tolerance; its sums are ordered by K_j, longest first, so
-    term k adds into the leading run of samples with K_j > k. The samples
+    dim and nnz alone, never from the block's width or values. The samples
     after it, and every sample under `observe`, are grouped into windows of
     WINDOW_SAMPLES consecutive times, a window closing early before a sample
     whose Bessel argument b |t - t0| would exceed MAX_WINDOW_ARGUMENT from
-    its start time t0 (the last sample before the window, or 0). A window's
-    samples are cut at the order of its largest |dt_j|; its phases and grid
-    depend only on a, b and the in-window offsets, and are cached per
-    distinct tuple of offsets. Every recurrence is cut at TOLERANCE divided
-    by their number, so the truncation errors summed up to the last sample
-    stay below TOLERANCE. A single step past MAX_WINDOW_ARGUMENT that a
-    window must take raises EvolutionError before any term is computed.
+    its start time t0 (the last sample before the window, or 0). Every
+    recurrence, series or window, is built alike: each sample is cut at its
+    own order K_j, the first at which its Bessel tail is below the
+    tolerance, and its sums are ordered by K_j, longest first, so term k
+    adds into the leading run of samples with K_j > k. Its phases and grid
+    depend on a, b, the times, dim and nnz alone, and are built once per
+    distinct tuple of offsets. Every recurrence is cut at TOLERANCE divided by their
+    number, so the truncation errors summed up to the last sample stay below
+    TOLERANCE. A single step past MAX_WINDOW_ARGUMENT that a window must
+    take raises EvolutionError before any term is computed.
 
     Each term is one fused step into a preallocated buffer (`_chebyshev_step`):
     T_1 = D T_0 + A T_0, and T_k = 2D T_(k-1) - T_(k-2) + 2A T_(k-1) for
@@ -492,11 +485,11 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
     product's other part is an exact zero. A recurrence ends as
     y_j = phase_j (E_j + i O_j) in explicit real multiplies and adds, then
     + 0.0, so that an exact zero is +0.0 (`_phase`). A real recurrence's
-    samples are thus bit-identical to running its terms complex. Without
-    `observe` every sample keeps its own sums, which take its complex
-    entries in place, a window's worth at a time through a scratch copy, and
-    the returned arrays are those bytes when the block is one chunk; under
-    `observe` one window's sums and samples are reused.
+    samples are thus bit-identical to running its terms complex. The sums
+    take their samples' complex entries in place, a window's worth at a time
+    through a scratch copy, on every path. Without `observe` every sample
+    keeps its own sums, and the returned arrays are those bytes when the
+    block is one chunk; under `observe` one window's sums are reused.
 
     The columns run in chunks of equal width (the last may be narrower), as
     many as keep each chunk's (window samples + 3) x dim complex entries
@@ -520,7 +513,8 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
 
     h0_diag = h0.diagonal()
     radius = np.asarray(abs(h0).sum(axis=1)).ravel() - np.abs(h0_diag)
-    centers = h0_diag[:, None] + diagonals
+    # a block without columns takes the interval of H0's rows alone
+    centers = h0_diag[:, None] + (diagonals if x.shape[1] else 0.0)
     lo = float(np.min(centers - radius[:, None]))
     hi = float(np.max(centers + radius[:, None]))
     if not (np.isfinite(lo) and np.isfinite(hi)):
@@ -547,13 +541,12 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
         scaled_diag = (chunk_diagonals - shift) * inverse_width
         doubled_diag = 2.0 * scaled_diag
         # three term buffers of (re, im) planes, a real term using the first
-        # plane; each sample's sums E_j and O_j (every sample's for a kept
-        # block, whose sums become its samples in place; the window's under
-        # observe); and a window's worth of sums, or of samples under observe
+        # plane; each sample's sums E_j and O_j, which become its sample in
+        # place (every sample's for a kept block, one window's under
+        # observe); and a window's worth of sums to phase them from
         terms = np.empty((3, 2, dim, width))
         store = np.empty((len(times) if observe is None else window_samples, 2, dim, width))
         scratch = np.empty((window_samples, 2, dim, width))
-        samples_scratch = scratch.reshape(window_samples, -1).view(np.complex128).reshape(window_samples, dim, width)
 
         norms0 = np.linalg.norm(x, axis=0)
         stored = 0
@@ -567,6 +560,8 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
                 np.copyto(cur[1], x.imag)
             indptr, indices, data = coefficient_rows[real]
             sums = store[stored : stored + m]  # a kept block's next samples, else the window's
+            if observe is None:
+                stored += m
             # the sums start at +0.0 and only ever add, so they never hold -0.0
             sums.fill(0.0)
             for k, n in enumerate(reached):
@@ -578,22 +573,17 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
                 if k:
                     prev, cur, nxt = cur, nxt, prev
                 rows = indptr[k % 2], indices[k % 2], data[k]
-                if n < m:  # a series term adds into its leading n samples, those cut past k
+                if n < m:  # a term adds into its leading n samples, those cut past k
                     ptr = rows[0][: 2 * n + 1]
                     rows = ptr, rows[1][: ptr[-1]], rows[2][: ptr[-1]]
                 _accumulate(csr_matvecs, rows, cur, sums[:n])
-            if observe is None:
-                # each sample's complex entries take its sums' bytes, a window's worth at a time
-                y = sums.reshape(m, -1).view(np.complex128).reshape(m, dim, width)
-                for i in range(0, m, window_samples):
-                    run = slice(i, i + window_samples)
-                    copied = scratch[: len(y[run])]
-                    np.copyto(copied, sums[run])
-                    _phase(copied, phase_re[run], phase_im[run], y[run])
-                stored += m
-            else:
-                y = samples_scratch[:m]
-                _phase(sums, phase_re, phase_im, y)
+            # each sample's complex entries take its sums' bytes, a window's worth at a time
+            y = sums.reshape(m, -1).view(np.complex128).reshape(m, dim, width)
+            for i in range(0, m, window_samples):
+                run = slice(i, i + window_samples)
+                copied = scratch[: len(y[run])]
+                np.copyto(copied, sums[run])
+                _phase(copied, phase_re[run], phase_im[run], y[run])
             # every sample's squared column norms from one reduction over the
             # window; the first sample that drifts is named
             flat = y.view(np.float64)

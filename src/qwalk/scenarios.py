@@ -479,19 +479,26 @@ class FringeGrid:
     def from_csv(cls, text: str) -> "FringeGrid":
         """Parse a fringe CSV: a header of a corner cell and the d_right values,
         then one row per d_left value with as many fields as the header (no
-        readout time or detector: 0.0 ns and "D"). A malformed file raises ValueError naming its line."""
+        readout time or detector: 0.0 ns and "D"). A malformed file raises ValueError naming its line,
+        and the cell when one is not a number."""
         rows = [line.split(",") for line in text.rstrip().splitlines()]
         if not rows or len(rows[0]) < 2:
             raise ValueError("fringe CSV line 1: no header of a corner cell and d_right values")
         if len(rows) == 1:
             raise ValueError("fringe CSV has no data rows after the header on line 1")
-        for number, row in enumerate(rows[1:], start=2):
+        for line, row in enumerate(rows[1:], start=2):
             if len(row) != len(rows[0]):
-                raise ValueError(f"fringe CSV line {number} has {len(row)} fields, the header has {len(rows[0])}")
-        d_right = tuple(float(x) for x in rows[0][1:])
-        d_left = tuple(float(r[0]) for r in rows[1:])
-        values = np.array([[float(x) for x in r[1:]] for r in rows[1:]])
-        return cls(d_left, d_right, values, 0.0, "D")
+                raise ValueError(f"fringe CSV line {line} has {len(row)} fields, the header has {len(rows[0])}")
+
+        def number(cell: str, line: int) -> float:
+            try:
+                return float(cell)
+            except ValueError:
+                raise ValueError(f"fringe CSV line {line}: cell {cell!r} is not a number") from None
+
+        d_right = tuple(number(x, 1) for x in rows[0][1:])
+        data = [[number(x, line) for x in row] for line, row in enumerate(rows[1:], start=2)]
+        return cls(tuple(r[0] for r in data), d_right, np.array([r[1:] for r in data]), 0.0, "D")
 
 
 def disorder_sweep(

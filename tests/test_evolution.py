@@ -314,7 +314,7 @@ def test_a_long_grid_closes_the_series_and_goes_on_in_windows(monkeypatch):
     h, psi0, _ = ctqw_two()
     times = tuple(np.arange(0.0, 4800.0 + 1e-9, 10.0))
     lengths, grids = [], []
-    series, grid = evolution._series_samples, evolution._chebyshev_coefficients
+    series, coefficients = evolution._series_samples, evolution._coefficients
 
     def series_spy(*args):
         length, bessel = series(*args)
@@ -322,16 +322,16 @@ def test_a_long_grid_closes_the_series_and_goes_on_in_windows(monkeypatch):
         return length, bessel
 
     monkeypatch.setattr(evolution, "_series_samples", series_spy)
-    monkeypatch.setattr(evolution, "_chebyshev_coefficients", lambda z, tol: grids.append(grid(z, tol)) or grids[-1])
+    monkeypatch.setattr(evolution, "_coefficients", lambda j: grids.append(coefficients(j)) or grids[-1])
     patches, widths, _ = spy_products(h.dimension, 1)
     with patches:
         evolve_unitary(h, psi0, times)
     (length,) = lengths
     assert 61 <= length < 70
-    # the windows' distinct grids: six offsets, and the rest of the samples
+    # the distinct grids: the series', then the windows' of six offsets and of the rest of the samples
     full, rest = divmod(len(times) - length, WINDOW_SAMPLES)
-    assert [len(c) for c in grids] == [WINDOW_SAMPLES] + [rest] * (rest > 0)
-    window_products = full * (grids[0].shape[1] - 1) + (rest > 0) * (grids[-1].shape[1] - 1)
+    assert [len(c) for c in grids] == [length, WINDOW_SAMPLES] + [rest] * (rest > 0)
+    window_products = full * (grids[1].shape[1] - 1) + (rest > 0) * (grids[-1].shape[1] - 1)
     assert widths == [1] * (len(widths) - window_products) + [2] * window_products
 
 
@@ -368,7 +368,8 @@ def accumulation_cases(draw):
     h, _, x = draw(block_instances())
     m = draw(st.integers(1, WINDOW_SAMPLES))
     z = draw(st.lists(st.floats(0.5, 40.0) | st.floats(-40.0, -0.5), min_size=m, max_size=m))
-    coeffs = evolution._chebyshev_coefficients(np.array(z), 1e-12)
+    j = _bessel_j(z)
+    coeffs = evolution._coefficients(j[:, : evolution._cutoffs(j, 1e-12).max()])
     n_terms = coeffs.shape[1]
     parity = draw(st.sampled_from(["zero", "even", "odd"]))
     if parity == "zero":
@@ -407,14 +408,48 @@ def test_coefficient_rows_add_as_the_complex_formula_bit_for_bit(case):
 
 def test_equal_windows_share_one_coefficient_grid(monkeypatch):
     calls = []
-    grid = evolution._chebyshev_coefficients
-    monkeypatch.setattr(evolution, "_chebyshev_coefficients", lambda z, tol: calls.append(z) or grid(z, tol))
+    coefficients = evolution._coefficients
+    monkeypatch.setattr(evolution, "_coefficients", lambda j: calls.append(j) or coefficients(j))
     _, b, h = chain_instance(6, k=2)
     times = tuple(np.arange(0.0, 1000.0 + 1e-9, 10.0))  # the distance-velocity study's samples
     propagate_block(h.matrix, np.zeros((b.dimension, 1)), basis_state(b, {0, 3}).amplitudes[:, None], times, keep_chunk)
     # offsets (0, 10, .., 50), then (10, 20, .., 60) for every full window, then the
     # remaining (10, .., 50): windows of 6, 6 and 5 samples
-    assert [len(z) for z in calls] == [WINDOW_SAMPLES, WINDOW_SAMPLES, (len(times) - WINDOW_SAMPLES) % WINDOW_SAMPLES]
+    assert [len(j) for j in calls] == [WINDOW_SAMPLES, WINDOW_SAMPLES, (len(times) - WINDOW_SAMPLES) % WINDOW_SAMPLES]
+
+
+def test_each_term_adds_into_the_samples_its_own_cutoff_reaches(monkeypatch):
+    # every window sample is cut at its own order, so term k adds into
+    # exactly the samples whose cutoff exceeds k, each by its own coefficient
+    _, b, h = chain_instance(6, k=2)
+    times = tuple(np.arange(0.0, 200.0 + 1e-9, 10.0))
+    calls = []
+    accumulate = evolution._accumulate
+
+    def spy(matvecs, rows, term, sums):
+        calls.append((len(sums), np.unique(np.abs(rows[2]))))
+        return accumulate(matvecs, rows, term, sums)
+
+    monkeypatch.setattr(evolution, "_accumulate", spy)
+    x = np.repeat(basis_state(b, {0, 3}).amplitudes[:, None], 2, axis=1)
+    # two columns: the first window starts real, the later ones complex
+    propagate_block(h.matrix, np.zeros((b.dimension, 2)), x, times, keep_chunk)
+    # a zero diagonal puts the Gershgorin interval at +- the largest absolute row sum
+    half_width = float(abs(h.matrix).sum(axis=1).max())
+    starts = [0.0, times[5], times[11], times[17]]  # windows of 6, 6, 6 and 3 samples
+    expected = []
+    for i, start in enumerate(starts):
+        offsets = np.array(times[6 * i : 6 * i + 6]) - start
+        j = _bessel_j(half_width * (offsets * evolution.NS_TO_US))
+        cut = evolution._cutoffs(j, evolution.TOLERANCE / len(starts))
+        # each coefficient's nonzero part, (2 - delta_k0) |J_k| in magnitude
+        parts = np.abs(j) * np.where(np.arange(j.shape[1]) == 0, 1.0, 2.0)
+        expected += [(np.sum(cut > k), np.unique(parts[cut > k, k])) for k in range(cut.max())]
+    assert len(calls) == len(expected)
+    for (n, data), (n_ref, data_ref) in zip(calls, expected):
+        assert n == n_ref and np.array_equal(data, data_ref)
+    # the samples' cutoffs differ, so some terms skip samples of a full window
+    assert min(n for n, _ in calls[: len(expected) // 2]) < WINDOW_SAMPLES
 
 
 @given(st.lists(st.floats(-400.0, 400.0), min_size=1, max_size=WINDOW_SAMPLES))
@@ -492,6 +527,14 @@ def test_zero_hopping_gives_pure_phase():
     assert np.allclose(y, np.exp(-1j * d * 0.3) * x, atol=1e-12)
 
 
+def test_a_block_without_columns_gives_empty_samples():
+    # a zero-column block runs as one empty chunk, on H0's Gershgorin interval
+    _, b, h = chain_instance(10)
+    for observe in PLANS:
+        ys = propagate_block(h.matrix, np.zeros((10, 0)), np.zeros((10, 0), complex), [1.0, 2.0], observe)
+        assert len(ys) == 2 and all(y.shape == (10, 0) for y in ys)
+
+
 def test_engine_rejects_non_finite_input():
     _, b, h = chain_instance(4)
     x = basis_state(b, {0}).amplitudes[:, None]
@@ -510,16 +553,17 @@ def test_engine_rejects_non_finite_input():
 
 @pytest.mark.parametrize("columns", [1, 3])
 def test_engine_names_the_first_sample_whose_norm_drifts(monkeypatch, columns):
-    # coefficients 1% too large from each window's fourth sample on: every
-    # window checks its samples at once, and the error names the first drift
-    grid = evolution._chebyshev_coefficients
+    # Bessel values, and so coefficients, 1% too large from each window's
+    # fourth sample on: every window checks its samples at once, its sums
+    # ordered by cutoff rather than by time, and the error names the first drift
+    bessel_j = evolution._bessel_j
 
-    def drifting(z, tol):
-        coeffs = grid(z, tol)
-        coeffs[3:] *= 1.01
-        return coeffs
+    def drifting(z):
+        j = bessel_j(z)
+        j[3:] *= 1.01
+        return j
 
-    monkeypatch.setattr(evolution, "_chebyshev_coefficients", drifting)
+    monkeypatch.setattr(evolution, "_bessel_j", drifting)
     _, b, h = chain_instance(6, k=2)
     x = np.repeat(basis_state(b, {0, 3}).amplitudes[:, None], columns, axis=1)
     times = tuple(np.arange(0.0, 100.0 + 1e-9, 10.0))

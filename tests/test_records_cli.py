@@ -426,6 +426,9 @@ def test_cli_sweep_and_render(tmp_path):
         ("x,1,2\n0,1\n", "line 2"),  # a row shorter than the header
         ("", "line 1"),  # no header at all
         ("d_left_mhz\\d_right_mhz,0.0,1.0\n", "line 1"),  # a header and no data rows
+        ("x,zz,1\n0,1,2\n", "line 1: cell 'zz' is not a number"),  # a d_right value
+        ("x,0,1\nzz,1,2\n", "line 2: cell 'zz' is not a number"),  # a d_left value
+        ("x,0,1\n0,1,2\n1,zz,2\n", "line 3: cell 'zz' is not a number"),  # a population
     ],
 )
 def test_cli_render_rejects_malformed_csv(tmp_path, capsys, text, line):
