@@ -384,10 +384,11 @@ STUDY_SIDE = 15
 STUDY_TIMES_NS = tuple(np.arange(0.0, 1000.0 + 1e-9, 10.0))
 STUDY_DIAGONALS = STUDY_SIDE - 4
 STUDY_WINDOWS = 8
-# Study cap on disorder realisations: each holds its sampled origin-site
-# products (times x diagonals, float64) whole, 1,111 entries against the 225
-# of its state column; 5 * 10**6 entries, as MAX_RUN_ENTRIES, is 40 MB of them.
-MAX_STUDY_SEEDS = 5 * 10**6 // (len(STUDY_TIMES_NS) * STUDY_DIAGONALS)
+# Study cap on disorder realisations: each holds the rows the engine returns
+# for it (times x (origin + diagonals), complex128) whole, 1,212 entries
+# against the 225 of its state column; 5 * 10**6 entries, as MAX_RUN_ENTRIES,
+# is 80 MB of them.
+MAX_STUDY_SEEDS = 5 * 10**6 // (len(STUDY_TIMES_NS) * (STUDY_DIAGONALS + 1))
 
 # ctqw_velocity_pipeline: the device walk from the corner qubit, fronts at
 # diagonals 1..4
@@ -413,16 +414,12 @@ def _diagonal_fronts(graph, origin: int, diagonal, offsets, times) -> tuple[tupl
     h0 = build_hamiltonian(graph, basis)
     diagonals = offset_diagonals(basis, offsets)
     block = np.repeat(basis_state(basis, {origin}).amplitudes[:, None], diagonals.shape[1], axis=1)
+    # the rows holding the walker on the origin, then on each diagonal site
     rows = lookup(basis.keys, np.eye(graph.n_sites, dtype=bool)[[origin, *diagonal]])
-
-    def population_products(x):
-        x = x[rows]  # origin, then the diagonal sites (x columns)
-        p = x.real**2 + x.imag**2
-        return p[0] * p[1:]
-
-    products = propagate_block(h0.matrix, diagonals, block, times, observe=population_products)
-    # averaged over every realisation after the call; 0.0 - keeps the t = 0 samples +0.0
-    acc = np.column_stack([4.0 * (0.0 - p.mean(axis=1)) for p in products])
+    states = propagate_block(h0.matrix, diagonals, block, times, rows)
+    populations = [x.real**2 + x.imag**2 for x in states]  # rows x realisations per time
+    # averaged over every realisation; 0.0 - keeps the t = 0 samples +0.0
+    acc = np.column_stack([4.0 * (0.0 - (p[0] * p[1:]).mean(axis=1)) for p in populations])
     series = tuple(CorrelationSeries((origin, site), np.array(times), acc[row]) for row, site in enumerate(diagonal))
     fronts = tuple(fit_gaussian_front(s, distance=(row + 1) * SQRT2) for row, s in enumerate(series))
     return series, fronts

@@ -10,47 +10,47 @@ propagate together; a single state is the one-column case.
 Every recurrence feeds several sample times and pays the series'
 truncation tail once rather than once per sample. Each of its samples is
 cut at its own order, and its sums are ordered longest cut first, so that a
-term adds only into the leading samples not yet cut. A caller that keeps
-every sample's whole block (no `observe`, so every `run`) gets one series
-first: a recurrence from t = 0 over the leading sample times, closed where
-one more sample would cost more multiply-adds than that sample's share of a
-restarted window (`_series_samples`): after 600 ns on `run ctqw-two`, whose
-61 samples take 96 products. The samples past it, and every sample of a
-caller that observes each chunk (`sweep`'s readout, `analyze`'s ensembles),
-run in windows of up to WINDOW_SAMPLES consecutive times, each one
-recurrence from its start state (t = 0 or the sample before). One builder
-makes every recurrence, once per distinct tuple of offsets. Every
-recurrence is cut at TOLERANCE divided by their number, which bounds the
-summed truncation error at the last sample by TOLERANCE. The Bessel
-coefficients come from Miller's backward recurrence in numpy, run for all
-of a grid's samples at once.
+term adds only into the leading samples not yet cut. Every call runs one
+series first: a recurrence from t = 0 over the leading sample times, closed
+where one more sample would cost more multiply-adds than that sample's
+share of a restarted window (`_series_samples`). A caller may keep only a
+few basis rows of each sample (`rows`), and each sample's sums then cost
+one multiply-add per kept row, so the series reaches further: a `run` keeps
+every row, and on `ctqw-two` its series closes after 600 ns, 61 samples
+taking 96 products; the distance-velocity study keeps 12 rows, and its
+series takes all 101 samples over 0-1000 ns. The samples past the series run in windows
+of up to WINDOW_SAMPLES consecutive times, each one recurrence from its
+start state, the sample before. One builder makes every recurrence, once
+per distinct tuple of offsets. Every recurrence is cut at TOLERANCE divided
+by their number, which bounds the summed truncation error at the last
+sample by TOLERANCE. The Bessel coefficients come from Miller's backward
+recurrence in numpy, run for all of a grid's samples at once.
 
 Each term is one fused in-place step on one or two contiguous real planes:
 the diagonal part is written into a preallocated buffer and SciPy's
 compiled CSR kernel adds the hopping product into it, plane by plane, with
 the single-vector kernel for a one-column block. The Hamiltonian is real,
 so a recurrence whose start state is real (every CLI command starts from a
-basis state: the series, and the first window of an observed block) has
-only real terms, one plane each, with half the arithmetic of a complex
-start, whose terms are (re, im) planes. Every coefficient (-i)^k J_k is real
+basis state, so every series) has only real terms, one plane each, with
+half the arithmetic of a complex start, whose terms are (re, im) planes. Every coefficient (-i)^k J_k is real
 or imaginary, and each term adds only its coefficients' nonzero parts into
 two real sums per sample, E (even terms, or the real part) and O (odd terms,
 or the imaginary part), in one compiled call; the phase e^(-i a dt) of the
 interval's centre multiplies each sample once, at the end of its
 recurrence, in real arithmetic from a copy of the sums into their own
-bytes, which then hold the sample, kept or observed alike. So a real
-recurrence's samples are bit-identical to running the same terms complex,
-and no product rounds differently under another numpy SIMD level or BLAS
-kernel.
+bytes, which then hold the sample. So a real recurrence's samples are
+bit-identical to running the same terms complex, and no product rounds
+differently under another numpy SIMD level or BLAS kernel. A sample held on
+a few rows sums only those rows, which each term gathers once, so its rows
+match the same rows of the whole sample bit for bit under the same plan;
+its norm is checked from the recurrence's Chebyshev moments (Weisse et al.,
+Rev. Mod. Phys. 78, 275, 2006), one column reduction per term.
 
 A wide block runs in column chunks whose recurrence working set fits
 CHUNK_BYTES, each chunk through every window from t = 0. The chunks share
 one Gershgorin interval and one cache of coefficient grids, and a column's
 arithmetic does not depend on the columns beside it, so the result is
-bit-identical to running the block whole. An `observe` callback therefore
-sees one chunk at a time and must keep columns on its last axis; the engine
-concatenates the chunks' results along it. Reductions over columns (an
-ensemble mean) belong after the call.
+bit-identical to running the block whole.
 
 Times cross the API in ns; internally everything runs in us to match the
 rad/us Hamiltonian units.
@@ -80,18 +80,18 @@ NS_TO_US = 1e-3
 # Summed Chebyshev truncation error allowed at the last sample of propagate_block
 TOLERANCE = 1e-12
 
-# Consecutive sample times per Chebyshev window in propagate_block: every
-# sample of an observed block (`sweep`, `analyze`), and every sample past a
-# kept block's series. Every window sample holds two block-sized real sums,
-# so longer windows trade memory for fewer scaled-operator products, and past
-# six samples the `ensemble` block (dim 225 x 32 columns) no longer fits one
-# CHUNK_BYTES chunk, so its chunks each pay every window's terms. Products
-# per operation of the `walk` (dim 1891, 61 samples) and `ensemble` (101
-# samples) benchmark workloads, and the median (quartiles) of their
-# propagate_block call alone, interleaved over 40 rounds on a 2-core x86_64
-# machine with BLAS on one thread; chunks in brackets. The `walk` columns
-# date from when `run` ran in windows too: it now takes one series, 96
-# one-plane products over the same 61 samples.
+# Consecutive sample times per Chebyshev window in propagate_block, every
+# sample past a call's series. Every window sample holds two real sums, so
+# longer windows trade memory for fewer scaled-operator products. The length
+# was chosen when every sample of `run` and of the `analyze` ensembles ran in
+# windows: past six samples the `ensemble` block (dim 225 x 32 columns) no
+# longer fit one CHUNK_BYTES chunk, so its chunks each paid every window's
+# terms. Products per operation of the `walk` (dim 1891, 61 samples) and
+# `ensemble` (101 samples) benchmark workloads then, and the median
+# (quartiles) of their propagate_block call alone, interleaved over 40 rounds
+# on a 2-core x86_64 machine with BLAS on one thread; chunks in brackets. Both
+# now run one series and no window: `walk`'s takes 96 one-plane products,
+# and the `ensemble`'s, on its 12 kept rows, all 101 samples.
 #
 #   window   products               walk (ms)           ensemble (ms)
 #   samples  walk   ensemble        dim 1891 x 1        dim 225 x 32
@@ -108,12 +108,13 @@ WINDOW_SAMPLES = 6
 
 # Recurrence working set per column chunk in propagate_block, in bytes. The
 # budget counts (window samples + 3) x dim complex entries per column: one per
-# sample's two real sums and three recurrence terms of two real planes. Every
-# chunk's sums become its samples in place: one window's under `observe`,
-# all its samples' for a kept block. A chunk also holds a window's worth of
-# sums to phase them from, which the budget does not count. A recurrence with
-# a real start state keeps its terms on one plane. The budget is the same on
-# every path, and chunking does not change the bits either way. Past a few
+# window sample's two real sums and three recurrence terms of two real
+# planes. Every chunk's sums become its samples in place, every sample's,
+# whole or on the kept rows, which the budget does not count past a window's
+# worth. A chunk also holds a window's worth of whole sums to phase them
+# from, which the budget does not count either. A recurrence with a real
+# start state keeps its terms on one plane. The budget is the same on every
+# path, whatever the rows kept, and chunking does not change the bits. Past a few
 # hundred kB a term's pass over the block falls out of cache; much smaller
 # chunks pay per-call overhead in every product. Measured as the median time
 # of one propagate_block call, interleaved over 30 (sweep, ensemble) or 3
@@ -133,7 +134,9 @@ WINDOW_SAMPLES = 6
 # With real terms for a real start, the `sweep` block at 1 MiB took 22.2-25.2
 # ms [41] against 28.7-34.2 ms for the complex-term engine (medians of six
 # alternating rounds of 30); the `ensemble` and study blocks, whose later
-# windows start complex, did not move beyond run-to-run noise.
+# windows then started complex, did not move beyond run-to-run noise. Both
+# now run one series on their kept rows, the `ensemble` block still as one
+# chunk of 32 columns.
 # A one-column block (`walk`) is one chunk under any budget.
 CHUNK_BYTES = 1 << 20
 
@@ -223,27 +226,29 @@ def _coefficients(j) -> np.ndarray:
     return np.where(k == 0, 1.0, 2.0) * _MINUS_I_POWERS[k % 4] * j
 
 
-def _series_samples(times, half_width: float, dim: int, nnz: int):
+def _series_samples(times, half_width: float, dim: int, nnz: int, kept: int):
     """How many leading sample times one Chebyshev series from t = 0 takes,
     and their Bessel grid at z_s = half_width t_s: (L, grid of L rows).
 
     Costs are counted in multiply-adds: a product on one plane costs
     nnz + dim (the CSR entries and the diagonal), and adding a term into one
-    sum costs dim. The series starts from a real state, one plane: sample s
-    costs K_s dim for its own sums, K_s its cutoff at TOLERANCE, and
-    nnz + dim for each term by which it lengthens the series. Were the
+    sum costs one per row it keeps, `kept` of them (dim for a caller that
+    keeps every row). The series starts from a real state, one plane:
+    sample s costs K_s kept for its own sums, K_s its cutoff at TOLERANCE,
+    and nnz + dim for each term by which it lengthens the series. Were the
     series closed before sample s, samples s, s+1, .. would restart from
     t_(s-1) in a window of up to WINDOW_SAMPLES of them, closed before a
     sample past MAX_WINDOW_ARGUMENT; its state is complex, so each of its K
     terms costs two planes and adds into two sums per sample, and sample s's
     share is 2 K (nnz + dim) / m + 2 K dim for a window of m samples, K the
     cutoff of its largest |z|: an upper bound, since the window cuts each
-    sample at its own order. The series takes at least the first
-    WINDOW_SAMPLES samples, as the first window would, and never a sample
-    past MAX_WINDOW_ARGUMENT from t = 0 or one whose own sums alone, at
-    least |z_s| dim since K_s > |z_s|, cost more than its share; up to
-    there it closes where its cost beyond the windows' shares is least.
-    The plan depends on the interval, the times, dim and nnz only.
+    sample at its own order and keeps only its last sample whole. The series
+    takes at least the first WINDOW_SAMPLES samples, as the first window
+    would, and never a sample past MAX_WINDOW_ARGUMENT from t = 0 or one
+    whose own sums alone, at least |z_s| kept since K_s > |z_s|, cost more
+    than its share; up to there it closes where its cost beyond the
+    windows' shares is least. The plan depends on the interval, the times,
+    dim, nnz and kept only.
     """
     t = np.array(times)
     m = len(t)
@@ -272,7 +277,7 @@ def _series_samples(times, half_width: float, dim: int, nnz: int):
                 low = i
         share[1:][fits] = 2.0 * np.array([orders[value] for value in largest]) * (product / counts[fits] + dim)
     closed = np.abs(z) > MAX_WINDOW_ARGUMENT
-    closed[1:] |= np.abs(z[1:]) * dim > share[1:]
+    closed[1:] |= np.abs(z[1:]) * kept > share[1:]
     reach = int(np.argmax(closed)) if closed.any() else m
     if reach == 0:
         return 0, None
@@ -280,7 +285,7 @@ def _series_samples(times, half_width: float, dim: int, nnz: int):
     cut = _cutoffs(j, TOLERANCE)
     longest = np.maximum.accumulate(cut)
     # the cost beyond the windows' shares of a series of s + 1 samples
-    excess = np.concatenate([[0.0], np.cumsum(np.diff(longest) * product + cut[1:] * dim - share[1:reach])])
+    excess = np.concatenate([[0.0], np.cumsum(np.diff(longest) * product + cut[1:] * kept - share[1:reach])])
     first = min(WINDOW_SAMPLES, reach)
     length = first + int(np.argmin(excess[first - 1 :]))
     return length, j[:length]
@@ -362,20 +367,54 @@ def _accumulate(matvecs, rows, term, sums) -> None:
     matvecs(len(indptr) - 1, len(term), term[0].size, indptr, indices, data, term.ravel(), sums.ravel())
 
 
-def _plan(times, shift: float, half_width: float, dim: int, nnz: int, series: bool) -> list:
-    """The recurrences of a propagate_block call, in order: (sample indices,
-    phase parts, coefficient rows, number of samples each term adds into)
-    per recurrence, its samples in the order of their sums.
+def _moment_weights(parts) -> np.ndarray:
+    """W with ||y_j||^2 = sum_a W_ja mu_2a, for the samples y_j of a recurrence
+    from x, from its coefficients' nonzero parts p_jk (samples x K, zero past
+    each sample's cut), where mu_2a = x^H T_2a x = 2 ||T_a x||^2 - ||x||^2.
 
-    With `series`, the first is one series from t = 0 over the leading
-    samples `_series_samples` picks. The other samples run in windows from
-    the sample before: up to WINDOW_SAMPLES consecutive times, closed early
-    before a sample past MAX_WINDOW_ARGUMENT from the start. Every
-    recurrence is built alike, once per distinct tuple of offsets: each
-    sample is cut at its own order, and its sums are ordered longest cut
-    first, so that term k adds into the leading run of samples cut past k.
+    y_j = phase_j sum_k c_jk T_k x, and for a real symmetric H the moment
+    identity T_k T_l = (T_(k+l) + T_|k-l|) / 2 (Weisse et al., Rev. Mod. Phys.
+    78, 275, 2006) makes each <T_k x, T_l x> = (mu_(k+l) + mu_|k-l|) / 2 real,
+    for a complex x too. The pairs with k + l odd, whose c_jk* c_jl are
+    imaginary, then cancel, and each other pair has c_jk* c_jl = p_jk p_jl:
+    W_ja = sum_(k+l=2a) p_jk p_jl / 2 + sum_(|k-l|=2a) p_jk p_jl / 2 over
+    ordered pairs. Both sums come from one rfft of the rows zero-padded to
+    4K, rounded up to a power of two, a fast length: the products reach
+    order 2K - 2, and on 2K points the lags -n would wrap onto the orders
+    2K - n read here.
     """
-    n_series, series_grid = _series_samples(times, half_width, dim, nnz) if series else (0, None)
+    n_terms = parts.shape[1]
+    length = 1 << (4 * n_terms - 1).bit_length()
+    spectrum = np.fft.rfft(parts, n=length, axis=1)
+    sums = np.fft.irfft(spectrum * spectrum, n=length, axis=1)  # entry n over k + l = n
+    lags = np.fft.irfft(spectrum * spectrum.conj(), n=length, axis=1)  # entry n over l - k = n
+    # lag 2a > 0 stands for the pairs at +-2a, lag 0 for one each
+    weights = 0.5 * sums[:, : 2 * n_terms : 2] + lags[:, : 2 * n_terms : 2]
+    weights[:, 0] -= 0.5 * lags[:, 0]
+    return weights
+
+
+def _plan(times, shift: float, half_width: float, dim: int, nnz: int, kept) -> list:
+    """The recurrences of a propagate_block call, in order: (sample indices,
+    number of terms, groups) per recurrence.
+
+    The first is one series from t = 0 over the leading samples
+    `_series_samples` picks; the other samples run in windows from the
+    sample before: up to WINDOW_SAMPLES consecutive times, closed early
+    before a sample past MAX_WINDOW_ARGUMENT from the start. `kept` is the
+    number of rows each returned sample keeps, None for every row. A sample
+    held whole keeps every row: every sample when `kept` is None, else the
+    last of a recurrence that another follows, which starts from it; the
+    others are held on the kept rows. Each recurrence splits its samples
+    into those two groups, whole first, each (whole, sample indices in the
+    order of their sums, phase parts, coefficient rows, number of samples
+    each term adds into, moment weights or None for the whole group). Every
+    recurrence is built alike, once per distinct tuple of offsets and split:
+    each sample is cut at its own order, and a group's sums are ordered
+    longest cut first, so that term k adds into the leading run of its
+    samples cut past k.
+    """
+    n_series, series_grid = _series_samples(times, half_width, dim, nnz, dim if kept is None else kept)
     # (start time, sample indices) per recurrence: the series from t = 0, then the windows
     recurrences = [(0.0, list(range(n_series)))] if n_series else []
     window, t_start = [], times[n_series - 1] if n_series else 0.0
@@ -392,9 +431,11 @@ def _plan(times, shift: float, half_width: float, dim: int, nnz: int, series: bo
     # offsets in ns, scaled afterwards, so equal windows share one entry; the
     # series' Bessel grid is already made
     bessel, entries, plan = {tuple(times[:n_series]): series_grid}, {}, []
-    for t_start, samples in recurrences:
+    for r, (t_start, samples) in enumerate(recurrences):
         offsets = tuple(times[i] - t_start for i in samples)
-        if offsets not in entries:
+        last = len(samples) - 1 if r + 1 < len(recurrences) else None  # the next recurrence's start
+        whole = tuple(kept is None or s == last for s in range(len(samples)))
+        if (offsets, whole) not in entries:
             dt = np.array(offsets) * NS_TO_US
             z = half_width * dt
             far = int(np.argmax(np.abs(z)))
@@ -405,19 +446,34 @@ def _plan(times, shift: float, half_width: float, dim: int, nnz: int, series: bo
             cut = _cutoffs(j, tolerance)
             order = np.argsort(-cut, kind="stable")
             n_terms = int(cut[order[0]])
-            phases = np.exp(-1j * shift * dt)[order, None, None]
-            reached = np.sum(cut[:, None] > np.arange(n_terms), axis=0).tolist()
-            coefficient_rows = _coefficient_rows(_coefficients(j[order, :n_terms]))
-            entries[offsets] = order.tolist(), phases.real, phases.imag, coefficient_rows, reached
-        order, *entry = entries[offsets]
-        plan.append(([samples[s] for s in order], *entry))
+            phases = np.exp(-1j * shift * dt)[:, None, None]
+            groups = []
+            for held in (True, False):
+                members = order[np.array(whole)[order] == held]
+                if not len(members):
+                    continue
+                coeffs = _coefficients(j[members, :n_terms])
+                reached = np.sum(cut[members, None] > np.arange(n_terms), axis=0)
+                weights = None
+                if not held:
+                    # each coefficient's nonzero part, up to the sample's own cut
+                    n_moments = int(reached.nonzero()[0][-1]) + 1
+                    k = np.arange(n_moments)
+                    parts = np.where(k % 2 == 1, coeffs.imag[:, :n_moments], coeffs.real[:, :n_moments])
+                    weights = _moment_weights(np.where(k < cut[members, None], parts, 0.0))
+                row_data = _coefficient_rows(coeffs)
+                groups.append((held, members.tolist(), phases[members].real, phases[members].imag, row_data,
+                               reached.tolist(), weights))
+            entries[offsets, whole] = n_terms, groups
+        n_terms, groups = entries[offsets, whole]
+        plan.append((samples, n_terms, [(held, [samples[s] for s in members], *rest) for held, members, *rest in groups]))
     return plan
 
 
 def _phase(sums, phase_re, phase_im, out) -> None:
     """out_j = phase_j (E_j + i O_j) for each sample j of a recurrence's sums.
 
-    `sums` is m x 2 x dim x width (E_j and O_j) and `out` m x dim x width
+    `sums` is m x 2 x rows x width (E_j and O_j) and `out` m x rows x width
     complex, not sharing its bytes. The product is spelled in real
     multiplies and adds, E's storage taking each product of O once E is
     read, and + 0.0 turns -0.0 into +0.0.
@@ -431,17 +487,15 @@ def _phase(sums, phase_re, phase_im, out) -> None:
     np.add(flat, 0.0, out=flat)
 
 
-def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
+def propagate_block(h0, diagonals, block, times_ns, rows=None) -> list:
     """exp(-i t (H0 + diag(d_c))) x_c for every column c of a block, at each sample time.
 
     `h0` is a real symmetric sparse matrix shared by every column; column c of
     the real `diagonals` (dim x cells) is added to its diagonal for column c of
     `block`, the states at t = 0. Times are in ns, taken in order from t = 0;
-    a step between them may be negative or zero. Returns one array per sample
-    time: `observe` applied to each column chunk of X(t), written into that
-    chunk's columns along the last axis, by default the blocks themselves.
-    `observe` maps a dim x c chunk to an array whose last axis holds those c
-    columns in order.
+    a step between them may be negative or zero. Returns one complex array
+    per sample time: the basis rows `rows` of X(t), in the order given
+    (rows x columns), by default every row, the blocks themselves.
 
     Every column's spectrum lies in one Gershgorin interval [a - b, a + b] over
     the whole block, so one rescaled Chebyshev recurrence serves all columns.
@@ -450,22 +504,22 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
     r_jk = (2 - delta_k0) J_k(b dt_j) real and dt_j = t_j - t0, then
     multiplies each sample by its phase e^(-i a dt_j).
 
-    Without `observe`, the first recurrence is a series from t0 = 0 over the
-    leading sample times that `_series_samples` picks from a, b, the times,
-    dim and nnz alone, never from the block's width or values. The samples
-    after it, and every sample under `observe`, are grouped into windows of
-    WINDOW_SAMPLES consecutive times, a window closing early before a sample
-    whose Bessel argument b |t - t0| would exceed MAX_WINDOW_ARGUMENT from
-    its start time t0 (the last sample before the window, or 0). Every
-    recurrence, series or window, is built alike: each sample is cut at its
-    own order K_j, the first at which its Bessel tail is below the
-    tolerance, and its sums are ordered by K_j, longest first, so term k
-    adds into the leading run of samples with K_j > k. Its phases and grid
-    depend on a, b, the times, dim and nnz alone, and are built once per
-    distinct tuple of offsets. Every recurrence is cut at TOLERANCE divided by their
-    number, so the truncation errors summed up to the last sample stay below
-    TOLERANCE. A single step past MAX_WINDOW_ARGUMENT that a window must
-    take raises EvolutionError before any term is computed.
+    The first recurrence is a series from t0 = 0 over the leading sample
+    times that `_series_samples` picks from a, b, the times, dim, nnz and
+    the number of rows kept alone, never from the block's width or values.
+    The samples after it are grouped into windows of WINDOW_SAMPLES
+    consecutive times, a window closing early before a sample whose Bessel
+    argument b |t - t0| would exceed MAX_WINDOW_ARGUMENT from its start time
+    t0 (the last sample before the window). Every recurrence, series or
+    window, is built alike: each sample is cut at its own order K_j, the
+    first at which its Bessel tail is below the tolerance, and its sums are
+    ordered by K_j, longest first, so term k adds into the leading run of
+    samples with K_j > k. Its phases and grid depend on a, b, the times,
+    dim, nnz and the rows kept alone, and are built once per distinct tuple
+    of offsets. Every recurrence is cut at TOLERANCE divided by their
+    number, so the truncation errors summed up to the last sample stay
+    below TOLERANCE. A single step past MAX_WINDOW_ARGUMENT that a window
+    must take raises EvolutionError before any term is computed.
 
     Each term is one fused step into a preallocated buffer (`_chebyshev_step`):
     T_1 = D T_0 + A T_0, and T_k = 2D T_(k-1) - T_(k-2) + 2A T_(k-1) for
@@ -485,18 +539,28 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
     product's other part is an exact zero. A recurrence ends as
     y_j = phase_j (E_j + i O_j) in explicit real multiplies and adds, then
     + 0.0, so that an exact zero is +0.0 (`_phase`). A real recurrence's
-    samples are thus bit-identical to running its terms complex. The sums
-    take their samples' complex entries in place, a window's worth at a time
-    through a scratch copy, on every path. Without `observe` every sample
-    keeps its own sums, and the returned arrays are those bytes when the
-    block is one chunk; under `observe` one window's sums are reused.
+    samples are thus bit-identical to running its terms complex.
+
+    A sample held whole sums every row: every sample by default, and
+    otherwise the one the next recurrence starts from. Every other sample
+    sums only the kept rows, which each term gathers once. Each row's
+    arithmetic is the same either way, so a sample's kept rows equal the
+    same rows of its whole block bit for bit under the same plan. The sums
+    take their samples' complex entries in place, through a scratch copy of
+    at most a window's worth of whole sums at a time, and the returned
+    arrays are those bytes when the block is one chunk (a whole sample's
+    kept rows are copied out). A sample held whole has its column norms
+    checked against the start block's at NORM_TOL directly; a sample held
+    on its rows from the Chebyshev moments of its recurrence, one column
+    reduction per term (`_moment_weights`). The error names the first sample
+    that drifts.
 
     The columns run in chunks of equal width (the last may be narrower), as
     many as keep each chunk's (window samples + 3) x dim complex entries
-    within CHUNK_BYTES, also where its terms run real. Each chunk allocates
-    its term buffers and sums once, and runs the whole plan from t = 0 on
-    the shared interval and grids, so every column's values match the
-    unchunked run bit for bit.
+    within CHUNK_BYTES, whatever the rows kept and also where its terms run
+    real. Each chunk allocates its term buffers and sums once, and runs the
+    whole plan from t = 0 on the shared interval and grids, so every
+    column's values match the unchunked run bit for bit.
     """
     import scipy.sparse as sp  # imported on use: no start-up cost for commands that never propagate
     from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
@@ -510,11 +574,18 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
     x = np.ascontiguousarray(block, dtype=np.complex128)
     if x.ndim != 2 or h0.shape != (x.shape[0], x.shape[0]) or diagonals.shape != x.shape:
         raise ValueError(f"shapes do not match: H0 {h0.shape}, diagonals {diagonals.shape}, block {x.shape}")
+    dim, n_columns = x.shape
+    if rows is not None:
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu") or np.any((rows < 0) | (rows >= dim)):
+            raise ValueError(f"rows must list basis rows 0..{dim - 1}")
+        rows = rows.astype(np.intp)
+    n_kept = dim if rows is None else len(rows)
 
     h0_diag = h0.diagonal()
     radius = np.asarray(abs(h0).sum(axis=1)).ravel() - np.abs(h0_diag)
     # a block without columns takes the interval of H0's rows alone
-    centers = h0_diag[:, None] + (diagonals if x.shape[1] else 0.0)
+    centers = h0_diag[:, None] + (diagonals if n_columns else 0.0)
     lo = float(np.min(centers - radius[:, None]))
     hi = float(np.max(centers + radius[:, None]))
     if not (np.isfinite(lo) and np.isfinite(hi)):
@@ -529,42 +600,60 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
     doubled_h0 = 2.0 * scaled_h0
 
     times = [float(t) for t in times_ns]
-    dim, n_columns = x.shape
-    plan = _plan(times, shift, half_width, dim, h0.nnz, series=observe is None)
+    plan = _plan(times, shift, half_width, dim, h0.nnz, None if rows is None else n_kept)
 
     samples = [None] * len(times)  # one output array per sample time, filled chunk by chunk
     window_samples = min(WINDOW_SAMPLES, len(times))
     kernels = csr_matvec, csr_matvecs
 
-    def propagate_chunk(x, chunk_diagonals, columns, whole):
+    def propagate_chunk(x, chunk_diagonals, columns, whole_block):
         width = x.shape[1]
         scaled_diag = (chunk_diagonals - shift) * inverse_width
         doubled_diag = 2.0 * scaled_diag
         # three term buffers of (re, im) planes, a real term using the first
-        # plane; each sample's sums E_j and O_j, which become its sample in
-        # place (every sample's for a kept block, one window's under
-        # observe); and a window's worth of sums to phase them from
+        # plane; a term's kept rows; each sample's sums E_j and O_j, which
+        # become its sample in place: whole, every sample's by default, else
+        # the next recurrence's start alone, and every other sample's on its
+        # rows; and a window's worth of whole sums to phase them from
         terms = np.empty((3, 2, dim, width))
-        store = np.empty((len(times) if observe is None else window_samples, 2, dim, width))
-        scratch = np.empty((window_samples, 2, dim, width))
+        gathered = np.empty((2, n_kept, width))
+        stores = {True: np.empty((len(times) if rows is None else 1, 2, dim, width)),
+                  False: np.empty((0 if rows is None else len(times), 2, n_kept, width))}
+        scratch = np.empty(window_samples * 2 * dim * width)
+
+        def phased(sums, phase_re, phase_im):
+            # each sample's complex entries take its sums' bytes, as many at a time as the scratch holds
+            m = len(sums)
+            y = sums.reshape(m, -1).view(np.complex128).reshape(m, *sums.shape[2:])
+            step = max(1, scratch.size // max(1, sums[0].size))
+            for i in range(0, m, step):
+                run = slice(i, i + step)
+                copied = scratch[: sums[run].size].reshape(sums[run].shape)
+                np.copyto(copied, sums[run])
+                _phase(copied, phase_re[run], phase_im[run], y[run])
+            return y
 
         norms0 = np.linalg.norm(x, axis=0)
-        stored = 0
-        for window, phase_re, phase_im, coefficient_rows, reached in plan:
-            m = len(window)
+        stored = {True: 0, False: 0}
+        for window, n_terms, groups in plan:
             # a real start state has only real terms T_k, one plane each
             real = not np.any(x.imag)
             cur, nxt, prev = terms[:, : 1 if real else 2]
             np.copyto(cur[0], x.real)
             if not real:
                 np.copyto(cur[1], x.imag)
-            indptr, indices, data = coefficient_rows[real]
-            sums = store[stored : stored + m]  # a kept block's next samples, else the window's
-            if observe is None:
-                stored += m
-            # the sums start at +0.0 and only ever add, so they never hold -0.0
-            sums.fill(0.0)
-            for k, n in enumerate(reached):
+            kept_rows = gathered[: len(cur)]
+            group_sums, squared_terms = [], None
+            for held, members, *_, weights in groups:
+                # the next recurrence's start reuses one slot; every other sample keeps its own
+                at = 0 if held and rows is not None else stored[held]
+                stored[held] = at + len(members)
+                # the sums start at +0.0 and only ever add, so they never hold -0.0
+                group_sums.append(stores[held][at : at + len(members)])
+                group_sums[-1].fill(0.0)
+                if weights is not None:
+                    squared_terms = np.empty((weights.shape[1], width))  # ||T_a x||^2 per column
+            for k in range(n_terms):
                 if k == 1:
                     _chebyshev_step(kernels, scaled_h0, scaled_diag, cur, None, nxt)
                 elif k > 1:
@@ -572,42 +661,60 @@ def propagate_block(h0, diagonals, block, times_ns, observe=None) -> list:
                     _chebyshev_step(kernels, doubled_h0, doubled_diag, cur, prev, nxt)
                 if k:
                     prev, cur, nxt = cur, nxt, prev
-                rows = indptr[k % 2], indices[k % 2], data[k]
-                if n < m:  # a term adds into its leading n samples, those cut past k
-                    ptr = rows[0][: 2 * n + 1]
-                    rows = ptr, rows[1][: ptr[-1]], rows[2][: ptr[-1]]
-                _accumulate(csr_matvecs, rows, cur, sums[:n])
-            # each sample's complex entries take its sums' bytes, a window's worth at a time
-            y = sums.reshape(m, -1).view(np.complex128).reshape(m, dim, width)
-            for i in range(0, m, window_samples):
-                run = slice(i, i + window_samples)
-                copied = scratch[: len(y[run])]
-                np.copyto(copied, sums[run])
-                _phase(copied, phase_re[run], phase_im[run], y[run])
-            # every sample's squared column norms from one reduction over the
-            # window; the first sample that drifts is named
-            flat = y.view(np.float64)
-            if width == 1:  # the one column's (re, im) pairs lie contiguous
-                samples_flat = flat.reshape(m, -1)
-                squares = np.einsum("si,si->s", samples_flat, samples_flat)[:, None]
-            else:
-                squares = np.einsum("sij,sij->sj", flat, flat)
-                squares = squares[:, 0::2] + squares[:, 1::2]
-            drift = np.abs(np.sqrt(squares) - norms0)
-            held = np.all(drift <= NORM_TOL, axis=1)
-            if not held.all():
-                first = min(window[s] for s in np.flatnonzero(~held))
-                raise EvolutionError(f"norm drifted by {np.max(drift[window.index(first)])} at t={times[first]} ns")
-            for yt, i in zip(y, window):
-                if whole and observe is None:
-                    samples[i] = yt  # the sample's own bytes, no copy
-                    continue
-                observed = yt if observe is None else observe(yt)
-                if samples[i] is None:
-                    samples[i] = np.empty(observed.shape[:-1] + (n_columns,), observed.dtype)
-                samples[i][..., columns] = observed
-            # the next window reads its start state, the last sample, before it overwrites y
-            x = y[window.index(max(window))]
+                for (held, _, _, _, coefficient_rows, reached, weights), sums in zip(groups, group_sums):
+                    n = reached[k]
+                    if not n:  # past the group's longest cut
+                        continue
+                    term = cur
+                    if not held:
+                        np.take(cur, rows, axis=1, out=kept_rows)
+                        term = kept_rows
+                        squared_terms[k] = np.einsum("pij,pij->j", cur, cur)
+                    indptr, indices, data = coefficient_rows[real]
+                    row_data = indptr[k % 2], indices[k % 2], data[k]
+                    if n < len(sums):  # a term adds into its leading n samples, those cut past k
+                        ptr = row_data[0][: 2 * n + 1]
+                        row_data = ptr, row_data[1][: ptr[-1]], row_data[2][: ptr[-1]]
+                    _accumulate(csr_matvecs, row_data, term, sums[:n])
+            # each group's samples and their squared column norms: directly for
+            # a whole sample, from the moments mu_2a = 2 ||T_a x||^2 - ||x||^2
+            # for one held on its rows
+            ys, drifts = [], []
+            for (held, _, phase_re, phase_im, _, _, weights), sums in zip(groups, group_sums):
+                y = phased(sums, phase_re, phase_im)
+                if held:
+                    flat = y.view(np.float64)
+                    if width == 1:  # the one column's (re, im) pairs lie contiguous
+                        samples_flat = flat.reshape(len(y), -1)
+                        squares = np.einsum("si,si->s", samples_flat, samples_flat)[:, None]
+                    else:
+                        squares = np.einsum("sij,sij->sj", flat, flat)
+                        squares = squares[:, 0::2] + squares[:, 1::2]
+                else:
+                    squares = weights @ (2.0 * squared_terms - squared_terms[0])
+                ys.append(y)
+                drifts.append(np.abs(np.sqrt(np.maximum(squares, 0.0)) - norms0))
+            # the first sample that drifts is named
+            held_samples = [i for _, members, *_ in groups for i in members]
+            drift = np.concatenate(drifts)
+            within = np.all(drift <= NORM_TOL, axis=1)
+            if not within.all():
+                first = min(held_samples[s] for s in np.flatnonzero(~within))
+                raise EvolutionError(f"norm drifted by {np.max(drift[held_samples.index(first)])} at t={times[first]} ns")
+            for (held, members, *_), y in zip(groups, ys):
+                for yt, i in zip(y, members):
+                    if held and rows is not None:
+                        yt = yt[rows]  # a copy: the next recurrence's sums take these bytes
+                    if whole_block:
+                        samples[i] = yt  # the sample's own bytes, or its kept rows' copy
+                        continue
+                    if samples[i] is None:
+                        samples[i] = np.empty((n_kept, n_columns), np.complex128)
+                    samples[i][:, columns] = yt
+            # the next recurrence starts from the last sample, held whole, before it overwrites y
+            held, members, *_ = groups[0]
+            if held and max(window) in members:
+                x = ys[0][members.index(max(window))]
 
     # the fewest chunks within CHUNK_BYTES, of equal width but the last; a
     # zero-column block runs as one empty chunk

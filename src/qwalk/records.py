@@ -46,7 +46,7 @@ def _jsonable(value):
         return value
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
+    if isinstance(value, np.generic):  # a numpy scalar: float, integer, bool or str
         return value.item()
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}

@@ -547,11 +547,10 @@ def disorder_sweep(
         on_arm = weights != 0.0
         offsets[on_arm] = weights[on_arm, None] * step
     block = np.repeat(psi0.amplitudes[:, None], offsets.shape[1], axis=1)
-    (probabilities,) = propagate_block(
-        h0.matrix, offset_diagonals(basis, offsets), block, (t_read,), observe=lambda x: x.real**2 + x.imag**2
-    )
+    (states,) = propagate_block(h0.matrix, offset_diagonals(basis, offsets), block, (t_read,))
     site = graph.index[layout.detector]
     listed = np.any(basis.sites == site, axis=1)  # the rows that hold a walker on the detector
-    detector = site_sums(basis.sites[listed], probabilities[listed], graph.n_sites)[site]
+    amplitudes = states[listed]
+    detector = site_sums(basis.sites[listed], amplitudes.real**2 + amplitudes.imag**2, graph.n_sites)[site]
     values = detector.reshape(len(d_left_values), len(d_right_values))
     return FringeGrid(d_left_values, d_right_values, values, t_read, layout.detector.label)

@@ -32,7 +32,7 @@ from qwalk.analysis import (
 from qwalk.device import DisorderMap, active_subgraph, default_device, grid_graph, sample_offsets
 from qwalk.evolution import evolve_unitary
 from qwalk.hamiltonian import build_hamiltonian, offset_diagonals
-from qwalk.sector import QuantumState, basis_state, enumerate_basis
+from qwalk.sector import QuantumState, basis_state, enumerate_basis, lookup
 
 
 def test_correlation_product_state_is_zero():
@@ -320,17 +320,24 @@ def test_interaction_signature():
 def test_pipeline_series_equal_snapshot_correlations():
     # the one-realisation block path pins the general connected correlation,
     # evaluated on per-time snapshots, bit for bit (t = 0 samples are +0.0);
-    # the snapshots keep each chunk through an observe, so they take the
-    # pipeline's plan, its windows
-    res = ctqw_velocity_pipeline()
-    device = default_device()
-    graph = active_subgraph(device, device.functional_qubits)
-    b = enumerate_basis(graph.n_sites, 1)
-    origin = res.series[0].site_pair[0]
-    block = basis_state(b, {origin}).amplitudes[:, None]
-    states = evolution.propagate_block(
-        build_hamiltonian(graph, b).matrix, np.zeros((b.dimension, 1)), block, PIPELINE_TIMES_NS, lambda y: y
-    )
+    # the snapshots are whole blocks, and the pipeline's five rows take the
+    # whole block's plan, one series over all 61 samples
+    lengths = []
+    series_samples = evolution._series_samples
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "_series_samples", lambda *args: lengths.append(args[-1]) or series_samples(*args))
+        res = ctqw_velocity_pipeline()
+        device = default_device()
+        graph = active_subgraph(device, device.functional_qubits)
+        b = enumerate_basis(graph.n_sites, 1)
+        origin = res.series[0].site_pair[0]
+        block = basis_state(b, {origin}).amplitudes[:, None]
+        h0 = build_hamiltonian(graph, b).matrix
+        states = evolution.propagate_block(h0, np.zeros((b.dimension, 1)), block, PIPELINE_TIMES_NS)
+    assert lengths == [5, b.dimension]
+    times = [float(t) for t in PIPELINE_TIMES_NS]
+    half_width = float(abs(h0).sum(axis=1).max())  # a zero diagonal: the largest absolute row sum
+    assert [series_samples(times, half_width, b.dimension, h0.nnz, kept)[0] for kept in lengths] == [61, 61]
     snaps = [(t, QuantumState(b, y[:, 0])) for t, y in zip(PIPELINE_TIMES_NS, states)]
     assert len(res.series) == 4
     for series in res.series:
@@ -361,10 +368,17 @@ def test_study_is_independent_of_column_chunks(monkeypatch):
     runs = []
     fronts_of = analysis._diagonal_fronts
     monkeypatch.setattr(analysis, "_diagonal_fronts", lambda *args: runs.append(fronts_of(*args)) or runs[-1])
+    widths = []  # the chunk width of each run of sums the engine phases
+    phase = evolution._phase
+    monkeypatch.setattr(evolution, "_phase", lambda sums, *args: widths.append(sums.shape[-1]) or phase(sums, *args))
     whole = disorder_velocity_study(n_seeds=10, seed=11000)
+    assert set(widths) == {10}
+    widths.clear()
     # one column is (window samples + 3) x dim 225 x 16 B: chunks of 4, 4 and 2 realisations
     monkeypatch.setattr(evolution, "CHUNK_BYTES", 4 * (evolution.WINDOW_SAMPLES + 3) * 225 * 16)
     chunked = disorder_velocity_study(n_seeds=10, seed=11000)
+    n_runs = len(widths) // 3
+    assert widths == [4] * n_runs + [4] * n_runs + [2] * n_runs
     (series_whole, _), (series_chunked, _) = runs
     for a, b in zip(series_whole, series_chunked, strict=True):
         assert np.array_equal(a.values, b.values)
@@ -376,23 +390,25 @@ def test_study_is_independent_of_column_chunks(monkeypatch):
     )
 
 
-def test_ensemble_block_runs_as_one_chunk():
+def test_ensemble_block_runs_as_one_chunk(monkeypatch):
     # the bench's `analyze --study distance-velocity --seeds 32` block: dim 225
-    # x 32 realisations, 101 samples, within one CHUNK_BYTES chunk
+    # x 32 realisations, 101 samples on the study's 12 rows, within one
+    # CHUNK_BYTES chunk and one series from t = 0
     g = grid_graph(analysis.STUDY_SIDE, analysis.STUDY_SIDE)
     basis = enumerate_basis(g.n_sites, 1)
     offsets = np.column_stack([sample_offsets(g.n_sites, 1.6, seed) for seed in range(11000, 11032)])
     block = np.repeat(basis_state(basis, {0}).amplitudes[:, None], 32, axis=1)
-    widths = []
-
-    def chunk_width(x):
-        widths.append(x.shape[1])
-        return x[0]
-
+    sites = [g.index[(k, k)] for k in range(analysis.STUDY_DIAGONALS + 1)]  # the origin, then the diagonal
+    rows = lookup(basis.keys, np.eye(g.n_sites, dtype=bool)[sites])
+    widths, lengths = [], []
+    phase, series_samples = evolution._phase, evolution._series_samples
+    monkeypatch.setattr(evolution, "_phase", lambda sums, *args: widths.append(sums.shape[-1]) or phase(sums, *args))
+    monkeypatch.setattr(evolution, "_series_samples", lambda *args: lengths.append(series_samples(*args)) or lengths[-1])
     h0, diagonals = build_hamiltonian(g, basis).matrix, offset_diagonals(basis, offsets)
-    evolution.propagate_block(h0, diagonals, block, analysis.STUDY_TIMES_NS, chunk_width)
-    assert basis.dimension == 225
-    assert widths == [32] * len(analysis.STUDY_TIMES_NS) == [32] * 101
+    states = evolution.propagate_block(h0, diagonals, block, analysis.STUDY_TIMES_NS, rows)
+    assert basis.dimension == 225 and len(rows) == 12
+    assert widths and set(widths) == {32}
+    assert [length for length, _ in lengths] == [101] and [y.shape for y in states] == [(12, 32)] * 101
 
 
 def test_velocity_pipeline_runs_and_respects_bound():

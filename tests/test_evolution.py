@@ -37,14 +37,29 @@ def chain_instance(n, k=1, disorder=None):
     return g, b, build_hamiltonian(g, b, disorder)
 
 
-def keep_chunk(y):
-    """An observe that returns its chunk: the engine then runs every sample in
-    windows, where observe=None runs the leading samples in one series."""
-    return y
+def gershgorin_interval(h0, diagonals) -> tuple:
+    """The centre a and half-width b of the Gershgorin interval propagate_block takes for a block."""
+    radius = np.asarray(abs(h0).sum(axis=1)).ravel() - np.abs(h0.diagonal())
+    centers = h0.diagonal()[:, None] + diagonals
+    lo, hi = float(np.min(centers - radius[:, None])), float(np.max(centers + radius[:, None]))
+    return 0.5 * (hi + lo), 0.5 * (hi - lo)
 
 
-# both plans of a propagate_block call: the series and the windows
-PLANS = (None, keep_chunk)
+def gershgorin_half_width(h0, diagonals) -> float:
+    return gershgorin_interval(h0, diagonals)[1]
+
+
+def spy_series(monkeypatch):
+    """Record the number of rows kept and the series length of every plan made."""
+    plans, series_samples = [], evolution._series_samples
+
+    def spy(*args):
+        length, grid = series_samples(*args)
+        plans.append((args[-1], length))
+        return length, grid
+
+    monkeypatch.setattr(evolution, "_series_samples", spy)
+    return plans
 
 
 def test_two_site_rabi_swap():
@@ -132,58 +147,67 @@ def block_instances(draw, cells=st.integers(1, 4)):
     return build_hamiltonian(g, b), diagonals, x / np.linalg.norm(x, axis=0)
 
 
-@given(block_instances(), st.sampled_from([0.0, 1.0, -1.0]), st.floats(0.0, 400.0))
-def test_block_engine_matches_scipy_expm(instance, sign, magnitude):
+@given(st.data(), block_instances(), st.sampled_from([0.0, 1.0, -1.0]), st.floats(0.0, 400.0))
+def test_block_engine_matches_scipy_expm(data, instance, sign, magnitude):
     h, diagonals, x = instance
     t = sign * magnitude
     dense = h.to_dense()
     refs = [expm(-1j * (t * 1e-3) * (dense + np.diag(diagonals[:, c]))) @ x[:, c] for c in range(x.shape[1])]
-    for observe in PLANS:
-        (y,) = propagate_block(h.matrix, diagonals, x, (t,), observe)
-        for c, ref in enumerate(refs):
-            assert np.max(np.abs(y[:, c] - ref)) < 1e-10
-        assert np.allclose(np.linalg.norm(y, axis=0), 1.0, atol=1e-12)
+    (y,) = propagate_block(h.matrix, diagonals, x, (t,))
+    for c, ref in enumerate(refs):
+        assert np.max(np.abs(y[:, c] - ref)) < 1e-10
+    assert np.allclose(np.linalg.norm(y, axis=0), 1.0, atol=1e-12)
+    # one sample is one series, whatever the rows kept: the same rows bit for bit
+    rows = data.draw(st.lists(st.integers(0, h.dimension - 1), min_size=1, max_size=h.dimension))
+    (kept,) = propagate_block(h.matrix, diagonals, x, (t,), rows)
+    assert kept.shape == (len(rows), x.shape[1]) and kept.tobytes() == y[rows].tobytes()
 
 
 @st.composite
-def sample_times(draw):
+def sample_times(draw, half_width=None):
     """Irregular sample times spanning more than one window, with at least one
-    negative time and one repeated time (a zero step)."""
+    negative time and one repeated time (a zero step). Given the block's
+    Gershgorin half-width, a run of 8 to 14 samples 1 ns apart follows at
+    b t = 60, far enough that a whole block's series closes before its
+    second sample and windows take the rest."""
     n = draw(st.integers(WINDOW_SAMPLES, 3 * WINDOW_SAMPLES))
     times = draw(st.lists(st.floats(-400.0, 400.0), min_size=n, max_size=n))
     negative = draw(st.integers(0, n - 1))
     times[negative] = -1.0 - abs(times[negative])
     repeat = draw(st.integers(1, n))
     times.insert(repeat, times[repeat - 1])
+    if half_width:
+        far = 60.0 / half_width / evolution.NS_TO_US
+        times += [far + i for i in range(draw(st.integers(8, 14)))]
     return times
 
 
-@given(block_instances(), sample_times())
-def test_every_windowed_sample_matches_scipy_expm(instance, times):
+@given(st.data(), block_instances())
+def test_every_windowed_sample_matches_scipy_expm(data, instance):
     h, diagonals, x = instance
-    plans = [propagate_block(h.matrix, diagonals, x, times, observe) for observe in PLANS]
+    times = data.draw(sample_times(gershgorin_half_width(h.matrix, diagonals)))
+    with pytest.MonkeyPatch.context() as mp:
+        plans = spy_series(mp)
+        ys = propagate_block(h.matrix, diagonals, x, times)
+    ((kept, length),) = plans
+    assert kept == h.dimension and length < len(times) - 1  # windows run past the series
     dense = h.to_dense()
+    assert len(ys) == len(times) > WINDOW_SAMPLES
     for i, t in enumerate(times):
         for c in range(x.shape[1]):
             ref = expm(-1j * (t * 1e-3) * (dense + np.diag(diagonals[:, c]))) @ x[:, c]
-            for ys in plans:
-                assert len(ys) == len(times) > WINDOW_SAMPLES
-                assert np.max(np.abs(ys[i][:, c] - ref)) < 1e-10
-        for ys in plans:
-            assert np.allclose(np.linalg.norm(ys[i], axis=0), 1.0, atol=1e-12)
+            assert np.max(np.abs(ys[i][:, c] - ref)) < 1e-10
+        assert np.allclose(np.linalg.norm(ys[i], axis=0), 1.0, atol=1e-12)
 
 
-def squared_even_rows(y):
-    return np.abs(y[::2]) ** 2
-
-
-@given(st.data(), sample_times())
-def test_column_chunks_match_the_whole_block_bit_for_bit(data, times):
+@given(st.data())
+def test_column_chunks_match_the_whole_block_bit_for_bit(data):
     # chunks of `width` columns, the last one `short` narrower
     n_chunks = data.draw(st.integers(2, 3))
     width = data.draw(st.integers(2, 4))
     short = data.draw(st.integers(1, min(width, n_chunks) - 1))
     h, diagonals, x = data.draw(block_instances(cells=st.just(n_chunks * width - short)))
+    times = data.draw(sample_times(gershgorin_half_width(h.matrix, diagonals)))
     column_bytes = (WINDOW_SAMPLES + 3) * h.dimension * 16
     widths = []  # the chunk width of each run of sums the engine phases
     phase = evolution._phase
@@ -192,30 +216,109 @@ def test_column_chunks_match_the_whole_block_bit_for_bit(data, times):
         widths.append(sums.shape[-1])
         return phase(sums, *args)
 
-    # the series, the windows keeping each chunk, and the windows reducing it
-    for observe in (*PLANS, squared_even_rows):
+    # every row, and the even rows
+    for rows in (None, range(0, h.dimension, 2)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(evolution, "_phase", spy)
             mp.setattr(evolution, "CHUNK_BYTES", 2**62)
-            whole = propagate_block(h.matrix, diagonals, x, times, observe)
+            whole = propagate_block(h.matrix, diagonals, x, times, rows)
             n_runs = len(widths)
             assert widths == [x.shape[1]] * n_runs
             widths.clear()
             mp.setattr(evolution, "CHUNK_BYTES", width * column_bytes)
-            chunked = propagate_block(h.matrix, diagonals, x, times, observe)
+            chunked = propagate_block(h.matrix, diagonals, x, times, rows)
         assert widths == [width] * n_runs * (n_chunks - 1) + [width - short] * n_runs
         widths.clear()
         assert len(chunked) == len(whole) == len(times)
         assert all(np.array_equal(y, ref) for y, ref in zip(chunked, whole))
 
 
+@st.composite
+def walk_instances(draw):
+    """A chain or a small grid with 1-3 walkers, 1-4 columns of random
+    diagonals and complex start states, and a regular time grid of 90
+    samples whose step moves the Bessel argument b t by 0.5-1 rad, long
+    enough that a whole block's series closes and windows follow."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 6))
+        g = ActiveGraph(tuple(range(n)), tuple((i, i + 1, draw(st.floats(0.5, 3.0))) for i in range(n - 1)))
+    else:
+        g = grid_graph(*draw(st.sampled_from([(2, 2), (2, 3)])))
+    b = enumerate_basis(g.n_sites, draw(st.integers(1, min(3, g.n_sites - 1))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offsets = rng.uniform(-3.0, 3.0, size=(g.n_sites, draw(st.integers(1, 4))))
+    diagonals = 2.0 * np.pi * (b.occupancy_matrix() @ offsets)
+    x = rng.normal(size=diagonals.shape) + 1j * rng.normal(size=diagonals.shape)
+    h = build_hamiltonian(g, b)
+    step = draw(st.floats(0.5, 1.0)) / gershgorin_half_width(h.matrix, diagonals) / evolution.NS_TO_US
+    return h, diagonals, x / np.linalg.norm(x, axis=0), [step * i for i in range(90)]
+
+
+@given(st.data(), walk_instances())
+def test_kept_rows_match_the_whole_block_and_expm(data, instance):
+    # the rows kept, in any order, in column chunks of a drawn width: the same
+    # rows of the whole block bit for bit wherever both take the same plan
+    # (the same series, and so the same windows), and within 1e-12 of expm
+    h, diagonals, x, times = instance
+    dim, columns = x.shape
+    rows = data.draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim, unique=True))
+    width = data.draw(st.integers(1, columns))
+    with pytest.MonkeyPatch.context() as mp:
+        plans = spy_series(mp)
+        whole = propagate_block(h.matrix, diagonals, x, times)
+        mp.setattr(evolution, "CHUNK_BYTES", width * (WINDOW_SAMPLES + 3) * dim * 16)
+        kept = propagate_block(h.matrix, diagonals, x, times, rows)
+    (_, whole_length), (_, kept_length) = plans
+    assert whole_length < len(times) - 1  # the whole block's series closes, windows follow
+    dense = h.to_dense()
+    for t, y, y_rows in zip(times, whole, kept):
+        assert y_rows.shape == (len(rows), columns)
+        if kept_length == whole_length:
+            assert y_rows.tobytes() == y[rows].tobytes()
+        for c in range(columns):
+            ref = expm(-1j * (t * 1e-3) * (dense + np.diag(diagonals[:, c]))) @ x[:, c]
+            assert np.max(np.abs(y[:, c] - ref)) < 1e-12
+            assert np.max(np.abs(y_rows[:, c] - ref[rows])) < 1e-12
+
+
+def test_moment_norms_match_the_direct_norms():
+    # the norms a series held on two rows checks, from its Chebyshev moments,
+    # against the squared norms of the whole samples the same plan returns
+    rng = np.random.default_rng(3)
+    _, b, h = chain_instance(6, k=2)
+    diagonals = rng.uniform(-20.0, 20.0, size=(b.dimension, 3))
+    x = rng.normal(size=(b.dimension, 3)) + 1j * rng.normal(size=(b.dimension, 3))
+    x /= np.linalg.norm(x, axis=0)
+    times = [float(t) for t in np.arange(0.0, 300.0 + 1e-9, 10.0)]
+    ys = propagate_block(h.matrix, diagonals, x, times)
+    shift, half_width = gershgorin_interval(h.matrix, diagonals)
+    # one series over every sample, whether two rows or every row is kept
+    for kept in (None, 2):
+        ((samples, _, _),) = evolution._plan(times, shift, half_width, b.dimension, h.matrix.nnz, kept)
+        assert samples == list(range(len(times)))
+    ((_, _, ((held, members, *_, weights),)),) = evolution._plan(times, shift, half_width, b.dimension, h.matrix.nnz, 2)
+    assert not held
+    # ||T_a x||^2 per column, on each column's scaled operator
+    squares = np.empty((weights.shape[1], 3))
+    for c in range(3):
+        a = (h.to_dense() + np.diag(diagonals[:, c] - shift)) / half_width
+        prev, cur = None, x[:, c]
+        for k in range(len(squares)):
+            squares[k, c] = np.vdot(cur, cur).real
+            prev, cur = cur, (a @ cur if prev is None else 2.0 * (a @ cur) - prev)
+    moments = weights @ (2.0 * squares - squares[0])
+    direct = np.array([np.linalg.norm(ys[i], axis=0) ** 2 for i in members])
+    assert np.max(np.abs(moments - direct)) <= 1e-13
+
+
 def spy_products(dim, width):
     """Patch SciPy's CSR kernels to record, per Chebyshev term past the first,
     the columns of its scaled-operator products summed over its planes.
 
-    A product is a csr_matvec call (one column) or a csr_matvecs call with
-    `width` vectors; a term's additions into its window's sums are one
-    csr_matvecs call with dim x width vectors, which closes the term.
+    A product is a csr_matvec call (one column) or a csr_matvecs call of the
+    dim x dim operator with `width` vectors; a term's additions into its
+    recurrence's sums are csr_matvecs calls over its one or two planes, the
+    first of which closes the term.
     Returns the patch, the per-term widths and the widths of the products
     that went through csr_matvecs, both filled while the patch is active.
     """
@@ -228,14 +331,12 @@ def spy_products(dim, width):
         return matvec(*args)
 
     def spy_matvecs(*args):  # csr_matvecs(n_row, n_col, n_vecs, indptr, indices, data, x, y)
-        if args[2] == dim * width:
-            if pending:
-                terms.append(sum(pending))
-                pending.clear()
-        else:
-            assert args[:3] == (dim, dim, width)
+        if args[:3] == (dim, dim, width):  # additions have dim x width or rows x width vectors
             pending.append(width)
             matvecs_products.append(width)
+        elif pending:
+            terms.append(sum(pending))
+            pending.clear()
         return matvecs(*args)
 
     patches = mock.patch.multiple(_sparsetools, csr_matvec=spy_matvec, csr_matvecs=spy_matvecs)
@@ -272,21 +373,25 @@ def test_real_start_states_match_the_interleaved_path_bit_for_bit(data, instance
         assert real_widths[0] == n
 
 
-def test_one_column_products_take_the_single_vector_kernel():
+def test_one_column_products_take_the_single_vector_kernel(monkeypatch):
     # SciPy's csr_matvec runs one column in about half the time csr_matvecs
     # takes with n_vecs = 1, so no one-column product goes through the latter
     _, b, h = chain_instance(8, k=2)
     psi = basis_state(b, {0, 5}).amplitudes[:, None]
+    plans = spy_series(monkeypatch)
     for block, planes in ((psi, 1), (psi * np.exp(0.3j), 2)):  # a real and a complex start
-        for observe in PLANS:
-            patches, widths, matvecs_products = spy_products(b.dimension, 1)
-            with patches:
-                propagate_block(h.matrix, np.zeros((b.dimension, 1)), block, tuple(np.arange(0.0, 400.0, 37.0)), observe)
-            assert widths and matvecs_products == []
-            # one plane per term from a real start, two from a complex one: the
-            # series runs every sample from the start state, and of the windows
-            # only the first does, the later ones starting complex
-            assert widths[0] == planes and widths[-1] == (planes if observe is None else 2)
+        for times in (np.arange(0.0, 400.0, 37.0), np.arange(0.0, 1000.0 + 1e-9, 10.0)):
+            for rows in (None, [0, 7, 3]):
+                patches, widths, matvecs_products = spy_products(b.dimension, 1)
+                with patches:
+                    propagate_block(h.matrix, np.zeros((b.dimension, 1)), block, times, rows)
+                assert widths and matvecs_products == []
+                # one plane per term from a real start, two from a complex one: the
+                # series runs from the start state, and windows from complex states
+                _, length = plans[-1]
+                assert widths[0] == planes and widths[-1] == (planes if length == len(times) else 2)
+    # the whole block closes the series on the 0-1000 ns grid, the three rows do not
+    assert [length for _, length in plans] == [11, 11, 57, 101] * 2
 
 
 def ctqw_two():
@@ -410,46 +515,56 @@ def test_equal_windows_share_one_coefficient_grid(monkeypatch):
     calls = []
     coefficients = evolution._coefficients
     monkeypatch.setattr(evolution, "_coefficients", lambda j: calls.append(j) or coefficients(j))
+    plans = spy_series(monkeypatch)
     _, b, h = chain_instance(6, k=2)
     times = tuple(np.arange(0.0, 1000.0 + 1e-9, 10.0))  # the distance-velocity study's samples
-    propagate_block(h.matrix, np.zeros((b.dimension, 1)), basis_state(b, {0, 3}).amplitudes[:, None], times, keep_chunk)
-    # offsets (0, 10, .., 50), then (10, 20, .., 60) for every full window, then the
-    # remaining (10, .., 50): windows of 6, 6 and 5 samples
-    assert [len(j) for j in calls] == [WINDOW_SAMPLES, WINDOW_SAMPLES, (len(times) - WINDOW_SAMPLES) % WINDOW_SAMPLES]
+    propagate_block(h.matrix, np.zeros((b.dimension, 1)), basis_state(b, {0, 3}).amplitudes[:, None], times)
+    ((_, length),) = plans
+    # the series' grid, then (10, 20, .., 60) for every full window, then the
+    # remaining offsets: windows of 6 and of the rest of the samples
+    rest = (len(times) - length) % WINDOW_SAMPLES
+    assert length < len(times) - WINDOW_SAMPLES and [len(j) for j in calls] == [length, WINDOW_SAMPLES] + [rest] * (rest > 0)
 
 
 def test_each_term_adds_into_the_samples_its_own_cutoff_reaches(monkeypatch):
-    # every window sample is cut at its own order, so term k adds into
-    # exactly the samples whose cutoff exceeds k, each by its own coefficient
+    # every sample of the series and of each window is cut at its own order,
+    # so term k adds into exactly the samples whose cutoff exceeds k, each by
+    # its own coefficient
     _, b, h = chain_instance(6, k=2)
-    times = tuple(np.arange(0.0, 200.0 + 1e-9, 10.0))
-    calls = []
-    accumulate = evolution._accumulate
+    times = tuple(np.arange(0.0, 700.0 + 1e-9, 10.0))
+    calls, grids = [], []
+    accumulate, series_samples = evolution._accumulate, evolution._series_samples
 
     def spy(matvecs, rows, term, sums):
         calls.append((len(sums), np.unique(np.abs(rows[2]))))
         return accumulate(matvecs, rows, term, sums)
 
     monkeypatch.setattr(evolution, "_accumulate", spy)
+    monkeypatch.setattr(evolution, "_series_samples", lambda *args: grids.append(series_samples(*args)) or grids[-1])
     x = np.repeat(basis_state(b, {0, 3}).amplitudes[:, None], 2, axis=1)
-    # two columns: the first window starts real, the later ones complex
-    propagate_block(h.matrix, np.zeros((b.dimension, 2)), x, times, keep_chunk)
+    # two columns: the series starts real, the windows complex
+    propagate_block(h.matrix, np.zeros((b.dimension, 2)), x, times)
+    ((length, series_grid),) = grids
+    assert length == 54  # then windows of 6, 6 and 5 samples
     # a zero diagonal puts the Gershgorin interval at +- the largest absolute row sum
     half_width = float(abs(h.matrix).sum(axis=1).max())
-    starts = [0.0, times[5], times[11], times[17]]  # windows of 6, 6, 6 and 3 samples
+    starts = [0.0, times[length - 1], times[length + 5], times[length + 11]]
     expected = []
     for i, start in enumerate(starts):
-        offsets = np.array(times[6 * i : 6 * i + 6]) - start
-        j = _bessel_j(half_width * (offsets * evolution.NS_TO_US))
+        samples = slice(0, length) if i == 0 else slice(length + 6 * (i - 1), length + 6 * i)
+        offsets = np.array(times[samples]) - start
+        j = series_grid if i == 0 else _bessel_j(half_width * (offsets * evolution.NS_TO_US))
         cut = evolution._cutoffs(j, evolution.TOLERANCE / len(starts))
         # each coefficient's nonzero part, (2 - delta_k0) |J_k| in magnitude
         parts = np.abs(j) * np.where(np.arange(j.shape[1]) == 0, 1.0, 2.0)
         expected += [(np.sum(cut > k), np.unique(parts[cut > k, k])) for k in range(cut.max())]
+        if i == 1:
+            first_window = calls[len(expected) - cut.max() : len(expected)]
     assert len(calls) == len(expected)
     for (n, data), (n_ref, data_ref) in zip(calls, expected):
         assert n == n_ref and np.array_equal(data, data_ref)
     # the samples' cutoffs differ, so some terms skip samples of a full window
-    assert min(n for n, _ in calls[: len(expected) // 2]) < WINDOW_SAMPLES
+    assert len(first_window) > 1 and min(n for n, _ in first_window) < WINDOW_SAMPLES
 
 
 @given(st.lists(st.floats(-400.0, 400.0), min_size=1, max_size=WINDOW_SAMPLES))
@@ -530,9 +645,9 @@ def test_zero_hopping_gives_pure_phase():
 def test_a_block_without_columns_gives_empty_samples():
     # a zero-column block runs as one empty chunk, on H0's Gershgorin interval
     _, b, h = chain_instance(10)
-    for observe in PLANS:
-        ys = propagate_block(h.matrix, np.zeros((10, 0)), np.zeros((10, 0), complex), [1.0, 2.0], observe)
-        assert len(ys) == 2 and all(y.shape == (10, 0) for y in ys)
+    for rows, n_rows in ((None, 10), ([3, 1], 2)):
+        ys = propagate_block(h.matrix, np.zeros((10, 0)), np.zeros((10, 0), complex), [1.0, 2.0], rows)
+        assert len(ys) == 2 and all(y.shape == (n_rows, 0) for y in ys)
 
 
 def test_engine_rejects_non_finite_input():
@@ -553,9 +668,11 @@ def test_engine_rejects_non_finite_input():
 
 @pytest.mark.parametrize("columns", [1, 3])
 def test_engine_names_the_first_sample_whose_norm_drifts(monkeypatch, columns):
-    # Bessel values, and so coefficients, 1% too large from each window's
-    # fourth sample on: every window checks its samples at once, its sums
-    # ordered by cutoff rather than by time, and the error names the first drift
+    # Bessel values, and so coefficients, 1% too large from each grid's fourth
+    # sample on: the series checks its samples at once, its sums ordered by
+    # cutoff rather than by time, and the error names the first drift; whole
+    # samples are checked directly, samples held on a few rows from their
+    # Chebyshev moments
     bessel_j = evolution._bessel_j
 
     def drifting(z):
@@ -567,9 +684,10 @@ def test_engine_names_the_first_sample_whose_norm_drifts(monkeypatch, columns):
     _, b, h = chain_instance(6, k=2)
     x = np.repeat(basis_state(b, {0, 3}).amplitudes[:, None], columns, axis=1)
     times = tuple(np.arange(0.0, 100.0 + 1e-9, 10.0))
-    with pytest.raises(EvolutionError, match=r"at t=30\.0 ns$") as exc:
-        propagate_block(h.matrix, np.zeros((b.dimension, columns)), x, times, keep_chunk)
-    assert float(str(exc.value).split()[3]) == pytest.approx(0.01)
+    for rows in (None, [4, 0]):
+        with pytest.raises(EvolutionError, match=r"at t=30\.0 ns$") as exc:
+            propagate_block(h.matrix, np.zeros((b.dimension, columns)), x, times, rows)
+        assert float(str(exc.value).split()[3]) == pytest.approx(0.01)
 
 
 def test_engine_rejects_a_window_past_the_term_cap(monkeypatch):

@@ -177,6 +177,15 @@ def test_shots_outputs_write_what_json_dumps_and_to_lines(counts, retention, tim
     assert text == ShotCounts(counts, sum(counts.values()), 8).to_lines()
 
 
+def test_records_spell_numpy_scalars_as_python_ones():
+    # every numpy scalar goes through .item(): a bool as a JSON bool, a float32 as its double
+    payload = {"a": np.bool_(True), "b": np.bool_(False), "c": np.float32(0.5), "d": np.int8(-3), "e": np.str_("x")}
+    expected = _canonical({"kind": "fit", "schema_version": 1, "coords": {"flag": False},
+                           "payload": {"a": True, "b": False, "c": 0.5, "d": -3, "e": "x"}})
+    assert ResultRecord("fit", payload, {"flag": np.bool_(False)}).to_json() == expected
+    assert _jsonable([np.bool_(True), {"k": np.float64(2.0)}]) == [True, {"k": 2.0}]
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-(2**70), 2**70) | _floats | _labels,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_labels, inner, max_size=3),
