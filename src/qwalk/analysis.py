@@ -20,6 +20,7 @@ __all__ = [
     "FringeStats",
     "correlation",
     "fit_gaussian_front",
+    "fit_gaussian_fronts",
     "fit_velocity",
     "unweighted_distances",
     "lr_bound",
@@ -92,115 +93,203 @@ LM_MAX_ITERATIONS = 200
 
 
 class _LeastSquares(NamedTuple):
-    p: np.ndarray  # the last accepted point
-    residuals: np.ndarray  # at p
-    jtj: np.ndarray  # J^T J at p
-    n_trials: int  # residual evaluations at trial points
-    n_jacobians: int  # residual-and-Jacobian evaluations at accepted points, the start included
-    failure: str | None  # None when the fit stopped, else why it gave up
+    """A `_levenberg_marquardt` batch of B problems, each entry per problem."""
+
+    p: np.ndarray  # B x n: the last accepted points
+    residuals: np.ndarray  # B x M, at p
+    jtj: np.ndarray  # B x n x n: J^T J at p
+    n_trials: tuple  # residual evaluations at trial points
+    n_jacobians: tuple  # residual-and-Jacobian evaluations at accepted points, the start included
+    failure: tuple  # None where the fit stopped, else why it gave up
+
+
+def _row_dots(a, b) -> np.ndarray:
+    """a_i . b_i for each row of two k x n stacks: a stacked matmul, which
+    takes each row's product as the 1D `a_i @ b_i` does."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _solved(solver, *stacks) -> tuple:
+    """solver(*stacks) on stacks of linear systems (`np.linalg.solve` or
+    `inv`), shaped like the last stack, and the indices of the systems it
+    could not solve, which are left NaN.
+
+    numpy raises for a whole stack when one system is singular; the systems
+    are then solved one at a time, each as a stack of one, so each solved
+    system keeps its bits."""
+    try:
+        return solver(*stacks), []
+    except np.linalg.LinAlgError:
+        out, singular = np.full(np.shape(stacks[-1]), np.nan), []
+        for i in range(len(out)):
+            try:
+                out[i] = solver(*(s[i : i + 1] for s in stacks))[0]
+            except np.linalg.LinAlgError:
+                singular.append(i)
+        return out, singular
+
+
+def _normal_equations(jac, r) -> tuple:
+    """J^T J, -J^T r (k x n x 1) and the diagonal matrix diag(J^T J) for a
+    stack of Jacobians (k x M x n) and residuals (k x M). The stacked matmul
+    runs each problem's 2D product on its own (syrk for J^T J, gemv for
+    J^T r)."""
+    jt = jac.transpose(0, 2, 1)
+    jtj = jt @ jac
+    k, n, _ = jtj.shape
+    marquardt = np.zeros_like(jtj)
+    marquardt.reshape(k, -1)[:, :: n + 1] = jtj.reshape(k, -1)[:, :: n + 1]  # the diagonals, as strided rows
+    return jtj, -(jt @ r[:, :, None]), marquardt
+
+
+def _rows(a, rows):
+    """The rows `rows` of a, an increasing subset of them: a itself when that is all."""
+    return a if len(rows) == len(a) else a[rows]
+
+
+def _put(rows, new, old):
+    """old with its rows `rows` (an increasing subset) replaced by new: new
+    itself when that is all of them, else a fresh array, so that neither is
+    written."""
+    if len(rows) == len(old):
+        return new
+    out = old.copy()
+    out[rows] = new
+    return out
 
 
 def _levenberg_marquardt(residuals, residuals_and_jacobian, p0) -> _LeastSquares:
-    """Least squares from p0 by Levenberg-Marquardt (Moré 1978).
+    """Least squares by Levenberg-Marquardt (Moré 1978) for a batch of B
+    independent problems from their starting points p0 (B x n).
 
-    `residuals(p)` gives the residual vector at a trial point and
-    `residuals_and_jacobian(p)` the residuals and Jacobian at p0 and at each
-    accepted point. Each step solves (J^T J + mu diag(J^T J)) step = -J^T r, so the
-    damping is scaled per parameter, and mu follows Nielsen's gain-ratio
-    update (Nielsen 1999). The fit gives up, naming why in `failure`, when the
-    damped normal equations are singular or no stop comes within
-    LM_MAX_ITERATIONS steps.
+    `residuals(P)` gives the residuals (B x M) at the points P (B x n), and
+    `residuals_and_jacobian(P)` the residuals and the Jacobians (B x M x n)
+    at p0 and after each step that some problem accepts; P is then the very
+    array its trial was evaluated on, which a caller may match by identity.
+    No array passed to or returned by them is written afterwards. A row of P
+    whose problem has stopped, or does not step, holds that problem's
+    current point, and what comes back for it is not used.
+
+    Each problem steps on its own: it solves (J^T J + mu diag(J^T J)) step =
+    -J^T r, so the damping is scaled per parameter, its mu follows Nielsen's
+    gain-ratio update (Nielsen 1999), and it accepts, stops or gives up on
+    its own. The normal equations are stacked matmuls and the damped systems
+    one stacked solve, each of which acts on every problem alone, so a
+    problem's steps are bit for bit those of its batch of one. A problem
+    gives up, naming why in `failure`, when its damped normal equations are
+    singular or no stop comes within LM_MAX_ITERATIONS steps.
     """
     p = np.array(p0, dtype=float)
+    n_problems = len(p)
     r, jac = residuals_and_jacobian(p)
-    n_trials, n_jacobians = 0, 1
-    ssr = r @ r
-    mu, nu = 1e-3, 2.0
+    jtj, minus_grad, marquardt = _normal_equations(jac, r)
+    ssr = _row_dots(r, r)
+    mu, nu = np.full(n_problems, 1e-3), [2.0] * n_problems
+    n_trials, n_jacobians = [0] * n_problems, [1] * n_problems
+    failure = [f"no stop within {LM_MAX_ITERATIONS} steps"] * n_problems
+    live = list(range(n_problems))  # the problems still stepping
     for _ in range(LM_MAX_ITERATIONS):
-        if jac is not None:  # a new point
-            jtj = jac.T @ jac
-            grad = jac.T @ r
-            diag = jtj.diagonal()
-            marquardt = np.diag(diag)
-        try:
-            step = np.linalg.solve(jtj + mu * marquardt, -grad)
-        except np.linalg.LinAlgError:
-            return _LeastSquares(p, r, jtj, n_trials, n_jacobians, "singular normal equations")
-        predicted = step @ (mu * diag * step - grad)  # the linear model's fall in SSR
-        if predicted <= LM_COST_TOL * ssr or (np.abs(step) <= LM_STEP_TOL * np.abs(p)).all():
-            return _LeastSquares(p, r, jtj, n_trials, n_jacobians, None)
-        trial = p + step
+        damping = _rows(mu, live)
+        damped = _rows(jtj, live) + damping[:, None, None] * _rows(marquardt, live)
+        step, singular = _solved(np.linalg.solve, damped, _rows(minus_grad, live))
+        step = step[:, :, 0]
+        if singular:
+            for k in singular:
+                failure[live[k]] = "singular normal equations"
+            if len(singular) == len(live):
+                break
+            kept = [k for k in range(len(live)) if k not in singular]
+            live, step, damping = [live[k] for k in kept], step[kept], damping[kept]
+        # the linear model's fall in SSR; -grad is added, which rounds as subtracting grad
+        diag = _rows(marquardt, live).diagonal(axis1=1, axis2=2)
+        predicted = _row_dots(step, damping[:, None] * diag * step + _rows(minus_grad, live)[:, :, 0])
+        stop = (predicted <= LM_COST_TOL * _rows(ssr, live)) | (
+            np.abs(step) <= LM_STEP_TOL * np.abs(_rows(p, live))
+        ).all(axis=1)
+        if stop.any():
+            for k in np.flatnonzero(stop).tolist():
+                failure[live[k]] = None
+            if stop.all():
+                break
+            kept = np.flatnonzero(~stop).tolist()
+            live, step, predicted = [live[k] for k in kept], step[kept], predicted[kept]
+        trial = _put(live, _rows(p, live) + step, p)
         r_trial = residuals(trial)
-        n_trials += 1
-        ssr_trial = r_trial @ r_trial
-        gain = (ssr - ssr_trial) / predicted
-        if gain > 0.0:
-            p, ssr = trial, ssr_trial
-            r, jac = residuals_and_jacobian(p)
-            n_jacobians += 1
-            mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-            nu = 2.0
-        else:
-            jac = None
-            mu *= nu
-            nu *= 2.0
-    return _LeastSquares(p, r, jtj, n_trials, n_jacobians, f"no stop within {LM_MAX_ITERATIONS} steps")
+        ssr_trial = _row_dots(r_trial, r_trial)
+        gain = (_rows(ssr, live) - _rows(ssr_trial, live)) / predicted
+        accepted = []
+        for i, g in zip(live, gain):  # g a numpy scalar: its power is libm's pow, as for one problem
+            n_trials[i] += 1
+            if g > 0.0:
+                accepted.append(i)
+                mu[i] *= max(1.0 / 3.0, 1.0 - (2.0 * g - 1.0) ** 3)
+                nu[i] = 2.0
+            else:
+                mu[i] *= nu[i]
+                nu[i] *= 2.0
+        if accepted:
+            r_new, jac_new = (_rows(a, accepted) for a in residuals_and_jacobian(trial))
+            for i in accepted:
+                n_jacobians[i] += 1
+            p = _put(accepted, _rows(trial, accepted), p)
+            ssr = _put(accepted, _rows(ssr_trial, accepted), ssr)
+            r = _put(accepted, r_new, r)
+            equations = zip(_normal_equations(jac_new, r_new), (jtj, minus_grad, marquardt))
+            jtj, minus_grad, marquardt = (_put(accepted, new, old) for new, old in equations)
+    return _LeastSquares(p, r, jtj, tuple(n_trials), tuple(n_jacobians), tuple(failure))
 
 
-def _fit_gaussian(t: np.ndarray, y: np.ndarray, p0) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares fit of a exp(-(t - c)^2 / 2w^2) + o to (t, y) from
-    p0 = (a, c, w, o), by `_levenberg_marquardt` on the analytic Jacobian
-    (the damping's per-parameter scale matters: the width and centre are in
-    ns, the amplitude and offset are fractions).
+def _fit_gaussians(t, y, inside, p0) -> tuple:
+    """Least-squares fits of a exp(-(t - c)^2 / 2w^2) + o, one to each row of
+    (t, y) (B x M, or t of M shared) over the samples `inside` marks (B x M),
+    from p0 = (a, c, w, o) per row, in one `_levenberg_marquardt` batch on
+    the analytic Jacobian (the damping's per-parameter scale matters: the
+    width and centre are in ns, the amplitude and offset are fractions).
 
-    Returns the parameters and their covariance inv(J^T J) SSR / (M - 4) at
-    the solution, all inf when J^T J is singular or there are no more samples
-    M than parameters; raises ValueError when the fit gives up.
+    The residuals and Jacobian rows outside a row's samples are selected to
+    zero, not multiplied by a mask, so a non-finite term there cannot reach
+    its fit. Returns the parameters (B x 4); their covariances
+    inv(J^T J) SSR / (M - 4) at the solution, M the row's samples inside,
+    from one stacked `inv`, all inf where J^T J is singular or M <= 4; and
+    each fit's `failure`.
     """
-    latest = {}  # the point and terms of the latest residual evaluation
+    t, y, inside = np.asarray(t, dtype=float), np.asarray(y, dtype=float), np.asarray(inside, dtype=bool)
+    latest = {}  # the points and terms of the latest residual evaluation
 
     def residuals(p):
-        a, c, w, o = p
+        a, c, w, o = p.T[:, :, None]
         d = t - c
         g = np.exp(d * d * (-0.5 / (w * w)))
         r = a * g
         r += o
         r -= y
-        latest.update(p=p, r=r, g=g, d=d)
-        return r
+        latest.update(p=p, r=np.where(inside, r, 0.0), g=g, d=d)
+        return latest["r"]
 
     def residuals_and_jacobian(p):
         if latest.get("p") is not p:  # p0; an accepted point is the latest trial
             residuals(p)
         r, g, d = latest["r"], latest["g"], latest["d"]
-        a, w = p[0], p[2]
-        jac = np.empty((len(t), 4))
-        jac[:, 0] = g
-        np.multiply(g, d * (a / (w * w)), out=jac[:, 1])
-        np.multiply(jac[:, 1], d / w, out=jac[:, 2])
-        jac[:, 3] = 1.0
-        return r, jac
+        a, w = p[:, 0, None], p[:, 2, None]
+        jac = np.empty((*g.shape, 4))
+        jac[..., 0] = g
+        np.multiply(g, d * (a / (w * w)), out=jac[..., 1])
+        np.multiply(jac[..., 1], d / w, out=jac[..., 2])
+        jac[..., 3] = 1.0
+        return r, np.where(inside[..., None], jac, 0.0)
 
     fit = _levenberg_marquardt(residuals, residuals_and_jacobian, p0)
-    if fit.failure is not None:
-        raise ValueError(f"Gaussian front fit did not converge: {fit.failure}")
-    if len(t) > 4:
-        try:
-            return fit.p, np.linalg.inv(fit.jtj) * (fit.residuals @ fit.residuals / (len(t) - 4))
-        except np.linalg.LinAlgError:
-            pass
-    return fit.p, np.full((4, 4), np.inf)
+    spare = inside.sum(axis=1) - 4
+    inverse, singular = _solved(np.linalg.inv, fit.jtj)
+    cov = inverse * (_row_dots(fit.residuals, fit.residuals) / np.maximum(spare, 1))[:, None, None]
+    cov[singular] = np.inf
+    cov[spare < 1] = np.inf
+    return fit.p, cov, fit.failure
 
 
-def fit_gaussian_front(series: CorrelationSeries, distance: float) -> FrontFit:
-    """Locate the propagation front as the centre of a Gaussian fitted to |C|(t).
-
-    The fit is restricted to the first lobe whose height above the baseline
-    (the median of the first tenth of the samples, at least 3) reaches
-    FRONT_LOBE_FRACTION of max|C|'s height above it; later revival lobes of
-    the correlation signal would otherwise capture the fit at long distances,
-    and an offset in the series would make its first sample the lobe.
-    """
+def _front_window(series: CorrelationSeries) -> tuple:
+    """The first lobe `fit_gaussian_front` fits, as its first and last sample
+    indices, and the fit's start (a, c, w, o): (lo, hi, p0)."""
     t = series.times_ns
     c = np.abs(series.values)
     if len(t) < 8:
@@ -232,20 +321,62 @@ def fit_gaussian_front(series: CorrelationSeries, distance: float) -> FrontFit:
     dt = float(t[1] - t[0])
     half = np.where(cw >= 0.5 * peak)[0]
     fwhm = float(tw[half[-1]] - tw[half[0]]) if len(half) > 1 else 2.0 * dt
-    p0 = [peak, float(t[i_peak]), max(fwhm / 2.355, dt), baseline]
-    popt, pcov = _fit_gaussian(tw, cw, p0)
-    center = float(popt[1])
-    if not t[0] <= center <= t[-1]:
-        raise ValueError(f"fitted front centre {center:.1f} ns lies outside the sampled range")
-    err = float(np.sqrt(pcov[1, 1])) if np.isfinite(pcov[1, 1]) else float("inf")
-    return FrontFit(
-        distance=float(distance),
-        peak_time_ns=center,
-        peak_time_err_ns=err,
-        amplitude=float(popt[0]),
-        width_ns=abs(float(popt[2])),
-        offset=float(popt[3]),
-    )
+    return lo, hi, [peak, float(t[i_peak]), max(fwhm / 2.355, dt), baseline]
+
+
+def fit_gaussian_fronts(series, distances) -> tuple:
+    """One FrontFit per series, at the given distances, from one batch of
+    Gaussian fits (`_fit_gaussians`).
+
+    Each front is fitted over its whole series, with its first lobe
+    (`fit_gaussian_front`) as the mask, so its bits depend only on its own
+    series: it is the same FrontFit whichever fronts share the batch, and
+    fitted alone. The series must share one length. Raises the ValueError of
+    the first front, in order, that has one.
+    """
+    series, distances = list(series), [float(d) for d in distances]
+    if len(series) != len(distances):
+        raise ValueError(f"need one distance per series, got {len(distances)} for {len(series)}")
+    if len({len(s.times_ns) for s in series}) > 1:
+        raise ValueError("fronts fitted together need series of one length")
+    windows, error = [], None
+    for s in series:
+        try:
+            windows.append(_front_window(s))
+        except ValueError as exc:  # the fronts before it still raise first
+            error = exc
+            break
+    fronts = []
+    if windows:
+        fitted = series[: len(windows)]
+        index = np.arange(len(fitted[0].times_ns))
+        inside = [(lo <= index) & (index <= hi) for lo, hi, _ in windows]
+        t, c = np.array([s.times_ns for s in fitted]), np.abs([s.values for s in fitted])
+        popt, pcov, failures = _fit_gaussians(t, c, inside, [p0 for *_, p0 in windows])
+        for s, distance, p, cov, failure in zip(fitted, distances, popt, pcov, failures):
+            if failure is not None:
+                raise ValueError(f"Gaussian front fit did not converge: {failure}")
+            center = float(p[1])
+            if not s.times_ns[0] <= center <= s.times_ns[-1]:
+                raise ValueError(f"fitted front centre {center:.1f} ns lies outside the sampled range")
+            err = float(np.sqrt(cov[1, 1])) if np.isfinite(cov[1, 1]) else float("inf")
+            fronts.append(FrontFit(distance, center, err, float(p[0]), abs(float(p[2])), float(p[3])))
+    if error is not None:
+        raise error
+    return tuple(fronts)
+
+
+def fit_gaussian_front(series: CorrelationSeries, distance: float) -> FrontFit:
+    """Locate the propagation front as the centre of a Gaussian fitted to |C|(t).
+
+    The fit is restricted to the first lobe whose height above the baseline
+    (the median of the first tenth of the samples, at least 3) reaches
+    FRONT_LOBE_FRACTION of max|C|'s height above it; later revival lobes of
+    the correlation signal would otherwise capture the fit at long distances,
+    and an offset in the series would make its first sample the lobe. The
+    batch of one of `fit_gaussian_fronts`.
+    """
+    return fit_gaussian_fronts([series], [distance])[0]
 
 
 def unweighted_distances(fronts) -> tuple:
@@ -262,30 +393,33 @@ def fit_velocity(fronts) -> tuple[float, float]:
     Weighted by 1/err^2 on the front times; falls back to an unweighted fit
     when any front's error is degenerate (see `unweighted_distances`). The
     returned uncertainty is the residual-scaled standard error of the slope.
+    The 2x2 weighted fit is solved in closed form about the weighted mean
+    time, in Python floats with exactly rounded sums (`math.fsum`), so no
+    BLAS or LAPACK kernel touches it.
     """
     fronts = list(fronts)
     if len(fronts) < 2:
         raise ValueError("need at least two fronts to fit a velocity")
-    d = np.array([f.distance for f in fronts])
-    t_us = np.array([f.peak_time_ns for f in fronts]) * 1e-3
-    errs = np.array([f.peak_time_err_ns for f in fronts]) * 1e-3
-    if len(np.unique(d)) < 2:
+    d = [float(f.distance) for f in fronts]
+    t_us = [f.peak_time_ns * 1e-3 for f in fronts]
+    errs = [f.peak_time_err_ns * 1e-3 for f in fronts]
+    if len(set(d)) < 2:
         raise ValueError("fronts must span at least two distinct distances")
-    degenerate = bool(unweighted_distances(fronts))
-    w = np.ones_like(errs) if degenerate else 1.0 / errs**2
-    a = np.vstack([t_us, np.ones_like(t_us)]).T
-    atw = a.T * w
-    try:
-        coef = np.linalg.solve(atw @ a, atw @ d)
-        cov = np.linalg.inv(atw @ a)
-    except np.linalg.LinAlgError:
-        raise ValueError("velocity fit is singular (degenerate front times)") from None
-    resid = d - a @ coef
-    chi2 = float(resid @ (w * resid))
+    w = [1.0] * len(fronts) if unweighted_distances(fronts) else [1.0 / (e * e) for e in errs]
+    total = math.fsum(w)
+    t_mean = math.fsum(wi * ti for wi, ti in zip(w, t_us)) / total
+    d_mean = math.fsum(wi * di for wi, di in zip(w, d)) / total
+    dt = [ti - t_mean for ti in t_us]
+    sxx = math.fsum(wi * x * x for wi, x in zip(w, dt))
+    if len(set(t_us)) < 2 or not sxx > 0.0:
+        raise ValueError("velocity fit is singular (degenerate front times)")
+    velocity = math.fsum(wi * x * (di - d_mean) for wi, x, di in zip(w, dt, d)) / sxx
+    residuals = [di - d_mean - velocity * x for x, di in zip(dt, d)]
+    chi2 = math.fsum(wi * r * r for wi, r in zip(w, residuals))
     dof = len(fronts) - 2
     scale = chi2 / dof if dof > 0 else 0.0
-    std_err = float(np.sqrt(max(cov[0, 0] * scale, 0.0)))
-    return float(coef[0]), std_err
+    # the slope's variance is inv(A^T W A)[0, 0] = 1 / sxx
+    return velocity, math.sqrt(max(scale / sxx, 0.0))
 
 
 def lr_bound(j_eff_mhz: float, u_mhz: float) -> float:
@@ -417,12 +551,12 @@ def _diagonal_fronts(graph, origin: int, diagonal, offsets, times) -> tuple[tupl
     # the rows holding the walker on the origin, then on each diagonal site
     rows = lookup(basis.keys, np.eye(graph.n_sites, dtype=bool)[[origin, *diagonal]])
     states = propagate_block(h0.matrix, diagonals, block, times, rows)
-    populations = [x.real**2 + x.imag**2 for x in states]  # rows x realisations per time
+    amplitudes = np.array(states)  # times x rows x realisations
+    populations = amplitudes.real**2 + amplitudes.imag**2
     # averaged over every realisation; 0.0 - keeps the t = 0 samples +0.0
-    acc = np.column_stack([4.0 * (0.0 - (p[0] * p[1:]).mean(axis=1)) for p in populations])
+    acc = (4.0 * (0.0 - (populations[:, :1] * populations[:, 1:]).mean(axis=2))).T
     series = tuple(CorrelationSeries((origin, site), np.array(times), acc[row]) for row, site in enumerate(diagonal))
-    fronts = tuple(fit_gaussian_front(s, distance=(row + 1) * SQRT2) for row, s in enumerate(series))
-    return series, fronts
+    return series, fit_gaussian_fronts(series, [(row + 1) * SQRT2 for row in range(len(series))])
 
 
 @dataclass(frozen=True)

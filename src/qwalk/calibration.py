@@ -462,35 +462,44 @@ class _SwapResiduals:
             grouped.setdefault(tuple(ds.times_ns), []).append(ds)
         self.n_params = len(pos)
         self.stacks = [_StarStack(members, pos, times) for times, members in grouped.items()]
-        self._latest = None, None  # the point of the latest evaluation and each stack's amplitudes() there
+        # the point of the latest evaluation, and each stack's amplitudes() and the residuals there
+        self._latest = None, None
 
-    def _evaluate(self, x) -> list:
-        """Each stack's `amplitudes` at x, kept as the latest evaluation, or
-        the latest itself when x is its point: an accepted Levenberg-Marquardt
-        step asks for the Jacobian at the trial point it has just evaluated.
-        The point is matched by identity, so it must not change in place."""
+    def _evaluate(self, x) -> tuple:
+        """Each stack's `amplitudes` at x and the residuals there, kept as the
+        latest evaluation, or the latest itself when x is its point: an
+        accepted Levenberg-Marquardt step asks for the residuals and the
+        Jacobian at the trial point it has just evaluated. The point is
+        matched by identity, so it must not change in place; x is one point,
+        or the polish's batch of one (1 x n) itself, never a fresh view of
+        its row."""
         point, evaluation = self._latest
         if x is not point:
-            evaluation = [stack.amplitudes(np.asarray(x, dtype=float)) for stack in self.stacks]
+            amplitudes = [stack.amplitudes(np.asarray(x, dtype=float).reshape(self.n_params)) for stack in self.stacks]
+            r = np.concatenate([stack.residuals(ev[3]) for stack, ev in zip(self.stacks, amplitudes)])
+            evaluation = amplitudes, r
             self._latest = x, evaluation
         return evaluation
 
     def residuals(self, x) -> np.ndarray:
-        return np.concatenate([stack.residuals(ev[3]) for stack, ev in zip(self.stacks, self._evaluate(x))])
+        """The residuals at x, one point or a batch of one, shaped as it is."""
+        return self._evaluate(x)[1].reshape(*np.shape(x)[:-1], -1)
 
     def cost(self, x) -> float:
         r = self.residuals(x)
         return float(r @ r)
 
     def residuals_and_jacobian(self, x) -> tuple:
-        """The residuals and the Jacobian from one eigenbasis per time grid."""
-        jac = np.empty((sum(stack.data.size for stack in self.stacks), self.n_params))
-        residuals, row = [], 0
-        for stack, (w, v, table, amplitudes) in zip(self.stacks, self._evaluate(x)):
-            residuals.append(stack.residuals(amplitudes))
-            stack.jacobian(w, v, table, amplitudes, out=jac[row : row + stack.data.size])
+        """The residuals and the Jacobian from one eigenbasis per time grid,
+        shaped as `residuals` at x."""
+        amplitudes, r = self._evaluate(x)
+        jac = np.empty((r.size, self.n_params))
+        row = 0
+        for stack, (w, v, table, stack_amplitudes) in zip(self.stacks, amplitudes):
+            stack.jacobian(w, v, table, stack_amplitudes, out=jac[row : row + stack.data.size])
             row += stack.data.size
-        return np.concatenate(residuals), jac
+        batch = np.shape(x)[:-1]
+        return r.reshape(*batch, -1), jac.reshape(*batch, *jac.shape)
 
 
 def _shot_noise_cost(ds: SwapDataset) -> float:
@@ -564,13 +573,14 @@ def fit_disorder_map(datasets) -> DisorderFit:
         history, x, iteration = list(coarse.history), coarse.x, coarse.n_iterations
         total_evals += coarse.n_evaluations
         for kernel in polish_kernels:
-            polish = _levenberg_marquardt(kernel.residuals, kernel.residuals_and_jacobian, x)
-            x, cost, iteration = polish.p, float(polish.residuals @ polish.residuals), iteration + polish.n_trials
-            total_evals += polish.n_trials + polish.n_jacobians
+            polish = _levenberg_marquardt(kernel.residuals, kernel.residuals_and_jacobian, x[None])  # a batch of one
+            x, r, failure = polish.p[0], polish.residuals[0], polish.failure[0]
+            cost, iteration = float(r @ r), iteration + polish.n_trials[0]
+            total_evals += polish.n_trials[0] + polish.n_jacobians[0]
             history.append((iteration, cost, x.copy()))
-        accepted = polish.failure is None and cost <= accept_cost
+        accepted = failure is None and cost <= accept_cost
         if accepted or best is None or cost < best[0]:
-            best = (cost, x, history, polish.failure)
+            best = (cost, x, history, failure)
         if accepted:
             break
     cost, x, history, failure = best

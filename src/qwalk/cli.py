@@ -285,6 +285,8 @@ def _cmd_analyze(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    if args.study not in ("velocity", "distance-velocity"):  # before the manifest, which is named after the study
+        raise ValueError(f"unknown study {args.study!r}: choose velocity or distance-velocity")
     seed = 2024 if args.seed is None and args.study == "distance-velocity" else args.seed
     manifest = RunManifest(f"analyze-{args.study}", seed, __version__, str(out), outputs=["records.jsonl"])
     vmax = lr_bound(DEFAULT_J_EFF_MHZ, DEFAULT_ANHARMONICITY_MHZ)
@@ -313,7 +315,7 @@ def _cmd_analyze(args) -> int:
                 )
             )
             print(f"propagation velocity {res.velocity:.2f} +- {res.std_err:.2f} sites/us (bound {vmax:.1f})")
-        elif args.study == "distance-velocity":
+        else:
             n_seeds = 32 if args.seeds is None else args.seeds
             if n_seeds > MAX_STUDY_SEEDS:  # before the study samples any disorder
                 raise ValueError(f"--seeds {n_seeds} exceeds MAX_STUDY_SEEDS = {MAX_STUDY_SEEDS} disorder realisations")
@@ -325,8 +327,6 @@ def _cmd_analyze(args) -> int:
                 note = f" (unweighted: no time error at d = {', '.join(f'{d:.2f}' for d in bad)})" if bad else ""
                 note += f" (above the Lieb-Robinson bound {vmax:.2f})" if v > vmax else ""
                 print(f"d0={d0:6.3f} sites: v = {v:6.2f} +- {e:.2f} sites/us{note}")
-        else:
-            raise ValueError(f"unknown study {args.study!r}")
     return 0
 
 
@@ -377,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.set_defaults(func=_cmd_calibrate)
 
     p_an = sub.add_parser("analyze", help="correlation and velocity studies")
-    p_an.add_argument("--study", choices=("velocity", "distance-velocity"), required=True)
+    # no argparse choices: an unknown study exits 1 with error.json, as other bad input does
+    p_an.add_argument("--study", required=True, help="velocity or distance-velocity")
     p_an.add_argument("--seed", type=int, default=None, help="distance-velocity ensemble seed (default 2024)")
     p_an.add_argument("--seeds", type=int, default=None, help="distance-velocity ensemble size (default 32)")
     p_an.add_argument("--out", required=True)

@@ -367,6 +367,19 @@ def _accumulate(matvecs, rows, term, sums) -> None:
     matvecs(len(indptr) - 1, len(term), term[0].size, indptr, indices, data, term.ravel(), sums.ravel())
 
 
+def _smooth_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c at or above n: an FFT length pocketfft runs fast."""
+    length = n
+    while True:
+        rest = length
+        for factor in (2, 3, 5):
+            while rest % factor == 0:
+                rest //= factor
+        if rest == 1:
+            return length
+        length += 1
+
+
 def _moment_weights(parts) -> np.ndarray:
     """W with ||y_j||^2 = sum_a W_ja mu_2a, for the samples y_j of a recurrence
     from x, from its coefficients' nonzero parts p_jk (samples x K, zero past
@@ -378,18 +391,26 @@ def _moment_weights(parts) -> np.ndarray:
     for a complex x too. The pairs with k + l odd, whose c_jk* c_jl are
     imaginary, then cancel, and each other pair has c_jk* c_jl = p_jk p_jl:
     W_ja = sum_(k+l=2a) p_jk p_jl / 2 + sum_(|k-l|=2a) p_jk p_jl / 2 over
-    ordered pairs. Both sums come from one rfft of the rows zero-padded to
-    4K, rounded up to a power of two, a fast length: the products reach
-    order 2K - 2, and on 2K points the lags -n would wrap onto the orders
-    2K - n read here.
+    ordered pairs. Such a pair has k and l both even or both odd, so with
+    the even orders e_m = p_j(2m) and the odd ones o_m = p_j(2m+1), h =
+    ceil(K/2) of each, the pairs k + l = 2a are the convolutions (e * e)_a +
+    (o * o)_(a-1), and those with l - k = 2a the autocorrelations of e and o
+    at lag a. All three come from one rfft of both halves, zero-padded to a
+    5-smooth length L >= 3h: the convolutions reach entry 2h - 2, and the
+    negative lags, down to 1 - h, wrap onto entries L - h + 1 and up, past
+    the K - 1 read here.
     """
     n_terms = parts.shape[1]
-    length = 1 << (4 * n_terms - 1).bit_length()
-    spectrum = np.fft.rfft(parts, n=length, axis=1)
-    sums = np.fft.irfft(spectrum * spectrum, n=length, axis=1)  # entry n over k + l = n
-    lags = np.fft.irfft(spectrum * spectrum.conj(), n=length, axis=1)  # entry n over l - k = n
-    # lag 2a > 0 stands for the pairs at +-2a, lag 0 for one each
-    weights = 0.5 * sums[:, : 2 * n_terms : 2] + lags[:, : 2 * n_terms : 2]
+    half = (n_terms + 1) // 2
+    length = _smooth_length(3 * half)
+    pairs = np.zeros((len(parts), 2 * half))
+    pairs[:, :n_terms] = parts
+    even, odd = np.fft.rfft(pairs.reshape(len(parts), half, 2).transpose(2, 0, 1), n=length, axis=2)
+    products = np.stack([even * even, odd * odd, even * even.conj() + odd * odd.conj()])
+    even_sums, odd_sums, lags = np.fft.irfft(products, n=length, axis=2)[..., :n_terms]
+    even_sums[:, 1:] += odd_sums[:, :-1]
+    # lag a > 0 stands for the pairs at +-2a, lag 0 for one each
+    weights = 0.5 * even_sums + lags
     weights[:, 0] -= 0.5 * lags[:, 0]
     return weights
 

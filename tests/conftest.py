@@ -4,8 +4,6 @@ Property tests run under a deterministic hypothesis profile: the same examples
 on every run, no per-example deadline (timings on a loaded machine vary too
 much to gate on), and a bounded example count so the suite stays short.
 """
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -21,15 +19,17 @@ def fronts_8_and_11_without_error(monkeypatch):
     """Give the distance-velocity study's fronts at diagonals 8 and 11 an
     all-inf covariance, so their time errors are not finite and the windows
     holding them are fitted unweighted. The study fits its diagonals 1..11 in
-    order, so the call count tells the diagonal."""
-    fit, calls = analysis._fit_gaussian, itertools.count()
+    one batch, in order, so the row tells the diagonal."""
+    fit = analysis._fit_gaussians
 
-    def fit_without_error(t, y, p0):
-        popt, pcov = fit(t, y, p0)
-        diagonal = next(calls) % analysis.STUDY_DIAGONALS + 1
-        return popt, np.full((4, 4), np.inf) if diagonal in (8, 11) else pcov
+    def fit_without_error(t, y, inside, p0):
+        popt, pcov, failures = fit(t, y, inside, p0)
+        assert len(pcov) == analysis.STUDY_DIAGONALS
+        pcov = pcov.copy()
+        pcov[[8 - 1, 11 - 1]] = np.inf
+        return popt, pcov, failures
 
-    monkeypatch.setattr(analysis, "_fit_gaussian", fit_without_error)
+    monkeypatch.setattr(analysis, "_fit_gaussians", fit_without_error)
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import event, example, given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import curve_fit
@@ -20,6 +20,7 @@ from qwalk.analysis import (
     ctqw_velocity_pipeline,
     disorder_velocity_study,
     fit_gaussian_front,
+    fit_gaussian_fronts,
     fit_velocity,
     fringe_axis_variance,
     fringe_stats,
@@ -127,26 +128,42 @@ def test_gaussian_front_prefers_first_lobe():
     assert fit.peak_time_ns == pytest.approx(300.0, abs=10.0)
 
 
+def _fit_one(t, y, p0, inside=None):
+    """`analysis._fit_gaussians` on one series, over the samples `inside` (all by default)."""
+    inside = np.ones(len(t), bool) if inside is None else inside
+    (popt,), (cov,), (failure,) = analysis._fit_gaussians(t, np.array([y]), np.array([inside]), [p0])
+    return popt, cov, failure
+
+
 def test_front_fit_gives_up_without_a_stop(monkeypatch):
     t = np.arange(0.0, 600.0, 10.0)
-    with pytest.raises(ValueError, match="did not converge"):  # zero amplitude: J^T J is singular
-        analysis._fit_gaussian(t, np.full_like(t, 0.1), [0.0, 200.0, 50.0, 0.1])
+    # zero amplitude: J^T J is singular
+    assert _fit_one(t, np.full_like(t, 0.1), [0.0, 200.0, 50.0, 0.1])[2] == "singular normal equations"
     monkeypatch.setattr(analysis, "LM_MAX_ITERATIONS", 2)
     with pytest.raises(ValueError, match="did not converge"):
         fit_gaussian_front(CorrelationSeries((0, 1), t, _gauss(t, 0.4, 200.0, 50.0, 0.0)), distance=SQRT2)
 
 
 def test_front_fit_covariance_is_inf_without_spare_samples():
-    t = np.array([180.0, 195.0, 205.0, 220.0])
-    _, cov = analysis._fit_gaussian(t, _gauss(t, 0.4, 200.0, 50.0, 0.01), [0.4, 201.0, 45.0, 0.0])
+    t = np.array([150.0, 180.0, 195.0, 205.0, 220.0, 250.0])
+    _, cov, _ = _fit_one(t, _gauss(t, 0.4, 200.0, 50.0, 0.01), [0.4, 201.0, 45.0, 0.0], inside=t % 50 != 0)
     assert np.all(np.isposinf(cov))
 
 
 def _windows_fitted(run):
-    """The (t, y, p0) of every front fit `run()` makes."""
-    fit, windows = analysis._fit_gaussian, []
-    spy = lambda t, y, p0: windows.append((t, y, p0)) or fit(t, y, p0)
-    with mock.patch.object(analysis, "_fit_gaussian", spy):
+    """The (t, y, p0) of every front fit `run()` makes, its window's samples
+    only, with the fit's parameters and covariance and the whole series: a
+    tuple (tw, yw, p0, popt, cov, (t, y, inside)) per front."""
+    fit, windows = analysis._fit_gaussians, []
+
+    def spy(t, y, inside, p0):
+        popt, cov, failures = fit(t, y, inside, p0)
+        for row in zip(np.broadcast_to(t, np.shape(y)), y, inside, p0, popt, cov):
+            t_row, y_row, inside_row, p0_row, *fitted = row
+            windows.append((t_row[inside_row], y_row[inside_row], p0_row, *fitted, (t_row, y_row, inside_row)))
+        return popt, cov, failures
+
+    with mock.patch.object(analysis, "_fit_gaussians", spy):
         run()
     return windows
 
@@ -158,8 +175,7 @@ def _oracle(t, y, p0):
     return curve_fit(_gauss, t, y, p0=p0, method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=100000)
 
 
-def _assert_fits_agree(t, y, p0, centre_tol):
-    popt, cov = analysis._fit_gaussian(t, y, p0)
+def _assert_fits_agree(t, y, p0, popt, cov, centre_tol):
     oracle, pcov = _oracle(t, y, p0)
     assert abs(popt[1] - oracle[1]) <= centre_tol
     ssr, oracle_ssr = (float(np.sum((_gauss(t, *params) - y) ** 2)) for params in (popt, oracle))
@@ -176,8 +192,8 @@ def test_front_fit_matches_curve_fit_on_noisy_gaussians(a, c, w, offset, noise, 
     # rising from near zero
     t = np.arange(0.0, 1000.0 + 1e-9, 10.0)
     y = a * (_gauss(t, 1.0, c, w, offset) + noise * np.random.default_rng(seed).normal(size=len(t)))
-    ((tw, yw, p0),) = _windows_fitted(lambda: fit_gaussian_front(CorrelationSeries((0, 1), t, y), distance=1.0))
-    _assert_fits_agree(tw, yw, p0, centre_tol=1e-6)
+    ((*window, _),) = _windows_fitted(lambda: fit_gaussian_front(CorrelationSeries((0, 1), t, y), distance=1.0))
+    _assert_fits_agree(*window, centre_tol=1e-6)
 
 
 @pytest.mark.parametrize("noise", [0.004, 0.01])
@@ -186,11 +202,11 @@ def test_front_fit_finds_the_lobe_above_a_baseline(noise):
     # amplitude) exceeds FRONT_LOBE_FRACTION of max|C|, yet the lobe is the front
     t = np.arange(0.0, 1000.0 + 1e-9, 10.0)
     y = 0.0625 * (_gauss(t, 1.0, 400.0, 40.0, 0.031 / 0.0625) + noise * np.random.default_rng(3).normal(size=len(t)))
-    ((tw, yw, p0),) = _windows_fitted(lambda: fit_gaussian_front(CorrelationSeries((0, 1), t, y), distance=1.0))
-    assert tw[0] < 400.0 < tw[-1]
+    ((*window, _),) = _windows_fitted(lambda: fit_gaussian_front(CorrelationSeries((0, 1), t, y), distance=1.0))
+    assert window[0][0] < 400.0 < window[0][-1]
     fit = fit_gaussian_front(CorrelationSeries((0, 1), t, y), distance=1.0)
     assert fit.peak_time_ns == pytest.approx(400.0, abs=3.0)
-    _assert_fits_agree(tw, yw, p0, centre_tol=1e-6)
+    _assert_fits_agree(*window, centre_tol=1e-6)
 
 
 def test_front_fit_matches_curve_fit_on_study_series():
@@ -199,13 +215,89 @@ def test_front_fit_matches_curve_fit_on_study_series():
                 lambda: disorder_velocity_study(8, 11000), lambda: disorder_velocity_study(32, 5)):
         windows += _windows_fitted(run)
     assert len(windows) == 37
-    for tw, yw, p0 in windows:
+    for *window, (t, y, inside) in windows:
         # the flattest of these minima (centre error 1.4 ns over 65 samples)
         # fixes the centre only to about 1e-6 ns in double precision
-        centre = _assert_fits_agree(tw, yw, p0, centre_tol=2e-6)[1]
+        centre = _assert_fits_agree(*window, centre_tol=2e-6)[1]
         # a rounding-size change in the series does not move the front
-        wiggle = 5e-15 * (-1.0) ** np.arange(len(yw))
-        assert abs(analysis._fit_gaussian(tw, yw + wiggle, p0)[0][1] - centre) <= 1e-6
+        wiggle = 5e-15 * (-1.0) ** np.arange(len(y))
+        assert abs(_fit_one(t, y + wiggle, window[2], inside)[0][1] - centre) <= 1e-6
+
+
+@pytest.fixture(scope="module")
+def front_pool():
+    """Series of one length (0-1000 ns, 101 samples) and their distances: the
+    distance-velocity study's 11 at seed 5 (32 realisations), a noisy
+    Gaussian, and three whose fronts raise, each its own way: a spike whose
+    fit finds no stop (index 12), a ramp whose centre leaves the sampled range,
+    and a flat series without a lobe. Each entry's fit alone is the
+    `_fronts_or_error` of its batch of one."""
+    t = np.array(analysis.STUDY_TIMES_NS)
+    graph = grid_graph(analysis.STUDY_SIDE, analysis.STUDY_SIDE)
+    bound = analysis.DEFAULT_DISORDER_BOUND_MHZ
+    offsets = np.column_stack([sample_offsets(graph.n_sites, bound, 5 + s) for s in range(32)])
+    diagonal = [graph.index[(k, k)] for k in range(1, analysis.STUDY_DIAGONALS + 1)]
+    series, fronts = _diagonal_fronts(graph, graph.index[(0, 0)], diagonal, offsets, analysis.STUDY_TIMES_NS)
+    noisy = _gauss(t, 0.3, 420.0, 35.0, 0.01) + 0.003 * np.random.default_rng(8).normal(size=len(t))
+    extra = [noisy, np.where(t == 500.0, 1.0, 0.0), t / 1000.0, np.zeros_like(t)]
+    series = [*series, *(CorrelationSeries((0, 1), t, y) for y in extra)]
+    distances = [f.distance for f in fronts] + [1.0, 2.0, 3.0, 4.0]
+    alone = [_fronts_or_error(lambda: fit_gaussian_fronts([s], [d])) for s, d in zip(series, distances)]
+    assert [isinstance(a, str) for a in alone] == [False] * 12 + [True] * 3
+    assert "did not converge" in alone[12]
+    return series, distances, alone
+
+
+def _fronts_or_error(fit):
+    """Each front's fields as their reprs, which keep every bit (and the sign
+    of a zero), or the message of the ValueError the fit raises."""
+    try:
+        return tuple(repr(astuple(f)) for f in fit())
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(picks=st.lists(st.integers(0, 14), min_size=1, max_size=8))
+@example(picks=[0, 12, 1])  # a front whose fit gives up, inside a batch
+@example(picks=list(range(11)))  # the study's batch
+def test_fronts_fitted_together_are_the_fronts_fitted_alone(front_pool, picks):
+    # in any subset and order, repeats included: each front bit for bit as
+    # fitted alone, or the error of the first front, in order, that has one
+    series, distances, alone = front_pool
+    together = _fronts_or_error(lambda: fit_gaussian_fronts([series[i] for i in picks], [distances[i] for i in picks]))
+    expected = ()
+    for i in picks:
+        if isinstance(alone[i], str):
+            expected = alone[i]
+            break
+        expected += alone[i]
+    event("raises" if isinstance(expected, str) else "fits")
+    assert together == expected
+
+
+def test_front_fit_ignores_non_finite_terms_outside_its_window():
+    # a last sample at t = inf lies far outside the lobe, where the Jacobian's
+    # centre and width columns are 0 * inf = nan: a 0/1 mask multiplied in
+    # would carry them into J^T J, a selected one leaves the fit as it is
+    t = np.arange(0.0, 1000.0 + 1e-9, 10.0)
+    y = _gauss(t, 0.4, 300.0, 40.0, 0.01) + 0.004 * np.random.default_rng(5).normal(size=len(t))
+    far = t.copy()
+    far[-1] = np.inf
+    fit = _fronts_or_error(lambda: [fit_gaussian_front(CorrelationSeries((0, 1), t, y), distance=1.0)])
+    with np.errstate(invalid="ignore"):
+        assert _fronts_or_error(lambda: [fit_gaussian_front(CorrelationSeries((0, 1), far, y), distance=1.0)]) == fit
+    assert not isinstance(fit, str)
+
+
+def test_fronts_fitted_together_need_one_length():
+    t = np.arange(0.0, 600.0, 10.0)
+    series = CorrelationSeries((0, 1), t, _gauss(t, 0.4, 200.0, 50.0, 0.0))
+    short = CorrelationSeries((0, 1), t[:-1], series.values[:-1])
+    with pytest.raises(ValueError, match="one length"):
+        fit_gaussian_fronts([series, short], [1.0, 2.0])
+    with pytest.raises(ValueError, match="one distance per series"):
+        fit_gaussian_fronts([series], [1.0, 2.0])
+    assert fit_gaussian_fronts([], []) == ()
 
 
 def line_fronts(vel, d_values, err=0.0):

@@ -379,12 +379,12 @@ def test_polish_evaluates_each_accepted_point_once(monkeypatch):
 
     monkeypatch.setattr(calibration._StarStack, "amplitudes", counting)
     x0 = np.array([twin.hidden.get(q) for q in qubits]) + np.array([0.05, -0.04, 0.03, -0.02])  # near the planted map
-    polish = calibration._levenberg_marquardt(kernel.residuals, kernel.residuals_and_jacobian, x0)
-    assert polish.failure is None and polish.n_jacobians > 1
+    polish = calibration._levenberg_marquardt(kernel.residuals, kernel.residuals_and_jacobian, x0[None])
+    assert polish.failure == (None,) and polish.n_jacobians[0] > 1
     # one evaluation per trial and one at the start: none for the Jacobians at accepted points
-    assert len(calls) == (polish.n_trials + 1) * len(kernel.stacks)
+    assert len(calls) == (polish.n_trials[0] + 1) * len(kernel.stacks)
     calls.clear()
-    trial = polish.p + 0.01
+    trial = polish.p[0] + 0.01
     r = kernel.residuals(trial)
     r_joint, jac = kernel.residuals_and_jacobian(trial)
     assert len(calls) == len(kernel.stacks)  # one call, not two
@@ -516,17 +516,17 @@ def test_polish_singular_along_the_gauge_leaves_its_start_unaccepted(monkeypatch
         twin = CalibrationTwin(device, sample_disorder(qubits, 1.6, seed), seed=seed)
         datasets = [generate_swap_data(twin, q) for q in qubits]
         fit = fit_disorder_map(datasets)
-        singular = next((p for p in polishes if p.failure == "singular normal equations"), None)
+        singular = next((p for p in polishes if p.failure == ("singular normal equations",)), None)
         if singular is not None:
             break
     assert singular is not None, "no fit of calibration seeds 0-39 records a singular polish"
-    assert float(singular.residuals @ singular.residuals) > fit.accept_cost
+    assert float(singular.residuals[0] @ singular.residuals[0]) > fit.accept_cost
     kernel = calibration._SwapResiduals(datasets, {q: i for i, q in enumerate(sorted(qubits))})
-    jac = kernel.residuals_and_jacobian(singular.p)[1]
+    jac = kernel.residuals_and_jacobian(singular.p[0])[1]
     assert np.max(np.abs(jac @ np.ones(len(qubits)))) <= 1e-9 * np.max(np.abs(jac))
-    # one polish per Levenberg-Marquardt stage of each start
+    # one polish per Levenberg-Marquardt stage of each start, each a batch of one
     assert len(polishes) == len(calibration.STAGE_ENDS_NS) * fit.n_starts and fit.n_starts > 1
-    assert polishes[-1].failure is None
+    assert all(len(p.failure) == 1 for p in polishes) and polishes[-1].failure == (None,)
     assert fit.cost <= fit.accept_cost
 
     monkeypatch.setattr(calibration, "N_STARTS", 1)

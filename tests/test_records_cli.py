@@ -1007,3 +1007,35 @@ def test_cli_sweep_exits_0_with_consistent_outputs_or_1_with_error_json(d_left, 
         readout = overrides.get("readout_time_ns", 650.0) if time is None else time
         assert record.coords["time_ns"] == (1000.0 if readout is None else readout)
         ET.parse(out / "fringe.svg")
+
+
+# analyze: the two studies and junk; realisation counts at most 3 or past the
+# cap, so that every example runs in well under a second; seeds on both sides
+# of the range a SeedSequence takes. Valid values come up more often than
+# not, so that a fair share of examples exits 0
+_ANALYZE_STUDIES = st.sampled_from(["velocity", *["distance-velocity"] * 3, "junk", ""])
+_small = st.integers(1, 3)
+_ANALYZE_SEEDS = st.one_of(st.none(), _small, _small, st.integers(-3, 0), st.just(analysis.MAX_STUDY_SEEDS + 1))
+_ANALYZE_SEED = st.one_of(st.none(), st.integers(0, 2**16), st.integers(-(2**70), -1), st.integers(2**64 + 1, 2**80))
+
+
+@given(study=_ANALYZE_STUDIES, seeds=_ANALYZE_SEEDS, seed=_ANALYZE_SEED)
+@example(study="distance-velocity", seeds=3, seed=2**64 + 7)
+@example(study="distance-velocity", seeds=2, seed=None)
+@example(study="velocity", seeds=None, seed=None)
+def test_cli_analyze_exits_0_with_its_velocities_or_1_with_error_json(study, seeds, seed):
+    flags = [f"--study={study}"]  # the = keeps a value from reading as a flag
+    flags += [] if seeds is None else [f"--seeds={seeds}"]
+    flags += [] if seed is None else [f"--seed={seed}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "analyze"
+        code = main(["analyze", *flags, "--out", str(out)])
+        event(f"exit {code}")
+        if code != 0:
+            assert code == 1 and (out / "error.json").is_file()
+            assert json.loads((out / "error.json").read_text())["type"]
+            return
+        kinds = [record.kind for record in read_records(out / "records.jsonl")]
+        # one velocity per window of the distance-velocity study, one for the velocity study
+        assert kinds.count("velocity") == (8 if study == "distance-velocity" else 1)
+        assert kinds[-1] == "velocity"
