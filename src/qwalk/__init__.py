@@ -29,6 +29,7 @@ _MODULE_EXPORTS = {
         "alignment_loop",
         "fit_disorder_map",
         "generate_swap_data",
+        "generate_swap_datasets",
         "nelder_mead",
         "optimize_interferometer",
     ),

@@ -84,9 +84,11 @@ FRONT_LOBE_FRACTION = 0.25
 
 # Both Levenberg-Marquardt fits (the fronts here and calibration's disorder
 # polish) stop when no parameter would move by more than LM_STEP_TOL of its
-# value, or when the step would lower the sum of squared residuals by at most
-# LM_COST_TOL of it; a fit that has not stopped after LM_MAX_ITERATIONS damped
-# steps did not converge
+# value plus LM_STEP_TOL (Madsen, Nielsen & Tingleff 2004, so that a parameter
+# driven to zero stops too), or when the step would lower the sum of squared
+# residuals by at most a relative cost tolerance of it, LM_COST_TOL unless the
+# caller passes its own; a fit that has not stopped after LM_MAX_ITERATIONS
+# damped steps did not converge
 LM_STEP_TOL = 1e-10
 LM_COST_TOL = 1e-15
 LM_MAX_ITERATIONS = 200
@@ -158,7 +160,7 @@ def _put(rows, new, old):
     return out
 
 
-def _levenberg_marquardt(residuals, residuals_and_jacobian, p0) -> _LeastSquares:
+def _levenberg_marquardt(residuals, residuals_and_jacobian, p0, cost_tol=LM_COST_TOL) -> _LeastSquares:
     """Least squares by Levenberg-Marquardt (Moré 1978) for a batch of B
     independent problems from their starting points p0 (B x n).
 
@@ -176,8 +178,11 @@ def _levenberg_marquardt(residuals, residuals_and_jacobian, p0) -> _LeastSquares
     its own. The normal equations are stacked matmuls and the damped systems
     one stacked solve, each of which acts on every problem alone, so a
     problem's steps are bit for bit those of its batch of one. A problem
-    gives up, naming why in `failure`, when its damped normal equations are
-    singular or no stop comes within LM_MAX_ITERATIONS steps.
+    stops when its step moves no parameter p by more than
+    LM_STEP_TOL (|p| + LM_STEP_TOL), or would lower its SSR by at most
+    `cost_tol` of it. It gives up, naming why in `failure`, when its damped
+    normal equations are singular or no stop comes within LM_MAX_ITERATIONS
+    steps.
     """
     p = np.array(p0, dtype=float)
     n_problems = len(p)
@@ -203,8 +208,8 @@ def _levenberg_marquardt(residuals, residuals_and_jacobian, p0) -> _LeastSquares
         # the linear model's fall in SSR; -grad is added, which rounds as subtracting grad
         diag = _rows(marquardt, live).diagonal(axis1=1, axis2=2)
         predicted = _row_dots(step, damping[:, None] * diag * step + _rows(minus_grad, live)[:, :, 0])
-        stop = (predicted <= LM_COST_TOL * _rows(ssr, live)) | (
-            np.abs(step) <= LM_STEP_TOL * np.abs(_rows(p, live))
+        stop = (predicted <= cost_tol * _rows(ssr, live)) | (
+            np.abs(step) <= LM_STEP_TOL * (np.abs(_rows(p, live)) + LM_STEP_TOL)
         ).all(axis=1)
         if stop.any():
             for k in np.flatnonzero(stop).tolist():
@@ -287,13 +292,15 @@ def _fit_gaussians(t, y, inside, p0) -> tuple:
     return fit.p, cov, fit.failure
 
 
-def _front_window(series: CorrelationSeries) -> tuple:
+def _front_window(series: CorrelationSeries, distance: float) -> tuple:
     """The first lobe `fit_gaussian_front` fits, as its first and last sample
     indices, and the fit's start (a, c, w, o): (lo, hi, p0)."""
     t = series.times_ns
     c = np.abs(series.values)
     if len(t) < 8:
         raise ValueError("need at least 8 time samples to fit a front")
+    if not np.all(np.isfinite(c)):  # a NaN would leave no sample reaching the lobe threshold
+        raise ValueError(f"the correlation series at distance {distance:g} holds a non-finite value")
     cmax = float(np.max(c))
     if cmax <= FRONT_NOISE_FLOOR:
         raise ValueError("no detectable extremum above the noise floor")
@@ -340,9 +347,9 @@ def fit_gaussian_fronts(series, distances) -> tuple:
     if len({len(s.times_ns) for s in series}) > 1:
         raise ValueError("fronts fitted together need series of one length")
     windows, error = [], None
-    for s in series:
+    for s, distance in zip(series, distances):
         try:
-            windows.append(_front_window(s))
+            windows.append(_front_window(s, distance))
         except ValueError as exc:  # the fronts before it still raise first
             error = exc
             break

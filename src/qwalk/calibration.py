@@ -1,9 +1,10 @@
 """Device calibration against simulated twins with hidden disorders:
-multi-qubit swap data, disorder-map recovery (multi-start, in growing time
-windows: Nelder-Mead, ported from SciPy, on the first window, then the front
-fits' numpy Levenberg-Marquardt on each longer one), iterative frequency
-alignment, and interferometer optimization (SciPy's L-BFGS-B on the fit's
-kernel, the one SciPy optimizer left, imported on use).
+multi-qubit swap data (every centre of a twin simulated in one star stack),
+disorder-map recovery (multi-start, in growing time windows: Nelder-Mead,
+ported from SciPy, on the first window, then the front fits' numpy
+Levenberg-Marquardt on each longer one, stopped at MINPACK's cost tolerance),
+iterative frequency alignment, and interferometer optimization (SciPy's
+L-BFGS-B on the fit's kernel, the one SciPy optimizer left, imported on use).
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ __all__ = [
     "CalibrationTwin",
     "SwapDataset",
     "generate_swap_data",
+    "generate_swap_datasets",
     "DisorderFit",
     "fit_disorder_map",
     "AlignmentResult",
@@ -73,6 +75,12 @@ GLOBAL_PARAM_SPREAD_MHZ = 0.3
 # A fit to shot data is accepted when its cost is within this multiple of the
 # data's estimated shot-noise cost.
 NOISE_COST_MULTIPLE = 1.5
+# The Levenberg-Marquardt stages stop once a step would lower the cost by at
+# most this fraction of it: MINPACK's default ftol, sqrt(eps) (More, Garbow &
+# Hillstrom, User Guide for MINPACK-1, ANL-80-74, 1980). A start stuck in a
+# local minimum then stops where its cost has gone flat, instead of crawling
+# on at the fronts' far tighter LM_COST_TOL until its damping underflows.
+STAGE_COST_TOL = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass
@@ -238,24 +246,50 @@ def single_excitation_populations(graph: ActiveGraph, offsets_mhz, source_idx: i
     return kernel.residuals(np.asarray(offsets_mhz, dtype=float)).reshape(graph.n_sites, len(times_ns))
 
 
+def generate_swap_datasets(
+    twin: CalibrationTwin,
+    centers,
+    correction: DisorderMap | None = None,
+    times_ns=None,
+) -> tuple:
+    """One swap experiment per centre, in order: excite the centre qubit, let
+    it swap with its coupled neighbours, and record all populations. The
+    twin's hidden disorder (plus any applied correction) detunes each star;
+    shot noise is added when the twin asks, from one stream per centre.
+
+    Every star is simulated by one zero-data `_SwapResiduals` over all the
+    centres (one `_StarStack`, one batched `eigh`); a star's populations are
+    bit for bit those of its batch of one, `generate_swap_data`."""
+    times_ns = tuple(times_ns) if times_ns is not None else tuple(np.arange(0.0, 1000.1, 10.0))
+    centers = list(centers)
+    if not centers:
+        return ()
+    graphs = [_star_graph(twin, center) for center in centers]
+    correction = correction or DisorderMap()
+    sites = sorted({q for graph in graphs for q in graph.sites})
+    empty = [SwapDataset(c, g, times_ns, np.zeros((g.n_sites, len(times_ns)))) for c, g in zip(centers, graphs)]
+    kernel = _SwapResiduals(empty, {q: k for k, q in enumerate(sites)})
+    simulated = kernel.residuals(np.array([twin.hidden.get(q) + correction.get(q) for q in sites]))
+    datasets, row = [], 0
+    for center, graph in zip(centers, graphs):
+        pops = simulated[row : row + graph.n_sites * len(times_ns)].reshape(graph.n_sites, len(times_ns))
+        row += pops.size
+        if twin.n_shots is not None:
+            rng = rng_stream(twin.seed, 0xCA, zlib.crc32(center.label.encode()))
+            pops = rng.binomial(twin.n_shots, np.clip(pops, 0.0, 1.0)) / twin.n_shots
+        datasets.append(SwapDataset(center, graph, times_ns, pops, twin.n_shots))
+    return tuple(datasets)
+
+
 def generate_swap_data(
     twin: CalibrationTwin,
     center: QubitId,
     correction: DisorderMap | None = None,
     times_ns=None,
 ) -> SwapDataset:
-    """Excite the centre qubit, let it swap with its coupled neighbours, and
-    record all populations. The twin's hidden disorder (plus any applied
-    correction) detunes the star; shot noise is added when the twin asks."""
-    times_ns = tuple(times_ns) if times_ns is not None else tuple(np.arange(0.0, 1000.1, 10.0))
-    graph = _star_graph(twin, center)
-    correction = correction or DisorderMap()
-    offsets = [twin.hidden.get(q) + correction.get(q) for q in graph.sites]
-    pops = single_excitation_populations(graph, offsets, 0, times_ns)
-    if twin.n_shots is not None:
-        rng = rng_stream(twin.seed, 0xCA, zlib.crc32(center.label.encode()))
-        pops = rng.binomial(twin.n_shots, np.clip(pops, 0.0, 1.0)) / twin.n_shots
-    return SwapDataset(center=center, graph=graph, times_ns=times_ns, populations=pops, n_shots=twin.n_shots)
+    """The swap experiment on one centre: the batch of one of
+    `generate_swap_datasets`."""
+    return generate_swap_datasets(twin, [center], correction, times_ns)[0]
 
 
 def canonical_gauge(offsets: dict) -> dict:
@@ -538,13 +572,14 @@ def fit_disorder_map(datasets) -> DisorderFit:
     Nelder-Mead to a loose stop (GLOBAL_COST_SPREAD, GLOBAL_PARAM_SPREAD_MHZ)
     on the data up to the first of STAGE_ENDS_NS, then the front fits'
     Levenberg-Marquardt (`analysis._levenberg_marquardt`, on the analytic
-    Jacobian) on each longer window in turn, each from the last stage's
-    point, and last on the full data; a short window's cost has fewer local
-    minima. When the data hold one window only, Nelder-Mead and the
-    Levenberg-Marquardt polish both run on it. Only the last stage can accept
-    a start: the first start whose full-data polish stops at a cost within
-    the acceptance cost (EARLY_STOP_COST plus NOISE_COST_MULTIPLE times the
-    data's estimated shot-noise cost) is the fit; a polish that gives up
+    Jacobian, stopped at STAGE_COST_TOL) on each longer window in turn, each
+    from the last stage's point, and last on the full data; a short window's
+    cost has fewer local minima. When the data hold one window only,
+    Nelder-Mead and the Levenberg-Marquardt polish both run on it. Only the
+    last stage can accept a start: the first start whose full-data polish
+    stops at a cost within the acceptance cost (EARLY_STOP_COST plus
+    NOISE_COST_MULTIPLE times the data's estimated shot-noise cost) is the
+    fit; a polish that gives up
     (singular normal equations, which the gauge direction can make, or no
     stop) leaves its start unaccepted, and an earlier stage that gives up
     hands its point on. Starts come from one fixed stream, at most N_STARTS
@@ -573,7 +608,7 @@ def fit_disorder_map(datasets) -> DisorderFit:
         history, x, iteration = list(coarse.history), coarse.x, coarse.n_iterations
         total_evals += coarse.n_evaluations
         for kernel in polish_kernels:
-            polish = _levenberg_marquardt(kernel.residuals, kernel.residuals_and_jacobian, x[None])  # a batch of one
+            polish = _levenberg_marquardt(kernel.residuals, kernel.residuals_and_jacobian, x[None], STAGE_COST_TOL)
             x, r, failure = polish.p[0], polish.residuals[0], polish.failure[0]
             cost, iteration = float(r @ r), iteration + polish.n_trials[0]
             total_evals += polish.n_trials[0] + polish.n_jacobians[0]
@@ -610,7 +645,7 @@ class AlignmentResult:
 def _overall_distance(twin: CalibrationTwin, correction: DisorderMap, qubits, times_ns) -> float:
     """Summed squared distance between corrected-twin swap data and the
     zero-disorder simulation: `fit_disorder_map`'s `overall_distance` on them."""
-    datasets = [generate_swap_data(twin, q, correction, times_ns) for q in qubits]
+    datasets = generate_swap_datasets(twin, qubits, correction, times_ns)
     sites = sorted({q for ds in datasets for q in ds.graph.sites})
     return _SwapResiduals(datasets, {q: i for i, q in enumerate(sites)}).cost(np.zeros(len(sites)))
 
@@ -634,8 +669,7 @@ def alignment_loop(
     rounds_run = 0
     for round_no in range(1, rounds + 1):
         rounds_run = round_no
-        datasets = [generate_swap_data(twin, q, correction, times_ns) for q in qubits]
-        fit = fit_disorder_map(datasets)
+        fit = fit_disorder_map(generate_swap_datasets(twin, qubits, correction, times_ns))
         candidates = []
         for sign in (-1.0, 1.0):
             cand = DisorderMap(

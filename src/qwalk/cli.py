@@ -217,7 +217,7 @@ def _cmd_calibrate(args) -> int:
         CalibrationTwin,
         alignment_loop,
         fit_disorder_map,
-        generate_swap_data,
+        generate_swap_datasets,
         optimize_interferometer,
     )
     from .records import RecordWriter, ResultRecord, RunManifest
@@ -253,7 +253,7 @@ def _cmd_calibrate(args) -> int:
             hidden = sample_disorder(device.functional_qubits, args.bound, seed)
             twin = CalibrationTwin(device, hidden, n_shots=args.shots, seed=seed)
             if args.task == "disorder":
-                res = fit_disorder_map([generate_swap_data(twin, q) for q in device.functional_qubits])
+                res = fit_disorder_map(generate_swap_datasets(twin, device.functional_qubits))
                 steps = [({"cost": cost, "parameters_mhz": x}, {"iteration": it}) for it, cost, x in res.history]
                 fit = {
                     "disorder_mhz": {q.label: v for q, v in res.disorder.offsets.items()},

@@ -144,6 +144,30 @@ def test_front_fit_gives_up_without_a_stop(monkeypatch):
         fit_gaussian_front(CorrelationSeries((0, 1), t, _gauss(t, 0.4, 200.0, 50.0, 0.0)), distance=SQRT2)
 
 
+def test_front_fit_stops_when_exact_data_drive_a_parameter_to_zero():
+    # a noise-free Gaussian's offset shrinks geometrically towards 0 with the
+    # SSR, so neither a step relative to the offset alone nor the cost test
+    # ever stops it; the step test's absolute floor does
+    t = np.arange(0.0, 1000.0 + 1e-9, 10.0)
+    y = _gauss(t, 0.4, 300.0, 40.0, 0.0)
+    lo, hi, p0 = analysis._front_window(CorrelationSeries((0, 1), t, y), 1.0)
+    index = np.arange(len(t))
+    popt, _, failure = _fit_one(t, y, p0, inside=(lo <= index) & (index <= hi))
+    assert failure is None
+    assert popt == pytest.approx([0.4, 300.0, 40.0, 0.0], abs=1e-9)
+    assert fit_gaussian_front(CorrelationSeries((0, 1), t, y), distance=1.0).peak_time_ns == pytest.approx(300.0)
+
+
+def test_front_fit_rejects_a_series_holding_a_nan():
+    # a NaN leaves no sample at the lobe threshold; the fit names the front's
+    # distance in a ValueError, which the CLI turns into exit 1 and error.json
+    t = np.arange(0.0, 1000.0 + 1e-9, 10.0)
+    y = _gauss(t, 0.4, 300.0, 40.0, 0.0)
+    y[40] = np.nan
+    with pytest.raises(ValueError, match=r"distance 1\.41421 holds a non-finite value"):
+        fit_gaussian_front(CorrelationSeries((0, 1), t, y), distance=SQRT2)
+
+
 def test_front_fit_covariance_is_inf_without_spare_samples():
     t = np.array([150.0, 180.0, 195.0, 205.0, 220.0, 250.0])
     _, cov, _ = _fit_one(t, _gauss(t, 0.4, 200.0, 50.0, 0.01), [0.4, 201.0, 45.0, 0.0], inside=t % 50 != 0)

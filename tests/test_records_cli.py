@@ -1039,3 +1039,54 @@ def test_cli_analyze_exits_0_with_its_velocities_or_1_with_error_json(study, see
         # one velocity per window of the distance-velocity study, one for the velocity study
         assert kinds.count("velocity") == (8 if study == "distance-velocity" else 1)
         assert kinds[-1] == "velocity"
+
+
+# calibrate: the three tasks and every flag. Shot counts at most 40 or past
+# MAX_SHOTS, bounds at most 2 MHz or past MAX_DISORDER_BOUND_MHZ and at most two
+# align rounds (five when the flag is left out), so that no example fits a
+# twin for long; seeds on both sides of the range a SeedSequence takes. Valid
+# values come up more often than not, so that a fair share of examples exits 0
+_CALIBRATE_TASKS = st.sampled_from(["disorder", "disorder", "align", "interferometer"])
+_small_seed = st.integers(0, 2**16)
+_CALIBRATE_SEED = st.one_of(
+    st.none(), _small_seed, _small_seed, st.integers(-(2**70), -1), st.integers(2**64 + 1, 2**80)
+)
+_CALIBRATE_SHOTS = st.one_of(
+    st.none(), st.none(), st.none(), st.integers(2, 40), st.integers(-3, 1), st.just(scenarios.MAX_SHOTS + 1)
+)
+_bound = st.floats(0.0, 2.0)
+_CALIBRATE_BOUND = st.one_of(
+    st.none(), _bound, _bound, _bound, st.sampled_from([-0.5, math.nan, math.inf, 2 * MAX_DISORDER_BOUND_MHZ])
+)
+_CALIBRATE_ROUNDS = st.one_of(st.none(), st.none(), st.none(), st.integers(-1, 2))
+
+
+@given(task=_CALIBRATE_TASKS, seed=_CALIBRATE_SEED, shots=_CALIBRATE_SHOTS, bound=_CALIBRATE_BOUND,
+       rounds=_CALIBRATE_ROUNDS)
+@settings(max_examples=50)  # most examples exit 1 in milliseconds; a twin's fit takes tens of them
+@example(task="disorder", seed=8, shots=None, bound=None, rounds=None)  # a fit that takes two starts
+@example(task="align", seed=5, shots=2000, bound=None, rounds=2)
+def test_cli_calibrate_exits_0_with_its_fit_or_1_with_error_json(task, seed, shots, bound, rounds):
+    flags = [f"--task={task}"]  # the = keeps a value from reading as a flag
+    for flag, value in (("seed", seed), ("shots", shots), ("bound", bound), ("rounds", rounds)):
+        flags += [] if value is None else [f"--{flag}={value!r}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "calibrate"
+        code = main(["calibrate", *flags, "--out", str(out)])
+        event(f"{task} exit {code}")
+        status = json.loads((out / "manifest.json").read_text())["status"]
+        if code != 0:
+            assert code == 1 and status == "failed"
+            assert json.loads((out / "error.json").read_text())["type"]
+            return
+        assert not (out / "error.json").exists()
+        *steps, fit = read_records(out / "records.jsonl")
+        assert {record.kind for record in steps} == {"calibration_step"}
+        assert fit.kind == "fit" and fit.coords == {"task": task}
+        if task == "disorder":
+            assert len(fit.payload["disorder_mhz"]) == 9  # the 3x3 twin's qubits
+            assert fit.payload["starts"] >= 1 and fit.payload["cost"] <= fit.payload["accept_cost"]
+        elif task == "align":
+            assert 1 <= fit.payload["rounds_run"] <= (5 if rounds is None else rounds)
+        else:
+            assert 0.0 <= fit.payload["detector_population"] <= 1.0
