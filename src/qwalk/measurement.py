@@ -104,7 +104,14 @@ class ShotCounts:
 
 
 def sample_shots(state: QuantumState, readout: ReadoutModel, n_shots: int, seed: int) -> ShotCounts:
-    """Draw bitstrings from |amplitude|^2, then corrupt them per qubit."""
+    """Draw bitstrings from |amplitude|^2, then corrupt them per qubit.
+
+    The draws are `Generator.choice`'s: one uniform per shot from the call's
+    stream, sent to the first basis row whose cumulative probability exceeds
+    it. Perfect readout needs only their histogram, which it counts from the
+    sorted uniforms (`_inverse_cdf_counts`) and holds 8 bytes per shot; any
+    other model draws the rows with `choice` and corrupts each shot in turn.
+    """
     if n_shots <= 0:
         raise ValueError("n_shots must be positive")
     state.check_normalized()
@@ -115,18 +122,22 @@ def sample_shots(state: QuantumState, readout: ReadoutModel, n_shots: int, seed:
     p = state.amplitudes.real**2 + state.amplitudes.imag**2
     p = p / p.sum()
     rng = rng_stream(seed, 0x5A)
-    drawn = rng.choice(state.basis.dimension, size=n_shots, p=p)
     if readout.is_perfect:
         # u < 0 and u >= 1 never hold, so the corruption draws would flip
         # nothing, and the stream is local to this call: skipping both leaves
         # the shots unchanged. Every shot then reads as its drawn basis row,
-        # and the basis keys are already sorted, so counting the drawn rows
-        # gives the histogram in key order. Any other model makes both draws,
-        # in order, and histograms the observed rows by their keys.
-        mults = np.bincount(drawn, minlength=state.basis.dimension)
+        # and the basis keys are already sorted, so the rows' counts are the
+        # histogram in key order. Any other model makes both draws, in order,
+        # and histograms the observed rows by their keys.
+        cdf = p.cumsum()  # built as choice builds it
+        cdf /= cdf[-1]
+        u = rng.random(n_shots)  # the uniforms choice would draw
+        u.sort()
+        mults = _inverse_cdf_counts(cdf, u)
         seen = np.flatnonzero(mults)
         keys, mults = state.basis.keys[seen], mults[seen]
     else:
+        drawn = rng.choice(state.basis.dimension, size=n_shots, p=p)
         bits = state.basis.rows[drawn]  # n_shots x n_sites, true occupations
         u = rng.random(size=bits.shape)
         thermal = ~bits & (u < readout.thermal_excitation)
@@ -140,8 +151,18 @@ def sample_shots(state: QuantumState, readout: ReadoutModel, n_shots: int, seed:
     # only the distinct keys are decoded
     width = keys.dtype.itemsize
     text = (np.unpackbits(keys.view(np.uint8).reshape(-1, width), axis=1)[:, :n] + ord("0")).tobytes().decode()
-    counts = {text[i * n : (i + 1) * n]: int(mult) for i, mult in enumerate(mults)}
+    counts = dict(zip([text[i : i + n] for i in range(0, len(text), n)], mults.tolist()))
     return ShotCounts(counts, n_shots, n)
+
+
+def _inverse_cdf_counts(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """How many of the sorted uniforms `u` fall on each entry of the
+    nondecreasing `cdf`: entry i counts those in [cdf[i-1], cdf[i]), the ones
+    `cdf.searchsorted(u, side="right")` sends to i. So the counts are
+    `np.bincount` of those indices, found by inversion over sorted uniforms
+    (Devroye, Non-Uniform Random Variate Generation, 1986, ch. III) in
+    O(len(cdf) log len(u)) after the sort."""
+    return np.diff(u.searchsorted(cdf, side="left"), prepend=0)
 
 
 def post_select(counts: ShotCounts, n_excitations: int) -> tuple[ShotCounts, float]:

@@ -123,6 +123,18 @@ def populations_lines(sites, times_ns, table: FloatTable) -> list[str]:
     ]
 
 
+def _bitstrings_with_int_counts(counts: dict) -> bool:
+    """Whether the counts are nonempty, every key a str of 0s and 1s and
+    every count a Python int (not a bool or a numpy scalar)."""
+    keys = counts.keys()
+    return (
+        set(map(type, keys)) == {str}
+        and set(map(type, counts.values())) == {int}
+        # a character outside 0/1 survives the deletion, and non-ASCII ones encode to other bytes
+        and not "".join(keys).encode().translate(None, b"01")
+    )
+
+
 def shots_outputs(counts: dict, retention, time_ns) -> tuple[str, str]:
     """The `shots` record's JSON line and the shots.txt text, from one sorted
     pass over the counts of each bitstring: byte for byte the `to_json()` of
@@ -130,8 +142,12 @@ def shots_outputs(counts: dict, retention, time_ns) -> tuple[str, str]:
     and `ShotCounts.to_lines()`.
     """
     items = sorted(counts.items())
-    # the items are in key order already, so the counts need no sort_keys
-    spelled = json.dumps(dict(items), separators=(",", ":"), default=_jsonable)
+    if _bitstrings_with_int_counts(counts):
+        # JSON spells a 0/1 string as itself in quotes and an int as its digits
+        spelled = "{" + ",".join([f'"{bits}":{count}' for bits, count in items]) + "}"
+    else:
+        # the items are in key order already, so the counts need no sort_keys
+        spelled = json.dumps(dict(items), separators=(",", ":"), default=_jsonable)
     line = _record_line(
         "shots",
         f'{{"time_ns":{_dumps(_jsonable(time_ns))}}}',

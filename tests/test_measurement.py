@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import constants
 from scipy.stats import chi2
@@ -24,6 +24,7 @@ from qwalk.measurement import (
     sample_shots,
     thermal_excited_probability,
 )
+from qwalk.measurement import _inverse_cdf_counts
 from qwalk.scenarios import _scenario_setup, ctqw_scenario, run_scenario
 from qwalk.sector import QuantumState, basis_state, enumerate_basis, populations
 
@@ -275,6 +276,54 @@ def test_perfect_readout_histogram_matches_the_general_path(n, k, n_shots, seed)
         general = sample_shots(state, readout, n_shots, seed)
     assert list(counted.counts.items()) == list(general.counts.items())
     assert counted.to_lines() == general.to_lines()
+
+
+@st.composite
+def perfect_readout_cases(draw):
+    """A state whose probabilities hold a run of zeros (leading, trailing or
+    interior), a scattered third of zeros, or a single nonzero entry."""
+    n = draw(st.integers(1, 12))
+    basis = enumerate_basis(n, draw(st.integers(1, min(n, 3))))
+    dim = basis.dimension
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["run", "scattered", "single"]))
+    if kind == "run":
+        lo, hi = sorted(draw(st.lists(st.integers(0, dim), min_size=2, max_size=2)))
+        nonzero = np.ones(dim, bool)
+        nonzero[lo:hi] = False  # leading when lo is 0, trailing when hi is dim
+    elif kind == "scattered":
+        nonzero = rng.random(dim) >= 1 / 3
+    else:
+        nonzero = np.zeros(dim, bool)
+    if not nonzero.any():
+        nonzero[draw(st.integers(0, dim - 1))] = True
+    amp = (rng.normal(size=dim) + 1j * rng.normal(size=dim)) * nonzero
+    return QuantumState(basis, amp / np.linalg.norm(amp)), draw(st.integers(1, 5000)), draw(st.integers(0, 2**32))
+
+
+@given(perfect_readout_cases())
+@example((basis_state(enumerate_basis(1, 1), {0}), 1, 0))  # dimension 1, one shot
+@example((basis_state(enumerate_basis(6, 2), {1, 4}), 3, 11))  # one interior nonzero entry
+def test_perfect_readout_counts_are_the_bincount_of_choice(case):
+    state, n_shots, seed = case
+    basis = state.basis
+    got = sample_shots(state, ReadoutModel.perfect(basis.n_sites), n_shots, seed)
+    p = state.amplitudes.real**2 + state.amplitudes.imag**2
+    drawn = rng_stream(seed, 0x5A).choice(basis.dimension, n_shots, p=p / p.sum())
+    mults = np.bincount(drawn, minlength=basis.dimension)
+    expected = [("".join("1" if b else "0" for b in basis.rows[i]), int(mults[i])) for i in np.flatnonzero(mults)]
+    assert list(got.counts.items()) == expected
+    assert all(type(c) is int for c in got.counts.values())
+
+
+@given(st.lists(st.integers(0, 8), min_size=1, max_size=12), st.lists(st.integers(0, 7), max_size=40))
+@example([0, 0, 4, 4, 8], [0, 0, 4, 4, 7])  # uniforms on zero-width and repeated cdf entries
+def test_inverse_cdf_counts_are_the_bincount_of_the_right_search(steps, draws):
+    # on a grid of eighths, many uniforms fall exactly on a cdf entry
+    cdf = np.append(np.sort(steps) / 8, 1.0)
+    u = np.sort(np.array(draws, dtype=float) / 8)
+    expected = np.bincount(cdf.searchsorted(u, side="right"), minlength=len(cdf))
+    assert np.array_equal(_inverse_cdf_counts(cdf, u), expected)
 
 
 def test_two_walker_state_digest_pinned():

@@ -161,11 +161,15 @@ def test_float_table_writes_what_json_dumps_and_the_old_csv_write(data, n_rows, 
                 assert fh.read() == oracle
 
 
+_bitstrings = st.text("01", min_size=1, max_size=8)
+# Python ints, and counts that are numpy or bool scalars
+_count_values = st.one_of(st.integers(1, 10**6), st.integers(1, 99).map(np.int64), st.just(True))
 _counts = st.one_of(
-    st.dictionaries(st.text("01", min_size=1, max_size=8), st.integers(1, 10**6), min_size=1, max_size=20),
-    # keys JSON must escape, and counts that are numpy or bool scalars
-    st.dictionaries(_labels, st.one_of(st.integers(1, 10**6), st.integers(1, 99).map(np.int64), st.just(True)),
-                    min_size=1, max_size=5),
+    # 0/1 keys with Python int counts, which shots_outputs spells by join
+    st.dictionaries(_bitstrings, st.integers(1, 10**6), min_size=1, max_size=20),
+    # 0/1 keys with any count, and keys JSON must escape: these go through json.dumps
+    st.dictionaries(_bitstrings, _count_values, min_size=1, max_size=20),
+    st.dictionaries(_labels, _count_values, min_size=1, max_size=5),
 )
 
 
@@ -213,6 +217,12 @@ def test_float_table_needs_a_matrix():
 # record began to name the readout time (600.0 ns) instead of null, and every
 # file but shots.txt when `run` began to propagate in one Chebyshev series.
 RUN_OUTPUT_DIGESTS = {
+    # the bench's walk: 20,000 shots
+    ("--override", "n_shots=20000", "--seed", "7"): {
+        "records.jsonl": "b95add2b8c2e9fce838d20829bbe3fd7953cb756c75b025f9c35d0e21084f0c3",
+        "populations.csv": "9b4c3353320d54fc11a8486d42cce390dfdf9143069b0668e234fadf2ec05fa1",
+        "shots.txt": "599db600d40f97d87046743c33f1db137bd02cf2fef4a25973a30e15c46095f1",
+    },
     ("--override", "n_shots=2000", "--seed", "7"): {
         "records.jsonl": "0a60c73d11c1280185d19155e595538e7e873d1cbba10806f41da0fec54e3d61",
         "populations.csv": "9b4c3353320d54fc11a8486d42cce390dfdf9143069b0668e234fadf2ec05fa1",
