@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 from .device import DEFAULT_DISORDER_BOUND_MHZ, QubitId, active_subgraph, default_device, grid_graph, sample_offsets
 from .evolution import propagate_block
 from .hamiltonian import TWO_PI, build_hamiltonian, offset_diagonals
+from .optimize import levenberg_marquardt, row_dots, solved
 from .sector import QuantumState, basis_state, enumerate_basis, lookup
 
 __all__ = [
@@ -82,174 +81,13 @@ class FrontFit:
 FRONT_NOISE_FLOOR = 1e-9
 FRONT_LOBE_FRACTION = 0.25
 
-# Both Levenberg-Marquardt fits (the fronts here and calibration's disorder
-# polish) stop when no parameter would move by more than LM_STEP_TOL of its
-# value plus LM_STEP_TOL (Madsen, Nielsen & Tingleff 2004, so that a parameter
-# driven to zero stops too), or when the step would lower the sum of squared
-# residuals by at most a relative cost tolerance of it, LM_COST_TOL unless the
-# caller passes its own; a fit that has not stopped after LM_MAX_ITERATIONS
-# damped steps did not converge
-LM_STEP_TOL = 1e-10
-LM_COST_TOL = 1e-15
-LM_MAX_ITERATIONS = 200
-
-
-class _LeastSquares(NamedTuple):
-    """A `_levenberg_marquardt` batch of B problems, each entry per problem."""
-
-    p: np.ndarray  # B x n: the last accepted points
-    residuals: np.ndarray  # B x M, at p
-    jtj: np.ndarray  # B x n x n: J^T J at p
-    n_trials: tuple  # residual evaluations at trial points
-    n_jacobians: tuple  # residual-and-Jacobian evaluations at accepted points, the start included
-    failure: tuple  # None where the fit stopped, else why it gave up
-
-
-def _row_dots(a, b) -> np.ndarray:
-    """a_i . b_i for each row of two k x n stacks: a stacked matmul, which
-    takes each row's product as the 1D `a_i @ b_i` does."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def _solved(solver, *stacks) -> tuple:
-    """solver(*stacks) on stacks of linear systems (`np.linalg.solve` or
-    `inv`), shaped like the last stack, and the indices of the systems it
-    could not solve, which are left NaN.
-
-    numpy raises for a whole stack when one system is singular; the systems
-    are then solved one at a time, each as a stack of one, so each solved
-    system keeps its bits."""
-    try:
-        return solver(*stacks), []
-    except np.linalg.LinAlgError:
-        out, singular = np.full(np.shape(stacks[-1]), np.nan), []
-        for i in range(len(out)):
-            try:
-                out[i] = solver(*(s[i : i + 1] for s in stacks))[0]
-            except np.linalg.LinAlgError:
-                singular.append(i)
-        return out, singular
-
-
-def _normal_equations(jac, r) -> tuple:
-    """J^T J, -J^T r (k x n x 1) and the diagonal matrix diag(J^T J) for a
-    stack of Jacobians (k x M x n) and residuals (k x M). The stacked matmul
-    runs each problem's 2D product on its own (syrk for J^T J, gemv for
-    J^T r)."""
-    jt = jac.transpose(0, 2, 1)
-    jtj = jt @ jac
-    k, n, _ = jtj.shape
-    marquardt = np.zeros_like(jtj)
-    marquardt.reshape(k, -1)[:, :: n + 1] = jtj.reshape(k, -1)[:, :: n + 1]  # the diagonals, as strided rows
-    return jtj, -(jt @ r[:, :, None]), marquardt
-
-
-def _rows(a, rows):
-    """The rows `rows` of a, an increasing subset of them: a itself when that is all."""
-    return a if len(rows) == len(a) else a[rows]
-
-
-def _put(rows, new, old):
-    """old with its rows `rows` (an increasing subset) replaced by new: new
-    itself when that is all of them, else a fresh array, so that neither is
-    written."""
-    if len(rows) == len(old):
-        return new
-    out = old.copy()
-    out[rows] = new
-    return out
-
-
-def _levenberg_marquardt(residuals, residuals_and_jacobian, p0, cost_tol=LM_COST_TOL) -> _LeastSquares:
-    """Least squares by Levenberg-Marquardt (Moré 1978) for a batch of B
-    independent problems from their starting points p0 (B x n).
-
-    `residuals(P)` gives the residuals (B x M) at the points P (B x n), and
-    `residuals_and_jacobian(P)` the residuals and the Jacobians (B x M x n)
-    at p0 and after each step that some problem accepts; P is then the very
-    array its trial was evaluated on, which a caller may match by identity.
-    No array passed to or returned by them is written afterwards. A row of P
-    whose problem has stopped, or does not step, holds that problem's
-    current point, and what comes back for it is not used.
-
-    Each problem steps on its own: it solves (J^T J + mu diag(J^T J)) step =
-    -J^T r, so the damping is scaled per parameter, its mu follows Nielsen's
-    gain-ratio update (Nielsen 1999), and it accepts, stops or gives up on
-    its own. The normal equations are stacked matmuls and the damped systems
-    one stacked solve, each of which acts on every problem alone, so a
-    problem's steps are bit for bit those of its batch of one. A problem
-    stops when its step moves no parameter p by more than
-    LM_STEP_TOL (|p| + LM_STEP_TOL), or would lower its SSR by at most
-    `cost_tol` of it. It gives up, naming why in `failure`, when its damped
-    normal equations are singular or no stop comes within LM_MAX_ITERATIONS
-    steps.
-    """
-    p = np.array(p0, dtype=float)
-    n_problems = len(p)
-    r, jac = residuals_and_jacobian(p)
-    jtj, minus_grad, marquardt = _normal_equations(jac, r)
-    ssr = _row_dots(r, r)
-    mu, nu = np.full(n_problems, 1e-3), [2.0] * n_problems
-    n_trials, n_jacobians = [0] * n_problems, [1] * n_problems
-    failure = [f"no stop within {LM_MAX_ITERATIONS} steps"] * n_problems
-    live = list(range(n_problems))  # the problems still stepping
-    for _ in range(LM_MAX_ITERATIONS):
-        damping = _rows(mu, live)
-        damped = _rows(jtj, live) + damping[:, None, None] * _rows(marquardt, live)
-        step, singular = _solved(np.linalg.solve, damped, _rows(minus_grad, live))
-        step = step[:, :, 0]
-        if singular:
-            for k in singular:
-                failure[live[k]] = "singular normal equations"
-            if len(singular) == len(live):
-                break
-            kept = [k for k in range(len(live)) if k not in singular]
-            live, step, damping = [live[k] for k in kept], step[kept], damping[kept]
-        # the linear model's fall in SSR; -grad is added, which rounds as subtracting grad
-        diag = _rows(marquardt, live).diagonal(axis1=1, axis2=2)
-        predicted = _row_dots(step, damping[:, None] * diag * step + _rows(minus_grad, live)[:, :, 0])
-        stop = (predicted <= cost_tol * _rows(ssr, live)) | (
-            np.abs(step) <= LM_STEP_TOL * (np.abs(_rows(p, live)) + LM_STEP_TOL)
-        ).all(axis=1)
-        if stop.any():
-            for k in np.flatnonzero(stop).tolist():
-                failure[live[k]] = None
-            if stop.all():
-                break
-            kept = np.flatnonzero(~stop).tolist()
-            live, step, predicted = [live[k] for k in kept], step[kept], predicted[kept]
-        trial = _put(live, _rows(p, live) + step, p)
-        r_trial = residuals(trial)
-        ssr_trial = _row_dots(r_trial, r_trial)
-        gain = (_rows(ssr, live) - _rows(ssr_trial, live)) / predicted
-        accepted = []
-        for i, g in zip(live, gain):  # g a numpy scalar: its power is libm's pow, as for one problem
-            n_trials[i] += 1
-            if g > 0.0:
-                accepted.append(i)
-                mu[i] *= max(1.0 / 3.0, 1.0 - (2.0 * g - 1.0) ** 3)
-                nu[i] = 2.0
-            else:
-                mu[i] *= nu[i]
-                nu[i] *= 2.0
-        if accepted:
-            r_new, jac_new = (_rows(a, accepted) for a in residuals_and_jacobian(trial))
-            for i in accepted:
-                n_jacobians[i] += 1
-            p = _put(accepted, _rows(trial, accepted), p)
-            ssr = _put(accepted, _rows(ssr_trial, accepted), ssr)
-            r = _put(accepted, r_new, r)
-            equations = zip(_normal_equations(jac_new, r_new), (jtj, minus_grad, marquardt))
-            jtj, minus_grad, marquardt = (_put(accepted, new, old) for new, old in equations)
-    return _LeastSquares(p, r, jtj, tuple(n_trials), tuple(n_jacobians), tuple(failure))
-
 
 def _fit_gaussians(t, y, inside, p0) -> tuple:
     """Least-squares fits of a exp(-(t - c)^2 / 2w^2) + o, one to each row of
     (t, y) (B x M, or t of M shared) over the samples `inside` marks (B x M),
-    from p0 = (a, c, w, o) per row, in one `_levenberg_marquardt` batch on
-    the analytic Jacobian (the damping's per-parameter scale matters: the
-    width and centre are in ns, the amplitude and offset are fractions).
+    from p0 = (a, c, w, o) per row, in one `optimize.levenberg_marquardt`
+    batch on the analytic Jacobian (the damping's per-parameter scale matters:
+    the width and centre are in ns, the amplitude and offset are fractions).
 
     The residuals and Jacobian rows outside a row's samples are selected to
     zero, not multiplied by a mask, so a non-finite term there cannot reach
@@ -259,34 +97,29 @@ def _fit_gaussians(t, y, inside, p0) -> tuple:
     each fit's `failure`.
     """
     t, y, inside = np.asarray(t, dtype=float), np.asarray(y, dtype=float), np.asarray(inside, dtype=bool)
-    latest = {}  # the points and terms of the latest residual evaluation
 
-    def residuals(p):
+    def evaluate(p):
         a, c, w, o = p.T[:, :, None]
         d = t - c
         g = np.exp(d * d * (-0.5 / (w * w)))
         r = a * g
         r += o
         r -= y
-        latest.update(p=p, r=np.where(inside, r, 0.0), g=g, d=d)
-        return latest["r"]
 
-    def residuals_and_jacobian(p):
-        if latest.get("p") is not p:  # p0; an accepted point is the latest trial
-            residuals(p)
-        r, g, d = latest["r"], latest["g"], latest["d"]
-        a, w = p[:, 0, None], p[:, 2, None]
-        jac = np.empty((*g.shape, 4))
-        jac[..., 0] = g
-        np.multiply(g, d * (a / (w * w)), out=jac[..., 1])
-        np.multiply(jac[..., 1], d / w, out=jac[..., 2])
-        jac[..., 3] = 1.0
-        return r, np.where(inside[..., None], jac, 0.0)
+        def jacobian():
+            jac = np.empty((*g.shape, 4))
+            jac[..., 0] = g
+            np.multiply(g, d * (a / (w * w)), out=jac[..., 1])
+            np.multiply(jac[..., 1], d / w, out=jac[..., 2])
+            jac[..., 3] = 1.0
+            return np.where(inside[..., None], jac, 0.0)
 
-    fit = _levenberg_marquardt(residuals, residuals_and_jacobian, p0)
+        return np.where(inside, r, 0.0), jacobian
+
+    fit = levenberg_marquardt(evaluate, p0)
     spare = inside.sum(axis=1) - 4
-    inverse, singular = _solved(np.linalg.inv, fit.jtj)
-    cov = inverse * (_row_dots(fit.residuals, fit.residuals) / np.maximum(spare, 1))[:, None, None]
+    inverse, singular = solved(np.linalg.inv, fit.jtj)
+    cov = inverse * (row_dots(fit.residuals, fit.residuals) / np.maximum(spare, 1))[:, None, None]
     cov[singular] = np.inf
     cov[spare < 1] = np.inf
     return fit.p, cov, fit.failure

@@ -1,8 +1,9 @@
 """Device calibration against simulated twins with hidden disorders:
 multi-qubit swap data (every centre of a twin simulated in one star stack),
 disorder-map recovery (multi-start, in growing time windows: Nelder-Mead,
-ported from SciPy, on the first window, then the front fits' numpy
-Levenberg-Marquardt on each longer one, stopped at MINPACK's cost tolerance),
+ported from SciPy, on the first window, then `optimize.levenberg_marquardt`,
+the numpy Levenberg-Marquardt the front fits share, on each longer one,
+stopped at MINPACK's cost tolerance),
 iterative frequency alignment, and interferometer optimization (SciPy's
 L-BFGS-B on the fit's kernel, the one SciPy optimizer left, imported on use).
 """
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import _levenberg_marquardt
 from .device import (
     ActiveGraph,
     DeviceModel,
@@ -24,6 +24,7 @@ from .device import (
     rng_stream,
 )
 from .hamiltonian import TWO_PI, build_hamiltonian
+from .optimize import levenberg_marquardt
 from .scenarios import MAX_SHOTS, MZLayout, _is_int
 from .sector import enumerate_basis, lookup
 
@@ -243,7 +244,7 @@ def single_excitation_populations(graph: ActiveGraph, offsets_mhz, source_idx: i
     times_ns = tuple(times_ns)
     ds = SwapDataset(graph.sites[source_idx], graph, times_ns, np.zeros((graph.n_sites, len(times_ns))))
     kernel = _SwapResiduals([ds], {q: k for k, q in enumerate(graph.sites)})
-    return kernel.residuals(np.asarray(offsets_mhz, dtype=float)).reshape(graph.n_sites, len(times_ns))
+    return kernel.evaluate(np.asarray(offsets_mhz, dtype=float))[0].reshape(graph.n_sites, len(times_ns))
 
 
 def generate_swap_datasets(
@@ -269,7 +270,7 @@ def generate_swap_datasets(
     sites = sorted({q for graph in graphs for q in graph.sites})
     empty = [SwapDataset(c, g, times_ns, np.zeros((g.n_sites, len(times_ns)))) for c, g in zip(centers, graphs)]
     kernel = _SwapResiduals(empty, {q: k for k, q in enumerate(sites)})
-    simulated = kernel.residuals(np.array([twin.hidden.get(q) + correction.get(q) for q in sites]))
+    simulated = kernel.evaluate(np.array([twin.hidden.get(q) + correction.get(q) for q in sites]))[0]
     datasets, row = [], 0
     for center, graph in zip(centers, graphs):
         pops = simulated[row : row + graph.n_sites * len(times_ns)].reshape(graph.n_sites, len(times_ns))
@@ -312,8 +313,8 @@ class DisorderFit:
     disorder: DisorderMap
     cost: float
     overall_distance: float  # cost of the zero map
-    # cost evaluations of Nelder-Mead, plus residual and residual-and-Jacobian
-    # evaluations of every Levenberg-Marquardt stage, over all starts
+    # cost evaluations of Nelder-Mead, plus the trial evaluations and the
+    # Jacobians (the start's included) of every Levenberg-Marquardt stage, over all starts
     n_evaluations: int
     # the accepted start's Nelder-Mead history on the first window, then one
     # (iteration, cost on its window, x) per Levenberg-Marquardt stage, the full data last
@@ -496,44 +497,29 @@ class _SwapResiduals:
             grouped.setdefault(tuple(ds.times_ns), []).append(ds)
         self.n_params = len(pos)
         self.stacks = [_StarStack(members, pos, times) for times, members in grouped.items()]
-        # the point of the latest evaluation, and each stack's amplitudes() and the residuals there
-        self._latest = None, None
 
-    def _evaluate(self, x) -> tuple:
-        """Each stack's `amplitudes` at x and the residuals there, kept as the
-        latest evaluation, or the latest itself when x is its point: an
-        accepted Levenberg-Marquardt step asks for the residuals and the
-        Jacobian at the trial point it has just evaluated. The point is
-        matched by identity, so it must not change in place; x is one point,
-        or the polish's batch of one (1 x n) itself, never a fresh view of
-        its row."""
-        point, evaluation = self._latest
-        if x is not point:
-            amplitudes = [stack.amplitudes(np.asarray(x, dtype=float).reshape(self.n_params)) for stack in self.stacks]
-            r = np.concatenate([stack.residuals(ev[3]) for stack, ev in zip(self.stacks, amplitudes)])
-            evaluation = amplitudes, r
-            self._latest = x, evaluation
-        return evaluation
+    def evaluate(self, x) -> tuple:
+        """The residuals at x, one point or a batch of one, shaped as it is,
+        and a callable of no arguments that gives the Jacobian there (shaped
+        x's batch, then residuals x parameters) from the same eigenbasis per
+        time grid."""
+        amplitudes = [stack.amplitudes(np.asarray(x, dtype=float).reshape(self.n_params)) for stack in self.stacks]
+        r = np.concatenate([stack.residuals(ev[3]) for stack, ev in zip(self.stacks, amplitudes)])
+        batch = np.shape(x)[:-1]
 
-    def residuals(self, x) -> np.ndarray:
-        """The residuals at x, one point or a batch of one, shaped as it is."""
-        return self._evaluate(x)[1].reshape(*np.shape(x)[:-1], -1)
+        def jacobian():
+            jac = np.empty((r.size, self.n_params))
+            row = 0
+            for stack, (w, v, table, stack_amplitudes) in zip(self.stacks, amplitudes):
+                stack.jacobian(w, v, table, stack_amplitudes, out=jac[row : row + stack.data.size])
+                row += stack.data.size
+            return jac.reshape(*batch, *jac.shape)
+
+        return r.reshape(*batch, -1), jacobian
 
     def cost(self, x) -> float:
-        r = self.residuals(x)
+        r = self.evaluate(x)[0]
         return float(r @ r)
-
-    def residuals_and_jacobian(self, x) -> tuple:
-        """The residuals and the Jacobian from one eigenbasis per time grid,
-        shaped as `residuals` at x."""
-        amplitudes, r = self._evaluate(x)
-        jac = np.empty((r.size, self.n_params))
-        row = 0
-        for stack, (w, v, table, stack_amplitudes) in zip(self.stacks, amplitudes):
-            stack.jacobian(w, v, table, stack_amplitudes, out=jac[row : row + stack.data.size])
-            row += stack.data.size
-        batch = np.shape(x)[:-1]
-        return r.reshape(*batch, -1), jac.reshape(*batch, *jac.shape)
 
 
 def _shot_noise_cost(ds: SwapDataset) -> float:
@@ -570,9 +556,10 @@ def fit_disorder_map(datasets) -> DisorderFit:
 
     The fit continues in time windows (`_stage_kernels`): each start runs
     Nelder-Mead to a loose stop (GLOBAL_COST_SPREAD, GLOBAL_PARAM_SPREAD_MHZ)
-    on the data up to the first of STAGE_ENDS_NS, then the front fits'
-    Levenberg-Marquardt (`analysis._levenberg_marquardt`, on the analytic
-    Jacobian, stopped at STAGE_COST_TOL) on each longer window in turn, each
+    on the data up to the first of STAGE_ENDS_NS, then Levenberg-Marquardt
+    (`optimize.levenberg_marquardt`, which the front fits share, on the
+    kernel's `evaluate` and its analytic Jacobian, stopped at
+    STAGE_COST_TOL) on each longer window in turn, each
     from the last stage's point, and last on the full data; a short window's
     cost has fewer local minima. When the data hold one window only,
     Nelder-Mead and the Levenberg-Marquardt polish both run on it. Only the
@@ -608,7 +595,7 @@ def fit_disorder_map(datasets) -> DisorderFit:
         history, x, iteration = list(coarse.history), coarse.x, coarse.n_iterations
         total_evals += coarse.n_evaluations
         for kernel in polish_kernels:
-            polish = _levenberg_marquardt(kernel.residuals, kernel.residuals_and_jacobian, x[None], STAGE_COST_TOL)
+            polish = levenberg_marquardt(kernel.evaluate, x[None], STAGE_COST_TOL)
             x, r, failure = polish.p[0], polish.residuals[0], polish.failure[0]
             cost, iteration = float(r @ r), iteration + polish.n_trials[0]
             total_evals += polish.n_trials[0] + polish.n_jacobians[0]
@@ -727,12 +714,13 @@ def optimize_interferometer(twin: CalibrationTwin, layout: MZLayout) -> Interfer
 
     def stage(sites, t_ns):
         """The stage graph's site index, and its site populations at t_ns and
-        their gradient as a function of the correction x, ordered like `sites`."""
+        a callable giving their gradient, as a function of the correction x,
+        ordered like `sites`."""
         graph = active_subgraph(twin.device, sites)
         ds = SwapDataset(layout.source, graph, (t_ns,), np.zeros((graph.n_sites, 1)))
         kernel = _SwapResiduals([ds], {q: k for k, q in enumerate(sites)})
         hidden = np.array([twin.hidden.get(q) for q in sites])  # d/dx = d/d(hidden + x)
-        return graph.index, lambda x: kernel.residuals_and_jacobian(hidden + x)
+        return graph.index, lambda x: kernel.evaluate(hidden + x)
 
     def climb(objective, x0):
         history = []
@@ -747,7 +735,8 @@ def optimize_interferometer(twin: CalibrationTwin, layout: MZLayout) -> Interfer
     i_l, i_r = index1[layout.left_arm[-1]], index1[layout.right_arm[-1]]
 
     def arm_product(x):
-        pops, jac = stage1(x)
+        pops, jacobian = stage1(x)
+        jac = jacobian()
         return -float(pops[i_l] * pops[i_r]), -(pops[i_r] * jac[i_l] + pops[i_l] * jac[i_r])
 
     res1, history1 = climb(arm_product, np.zeros(len(stage1_sites)))
@@ -764,8 +753,8 @@ def optimize_interferometer(twin: CalibrationTwin, layout: MZLayout) -> Interfer
     initial = float(stage2(np.zeros(len(all_sites)))[0][i_d])
 
     def detector(x):
-        pops, jac = stage2(x)
-        return -float(pops[i_d]), -jac[i_d]
+        pops, jacobian = stage2(x)
+        return -float(pops[i_d]), -jacobian()[i_d]
 
     res2, history2 = climb(detector, x0)
     correction = DisorderMap({q: float(res2.x[k]) for k, q in enumerate(all_sites)})

@@ -21,6 +21,10 @@ __all__ = [
 
 # h/k_B in mK per GHz: h * 1e9 / (k_B * 1e-3)
 _H_OVER_KB_MK_PER_GHZ = 6.62607015e-34 * 1e9 / (1.380649e-23 * 1e-3)
+# A model other than perfect readout draws and corrupts n_shots x n_sites
+# entries, about 18 bytes each, and takes at most this many (about 90 MB);
+# perfect readout holds 8 bytes per shot, bounded by scenarios.MAX_SHOTS.
+MAX_NOISY_SHOT_ENTRIES = 5 * 10**6
 
 
 @dataclass(frozen=True)
@@ -110,7 +114,8 @@ def sample_shots(state: QuantumState, readout: ReadoutModel, n_shots: int, seed:
     stream, sent to the first basis row whose cumulative probability exceeds
     it. Perfect readout needs only their histogram, which it counts from the
     sorted uniforms (`_inverse_cdf_counts`) and holds 8 bytes per shot; any
-    other model draws the rows with `choice` and corrupts each shot in turn.
+    other model draws the rows with `choice` and corrupts each shot in turn,
+    and is refused before any draw past MAX_NOISY_SHOT_ENTRIES shots x sites.
     """
     if n_shots <= 0:
         raise ValueError("n_shots must be positive")
@@ -118,6 +123,11 @@ def sample_shots(state: QuantumState, readout: ReadoutModel, n_shots: int, seed:
     n = state.basis.n_sites
     if readout.n_sites != n:
         raise ValueError(f"readout model covers {readout.n_sites} sites, state has {n}")
+    if not readout.is_perfect and n_shots * n > MAX_NOISY_SHOT_ENTRIES:
+        raise ValueError(
+            f"{n_shots} shots on {n} sites exceed MAX_NOISY_SHOT_ENTRIES = {MAX_NOISY_SHOT_ENTRIES} "
+            "shots x sites for a noisy readout model"
+        )
     # re^2 + im^2, as in sector.populations, rounds alike under every numpy SIMD level
     p = state.amplitudes.real**2 + state.amplitudes.imag**2
     p = p / p.sum()

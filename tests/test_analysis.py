@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import curve_fit
 
-from qwalk import analysis, evolution
+from qwalk import analysis, evolution, optimize
 from qwalk.analysis import (
     PIPELINE_TIMES_NS,
     SQRT2,
@@ -139,7 +139,7 @@ def test_front_fit_gives_up_without_a_stop(monkeypatch):
     t = np.arange(0.0, 600.0, 10.0)
     # zero amplitude: J^T J is singular
     assert _fit_one(t, np.full_like(t, 0.1), [0.0, 200.0, 50.0, 0.1])[2] == "singular normal equations"
-    monkeypatch.setattr(analysis, "LM_MAX_ITERATIONS", 2)
+    monkeypatch.setattr(optimize, "LM_MAX_ITERATIONS", 2)
     with pytest.raises(ValueError, match="did not converge"):
         fit_gaussian_front(CorrelationSeries((0, 1), t, _gauss(t, 0.4, 200.0, 50.0, 0.0)), distance=SQRT2)
 

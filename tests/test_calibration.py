@@ -398,21 +398,21 @@ def test_batched_residuals_and_jacobian(case):
         src = ds.graph.index[ds.center]
         pops = np.column_stack([np.abs(expm(-1j * 1e-3 * t * h)[:, src]) ** 2 for t in ds.times_ns])
         per_star.append(pops - ds.populations)
-    residuals = kernel.residuals(x)
+    residuals, jacobian = kernel.evaluate(x)
     assert np.max(np.abs(residuals - np.concatenate([r.ravel() for r in per_star]))) < 1e-12
     assert kernel.cost(x) == pytest.approx(float(residuals @ residuals), rel=1e-12)
-    joint_residuals, jac = kernel.residuals_and_jacobian(x)
-    assert np.array_equal(joint_residuals, residuals)
+    jac = jacobian()
+    assert jac.shape == (len(residuals), len(x))
     h = 1e-5
     central = np.column_stack(
-        [(kernel.residuals(x + h * e) - kernel.residuals(x - h * e)) / (2 * h) for e in np.eye(len(x))]
+        [(kernel.evaluate(x + h * e)[0] - kernel.evaluate(x - h * e)[0]) / (2 * h) for e in np.eye(len(x))]
     )
     assert np.max(np.abs(jac - central)) <= 1e-6 * max(1.0, np.max(np.abs(central)))
 
 
 def test_polish_evaluates_each_accepted_point_once(monkeypatch):
-    # an accepted step asks for the Jacobian at the trial point just
-    # evaluated; the kernel reuses that evaluation instead of a second eigh
+    # an accepted step takes the Jacobian from the trial point's own
+    # evaluation instead of a second eigh
     device = subgrid_device(0, 4, 2, 2)
     qubits = device.functional_qubits
     twin = CalibrationTwin(device, sample_disorder(qubits, 1.6, seed=21))
@@ -427,18 +427,19 @@ def test_polish_evaluates_each_accepted_point_once(monkeypatch):
 
     monkeypatch.setattr(calibration._StarStack, "amplitudes", counting)
     x0 = np.array([twin.hidden.get(q) for q in qubits]) + np.array([0.05, -0.04, 0.03, -0.02])  # near the planted map
-    polish = calibration._levenberg_marquardt(kernel.residuals, kernel.residuals_and_jacobian, x0[None])
+    polish = calibration.levenberg_marquardt(kernel.evaluate, x0[None])
     assert polish.failure == (None,) and polish.n_jacobians[0] > 1
     # one evaluation per trial and one at the start: none for the Jacobians at accepted points
     assert len(calls) == (polish.n_trials[0] + 1) * len(kernel.stacks)
     calls.clear()
     trial = polish.p[0] + 0.01
-    r = kernel.residuals(trial)
-    r_joint, jac = kernel.residuals_and_jacobian(trial)
+    r, jacobian = kernel.evaluate(trial)
+    jac = jacobian()
     assert len(calls) == len(kernel.stacks)  # one call, not two
-    r_fresh, jac_fresh = fresh.residuals_and_jacobian(trial.copy())
+    r_fresh, jacobian_fresh = fresh.evaluate(trial.copy())
+    jac_fresh = jacobian_fresh()
     assert len(calls) == 2 * len(kernel.stacks)  # a new point, equal or not, is evaluated anew
-    assert r.tobytes() == r_joint.tobytes() == r_fresh.tobytes() and jac.tobytes() == jac_fresh.tobytes()
+    assert r.tobytes() == r_fresh.tobytes() and jac.tobytes() == jac_fresh.tobytes()
 
 
 def test_fit_recovers_a_map_trapped_in_its_first_start(trapped_seed):
@@ -574,13 +575,13 @@ def test_polish_singular_along_the_gauge_leaves_its_start_unaccepted(monkeypatch
     # collapses, and an earlier stage that gives up hands its point on).
     device = subgrid_device(4, 0, 3, 3)
     qubits = device.functional_qubits
-    polish, polishes = calibration._levenberg_marquardt, []
+    polish, polishes = calibration.levenberg_marquardt, []
 
     def recording(*args):
         polishes.append(polish(*args))
         return polishes[-1]
 
-    monkeypatch.setattr(calibration, "_levenberg_marquardt", recording)
+    monkeypatch.setattr(calibration, "levenberg_marquardt", recording)
     stages = len(calibration.STAGE_ENDS_NS)  # each start's last polish is its full-data stage
     for seed in range(80):
         polishes.clear()
@@ -593,7 +594,7 @@ def test_polish_singular_along_the_gauge_leaves_its_start_unaccepted(monkeypatch
     assert singular is not None, "no fit of calibration seeds 0-79 records a singular full-data polish"
     assert float(singular.residuals[0] @ singular.residuals[0]) > fit.accept_cost
     kernel = calibration._SwapResiduals(datasets, {q: i for i, q in enumerate(sorted(qubits))})
-    jac = kernel.residuals_and_jacobian(singular.p[0])[1]
+    jac = kernel.evaluate(singular.p[0])[1]()
     assert np.max(np.abs(jac @ np.ones(len(qubits)))) <= 1e-9 * np.max(np.abs(jac))
     # one polish per Levenberg-Marquardt stage of each start, each a batch of one
     assert len(polishes) == stages * fit.n_starts and fit.n_starts > 1

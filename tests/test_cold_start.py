@@ -5,11 +5,12 @@ on first access, and each `_cmd_*` imports its own modules. `build_hamiltonian`
 keeps numpy triplets, and `scipy.sparse` is imported only when a CSR matrix is
 first needed (`HamiltonianMatrix.matrix`, `propagate_block`). So the disorder
 and alignment calibrations, whose swap stars are scattered dense in numpy, and
-`render` load no SciPy module at all. `run`, `sweep` and `analyze` load what a
-bare `import scipy.sparse` loads and nothing more: the Chebyshev coefficients'
-Bessel functions are computed in numpy, the front fits run one numpy
-Levenberg-Marquardt, and the disorder fit's Nelder-Mead is a numpy port of
-SciPy's. scipy.optimize and scipy.integrate (and the scipy.linalg and
+`render` load no SciPy module at all, and the calibrations load no
+`qwalk.analysis`: their Levenberg-Marquardt is `qwalk.optimize`'s. `run`,
+`sweep` and `analyze` load what a bare `import scipy.sparse` loads and nothing
+more: the Chebyshev coefficients' Bessel functions are computed in numpy, the
+front fits run the same numpy Levenberg-Marquardt, and the disorder fit's
+Nelder-Mead is a numpy port of SciPy's. scipy.optimize and scipy.integrate (and the scipy.linalg and
 scipy.special they pull in) are imported on use, by the interferometer
 optimization (L-BFGS-B) and by `evolve_lindblad`. Each check runs in a fresh
 interpreter.
@@ -55,13 +56,18 @@ def sparse_modules(tmp_path_factory) -> set:
     return set(got["scipy"])
 
 
-def run_commands(commands, cwd: Path) -> dict:
-    """Import qwalk.cli and run each argv through `main` in one fresh interpreter."""
+def run_commands(commands, cwd: Path, layers=()) -> dict:
+    """Import qwalk.cli and run each argv through `main` in one fresh
+    interpreter; with `layers`, also report which of those qwalk modules the
+    commands loaded."""
     return fresh_python(f"""
         from qwalk.cli import main
         after_import = loaded()
         codes = [main(argv) for argv in {commands!r}]
-        print(json.dumps({{"after_import": after_import, "after_ops": loaded(), "codes": codes}}))
+        got = {{"after_import": after_import, "after_ops": loaded(), "codes": codes}}
+        if {list(layers)!r}:
+            got["layers"] = [m for m in {list(layers)!r} if f"qwalk.{{m}}" in sys.modules]
+        print(json.dumps(got))
     """, cwd)
 
 
@@ -71,13 +77,14 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
 
 
 def test_disorder_and_align_calibrations_never_load_optimize_linalg_or_special(tmp_path):
-    # nor any other SciPy module
+    # nor any other SciPy module, nor the analysis layer: the disorder fit
+    # takes its Levenberg-Marquardt from qwalk.optimize
     got = run_commands([
         ["calibrate", "--task", "disorder", "--seed", "5", "--out", "cal"],
         ["calibrate", "--task", "align", "--seed", "5", "--rounds", "1", "--out", "align"],
-    ], tmp_path)
+    ], tmp_path, layers=("analysis", "optimize"))
     assert got == {"after_import": {"scipy": [], "deferred": []}, "after_ops": {"scipy": [], "deferred": []},
-                   "codes": [0, 0]}
+                   "codes": [0, 0], "layers": ["optimize"]}
 
 
 def test_render_loads_no_scipy(tmp_path):

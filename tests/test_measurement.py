@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
@@ -16,7 +17,9 @@ from scipy.stats import chi2
 
 from qwalk.device import default_device, rng_stream
 from qwalk.evolution import evolve_unitary
+from qwalk import measurement
 from qwalk.measurement import (
+    MAX_NOISY_SHOT_ENTRIES,
     ReadoutModel,
     ShotCounts,
     overlap_fidelity,
@@ -25,7 +28,7 @@ from qwalk.measurement import (
     thermal_excited_probability,
 )
 from qwalk.measurement import _inverse_cdf_counts
-from qwalk.scenarios import _scenario_setup, ctqw_scenario, run_scenario
+from qwalk.scenarios import MAX_SHOTS, _scenario_setup, ctqw_scenario, run_scenario
 from qwalk.sector import QuantumState, basis_state, enumerate_basis, populations
 
 
@@ -72,6 +75,40 @@ def test_sample_shots_validation():
         sample_shots(basis_state(b, {0}), ReadoutModel.perfect(2), 0, seed=1)
     with pytest.raises(ValueError):
         sample_shots(basis_state(b, {0}), ReadoutModel.perfect(3), 10, seed=1)
+
+
+def test_noisy_readout_past_its_entry_bound_is_refused_before_any_draw(monkeypatch):
+    # MAX_SHOTS shots on the 62-site device would ask a noisy model for about
+    # 11 GB of draws; the call is refused before the first of them (a stream
+    # that fails on creation keeps a missing check from drawing)
+    state = basis_state(enumerate_basis(62, 1), {0})
+    noisy = ReadoutModel.uniform(62, f0=0.966, f1=0.919)
+
+    def no_stream(*args):
+        raise AssertionError("a shot stream was created")
+
+    monkeypatch.setattr(measurement, "rng_stream", no_stream)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_NOISY_SHOT_ENTRIES"):
+            sample_shots(state, noisy, MAX_SHOTS, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    # c13's 50,000 shots on 62 sites are within the bound
+    assert 50000 * 62 <= MAX_NOISY_SHOT_ENTRIES
+
+
+def test_noisy_readout_entry_bound_is_inclusive(monkeypatch):
+    # the bound counts shots x sites, and a call at it runs; perfect readout is not bounded by it
+    monkeypatch.setattr(measurement, "MAX_NOISY_SHOT_ENTRIES", 30)
+    state = basis_state(enumerate_basis(3, 1), {0})
+    noisy = ReadoutModel.uniform(3, thermal=0.01)
+    assert sample_shots(state, noisy, 10, seed=2).n_shots == 10
+    with pytest.raises(ValueError, match="11 shots on 3 sites exceed MAX_NOISY_SHOT_ENTRIES = 30"):
+        sample_shots(state, noisy, 11, seed=2)
+    assert sample_shots(state, ReadoutModel.perfect(3), 11, seed=2).counts == {"100": 11}
 
 
 def test_chi_square_goodness_of_fit_three_sites():
