@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 _MODULE_EXPORTS = {
     "analysis": (
-        "correlation",
         "ctqw_velocity_pipeline",
         "disorder_velocity_study",
         "fit_gaussian_front",

@@ -11,13 +11,12 @@ from .device import DEFAULT_DISORDER_BOUND_MHZ, QubitId, active_subgraph, defaul
 from .evolution import propagate_block
 from .hamiltonian import TWO_PI, build_hamiltonian, offset_diagonals
 from .optimize import levenberg_marquardt, row_dots, solved
-from .sector import QuantumState, basis_state, enumerate_basis, lookup
+from .sector import basis_state, enumerate_basis, row_index
 
 __all__ = [
     "CorrelationSeries",
     "FrontFit",
     "FringeStats",
-    "correlation",
     "fit_gaussian_front",
     "fit_gaussian_fronts",
     "fit_velocity",
@@ -35,22 +34,6 @@ __all__ = [
 ]
 
 SQRT2 = math.sqrt(2.0)
-
-
-def correlation(state: QuantumState, i: int, j: int) -> float:
-    """Connected sigma-z correlation between two sites.
-
-    With sigma_z = 1 - 2n this reduces to 4(<n_i n_j> - <n_i><n_j>), evaluated
-    exactly from the amplitudes.
-    """
-    if i == j:
-        raise ValueError("correlation requires two distinct sites")
-    occ = state.basis.occupancy_matrix()
-    p = np.abs(state.amplitudes) ** 2
-    n_i = float(p @ occ[:, i])
-    n_j = float(p @ occ[:, j])
-    n_ij = float(p @ (occ[:, i] * occ[:, j]))
-    return 4.0 * (n_ij - n_i * n_j)
 
 
 @dataclass(frozen=True)
@@ -389,7 +372,7 @@ def _diagonal_fronts(graph, origin: int, diagonal, offsets, times) -> tuple[tupl
     diagonals = offset_diagonals(basis, offsets)
     block = np.repeat(basis_state(basis, {origin}).amplitudes[:, None], diagonals.shape[1], axis=1)
     # the rows holding the walker on the origin, then on each diagonal site
-    rows = lookup(basis.keys, np.eye(graph.n_sites, dtype=bool)[[origin, *diagonal]])
+    rows = row_index(basis.below, np.array([origin, *diagonal])[:, None])
     states = propagate_block(h0.matrix, diagonals, block, times, rows)
     amplitudes = np.array(states)  # times x rows x realisations
     populations = amplitudes.real**2 + amplitudes.imag**2

@@ -26,7 +26,7 @@ from .device import (
 from .hamiltonian import TWO_PI, build_hamiltonian
 from .optimize import levenberg_marquardt
 from .scenarios import MAX_SHOTS, MZLayout, _is_int
-from .sector import enumerate_basis, lookup
+from .sector import enumerate_basis, row_index
 
 __all__ = [
     "CalibrationError",
@@ -231,7 +231,7 @@ def _site_hopping(graph: ActiveGraph) -> np.ndarray:
     hopping = graph.__dict__.get("_site_hopping")
     if hopping is None:
         basis = enumerate_basis(graph.n_sites, 1)
-        rows = lookup(basis.keys, np.eye(graph.n_sites, dtype=bool))  # the walker on site j is basis row rows[j]
+        rows = row_index(basis.below, np.arange(graph.n_sites)[:, None])  # the walker on site j is basis row rows[j]
         hopping = build_hamiltonian(graph, basis).to_dense()[np.ix_(rows, rows)]
         object.__setattr__(graph, "_site_hopping", hopping)
     return hopping

@@ -63,7 +63,7 @@ import numpy as np
 
 from .device import ActiveGraph, DisorderMap
 from .hamiltonian import HamiltonianMatrix, build_hamiltonian
-from .sector import NORM_TOL, QuantumState, lookup, occupation_row, row_keys, site_sums
+from .sector import NORM_TOL, QuantumState, occupation_row, rank_table, row_index, site_sums
 
 __all__ = [
     "EvolutionError",
@@ -780,7 +780,7 @@ class LindbladModel:
 
     n_sites: int
     rows: np.ndarray = field(repr=False)  # (dimension x n_sites) bool, ascending bitstrings
-    keys: np.ndarray = field(repr=False)  # sector.row_keys(rows)
+    below: np.ndarray = field(repr=False)  # sector.rank_table of its site count and row weights
     sites: np.ndarray = field(repr=False)  # occupied sites per row, ascending, padded with n_sites
     h: np.ndarray | None = field(default=None, repr=False)
     t1_us: dict = field(default_factory=dict)
@@ -801,12 +801,13 @@ class LindbladModel:
             raise ValueError(f"Lindblad models are limited to {MAX_LINDBLAD_SITES} sites, got {n}")
         # every bitstring in ascending order, site 0 the top bit
         rows = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1) & 1).astype(bool)
-        if not full_space:
-            # union of excitation sectors 0..max_excitations, closed under decay
-            rows = rows[rows.sum(axis=1) <= max_excitations]
+        # union of excitation sectors 0..top, closed under decay (every sector for the full space)
+        top = n if full_space else min(max_excitations, n)
+        rows = rows[rows.sum(axis=1) <= top]
         # each row's occupied sites in ascending order, padded with the sentinel n
         sites = np.sort(np.where(rows, np.arange(n), n), axis=1)[:, : rows.sum(axis=1).max(initial=0)]
-        model = cls(n, rows, row_keys(rows), sites, t1_us=_rate_map(t1_us, n), t_phi_us=_rate_map(t_phi_us, n))
+        below = rank_table(n, tuple(range(top + 1)))
+        model = cls(n, rows, below, sites, t1_us=_rate_map(t1_us, n), t_phi_us=_rate_map(t_phi_us, n))
         model.h = build_hamiltonian(graph, model, disorder).to_dense()
         return model
 
@@ -824,7 +825,10 @@ def _rate_map(spec, n_sites: int) -> dict:
 
 
 def initial_density(model: LindbladModel, excited_sites) -> np.ndarray:
-    (a,) = lookup(model.keys, occupation_row(model.n_sites, excited_sites))
+    (sites,) = np.nonzero(occupation_row(model.n_sites, excited_sites)[0])
+    if len(sites) > model.sites.shape[1]:
+        raise ValueError(f"{len(sites)} excitations exceed the {model.sites.shape[1]} the model holds")
+    (a,) = row_index(model.below, sites[None])
     rho = np.zeros((model.dimension, model.dimension), dtype=np.complex128)
     rho[a, a] = 1.0
     return rho
@@ -846,9 +850,8 @@ def _dissipator_tables(model: LindbladModel):
             mask += -(g / 2.0) * np.add.outer(model.rows[:, j], model.rows[:, j], dtype=np.float64)
             # sigma-_j maps each state with site j occupied to the one without
             src = np.flatnonzero(model.rows[:, j])
-            decayed = model.rows[src]
-            decayed[:, j] = False
-            jumps.append((g, src, lookup(model.keys, decayed)))
+            sites = model.sites[src]
+            jumps.append((g, src, row_index(model.below, np.where(sites == j, n, sites))))
     return mask, jumps
 
 

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .device import ActiveGraph, DisorderMap
-from .sector import MAX_INT_KEY_SITES, SectorBasis, lookup, row_sums, search_keys, site_bits
+from .sector import SectorBasis, row_index, row_sums
 
 __all__ = ["HamiltonianMatrix", "build_hamiltonian", "offset_diagonals", "TWO_PI"]
 
@@ -93,7 +93,7 @@ def build_hamiltonian(
     symmetric).
 
     `basis` may also be any other sorted row set with the same attributes,
-    such as the Lindblad sector union.
+    such as the Lindblad sector union or the full space.
     """
     n = basis.n_sites
     if graph.n_sites != n:
@@ -104,18 +104,10 @@ def build_hamiltonian(
     # Each edge hops a walker from its second site to its first once per row
     # pair; mirroring the matrix adds the reverse hop.
     rows, edge = _hops(basis, ends)
-    if n <= MAX_INT_KEY_SITES:
-        # a hop flips its edge's two site bits in its row's integer key
-        bits = site_bits(n)
-        keys = bits[basis.sites].sum(axis=1)
-        cols = search_keys(keys, keys[rows] ^ bits[ends].sum(axis=1)[edge])
-    else:
-        dst, src = ends[edge].T
-        moved = basis.rows[rows]
-        move = np.arange(len(rows))
-        moved[move, src] = False
-        moved[move, dst] = True
-        cols = lookup(basis.keys, moved)
+    # the hop's target row: its row with the walker moved from src to dst
+    dst, src = ends[edge].T
+    sites = basis.sites[rows]
+    cols = row_index(basis.below, np.where(sites == src[:, None], dst[:, None], sites))
 
     diagonal = None
     if disorder is not None:

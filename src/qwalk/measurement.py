@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import rng_stream
-from .sector import QuantumState, row_keys
+from .sector import QuantumState
 
 __all__ = [
     "ReadoutModel",
@@ -136,16 +136,16 @@ def sample_shots(state: QuantumState, readout: ReadoutModel, n_shots: int, seed:
         # u < 0 and u >= 1 never hold, so the corruption draws would flip
         # nothing, and the stream is local to this call: skipping both leaves
         # the shots unchanged. Every shot then reads as its drawn basis row,
-        # and the basis keys are already sorted, so the rows' counts are the
-        # histogram in key order. Any other model makes both draws, in order,
-        # and histograms the observed rows by their keys.
+        # and the basis rows are already sorted, so the rows' counts are the
+        # histogram in bitstring order. Any other model makes both draws, in
+        # order, and histograms the observed rows.
         cdf = p.cumsum()  # built as choice builds it
         cdf /= cdf[-1]
         u = rng.random(n_shots)  # the uniforms choice would draw
         u.sort()
         mults = _inverse_cdf_counts(cdf, u)
         seen = np.flatnonzero(mults)
-        keys, mults = state.basis.keys[seen], mults[seen]
+        rows, mults = state.basis.rows[seen], mults[seen]
     else:
         drawn = rng.choice(state.basis.dimension, size=n_shots, p=p)
         bits = state.basis.rows[drawn]  # n_shots x n_sites, true occupations
@@ -156,11 +156,14 @@ def sample_shots(state: QuantumState, readout: ReadoutModel, n_shots: int, seed:
         flip_1to0 = bits & (u >= readout.f1)
         flip_0to1 = ~bits & (u >= readout.f0)
         observed = (bits & ~flip_1to0) | flip_0to1
-        # one packed key per shot: the keys sort like the bit rows
-        keys, mults = np.unique(row_keys(observed), return_counts=True)
-    # only the distinct keys are decoded
-    width = keys.dtype.itemsize
-    text = (np.unpackbits(keys.view(np.uint8).reshape(-1, width), axis=1)[:, :n] + ord("0")).tobytes().decode()
+        # one packed byte key per shot, site 0 in the top bit, so the keys
+        # sort bytewise like the bit rows (np.unique(observed, axis=0) takes
+        # over 20x as long on 50,000 shots of 62 sites)
+        packed = np.packbits(observed, axis=1)
+        keys, mults = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_counts=True)
+        rows = np.unpackbits(keys.view(np.uint8).reshape(len(keys), -1), axis=1, count=n)
+    # only the distinct rows are spelled
+    text = (rows.view(np.uint8) + ord("0")).tobytes().decode()
     counts = dict(zip([text[i : i + n] for i in range(0, len(text), n)], mults.tolist()))
     return ShotCounts(counts, n_shots, n)
 

@@ -41,8 +41,8 @@ __all__ = [
 
 SCHEMA_VERSION = 3
 
-# Shot cap: the perfect-readout sampler peaks at 16 bytes per shot (a float64
-# uniform and an int64 row per draw in `rng.choice`), 160 MB here; counts in use are <= 50,000.
+# Shot cap: the perfect-readout sampler holds 8 bytes per shot (one float64
+# uniform, sorted in place), 80 MB here; counts in use are <= 50,000.
 MAX_SHOTS = 10**7
 # Sweep cap on cells x sector dimension: a sweep holds its start block
 # (complex128), its step diagonals and the detector probabilities (float64)

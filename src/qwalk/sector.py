@@ -3,17 +3,18 @@
 Hard-core walkers: a basis state is a row of n_sites occupation bits, double
 occupancy excluded from the basis itself. Rows are kept as a bool array in
 ascending bitstring order with site 0 as the most significant bit, so the
-occupation string reads left to right in site order. Each row also has one
-packed byte key (`row_keys`); the keys sort exactly like the rows, so a row's
-index is one `np.searchsorted` away (`lookup`) for any site count, and
-readout shots are histogrammed in the same key order.
+occupation string reads left to right in site order. Each row also lists its
+occupied sites (`sites`); `site_sums` and `row_sums` reduce over them in a
+fixed order without BLAS, the same bits on any kernel.
 
-Each row also lists its occupied sites (`sites`); `site_sums` and `row_sums`
-reduce over them in a fixed order without BLAS, the same bits on any kernel.
-Up to MAX_INT_KEY_SITES sites, the sum of `site_bits` over a row's sites is
-a uint64 key that sorts like the packed one: the Hamiltonian builder finds
-its hops' target rows by those keys (`search_keys`), for sectors, the
-Lindblad sector union and the calibration kernel alike.
+A row's index in such a row set is a closed form in its occupied sites, the
+combinatorial number system (Knuth, TAOCP Vol. 4A, 7.2.1.3): a row's smaller
+bitstrings first differ from it at one of its occupied sites s, where they
+hold 0, and agree with it before s, so they number C(n_sites - 1 - s, w - i)
+per weight w the set holds, with i the row's occupied sites before s.
+`rank_table` tabulates those sums once per site count and weight set, and
+`row_index` adds them up over each row's sites: the same index for a sector
+(weights (k,)), the Lindblad sector union (0..m) and the full space (0..n).
 """
 from __future__ import annotations
 
@@ -28,10 +29,8 @@ __all__ = [
     "SectorBasis",
     "QuantumState",
     "enumerate_basis",
-    "row_keys",
-    "site_bits",
-    "lookup",
-    "search_keys",
+    "rank_table",
+    "row_index",
     "occupation_row",
     "basis_state",
     "populations",
@@ -40,45 +39,44 @@ __all__ = [
 ]
 
 MAX_DIMENSION = 20_000_000
-# Rows of up to this many sites also have one uint64 key each (`site_bits`).
-MAX_INT_KEY_SITES = 64
 
 NORM_TOL = 1e-9
 
 
-def row_keys(rows: np.ndarray) -> np.ndarray:
-    """One packed byte key per bool occupation row.
-
-    MSB-first packing puts site 0 in the top bit of the first byte, so the
-    keys compare bytewise in the same order as the rows' bitstrings.
-    """
-    packed = np.packbits(rows, axis=1) if rows.shape[1] else np.zeros((len(rows), 1), np.uint8)
-    return packed.view(f"V{packed.shape[1]}").ravel()
-
-
 @functools.cache
-def site_bits(n_sites: int) -> np.ndarray:
-    """Each site's bit of a uint64 row key, for at most MAX_INT_KEY_SITES
-    sites, and 0 for the sentinel site n_sites; read-only, made once per
-    site count. Site 0 is the top bit, so the sums of a row set's bits over
-    its occupied sites (`sites`) sort like its bitstrings, as `row_keys` do."""
-    bits = np.zeros(n_sites + 1, dtype=np.uint64)
-    bits[:n_sites] = np.left_shift(np.uint64(1), np.arange(n_sites - 1, -1, -1, dtype=np.uint64))
-    bits.flags.writeable = False
-    return bits
+def rank_table(n_sites: int, weights: tuple) -> np.ndarray:
+    """Read-only (n_sites + 1) x max(1, max weight) int64 table, made once per
+    site count and weight set: `below[s, i]` counts the rows of the set whose
+    bitstrings are smaller than a row's and first differ from it at its
+    occupied site s, where i of its sites come before s,
+    sum over weights w >= i of C(n_sites - 1 - s, w - i).
+
+    Entries with i > s can never be read and hold 0, as does the sentinel row
+    n_sites. With one weight k no entry exceeds C(n_sites - 1, k), at most the
+    sector's dimension.
+    """
+    below = np.zeros((n_sites + 1, max(1, *weights)), dtype=np.int64)
+    for s in range(n_sites):
+        for i in range(min(s + 1, below.shape[1])):
+            below[s, i] = sum(comb(n_sites - 1 - s, w - i) for w in weights if w >= i)
+    below.flags.writeable = False
+    return below
 
 
-def lookup(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Indices of the given occupation rows in a basis with sorted `keys`."""
-    return search_keys(keys, row_keys(rows))
-
-
-def search_keys(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    """Indices of the probe keys in sorted `keys` (packed or integer keys alike)."""
-    found = np.searchsorted(keys, probe)
-    if (keys.take(found, mode="clip") != probe).any():
-        raise ValueError("occupation row outside the basis")
-    return found
+def row_index(below: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """Each row's index in the row set that `rank_table` made `below` for,
+    from its occupied sites (rows x slots): every occupied site s adds
+    `below[s, number of the row's sites < s]`. Slots may come in any order
+    and be padded with the sentinel site n_sites, which adds 0, up to as many
+    slots as `below` has columns."""
+    flat, width = below.ravel(), below.shape[1]
+    index = np.zeros(len(sites), dtype=np.int64)
+    for site in sites.T:
+        at = site * width  # the flat position of below[site, 0], then one on per smaller site
+        for other in sites.T:
+            at += other < site
+        index += flat[at]
+    return index
 
 
 def occupation_row(n_sites: int, sites) -> np.ndarray:
@@ -97,7 +95,7 @@ class SectorBasis:
     n_sites: int
     n_excitations: int
     rows: np.ndarray = field(repr=False, compare=False)  # (dimension x n_sites) bool, ascending bitstrings
-    keys: np.ndarray = field(repr=False, compare=False)  # row_keys(rows)
+    below: np.ndarray = field(repr=False, compare=False)  # rank_table(n_sites, (n_excitations,))
     sites: np.ndarray = field(repr=False, compare=False)  # (dimension x n_excitations) occupied sites, ascending
 
     @property
@@ -128,7 +126,7 @@ def enumerate_basis(n_sites: int, n_excitations: int) -> SectorBasis:
     sites = np.ascontiguousarray(sites.reshape(dim, n_excitations)[::-1])
     rows = np.zeros((dim, n_sites), dtype=bool)
     np.put_along_axis(rows, sites, True, axis=1)
-    return SectorBasis(n_sites, n_excitations, rows, row_keys(rows), sites)
+    return SectorBasis(n_sites, n_excitations, rows, rank_table(n_sites, (n_excitations,)), sites)
 
 
 @dataclass
@@ -160,7 +158,7 @@ def basis_state(basis: SectorBasis, excited_sites) -> QuantumState:
             f"need exactly {basis.n_excitations} distinct excited sites, got {row.sum()}"
         )
     amplitudes = np.zeros(basis.dimension, dtype=np.complex128)
-    amplitudes[lookup(basis.keys, row)[0]] = 1.0
+    amplitudes[row_index(basis.below, np.flatnonzero(row)[None])[0]] = 1.0
     return QuantumState(basis, amplitudes)
 
 

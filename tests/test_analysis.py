@@ -16,7 +16,6 @@ from qwalk.analysis import (
     CorrelationSeries,
     FrontFit,
     _diagonal_fronts,
-    correlation,
     ctqw_velocity_pipeline,
     disorder_velocity_study,
     fit_gaussian_front,
@@ -33,7 +32,24 @@ from qwalk.analysis import (
 from qwalk.device import DisorderMap, active_subgraph, default_device, grid_graph, sample_offsets
 from qwalk.evolution import evolve_unitary
 from qwalk.hamiltonian import build_hamiltonian, offset_diagonals
-from qwalk.sector import QuantumState, basis_state, enumerate_basis, lookup
+from qwalk.sector import QuantumState, basis_state, enumerate_basis
+
+
+def correlation(state: QuantumState, i: int, j: int) -> float:
+    """Connected sigma-z correlation between two sites: the general reference
+    the one-walker study path is tested against.
+
+    With sigma_z = 1 - 2n this reduces to 4(<n_i n_j> - <n_i><n_j>), evaluated
+    exactly from the amplitudes.
+    """
+    if i == j:
+        raise ValueError("correlation requires two distinct sites")
+    occ = state.basis.occupancy_matrix()
+    p = np.abs(state.amplitudes) ** 2
+    n_i = float(p @ occ[:, i])
+    n_j = float(p @ occ[:, j])
+    n_ij = float(p @ (occ[:, i] * occ[:, j]))
+    return 4.0 * (n_ij - n_i * n_j)
 
 
 def test_correlation_product_state_is_zero():
@@ -515,7 +531,8 @@ def test_ensemble_block_runs_as_one_chunk(monkeypatch):
     offsets = np.column_stack([sample_offsets(g.n_sites, 1.6, seed) for seed in range(11000, 11032)])
     block = np.repeat(basis_state(basis, {0}).amplitudes[:, None], 32, axis=1)
     sites = [g.index[(k, k)] for k in range(analysis.STUDY_DIAGONALS + 1)]  # the origin, then the diagonal
-    rows = lookup(basis.keys, np.eye(g.n_sites, dtype=bool)[sites])
+    positions = {row.tobytes(): i for i, row in enumerate(basis.rows)}
+    rows = np.array([positions[row.tobytes()] for row in np.eye(g.n_sites, dtype=bool)[sites]])
     widths, lengths = [], []
     phase, series_samples = evolution._phase, evolution._series_samples
     monkeypatch.setattr(evolution, "_phase", lambda sums, *args: widths.append(sums.shape[-1]) or phase(sums, *args))

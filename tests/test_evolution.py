@@ -831,6 +831,19 @@ def test_t1_column_sums_nonincreasing():
     assert np.all(totals <= 1.0 + 1e-9)
 
 
+def test_initial_density_refuses_more_excitations_than_the_union_holds():
+    g = grid_graph(2, 3)
+    for top in (0, 1, 2):
+        m = LindbladModel.from_graph(g, max_excitations=top)
+        with pytest.raises(ValueError, match=f"{top + 1} excitations exceed the {top}"):
+            initial_density(m, set(range(top + 1)))
+    full = LindbladModel.from_graph(g, full_space=True)
+    rho = initial_density(full, set(range(6)))
+    assert rho[-1, -1] == 1.0 and np.count_nonzero(rho) == 1  # every site occupied: the last row
+    with pytest.raises(ValueError):
+        initial_density(full, {6})  # no such site
+
+
 def test_sector_union_matches_full_space():
     g = ActiveGraph((0, 1, 2), ((0, 1, J), (1, 2, J)))
     mu = LindbladModel.from_graph(g, t1_us=6.0, t_phi_us=1.5, max_excitations=1)

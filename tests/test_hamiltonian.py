@@ -20,7 +20,7 @@ from qwalk.device import (
 )
 from qwalk.evolution import LindbladModel
 from qwalk.hamiltonian import TWO_PI, build_hamiltonian
-from qwalk.sector import enumerate_basis, lookup
+from qwalk.sector import enumerate_basis
 
 J = 2.01
 
@@ -103,7 +103,7 @@ def test_hard_core_exclusion_three_site_chain():
     b = enumerate_basis(3, 2)
     h = build_hamiltonian(g, b).to_dense()
     # "110" couples only to "101" (middle walker hops right)
-    i_110 = lookup(b.keys, np.array([[True, True, False]]))[0]
+    i_110 = row_positions(b.rows)[np.array([True, True, False]).tobytes()]
     partners = ["".join("1" if bit else "0" for bit in b.rows[j]) for j in np.nonzero(h[i_110])[0]]
     assert partners == ["101"]
 
@@ -298,10 +298,15 @@ def test_dense_scatter_and_nnz_match_the_csr_matrix(case):
     assert h.matrix.has_canonical_format
 
 
+def row_positions(rows):
+    """Each bool row's position in `rows`, keyed by its bytes."""
+    return {row.tobytes(): i for i, row in enumerate(rows)}
+
+
 def mask_and_lookup_triplets(graph, basis):
-    """The hop triplets built from a rows x edges mask and packed-key lookups
-    of the moved rows: the reference for the builder's rows, columns, value
-    bits and order."""
+    """The hop triplets built from a rows x edges mask and a dict lookup of
+    the moved rows' bytes: the reference for the builder's rows, columns,
+    value bits and order."""
     dst, src = np.array([(i, j) for i, j, _ in graph.edges], dtype=np.intp).reshape(-1, 2).T
     amps = TWO_PI * np.array([j_eff for _, _, j_eff in graph.edges], dtype=np.float64)
     rows, edge = np.nonzero(basis.rows[:, src] & ~basis.rows[:, dst])
@@ -309,7 +314,8 @@ def mask_and_lookup_triplets(graph, basis):
     move = np.arange(len(rows))
     moved[move, src[edge]] = False
     moved[move, dst[edge]] = True
-    return rows, lookup(basis.keys, moved), amps[edge]
+    positions = row_positions(basis.rows)
+    return rows, np.array([positions[row.tobytes()] for row in moved], dtype=np.intp), amps[edge]
 
 
 _LATTICE_PAIRS = [

@@ -3,13 +3,18 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from qwalk.device import grid_graph
+from qwalk.evolution import LindbladModel
 from qwalk.sector import (
     QuantumState,
     basis_state,
     enumerate_basis,
-    lookup,
     populations,
+    rank_table,
+    row_index,
     row_sums,
     site_sums,
 )
@@ -50,15 +55,60 @@ def test_states_sorted_and_correct_weight():
     assert np.all(b.rows.sum(axis=1) == 3)
 
 
+def row_positions(rows):
+    """Each bool row's position in `rows`, keyed by its bytes."""
+    return {row.tobytes(): i for i, row in enumerate(rows)}
+
+
 def test_index_round_trip():
     b = enumerate_basis(12, 2)
-    for i in range(b.dimension):
-        assert lookup(b.keys, b.rows[i : i + 1])[0] == i
-    assert np.array_equal(lookup(b.keys, b.rows[::-1]), np.arange(b.dimension)[::-1])
-    with pytest.raises(ValueError):
-        lookup(b.keys, np.ones((1, 12), dtype=bool))  # weight 12 is outside the sector
-    with pytest.raises(ValueError):
-        lookup(b.keys, np.zeros((1, 12), dtype=bool))  # below the first key
+    positions = row_positions(b.rows)
+    assert [positions[row.tobytes()] for row in b.rows] == list(range(b.dimension))
+    assert np.array_equal(row_index(b.below, b.sites), np.arange(b.dimension))
+    # slots in any order
+    assert np.array_equal(row_index(b.below, b.sites[::-1, ::-1]), np.arange(b.dimension)[::-1])
+
+
+@st.composite
+def row_sets(draw):
+    """A site count of up to 80 and a set of row weights, each weight with at
+    most 2,000 rows: one sector (k = 0 and k = n included), a union with
+    holes, or every weight up to some m (the Lindblad sector union, or the
+    full space when m = n)."""
+    n = draw(st.integers(0, 80))
+    small = [w for w in range(n + 1) if math.comb(n, w) <= 2_000]
+    weights = draw(st.lists(st.sampled_from(small), min_size=1, max_size=4, unique=True))
+    return n, tuple(sorted(weights))
+
+
+@given(row_sets(), st.integers(0, 2**32 - 1))
+@example((0, (0,)), 0)
+@example((5, (0,)), 0)
+@example((5, (5,)), 0)
+@example((6, (0, 3, 6)), 1)
+@example((9, (0, 1, 2)), 2)
+@example((9, tuple(range(10))), 3)
+@example((70, (2,)), 4)
+@example((80, (0, 1, 79)), 5)
+def test_row_index_is_the_position_among_sorted_bitstrings(case, seed):
+    n, weights = case
+    # every row of the set as its sites, in ascending bitstring order (site 0 the top bit)
+    rows = sorted(
+        (sites for w in weights for sites in combinations(range(n), w)),
+        key=lambda sites: sum(1 << (n - 1 - s) for s in sites),
+    )
+    below = rank_table(n, weights)
+    assert below.dtype == np.int64 and below.shape == (n + 1, max(1, *weights)) and not below.flags.writeable
+    # as many slots as the table has columns: the sentinel n pads, and each row's slots are shuffled
+    padded = np.array([[*sites, *[n] * (below.shape[1] - len(sites))] for sites in rows]).reshape(len(rows), -1)
+    padded = np.random.default_rng(seed).permuted(padded, axis=1)
+    assert np.array_equal(row_index(below, padded), np.arange(len(rows)))
+
+
+@pytest.mark.parametrize("kw", [{"max_excitations": 1}, {"max_excitations": 2}, {"full_space": True}])
+def test_row_index_ranks_the_lindblad_rows(kw):
+    m = LindbladModel.from_graph(grid_graph(3, 3), **kw)
+    assert np.array_equal(row_index(m.below, m.sites), np.arange(m.dimension))
 
 
 def test_enumerate_rejects_bad_args():
@@ -79,7 +129,7 @@ def test_large_site_counts_beyond_64_bits():
     for row, sites in zip(expected, reversed(list(combinations(range(225), 2)))):
         row[list(sites)] = True
     assert np.array_equal(b2.rows, expected)
-    assert np.array_equal(lookup(b2.keys, b2.rows), np.arange(b2.dimension))
+    assert np.array_equal(row_index(b2.below, b2.sites), np.arange(b2.dimension))
     nz = np.nonzero(basis_state(b2, {3, 200}).amplitudes)[0]
     assert list(np.flatnonzero(b2.rows[nz[0]])) == [3, 200]
 
@@ -145,7 +195,7 @@ def test_occupancy_matrix_matches_per_state_loop(n, k):
     assert occ.dtype == np.float64 and occ.shape == (b.dimension, n)
     assert np.array_equal(occ, brute_force_occupancy(bitstring_values(n, k), n))
     assert b.occupancy_matrix() is occ
-    assert np.array_equal(lookup(b.keys, b.rows), np.arange(b.dimension))
+    assert np.array_equal(row_index(b.below, b.sites), np.arange(b.dimension))
 
 
 @pytest.mark.parametrize("n, k", [(62, 2), (24, 2), (9, 1), (1, 1), (5, 0), (12, 3), (0, 0)])
