@@ -142,8 +142,8 @@ def _cmd_run(args) -> int:
         with RecordWriter(out / "records.jsonl") as writer:
             writer.write_lines(populations_lines(result.sites, result.times_ns, populations))
             if result.shots is not None:
-                # the shots record and shots.txt from one sorted pass over the counts
-                shots_line, shots_text = shots_outputs(result.shots.counts, result.retention, scenario.readout_time)
+                # the shots record and shots.txt from one spelling of the shots
+                shots_line, shots_text = shots_outputs(result.shots, result.retention, scenario.readout_time)
                 writer.write_lines([shots_line])
         write_csv_matrix(
             out / "populations.csv",

@@ -114,29 +114,22 @@ WINDOW_SAMPLES = 6
 # worth. A chunk also holds a window's worth of whole sums to phase them
 # from, which the budget does not count either. A recurrence with a real
 # start state keeps its terms on one plane. The budget is the same on every
-# path, whatever the rows kept, and chunking does not change the bits. Past a few
-# hundred kB a term's pass over the block falls out of cache; much smaller
-# chunks pay per-call overhead in every product. Measured as the median time
-# of one propagate_block call, interleaved over 30 (sweep, ensemble) or 3
-# (study) runs per budget, on a 2-core x86_64 machine (2 MiB L2 per core) with
-# BLAS on one thread, before real start states ran on real arrays, before the
-# fused step and before the planar terms; columns per chunk in brackets:
+# path, whatever the rows kept, and chunking does not change the bits. The
+# budget bounds the working set of the widest blocks the caps allow; it does
+# not buy speed. At MAX_SWEEP_ENTRIES (the mz-two sweep, 134 x 134 cells
+# at dim 276) one call's traced peak was 116 MiB in 1 MiB chunks against 643
+# MiB whole, and at MAX_STUDY_SEEDS (4,125 realisations at dim 225) 86 MiB
+# against 255 MiB; each peak includes the call's output, about 76 MiB.
+# Below the caps the whole block was as fast or faster: the median (quartiles)
+# of one propagate_block call, the two budgets interleaved over 40, 20 and 3
+# rounds on a 2-core x86_64 machine with BLAS on one thread, outputs
+# bit-identical; chunks in brackets:
 #
-#   budget    `sweep` block          `ensemble` block      velocity study
-#             dim 276 x 121 cells    dim 225 x 32          dim 225 x 512
-#             1 sample               101 samples           101 samples
-#   256 KiB   34.5 ms [14]           104 ms [8]            1.75 s [11]
-#   512 KiB   26.8 ms [25]           65 ms [16]            1.07 s [21]
-#   1 MiB     23.6 ms [41]           55 ms [32]            1.09 s [40]
-#   2 MiB     25.5 ms [61]           56 ms [32]            1.15 s [74]
-#   whole     31.3 ms [121]          55 ms [32]            1.42 s [512]
+#   block                                 1 MiB                     whole
+#   `sweep` dim 276 x 121, 1 sample       13.6 ms (9.9-14.3) [3]    12.5 ms (8.5-12.8)
+#   study dim 225 x 32, 101 samples       6.3 ms (6.2-6.4) [1]      6.3 ms (6.1-6.4)
+#   study dim 225 x 512, 101 samples      77.8 ms (75.8-83.0) [16]  73.3 ms (71.0-75.5)
 #
-# With real terms for a real start, the `sweep` block at 1 MiB took 22.2-25.2
-# ms [41] against 28.7-34.2 ms for the complex-term engine (medians of six
-# alternating rounds of 30); the `ensemble` and study blocks, whose later
-# windows then started complex, did not move beyond run-to-run noise. Both
-# now run one series on their kept rows, the `ensemble` block still as one
-# chunk of 32 columns.
 # A one-column block (`walk`) is one chunk under any budget.
 CHUNK_BYTES = 1 << 20
 

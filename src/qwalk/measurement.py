@@ -83,28 +83,38 @@ class ReadoutModel:
         return not self.thermal_excitation.any() and bool(np.all(self.f0 == 1.0) and np.all(self.f1 == 1.0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShotCounts:
-    counts: dict
-    n_shots: int
-    n_sites: int
+    """The distinct occupation rows a readout observed, bool (distinct x
+    n_sites), in ascending bitstring order with site 0 the first character,
+    and how many shots read each (int64, all positive)."""
 
-    def __post_init__(self):
-        total = sum(self.counts.values())
-        if total != self.n_shots:
-            raise ValueError(f"counts sum to {total}, expected {self.n_shots}")
+    rows: np.ndarray
+    mults: np.ndarray
+
+    @property
+    def n_sites(self) -> int:
+        return self.rows.shape[1]
+
+    @property
+    def n_shots(self) -> int:
+        return int(self.mults.sum())
+
+    def bitstrings(self) -> list[str]:
+        """Each row as its bitstring, the one spelling of the shots."""
+        n = self.n_sites
+        text = (self.rows.view(np.uint8) + ord("0")).tobytes().decode()
+        # sliced by row, so rows of zero sites spell ""
+        return [text[i * n : (i + 1) * n] for i in range(len(self.rows))]
+
+    @property
+    def counts(self) -> dict:
+        """The shots as a dict from bitstring to count, in bitstring order."""
+        return dict(zip(self.bitstrings(), self.mults.tolist()))
 
     def populations(self) -> np.ndarray:
         """Per-site excitation frequency across the retained shots."""
-        pops = np.zeros(self.n_sites)
-        for bits, c in self.counts.items():
-            for j, ch in enumerate(bits):
-                if ch == "1":
-                    pops[j] += c
-        return pops / max(self.n_shots, 1)
-
-    def to_lines(self) -> str:
-        return "".join(f"{bits} {count}\n" for bits, count in sorted(self.counts.items()))
+        return (self.mults @ self.rows) / max(self.n_shots, 1)
 
 
 def sample_shots(state: QuantumState, readout: ReadoutModel, n_shots: int, seed: int) -> ShotCounts:
@@ -161,11 +171,8 @@ def sample_shots(state: QuantumState, readout: ReadoutModel, n_shots: int, seed:
         # over 20x as long on 50,000 shots of 62 sites)
         packed = np.packbits(observed, axis=1)
         keys, mults = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_counts=True)
-        rows = np.unpackbits(keys.view(np.uint8).reshape(len(keys), -1), axis=1, count=n)
-    # only the distinct rows are spelled
-    text = (rows.view(np.uint8) + ord("0")).tobytes().decode()
-    counts = dict(zip([text[i : i + n] for i in range(0, len(text), n)], mults.tolist()))
-    return ShotCounts(counts, n_shots, n)
+        rows = np.unpackbits(keys.view(np.uint8).reshape(len(keys), -1), axis=1, count=n).view(bool)
+    return ShotCounts(rows, mults)
 
 
 def _inverse_cdf_counts(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -179,13 +186,13 @@ def _inverse_cdf_counts(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def post_select(counts: ShotCounts, n_excitations: int) -> tuple[ShotCounts, float]:
-    """Keep shots conserving the prepared excitation number."""
-    kept = {bits: c for bits, c in counts.counts.items() if bits.count("1") == n_excitations}
-    n_kept = sum(kept.values())
-    if n_kept == 0:
+    """Keep the rows holding the prepared excitation number, and give the
+    kept shots' share of all shots (the retention)."""
+    keep = counts.rows.sum(axis=1) == n_excitations
+    kept = ShotCounts(counts.rows[keep], counts.mults[keep])
+    if kept.n_shots == 0:
         raise ValueError("post-selection retained zero shots; statistics unusable")
-    retention = n_kept / counts.n_shots
-    return ShotCounts(kept, n_kept, counts.n_sites), retention
+    return kept, kept.n_shots / counts.n_shots
 
 
 def overlap_fidelity(p, q) -> float:

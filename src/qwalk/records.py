@@ -123,35 +123,21 @@ def populations_lines(sites, times_ns, table: FloatTable) -> list[str]:
     ]
 
 
-def _bitstrings_with_int_counts(counts: dict) -> bool:
-    """Whether the counts are nonempty, every key a str of 0s and 1s and
-    every count a Python int (not a bool or a numpy scalar)."""
-    keys = counts.keys()
-    return (
-        set(map(type, keys)) == {str}
-        and set(map(type, counts.values())) == {int}
-        # a character outside 0/1 survives the deletion, and non-ASCII ones encode to other bytes
-        and not "".join(keys).encode().translate(None, b"01")
-    )
-
-
-def shots_outputs(counts: dict, retention, time_ns) -> tuple[str, str]:
-    """The `shots` record's JSON line and the shots.txt text, from one sorted
-    pass over the counts of each bitstring: byte for byte the `to_json()` of
-    `ResultRecord("shots", {"counts": counts, "retention": retention}, {"time_ns": time_ns})`
-    and `ShotCounts.to_lines()`.
+def shots_outputs(shots, retention, time_ns) -> tuple[str, str]:
+    """The `shots` record's JSON line and the shots.txt text, both from the
+    shots' one spelling, `ShotCounts.bitstrings()`, and their counts: byte for
+    byte the `to_json()` of
+    `ResultRecord("shots", {"counts": shots.counts, "retention": retention}, {"time_ns": time_ns})`
+    and a "bits count" line per distinct row.
     """
-    items = sorted(counts.items())
-    if _bitstrings_with_int_counts(counts):
-        # JSON spells a 0/1 string as itself in quotes and an int as its digits
-        spelled = "{" + ",".join([f'"{bits}":{count}' for bits, count in items]) + "}"
-    else:
-        # the items are in key order already, so the counts need no sort_keys
-        spelled = json.dumps(dict(items), separators=(",", ":"), default=_jsonable)
+    items = list(zip(shots.bitstrings(), shots.mults.tolist()))
+    # the rows ascend in bitstring order, the order of sorted keys, and JSON
+    # spells a 0/1 string as itself in quotes and an int as its digits
+    spelled = ",".join([f'"{bits}":{count}' for bits, count in items])
     line = _record_line(
         "shots",
         f'{{"time_ns":{_dumps(_jsonable(time_ns))}}}',
-        f'{{"counts":{spelled},"retention":{_dumps(_jsonable(retention))}}}',
+        f'{{"counts":{{{spelled}}},"retention":{_dumps(_jsonable(retention))}}}',
     )
     return line, "".join([f"{bits} {count}\n" for bits, count in items])
 

@@ -28,8 +28,16 @@ from qwalk.measurement import (
     thermal_excited_probability,
 )
 from qwalk.measurement import _inverse_cdf_counts
+from qwalk.records import ResultRecord, shots_outputs
 from qwalk.scenarios import MAX_SHOTS, _scenario_setup, ctqw_scenario, run_scenario
 from qwalk.sector import QuantumState, basis_state, enumerate_basis, populations
+
+
+def shot_counts(counts: dict) -> ShotCounts:
+    """ShotCounts from a dict of bitstrings of one length to their counts."""
+    bits = sorted(counts)
+    rows = np.array([[ch == "1" for ch in b] for b in bits], dtype=bool).reshape(len(bits), len(bits[0]))
+    return ShotCounts(rows, np.array([counts[b] for b in bits], dtype=np.int64))
 
 
 def test_perfect_readout_basis_state():
@@ -128,7 +136,7 @@ def test_chi_square_goodness_of_fit_three_sites():
 
 
 def test_post_select_definition():
-    counts = ShotCounts({"11": 5, "10": 3, "00": 2}, 10, 2)
+    counts = shot_counts({"11": 5, "10": 3, "00": 2})
     kept, retention = post_select(counts, 2)
     assert kept.counts == {"11": 5}
     assert retention == pytest.approx(0.5)
@@ -147,7 +155,7 @@ def test_post_select_perfect_readout_keeps_everything():
 
 def test_post_select_zero_retention_is_error():
     with pytest.raises(ValueError):
-        post_select(ShotCounts({"00": 4}, 4, 2), 2)
+        post_select(shot_counts({"00": 4}), 2)
 
 
 def test_post_selected_populations_match_conditional_born():
@@ -161,10 +169,65 @@ def test_post_selected_populations_match_conditional_born():
 
 
 def test_shot_counts_round_trip():
-    counts = ShotCounts({"010": 3, "100": 7}, 10, 3)
-    parsed = {bits: int(raw) for bits, raw in (line.split() for line in counts.to_lines().splitlines())}
-    again = ShotCounts(parsed, sum(parsed.values()), 3)
+    # shots.txt's lines read back into the same shots
+    counts = shot_counts({"010": 3, "100": 7})
+    _, text = shots_outputs(counts, 1.0, None)
+    parsed = {bits: int(raw) for bits, raw in (line.split() for line in text.splitlines())}
+    again = shot_counts(parsed)
     assert again.counts == counts.counts and again.n_shots == 10
+    assert np.array_equal(again.rows, counts.rows) and np.array_equal(again.mults, counts.mults)
+
+
+def test_zero_site_shots_read_the_empty_bitstring():
+    shots = sample_shots(basis_state(enumerate_basis(0, 0), set()), ReadoutModel.perfect(0), 5, seed=1)
+    assert shots.counts == {"": 5} and shots.n_shots == 5
+    line, text = shots_outputs(shots, 1.0, 0.0)
+    assert line == ResultRecord("shots", {"counts": {"": 5}, "retention": 1.0}, {"time_ns": 0.0}).to_json()
+    assert '"counts":{"":5}' in line and text == " 5\n"
+    assert shots.populations().shape == (0,)
+
+
+def post_select_by_strings(counts: dict, n_excitations: int):
+    """post_select's definition on bitstrings: the kept counts and the retention."""
+    kept = {bits: c for bits, c in counts.items() if bits.count("1") == n_excitations}
+    return kept, sum(kept.values()) / sum(counts.values())
+
+
+def populations_by_strings(counts: dict, n_sites: int) -> np.ndarray:
+    """Per-site excitation frequency, summed character by character."""
+    pops = np.zeros(n_sites)
+    for bits, c in counts.items():
+        for j, ch in enumerate(bits):
+            if ch == "1":
+                pops[j] += c
+    return pops / sum(counts.values())
+
+
+@st.composite
+def shot_tables(draw):
+    """Distinct bitstrings on 0 to 8 sites with positive counts, and a walker number."""
+    n = draw(st.integers(0, 8))
+    counts = draw(st.dictionaries(st.text("01", min_size=n, max_size=n), st.integers(1, 10**6), min_size=1, max_size=40))
+    return counts, n, draw(st.integers(0, n))
+
+
+@given(shot_tables())
+@example(({"": 3}, 0, 0))
+@example(({"00": 4}, 2, 2))  # nothing kept
+def test_array_paths_match_their_bitstring_definitions(case):
+    counts, n, k = case
+    shots = shot_counts(counts)
+    assert list(shots.counts.items()) == sorted(counts.items()) and shots.n_sites == n
+    assert np.array_equal(shots.populations(), populations_by_strings(counts, n))
+    expected, retention = post_select_by_strings(counts, k)
+    if not expected:
+        with pytest.raises(ValueError, match="zero shots"):
+            post_select(shots, k)
+        return
+    kept, got_retention = post_select(shots, k)
+    assert list(kept.counts.items()) == sorted(expected.items())
+    assert got_retention == retention and kept.n_shots == sum(expected.values())
+    assert np.array_equal(kept.populations(), populations_by_strings(expected, n))
 
 
 def test_overlap_fidelity_examples():
@@ -294,7 +357,8 @@ def test_two_walker_shot_digests_pinned(thermal, digest, patterns, kept):
     scenario = replace(ctqw_scenario({"U00Q0", "U33Q2"}), n_shots=20000, seed=7)
     readout = None if thermal is None else ReadoutModel.uniform(62, thermal=thermal)
     result = run_scenario(scenario, readout=readout)
-    assert hashlib.sha256(result.shots.to_lines().encode()).hexdigest() == digest
+    _, text = shots_outputs(result.shots, result.retention, scenario.readout_time)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert len(result.shots.counts) == patterns
     assert result.shots.n_shots == kept and result.retention == kept / 20000
 
@@ -312,7 +376,8 @@ def test_perfect_readout_histogram_matches_the_general_path(n, k, n_shots, seed)
     with mock.patch.object(ReadoutModel, "is_perfect", property(lambda self: False)):
         general = sample_shots(state, readout, n_shots, seed)
     assert list(counted.counts.items()) == list(general.counts.items())
-    assert counted.to_lines() == general.to_lines()
+    assert counted.rows.dtype == general.rows.dtype == bool
+    assert np.array_equal(counted.rows, general.rows) and np.array_equal(counted.mults, general.mults)
 
 
 @st.composite

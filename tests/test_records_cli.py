@@ -161,24 +161,24 @@ def test_float_table_writes_what_json_dumps_and_the_old_csv_write(data, n_rows, 
                 assert fh.read() == oracle
 
 
-_bitstrings = st.text("01", min_size=1, max_size=8)
-# Python ints, and counts that are numpy or bool scalars
-_count_values = st.one_of(st.integers(1, 10**6), st.integers(1, 99).map(np.int64), st.just(True))
-_counts = st.one_of(
-    # 0/1 keys with Python int counts, which shots_outputs spells by join
-    st.dictionaries(_bitstrings, st.integers(1, 10**6), min_size=1, max_size=20),
-    # 0/1 keys with any count, and keys JSON must escape: these go through json.dumps
-    st.dictionaries(_bitstrings, _count_values, min_size=1, max_size=20),
-    st.dictionaries(_labels, _count_values, min_size=1, max_size=5),
-)
+@st.composite
+def _shots(draw):
+    """ShotCounts of distinct rows on 0 to 8 sites with positive counts, and
+    the dict of bitstrings to counts they hold."""
+    n = draw(st.integers(0, 8))
+    counts = draw(st.dictionaries(st.text("01", min_size=n, max_size=n), st.integers(1, 10**6), min_size=1, max_size=20))
+    bits = sorted(counts)
+    rows = np.array([[ch == "1" for ch in b] for b in bits], dtype=bool).reshape(len(bits), n)
+    return ShotCounts(rows, np.array([counts[b] for b in bits], dtype=np.int64)), counts
 
 
-@given(counts=_counts, retention=st.floats(0.0, 1.0), time_ns=st.one_of(st.none(), _times))
-def test_shots_outputs_write_what_json_dumps_and_to_lines(counts, retention, time_ns):
-    line, text = shots_outputs(counts, retention, time_ns)
-    # to_json is json.dumps, after numpy scalars are turned into Python ones
+@given(shots=_shots(), retention=st.floats(0.0, 1.0), time_ns=st.one_of(st.none(), _times))
+def test_shots_outputs_write_what_json_dumps_and_to_lines(shots, retention, time_ns):
+    shots, counts = shots
+    line, text = shots_outputs(shots, retention, time_ns)
     assert line == ResultRecord("shots", {"counts": counts, "retention": retention}, {"time_ns": time_ns}).to_json()
-    assert text == ShotCounts(counts, sum(counts.values()), 8).to_lines()
+    # one "bits count" line per distinct row, in bitstring order
+    assert text == "".join(f"{bits} {count}\n" for bits, count in sorted(counts.items()))
 
 
 def test_records_spell_numpy_scalars_as_python_ones():
