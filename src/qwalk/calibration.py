@@ -3,7 +3,8 @@ multi-qubit swap data (every centre of a twin simulated in one star stack),
 disorder-map recovery (multi-start, in growing time windows: Nelder-Mead,
 ported from SciPy, on the first window, then `optimize.levenberg_marquardt`,
 the numpy Levenberg-Marquardt the front fits share, on each longer one,
-stopped at MINPACK's cost tolerance),
+stopped at MINPACK's cost tolerance; a start above its acceptance cost on the
+window ending at the last of STAGE_ENDS_NS is rejected there),
 iterative frequency alignment, and interferometer optimization (SciPy's
 L-BFGS-B on the fit's kernel, the one SciPy optimizer left, imported on use).
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,9 +49,10 @@ __all__ = [
 
 
 class CalibrationError(RuntimeError):
-    def __init__(self, message: str, best=None):
+    def __init__(self, message: str, best=None, cost=None):
         super().__init__(message)
-        self.best = best
+        self.best = best  # the best map found, if any
+        self.cost = cost  # and its cost
 
 
 # Nelder-Mead iteration cap, and the iterations between recorded history entries
@@ -314,7 +317,8 @@ class DisorderFit:
     cost: float
     overall_distance: float  # cost of the zero map
     # cost evaluations of Nelder-Mead, plus the trial evaluations and the
-    # Jacobians (the start's included) of every Levenberg-Marquardt stage, over all starts
+    # Jacobians (the start's included) of every Levenberg-Marquardt stage run,
+    # over all starts; a start rejected on its STAGE_ENDS_NS[-1] window runs no full-data stage
     n_evaluations: int
     # the accepted start's Nelder-Mead history on the first window, then one
     # (iteration, cost on its window, x) per Levenberg-Marquardt stage, the full data last
@@ -491,12 +495,22 @@ class _SwapResiduals:
     source row) and d population = 2 Re(conj(amplitude) d amplitude).
     """
 
+    end_ns = None  # the end of a `_stage_kernels` window its datasets were cut to; None for uncut data
+
     def __init__(self, datasets, pos: dict):
+        self.datasets = tuple(datasets)
         grouped = {}
-        for ds in datasets:
+        for ds in self.datasets:
             grouped.setdefault(tuple(ds.times_ns), []).append(ds)
         self.n_params = len(pos)
         self.stacks = [_StarStack(members, pos, times) for times, members in grouped.items()]
+
+    @cached_property
+    def accept_cost(self) -> float:
+        """The disorder fit accepts a cost on these data at or below
+        EARLY_STOP_COST plus NOISE_COST_MULTIPLE times their estimated
+        shot-noise cost."""
+        return EARLY_STOP_COST + NOISE_COST_MULTIPLE * sum(_shot_noise_cost(ds) for ds in self.datasets)
 
     def evaluate(self, x) -> tuple:
         """The residuals at x, one point or a batch of one, shaped as it is,
@@ -533,9 +547,9 @@ def _shot_noise_cost(ds: SwapDataset) -> float:
 
 def _stage_kernels(datasets, pos: dict) -> list:
     """One `_SwapResiduals` per stage of the disorder fit: the datasets cut to
-    their times up to each of STAGE_ENDS_NS, then whole. A cut that holds no
-    times, or the same times as the next one, is dropped; a dataset left with
-    no times sits out its stage."""
+    their times up to each of STAGE_ENDS_NS (the kernel's `end_ns`), then
+    whole. A cut that holds no times, or the same times as the next one, is
+    dropped; a dataset left with no times sits out its stage."""
     kernels, later = [_SwapResiduals(datasets, pos)], [len(ds.times_ns) for ds in datasets]
     for end in reversed(STAGE_ENDS_NS):
         keep = [np.asarray(ds.times_ns, dtype=float) <= end for ds in datasets]
@@ -546,6 +560,7 @@ def _stage_kernels(datasets, pos: dict) -> list:
                 for ds, k, n in zip(datasets, keep, counts) if n
             ]
             kernels.append(_SwapResiduals(cut, pos))
+            kernels[-1].end_ns = end
             later = counts
     return kernels[::-1]
 
@@ -562,16 +577,22 @@ def fit_disorder_map(datasets) -> DisorderFit:
     STAGE_COST_TOL) on each longer window in turn, each
     from the last stage's point, and last on the full data; a short window's
     cost has fewer local minima. When the data hold one window only,
-    Nelder-Mead and the Levenberg-Marquardt polish both run on it. Only the
-    last stage can accept a start: the first start whose full-data polish
-    stops at a cost within the acceptance cost (EARLY_STOP_COST plus
-    NOISE_COST_MULTIPLE times the data's estimated shot-noise cost) is the
-    fit; a polish that gives up
-    (singular normal equations, which the gauge direction can make, or no
-    stop) leaves its start unaccepted, and an earlier stage that gives up
+    Nelder-Mead and the Levenberg-Marquardt polish both run on it.
+
+    A window's acceptance cost is EARLY_STOP_COST plus NOISE_COST_MULTIPLE
+    times its data's estimated shot-noise cost. A start whose
+    Levenberg-Marquardt stage on the window ending at STAGE_ENDS_NS[-1]
+    stops above that window's acceptance cost is rejected there, without
+    its full-data stage: at that window a start's cost already tells a
+    local minimum from the planted map, at the earlier ones it does not.
+    Only the full data can accept a start: the first start whose full-data
+    polish stops within the acceptance cost is the fit; a polish that gives
+    up (singular normal equations, which the gauge direction can make, or
+    no stop) leaves its start unaccepted, and an earlier stage that gives up
     hands its point on. Starts come from one fixed stream, at most N_STARTS
-    of them; if none is accepted the fit raises CalibrationError with the
-    best and the zero-map costs.
+    of them; if none is accepted, the start rejected early with the lowest
+    window cost is polished on the full data too, and the fit raises
+    CalibrationError with the best full-data and the zero-map costs.
 
     The returned map is gauge-fixed by canonical_gauge; the physical sign is
     resolved experimentally by alignment_loop.
@@ -583,31 +604,52 @@ def fit_disorder_map(datasets) -> DisorderFit:
         raise ValueError("n_shots must be at least 2 for a disorder fit: single-shot data give no noise estimate")
     qubits = sorted({q for ds in datasets for q in ds.graph.sites})
     kernels = _stage_kernels(datasets, {q: i for i, q in enumerate(qubits)})
-    coarse_kernel, polish_kernels = kernels[0], kernels[1:] or kernels
-    accept_cost = EARLY_STOP_COST + NOISE_COST_MULTIPLE * sum(_shot_noise_cost(ds) for ds in datasets)
+    coarse_kernel, polish_kernels, full_kernel = kernels[0], kernels[1:] or kernels, kernels[-1]
+    accept_cost = full_kernel.accept_cost
+    total_evals = 0
+
+    def polish(kernel, x, history):
+        """Levenberg-Marquardt on one window from x; its end point and cost
+        go on the start's history. Gives the point, its cost and why the
+        stage gave up (None if it stopped)."""
+        nonlocal total_evals
+        fit = levenberg_marquardt(kernel.evaluate, x[None], STAGE_COST_TOL)
+        x, r = fit.p[0], fit.residuals[0]
+        cost = float(r @ r)
+        total_evals += fit.n_trials[0] + fit.n_jacobians[0]
+        history.append((history[-1][0] + fit.n_trials[0], cost, x.copy()))
+        return x, cost, fit.failure[0]
 
     rng = rng_stream(0xF17)
-    best = None  # (cost, x, history, failure) of the accepted start, or of the cheapest while none is
-    total_evals = 0
+    best = None  # (cost, x, history, failure) of the accepted start, or of the cheapest on the full data
+    stopped = None  # (cost, x, history) of the start rejected before the full data at the lowest cost
+    accepted = False
     for start in range(N_STARTS):
         x0 = np.zeros(len(qubits)) if start == 0 else rng.uniform(-START_SPREAD_MHZ, START_SPREAD_MHZ, len(qubits))
         coarse = nelder_mead(coarse_kernel.cost, x0)
-        history, x, iteration = list(coarse.history), coarse.x, coarse.n_iterations
+        history, x = list(coarse.history), coarse.x
         total_evals += coarse.n_evaluations
         for kernel in polish_kernels:
-            polish = levenberg_marquardt(kernel.evaluate, x[None], STAGE_COST_TOL)
-            x, r, failure = polish.p[0], polish.residuals[0], polish.failure[0]
-            cost, iteration = float(r @ r), iteration + polish.n_trials[0]
-            total_evals += polish.n_trials[0] + polish.n_jacobians[0]
-            history.append((iteration, cost, x.copy()))
+            x, cost, failure = polish(kernel, x, history)
+            if kernel.end_ns == STAGE_ENDS_NS[-1] and cost > kernel.accept_cost:
+                break
+        if kernel is not full_kernel:  # rejected before the full data
+            if stopped is None or cost < stopped[0]:
+                stopped = (cost, x, history)
+            continue
         accepted = failure is None and cost <= accept_cost
         if accepted or best is None or cost < best[0]:
             best = (cost, x, history, failure)
         if accepted:
             break
+    if not accepted and stopped is not None:
+        _, x, history = stopped
+        x, cost, failure = polish(full_kernel, x, history)
+        if best is None or cost < best[0]:
+            best = (cost, x, history, failure)
     cost, x, history, failure = best
     fitted = DisorderMap(canonical_gauge({q: x[k] for k, q in enumerate(qubits)}))
-    zero_cost = kernels[-1].cost(np.zeros(len(qubits)))
+    zero_cost = full_kernel.cost(np.zeros(len(qubits)))
     if not accepted:
         if failure is not None and not cost > accept_cost:
             why = (f"best cost {cost:.3e} within the acceptance cost {accept_cost:.3e}, "
@@ -615,7 +657,9 @@ def fit_disorder_map(datasets) -> DisorderFit:
         else:
             why = f"best cost {cost:.3e} above the acceptance cost {accept_cost:.3e}"
         raise CalibrationError(
-            f"disorder fit accepted none of {N_STARTS} starts: {why} (zero-map cost {zero_cost:.3e})", best=fitted
+            f"disorder fit accepted none of {N_STARTS} starts: {why} (zero-map cost {zero_cost:.3e})",
+            best=fitted,
+            cost=cost,
         )
     return DisorderFit(fitted, cost, zero_cost, total_evals, history, start + 1, accept_cost)
 

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 from scipy.optimize import minimize
 
 import qwalk.calibration as calibration
+from qwalk import optimize
 from qwalk.calibration import (
     CalibrationError,
     CalibrationTwin,
@@ -480,11 +481,60 @@ def test_fit_recovers_planted_disorder_3x3(seed):
     _assert_3x3_recovery(seed, None)
 
 
-@pytest.mark.parametrize("seed", [0, 5, 8, 10, 17, 22, 30, 39])
+# `calibrate --task disorder --shots 2000`: the seeds whose fits take two
+# starts, and some that take one
+SHOT_SEEDS = (0, 5, 8, 10, 17, 22, 30, 39)
+
+
+@pytest.mark.parametrize("seed", SHOT_SEEDS)
 def test_shot_data_fit_recovers_planted_disorder_3x3(seed):
-    # `calibrate --task disorder --shots 2000`: the seeds whose fits take two
-    # starts, and some that take one
     _assert_3x3_recovery(seed, 2000)
+
+
+def _record_stages(monkeypatch) -> list:
+    """Wrap the fit's optimizers. The returned list gets one entry per start,
+    the (kernel, result) of each of its Levenberg-Marquardt stages in order."""
+    starts = []
+    coarse, polish = calibration.nelder_mead, calibration.levenberg_marquardt
+
+    def recording_coarse(*args):
+        starts.append([])
+        return coarse(*args)
+
+    def recording_polish(evaluate, *args):
+        starts[-1].append((evaluate.__self__, polish(evaluate, *args)))
+        return starts[-1][-1][1]
+
+    monkeypatch.setattr(calibration, "nelder_mead", recording_coarse)
+    monkeypatch.setattr(calibration, "levenberg_marquardt", recording_polish)
+    return starts
+
+
+def _cost(least_squares) -> float:
+    r = least_squares.residuals[0]
+    return float(r @ r)
+
+
+@pytest.mark.parametrize("seed, n_shots", [(seed, None) for seed in range(40)] + [(s, 2000) for s in SHOT_SEEDS])
+def test_fit_rejects_after_its_last_window_only_what_the_full_data_reject(monkeypatch, seed, n_shots):
+    # a start above its acceptance cost on the window ending at
+    # STAGE_ENDS_NS[-1] runs no full-data stage (on these panels every
+    # rejected start stops there): polished on the full data, each such start
+    # would still have been rejected there
+    device = subgrid_device(4, 0, 3, 3)
+    qubits = device.functional_qubits
+    twin = CalibrationTwin(device, sample_disorder(qubits, 1.6, seed), n_shots, seed)
+    datasets = generate_swap_datasets(twin, qubits)
+    starts = _record_stages(monkeypatch)
+    fit = fit_disorder_map(datasets)
+    full = calibration._SwapResiduals(datasets, {q: i for i, q in enumerate(sorted(qubits))})
+    assert len(starts) == fit.n_starts
+    for stages in starts[:-1]:
+        kernel, last = stages[-1]
+        assert kernel.end_ns == calibration.STAGE_ENDS_NS[-1] and _cost(last) > kernel.accept_cost
+        polished = optimize.levenberg_marquardt(full.evaluate, last.p, calibration.STAGE_COST_TOL)
+        assert _cost(polished) > fit.accept_cost
+    assert starts[-1][-1][0].end_ns is None
 
 
 def test_fit_without_an_accepted_start_raises(monkeypatch, trapped_seed):
@@ -497,6 +547,12 @@ def test_fit_without_an_accepted_start_raises(monkeypatch, trapped_seed):
         fit_disorder_map(datasets)
     assert set(info.value.best.offsets) == set(qubits)
     assert "above the acceptance cost" in str(info.value)
+    # the start was rejected before the full data; the cost named is its
+    # map's on the full data, which the gauge leaves as it is
+    pos = {q: i for i, q in enumerate(sorted(qubits))}
+    best = np.array([info.value.best.get(q) for q in sorted(qubits)])
+    assert info.value.cost == pytest.approx(calibration._SwapResiduals(datasets, pos).cost(best), rel=1e-9)
+    assert f"best cost {info.value.cost:.3e} above" in str(info.value)
 
 
 def test_fit_whose_polish_gives_up_within_the_acceptance_cost_names_the_failure():
@@ -570,36 +626,51 @@ def test_polish_singular_along_the_gauge_leaves_its_start_unaccepted(monkeypatch
     # J^T J + mu diag(J^T J), singular along the global offset (the gauge
     # direction), cannot be solved; the fit moves on to later starts. Which
     # starts end that way rides on the swap data's low bits, so the case is
-    # the first calibration seed whose fit records such a polish on the full
-    # data (56: most stuck starts stop at STAGE_COST_TOL before their damping
-    # collapses, and an earlier stage that gives up hands its point on).
+    # the first calibration seed whose fit records such a polish on a window
+    # that decides its start, the full data or the one ending at
+    # STAGE_ENDS_NS[-1] (182: most stuck starts stop at STAGE_COST_TOL before
+    # their damping collapses, and since rejected starts stop after the
+    # STAGE_ENDS_NS[-1] window no full-data polish of seeds 0-199 ends so).
+    # On an earlier window a singular polish hands its point on (42, 98).
     device = subgrid_device(4, 0, 3, 3)
     qubits = device.functional_qubits
-    polish, polishes = calibration.levenberg_marquardt, []
-
-    def recording(*args):
-        polishes.append(polish(*args))
-        return polishes[-1]
-
-    monkeypatch.setattr(calibration, "levenberg_marquardt", recording)
-    stages = len(calibration.STAGE_ENDS_NS)  # each start's last polish is its full-data stage
-    for seed in range(80):
-        polishes.clear()
+    starts = _record_stages(monkeypatch)
+    deciding = (calibration.STAGE_ENDS_NS[-1], None)
+    handed_on = 0
+    for seed in range(200):
+        starts.clear()
         twin = CalibrationTwin(device, sample_disorder(qubits, 1.6, seed), seed=seed)
         datasets = [generate_swap_data(twin, q) for q in qubits]
         fit = fit_disorder_map(datasets)
-        singular = next((p for p in polishes[stages - 1 :: stages] if p.failure == ("singular normal equations",)), None)
-        if singular is not None:
+        singular = [
+            (start, stage)
+            for start, stages in enumerate(starts)
+            for stage, (_, p) in enumerate(stages)
+            if p.failure == ("singular normal equations",)
+        ]
+        for start, stage in singular:
+            if starts[start][stage][0].end_ns not in deciding:
+                assert stage + 1 < len(starts[start])  # the next window polishes on from its point
+                handed_on += 1
+        found = next(((start, *starts[start][stage]) for start, stage in singular
+                      if starts[start][stage][0].end_ns in deciding), None)
+        if found is not None:
             break
-    assert singular is not None, "no fit of calibration seeds 0-79 records a singular full-data polish"
-    assert float(singular.residuals[0] @ singular.residuals[0]) > fit.accept_cost
-    kernel = calibration._SwapResiduals(datasets, {q: i for i, q in enumerate(sorted(qubits))})
+    assert found is not None, "no fit of calibration seeds 0-199 records a singular polish on a deciding window"
+    assert handed_on > 0
+    start, kernel, singular = found
+    assert _cost(singular) > kernel.accept_cost and start < fit.n_starts - 1
     jac = kernel.evaluate(singular.p[0])[1]()
     assert np.max(np.abs(jac @ np.ones(len(qubits)))) <= 1e-9 * np.max(np.abs(jac))
-    # one polish per Levenberg-Marquardt stage of each start, each a batch of one
-    assert len(polishes) == stages * fit.n_starts and fit.n_starts > 1
-    assert all(len(p.failure) == 1 for p in polishes) and polishes[-1].failure == (None,)
-    assert fit.cost <= fit.accept_cost
+    # each start polishes every window after the first, or stops after the
+    # STAGE_ENDS_NS[-1] one above its acceptance cost; each polish is a batch of one
+    pos = {q: i for i, q in enumerate(sorted(qubits))}
+    windows = [kernel.end_ns for kernel in calibration._stage_kernels(datasets, pos)[1:]]
+    assert len(starts) == fit.n_starts > 1
+    for stages in starts:
+        assert [kernel.end_ns for kernel, _ in stages] in (windows, windows[:-1])
+        assert all(len(p.failure) == 1 for _, p in stages)
+    assert starts[-1][-1][1].failure == (None,) and fit.cost <= fit.accept_cost
 
     monkeypatch.setattr(calibration, "N_STARTS", 1)
     with pytest.raises(CalibrationError, match="accepted none of 1 starts"):
